@@ -137,7 +137,7 @@ def _consequences(A, q, data):
     }
 
 
-def decide(A, q, run_oracle=False, seed=0, trials=None):
+def decide(A, q, run_oracle=False, seed=0):
     """Full decision: both criteria, agreement assertion, consequence
     suite on a true verdict, and optionally the resolution oracle."""
     report = DecisionReport(A, q, A.dim())

@@ -21,8 +21,9 @@ def _as_vecs(polys, order=None):
 def groebner_basis(gens, order=None, pair_cap=None):
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Unique for (ideal, order); cached.  Zero generators are dropped; the
-    zero ideal yields the empty basis.
+    Unique for (ideal, order); cached as a tuple, so every call returns a
+    fresh list.  Zero generators are dropped; the zero ideal yields the
+    empty basis.
     """
     gens = list(gens)
     if not gens:
@@ -33,18 +34,18 @@ def groebner_basis(gens, order=None, pair_cap=None):
         key = (gens[0].ring, okey, frozenset(p.terms for p in gens))
         hit = _CACHE.get(key)
         if hit is not None:
-            return hit
+            return list(hit)
     if all(p.is_zero() for p in gens):
-        result = []
+        result = ()
     else:
         vecs, ring = _as_vecs([p for p in gens if not p.is_zero()], order)
         data = module_buchberger(vecs, pair_cap=pair_cap)
-        result = [v.component(0) for v in data.basis]
+        result = tuple(v.component(0) for v in data.basis)
     if key is not None:
         if len(_CACHE) > _CACHE_LIMIT:
             _CACHE.clear()
         _CACHE[key] = result
-    return result
+    return list(result)
 
 
 def normal_form(f, basis):

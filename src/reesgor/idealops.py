@@ -6,7 +6,7 @@ rings.py wraps them with owner bookkeeping and preimage conventions.
 
 from .errors import NotDivisible, ResourceExceeded
 from .groebner import groebner_basis, is_member, normal_form
-from .hilbert import dimension_from_numerator, finite_length, hilbert_numerator
+from .hilbert import finite_length, hilbert_numerator
 from .orders import BlockOrder
 
 
@@ -17,13 +17,6 @@ def reduced_gens(ring, gens):
 
 def lead_exps(gb):
     return [g.lead_exp() for g in gb]
-
-
-def ideal_dim(ring, gens):
-    """Krull dimension of P/(gens)."""
-    gb = groebner_basis(gens) if gens else []
-    num = hilbert_numerator(lead_exps(gb), ring.weights)
-    return dimension_from_numerator(num, ring.weights)
 
 
 def ideal_length(ring, gens):
@@ -47,10 +40,6 @@ def ideals_equal(ring, gens_a, gens_b):
     return ([g.terms for g in gba] == [g.terms for g in gbb])
 
 
-def ideal_sum(ring, gens_a, gens_b):
-    return list(gens_a) + list(gens_b)
-
-
 def ideal_product(ring, gens_a, gens_b):
     out = []
     for a in gens_a:
@@ -59,15 +48,6 @@ def ideal_product(ring, gens_a, gens_b):
             if not p.is_zero():
                 out.append(p)
     return reduced_gens(ring, out) if out else []
-
-
-def ideal_power(ring, gens, k):
-    if k == 0:
-        return [ring.one]
-    out = list(gens)
-    for _ in range(k - 1):
-        out = ideal_product(ring, out, gens)
-    return out
 
 
 def _fresh_name(ring, base):
@@ -151,10 +131,3 @@ def eliminate(ring, gens, block):
         if all(all(e[i] == 0 for i in block) for e, _ in g.terms):
             out.append(sub.transfer(g))
     return sub, out
-
-
-def exact_divide_gens(ring, gens, g):
-    out = []
-    for h in gens:
-        out.append(h.exact_div(g))
-    return out

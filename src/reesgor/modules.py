@@ -4,13 +4,17 @@ A Vec is an element of a free module F = sum_i P(-shift_i), stored as
 ((component, exponent), coefficient) terms sorted descending in a
 position-over-term order extending the ring's monomial order.  The
 Buchberger loop here optionally tracks representations of basis elements
-in terms of the input generators.  Syzygies are computed separately by a
-Groebner basis of the graph module {(g_i, e_i)} in F + F^s under the
-position-over-term order, reading off elements supported in the second
-block.
+in terms of the input generators.  It prunes S-pairs by the
+Gebauer-Moeller update (Gebauer & Moeller 1988) as each element joins the
+basis, with the product criterion on rank 1 only, where it is valid; its
+`pair_cap` counts the S-vectors actually reduced.  Syzygies are computed
+separately by a Groebner basis of the graph module {(g_i, e_i)} in
+F + F^s under the position-over-term order, reading off elements
+supported in the second block.
 """
 
 import heapq
+from operator import ge
 
 from .errors import NotAMember, OwnerMismatch, ResourceExceeded
 from .polys import Poly, _exp_div, _exp_lcm, _exp_mul
@@ -53,10 +57,6 @@ class FreeModule:
         items = [(ce, c) for ce, c in d.items() if c != zero]
         items.sort(key=lambda t: self.key(*t[0]), reverse=True)
         return Vec(self, tuple(items))
-
-    def from_columns(self, polys):
-        """Vec from a list of polynomial entries, one per component."""
-        return self.from_poly_list(list(enumerate(polys)))
 
     def __eq__(self, other):
         return (isinstance(other, FreeModule) and other.ring == self.ring
@@ -253,7 +253,17 @@ class GroebnerData:
 
 
 def module_buchberger(gens, track_reps=False, pair_cap=None):
-    """Reduced module Groebner basis with optional representation tracking."""
+    """Reduced module Groebner basis with optional representation tracking.
+
+    Pairs are taken smallest lcm first (the normal strategy) and pruned by
+    the Gebauer-Moeller update each time an element joins the basis: of
+    its new pairs, one is kept per lcm and none whose lcm is a multiple of
+    a kept one; on rank 1 only, coprime pairs are then dropped (the
+    product criterion); queued pairs whose lcm the new lead divides are
+    dropped unless the lcm of either end with the new lead equals it
+    (criterion B_k).  `pair_cap` bounds the number of S-vectors actually
+    reduced; one more raises ResourceExceeded.
+    """
     if not gens:
         raise ValueError("empty generator list")
     module = gens[0].module
@@ -272,57 +282,53 @@ def module_buchberger(gens, track_reps=False, pair_cap=None):
         basis.append(g.scale(F.inv(lc)))
         reps.append({i: ring.const(F.inv(lc))} if track else None)
 
-    pairs = []
-    done = set()
+    leads = []      # (comp, exp) of each basis element
+    pairs = []      # heap of (key of lcm, i, j, comp, lcm)
 
-    def push_pairs(j):
-        (compj, ej), _ = basis[j].lead()
-        for i in range(j):
-            (compi, ei), _ = basis[i].lead()
-            if compi != compj:
+    def update(k):
+        """Gebauer-Moeller update for the new basis element k."""
+        compk, ek = leads[k]
+        live = [p for p in pairs
+                if p[3] != compk or not all(map(ge, p[4], ek))
+                or _exp_lcm(leads[p[1]][1], ek) == p[4]
+                or _exp_lcm(leads[p[2]][1], ek) == p[4]]
+        if len(live) != len(pairs):
+            pairs[:] = live
+            heapq.heapify(pairs)
+        cands = []
+        for i in range(k):
+            compi, ei = leads[i]
+            if compi != compk:
                 continue
-            lcm = _exp_lcm(ei, ej)
-            # normal strategy: smallest lcm in the module order first
-            heapq.heappush(pairs, (module.key(compi, lcm), i, j, lcm))
+            lcm = tuple(map(max, ei, ek))
+            coprime = rank1 and not any(map(min, ei, ek))
+            cands.append((sum(lcm), lcm, not coprime, i))
+        # by total degree a divisor sorts before its multiples, and equal
+        # lcms sit side by side with a coprime pair first
+        cands.sort()
+        kept = []
+        for _, lcm, not_coprime, i in cands:
+            if any(all(map(ge, lcm, m)) for m in kept):
+                continue
+            kept.append(lcm)
+            if not_coprime:
+                heapq.heappush(pairs,
+                               (module.key(compk, lcm), i, k, compk, lcm))
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    for k, b in enumerate(basis):
+        leads.append(b.lead()[0])
+        update(k)
 
-    processed = 0
+    reduced_count = 0
     while pairs:
-        processed += 1
-        if pair_cap is not None and processed > pair_cap:
+        reduced_count += 1
+        if pair_cap is not None and reduced_count > pair_cap:
             raise ResourceExceeded("pair queue cap %d exceeded" % pair_cap)
-        _, i, j, lcm = heapq.heappop(pairs)
-        (comp, ei), _ = basis[i].lead()
-        ej = basis[j].lead()[0][1]
-        # product criterion (valid for ideals only)
-        if rank1 and _exp_mul(ei, ej) == lcm:
-            done.add((i, j))
-            continue
-        # chain criterion
-        skip = False
-        for k, b in enumerate(basis):
-            if k == i or k == j:
-                continue
-            (compk, ek), _ = b.lead()
-            if compk != comp:
-                continue
-            if _exp_div(lcm, ek) is None:
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik in done and pjk in done:
-                skip = True
-                break
-        if skip:
-            done.add((i, j))
-            continue
-        ui = _exp_div(lcm, ei)
-        uj = _exp_div(lcm, ej)
+        _, i, j, _comp, lcm = heapq.heappop(pairs)
+        ui = _exp_div(lcm, leads[i][1])
+        uj = _exp_div(lcm, leads[j][1])
         sp = basis[i].mul_term(ui, F.one) - basis[j].mul_term(uj, F.one)
         h, quots = vec_nf(sp, basis, track=track)
-        done.add((i, j))
         if h.is_zero():
             continue
         lc = h.lead()[1]
@@ -339,23 +345,22 @@ def module_buchberger(gens, track_reps=False, pair_cap=None):
             reps.append(rep)
         else:
             reps.append(None)
-        push_pairs(len(basis) - 1)
+        leads.append(h.lead()[0])
+        update(len(basis) - 1)
 
-    # interreduce: keep elements whose leads minimally generate the lead module
+    # interreduce: in ascending lead order a divisor comes first, so keep
+    # the elements whose lead no kept lead of their component divides
     keep = []
-    for i, b in enumerate(basis):
-        (comp, e), _ = b.lead()
-        redundant = False
-        for j, b2 in enumerate(basis):
-            if i == j:
-                continue
-            (comp2, e2), _ = b2.lead()
-            if comp2 == comp and _exp_div(e, e2) is not None:
-                if e2 != e or j < i:
-                    redundant = True
-                    break
-        if not redundant:
-            keep.append(i)
+    kept_leads = {}
+    ascending = sorted(range(len(basis)),
+                       key=lambda i: (module.key(*leads[i]), i))
+    for i in ascending:
+        comp, e = leads[i]
+        mine = kept_leads.setdefault(comp, [])
+        if any(all(map(ge, e, m)) for m in mine):
+            continue
+        mine.append(e)
+        keep.append(i)
     reduced = []
     red_reps = []
     for i in keep:

@@ -275,7 +275,7 @@ class ModulePresentation:
             syz = module_syzygies(cols)
             ann = []
             for v in syz:
-                p = _column_entry_rep(v, 0)
+                p = _column_entry(v, 0)
                 if not p.is_zero():
                     ann.append(p)
             ann = groebner_basis(ann) if ann else []
@@ -347,11 +347,6 @@ def _standard_module_basis(f0, gb):
 
         rec(0, [])
     return out
-
-
-def _column_entry_rep(vec, comp):
-    d = {e: c for (cc, e), c in vec.terms if cc == comp}
-    return vec.module.ring.from_dict(d)
 
 
 def _field_rank(field, rows):

@@ -198,21 +198,6 @@ def _check_owner(a, b):
         raise OwnerMismatch("ideals from different rings")
 
 
-def ideal_combine(ia, ib, op, n=None):
-    """Sum, product, or power of ideals of the same ring."""
-    if op == "power":
-        A = ia.owner
-        gens = idealops.ideal_power(A.ambient, ia.gens, n)
-        return Ideal(A, gens)
-    _check_owner(ia, ib)
-    A = ia.owner
-    if op == "sum":
-        return Ideal(A, idealops.ideal_sum(A.ambient, ia.gens, ib.gens))
-    if op == "product":
-        return Ideal(A, idealops.ideal_product(A.ambient, ia.gens, ib.gens))
-    raise ValueError("unknown op %r" % op)
-
-
 def intersect(ia, ib):
     _check_owner(ia, ib)
     A = ia.owner

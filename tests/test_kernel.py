@@ -146,6 +146,17 @@ def test_reduced_basis_is_autoreduced():
                 assert not divides
 
 
+def test_cached_basis_is_not_shared():
+    R = ring2()
+    x, y = R.gens()
+    gb = groebner_basis([x * x, x * y])
+    gb.append(y)
+    again = groebner_basis([x * x, x * y])
+    assert again == [x * x, x * y]
+    again.append(y)
+    assert groebner_basis([x * x, x * y]) == [x * x, x * y]
+
+
 def test_determinism_under_permutation(corpus_instances):
     for name, (A, _) in corpus_instances.items():
         gens = A.defining

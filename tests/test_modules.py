@@ -1,15 +1,16 @@
 """Module Groebner machinery: normal forms, syzygies, lifting."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reesgor.errors import NotAMember
+from reesgor.errors import NotAMember, ResourceExceeded
 from reesgor.fields import GF, DEFAULT_PRIME
 from reesgor.modules import (FreeModule, module_buchberger, module_lift,
                              module_syzygies, vec_nf)
-from reesgor.polys import PolyRing
+from reesgor.polys import PolyRing, _exp_div, _exp_lcm
 
 F = GF(DEFAULT_PRIME)
 
@@ -149,3 +150,79 @@ def test_module_lift_rejects_outsiders():
     M = FreeModule(R, 1)
     with pytest.raises(NotAMember):
         module_lift(M.basis_vec(0, z), [M.basis_vec(0, x), M.basis_vec(0, y)])
+
+
+def _monomials(n, d):
+    return [e for e in itertools.product(range(d + 1), repeat=n)
+            if sum(e) == d]
+
+
+@st.composite
+def homogeneous_gens(draw):
+    """3-5 forms in k[x,y,z] on rank 1, 2-4 homogeneous vectors on rank 2-3."""
+    rank = draw(st.sampled_from([1, 2, 3]))
+    shifts = tuple(draw(st.integers(0, 1)) for _ in range(rank))
+    M = FreeModule(ring3(), rank, shifts)
+    count = draw(st.integers(3, 5) if rank == 1 else st.integers(2, 4))
+    gens = []
+    for _ in range(count):
+        deg = draw(st.integers(1, 3))
+        d = {}
+        for comp in range(rank):
+            if deg - shifts[comp] < 1:
+                continue
+            exps = draw(st.lists(st.sampled_from(
+                _monomials(3, deg - shifts[comp])), max_size=3, unique=True))
+            for e in exps:
+                d[(comp, e)] = draw(st.integers(1, DEFAULT_PRIME - 1))
+        if d:
+            gens.append(M.from_dict(d))
+    if not gens:
+        gens.append(M.basis_vec(0, M.ring.gen(0)))
+    return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_gens(), st.randoms(use_true_random=False))
+def test_module_buchberger_basis_checked_without_pruning(gens, rnd):
+    """The returned basis is checked against all of its own S-vectors."""
+    data = module_buchberger(gens, track_reps=True)
+    basis = data.basis
+    for g in gens:
+        assert vec_nf(g, basis)[0].is_zero()
+    for b, rep in zip(basis, data.reps):
+        assert vec_combination([gens[i] for i in rep],
+                               list(rep.values())) == b
+    for bi, bj in itertools.combinations(basis, 2):
+        (ci, ei), _ = bi.lead()
+        (cj, ej), _ = bj.lead()
+        if ci != cj:
+            continue
+        lcm = _exp_lcm(ei, ej)
+        sp = (bi.mul_term(_exp_div(lcm, ei), F.one)
+              - bj.mul_term(_exp_div(lcm, ej), F.one))
+        assert vec_nf(sp, basis)[0].is_zero()
+    for b in basis:
+        (comp, lead), _ = b.lead()
+        for other in basis:
+            if other is b:
+                continue
+            assert all(_exp_div(e, lead) is None
+                       for (c, e), _ in other.terms if c == comp)
+    perm = list(gens)
+    rnd.shuffle(perm)
+    assert module_buchberger(perm).basis == basis
+
+
+def test_pair_cap_counts_reduced_s_vectors():
+    R = ring3()
+    x, y, z = R.gens()
+    M = FreeModule(R, 1)
+    with pytest.raises(ResourceExceeded):
+        module_buchberger([M.basis_vec(0, x * x), M.basis_vec(0, x * y)],
+                          pair_cap=0)
+    # coprime leads: every pair falls to the product criterion
+    for polys in ([x * x, y * y], [x, y, z], [x * x + y * z, y * y]):
+        data = module_buchberger([M.basis_vec(0, p) for p in polys],
+                                 pair_cap=0)
+        assert len(data.basis) == len(polys)
