@@ -5,6 +5,8 @@ Keys compare lexicographically as Python tuples, so sorted(..., key=...)
 does the right thing.  All orders here are multiplicative well-orders.
 """
 
+from operator import mul, neg
+
 
 class GrevlexOrder:
     """Weighted degree-reverse-lexicographic order."""
@@ -17,12 +19,8 @@ class GrevlexOrder:
         self.weights = tuple(weights)
 
     def key(self, exp):
-        w = self.weights
-        deg = 0
-        for i, e in enumerate(exp):
-            deg += e * w[i]
         # ties broken by the last variable with differing exponent, smaller wins
-        return (deg,) + tuple(-e for e in reversed(exp))
+        return (sum(map(mul, exp, self.weights)),) + tuple(map(neg, exp[::-1]))
 
     def __eq__(self, other):
         return isinstance(other, GrevlexOrder) and other.weights == self.weights
@@ -66,18 +64,17 @@ class BlockOrder:
         self.block = tuple(sorted(block))
         blockset = set(self.block)
         self.rest = tuple(i for i in range(len(weights)) if i not in blockset)
+        # each half is keyed like grevlex: indices reversed once, here
+        self._rblock = self.block[::-1]
+        self._rrest = self.rest[::-1]
+        self._wblock = tuple(self.weights[i] for i in self._rblock)
+        self._wrest = tuple(self.weights[i] for i in self._rrest)
 
     def key(self, exp):
-        w = self.weights
-        bdeg = 0
-        for i in self.block:
-            bdeg += exp[i] * w[i]
-        rdeg = 0
-        for i in self.rest:
-            rdeg += exp[i] * w[i]
-        bkey = tuple(-exp[i] for i in reversed(self.block))
-        rkey = tuple(-exp[i] for i in reversed(self.rest))
-        return (bdeg,) + bkey + (rdeg,) + rkey
+        nb = [-exp[i] for i in self._rblock]
+        nr = [-exp[i] for i in self._rrest]
+        return ((-sum(map(mul, nb, self._wblock)),) + tuple(nb)
+                + (-sum(map(mul, nr, self._wrest)),) + tuple(nr))
 
     def __eq__(self, other):
         return (isinstance(other, BlockOrder) and other.weights == self.weights

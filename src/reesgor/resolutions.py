@@ -5,6 +5,10 @@ Modules are subquotients (im gens)/(im rels) of a graded free module.
 Resolutions are built by iterated syzygies; after each syzygy step the new
 differential is minimalized by pivoting away unit (degree-zero) entries,
 so every stored differential has all entries in the irrelevant ideal.
+All unit pivots of a step are taken in one pass, each on the first column
+with a constant entry and its smallest such component, and the surviving
+components are renumbered once at the end.  A resolution stores its
+differentials as tuples, so a cached one can be shared between callers.
 """
 
 from .errors import NotFiniteLength, ResourceExceeded
@@ -21,18 +25,6 @@ def _column_entry(vec, comp):
     return vec.module.ring.from_dict(d)
 
 
-def _drop_component(vecs, comp, new_module):
-    out = []
-    for v in vecs:
-        d = {}
-        for (cc, e), c in v.terms:
-            if cc == comp:
-                continue
-            d[(cc - 1 if cc > comp else cc, e)] = c
-        out.append(new_module.from_dict(d))
-    return out
-
-
 def _unit_entry(vec):
     """(component, coeff) of a nonzero constant entry, or None."""
     zero_exp = vec.module.ring.zero_exp
@@ -47,40 +39,87 @@ def minimalize_step(prev_cols, s_cols):
 
     prev_cols are the columns of d_k (generators of F_k's target image);
     a unit entry (i, c) lets us delete generator i of F_k and column c.
+    All pivots of the step are taken in one pass over the columns held as
+    {component: {exp: coeff}} in F_k's numbering.  Each pivot is the first
+    column with a constant entry u, at its smallest such component i;
+    alpha/u times it is subtracted from every column whose entry alpha in
+    component i is nonzero, then the pivot column, component i and the
+    columns that became zero go.  The surviving components are renumbered
+    once at the end: keys are position over term, so that keeps the term
+    order, and only columns a pivot changed are sorted again.
     Returns the reduced (prev_cols, s_cols).
     """
     prev_cols = list(prev_cols)
     s_cols = list(s_cols)
+    if not s_cols:
+        return prev_cols, s_cols
+    F = s_cols[0].module
+    ring = F.ring
+    field = ring.field
+    zero, zero_exp = field.zero, ring.zero_exp
+    cols = []
+    for v in s_cols:
+        col = {}
+        for (comp, e), c in v.terms:
+            col.setdefault(comp, {})[e] = c
+        cols.append(col)
+    # units[c]: the components in which column c has a constant term
+    units = [{comp for comp, ent in col.items() if zero_exp in ent}
+             for col in cols]
+    live = list(range(len(cols)))
+    touched = set()
+    dropped = set()
     while True:
-        hit = None
-        for c, col in enumerate(s_cols):
-            u = _unit_entry(col)
-            if u is not None:
-                hit = (c, u[0], u[1])
-                break
-        if hit is None:
+        p = next((c for c in live if units[c]), None)
+        if p is None:
             break
-        c, i, u = hit
-        ring = s_cols[0].module.ring
-        F = s_cols[0].module
-        pivot = s_cols[c]
-        inv = ring.field.inv(u)
-        new_cols = []
-        for c2, col in enumerate(s_cols):
-            if c2 == c:
+        i = min(units[p])
+        inv = field.inv(cols[p][i][zero_exp])
+        pivot = [(comp, ent) for comp, ent in cols[p].items() if comp != i]
+        kept = []
+        for c in live:
+            if c == p:
                 continue
-            alpha = _column_entry(col, i)
-            if not alpha.is_zero():
-                col = col - pivot.mul_poly(alpha.scale(inv))
-            new_cols.append(col)
-        del prev_cols[i]
-        new_shifts = F.shifts[:i] + F.shifts[i + 1:]
-        newF = FreeModule(ring, F.rank - 1, new_shifts)
-        s_cols = [v for v in _drop_component(new_cols, i, newF)
-                  if not v.is_zero()]
-        if not s_cols:
-            break
-    return prev_cols, s_cols
+            col = cols[c]
+            alpha = col.pop(i, None)
+            if alpha is not None:
+                for e1, c1 in alpha.items():
+                    f = field.mul(c1, inv)
+                    for comp, ent in pivot:
+                        d = col.setdefault(comp, {})
+                        for e2, c2 in ent.items():
+                            e = _exp_mul(e1, e2)
+                            v = field.sub(d.get(e, zero), field.mul(f, c2))
+                            if v == zero:
+                                d.pop(e, None)
+                            else:
+                                d[e] = v
+                        if not d:
+                            del col[comp]
+                units[c] = {comp for comp, ent in col.items()
+                            if zero_exp in ent}
+                touched.add(c)
+            if col:
+                kept.append(c)
+        live = kept
+        dropped.add(i)
+    if not dropped:
+        return prev_cols, s_cols
+    surviving = [j for j in range(F.rank) if j not in dropped]
+    renum = {j: k for k, j in enumerate(surviving)}
+    newF = FreeModule(ring, len(surviving), [F.shifts[j] for j in surviving])
+    key = ring.order.key
+    out = []
+    for c in live:
+        if c in touched:
+            terms = tuple(((renum[comp], e), ent[e])
+                          for comp, ent in sorted(cols[c].items())
+                          for e in sorted(ent, key=key, reverse=True))
+        else:
+            terms = tuple(((renum[comp], e), v)
+                          for (comp, e), v in s_cols[c].terms)
+        out.append(Vec(newF, terms))
+    return [prev_cols[j] for j in surviving], out
 
 
 class GradedResolution:
@@ -89,7 +128,9 @@ class GradedResolution:
     def __init__(self, ring, f0_shifts, diffs):
         self.ring = ring
         self.f0_shifts = tuple(f0_shifts)
-        self.diffs = diffs  # diffs[k]: columns of d_{k+1} as Vecs in F_k
+        # diffs[k]: columns of d_{k+1} as Vecs in F_k; tuples, because
+        # resolutions are cached and shared between callers
+        self.diffs = tuple(tuple(cols) for cols in diffs)
 
     @property
     def pd(self):
@@ -142,8 +183,7 @@ def minimal_free_resolution(cols, f0, length_cap=None, minimalize_f0=False):
     if minimalize_f0 and cols:
         virtual = list(range(len(f0_shifts)))
         vcols, cols = minimalize_step(virtual, cols)
-        f0_shifts = [f0_shifts[i] for i in range(len(f0.shifts))
-                     if i in set(vcols)]
+        f0_shifts = [f0_shifts[i] for i in vcols]
     if not cols:
         return GradedResolution(ring, f0_shifts, [])
     diffs = [cols]

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import (groebner_basis, is_member, lift_combination,
@@ -13,7 +13,7 @@ from reesgor.hilbert import (count_standard_monomials, dimension_from_numerator,
                              finite_length, hilbert_numerator, quotient_series,
                              upoly_eval_one, upoly_mul)
 from reesgor.inputfmt import parse_poly
-from reesgor.orders import GrevlexOrder, LexOrder
+from reesgor.orders import BlockOrder, GrevlexOrder, LexOrder
 from reesgor.polys import PolyRing
 from reesgor.errors import NotAMember, NotDivisible
 
@@ -69,6 +69,68 @@ def test_orders_bottom_at_one(e):
     for order in (GrevlexOrder((1, 1, 1)), LexOrder((1, 1, 1))):
         if e != (0, 0, 0):
             assert order.key(e) > order.key((0, 0, 0))
+
+
+def _grevlex_key_reference(weights, exp):
+    deg = 0
+    for i, e in enumerate(exp):
+        deg += e * weights[i]
+    return (deg,) + tuple(-e for e in reversed(exp))
+
+
+def _block_key_reference(weights, block, exp):
+    block = tuple(sorted(block))
+    rest = tuple(i for i in range(len(weights)) if i not in set(block))
+    bdeg = 0
+    for i in block:
+        bdeg += exp[i] * weights[i]
+    rdeg = 0
+    for i in rest:
+        rdeg += exp[i] * weights[i]
+    bkey = tuple(-exp[i] for i in reversed(block))
+    rkey = tuple(-exp[i] for i in reversed(rest))
+    return (bdeg,) + bkey + (rdeg,) + rkey
+
+
+@st.composite
+def weighted_exps(draw, count=1):
+    """(weights, block, exps): `count` exponent vectors in 1..6 variables."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    weights = draw(st.tuples(*[st.integers(min_value=1, max_value=4)] * n))
+    block = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    exps = [draw(st.tuples(*[st.integers(min_value=0, max_value=6)] * n))
+            for _ in range(count)]
+    return weights, block, exps
+
+
+@given(weighted_exps())
+def test_order_keys_match_reference_formulas(case):
+    weights, block, (e,) = case
+    assert GrevlexOrder(weights).key(e) == _grevlex_key_reference(weights, e)
+    assert (BlockOrder(weights, block).key(e)
+            == _block_key_reference(weights, block, e))
+
+
+@given(weighted_exps(count=3))
+def test_block_order_is_multiplicative(case):
+    weights, block, (a, b, c) = case
+    order = BlockOrder(weights, block)
+    if order.key(a) < order.key(b):
+        ac = tuple(x + y for x, y in zip(a, c))
+        bc = tuple(x + y for x, y in zip(b, c))
+        assert order.key(ac) < order.key(bc)
+
+
+@given(weighted_exps(count=2), st.data())
+def test_block_order_eliminates(case, data):
+    """A monomial with a block variable beats every block-free monomial."""
+    weights, block, (a, b) = case
+    assume(block)
+    i = data.draw(st.sampled_from(sorted(block)))
+    a = tuple(max(x, 1) if j == i else x for j, x in enumerate(a))
+    b = tuple(0 if j in block else x for j, x in enumerate(b))
+    order = BlockOrder(weights, block)
+    assert order.key(a) > order.key(b)
 
 
 def test_grevlex_weighted_degree_dominates():

@@ -1,14 +1,18 @@
 """Minimal graded free resolutions, Ext duals, module presentations."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from reesgor import s2
 from reesgor.errors import NotApplicable
-from reesgor.fields import GF, DEFAULT_PRIME
+from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.hilbert import INFINITE
 from reesgor.modules import FreeModule
 from reesgor.polys import PolyRing
 from reesgor.resolutions import (ModulePresentation, ext_dualizing,
-                                 resolve_quotient_ring)
+                                 minimalize_step, resolve_quotient_ring)
 
 F = GF(DEFAULT_PRIME)
 
@@ -64,6 +68,16 @@ def test_two_planes_betti_numbers(two_planes):
     A, _ = two_planes
     res = resolve_quotient_ring(A.ambient, A.defining)
     assert res.betti() == [1, 4, 4, 1]
+
+
+def test_cached_ring_resolution_is_immutable(two_planes):
+    A, _ = two_planes
+    res = s2.ring_resolution(A)
+    with pytest.raises(AttributeError):
+        res.diffs.pop()
+    with pytest.raises(AttributeError):
+        res.diffs[-1].append(res.diffs[-1][0])
+    assert s2.ring_resolution(A).betti() == [1, 4, 4, 1]
 
 
 def test_ext_vanishes_below_codimension(two_planes):
@@ -149,3 +163,138 @@ def test_auslander_buchsbaum_on_corpus(corpus_instances):
         rep = invariants.depth_and_type(A)
         assert rep.pd == res.pd, name
         assert rep.depth == A.ambient.n - res.pd, name
+
+
+# -- minimalize_step against the per-pivot algorithm -----------------------
+#
+# The reference below takes one pivot per pass and renumbers the
+# components after each; minimalize_step must pick the same pivots and
+# return the same columns, term for term.
+
+def _reference_column_entry(vec, comp):
+    d = {e: c for (cc, e), c in vec.terms if cc == comp}
+    return vec.module.ring.from_dict(d)
+
+
+def _reference_drop_component(vecs, comp, new_module):
+    out = []
+    for v in vecs:
+        d = {}
+        for (cc, e), c in v.terms:
+            if cc == comp:
+                continue
+            d[(cc - 1 if cc > comp else cc, e)] = c
+        out.append(new_module.from_dict(d))
+    return out
+
+
+def _reference_unit_entry(vec):
+    zero_exp = vec.module.ring.zero_exp
+    for (comp, e), c in vec.terms:
+        if e == zero_exp:
+            return comp, c
+    return None
+
+
+def _reference_minimalize_step(prev_cols, s_cols):
+    prev_cols = list(prev_cols)
+    s_cols = list(s_cols)
+    while True:
+        hit = None
+        for c, col in enumerate(s_cols):
+            u = _reference_unit_entry(col)
+            if u is not None:
+                hit = (c, u[0], u[1])
+                break
+        if hit is None:
+            break
+        c, i, u = hit
+        ring = s_cols[0].module.ring
+        F = s_cols[0].module
+        pivot = s_cols[c]
+        inv = ring.field.inv(u)
+        new_cols = []
+        for c2, col in enumerate(s_cols):
+            if c2 == c:
+                continue
+            alpha = _reference_column_entry(col, i)
+            if not alpha.is_zero():
+                col = col - pivot.mul_poly(alpha.scale(inv))
+            new_cols.append(col)
+        del prev_cols[i]
+        new_shifts = F.shifts[:i] + F.shifts[i + 1:]
+        newF = FreeModule(ring, F.rank - 1, new_shifts)
+        s_cols = [v for v in _reference_drop_component(new_cols, i, newF)
+                  if not v.is_zero()]
+        if not s_cols:
+            break
+    return prev_cols, s_cols
+
+
+def _monomials(n, degree):
+    return [e for e in itertools.product(range(degree + 1), repeat=n)
+            if sum(e) == degree]
+
+
+@st.composite
+def differentials(draw):
+    """(module, columns): small homogeneous columns rich in unit entries.
+
+    Shifts 0..2 make columns of degree equal to a shift carry constant
+    entries, often several in one column and in one row; some columns are
+    zero, and some are multiples or sums of earlier ones, so a pivot
+    can cancel them.
+    """
+    field = draw(st.sampled_from([GF(DEFAULT_PRIME), QQ]))
+    n = draw(st.integers(min_value=1, max_value=3))
+    R = PolyRing(("x", "y", "z")[:n], (1,) * n, field)
+    rank = draw(st.integers(min_value=1, max_value=5))
+    shifts = draw(st.lists(st.integers(min_value=0, max_value=2),
+                           min_size=rank, max_size=rank))
+    Fm = FreeModule(R, rank, shifts)
+    coeff = st.integers(min_value=-3, max_value=3).map(field.of)
+    cols = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        kind = draw(st.sampled_from(["random"] * 4 + ["zero", "combo"]))
+        if kind == "zero":
+            cols.append(Fm.zero())
+            continue
+        if kind == "combo" and cols:
+            a = draw(st.sampled_from(cols))
+            b = draw(st.sampled_from(cols))
+            if a.is_zero() or b.is_zero() or a.degree() == b.degree():
+                cols.append(a.scale(draw(coeff)) + b.scale(draw(coeff)))
+                continue
+        degree = draw(st.sampled_from(shifts + [sh + 1 for sh in shifts]))
+        d = {}
+        for comp, sh in enumerate(shifts):
+            if degree < sh or not draw(st.booleans()):
+                continue
+            for e in draw(st.lists(st.sampled_from(_monomials(n, degree - sh)),
+                                   min_size=1, max_size=3)):
+                d[(comp, e)] = draw(coeff)
+        cols.append(Fm.from_dict(d))
+    return Fm, cols
+
+
+def _reordering_differential():
+    """Pivoting (1, x) out of (x, y^2) leaves y^2 - x^2: terms re-sorted."""
+    R = PolyRing(("x", "y"), (1, 1), F)
+    x, y = R.gens()
+    Fm = FreeModule(R, 2, (1, 0))
+    return Fm, [Fm.from_poly_list([(0, R.one), (1, x)]),
+                Fm.from_poly_list([(0, x), (1, y * y)])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(differentials())
+@example(_reordering_differential())
+def test_minimalize_step_matches_per_pivot_reference(diff):
+    Fm, cols = diff
+    labels = ["g%d" % i for i in range(Fm.rank)]
+    prev, out = minimalize_step(labels, cols)
+    ref_prev, ref_out = _reference_minimalize_step(labels, cols)
+    assert prev == ref_prev
+    assert [v.terms for v in out] == [v.terms for v in ref_out]
+    assert [v.module.shifts for v in out] == [v.module.shifts for v in ref_out]
+    assert all(_reference_unit_entry(v) is None for v in out)
