@@ -8,10 +8,9 @@ direct free-resolution oracle on a presentation of R(q^n).
 """
 
 from .errors import (DepthNotOne, EquivalenceViolation,
-                     HypothesisNotVerified, InputError,
-                     InternalInconsistency, NoStabilization, NonConnected,
-                     NonPositiveWeight, NotAMember, NotApplicable,
-                     NotArtinian, NotContained, NotDivisible,
+                     HypothesisNotVerified, InputError, NoStabilization,
+                     NonConnected, NonPositiveWeight, NotAMember,
+                     NotApplicable, NotArtinian, NotContained, NotDivisible,
                      NotFiniteLength, NotParameters, OwnerMismatch,
                      PairNotFound, ReesgorError, ResourceExceeded,
                      WrongDimension)

@@ -2,15 +2,17 @@
 
 Subcommands: check, oracle, shimoda, buchsbaum, invariants, s2, examples.
 Exit codes: 0 Gorenstein, 1 not Gorenstein, 2 hypothesis not satisfied,
-3 input error, 4 resource exceeded.
+3 input error, 4 resource exceeded, 5 two routes that must agree
+disagreed (an engine bug, never a verdict).
 """
 
 import argparse
 import sys
 
-from .errors import (DepthNotOne, HypothesisNotVerified, InputError,
-                     NoStabilization, NotParameters, PairNotFound,
-                     ReesgorError, ResourceExceeded, WrongDimension)
+from .errors import (DepthNotOne, EquivalenceViolation,
+                     HypothesisNotVerified, InputError, NoStabilization,
+                     NotParameters, PairNotFound, ResourceExceeded,
+                     WrongDimension)
 from . import corpus, decision, inputfmt, invariants, oracle, rings, s2
 
 EXIT_GORENSTEIN = 0
@@ -18,6 +20,7 @@ EXIT_NOT_GORENSTEIN = 1
 EXIT_HYPOTHESIS = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
+EXIT_DISAGREE = 5
 
 
 def _build_parser():
@@ -55,6 +58,9 @@ def run_cli(argv=None):
             DepthNotOne, WrongDimension) as e:
         _emit(args, [("error", str(e))], ["outside the theorem hypotheses"])
         return EXIT_HYPOTHESIS
+    except EquivalenceViolation as e:
+        _emit(args, [("error", str(e))], ["routes disagree: engine bug"])
+        return EXIT_DISAGREE
     except OSError as e:
         _emit(args, [("error", str(e))], ["cannot read input"])
         return EXIT_INPUT
@@ -190,7 +196,7 @@ def _report_pairs(report):
              ("conductor", _ideal_str(report.conductor)),
              ("sigma", _ideal_str(report.sigma))]
     for key, value in report.cond2.items():
-        if key == "sigma":
+        if key in ("sigma", "h1_socle"):
             continue
         pairs.append(("cond2.%s" % key, value))
     for key, value in report.cond3.items():

@@ -13,7 +13,6 @@ from .polys import PolyRing
 
 def build_hochster_roberts(char=DEFAULT_PRIME):
     """k[a,b,c,d] presenting k[x^2, y, x^3, xy], with q = (a, b)."""
-    field = None
     base = rings.PresentedGradedRing(("x", "y"), (1, 1), [],
                                      field=_field(char))
     x, y = base.gens()

@@ -3,9 +3,9 @@ of a parameter ideal: the two criteria routes with consequence checks,
 the dimension-two Shimoda test, and the Buchsbaum multiplicity test.
 """
 
-from .errors import (DepthNotOne, EquivalenceViolation, HypothesisNotVerified,
-                     NotParameters, WrongDimension)
-from . import idealops, invariants, rings, s2
+from .errors import (DepthNotOne, HypothesisNotVerified, NotParameters,
+                     WrongDimension)
+from . import errors, invariants, rings, s2
 
 
 class DecisionReport:
@@ -59,12 +59,13 @@ def _prepare(A, q, seed=0):
     return d, pair, profile, data
 
 
-def decide_condition2(A, q, prepared=None, seed=0):
+def decide_condition2(A, q, prepared):
     """First cohomology nonzero with simple socle, and c equals the
-    colon-sum ideal of the parameters."""
-    d, pair, profile, data = prepared or _prepare(A, q, seed)
+    colon-sum ideal of the parameters.  `prepared` is `_prepare(A, q)`."""
+    d, pair, profile, data = prepared
     h1_nonzero = data.h1_length > 0
-    socle_is_1 = h1_nonzero and s2.h1_socle(A, data) == 1
+    socle = s2.h1_socle(A, data) if h1_nonzero else 0
+    socle_is_1 = socle == 1
     sigma = rings.sigma_tilde(q.gens, A)
     c_equals_sigma = rings.ideals_equal(data.conductor, sigma)
     verdict = h1_nonzero and socle_is_1 and c_equals_sigma
@@ -72,15 +73,16 @@ def decide_condition2(A, q, prepared=None, seed=0):
         "h1_nonzero": h1_nonzero,
         "socle_is_1": socle_is_1,
         "c_equals_sigma": c_equals_sigma,
+        "h1_socle": socle,
         "sigma": sigma,
         "verdict": verdict,
     }
 
 
-def decide_condition3(A, q, prepared=None, seed=0, r_max=10):
+def decide_condition3(A, q, prepared, r_max=10):
     """Depth one, type one, the multiplicity equation for the conductor,
-    and q a reduction of the conductor."""
-    d, pair, profile, data = prepared or _prepare(A, q, seed)
+    and q a reduction of the conductor.  `prepared` is `_prepare(A, q)`."""
+    d, pair, profile, data = prepared
     rep = invariants.depth_and_type(A)
     depth_is_1 = rep.depth == 1
     type_is_1 = rep.type == 1
@@ -148,28 +150,24 @@ def decide(A, q, run_oracle=False, seed=0):
     report.standard = True
     report.h1_length = data.h1_length
     report.conductor = data.conductor
-    report.cond2 = decide_condition2(A, q, prepared=prepared)
+    report.cond2 = decide_condition2(A, q, prepared)
     report.sigma = report.cond2["sigma"]
-    report.h1_socle = (s2.h1_socle(A, data) if data.h1_length > 0 else 0)
-    report.cond3 = decide_condition3(A, q, prepared=prepared)
-    if report.cond2["verdict"] != report.cond3["verdict"]:
-        raise EquivalenceViolation(
-            "condition (2) and condition (3) verdicts disagree")
-    report.verdict = report.cond2["verdict"]
+    report.h1_socle = report.cond2["h1_socle"]
+    report.cond3 = decide_condition3(A, q, prepared)
+    report.verdict = errors.crosscheck(
+        "condition (2) and condition (3) verdicts",
+        report.cond2["verdict"], report.cond3["verdict"])
     if report.verdict:
         report.consequences = _consequences(A, q, data)
-        if not all(report.consequences.values()):
-            raise EquivalenceViolation(
-                "a consequence check failed on a true verdict: %s"
-                % report.consequences)
+        errors.crosscheck("consequence checks on a true verdict",
+                          report.consequences,
+                          dict.fromkeys(report.consequences, True))
     if run_oracle:
         from . import oracle
         rp = oracle.rees_presentation(A, q, d)
         o = oracle.graded_gorenstein_oracle(rp)
-        report.oracle_verdict = o["gorenstein"]
-        if report.oracle_verdict != report.verdict:
-            raise EquivalenceViolation(
-                "oracle and criteria verdicts disagree")
+        report.oracle_verdict = errors.crosscheck(
+            "oracle and criteria verdicts", o["gorenstein"], report.verdict)
     return report
 
 
@@ -228,10 +226,7 @@ def buchsbaum_criterion(A, q, assert_buchsbaum=True, r_max=10,
         col = rings.colon(A.ideal(head), last)
         b_ideal = A.ideal(col.gens + [last])
         len_b = invariants.artinian_length(A, b_ideal)
-        e_q = invariants.multiplicity(A, q)
-        if e_q != len_b:
-            raise EquivalenceViolation(
-                "multiplicity of q (%s) differs from the length of A/b (%s)"
-                % (e_q, len_b))
+        errors.crosscheck("multiplicity of q and the length of A/b",
+                          invariants.multiplicity(A, q), len_b)
     verdict = (e_m == 2) and red_found
     return BuchsbaumReport(e_m, red, b_ideal, len_b, verdict)

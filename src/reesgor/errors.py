@@ -84,5 +84,12 @@ class EquivalenceViolation(ReesgorError):
     """Two routes that must agree disagreed; certifies a bug, not math."""
 
 
-class InternalInconsistency(ReesgorError):
-    """Cross-checked computation routes returned different answers."""
+def crosscheck(what, lhs, rhs):
+    """Return lhs if two independent routes computed equal values.
+
+    Otherwise raise EquivalenceViolation naming the check and both values.
+    """
+    if lhs != rhs:
+        raise EquivalenceViolation("%s: routes disagree (%s != %s)"
+                                   % (what, lhs, rhs))
+    return lhs

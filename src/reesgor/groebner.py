@@ -1,6 +1,6 @@
 """Ring-level Groebner bases as the rank-one case of the module engine."""
 
-from .errors import NotAMember
+from .errors import NotAMember, crosscheck
 from .modules import FreeModule, module_buchberger, vec_nf
 from .polys import Poly
 
@@ -91,6 +91,5 @@ def lift_combination(f, gens, pair_cap=None):
     check = ring.zero
     for c, g in zip(coeffs, gens):
         check = check + c * g
-    if check != f:
-        raise AssertionError("lift re-expansion failed")  # engine bug
+    crosscheck("re-expansion of a lift", check, f)
     return coeffs

@@ -6,7 +6,6 @@ reduction numbers, and the Artinian Gorenstein test.
 from .errors import NoStabilization, NotArtinian, NotContained
 from . import idealops
 from .hilbert import INFINITE
-from .resolutions import ext_dualizing, resolve_quotient_ring
 from . import rings
 
 NOT_FOUND = "NOT_FOUND"
@@ -40,7 +39,7 @@ def depth_and_type(A, length_cap=None):
     Ext^{n-1}_P(A, omega_P), the Matlis dual of H^1 of the ring.
     """
     amb = A.ambient
-    res = resolve_quotient_ring(amb, A.defining, length_cap=length_cap)
+    res = A.resolution(length_cap)
     pd = res.pd
     depth = amb.n - pd
     dim = A.dim()
@@ -50,7 +49,7 @@ def depth_and_type(A, length_cap=None):
     if cm:
         ring_type = res.betti()[-1] if pd > 0 else 1
     elif depth == 1:
-        ring_type = ext_dualizing(res, amb.n - 1).socle_dim()
+        ring_type = A.ext(amb.n - 1).socle_dim()
         notes = "type from the socle of the dual of first cohomology"
     return InvariantReport(dim, depth, pd, cm, ring_type, notes)
 

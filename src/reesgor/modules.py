@@ -423,10 +423,9 @@ def module_syzygies(gens):
     return out
 
 
-def module_lift(f, gens, gb_data=None):
+def module_lift(f, gens):
     """Coefficients c with f = sum c_i * gens_i; NotAMember otherwise."""
-    if gb_data is None:
-        gb_data = module_buchberger(gens, track_reps=True)
+    gb_data = module_buchberger(gens, track_reps=True)
     r, quots = vec_nf(f, gb_data.basis, track=True)
     if not r.is_zero():
         raise NotAMember("vector is not in the submodule")

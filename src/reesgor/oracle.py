@@ -9,7 +9,7 @@ every presentation here is connected graded over the base field.
 
 import itertools
 
-from .errors import DepthNotOne, EquivalenceViolation, InternalInconsistency, NotParameters
+from .errors import DepthNotOne, NotParameters, crosscheck
 from . import idealops, invariants, rings
 from .groebner import groebner_basis, normal_form
 
@@ -56,10 +56,8 @@ def rees_presentation(A, q, n):
     ring = rings.PresentedGradedRing.from_ambient(sub, out)
     rp = ReesPresentation(A, q, n, gens_n, ring)
     _verify_substitution(rp)
-    if ring.dim() != d + 1:
-        raise InternalInconsistency(
-            "Rees presentation has dimension %d, expected %d"
-            % (ring.dim(), d + 1))
+    crosscheck("dimension of the Rees presentation and dim A + 1",
+               ring.dim(), d + 1)
     return rp
 
 
@@ -94,9 +92,8 @@ def _verify_substitution(rp):
             acc = acc + term
         if gb:
             acc = normal_form(acc, gb)
-        if not acc.is_zero():
-            raise InternalInconsistency(
-                "substitution check failed for %s" % f)
+        crosscheck("substitution T_j -> g_j t into a defining generator",
+                   acc, ext.zero)
 
 
 def graded_gorenstein_oracle(rp, length_cap=None):
@@ -123,11 +120,10 @@ def n_neq_d_suite(A, q, d, trials, criteria_verdict=None):
         rp = rees_presentation(A, q, n)
         verdict = graded_gorenstein_oracle(rp)["gorenstein"]
         out[n] = verdict
-        if n != d and verdict:
-            raise EquivalenceViolation(
-                "oracle reports Gorenstein at power %d != dim %d" % (n, d))
-        if n == d and criteria_verdict is not None \
-                and verdict != criteria_verdict:
-            raise EquivalenceViolation(
-                "oracle disagrees with the criteria verdict at n = d")
+        if n != d:
+            crosscheck("oracle at power %d, where only n = %d may be "
+                       "Gorenstein" % (n, d), verdict, False)
+        elif criteria_verdict is not None:
+            crosscheck("oracle and criteria verdicts at n = d", verdict,
+                       criteria_verdict)
     return out

@@ -208,8 +208,10 @@ class ModulePresentation:
 
     def __init__(self, ambient, gens, rels):
         self.ambient = ambient
-        self.gens = list(gens)
-        self.rels = [r for r in rels if not r.is_zero()]
+        # tuples, like the cached free presentation, because presentations
+        # such as a ring's memoized Ext modules are shared between callers
+        self.gens = tuple(gens)
+        self.rels = tuple(r for r in rels if not r.is_zero())
         self._free_pres = None
         self._resolution = None
 
@@ -227,7 +229,7 @@ class ModulePresentation:
         shifts = tuple(g.degree() if not g.is_zero() else 0 for g in self.gens)
         f0 = FreeModule(ring, s, shifts)
         if s == 0:
-            self._free_pres = (f0, [])
+            self._free_pres = (f0, ())
             return self._free_pres
         all_cols = self.gens + self.rels
         if all(v.is_zero() for v in all_cols):
@@ -245,7 +247,7 @@ class ModulePresentation:
                 w = f0.from_dict(d)
                 if not w.is_zero():
                     cols.append(w)
-        self._free_pres = (f0, cols)
+        self._free_pres = (f0, tuple(cols))
         return self._free_pres
 
     def resolution(self, length_cap=None):
@@ -311,7 +313,7 @@ class ModulePresentation:
         for g in self.gens:
             if g.is_zero():
                 continue
-            cols = [g] + self.rels
+            cols = [g, *self.rels]
             syz = module_syzygies(cols)
             ann = []
             for v in syz:

@@ -11,17 +11,27 @@ from .groebner import groebner_basis, is_member, lift_combination, normal_form
 from .hilbert import dimension_from_numerator, hilbert_numerator
 from . import idealops
 from .polys import PolyRing
+from .resolutions import ext_dualizing, resolve_quotient_ring
 
 
 class PresentedGradedRing:
     """A = P/I for a weighted polynomial ring P and homogeneous ideal I."""
 
     def __init__(self, names, weights, ideal_gens, field=None, label=None):
-        self.ambient = PolyRing(names, weights, field)
+        self._setup(PolyRing(names, weights, field), ideal_gens, label)
+
+    @classmethod
+    def from_ambient(cls, ambient, ideal_gens, label=None):
+        ring = cls.__new__(cls)
+        ring._setup(ambient, ideal_gens, label)
+        return ring
+
+    def _setup(self, ambient, ideal_gens, label):
+        self.ambient = ambient
         self.defining = []
         for g in ideal_gens:
-            if g.ring != self.ambient:
-                g = self.ambient.transfer(g)
+            if g.ring != ambient:
+                g = ambient.transfer(g)
             if g.is_zero():
                 continue
             if not g.is_homogeneous():
@@ -30,22 +40,8 @@ class PresentedGradedRing:
         self.label = label
         self._gb = None
         self._dim = None
-
-    @classmethod
-    def from_ambient(cls, ambient, ideal_gens, label=None):
-        ring = cls.__new__(cls)
-        ring.ambient = ambient
-        ring.defining = []
-        for g in ideal_gens:
-            if g.is_zero():
-                continue
-            if not g.is_homogeneous():
-                raise ValueError("inhomogeneous defining generator: %s" % g)
-            ring.defining.append(g)
-        ring.label = label
-        ring._gb = None
-        ring._dim = None
-        return ring
+        self._resolution = None
+        self._ext = {}
 
     # -- cached invariants -------------------------------------------------
 
@@ -60,6 +56,23 @@ class PresentedGradedRing:
                                     self.ambient.weights)
             self._dim = dimension_from_numerator(num, self.ambient.weights)
         return self._dim
+
+    def resolution(self, length_cap=None):
+        """Minimal free resolution of A over its ambient ring.
+
+        The cap bounds the first computation only; once computed, the
+        resolution is returned as it is.
+        """
+        if self._resolution is None:
+            self._resolution = resolve_quotient_ring(
+                self.ambient, self.defining, length_cap=length_cap)
+        return self._resolution
+
+    def ext(self, i):
+        """Ext^i_P(A, omega_P) as a ModulePresentation."""
+        if i not in self._ext:
+            self._ext[i] = ext_dualizing(self.resolution(), i)
+        return self._ext[i]
 
     @property
     def names(self):

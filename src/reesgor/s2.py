@@ -6,29 +6,14 @@ hypothesis profile, and the standardness test for parameter ideals.
 
 import random
 
-from .errors import (HypothesisNotVerified, InternalInconsistency,
-                     NonConnected, NonPositiveWeight, NotApplicable,
-                     PairNotFound)
+from .errors import (HypothesisNotVerified, NonConnected, NonPositiveWeight,
+                     NotApplicable, PairNotFound, crosscheck)
 from . import idealops, rings
 from .groebner import is_member
 from .hilbert import (INFINITE, hilbert_numerator, quotient_series,
                       upoly_eval_one, upoly_mul, upoly_sub)
 from .modules import FreeModule
-from .resolutions import (ModulePresentation, ext_dualizing,
-                          minimal_free_resolution, resolve_quotient_ring)
-
-_RES_CACHE = {}
-
-
-def ring_resolution(A):
-    """Cached minimal free resolution of A over its ambient ring."""
-    res = _RES_CACHE.get(A)
-    if res is None:
-        res = resolve_quotient_ring(A.ambient, A.defining)
-        if len(_RES_CACHE) > 64:
-            _RES_CACHE.clear()
-        _RES_CACHE[A] = res
-    return res
+from .resolutions import ModulePresentation
 
 
 def is_filter_regular(A, mod_gens, b):
@@ -125,23 +110,18 @@ def s2_construct(A, pair):
                   h1_mod)
 
 
-def conductor_crosscheck(A, data=None, q=None, seed=0):
+def conductor_crosscheck(A, data):
     """Conductor by the duality route: ann(Ext^(n-1)(A, omega)).
 
     Must agree with the colon-module route; disagreement certifies a bug.
     """
-    if data is None:
-        if q is None:
-            q = A.maximal_ideal()
-        data = s2_construct(A, filter_regular_pair(A, q, seed))
-    res = ring_resolution(A)
-    ext = ext_dualizing(res, A.ambient.n - 1)
+    ext = A.ext(A.ambient.n - 1)
     if ext.length() == 0:
         route2 = A.unit_ideal()
     else:
         route2 = A.ideal(ext.annihilator_gens())
-    if not rings.ideals_equal(route2, data.conductor):
-        raise InternalInconsistency("conductor routes disagree")
+    crosscheck("conductor by Ext and by the colon module",
+               route2.gb(), data.conductor.gb())
     return route2
 
 
@@ -158,7 +138,7 @@ class HypothesisProfile:
                 % (self.d, self.ext_lengths, self.verdict))
 
 
-def hypothesis_profile(A, pair=None, q=None, seed=0):
+def hypothesis_profile(A, pair):
     """Check H^i(A) = 0 for i not in {1, d} (i < d) and l(H^1) finite.
 
     Also cross-checks the verdict against Cohen-Macaulayness of the
@@ -166,71 +146,44 @@ def hypothesis_profile(A, pair=None, q=None, seed=0):
     """
     d = A.dim()
     n = A.ambient.n
-    res = ring_resolution(A)
     ext_lengths = {}
     verdict = True
-    ext_h1 = None
     for i in range(d):
-        ext = ext_dualizing(res, n - i)
-        l = ext.length()
-        ext_lengths[i] = l
-        if i == 1:
-            ext_h1 = ext
-            if l == INFINITE:
-                verdict = False
-        elif l != 0:
+        l = ext_lengths[i] = A.ext(n - i).length()
+        if l == INFINITE or (l != 0 and i != 1):
             verdict = False
-    if pair is None:
-        if q is None:
-            q = A.maximal_ideal()
-        pair = filter_regular_pair(A, q, seed)
     a, b = pair
     # the colon module aA : b presents a*A~ only when a*A~ sits inside A,
     # i.e. when a lies in the conductor; gate the cross-check on that
     in_conductor = True
-    if ext_h1 is not None and ext_h1.length() not in (0, INFINITE):
-        in_conductor = A.ideal(ext_h1.annihilator_gens()).contains(a)
+    if ext_lengths.get(1) not in (None, 0, INFINITE):
+        in_conductor = A.ideal(A.ext(n - 1).annihilator_gens()).contains(a)
     if in_conductor:
         col = rings.colon(A.ideal([a]), b)
-        atilde_cm = (_ideal_module(A, col).pd() == n - d)
-        if atilde_cm != verdict:
-            raise InternalInconsistency(
-                "cohomology profile and the CM test for the overring "
-                "disagree")
+        crosscheck("cohomology profile and the CM test for the overring",
+                   _ideal_module(A, col).pd() == n - d, verdict)
     return HypothesisProfile(d, ext_lengths, verdict)
 
 
-def h1_socle(A, data=None, q=None, seed=0):
+def h1_socle(A, data):
     """Socle dimension of the first cohomology of A.
 
     Computed as the minimal generator count of its Matlis dual
     Ext^(n-1)(A, omega); cross-checked against the socle of the colon
     module presentation.
     """
-    if data is None:
-        if q is None:
-            q = A.maximal_ideal()
-        data = s2_construct(A, filter_regular_pair(A, q, seed))
     if data.h1_length == 0:
         raise NotApplicable("first cohomology vanishes")
-    res = ring_resolution(A)
-    ext = ext_dualizing(res, A.ambient.n - 1)
-    socle = ext.min_generators()
-    direct = data.h1_module.socle_dim()
-    if socle != direct:
-        raise InternalInconsistency("socle routes disagree")
-    return socle
+    socle = A.ext(A.ambient.n - 1).min_generators()
+    return crosscheck("socle of the first cohomology", socle,
+                      data.h1_module.socle_dim())
 
 
-def is_standard_parameters(A, q, profile=None, data=None, seed=0):
+def is_standard_parameters(A, q, profile, data):
     """q is standard iff q is inside the conductor, under the profile."""
-    if profile is None:
-        profile = hypothesis_profile(A, q=q, seed=seed)
     if not profile.verdict:
         raise HypothesisNotVerified(
             "standardness test requires the cohomology hypothesis")
-    if data is None:
-        data = s2_construct(A, filter_regular_pair(A, q, seed))
     # for a standard q the colon module realizes the first cohomology;
     # a length mismatch against the duality route certifies non-standard q
     if profile.ext_lengths.get(1, 0) != data.h1_length:
@@ -269,11 +222,8 @@ def s2_presentation(A, data):
     sat, _ = idealops.saturate(big, work, [big.transfer(a)])
     tilde = rings.PresentedGradedRing.from_ambient(big, sat)
     # verification: the cokernel of A -> A~ must have length h1_length
-    coker = _embedding_cokernel_length(A, data, tilde)
-    if coker != data.h1_length:
-        raise InternalInconsistency(
-            "cokernel length %s of the embedding differs from %s"
-            % (coker, data.h1_length))
+    crosscheck("length of the cokernel of A -> A~",
+               _embedding_cokernel_length(A, data, tilde), data.h1_length)
     return tilde, list(enumerate(numerators))
 
 

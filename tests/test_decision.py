@@ -143,3 +143,29 @@ def test_buchsbaum_needs_depth_one(regular_base):
     A, q = regular_base
     with pytest.raises(DepthNotOne):
         decision.buchsbaum_criterion(A, q)
+
+
+def test_decide_resolves_the_ring_once(monkeypatch):
+    from reesgor import cli, s2
+    calls = {}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(rings, "resolve_quotient_ring")
+    counting(rings, "ext_dualizing")
+    counting(s2, "h1_socle")
+    A, q = corpus.build_hochster_roberts()
+    first = cli._report_pairs(decision.decide(A, q))
+    assert calls == {"resolve_quotient_ring": 1, "ext_dualizing": 2,
+                     "h1_socle": 1}
+    calls.clear()
+    second = cli._report_pairs(decision.decide(A, q))
+    assert calls.get("resolve_quotient_ring", 0) == 0
+    assert calls.get("ext_dualizing", 0) == 0
+    assert second == first

@@ -193,3 +193,15 @@ def test_cli_resolution_cap_exhausted():
 def test_cli_char_override():
     code, _ = run(["check", corpus_path("hochster_roberts"), "--char", "0"])
     assert code == 0
+
+
+def test_cli_route_disagreement_exits_5(monkeypatch):
+    from reesgor.resolutions import ModulePresentation
+    socle = ModulePresentation.socle_dim
+    # the linear-algebra socle route now reports one more than it finds
+    monkeypatch.setattr(ModulePresentation, "socle_dim",
+                        lambda self: socle(self) + 1)
+    code, out = run(["check", corpus_path("hochster_roberts")])
+    assert code == 5
+    assert "routes disagree" in inputfmt.parse_report(out)["error"]
+    assert "engine bug" in out

@@ -5,7 +5,6 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reesgor import s2
 from reesgor.errors import NotApplicable
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.hilbert import INFINITE
@@ -72,12 +71,12 @@ def test_two_planes_betti_numbers(two_planes):
 
 def test_cached_ring_resolution_is_immutable(two_planes):
     A, _ = two_planes
-    res = s2.ring_resolution(A)
+    res = A.resolution()
     with pytest.raises(AttributeError):
         res.diffs.pop()
     with pytest.raises(AttributeError):
         res.diffs[-1].append(res.diffs[-1][0])
-    assert s2.ring_resolution(A).betti() == [1, 4, 4, 1]
+    assert A.resolution().betti() == [1, 4, 4, 1]
 
 
 def test_ext_vanishes_below_codimension(two_planes):
@@ -106,6 +105,19 @@ def test_presentation_length_and_generators():
     assert mod.length() == 6
     assert mod.min_generators() == 1
     assert not mod.is_zero()
+
+
+def test_free_presentation_is_immutable():
+    R = ring2()
+    x, y = R.gens()
+    Fm = FreeModule(R, 1)
+    mod = ModulePresentation.cokernel(Fm, [Fm.basis_vec(0, x ** 2),
+                                           Fm.basis_vec(0, y ** 3)])
+    with pytest.raises(AttributeError):
+        mod.free_presentation()[1].pop()
+    with pytest.raises(AttributeError):
+        mod.rels.pop()
+    assert mod.length() == 6
 
 
 def test_presentation_of_infinite_length_module():

@@ -70,7 +70,7 @@ def test_conductor_independent_of_a_genuinely_different_pair(hr):
 
 def test_hypothesis_profile_on_corpus(corpus_instances):
     for name, (A, q) in corpus_instances.items():
-        prof = s2.hypothesis_profile(A, q=q)
+        prof = s2.hypothesis_profile(A, pair=s2.filter_regular_pair(A, q))
         assert prof.verdict, name
         assert prof.ext_lengths[0] == 0, name
         if name != "regular_base":
@@ -83,21 +83,27 @@ def test_hypothesis_profile_fails_off_the_hypothesis():
     x, y, z = amb.gens()
     B = rings.PresentedGradedRing.from_ambient(amb, [x * y, x * z])
     qB = B.ideal([B.reduce(x + y), z])
-    prof = s2.hypothesis_profile(B, q=qB)
+    prof = s2.hypothesis_profile(B, pair=s2.filter_regular_pair(B, qB))
     assert not prof.verdict
     assert prof.ext_lengths[1] == INFINITE
 
 
+def _standard(A, q):
+    pair = s2.filter_regular_pair(A, q)
+    return s2.is_standard_parameters(A, q, s2.hypothesis_profile(A, pair),
+                                     s2.s2_construct(A, pair))
+
+
 def test_standard_parameters_on_corpus(corpus_instances):
     for name, (A, q) in corpus_instances.items():
-        assert s2.is_standard_parameters(A, q), name
+        assert _standard(A, q), name
 
 
 def test_non_standard_parameters_detected(ideal_x2y3):
     A, _ = ideal_x2y3
     q = A.ideal([A.gen(0), A.gen(1)])     # (x, y): params but not standard
     assert q.quotient_dim() == 0
-    assert not s2.is_standard_parameters(A, q)
+    assert not _standard(A, q)
 
 
 def test_s2_presentation_hochster_roberts(hr):
