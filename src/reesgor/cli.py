@@ -125,7 +125,7 @@ def _dispatch(args):
     if args.command == "shimoda":
         if len(q.gens) != 2:
             raise InputError("shimoda needs exactly two parameters")
-        rep = decision.shimoda_check(A, q.gens[0], q.gens[1], seed=args.seed)
+        rep = decision.shimoda_check(A, q.gens[0], q.gens[1])
         pairs = [(k, v) for k, v in rep.items()]
         code = EXIT_GORENSTEIN if rep["verdict"] else EXIT_NOT_GORENSTEIN
         return code, pairs, ["pairwise criterion in dimension two"]

@@ -112,24 +112,18 @@ def decide_condition3(A, q, prepared, r_max=10):
 def _consequences(A, q, data):
     """Checks that must hold whenever the verdict is true."""
     a, _ = data.pair
-    amb = A.ambient
-    # contraction of q*A~ to A: generated by a_i * (g_j / a)
-    contraction = []
-    for ai in q.gens:
-        contraction.append(ai)  # a_i * (a/a)
-        for g in data.fraction_numerators:
-            contraction.append(rings.ring_division(A.reduce(ai * g), a, A))
+    # a_i * (A~ generators): a_i itself (a/a) and each a_i * g_j / a
+    products = [[ai] + [rings.ring_division(A.reduce(ai * g), a, A)
+                        for g in data.fraction_numerators]
+                for ai in q.gens]
+    # contraction of q*A~ to A
+    contraction = [g for row in products for g in row]
     c_equals_qatilde = rings.ideals_equal(
         data.conductor, A.ideal([g for g in contraction
                                  if not A.is_zero_element(g)]))
     len_eq = (data.h1_length == invariants.artinian_length(A, data.conductor))
     # the Artinian quotient by (a_1..a_{d-1})A~ * A + a_d A
-    head, last = q.gens[:-1], q.gens[-1]
-    proj_gens = [last]
-    for ai in head:
-        proj_gens.append(ai)
-        for g in data.fraction_numerators:
-            proj_gens.append(rings.ring_division(A.reduce(ai * g), a, A))
+    proj_gens = [q.gens[-1]] + [g for row in products[:-1] for g in row]
     proj = A.ideal([g for g in proj_gens if not A.is_zero_element(g)])
     proj_gorenstein = invariants.artinian_gorenstein(A, proj)
     return {
@@ -171,7 +165,7 @@ def decide(A, q, run_oracle=False, seed=0):
     return report
 
 
-def shimoda_check(A, a, b, seed=0):
+def shimoda_check(A, a, b):
     """The dimension-two criterion on a parameter pair (a, b)."""
     if A.dim() != 2:
         raise WrongDimension("the pairwise criterion needs dim A = 2")
@@ -204,8 +198,7 @@ def shimoda_check(A, a, b, seed=0):
     }
 
 
-def buchsbaum_criterion(A, q, assert_buchsbaum=True, r_max=10,
-                        crosscheck=True):
+def buchsbaum_criterion(A, q, r_max=10):
     """Multiplicity-two test: e_m(A) = 2 and q a reduction of m.
 
     The Buchsbaum property of A itself is a caller assertion and is not
@@ -219,14 +212,11 @@ def buchsbaum_criterion(A, q, assert_buchsbaum=True, r_max=10,
     e_m = invariants.multiplicity(A, m)
     red = invariants.is_reduction(q, m, r_max=r_max)
     red_found = red != invariants.NOT_FOUND
-    b_ideal = None
-    len_b = None
-    if crosscheck:
-        head, last = q.gens[:-1], q.gens[-1]
-        col = rings.colon(A.ideal(head), last)
-        b_ideal = A.ideal(col.gens + [last])
-        len_b = invariants.artinian_length(A, b_ideal)
-        errors.crosscheck("multiplicity of q and the length of A/b",
-                          invariants.multiplicity(A, q), len_b)
+    head, last = q.gens[:-1], q.gens[-1]
+    col = rings.colon(A.ideal(head), last)
+    b_ideal = A.ideal(col.gens + [last])
+    len_b = invariants.artinian_length(A, b_ideal)
+    errors.crosscheck("multiplicity of q and the length of A/b",
+                      invariants.multiplicity(A, q), len_b)
     verdict = (e_m == 2) and red_found
     return BuchsbaumReport(e_m, red, b_ideal, len_b, verdict)

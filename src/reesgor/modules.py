@@ -3,21 +3,22 @@
 A Vec is an element of a free module F = sum_i P(-shift_i), stored as
 ((component, exponent), coefficient) terms sorted descending in a
 position-over-term order extending the ring's monomial order.  The
-Buchberger loop here optionally tracks representations of basis elements
-in terms of the input generators.  It prunes S-pairs by the
+Buchberger loop computes reduced bases only; it prunes S-pairs by the
 Gebauer-Moeller update (Gebauer & Moeller 1988) as each element joins the
 basis, with the product criterion on rank 1 only, where it is valid; its
-`pair_cap` counts the S-vectors actually reduced.  Syzygies are computed
-separately by a Groebner basis of the graph module {(g_i, e_i)} in
-F + F^s under the position-over-term order, reading off elements
-supported in the second block.
+`pair_cap` counts the S-vectors actually reduced.  Syzygies and lifts both
+come from one Groebner basis of the graph module {(g_i, e_i)} in F + F^s
+under the position-over-term order: syzygies are its elements supported
+in the second block, and a lift of f is read off the normal form of
+(f, 0) (the `lift` of Greuel-Pfister, A Singular Introduction to
+Commutative Algebra).
 """
 
 import heapq
 from operator import ge
 
 from .errors import NotAMember, OwnerMismatch, ResourceExceeded
-from .polys import Poly, _exp_div, _exp_lcm, _exp_mul
+from .polys import _exp_div, _exp_lcm, _exp_mul
 
 
 class FreeModule:
@@ -171,15 +172,10 @@ def _neg_tuple(t):
     return tuple(-x for x in t)
 
 
-def vec_nf(f, basis, track=False):
-    """Fully reduced normal form of f against basis (monic leads assumed).
-
-    Returns (remainder, quotients); quotients[i] is the Poly q_i with
-    f = sum q_i * basis_i + remainder.  quotients is None unless track.
-    """
+def vec_nf(f, basis):
+    """Fully reduced normal form of f against basis (monic leads assumed)."""
     module = f.module
-    ring = module.ring
-    F = ring.field
+    F = module.ring.field
     by_comp = {}
     for idx, b in enumerate(basis):
         (comp, e), _ = b.lead()
@@ -188,7 +184,6 @@ def vec_nf(f, basis, track=False):
     heap = [(_neg_tuple(module.key(comp, e)), comp, e) for (comp, e) in work]
     heapq.heapify(heap)
     rem = {}
-    quots = [dict() for _ in basis] if track else None
     while heap:
         _, comp, e = heapq.heappop(heap)
         c = work.pop((comp, e), None)
@@ -205,8 +200,6 @@ def vec_nf(f, basis, track=False):
             continue
         q, idx = hit
         # basis is monic, so the cofactor coefficient is just c
-        if track:
-            quots[idx][q] = F.add(quots[idx].get(q, F.zero), c)
         for (bcomp, be), bc in basis[idx].terms:
             k = (bcomp, _exp_mul(be, q))
             old = work.get(k)
@@ -222,38 +215,18 @@ def vec_nf(f, basis, track=False):
                 if old is None and k != (comp, e):
                     heapq.heappush(heap, (_neg_tuple(module.key(*k)), k[0], k[1]))
                 work[k] = nc
-    remainder = module.from_dict(rem)
-    if track:
-        quots = [ring.from_dict(d) for d in quots]
-    return remainder, quots
-
-
-def _rep_add(F, ring, target, src, factor_poly=None, exp=None, coeff=None):
-    """target += rep * factor, where factor is a Poly or a single term."""
-    for idx, p in src.items():
-        if factor_poly is not None:
-            q = p * factor_poly
-        else:
-            q = p.mul_term(exp, coeff)
-        if idx in target:
-            target[idx] = target[idx] + q
-        else:
-            target[idx] = q
-    return target
+    return module.from_dict(rem)
 
 
 class GroebnerData:
     """Result bundle of a module Buchberger run."""
 
-    def __init__(self, basis, reps, gens, module):
+    def __init__(self, basis):
         self.basis = basis          # reduced Groebner basis, monic, sorted
-        self.reps = reps            # rep dicts parallel to basis, or None
-        self.gens = gens
-        self.module = module
 
 
-def module_buchberger(gens, track_reps=False, pair_cap=None):
-    """Reduced module Groebner basis with optional representation tracking.
+def module_buchberger(gens, pair_cap=None):
+    """Reduced module Groebner basis of the submodule spanned by gens.
 
     Pairs are taken smallest lcm first (the normal strategy) and pruned by
     the Gebauer-Moeller update each time an element joins the basis: of
@@ -267,20 +240,14 @@ def module_buchberger(gens, track_reps=False, pair_cap=None):
     if not gens:
         raise ValueError("empty generator list")
     module = gens[0].module
-    ring = module.ring
-    F = ring.field
-    track = track_reps
+    F = module.ring.field
     rank1 = module.rank == 1
     basis = []
-    reps = []
-    for i, g in enumerate(gens):
+    for g in gens:
         if g.module != module:
             raise OwnerMismatch("generators from different modules")
-        if g.is_zero():
-            continue
-        lc = g.lead()[1]
-        basis.append(g.scale(F.inv(lc)))
-        reps.append({i: ring.const(F.inv(lc))} if track else None)
+        if not g.is_zero():
+            basis.append(g.monic())
 
     leads = []      # (comp, exp) of each basis element
     pairs = []      # heap of (key of lcm, i, j, comp, lcm)
@@ -328,23 +295,10 @@ def module_buchberger(gens, track_reps=False, pair_cap=None):
         ui = _exp_div(lcm, leads[i][1])
         uj = _exp_div(lcm, leads[j][1])
         sp = basis[i].mul_term(ui, F.one) - basis[j].mul_term(uj, F.one)
-        h, quots = vec_nf(sp, basis, track=track)
+        h = vec_nf(sp, basis)
         if h.is_zero():
             continue
-        lc = h.lead()[1]
-        inv = F.inv(lc)
-        basis.append(h.scale(inv))
-        if track:
-            rep = {}
-            _rep_add(F, ring, rep, reps[i], exp=ui, coeff=F.one)
-            _rep_add(F, ring, rep, reps[j], exp=uj, coeff=F.neg(F.one))
-            for idx, q in enumerate(quots):
-                if not q.is_zero():
-                    _rep_add(F, ring, rep, reps[idx], factor_poly=-q)
-            rep = {k: p.scale(inv) for k, p in rep.items() if not p.is_zero()}
-            reps.append(rep)
-        else:
-            reps.append(None)
+        basis.append(h.monic())
         leads.append(h.lead()[0])
         update(len(basis) - 1)
 
@@ -362,44 +316,18 @@ def module_buchberger(gens, track_reps=False, pair_cap=None):
         mine.append(e)
         keep.append(i)
     reduced = []
-    red_reps = []
     for i in keep:
         others = [basis[j] for j in keep if j != i]
-        if others:
-            r, quots = vec_nf(basis[i], others, track=track)
-        else:
-            r, quots = basis[i], None
-        rep = None
-        if track:
-            rep = dict(reps[i])
-            if quots:
-                pos = 0
-                for j in keep:
-                    if j == i:
-                        continue
-                    q = quots[pos]
-                    pos += 1
-                    if not q.is_zero():
-                        _rep_add(F, ring, rep, reps[j], factor_poly=-q)
-            rep = {k: p for k, p in rep.items() if not p.is_zero()}
-        reduced.append(r)
-        red_reps.append(rep)
-    order = sorted(range(len(reduced)),
-                   key=lambda i: module.key(*reduced[i].lead()[0]),
-                   reverse=True)
-    reduced = [reduced[i] for i in order]
-    red_reps = [red_reps[i] for i in order] if track else None
-
-    return GroebnerData(reduced, red_reps, list(gens), module)
+        reduced.append(vec_nf(basis[i], others) if others else basis[i])
+    reduced.sort(key=lambda b: module.key(*b.lead()[0]), reverse=True)
+    return GroebnerData(reduced)
 
 
-def module_syzygies(gens):
-    """Generators of the first syzygy module of `gens` (Vecs in F^len).
+def _graph_basis(gens):
+    """Groebner basis of the graph module spanned by the (g_i, e_i).
 
-    Computed by the graph trick: a Groebner basis of the module spanned
-    by (g_i, e_i) inside F + F_s, with the F block dominant; the basis
-    elements supported entirely in the e block are a Groebner basis of
-    the syzygy module (elimination theorem for submodules).
+    It lives in F + F^s, F first, under position over term, so the F block
+    dominates.
     """
     module = gens[0].module
     ring = module.ring
@@ -409,13 +337,25 @@ def module_syzygies(gens):
     GM = FreeModule(ring, rank + s, module.shifts + gen_shifts)
     work = []
     for i, g in enumerate(gens):
-        d = {key: c for key, c in g.terms}
+        d = dict(g.terms)
         d[(rank + i, ring.zero_exp)] = ring.field.one
         work.append(GM.from_dict(d))
-    data = module_buchberger(work)
-    SF = FreeModule(ring, s, gen_shifts)
+    return module_buchberger(work).basis
+
+
+def module_syzygies(gens):
+    """Generators of the first syzygy module of `gens` (Vecs in F^len).
+
+    The graph-module basis elements supported entirely in the e block are
+    a Groebner basis of the syzygy module (elimination theorem for
+    submodules).
+    """
+    rank = gens[0].module.rank
+    basis = _graph_basis(gens)
+    GM = basis[0].module
+    SF = FreeModule(GM.ring, len(gens), GM.shifts[rank:])
     out = []
-    for b in data.basis:
+    for b in basis:
         if b.lead()[0][0] >= rank:
             # the order eliminates the F block: lead there means no F part
             out.append(SF.from_dict({(comp - rank, e): c
@@ -424,16 +364,15 @@ def module_syzygies(gens):
 
 
 def module_lift(f, gens):
-    """Coefficients c with f = sum c_i * gens_i; NotAMember otherwise."""
-    gb_data = module_buchberger(gens, track_reps=True)
-    r, quots = vec_nf(f, gb_data.basis, track=True)
-    if not r.is_zero():
+    """Coefficients c (Polys) with f = sum c_i * gens_i; NotAMember otherwise.
+
+    The normal form of (f, 0) against the graph-module basis keeps an F
+    term exactly when f is outside the submodule; otherwise it is
+    (0, -c), since (f, 0) minus it lies in the graph module.
+    """
+    rank = f.module.rank
+    basis = _graph_basis(gens)
+    r = vec_nf(basis[0].module.from_dict(dict(f.terms)), basis)
+    if not r.is_zero() and r.lead()[0][0] < rank:
         raise NotAMember("vector is not in the submodule")
-    ring = f.module.ring
-    coeffs = {}
-    for idx, q in enumerate(quots):
-        if q.is_zero():
-            continue
-        _rep_add(ring.field, ring, coeffs, gb_data.reps[idx], factor_poly=q)
-    out = [coeffs.get(i, ring.zero) for i in range(len(gens))]
-    return out
+    return [-p for p in r.components()[rank:]]

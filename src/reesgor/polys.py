@@ -154,17 +154,6 @@ class Poly:
     def lead_coeff(self):
         return self.terms[0][1]
 
-    def lead_monomial(self):
-        return self.ring.monomial(self.terms[0][0])
-
-    def constant_value(self):
-        """Coefficient if the polynomial is a constant, else None."""
-        if not self.terms:
-            return self.ring.field.zero
-        if len(self.terms) == 1 and self.terms[0][0] == self.ring.zero_exp:
-            return self.terms[0][1]
-        return None
-
     def degree(self):
         """Weighted degree of the highest-degree term; -1 for zero."""
         if not self.terms:

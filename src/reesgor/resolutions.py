@@ -204,7 +204,11 @@ def minimal_free_resolution(cols, f0, length_cap=None, minimalize_f0=False):
 
 
 class ModulePresentation:
-    """Graded subquotient (im gens)/(im rels) of a free module."""
+    """Graded subquotient (im gens)/(im rels) of a free module.
+
+    The free presentation, its Groebner basis and the resolution are each
+    computed once per object.
+    """
 
     def __init__(self, ambient, gens, rels):
         self.ambient = ambient
@@ -213,6 +217,7 @@ class ModulePresentation:
         self.gens = tuple(gens)
         self.rels = tuple(r for r in rels if not r.is_zero())
         self._free_pres = None
+        self._gb = None
         self._resolution = None
 
     @classmethod
@@ -260,21 +265,21 @@ class ModulePresentation:
     def pd(self, length_cap=None):
         return self.resolution(length_cap).pd
 
-    def _lead_data(self):
-        f0, cols = self.free_presentation()
-        ring = self.ambient.ring
-        leads = [[] for _ in range(f0.rank)]
-        if cols:
-            data = module_buchberger(cols)
-            for b in data.basis:
-                (comp, e), _ = b.lead()
-                leads[comp].append(e)
-        return f0, leads
+    def _basis(self):
+        """Groebner basis of the presentation columns, computed once."""
+        if self._gb is None:
+            _, cols = self.free_presentation()
+            self._gb = tuple(module_buchberger(cols).basis) if cols else ()
+        return self._gb
 
     def length(self):
         """k-dimension, or INFINITE."""
-        f0, leads = self._lead_data()
+        f0, _ = self.free_presentation()
         ring = self.ambient.ring
+        leads = [[] for _ in range(f0.rank)]
+        for b in self._basis():
+            (comp, e), _ = b.lead()
+            leads[comp].append(e)
         total = 0
         for comp in range(f0.rank):
             num = hilbert_numerator(leads[comp], ring.weights)
@@ -334,12 +339,12 @@ class ModulePresentation:
         """
         if self.length() == INFINITE:
             raise NotFiniteLength("socle needs a finite-length module")
-        f0, cols = self.free_presentation()
+        f0, _ = self.free_presentation()
         ring = self.ambient.ring
         field = ring.field
         if f0.rank == 0:
             return 0
-        gb = module_buchberger(cols).basis if cols else []
+        gb = self._basis()
         basis = _standard_module_basis(f0, gb)
         if not basis:
             return 0
@@ -352,7 +357,7 @@ class ModulePresentation:
             base = len(rows) - len(basis)
             for j, (comp, e) in enumerate(basis):
                 shifted = f0.from_dict({(comp, _exp_mul(e, exp_k)): field.one})
-                nf, _ = vec_nf(shifted, gb, track=False) if gb else (shifted, None)
+                nf = vec_nf(shifted, gb)
                 for (c2, e2), coeff in nf.terms:
                     rows[base + index[(c2, e2)]][j] = coeff
         # socle = kernel of the stacked multiplication matrix

@@ -115,7 +115,7 @@ class PresentedGradedRing:
 
     def is_regular_element(self, a):
         """True when a is a non-zerodivisor on A: (I : a) = I in P."""
-        c = idealops.colon(self.ambient, self._full(self.defining), [a])
+        c = idealops.colon(self.ambient, self.defining, [a])
         return idealops.ideals_equal(self.ambient, c, self.defining or [])
 
     def _full(self, gens):

@@ -268,6 +268,18 @@ def test_lift_combination_reexpands(hr):
     assert acc == f
 
 
+def test_lift_combination_over_qq():
+    R = PolyRing(("x", "y", "z"), (1, 1, 1), QQ)
+    x, y, z = R.gens()
+    gens = [x * x - 3 * y * z, R.zero, 2 * x * y + z * z]
+    f = (x - 5 * z) * gens[0] + 7 * y * gens[2]
+    coeffs = lift_combination(f, gens)
+    assert coeffs[1].is_zero()
+    assert sum((c * g for c, g in zip(coeffs, gens)), R.zero) == f
+    with pytest.raises(NotAMember):
+        lift_combination(x, gens)
+
+
 def test_lift_combination_rejects_nonmembers():
     R = ring2()
     x, y = R.gens()

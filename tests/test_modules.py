@@ -33,26 +33,13 @@ def test_vec_nf_remainder_is_irreducible():
     basis = [M.basis_vec(0, x), M.basis_vec(1, y * y)]
     f = M.from_dict({(0, (1, 1, 0)): F.one, (1, (0, 2, 1)): F.one,
                      (0, (0, 0, 2)): F.one})
-    r, _ = vec_nf(f, basis)
+    r = vec_nf(f, basis)
     for (comp, exp), _c in r.terms:
         for b in basis:
             (bc, be), _ = b.lead()
             if bc != comp:
                 continue
             assert not all(e >= d for e, d in zip(exp, be))
-
-
-def test_vec_nf_quotients_reassemble():
-    R = ring3()
-    x, y, z = R.gens()
-    M = FreeModule(R, 1)
-    basis = [M.basis_vec(0, x * x - y), M.basis_vec(0, x * y - z)]
-    f = M.basis_vec(0, (x * x - y) * z + (x * y - z) * y + x)
-    r, quots = vec_nf(f, basis, track=True)
-    acc = r
-    for b, q in zip(basis, quots):
-        acc = acc + b.mul_poly(q)
-    assert acc == f
 
 
 def test_koszul_syzygy_two_variables():
@@ -186,13 +173,9 @@ def homogeneous_gens(draw):
 @given(homogeneous_gens(), st.randoms(use_true_random=False))
 def test_module_buchberger_basis_checked_without_pruning(gens, rnd):
     """The returned basis is checked against all of its own S-vectors."""
-    data = module_buchberger(gens, track_reps=True)
-    basis = data.basis
+    basis = module_buchberger(gens).basis
     for g in gens:
-        assert vec_nf(g, basis)[0].is_zero()
-    for b, rep in zip(basis, data.reps):
-        assert vec_combination([gens[i] for i in rep],
-                               list(rep.values())) == b
+        assert vec_nf(g, basis).is_zero()
     for bi, bj in itertools.combinations(basis, 2):
         (ci, ei), _ = bi.lead()
         (cj, ej), _ = bj.lead()
@@ -201,7 +184,7 @@ def test_module_buchberger_basis_checked_without_pruning(gens, rnd):
         lcm = _exp_lcm(ei, ej)
         sp = (bi.mul_term(_exp_div(lcm, ei), F.one)
               - bj.mul_term(_exp_div(lcm, ej), F.one))
-        assert vec_nf(sp, basis)[0].is_zero()
+        assert vec_nf(sp, basis).is_zero()
     for b in basis:
         (comp, lead), _ = b.lead()
         for other in basis:
@@ -212,6 +195,30 @@ def test_module_buchberger_basis_checked_without_pruning(gens, rnd):
     perm = list(gens)
     rnd.shuffle(perm)
     assert module_buchberger(perm).basis == basis
+
+
+def _random_poly(R, rnd):
+    """Sum of up to three terms of degree 0-2 with random coefficients."""
+    d = {}
+    for _ in range(rnd.randint(0, 3)):
+        e = rnd.choice(_monomials(3, rnd.randint(0, 2)))
+        d[e] = rnd.randint(1, DEFAULT_PRIME - 1)
+    return R.from_dict(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_gens(), st.randoms(use_true_random=False))
+def test_module_lift_reassembles_combinations(gens, rnd):
+    """A random combination lifts to coefficients that rebuild it; adding
+    a constant vector, which no generator reaches, leaves the submodule."""
+    M = gens[0].module
+    target = vec_combination(gens, [_random_poly(M.ring, rnd) for _ in gens])
+    coeffs = module_lift(target, gens)
+    assert len(coeffs) == len(gens)
+    assert vec_combination(gens, coeffs) == target
+    # every generator entry lies in the maximal ideal, so e_i does not
+    with pytest.raises(NotAMember):
+        module_lift(target + M.basis_vec(rnd.randrange(M.rank)), gens)
 
 
 def test_pair_cap_counts_reduced_s_vectors():

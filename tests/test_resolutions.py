@@ -10,6 +10,7 @@ from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.hilbert import INFINITE
 from reesgor.modules import FreeModule
 from reesgor.polys import PolyRing
+from reesgor import resolutions
 from reesgor.resolutions import (ModulePresentation, ext_dualizing,
                                  minimalize_step, resolve_quotient_ring)
 
@@ -118,6 +119,27 @@ def test_free_presentation_is_immutable():
     with pytest.raises(AttributeError):
         mod.rels.pop()
     assert mod.length() == 6
+
+
+def test_presentation_basis_is_computed_once(monkeypatch):
+    R = ring2()
+    x, y = R.gens()
+    Fm = FreeModule(R, 2)
+    mod = ModulePresentation.cokernel(
+        Fm, [Fm.basis_vec(0, x), Fm.basis_vec(0, y ** 2),
+             Fm.basis_vec(1, x ** 2) + Fm.basis_vec(0, y), Fm.basis_vec(1, y)])
+    runs = []
+    real = resolutions.module_buchberger
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(resolutions, "module_buchberger", counted)
+    assert mod.length() == 4
+    assert mod.socle_dim() == 1
+    assert mod.length() == 4
+    assert len(runs) == 1
 
 
 def test_presentation_of_infinite_length_module():
