@@ -9,11 +9,10 @@ direct free-resolution oracle on a presentation of R(q^n).
 
 from .errors import (DepthNotOne, EquivalenceViolation,
                      HypothesisNotVerified, InputError, NoStabilization,
-                     NonConnected, NonPositiveWeight, NotAMember,
-                     NotApplicable, NotArtinian, NotContained, NotDivisible,
-                     NotFiniteLength, NotParameters, OwnerMismatch,
-                     PairNotFound, ReesgorError, ResourceExceeded,
-                     WrongDimension)
+                     NonConnected, NonPositiveWeight, NotApplicable,
+                     NotArtinian, NotContained, NotDivisible, NotFiniteLength,
+                     NotParameters, OwnerMismatch, PairNotFound, ReesgorError,
+                     ResourceExceeded, WrongDimension)
 from .fields import GF, QQ, DEFAULT_PRIME
 from .polys import PolyRing
 from .rings import (Ideal, PresentedGradedRing, colon, eliminate,
@@ -33,6 +32,5 @@ from .corpus import (EXAMPLES, build_hochster_roberts, build_idealization,
                      build_regular_base, build_two_planes, example_document)
 from .inputfmt import (InputDocument, format_report, parse_document,
                        parse_poly, parse_report, print_document)
-from .cli import main, run_cli
 
 __version__ = "0.1.0"

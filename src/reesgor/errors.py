@@ -20,10 +20,6 @@ class OwnerMismatch(ReesgorError):
     """Operands belong to different rings."""
 
 
-class NotAMember(ReesgorError):
-    """Element is not in the ideal or submodule."""
-
-
 class NotDivisible(ReesgorError):
     """Exact division requested for a non-multiple."""
 

@@ -1,15 +1,15 @@
-"""Ring-level Groebner bases, normal forms and lifts: the rank-one case of
-the module engine."""
+"""Ring-level Groebner bases and normal forms: the rank-one case of the
+module engine, with reduced bases cached per (ideal, ring order)."""
 
-from .errors import NotAMember, crosscheck
-from .modules import FreeModule, module_buchberger, module_lift, vec_nf
+from .modules import FreeModule, module_buchberger, vec_nf
 
 
 _CACHE = {}
 _CACHE_LIMIT = 4096
 
 
-def _as_vecs(polys):
+def as_vecs(polys):
+    """The polys as vectors of the rank-one free module over their ring."""
     F = FreeModule(polys[0].ring, 1)
     return [F.from_poly_list([(0, p)]) for p in polys]
 
@@ -31,7 +31,7 @@ def groebner_basis(gens):
         return list(hit)
     live = [p for p in gens if not p.is_zero()]
     if live:
-        data = module_buchberger(_as_vecs(live))
+        data = module_buchberger(as_vecs(live))
         result = tuple(v.component(0) for v in data.basis)
     else:
         result = ()
@@ -48,32 +48,9 @@ def normal_form(f, basis):
     ring = basis[0].ring
     if f.ring != ring:
         f = ring.from_dict(dict(f.terms))
-    fv, *vecs = _as_vecs([f] + list(basis))
+    fv, *vecs = as_vecs([f] + list(basis))
     return vec_nf(fv, vecs).component(0)
 
 
 def is_member(f, basis):
     return normal_form(f, basis).is_zero()
-
-
-def lift_combination(f, gens):
-    """Coefficients c with sum c_i * gens_i = f, verified by re-expansion.
-
-    The rank-one case of `modules.module_lift`; zero generators get the
-    coefficient zero.
-    """
-    ring = f.ring
-    live = [i for i, g in enumerate(gens) if not g.is_zero()]
-    if not live:
-        if f.is_zero():
-            return [ring.zero for _ in gens]
-        raise NotAMember("nonzero element, zero generators")
-    fv, *vecs = _as_vecs([f] + [gens[i] for i in live])
-    coeffs = [ring.zero for _ in gens]
-    for i, c in zip(live, module_lift(fv, vecs)):
-        coeffs[i] = c
-    check = ring.zero
-    for c, g in zip(coeffs, gens):
-        check = check + c * g
-    crosscheck("re-expansion of a lift", check, f)
-    return coeffs

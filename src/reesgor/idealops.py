@@ -2,11 +2,15 @@
 
 These are the engine-level routines; the user-facing Ideal type in
 rings.py wraps them with owner bookkeeping and preimage conventions.
+Intersections and colons are read off one homogeneous module Groebner
+basis each (`modules.graph_basis`); only `eliminate` changes the ring
+order, for the oracle and for ring-map kernels.
 """
 
-from .errors import NotDivisible, ResourceExceeded
-from .groebner import groebner_basis, is_member, normal_form
+from .errors import ResourceExceeded
+from .groebner import as_vecs, groebner_basis, is_member
 from .hilbert import finite_length, hilbert_numerator
+from .modules import graph_basis, module_colon
 from .orders import BlockOrder
 
 
@@ -50,45 +54,21 @@ def ideal_product(ring, gens_a, gens_b):
     return reduced_gens(ring, out) if out else []
 
 
-def _fresh_name(ring, base):
-    name = base
-    while name in ring.names:
-        name += "_"
-    return name
-
-
 def intersect(ring, gens_a, gens_b):
-    """Intersection by eliminating t from t*A + (1-t)*B in P[t]."""
+    """(A) cap (B): the tails of the graph basis of the rows (a, a), (b, 0)."""
     if not gens_a or not gens_b:
         return []
-    t_name = _fresh_name(ring, "@t")
-    ext = ring.extend((t_name,), (1,))
-    n = ext.n - 1
-    ext = ext.with_order(BlockOrder(ext.weights, (n,)))
-    t = ext.gen(n)
-    one = ext.one
-    work = []
-    for a in gens_a:
-        work.append(t * ext.transfer(a))
-    for b in gens_b:
-        work.append((one - t) * ext.transfer(b))
-    gb = groebner_basis(work)
-    out = []
-    for g in gb:
-        if all(e[n] == 0 for e, _ in g.terms):
-            out.append(ring.transfer(g))
-    return out
+    rows = [(v, [(0, a)]) for v, a in zip(as_vecs(gens_a), gens_a)]
+    rows += [(v, []) for v in as_vecs(gens_b)]
+    return [b.component(1) for b in graph_basis(rows, (0,))
+            if b.lead()[0][0] == 1]
 
 
 def colon_element(ring, gens, g):
-    """(gens) : g via ((gens) intersect (g)) / g."""
-    if g.is_zero():
-        return [ring.one]
-    inter = intersect(ring, gens, [g])
-    out = []
-    for h in inter:
-        out.append(h.exact_div(g))
-    return reduced_gens(ring, out) if out else []
+    """(gens) : g, as a reduced Groebner basis."""
+    gv, *rels = as_vecs([g] + list(gens))
+    return module_colon(gv, rels)
+
 
 def colon(ring, gens, colon_by):
     """(gens) : (colon_by), intersecting the per-generator colons."""

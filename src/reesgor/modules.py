@@ -6,18 +6,24 @@ position-over-term order extending the ring's monomial order.  The
 Buchberger loop computes reduced bases only; it prunes S-pairs by the
 Gebauer-Moeller update (Gebauer & Moeller 1988) as each element joins the
 basis, with the product criterion on rank 1 only, where it is valid; its
-`pair_cap` counts the S-vectors actually reduced.  Syzygies and lifts both
-come from one Groebner basis of the graph module {(g_i, e_i)} in F + F^s
-under the position-over-term order: syzygies are its elements supported
-in the second block, and a lift of f is read off the normal form of
-(f, 0) (the `lift` of Greuel-Pfister, A Singular Introduction to
-Commutative Algebra).
+`pair_cap` counts the S-vectors actually reduced.
+
+Syzygies, colons and exact division all come from one Groebner basis of a
+graph module: the submodule of F + P^s spanned by rows (v_i, w_i), under
+position over term with the F block first.  A basis element whose lead
+lies in the tail P^s has no F part, so those elements are a Groebner basis
+of the tail submodule {w : (0, w) in the span} (Greuel-Pfister, A Singular
+Introduction to Commutative Algebra, the method behind Singular's
+`syz`, `quotient`, `intersect` and `lift`).  Rows (g_i, e_i) give the
+syzygies of the g_i; rows (g, 1) and (r_j, 0) give the colon (rels : g),
+and the normal form of (f, 0) against that basis divides f by g modulo
+the rels.
 """
 
 import heapq
 from operator import ge
 
-from .errors import NotAMember, OwnerMismatch, ResourceExceeded
+from .errors import NotDivisible, OwnerMismatch, ResourceExceeded
 from .polys import _exp_div, _exp_lcm, _exp_mul
 
 
@@ -323,22 +329,24 @@ def module_buchberger(gens, pair_cap=None):
     return GroebnerData(reduced)
 
 
-def _graph_basis(gens):
-    """Groebner basis of the graph module spanned by the (g_i, e_i).
+def graph_basis(rows, tail_shifts):
+    """Groebner basis of the submodule of F + P^s spanned by the rows.
 
-    It lives in F + F^s, F first, under position over term, so the F block
-    dominates.
+    A row is (v, w): a Vec v of F and its tail w, a list of (j, Poly)
+    pairs with distinct j < s = len(tail_shifts).  Under position over
+    term with the F block first, a basis element whose lead lies in the
+    tail has no F part.
     """
-    module = gens[0].module
-    ring = module.ring
+    module = rows[0][0].module
     rank = module.rank
-    s = len(gens)
-    gen_shifts = tuple(g.degree() if not g.is_zero() else 0 for g in gens)
-    GM = FreeModule(ring, rank + s, module.shifts + gen_shifts)
+    GM = FreeModule(module.ring, rank + len(tail_shifts),
+                    module.shifts + tuple(tail_shifts))
     work = []
-    for i, g in enumerate(gens):
-        d = dict(g.terms)
-        d[(rank + i, ring.zero_exp)] = ring.field.one
+    for v, w in rows:
+        d = dict(v.terms)
+        for j, p in w:
+            for e, c in p.terms:
+                d[(rank + j, e)] = c
         work.append(GM.from_dict(d))
     return module_buchberger(work).basis
 
@@ -346,33 +354,45 @@ def _graph_basis(gens):
 def module_syzygies(gens):
     """Generators of the first syzygy module of `gens` (Vecs in F^len).
 
-    The graph-module basis elements supported entirely in the e block are
-    a Groebner basis of the syzygy module (elimination theorem for
-    submodules).
+    The tails of the graph basis of the rows (g_i, e_i) are a Groebner
+    basis of the syzygy module (elimination theorem for submodules).
     """
-    rank = gens[0].module.rank
-    basis = _graph_basis(gens)
-    GM = basis[0].module
-    SF = FreeModule(GM.ring, len(gens), GM.shifts[rank:])
-    out = []
-    for b in basis:
-        if b.lead()[0][0] >= rank:
-            # the order eliminates the F block: lead there means no F part
-            out.append(SF.from_dict({(comp - rank, e): c
-                                     for (comp, e), c in b.terms}))
-    return out
+    module = gens[0].module
+    rank, one = module.rank, module.ring.one
+    shifts = tuple(g.degree() if not g.is_zero() else 0 for g in gens)
+    basis = graph_basis([(g, [(i, one)]) for i, g in enumerate(gens)], shifts)
+    SF = FreeModule(module.ring, len(gens), shifts)
+    return [SF.from_dict({(comp - rank, e): c for (comp, e), c in b.terms})
+            for b in basis if b.lead()[0][0] >= rank]
 
 
-def module_lift(f, gens):
-    """Coefficients c (Polys) with f = sum c_i * gens_i; NotAMember otherwise.
+def _colon_basis(g, rels):
+    """Graph basis of the rows (g, 1) and (r, 0) in F + P."""
+    one = g.module.ring.one
+    return graph_basis([(g, [(0, one)])] + [(r, []) for r in rels],
+                       (g.degree(),))
 
-    The normal form of (f, 0) against the graph-module basis keeps an F
-    term exactly when f is outside the submodule; otherwise it is
-    (0, -c), since (f, 0) minus it lies in the graph module.
+
+def module_colon(g, rels):
+    """Reduced Groebner basis (Polys) of the ideal (rels : g) = {h : h*g in
+    span(rels)}; the unit ideal when g is zero."""
+    if g.is_zero():
+        return [g.module.ring.one]
+    rank = g.module.rank
+    return [b.component(rank) for b in _colon_basis(g, rels)
+            if b.lead()[0][0] >= rank]
+
+
+def module_divide(f, g, rels):
+    """A Poly h with f - h*g in span(rels); NotDivisible when none exists.
+
+    The normal form of (f, 0) against the colon graph basis keeps an F
+    term exactly when f is outside span(g, rels); otherwise it is (0, -h),
+    since (f, 0) minus it is the row combination (h*g + sum c_j r_j, h).
     """
-    rank = f.module.rank
-    basis = _graph_basis(gens)
+    rank = g.module.rank
+    basis = _colon_basis(g, rels)
     r = vec_nf(basis[0].module.from_dict(dict(f.terms)), basis)
     if not r.is_zero() and r.lead()[0][0] < rank:
-        raise NotAMember("vector is not in the submodule")
-    return [-p for p in r.components()[rank:]]
+        raise NotDivisible("vector is not a multiple of the divisor")
+    return -r.component(rank)

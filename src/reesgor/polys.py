@@ -5,7 +5,7 @@ decreasing monomial order, so the leading term is terms[0].  Rings are
 immutable; polynomials from different rings never mix.
 """
 
-from .errors import NotDivisible, OwnerMismatch
+from .errors import OwnerMismatch
 from .fields import DEFAULT_PRIME, GF
 from .orders import BlockOrder, GrevlexOrder, LexOrder
 
@@ -252,34 +252,6 @@ class Poly:
         if not self.terms:
             return self
         return self.scale(self.ring.field.inv(self.terms[0][1]))
-
-    def exact_div(self, g):
-        """Exact polynomial division; raises NotDivisible on remainder."""
-        g = self._coerce(g)
-        if g.is_zero():
-            raise NotDivisible("division by zero polynomial")
-        F = self.ring.field
-        rem = dict(self.terms)
-        quo = {}
-        order = self.ring.order
-        ge, gc = g.terms[0]
-        ginv = F.inv(gc)
-        while rem:
-            e = max(rem, key=order.key)
-            c = rem[e]
-            q = _exp_div(e, ge)
-            if q is None:
-                raise NotDivisible("remainder has term not divisible by lead")
-            qc = F.mul(c, ginv)
-            quo[q] = F.add(quo.get(q, F.zero), qc)
-            for e2, c2 in g.terms:
-                e3 = _exp_mul(q, e2)
-                nc = F.sub(rem.get(e3, F.zero), F.mul(qc, c2))
-                if nc == F.zero:
-                    rem.pop(e3, None)
-                else:
-                    rem[e3] = nc
-        return self.ring.from_dict(quo)
 
     # -- comparison and display ------------------------------------------
 

@@ -16,7 +16,8 @@ from .groebner import groebner_basis
 from .hilbert import (INFINITE, dimension_from_numerator, finite_length,
                       hilbert_numerator, upoly_eval_one)
 from .idealops import intersect as intersect_ideals
-from .modules import FreeModule, Vec, module_buchberger, module_syzygies, vec_nf
+from .modules import (FreeModule, Vec, module_buchberger, module_colon,
+                      module_syzygies, vec_nf)
 from .polys import _exp_div, _exp_mul
 
 
@@ -312,20 +313,14 @@ class ModulePresentation:
         return f0.rank - _field_rank(field, rows)
 
     def annihilator_gens(self):
-        """Generators of {f in P : f * self = 0}."""
+        """Generators of {f in P : f * self = 0}: the intersection of the
+        colons (rels : g) over the generators g."""
         ring = self.ambient.ring
         result = None
         for g in self.gens:
             if g.is_zero():
                 continue
-            cols = [g, *self.rels]
-            syz = module_syzygies(cols)
-            ann = []
-            for v in syz:
-                p = _column_entry(v, 0)
-                if not p.is_zero():
-                    ann.append(p)
-            ann = groebner_basis(ann) if ann else []
+            ann = module_colon(g, self.rels)
             result = ann if result is None else intersect_ideals(ring, result, ann)
         if result is None:
             return [ring.one]  # zero module

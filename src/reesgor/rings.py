@@ -5,11 +5,12 @@ every A-level operation becomes a P-level operation on generator lists
 that always carry the defining ideal I along.
 """
 
-from .errors import (NonPositiveWeight, NotAMember, NotDivisible,
-                     NotParameters, OwnerMismatch)
-from .groebner import groebner_basis, is_member, lift_combination, normal_form
+from .errors import (NonPositiveWeight, NotDivisible, NotParameters,
+                     OwnerMismatch, crosscheck)
+from .groebner import as_vecs, groebner_basis, is_member, normal_form
 from .hilbert import dimension_from_numerator, hilbert_numerator
 from . import idealops
+from .modules import module_divide
 from .polys import PolyRing
 from .resolutions import ext_dualizing, resolve_quotient_ring
 
@@ -302,9 +303,15 @@ def sigma_tilde(a_list, A):
 
 
 def ring_division(f, a, A):
-    """g with a*g = f in A, for a regular on A; NotDivisible otherwise."""
+    """g with a*g = f in A, for a regular on A; NotDivisible otherwise.
+
+    g is in normal form modulo I: `module_divide` reduces it modulo
+    (I : a), whose leading terms contain those of I.
+    """
+    fv, av, *rels = as_vecs([f, a] + A.defining)
     try:
-        coeffs = lift_combination(f, [a] + A.defining)
-    except NotAMember:
+        g = module_divide(fv, av, rels)
+    except NotDivisible:
         raise NotDivisible("%s is not divisible by %s in the ring" % (f, a))
-    return A.reduce(coeffs[0])
+    crosscheck("re-expansion of a division", A.reduce(a * g), A.reduce(f))
+    return g

@@ -2,16 +2,17 @@
 owner-aware ideal layer on presented rings."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reesgor import idealops, rings
-from reesgor.errors import (NotAMember, NotDivisible, NotParameters,
-                            OwnerMismatch)
-from reesgor.fields import GF, DEFAULT_PRIME
+from reesgor.errors import NotDivisible, NotParameters, OwnerMismatch
+from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import groebner_basis
-from reesgor.polys import PolyRing
+from reesgor.orders import BlockOrder
+from reesgor.polys import PolyRing, _exp_div
 
 F = GF(DEFAULT_PRIME)
 
@@ -134,6 +135,62 @@ def test_general_intersection_non_monomial():
     assert idealops.ideals_equal(ring, got, [(x + y) * (x - y)])
 
 
+# -- reference: intersection by eliminating t, colon by exact division -----
+
+def t_elimination_intersect(ring, gens_a, gens_b):
+    """(A) cap (B) by eliminating t from t*A + (1-t)*B in P[t]."""
+    ext = ring.extend(("@t",), (1,))
+    n = ext.n - 1
+    ext = ext.with_order(BlockOrder(ext.weights, (n,)))
+    t = ext.gen(n)
+    work = [t * ext.transfer(a) for a in gens_a]
+    work += [(ext.one - t) * ext.transfer(b) for b in gens_b]
+    return [ring.transfer(g) for g in groebner_basis(work)
+            if all(e[n] == 0 for e, _ in g.terms)]
+
+
+def exact_quotient(f, g):
+    """f / g by long division, for f a multiple of g."""
+    ring, field = f.ring, f.ring.field
+    q = ring.zero
+    while not f.is_zero():
+        e = _exp_div(f.lead_exp(), g.lead_exp())
+        m = ring.monomial(e, field.div(f.lead_coeff(), g.lead_coeff()))
+        q, f = q + m, f - m * g
+    return q
+
+
+def division_colon(ring, gens, g):
+    """(gens) : g as ((gens) cap (g)) / g."""
+    inter = t_elimination_intersect(ring, gens, [g])
+    return groebner_basis([exact_quotient(h, g) for h in inter])
+
+
+def random_form(ring, rnd, deg):
+    exps = [e for e in itertools.product(range(deg + 1), repeat=ring.n)
+            if sum(e) == deg]
+    return sum((ring.monomial(e, rnd.randint(-5, 5))
+                for e in rnd.sample(exps, min(3, len(exps)))), ring.zero)
+
+
+@pytest.mark.parametrize("field", [F, QQ], ids=["gf32003", "qq"])
+def test_intersect_and_colon_match_t_elimination(field):
+    """Reduced bases are unique, so both routes give the same lists."""
+    ring = PolyRing(("x", "y", "z"), (1, 1, 1), field)
+    rnd = random.Random(11)
+    for _ in range(12):
+        a = [random_form(ring, rnd, rnd.randint(1, 2)) for _ in range(2)]
+        b = [random_form(ring, rnd, rnd.randint(1, 2)) for _ in range(2)]
+        a = [p for p in a if not p.is_zero()]
+        b = [p for p in b if not p.is_zero()]
+        if not a or not b:
+            continue
+        assert (idealops.intersect(ring, a, b)
+                == t_elimination_intersect(ring, a, b)), (a, b)
+        g = b[0]
+        assert idealops.colon(ring, a, [g]) == division_colon(ring, a, g)
+
+
 # -- presented-ring ideal layer --------------------------------------------
 
 def quotient_xy():
@@ -219,6 +276,16 @@ def test_ring_division(hr):
     assert rings.ring_division(A.reduce(a * c), a, A) == c
     with pytest.raises(NotDivisible):
         rings.ring_division(A.gen(1), a, A)
+
+
+def test_ring_division_over_qq():
+    amb = PolyRing(("x", "y", "z"), (1, 1, 1), QQ)
+    x, y, z = amb.gens()
+    A = rings.PresentedGradedRing.from_ambient(amb, [x * x - 3 * y * z])
+    a, c = 2 * x + y, 5 * x * z - 7 * y * y
+    assert rings.ring_division(A.reduce(a * c), a, A) == A.reduce(c)
+    with pytest.raises(NotDivisible):
+        rings.ring_division(y, a, A)
 
 
 def test_saturate_on_quotient():

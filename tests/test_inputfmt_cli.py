@@ -4,10 +4,13 @@ import glob
 import io
 import contextlib
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reesgor
 from reesgor import corpus, inputfmt
 from reesgor.cli import run_cli
 from reesgor.errors import InputError
@@ -205,3 +208,13 @@ def test_cli_route_disagreement_exits_5(monkeypatch):
     assert code == 5
     assert "routes disagree" in inputfmt.parse_report(out)["error"]
     assert "engine bug" in out
+
+
+def test_package_import_leaves_cli_unloaded():
+    """`python -m reesgor.cli` warns when the package already loaded it."""
+    src = os.path.dirname(os.path.dirname(reesgor.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c",
+                    "import reesgor, sys; "
+                    "assert 'reesgor.cli' not in sys.modules"],
+                   env=env, check=True)

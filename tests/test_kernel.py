@@ -7,15 +7,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
-from reesgor.groebner import (groebner_basis, is_member, lift_combination,
-                              normal_form)
+from reesgor.groebner import groebner_basis, is_member, normal_form
 from reesgor.hilbert import (count_standard_monomials, dimension_from_numerator,
                              finite_length, hilbert_numerator, quotient_series,
                              upoly_eval_one, upoly_mul)
 from reesgor.inputfmt import parse_poly
 from reesgor.orders import BlockOrder, GrevlexOrder, LexOrder
 from reesgor.polys import PolyRing
-from reesgor.errors import NotAMember, NotDivisible
 
 F = GF(DEFAULT_PRIME)
 
@@ -171,10 +169,6 @@ def test_poly_power_and_exact_div():
     x, y = R.gens()
     f = x + y
     assert f ** 3 == x ** 3 + 3 * x * x * y + 3 * x * y * y + y ** 3
-    g = (x + y) * (x - y)
-    assert g.exact_div(x + y) == x - y
-    with pytest.raises(NotDivisible):
-        (x * x + y).exact_div(x)
 
 
 def test_homogeneity_with_weights():
@@ -254,37 +248,6 @@ def test_normal_form_is_idempotent(hr):
         r = normal_form(f, gb)
         assert normal_form(r, gb) == r
         assert is_member(f - r, gb)
-
-
-def test_lift_combination_reexpands(hr):
-    A, _ = hr
-    R = A.ambient
-    gens = A.defining
-    f = gens[0] * R.gen(1) + gens[2]
-    coeffs = lift_combination(f, gens)
-    acc = R.zero
-    for c, g in zip(coeffs, gens):
-        acc = acc + c * g
-    assert acc == f
-
-
-def test_lift_combination_over_qq():
-    R = PolyRing(("x", "y", "z"), (1, 1, 1), QQ)
-    x, y, z = R.gens()
-    gens = [x * x - 3 * y * z, R.zero, 2 * x * y + z * z]
-    f = (x - 5 * z) * gens[0] + 7 * y * gens[2]
-    coeffs = lift_combination(f, gens)
-    assert coeffs[1].is_zero()
-    assert sum((c * g for c, g in zip(coeffs, gens)), R.zero) == f
-    with pytest.raises(NotAMember):
-        lift_combination(x, gens)
-
-
-def test_lift_combination_rejects_nonmembers():
-    R = ring2()
-    x, y = R.gens()
-    with pytest.raises(NotAMember):
-        lift_combination(y, [x * x, x * y])
 
 
 # -- Hilbert series --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Module Groebner machinery: normal forms, syzygies, lifting."""
+"""Module Groebner machinery: normal forms, syzygies, colons, division."""
 
 import itertools
 import random
@@ -6,10 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reesgor.errors import NotAMember, ResourceExceeded
+from reesgor.errors import NotDivisible, ResourceExceeded
 from reesgor.fields import GF, DEFAULT_PRIME
-from reesgor.modules import (FreeModule, module_buchberger, module_lift,
-                             module_syzygies, vec_nf)
+from reesgor.groebner import groebner_basis
+from reesgor.modules import (FreeModule, module_buchberger, module_colon,
+                             module_divide, module_syzygies, vec_nf)
 from reesgor.polys import PolyRing, _exp_div, _exp_lcm
 
 F = GF(DEFAULT_PRIME)
@@ -118,27 +119,6 @@ def test_module_buchberger_basis_is_monic_and_sorted():
         assert b.lead()[1] == F.one
 
 
-def test_module_lift_roundtrip():
-    R = ring3()
-    x, y, z = R.gens()
-    M = FreeModule(R, 1)
-    gens = [M.basis_vec(0, x * x - y), M.basis_vec(0, y * z)]
-    target = gens[0].mul_poly(z * z) + gens[1].mul_poly(x - z)
-    coeffs = module_lift(target, gens)
-    acc = M.zero()
-    for g, c in zip(gens, coeffs):
-        acc = acc + g.mul_poly(c)
-    assert acc == target
-
-
-def test_module_lift_rejects_outsiders():
-    R = ring3()
-    x, y, z = R.gens()
-    M = FreeModule(R, 1)
-    with pytest.raises(NotAMember):
-        module_lift(M.basis_vec(0, z), [M.basis_vec(0, x), M.basis_vec(0, y)])
-
-
 def _monomials(n, d):
     return [e for e in itertools.product(range(d + 1), repeat=n)
             if sum(e) == d]
@@ -208,17 +188,27 @@ def _random_poly(R, rnd):
 
 @settings(max_examples=60, deadline=None)
 @given(homogeneous_gens(), st.randoms(use_true_random=False))
-def test_module_lift_reassembles_combinations(gens, rnd):
-    """A random combination lifts to coefficients that rebuild it; adding
-    a constant vector, which no generator reaches, leaves the submodule."""
-    M = gens[0].module
-    target = vec_combination(gens, [_random_poly(M.ring, rnd) for _ in gens])
-    coeffs = module_lift(target, gens)
-    assert len(coeffs) == len(gens)
-    assert vec_combination(gens, coeffs) == target
+def test_colon_and_division_from_the_graph_basis(gens, rnd):
+    """The colon equals the first coordinates of the syzygies of
+    (g, rels), reduced; a multiple of g modulo rels divides back to its
+    cofactor modulo the colon, and adding a constant vector does not."""
+    g, rels = gens[0], gens[1:]
+    M = g.module
+    firsts = [v.component(0) for v in module_syzygies([g, *rels])]
+    firsts = [p for p in firsts if not p.is_zero()]
+    want = groebner_basis(firsts) if firsts else []
+    assert module_colon(g, rels) == want
+    h = _random_poly(M.ring, rnd)
+    f = g.mul_poly(h)
+    for r in rels:
+        f = f + r.mul_poly(_random_poly(M.ring, rnd))
+    off = g.mul_poly(module_divide(f, g, rels) - h)
+    if rels:
+        off = vec_nf(off, module_buchberger(rels).basis)
+    assert off.is_zero()
     # every generator entry lies in the maximal ideal, so e_i does not
-    with pytest.raises(NotAMember):
-        module_lift(target + M.basis_vec(rnd.randrange(M.rank)), gens)
+    with pytest.raises(NotDivisible):
+        module_divide(f + M.basis_vec(rnd.randrange(M.rank)), g, rels)
 
 
 def test_pair_cap_counts_reduced_s_vectors():
