@@ -9,8 +9,8 @@ direct free-resolution oracle on a presentation of R(q^n).
 
 from .errors import (DepthNotOne, EquivalenceViolation,
                      HypothesisNotVerified, InputError, NoStabilization,
-                     NonConnected, NonPositiveWeight, NotApplicable,
-                     NotArtinian, NotContained, NotDivisible, NotFiniteLength,
+                     NonPositiveWeight, NotApplicable, NotArtinian,
+                     NotContained, NotDivisible, NotFiniteLength,
                      NotParameters, OwnerMismatch, PairNotFound, ReesgorError,
                      ResourceExceeded, WrongDimension)
 from .fields import GF, QQ, DEFAULT_PRIME
@@ -22,8 +22,7 @@ from .invariants import (artinian_gorenstein, artinian_length,
                          depth_and_type, is_reduction, krull_dim,
                          multiplicity)
 from .s2 import (conductor_crosscheck, filter_regular_pair, h1_socle,
-                 hypothesis_profile, is_standard_parameters, s2_construct,
-                 s2_presentation)
+                 hypothesis_profile, is_standard_parameters, s2_construct)
 from .decision import (buchsbaum_criterion, decide, decide_condition2,
                        decide_condition3, shimoda_check)
 from .oracle import (graded_gorenstein_oracle, n_neq_d_suite,

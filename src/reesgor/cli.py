@@ -13,7 +13,7 @@ from .errors import (DepthNotOne, EquivalenceViolation,
                      HypothesisNotVerified, InputError, NoStabilization,
                      NotParameters, PairNotFound, ResourceExceeded,
                      WrongDimension)
-from . import corpus, decision, inputfmt, invariants, oracle, rings, s2
+from . import corpus, decision, inputfmt, invariants, oracle, s2
 
 EXIT_GORENSTEIN = 0
 EXIT_NOT_GORENSTEIN = 1

@@ -4,7 +4,7 @@ used as a negative control.
 """
 
 from .errors import NotParameters
-from . import idealops, inputfmt, rings
+from . import inputfmt, rings
 from .fields import DEFAULT_PRIME
 from .groebner import groebner_basis
 from .modules import FreeModule, module_syzygies

@@ -44,10 +44,6 @@ class NonPositiveWeight(ReesgorError):
     """A construction would introduce a variable of weight <= 0."""
 
 
-class NonConnected(ReesgorError):
-    """Degree-zero part of a presented ring is larger than the base field."""
-
-
 class NotApplicable(ReesgorError):
     """Invariant undefined for this input (e.g. socle of a zero module)."""
 

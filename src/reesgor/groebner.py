@@ -1,11 +1,9 @@
 """Ring-level Groebner bases and normal forms: the rank-one case of the
-module engine, with reduced bases cached per (ideal, ring order)."""
+module engine.  Nothing is cached here; a reduced basis is memoized by
+the object it belongs to (`PresentedGradedRing.gb`, `Ideal.gb`), and
+the ideal operations return reduced bases that callers keep."""
 
 from .modules import FreeModule, module_buchberger, vec_nf
-
-
-_CACHE = {}
-_CACHE_LIMIT = 4096
 
 
 def as_vecs(polys):
@@ -17,28 +15,13 @@ def as_vecs(polys):
 def groebner_basis(gens):
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Unique for (ideal, ring order); cached as a tuple, so every call
-    returns a fresh list.  Zero generators are dropped; the zero ideal
-    yields the empty basis.
+    Unique for (ideal, ring order): monic, sorted by descending lead.
+    Zero generators are dropped; the zero ideal yields the empty basis.
     """
-    gens = list(gens)
-    if not gens:
-        return []
-    ring = gens[0].ring
-    key = (ring, ring.order, frozenset(p.terms for p in gens))
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return list(hit)
     live = [p for p in gens if not p.is_zero()]
-    if live:
-        data = module_buchberger(as_vecs(live))
-        result = tuple(v.component(0) for v in data.basis)
-    else:
-        result = ()
-    if len(_CACHE) > _CACHE_LIMIT:
-        _CACHE.clear()
-    _CACHE[key] = result
-    return list(result)
+    if not live:
+        return []
+    return [v.component(0) for v in module_buchberger(as_vecs(live)).basis]
 
 
 def normal_form(f, basis):

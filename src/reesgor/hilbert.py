@@ -6,7 +6,7 @@ with N computed by the classical pivot recursion.
 """
 
 from .errors import NotArtinian
-from .polys import _exp_div, _exp_lcm
+from .polys import _exp_div
 
 INFINITE = "INFINITE"
 
@@ -100,8 +100,6 @@ def one_minus_t_multiplicity(num):
             g[d] = acc
         cur = {d: c for d, c in enumerate(g) if c}
         mult += 1
-    if not cur:
-        return mult  # zero numerator: treat as infinite multiplicity caller-side
     return mult
 
 

@@ -4,54 +4,33 @@ These are the engine-level routines; the user-facing Ideal type in
 rings.py wraps them with owner bookkeeping and preimage conventions.
 Intersections and colons are read off one homogeneous module Groebner
 basis each (`modules.graph_basis`); only `eliminate` changes the ring
-order, for the oracle and for ring-map kernels.
+order, for the oracle and for ring-map kernels.  `intersect`, `colon`
+and `saturate` return reduced Groebner bases, equal to `groebner_basis`
+of themselves: the tails of a reduced graph basis are monic, reduced
+and sorted by descending lead, and no element with an F lead can
+reduce a tail term.
 """
 
 from .errors import ResourceExceeded
-from .groebner import as_vecs, groebner_basis, is_member
+from .groebner import as_vecs, groebner_basis
 from .hilbert import finite_length, hilbert_numerator
 from .modules import graph_basis, module_colon
 from .orders import BlockOrder
 
 
-def reduced_gens(ring, gens):
-    """Canonical generator list: the reduced Groebner basis."""
-    return groebner_basis([g for g in gens if not g.is_zero()])
-
-
-def lead_exps(gb):
-    return [g.lead_exp() for g in gb]
-
-
-def ideal_length(ring, gens):
-    """k-dimension of P/(gens), or INFINITE."""
-    gb = groebner_basis(gens) if gens else []
-    num = hilbert_numerator(lead_exps(gb), ring.weights)
+def ideal_length(ring, gb):
+    """k-dimension of P/(gb) for a Groebner basis gb, or INFINITE."""
+    num = hilbert_numerator([g.lead_exp() for g in gb], ring.weights)
     return finite_length(num, ring.weights)
 
 
-def contains(ring, gens, f):
-    if f.is_zero():
-        return True
-    if not gens:
-        return False
-    return is_member(f, groebner_basis(gens))
-
-
 def ideals_equal(ring, gens_a, gens_b):
-    gba = groebner_basis(gens_a) if gens_a else []
-    gbb = groebner_basis(gens_b) if gens_b else []
-    return ([g.terms for g in gba] == [g.terms for g in gbb])
+    return groebner_basis(gens_a) == groebner_basis(gens_b)
 
 
-def ideal_product(ring, gens_a, gens_b):
-    out = []
-    for a in gens_a:
-        for b in gens_b:
-            p = a * b
-            if not p.is_zero():
-                out.append(p)
-    return reduced_gens(ring, out) if out else []
+def ideal_product(ring, gens_a, gens_b, base):
+    """Reduced Groebner basis of (base) + (gens_a)(gens_b)."""
+    return groebner_basis(list(base) + [a * b for a in gens_a for b in gens_b])
 
 
 def intersect(ring, gens_a, gens_b):
@@ -84,10 +63,10 @@ def colon(ring, gens, colon_by):
 
 def saturate(ring, gens, sat_by, cap=64):
     """Stable value of iterated colon, with the first stabilization index."""
-    cur = reduced_gens(ring, gens)
+    cur = groebner_basis(gens)
     for idx in range(cap + 1):
-        nxt = reduced_gens(ring, colon(ring, cur, sat_by))
-        if ideals_equal(ring, cur, nxt):
+        nxt = colon(ring, cur, sat_by)
+        if nxt == cur:
             return cur, idx
         cur = nxt
     raise ResourceExceeded("saturation did not stabilize within %d steps" % cap)

@@ -56,7 +56,7 @@ def depth_and_type(A, length_cap=None):
 
 def artinian_length(A, J):
     """Length of A/J for an Artinian quotient."""
-    l = idealops.ideal_length(A.ambient, J.preimage_gens())
+    l = idealops.ideal_length(A.ambient, J.gb())
     if l == INFINITE:
         raise NotArtinian("A/J has positive dimension")
     return l
@@ -66,17 +66,19 @@ def multiplicity(A, J, cap=30):
     """Hilbert-Samuel multiplicity e_J(A) by d-th difference stabilization.
 
     Computes l(A/J^n) for n = 1, 2, ... and returns the d-th finite
-    difference once three consecutive values agree (d = dim A).
+    difference once three consecutive values agree (d = dim A).  Each
+    power is kept as the reduced basis of J^n + I, and the next one is
+    J * (J^n + I) + I.
     """
     if J.quotient_dim() != 0:
         raise NotArtinian("multiplicity needs an m-primary ideal")
     d = A.dim()
     amb = A.ambient
     lengths = []
-    power = list(J.gens)
+    power = J.gb()
     streak = []
     for n in range(1, cap + 1):
-        l = idealops.ideal_length(amb, A._full(power))
+        l = idealops.ideal_length(amb, power)
         if l == INFINITE:
             raise NotArtinian("power of J is not m-primary")
         lengths.append(l)
@@ -87,7 +89,7 @@ def multiplicity(A, J, cap=30):
             streak.append(diffs[-1])
             if len(streak) >= 3 and streak[-1] == streak[-2] == streak[-3]:
                 return streak[-1]
-        power = idealops.ideal_product(amb, power, J.gens)
+        power = idealops.ideal_product(amb, power, J.gens, A.gb())
     raise NoStabilization("difference scheme did not settle within %d steps"
                           % cap)
 
@@ -95,17 +97,19 @@ def multiplicity(A, J, cap=30):
 def is_reduction(q, c, r_max=10):
     """Least r with c^(r+1) = q * c^r, or NOT_FOUND.
 
-    Requires q contained in c (as ideals of their common ring).
+    Requires q contained in c (as ideals of their common ring).  Each
+    c^r is kept as the reduced basis of c^r + I; the two sides are then
+    c * (c^r + I) + I = c^(r+1) + I and q * (c^r + I) + I = q c^r + I.
     """
     if not c.contains_ideal(q):
         raise NotContained("q is not contained in c")
     A = q.owner
     amb = A.ambient
-    c_pow = [amb.one]  # c^0
+    c_pow = [amb.one]  # c^0 + I
     for r in range(r_max + 1):
-        c_next = idealops.ideal_product(amb, c_pow, c.gens) or []
-        q_side = idealops.ideal_product(amb, q.gens, c_pow) or []
-        if idealops.ideals_equal(amb, A._full(c_next), A._full(q_side)):
+        c_next = idealops.ideal_product(amb, c_pow, c.gens, A.gb())
+        q_side = idealops.ideal_product(amb, c_pow, q.gens, A.gb())
+        if c_next == q_side:
             return r
         c_pow = c_next
     return NOT_FOUND

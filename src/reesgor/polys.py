@@ -7,7 +7,7 @@ immutable; polynomials from different rings never mix.
 
 from .errors import OwnerMismatch
 from .fields import DEFAULT_PRIME, GF
-from .orders import BlockOrder, GrevlexOrder, LexOrder
+from .orders import GrevlexOrder
 
 
 class PolyRing:

@@ -12,9 +12,7 @@ differentials as tuples, so a cached one can be shared between callers.
 """
 
 from .errors import NotFiniteLength, ResourceExceeded
-from .groebner import groebner_basis
-from .hilbert import (INFINITE, dimension_from_numerator, finite_length,
-                      hilbert_numerator, upoly_eval_one)
+from .hilbert import INFINITE, finite_length, hilbert_numerator
 from .idealops import intersect as intersect_ideals
 from .modules import (FreeModule, Vec, module_buchberger, module_colon,
                       module_syzygies, vec_nf)
@@ -423,10 +421,14 @@ def _field_rank(field, rows):
 
 
 def resolve_quotient_ring(ring, ideal_gens, length_cap=None):
-    """Minimal free resolution of P/(ideal_gens) as a P-module."""
+    """Minimal free resolution of P/(ideal_gens) as a P-module.
+
+    The generators are resolved as given; a non-minimal generating set,
+    such as a reduced Groebner basis, is trimmed by the first
+    minimalization step.
+    """
     f0 = FreeModule(ring, 1, (0,))
-    gb = groebner_basis(ideal_gens) if ideal_gens else []
-    cols = [f0.from_poly_list([(0, g)]) for g in gb]
+    cols = [f0.from_poly_list([(0, g)]) for g in ideal_gens]
     return minimal_free_resolution(cols, f0, length_cap=length_cap)
 
 

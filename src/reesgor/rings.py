@@ -47,8 +47,9 @@ class PresentedGradedRing:
     # -- cached invariants -------------------------------------------------
 
     def gb(self):
+        """Reduced Groebner basis of I, as a tuple."""
         if self._gb is None:
-            self._gb = groebner_basis(self.defining) if self.defining else []
+            self._gb = tuple(groebner_basis(self.defining))
         return self._gb
 
     def dim(self):
@@ -66,7 +67,7 @@ class PresentedGradedRing:
         """
         if self._resolution is None:
             self._resolution = resolve_quotient_ring(
-                self.ambient, self.defining, length_cap=length_cap)
+                self.ambient, self.gb(), length_cap=length_cap)
         return self._resolution
 
     def ext(self, i):
@@ -117,7 +118,7 @@ class PresentedGradedRing:
     def is_regular_element(self, a):
         """True when a is a non-zerodivisor on A: (I : a) = I in P."""
         c = idealops.colon(self.ambient, self.defining, [a])
-        return idealops.ideals_equal(self.ambient, c, self.defining or [])
+        return tuple(c) == self.gb()
 
     def _full(self, gens):
         return [g for g in gens if not g.is_zero()] + self.defining
@@ -155,14 +156,23 @@ class Ideal:
         self._gb = None
         self._dim = None
 
+    @classmethod
+    def from_basis(cls, owner, gb):
+        """The Ideal generated by gb, the reduced Groebner basis of an
+        ideal of P containing I.  Then gb is also the reduced basis of
+        the preimage, so it is kept as `gb()`."""
+        ideal = cls(owner, gb)
+        ideal._gb = tuple(gb)
+        return ideal
+
     def preimage_gens(self):
         """Generators of the full preimage in P (defining ideal included)."""
         return list(self.gens) + list(self.owner.defining)
 
     def gb(self):
+        """Reduced Groebner basis of the preimage, as a tuple."""
         if self._gb is None:
-            full = self.preimage_gens()
-            self._gb = groebner_basis(full) if full else []
+            self._gb = tuple(groebner_basis(self.preimage_gens()))
         return self._gb
 
     def contains(self, f):
@@ -216,7 +226,7 @@ def intersect(ia, ib):
     _check_owner(ia, ib)
     A = ia.owner
     out = idealops.intersect(A.ambient, ia.preimage_gens(), ib.preimage_gens())
-    return Ideal(A, out)
+    return Ideal.from_basis(A, out)
 
 
 def colon(ia, by):
@@ -228,7 +238,7 @@ def colon(ia, by):
     else:
         divs = [by]
     out = idealops.colon(A.ambient, ia.preimage_gens(), divs)
-    return Ideal(A, out)
+    return Ideal.from_basis(A, out)
 
 
 def saturate(ia, by, cap=64):
@@ -240,13 +250,12 @@ def saturate(ia, by, cap=64):
     else:
         divs = [by]
     out, idx = idealops.saturate(A.ambient, ia.preimage_gens(), divs, cap=cap)
-    return Ideal(A, out), idx
+    return Ideal.from_basis(A, out), idx
 
 
 def ideals_equal(ia, ib):
     _check_owner(ia, ib)
-    return idealops.ideals_equal(ia.owner.ambient, ia.preimage_gens(),
-                                 ib.preimage_gens())
+    return ia.gb() == ib.gb()
 
 
 def eliminate(ia, block):
@@ -299,7 +308,7 @@ def sigma_tilde(a_list, A):
         rest = [a for j, a in enumerate(a_list) if j != i]
         ci = idealops.colon(amb, A._full(rest), [ai])
         total.extend(ci)
-    return Ideal(A, idealops.reduced_gens(amb, total))
+    return Ideal.from_basis(A, groebner_basis(total))
 
 
 def ring_division(f, a, A):

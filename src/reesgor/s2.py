@@ -6,12 +6,11 @@ hypothesis profile, and the standardness test for parameter ideals.
 
 import random
 
-from .errors import (HypothesisNotVerified, NonConnected, NonPositiveWeight,
-                     NotApplicable, PairNotFound, crosscheck)
+from .errors import (HypothesisNotVerified, NotApplicable, PairNotFound,
+                     crosscheck)
 from . import idealops, rings
 from .groebner import is_member
-from .hilbert import (INFINITE, hilbert_numerator, quotient_series,
-                      upoly_eval_one, upoly_mul, upoly_sub)
+from .hilbert import INFINITE
 from .modules import FreeModule
 from .resolutions import ModulePresentation
 
@@ -22,8 +21,7 @@ def is_filter_regular(A, mod_gens, b):
     base = A._full(mod_gens)
     col = idealops.colon(amb, base, [b])
     sat, _ = idealops.saturate(amb, base, amb.gens())
-    gb = idealops.reduced_gens(amb, sat) if sat else []
-    return all(is_member(g, gb) for g in col) if gb else not col
+    return all(is_member(g, sat) for g in col) if sat else not col
 
 
 def filter_regular_pair(A, q, seed=0):
@@ -102,8 +100,7 @@ def s2_construct(A, pair):
     if h1_length == 0:
         conductor = A.unit_ideal()
     else:
-        ann = h1_mod.annihilator_gens()
-        conductor = A.ideal(ann)
+        conductor = rings.Ideal.from_basis(A, h1_mod.annihilator_gens())
     aA = A.ideal([a])
     numerators = [g for g in colon_ideal.gb() if not aA.contains(g)]
     return S2Data(A, pair, colon_ideal, h1_length, conductor, numerators,
@@ -119,7 +116,7 @@ def conductor_crosscheck(A, data):
     if ext.length() == 0:
         route2 = A.unit_ideal()
     else:
-        route2 = A.ideal(ext.annihilator_gens())
+        route2 = rings.Ideal.from_basis(A, ext.annihilator_gens())
     crosscheck("conductor by Ext and by the colon module",
                route2.gb(), data.conductor.gb())
     return route2
@@ -157,7 +154,8 @@ def hypothesis_profile(A, pair):
     # i.e. when a lies in the conductor; gate the cross-check on that
     in_conductor = True
     if ext_lengths.get(1) not in (None, 0, INFINITE):
-        in_conductor = A.ideal(A.ext(n - 1).annihilator_gens()).contains(a)
+        in_conductor = rings.Ideal.from_basis(
+            A, A.ext(n - 1).annihilator_gens()).contains(a)
     if in_conductor:
         col = rings.colon(A.ideal([a]), b)
         crosscheck("cohomology profile and the CM test for the overring",
@@ -191,77 +189,9 @@ def is_standard_parameters(A, q, profile, data):
     return data.conductor.contains_ideal(q)
 
 
-def s2_presentation(A, data):
-    """Present A~ as a quotient ring P[w_1..w_s]/J with the map A -> A~.
-
-    New variables stand for the fractions g_j/a that are not already in
-    A; J is the saturation of I + (a*w_j - g_j) by (a).  Returns the
-    presented ring and the list of (w-index, numerator) pairs.
-    """
-    a, _ = data.pair
-    amb = A.ambient
-    deg_a = a.degree()
-    numerators = data.fraction_numerators
-    weights = []
-    for g in numerators:
-        w = g.degree() - deg_a
-        if w < 0:
-            raise NonPositiveWeight("fraction of negative degree: %s" % g)
-        if w == 0:
-            raise NonConnected(
-                "degree-zero fraction %s / %s: the overring is not connected"
-                % (g, a))
-        weights.append(w)
-    if not numerators:
-        return A, []
-    names = tuple(_fraction_name(amb, j) for j in range(len(numerators)))
-    big = amb.extend(names, tuple(weights))
-    work = [big.transfer(g) for g in A.defining]
-    for j, g in enumerate(numerators):
-        work.append(big.transfer(a) * big.gen(amb.n + j) - big.transfer(g))
-    sat, _ = idealops.saturate(big, work, [big.transfer(a)])
-    tilde = rings.PresentedGradedRing.from_ambient(big, sat)
-    # verification: the cokernel of A -> A~ must have length h1_length
-    crosscheck("length of the cokernel of A -> A~",
-               _embedding_cokernel_length(A, data, tilde), data.h1_length)
-    return tilde, list(enumerate(numerators))
-
-
-def _fraction_name(ring, j):
-    name = "w%d" % (j + 1)
-    while name in ring.names:
-        name += "_"
-    return name
-
-
-def _embedding_cokernel_length(A, data, tilde):
-    """Length of A~/A read off the Hilbert series of both presentations.
-
-    series(A~) - series(A) must be a polynomial; its value at t = 1 is
-    the length of the cokernel.  Independent of the colon-module route.
-    """
-    big = tilde.ambient
-    new_weights = big.weights[A.ambient.n:]
-    num_tilde = hilbert_numerator([g.lead_exp() for g in tilde.gb()],
-                                  big.weights)
-    num_a = hilbert_numerator([g.lead_exp() for g in A.gb()],
-                              A.ambient.weights)
-    # bring series(A) over the big denominator prod(1 - t^w)
-    for w in new_weights:
-        num_a = upoly_mul(num_a, {0: 1, w: -1})
-    diff = upoly_sub(num_tilde, num_a)
-    return upoly_eval_one(quotient_series(diff, big.weights))
-
-
 def _ideal_module(A, ideal):
     """An ideal of A as a subquotient P-module (preimage modulo I)."""
     F = FreeModule(A.ambient, 1)
     gens = [F.basis_vec(0, g) for g in ideal.gb()]
     rels = [F.basis_vec(0, g) for g in A.defining]
     return ModulePresentation(F, gens, rels)
-
-
-def atilde_is_cm(A, data):
-    """Depth >= 2 route: projective dimension of the module a*A~ = aA:b."""
-    mod = _ideal_module(A, data.colon_ideal)
-    return mod.pd() == A.ambient.n - A.dim()

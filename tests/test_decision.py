@@ -132,6 +132,21 @@ def test_buchsbaum_two_planes(two_planes):
     assert decision.decide(A, q).verdict == rep.verdict
 
 
+def test_paper_example_in_dimension_three():
+    """k[x,y,z] x (x,y,z): Buchsbaum of depth one and multiplicity two,
+    so R(q^3) is Gorenstein (criteria route only)."""
+    A, q = corpus.build_idealization(("x", "y", "z"), (1, 1, 1),
+                                     ("x", "y", "z"))
+    report = decision.decide(A, q)
+    assert report.verdict is True
+    assert report.cond3["e_c"] == 2
+    assert report.cond3["len_a_mod_c"] == 1
+    assert report.cond3["reduction_number"] == 1
+    rep = decision.buchsbaum_criterion(A, q)
+    assert rep.e_m == 2
+    assert rep.verdict
+
+
 def test_buchsbaum_rejects_non_parameters(two_planes):
     A, _ = two_planes
     x, y, u, v = A.gens()

@@ -1,13 +1,14 @@
 """Ideal arithmetic against brute-force monomial oracles, plus the
 owner-aware ideal layer on presented rings."""
 
+import contextlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reesgor import idealops, rings
+from reesgor import corpus, idealops, rings
 from reesgor.errors import NotDivisible, NotParameters, OwnerMismatch
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import groebner_basis
@@ -191,6 +192,39 @@ def test_intersect_and_colon_match_t_elimination(field):
         assert idealops.colon(ring, a, [g]) == division_colon(ring, a, g)
 
 
+@st.composite
+def form_lists(draw):
+    """k[x,y,z] over GF(32003) or QQ, and three lists of 1-3 nonzero
+    forms of degree 1-2."""
+    field = draw(st.sampled_from([F, QQ]))
+    ring = PolyRing(("x", "y", "z"), (1, 1, 1), field)
+
+    def form():
+        deg = draw(st.integers(1, 2))
+        pool = [e for e in itertools.product(range(deg + 1), repeat=3)
+                if sum(e) == deg]
+        exps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                             unique=True))
+        coeffs = st.integers(-5, 5).filter(bool)
+        return sum((ring.monomial(e, draw(coeffs)) for e in exps), ring.zero)
+
+    return ring, [[form() for _ in range(draw(st.integers(1, 3)))]
+                  for _ in range(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(form_lists())
+def test_ideal_operations_return_reduced_bases(case):
+    """intersect, colon and saturate return the reduced Groebner basis of
+    their result: saturate compares successive colons as lists, and
+    Ideal.from_basis keeps such a list as the basis of the preimage."""
+    ring, (a, b, c) = case
+    for got in (idealops.intersect(ring, a, b),
+                idealops.colon(ring, a, b),
+                idealops.saturate(ring, a + c, b)[0]):
+        assert got == groebner_basis(got)
+
+
 # -- presented-ring ideal layer --------------------------------------------
 
 def quotient_xy():
@@ -212,6 +246,20 @@ def test_ideal_membership_respects_defining_ideal():
     ideal = A.ideal([x])
     assert ideal.contains(A.reduce(x * y + x * x))  # xy = 0 in A
     assert not ideal.contains(y)
+
+
+def test_memoized_bases_cannot_be_corrupted():
+    """The memoized bases of a ring and of an ideal are handed out as
+    tuples, so a caller cannot change what later reductions read."""
+    A, q = corpus.build_two_planes()
+    x, a = A.gen(0), q.gens[0]
+    ideal = A.ideal([a])
+    with contextlib.suppress(AttributeError):
+        A.gb().append(x)
+    with contextlib.suppress(AttributeError):
+        ideal.gb().clear()
+    assert not A.reduce(x).is_zero()
+    assert ideal.contains(a)
 
 
 def test_owner_mismatch_raises():

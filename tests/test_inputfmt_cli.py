@@ -1,5 +1,7 @@
-"""Input grammar, report serialization, corpus files, and the CLI."""
+"""Input grammar, report serialization, corpus files, the CLI, and
+package-wide checks."""
 
+import ast
 import glob
 import io
 import contextlib
@@ -218,3 +220,27 @@ def test_package_import_leaves_cli_unloaded():
                     "import reesgor, sys; "
                     "assert 'reesgor.cli' not in sys.modules"],
                    env=env, check=True)
+
+
+def test_package_modules_read_every_import():
+    """An AST scan: each name a module of the package imports is read in
+    that module (the package's __init__ only re-exports)."""
+    pkg = os.path.dirname(reesgor.__file__)
+    unused = []
+    for path in sorted(glob.glob(os.path.join(pkg, "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unused += ["%s:%d %s" % (os.path.basename(path), line, name)
+                   for name, line in bound.items() if name not in read]
+    assert not unused, unused

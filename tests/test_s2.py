@@ -1,11 +1,10 @@
-"""Filter-regular pairs, the conductor, the hypothesis profile, and the
-(S2)-ification presentation."""
+"""Filter-regular pairs, the colon module, the conductor and the
+hypothesis profile."""
 
 import pytest
 
-from reesgor import invariants, rings, s2
-from reesgor.errors import (HypothesisNotVerified, NonConnected,
-                            NotApplicable)
+from reesgor import rings, s2
+from reesgor.errors import NotApplicable
 from reesgor.fields import GF, DEFAULT_PRIME
 from reesgor.hilbert import INFINITE
 from reesgor.polys import PolyRing
@@ -104,30 +103,6 @@ def test_non_standard_parameters_detected(ideal_x2y3):
     q = A.ideal([A.gen(0), A.gen(1)])     # (x, y): params but not standard
     assert q.quotient_dim() == 0
     assert not _standard(A, q)
-
-
-def test_s2_presentation_hochster_roberts(hr):
-    """The overring of the cusp-like subring is a polynomial ring."""
-    A, q = hr
-    data = s2.s2_construct(A, s2.filter_regular_pair(A, q))
-    assert [str(g) for g in data.fraction_numerators] == ["c"]
-    tilde, fracs = s2.s2_presentation(A, data)
-    assert len(fracs) == 1
-    rep = invariants.depth_and_type(tilde)
-    assert (rep.dim, rep.depth, rep.cm, rep.type) == (2, 2, True, 1)
-
-
-def test_s2_presentation_two_planes_not_connected(two_planes):
-    A, q = two_planes
-    data = s2.s2_construct(A, s2.filter_regular_pair(A, q))
-    with pytest.raises(NonConnected):
-        s2.s2_presentation(A, data)
-
-
-def test_atilde_cm_route(corpus_instances):
-    for name, (A, q) in corpus_instances.items():
-        data = s2.s2_construct(A, s2.filter_regular_pair(A, q))
-        assert s2.atilde_is_cm(A, data), name
 
 
 def test_colon_module_presents_h1(two_planes):
