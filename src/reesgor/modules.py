@@ -5,8 +5,21 @@ A Vec is an element of a free module F = sum_i P(-shift_i), stored as
 position-over-term order extending the ring's monomial order.  The
 Buchberger loop computes reduced bases only; it prunes S-pairs by the
 Gebauer-Moeller update (Gebauer & Moeller 1988) as each element joins the
-basis, with the product criterion on rank 1 only, where it is valid; its
+basis, with the product criterion on rank 1 only, where it is valid, and
+by the G-filter of Becker-Weispfenning's UPDATE (Groebner Bases, 1993):
+an element whose lead a later lead divides forms no further pairs.  Its
 `pair_cap` counts the S-vectors actually reduced.
+
+A run keeps one reducer index, extended as each element joins the basis:
+per component, the (mask, lead exp, position) of every element in basis
+order.  The mask is a short exponent vector (Greuel-Pfister, A Singular
+Introduction to Commutative Algebra): bit i is set when exponent i is
+nonzero, so `lm & ~em` rejects most leads that cannot divide a term
+before the exponents are compared.  `vec_nf` orders its work heap by the
+order's `neg_key`, so no key is negated per push.  Interreduction needs
+no index per element: a lead never divides a smaller term of its own
+component, so each kept element's tail reduces against one index of all
+kept elements.
 
 Syzygies, colons and exact division all come from one Groebner basis of a
 graph module: the submodule of F + P^s spanned by rows (v_i, w_i), under
@@ -21,10 +34,11 @@ the rels.
 """
 
 import heapq
-from operator import ge
+from itertools import compress
+from operator import add, ge, sub
 
 from .errors import NotDivisible, OwnerMismatch, ResourceExceeded
-from .polys import _exp_div, _exp_lcm, _exp_mul
+from .polys import _exp_lcm, _exp_mul
 
 
 class FreeModule:
@@ -61,8 +75,10 @@ class FreeModule:
 
     def from_dict(self, d):
         zero = self.ring.field.zero
+        neg_key = self.ring.order.neg_key
         items = [(ce, c) for ce, c in d.items() if c != zero]
-        items.sort(key=lambda t: self.key(*t[0]), reverse=True)
+        # ascending (comp, neg_key) is descending position over term
+        items.sort(key=lambda t: (t[0][0],) + neg_key(t[0][1]))
         return Vec(self, tuple(items))
 
     def __eq__(self, other):
@@ -174,54 +190,84 @@ class Vec:
         return "<Vec %s>" % (tuple(str(p) for p in self.components()),)
 
 
-def _neg_tuple(t):
-    return tuple(-x for x in t)
+# bit i of a divisibility mask; variables past the last bit are left out
+# of the mask, which then only lets more candidates through
+_BITS = tuple(1 << i for i in range(64))
 
 
-def vec_nf(f, basis):
-    """Fully reduced normal form of f against basis (monic leads assumed)."""
+def _mask(exp):
+    """Divisibility mask of exp: bit i set when exp[i] is nonzero."""
+    return sum(compress(_BITS, exp))
+
+
+def reducer_index(basis, rank):
+    """Per-component lists of (mask, lead exp, position), in basis order."""
+    index = [[] for _ in range(rank)]
+    for pos, b in enumerate(basis):
+        _index_add(index, pos, b)
+    return index
+
+
+def _index_add(index, pos, b):
+    (comp, e), _ = b.terms[0]
+    index[comp].append((_mask(e), e, pos))
+
+
+def _first_divisor(reducers, e):
+    """(position, lead exp) of the first reducer whose lead divides e, or
+    None; a lead whose mask has a bit outside e's mask cannot divide it."""
+    off = ~_mask(e)
+    for lm, le, pos in reducers:
+        if not lm & off and all(map(ge, e, le)):
+            return pos, le
+    return None
+
+
+def vec_nf(f, basis, index=None):
+    """Fully reduced normal form of f against basis (monic leads assumed).
+
+    `index` is the reducer index of basis, built here when not given.  A
+    term is reduced by the first basis element, in basis order, whose
+    lead divides it.
+    """
     module = f.module
+    if index is None:
+        index = reducer_index(basis, module.rank)
     F = module.ring.field
-    by_comp = {}
-    for idx, b in enumerate(basis):
-        (comp, e), _ = b.lead()
-        by_comp.setdefault(comp, []).append((e, idx))
+    fadd, fmul, fneg, zero = F.add, F.mul, F.neg, F.zero
+    neg_key = module.ring.order.neg_key
     work = dict(f.terms)
-    heap = [(_neg_tuple(module.key(comp, e)), comp, e) for (comp, e) in work]
+    heap = [((comp,) + neg_key(e), comp, e) for comp, e in work]
     heapq.heapify(heap)
-    rem = {}
+    rem = []
     while heap:
         _, comp, e = heapq.heappop(heap)
         c = work.pop((comp, e), None)
-        if c is None or c == F.zero:
+        if c is None or c == zero:
             continue
-        hit = None
-        for le, idx in by_comp.get(comp, ()):
-            q = _exp_div(e, le)
-            if q is not None:
-                hit = (q, idx)
-                break
+        hit = _first_divisor(index[comp], e)
         if hit is None:
-            rem[(comp, e)] = c
+            # terms pop in descending order, so rem stays sorted
+            rem.append(((comp, e), c))
             continue
-        q, idx = hit
-        # basis is monic, so the cofactor coefficient is just c
-        for (bcomp, be), bc in basis[idx].terms:
-            k = (bcomp, _exp_mul(be, q))
+        pos, le = hit
+        q = tuple(map(sub, e, le))
+        mc = fneg(c)
+        # the monic lead cancels the popped term; the tail is smaller
+        for (bcomp, be), bc in basis[pos].terms[1:]:
+            ne = tuple(map(add, be, q))
+            k = (bcomp, ne)
             old = work.get(k)
             if old is None:
-                nc = F.neg(F.mul(c, bc))
-                if k == (comp, e):
-                    nc = F.add(c, nc)
+                work[k] = fmul(mc, bc)
+                heapq.heappush(heap, ((bcomp,) + neg_key(ne), bcomp, ne))
             else:
-                nc = F.sub(old, F.mul(c, bc))
-            if nc == F.zero:
-                work.pop(k, None)
-            else:
-                if old is None and k != (comp, e):
-                    heapq.heappush(heap, (_neg_tuple(module.key(*k)), k[0], k[1]))
-                work[k] = nc
-    return module.from_dict(rem)
+                nc = fadd(old, fmul(mc, bc))
+                if nc == zero:
+                    del work[k]
+                else:
+                    work[k] = nc
+    return Vec(module, tuple(rem))
 
 
 class GroebnerData:
@@ -229,6 +275,22 @@ class GroebnerData:
 
     def __init__(self, basis):
         self.basis = basis          # reduced Groebner basis, monic, sorted
+
+
+def _s_vector(bi, bj, lcm):
+    """S-vector of two monic elements with the given lead lcm; the leads
+    cancel, so only the tails are multiplied."""
+    module = bi.module
+    F = module.ring.field
+    (_, ei), _ = bi.terms[0]
+    (_, ej), _ = bj.terms[0]
+    ui = tuple(map(sub, lcm, ei))
+    uj = tuple(map(sub, lcm, ej))
+    d = {(comp, tuple(map(add, e, ui))): c for (comp, e), c in bi.terms[1:]}
+    for (comp, e), c in bj.terms[1:]:
+        k = (comp, tuple(map(add, e, uj)))
+        d[k] = F.sub(d.get(k, F.zero), c)
+    return module.from_dict(d)
 
 
 def module_buchberger(gens, pair_cap=None):
@@ -240,26 +302,29 @@ def module_buchberger(gens, pair_cap=None):
     a kept one; on rank 1 only, coprime pairs are then dropped (the
     product criterion); queued pairs whose lcm the new lead divides are
     dropped unless the lcm of either end with the new lead equals it
-    (criterion B_k).  `pair_cap` bounds the number of S-vectors actually
-    reduced; one more raises ResourceExceeded.
+    (criterion B_k).  An older element whose lead the new lead divides
+    forms no further pairs, though its queued pairs stay (the G-filter of
+    Becker-Weispfenning's UPDATE).  An input whose lead an earlier lead
+    divides is reduced against the basis so far before it joins, and
+    dropped when it reduces to zero.  `pair_cap` bounds the number of
+    S-vectors actually reduced; one more raises ResourceExceeded.
     """
     if not gens:
         raise ValueError("empty generator list")
     module = gens[0].module
-    F = module.ring.field
     rank1 = module.rank == 1
-    basis = []
     for g in gens:
         if g.module != module:
             raise OwnerMismatch("generators from different modules")
-        if not g.is_zero():
-            basis.append(g.monic())
 
+    basis = []
     leads = []      # (comp, exp) of each basis element
+    redundant = []  # whether a later lead divides this element's lead
+    index = reducer_index((), module.rank)
     pairs = []      # heap of (key of lcm, i, j, comp, lcm)
 
     def update(k):
-        """Gebauer-Moeller update for the new basis element k."""
+        """Gebauer-Moeller update and G-filter for the new element k."""
         compk, ek = leads[k]
         live = [p for p in pairs
                 if p[3] != compk or not all(map(ge, p[4], ek))
@@ -271,11 +336,13 @@ def module_buchberger(gens, pair_cap=None):
         cands = []
         for i in range(k):
             compi, ei = leads[i]
-            if compi != compk:
+            if compi != compk or redundant[i]:
                 continue
             lcm = tuple(map(max, ei, ek))
             coprime = rank1 and not any(map(min, ei, ek))
             cands.append((sum(lcm), lcm, not coprime, i))
+            if lcm == ei:
+                redundant[i] = True
         # by total degree a divisor sorts before its multiples, and equal
         # lcms sit side by side with a coprime pair first
         cands.sort()
@@ -288,9 +355,23 @@ def module_buchberger(gens, pair_cap=None):
                 heapq.heappush(pairs,
                                (module.key(compk, lcm), i, k, compk, lcm))
 
-    for k, b in enumerate(basis):
-        leads.append(b.lead()[0])
+    def join(h):
+        k = len(basis)
+        basis.append(h)
+        leads.append(h.terms[0][0])
+        redundant.append(False)
+        _index_add(index, k, h)
         update(k)
+
+    for g in gens:
+        if g.is_zero():
+            continue
+        (comp, e), _ = g.terms[0]
+        if _first_divisor(index[comp], e) is not None:
+            g = vec_nf(g, basis, index)
+            if g.is_zero():
+                continue
+        join(g.monic())
 
     reduced_count = 0
     while pairs:
@@ -298,34 +379,19 @@ def module_buchberger(gens, pair_cap=None):
         if pair_cap is not None and reduced_count > pair_cap:
             raise ResourceExceeded("pair queue cap %d exceeded" % pair_cap)
         _, i, j, _comp, lcm = heapq.heappop(pairs)
-        ui = _exp_div(lcm, leads[i][1])
-        uj = _exp_div(lcm, leads[j][1])
-        sp = basis[i].mul_term(ui, F.one) - basis[j].mul_term(uj, F.one)
-        h = vec_nf(sp, basis)
-        if h.is_zero():
-            continue
-        basis.append(h.monic())
-        leads.append(h.lead()[0])
-        update(len(basis) - 1)
+        h = vec_nf(_s_vector(basis[i], basis[j], lcm), basis, index)
+        if not h.is_zero():
+            join(h.monic())
 
-    # interreduce: in ascending lead order a divisor comes first, so keep
-    # the elements whose lead no kept lead of their component divides
-    keep = []
-    kept_leads = {}
-    ascending = sorted(range(len(basis)),
-                       key=lambda i: (module.key(*leads[i]), i))
-    for i in ascending:
-        comp, e = leads[i]
-        mine = kept_leads.setdefault(comp, [])
-        if any(all(map(ge, e, m)) for m in mine):
-            continue
-        mine.append(e)
-        keep.append(i)
-    reduced = []
-    for i in keep:
-        others = [basis[j] for j in keep if j != i]
-        reduced.append(vec_nf(basis[i], others) if others else basis[i])
-    reduced.sort(key=lambda b: module.key(*b.lead()[0]), reverse=True)
+    # no lead divides a lead joined after it, so the elements no later
+    # lead divides have minimal leads; a lead never divides a smaller
+    # term of its component, so every tail reduces against one index
+    keep = [b for b, r in zip(basis, redundant) if not r]
+    keep_index = reducer_index(keep, module.rank)
+    reduced = [Vec(module, b.terms[:1]
+                   + vec_nf(Vec(module, b.terms[1:]), keep, keep_index).terms)
+               for b in keep]
+    reduced.sort(key=lambda b: module.key(*b.terms[0][0]), reverse=True)
     return GroebnerData(reduced)
 
 

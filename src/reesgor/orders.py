@@ -2,7 +2,10 @@
 
 Every order exposes key(exp) -> tuple; larger key means larger monomial.
 Keys compare lexicographically as Python tuples, so sorted(..., key=...)
-does the right thing.  All orders here are multiplicative well-orders.
+does the right thing.  neg_key(exp) equals tuple(map(neg, key(exp))), so
+ascending neg_key is descending monomial order: the min-heap of
+`modules.vec_nf` and the term sorts of `from_dict` use it, and no key is
+negated per term.  All orders here are multiplicative well-orders.
 """
 
 from operator import mul, neg
@@ -22,6 +25,9 @@ class GrevlexOrder:
         # ties broken by the last variable with differing exponent, smaller wins
         return (sum(map(mul, exp, self.weights)),) + tuple(map(neg, exp[::-1]))
 
+    def neg_key(self, exp):
+        return (-sum(map(mul, exp, self.weights)),) + exp[::-1]
+
     def __eq__(self, other):
         return isinstance(other, GrevlexOrder) and other.weights == self.weights
 
@@ -39,6 +45,9 @@ class LexOrder:
 
     def key(self, exp):
         return tuple(exp)
+
+    def neg_key(self, exp):
+        return tuple(map(neg, exp))
 
     def __eq__(self, other):
         return isinstance(other, LexOrder) and other.weights == self.weights
@@ -75,6 +84,12 @@ class BlockOrder:
         nr = [-exp[i] for i in self._rrest]
         return ((-sum(map(mul, nb, self._wblock)),) + tuple(nb)
                 + (-sum(map(mul, nr, self._wrest)),) + tuple(nr))
+
+    def neg_key(self, exp):
+        b = [exp[i] for i in self._rblock]
+        r = [exp[i] for i in self._rrest]
+        return ((-sum(map(mul, b, self._wblock)),) + tuple(b)
+                + (-sum(map(mul, r, self._wrest)),) + tuple(r))
 
     def __eq__(self, other):
         return (isinstance(other, BlockOrder) and other.weights == self.weights

@@ -5,6 +5,8 @@ decreasing monomial order, so the leading term is terms[0].  Rings are
 immutable; polynomials from different rings never mix.
 """
 
+from operator import add
+
 from .errors import OwnerMismatch
 from .fields import DEFAULT_PRIME, GF
 from .orders import GrevlexOrder
@@ -54,7 +56,8 @@ class PolyRing:
         """Canonicalize {exp: coeff} into a sorted Poly, dropping zeros."""
         zero = self.field.zero
         items = [(e, c) for e, c in d.items() if c != zero]
-        items.sort(key=lambda t: self.order.key(t[0]), reverse=True)
+        neg_key = self.order.neg_key
+        items.sort(key=lambda t: neg_key(t[0]))
         return Poly(self, tuple(items))
 
     def wdeg(self, exp):
@@ -118,21 +121,11 @@ class PolyRing:
 
 
 def _exp_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _exp_div(a, b):
-    """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
+    return tuple(map(add, a, b))
 
 
 def _exp_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Poly:

@@ -11,12 +11,14 @@ components are renumbered once at the end.  A resolution stores its
 differentials as tuples, so a cached one can be shared between callers.
 """
 
+from operator import ge
+
 from .errors import NotFiniteLength, ResourceExceeded
 from .hilbert import INFINITE, finite_length, hilbert_numerator
 from .idealops import intersect as intersect_ideals
 from .modules import (FreeModule, Vec, module_buchberger, module_colon,
-                      module_syzygies, vec_nf)
-from .polys import _exp_div, _exp_mul
+                      module_syzygies, reducer_index, vec_nf)
+from .polys import _exp_mul
 
 
 def _column_entry(vec, comp):
@@ -341,6 +343,7 @@ class ModulePresentation:
         basis = _standard_module_basis(f0, gb)
         if not basis:
             return 0
+        reducers = reducer_index(gb, f0.rank)
         index = {be: i for i, be in enumerate(basis)}
         rows = []
         for k in range(ring.n):
@@ -350,7 +353,7 @@ class ModulePresentation:
             base = len(rows) - len(basis)
             for j, (comp, e) in enumerate(basis):
                 shifted = f0.from_dict({(comp, _exp_mul(e, exp_k)): field.one})
-                nf = vec_nf(shifted, gb)
+                nf = vec_nf(shifted, gb, reducers)
                 for (c2, e2), coeff in nf.terms:
                     rows[base + index[(c2, e2)]][j] = coeff
         # socle = kernel of the stacked multiplication matrix
@@ -379,7 +382,7 @@ def _standard_module_basis(f0, gb):
         def rec(i, exp):
             if i == n:
                 t = tuple(exp)
-                if not any(_exp_div(t, e) is not None for e in L):
+                if not any(all(map(ge, t, e)) for e in L):
                     out.append((comp, t))
                 return
             for v in range(bounds[i]):

@@ -107,6 +107,9 @@ def test_order_keys_match_reference_formulas(case):
     assert GrevlexOrder(weights).key(e) == _grevlex_key_reference(weights, e)
     assert (BlockOrder(weights, block).key(e)
             == _block_key_reference(weights, block, e))
+    for order in (GrevlexOrder(weights), LexOrder(weights),
+                  BlockOrder(weights, block)):
+        assert order.neg_key(e) == tuple(-x for x in order.key(e))
 
 
 @given(weighted_exps(count=3))

@@ -1,17 +1,20 @@
 """Module Groebner machinery: normal forms, syzygies, colons, division."""
 
+import heapq
 import itertools
 import random
+from operator import ge, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from reesgor.errors import NotDivisible, ResourceExceeded
-from reesgor.fields import GF, DEFAULT_PRIME
+from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import groebner_basis
-from reesgor.modules import (FreeModule, module_buchberger, module_colon,
-                             module_divide, module_syzygies, vec_nf)
-from reesgor.polys import PolyRing, _exp_div, _exp_lcm
+from reesgor.modules import (FreeModule, Vec, _index_add, _mask,
+                             module_buchberger, module_colon, module_divide,
+                             module_syzygies, reducer_index, vec_nf)
+from reesgor.polys import PolyRing, _exp_lcm
 
 F = GF(DEFAULT_PRIME)
 
@@ -41,6 +44,97 @@ def test_vec_nf_remainder_is_irreducible():
             if bc != comp:
                 continue
             assert not all(e >= d for e, d in zip(exp, be))
+
+
+def _reference_vec_nf(f, basis):
+    """vec_nf as it was before the reducer index: a fresh lead table per
+    call, a tuple-building divisor test and a negated key per push."""
+    module = f.module
+    F = module.ring.field
+    by_comp = {}
+    for idx, b in enumerate(basis):
+        (comp, e), _ = b.lead()
+        by_comp.setdefault(comp, []).append((e, idx))
+    work = dict(f.terms)
+    heap = [(tuple(-x for x in module.key(comp, e)), comp, e)
+            for (comp, e) in work]
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        _, comp, e = heapq.heappop(heap)
+        c = work.pop((comp, e), None)
+        if c is None or c == F.zero:
+            continue
+        hit = None
+        for le, idx in by_comp.get(comp, ()):
+            if all(x >= y for x, y in zip(e, le)):
+                hit = (tuple(x - y for x, y in zip(e, le)), idx)
+                break
+        if hit is None:
+            rem[(comp, e)] = c
+            continue
+        q, idx = hit
+        for (bcomp, be), bc in basis[idx].terms:
+            k = (bcomp, tuple(x + y for x, y in zip(be, q)))
+            old = work.get(k)
+            if old is None:
+                nc = F.neg(F.mul(c, bc))
+                if k == (comp, e):
+                    nc = F.add(c, nc)
+            else:
+                nc = F.sub(old, F.mul(c, bc))
+            if nc == F.zero:
+                work.pop(k, None)
+            else:
+                if old is None and k != (comp, e):
+                    heapq.heappush(heap, (tuple(-x for x in module.key(*k)),
+                                          k[0], k[1]))
+                work[k] = nc
+    items = sorted(rem.items(), key=lambda t: module.key(*t[0]), reverse=True)
+    return Vec(module, tuple(items))
+
+
+@st.composite
+def reduction_problems(draw):
+    """(f, basis): random vectors of rank 1-3 over GF(32003) or QQ; the
+    basis is monic but need not be a Groebner basis."""
+    field = draw(st.sampled_from([F, QQ]))
+    rank = draw(st.integers(1, 3))
+    M = FreeModule(PolyRing(("x", "y", "z"), (1, 1, 1), field), rank)
+    exps = st.tuples(*[st.integers(0, 3)] * 3)
+    coeffs = st.integers(-5, 5).filter(bool)
+
+    def vec(max_terms):
+        terms = draw(st.dictionaries(st.tuples(st.integers(0, rank - 1), exps),
+                                     coeffs, min_size=1, max_size=max_terms))
+        return M.from_dict({k: field.of(c) for k, c in terms.items()})
+
+    basis = [vec(4).monic() for _ in range(draw(st.integers(1, 6)))]
+    return vec(8), basis
+
+
+@settings(max_examples=80, deadline=None)
+@given(reduction_problems())
+def test_vec_nf_with_extended_index_matches_reference(problem):
+    """An index extended one element at a time gives the normal form of a
+    fresh index and of the reference, for every prefix of the basis."""
+    f, basis = problem
+    index = reducer_index((), f.module.rank)
+    for k, b in enumerate(basis):
+        _index_add(index, k, b)
+        want = _reference_vec_nf(f, basis[:k + 1])
+        assert vec_nf(f, basis[:k + 1], index) == want
+        assert vec_nf(f, basis[:k + 1]) == want
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                min_size=1, max_size=70))
+def test_mask_prefilter_keeps_every_divisor(pairs):
+    """A divisor's mask has no bit outside its multiple's mask, also past
+    the width of the mask."""
+    b = tuple(x for x, _ in pairs)
+    a = tuple(x + y for x, y in pairs)
+    assert not _mask(b) & ~_mask(a)
 
 
 def test_koszul_syzygy_two_variables():
@@ -162,15 +256,15 @@ def test_module_buchberger_basis_checked_without_pruning(gens, rnd):
         if ci != cj:
             continue
         lcm = _exp_lcm(ei, ej)
-        sp = (bi.mul_term(_exp_div(lcm, ei), F.one)
-              - bj.mul_term(_exp_div(lcm, ej), F.one))
+        sp = (bi.mul_term(tuple(map(sub, lcm, ei)), F.one)
+              - bj.mul_term(tuple(map(sub, lcm, ej)), F.one))
         assert vec_nf(sp, basis).is_zero()
     for b in basis:
         (comp, lead), _ = b.lead()
         for other in basis:
             if other is b:
                 continue
-            assert all(_exp_div(e, lead) is None
+            assert not any(all(map(ge, e, lead))
                        for (c, e), _ in other.terms if c == comp)
     perm = list(gens)
     rnd.shuffle(perm)
@@ -223,3 +317,14 @@ def test_pair_cap_counts_reduced_s_vectors():
         data = module_buchberger([M.basis_vec(0, p) for p in polys],
                                  pair_cap=0)
         assert len(data.basis) == len(polys)
+
+
+def test_input_divisible_by_an_earlier_lead_forms_no_pairs():
+    """x*y*z reduces to zero against x before it joins, so no S-vector is
+    reduced and the basis is (x, y)."""
+    R = ring3()
+    x, y, z = R.gens()
+    M = FreeModule(R, 1)
+    data = module_buchberger([M.basis_vec(0, p) for p in (x, y, x * y * z)],
+                             pair_cap=0)
+    assert data.basis == [M.basis_vec(0, x), M.basis_vec(0, y)]
