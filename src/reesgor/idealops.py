@@ -2,19 +2,20 @@
 
 These are the engine-level routines; the user-facing Ideal type in
 rings.py wraps them with owner bookkeeping and preimage conventions.
-Intersections and colons are read off one homogeneous module Groebner
-basis each (`modules.graph_basis`); only `eliminate` changes the ring
-order, for the oracle and for ring-map kernels.  `intersect`, `colon`
-and `saturate` return reduced Groebner bases, equal to `groebner_basis`
-of themselves: the tails of a reduced graph basis are monic, reduced
-and sorted by descending lead, and no element with an F lead can
-reduce a tail term.
+Intersections and colons are read off one module Groebner basis each
+(`modules.graph_basis`); a colon by k divisors is one colon of a vector
+of P^k, not k colons and k - 1 intersections.  Only `eliminate` changes
+the ring order, for the oracle and for ring-map kernels.  `intersect`,
+`colon` and `saturate` return reduced Groebner bases, equal to
+`groebner_basis` of themselves: the tails of a reduced graph basis are
+monic, reduced and sorted by descending lead, and no element with an F
+lead can reduce a tail term.
 """
 
 from .errors import ResourceExceeded
 from .groebner import as_vecs, groebner_basis
 from .hilbert import finite_length, hilbert_numerator
-from .modules import graph_basis, module_colon
+from .modules import FreeModule, graph_basis, module_colon
 from .orders import BlockOrder
 
 
@@ -43,22 +44,17 @@ def intersect(ring, gens_a, gens_b):
             if b.lead()[0][0] == 1]
 
 
-def colon_element(ring, gens, g):
-    """(gens) : g, as a reduced Groebner basis."""
-    gv, *rels = as_vecs([g] + list(gens))
-    return module_colon(gv, rels)
-
-
 def colon(ring, gens, colon_by):
-    """(gens) : (colon_by), intersecting the per-generator colons."""
+    """(gens) : (colon_by) as the module colon (rels : v) in P^k: v lists
+    the k nonzero divisors and rels the rows r*e_i for r in gens, so h*v
+    lies in their span exactly when every h*g_i lies in (gens)."""
     live = [g for g in colon_by if not g.is_zero()]
     if not live:
         return [ring.one]
-    result = None
-    for g in live:
-        c = colon_element(ring, gens, g)
-        result = c if result is None else intersect(ring, result, c)
-    return result
+    F = FreeModule(ring, len(live))
+    v = F.from_poly_list(list(enumerate(live)))
+    rels = [F.basis_vec(i, r) for r in gens for i in range(len(live))]
+    return module_colon(v, rels)
 
 
 def saturate(ring, gens, sat_by, cap=64):

@@ -35,8 +35,9 @@ def depth_and_type(A, length_cap=None):
     """Depth via Auslander-Buchsbaum on the minimal resolution of A over P.
 
     For CM rings the type is the rank of the last resolution step.  For
-    depth-1 non-CM rings the type r_A(A) is the socle dimension of
-    Ext^{n-1}_P(A, omega_P), the Matlis dual of H^1 of the ring.
+    depth-1 non-CM rings the type r_A(A) = dim Soc H^1_m(A) is the minimal
+    generator count of Ext^{n-1}_P(A, omega_P), the Matlis dual of H^1:
+    duality turns the socle of H^1 into the generators of its dual.
     """
     amb = A.ambient
     res = A.resolution(length_cap)
@@ -49,8 +50,8 @@ def depth_and_type(A, length_cap=None):
     if cm:
         ring_type = res.betti()[-1] if pd > 0 else 1
     elif depth == 1:
-        ring_type = A.ext(amb.n - 1).socle_dim()
-        notes = "type from the socle of the dual of first cohomology"
+        ring_type = A.ext(amb.n - 1).min_generators()
+        notes = "type from the generators of the dual of first cohomology"
     return InvariantReport(dim, depth, pd, cm, ring_type, notes)
 
 

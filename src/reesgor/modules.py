@@ -304,10 +304,11 @@ def module_buchberger(gens, pair_cap=None):
     dropped unless the lcm of either end with the new lead equals it
     (criterion B_k).  An older element whose lead the new lead divides
     forms no further pairs, though its queued pairs stay (the G-filter of
-    Becker-Weispfenning's UPDATE).  An input whose lead an earlier lead
-    divides is reduced against the basis so far before it joins, and
-    dropped when it reduces to zero.  `pair_cap` bounds the number of
-    S-vectors actually reduced; one more raises ResourceExceeded.
+    Becker-Weispfenning's UPDATE).  The nonzero inputs join in ascending
+    lead order; an input whose lead an earlier lead divides is reduced
+    against the basis so far before it joins, and dropped when it reduces
+    to zero.  `pair_cap` bounds the number of S-vectors actually reduced;
+    one more raises ResourceExceeded.
     """
     if not gens:
         raise ValueError("empty generator list")
@@ -363,9 +364,10 @@ def module_buchberger(gens, pair_cap=None):
         _index_add(index, k, h)
         update(k)
 
-    for g in gens:
-        if g.is_zero():
-            continue
+    # ascending lead order: a divisor joins before its multiples, so every
+    # input an earlier lead divides is caught before it forms any pair
+    for g in sorted((g for g in gens if not g.is_zero()),
+                    key=lambda g: module.key(*g.terms[0][0])):
         (comp, e), _ = g.terms[0]
         if _first_divisor(index[comp], e) is not None:
             g = vec_nf(g, basis, index)

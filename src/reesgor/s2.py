@@ -8,20 +8,16 @@ import random
 
 from .errors import (HypothesisNotVerified, NotApplicable, PairNotFound,
                      crosscheck)
-from . import idealops, rings
-from .groebner import is_member
+from . import rings
 from .hilbert import INFINITE
 from .modules import FreeModule
 from .resolutions import ModulePresentation
 
 
-def is_filter_regular(A, mod_gens, b):
-    """b filter-regular on A/(mod_gens): the colon lands in the saturation."""
-    amb = A.ambient
-    base = A._full(mod_gens)
-    col = idealops.colon(amb, base, [b])
-    sat, _ = idealops.saturate(amb, base, amb.gens())
-    return all(is_member(g, sat) for g in col) if sat else not col
+def is_filter_regular(A, a, b):
+    """b filter-regular on A/aA: the colon module (aA : b)/aA has finite
+    length, i.e. (I, a) : b lies in the saturation (I, a) : m^inf."""
+    return colon_module(A, a, b)[1].length() != INFINITE
 
 
 def filter_regular_pair(A, q, seed=0):
@@ -60,7 +56,7 @@ def filter_regular_pair(A, q, seed=0):
             continue
         if not A.is_regular_element(a):
             continue
-        if is_filter_regular(A, [a], b):
+        if is_filter_regular(A, a, b):
             return a, b
     raise PairNotFound("no filter-regular pair among the tried candidates")
 

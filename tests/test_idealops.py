@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from reesgor import corpus, idealops, rings
 from reesgor.errors import NotDivisible, NotParameters, OwnerMismatch
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
-from reesgor.groebner import groebner_basis
+from reesgor.groebner import as_vecs, groebner_basis
+from reesgor.modules import module_colon
 from reesgor.orders import BlockOrder
 from reesgor.polys import PolyRing
 
@@ -224,6 +225,51 @@ def test_ideal_operations_return_reduced_bases(case):
                 idealops.colon(ring, a, b),
                 idealops.saturate(ring, a + c, b)[0]):
         assert got == groebner_basis(got)
+
+
+def per_divisor_colon(ring, gens, colon_by):
+    """(gens) : (colon_by) as one colon per nonzero divisor and k - 1
+    intersections, the reference for the colon by one graph basis."""
+    result = None
+    for g in colon_by:
+        if g.is_zero():
+            continue
+        gv, *rels = as_vecs([g] + list(gens))
+        c = module_colon(gv, rels)
+        result = c if result is None else idealops.intersect(ring, result, c)
+    return [ring.one] if result is None else result
+
+
+@st.composite
+def ideal_and_divisors(draw):
+    """k[x,y,z] over GF(32003) or QQ, 1-3 forms of degree 1-3 and 1-4
+    divisors of degree 1-2, a divisor zero now and then."""
+    field = draw(st.sampled_from([F, QQ]))
+    ring = PolyRing(("x", "y", "z"), (1, 1, 1), field)
+
+    def form(lo, hi):
+        deg = draw(st.integers(lo, hi))
+        pool = [e for e in itertools.product(range(deg + 1), repeat=3)
+                if sum(e) == deg]
+        exps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                             unique=True))
+        coeffs = st.integers(-5, 5).filter(bool)
+        return sum((ring.monomial(e, draw(coeffs)) for e in exps), ring.zero)
+
+    gens = [form(1, 3) for _ in range(draw(st.integers(1, 3)))]
+    divs = [form(1, 2) if draw(st.integers(0, 5)) else ring.zero
+            for _ in range(draw(st.integers(1, 4)))]
+    return ring, gens, divs
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideal_and_divisors())
+def test_colon_by_several_divisors_matches_per_divisor_colons(case):
+    """The colon by k divisors, read off one graph basis, is the reduced
+    basis of the intersection of the k single-divisor colons."""
+    ring, gens, divs = case
+    assert idealops.colon(ring, gens, divs) == per_divisor_colon(ring, gens,
+                                                                 divs)
 
 
 # -- presented-ring ideal layer --------------------------------------------

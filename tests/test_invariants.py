@@ -5,7 +5,9 @@ import pytest
 from reesgor import invariants, rings
 from reesgor.errors import NotArtinian, NotContained
 from reesgor.fields import GF, DEFAULT_PRIME
+from reesgor.modules import FreeModule
 from reesgor.polys import PolyRing
+from reesgor.resolutions import ModulePresentation
 
 F = GF(DEFAULT_PRIME)
 
@@ -98,3 +100,22 @@ def test_type_via_last_betti_for_cm_quotient():
     rep = invariants.depth_and_type(A)
     assert rep.cm
     assert rep.type == 2
+
+
+def test_type_in_depth_one_counts_the_socle_of_h1():
+    """k[x,y] x (x,y)^2 has depth one and type 2: the dual Ext^{n-1}(A,
+    omega) of its H^1 has a simple socle but two generators, and the type
+    is the generator count, equal to dim Soc(A/xA) for x regular."""
+    amb = PolyRing(("x", "y", "u", "v", "w"), (1, 1, 2, 2, 2), F)
+    x, y, u, v, w = amb.gens()
+    A = rings.PresentedGradedRing.from_ambient(
+        amb, [u * u, u * v, u * w, v * v, v * w, w * w,
+              y * u - x * v, y * v - x * w])
+    rep = invariants.depth_and_type(A)
+    assert (rep.depth, rep.cm, rep.type) == (1, False, 2)
+    assert A.is_regular_element(x)
+    soc = rings.colon(A.ideal([x]), A.maximal_ideal())
+    F1 = FreeModule(amb, 1)
+    socle = ModulePresentation(F1, [F1.basis_vec(0, g) for g in soc.gb()],
+                               [F1.basis_vec(0, g) for g in A._full([x])])
+    assert socle.length() == rep.type

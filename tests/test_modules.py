@@ -320,11 +320,13 @@ def test_pair_cap_counts_reduced_s_vectors():
 
 
 def test_input_divisible_by_an_earlier_lead_forms_no_pairs():
-    """x*y*z reduces to zero against x before it joins, so no S-vector is
-    reduced and the basis is (x, y)."""
+    """Inputs join in ascending lead order, so in either input order x*y*z
+    reduces to zero against x before it joins, no S-vector is reduced
+    and the basis is (x, y)."""
     R = ring3()
     x, y, z = R.gens()
     M = FreeModule(R, 1)
-    data = module_buchberger([M.basis_vec(0, p) for p in (x, y, x * y * z)],
-                             pair_cap=0)
-    assert data.basis == [M.basis_vec(0, x), M.basis_vec(0, y)]
+    for gens in ((x, y, x * y * z), (x * y * z, x, y)):
+        data = module_buchberger([M.basis_vec(0, p) for p in gens],
+                                 pair_cap=0)
+        assert data.basis == [M.basis_vec(0, x), M.basis_vec(0, y)]

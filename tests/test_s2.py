@@ -3,9 +3,10 @@ hypothesis profile."""
 
 import pytest
 
-from reesgor import rings, s2
+from reesgor import idealops, rings, s2
 from reesgor.errors import NotApplicable
 from reesgor.fields import GF, DEFAULT_PRIME
+from reesgor.groebner import is_member
 from reesgor.hilbert import INFINITE
 from reesgor.polys import PolyRing
 
@@ -26,7 +27,36 @@ def test_filter_regular_pair_properties(corpus_instances):
         a, b = s2.filter_regular_pair(A, q)
         assert A.is_regular_element(a), name
         assert q.contains(a) and q.contains(b), name
-        assert s2.is_filter_regular(A, [a], b), name
+        assert s2.is_filter_regular(A, a, b), name
+
+
+def test_filter_regular_matches_saturation_definition(corpus_instances):
+    """b is filter-regular on A/aA exactly when (I, a) : b lies in the
+    saturation (I, a) : m^inf; checked on every ordered pair of distinct
+    elements among q's generators, the variables and the sums of two of
+    these of equal degree, with a regular on A."""
+    outcomes = set()
+    for name, (A, q) in corpus_instances.items():
+        amb = A.ambient
+        cands = []
+        for g in list(q.gens) + amb.gens():
+            if g not in cands:
+                cands.append(g)
+        cands += [g + h for i, g in enumerate(cands) for h in cands[i + 1:]
+                  if g.degree() == h.degree()]
+        for a in cands:
+            if A.is_zero_element(a) or not A.is_regular_element(a):
+                continue
+            base = A._full([a])
+            sat, _ = idealops.saturate(amb, base, amb.gens())
+            for b in cands:
+                if b == a:
+                    continue
+                col = idealops.colon(amb, base, [b])
+                want = all(is_member(g, sat) for g in col)
+                assert s2.is_filter_regular(A, a, b) == want, (name, a, b)
+                outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_h1_and_conductor_frozen(corpus_instances):
