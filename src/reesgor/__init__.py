@@ -19,8 +19,7 @@ from .rings import (Ideal, PresentedGradedRing, colon, eliminate,
                     ideals_equal, intersect, ring_division,
                     ring_map_kernel, saturate, sigma_tilde)
 from .invariants import (artinian_gorenstein, artinian_length,
-                         depth_and_type, is_reduction, krull_dim,
-                         multiplicity)
+                         depth_and_type, is_reduction, multiplicity)
 from .s2 import (conductor_crosscheck, filter_regular_pair, h1_socle,
                  hypothesis_profile, is_standard_parameters, s2_construct)
 from .decision import (buchsbaum_criterion, decide, decide_condition2,

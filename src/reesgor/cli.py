@@ -70,7 +70,10 @@ def run_cli(argv=None):
 
 
 def _emit(args, pairs, narrative):
-    text = inputfmt.format_report(pairs, narrative)
+    _write(args, inputfmt.format_report(pairs, narrative))
+
+
+def _write(args, text):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -79,8 +82,6 @@ def _emit(args, pairs, narrative):
 
 
 def _load(args):
-    if args.command == "examples":
-        raise AssertionError("examples handled separately")
     with open(args.target) as fh:
         doc = inputfmt.parse_document(fh.read())
     A, q, power = doc.build(char_override=args.char)
@@ -97,13 +98,8 @@ def _dispatch(args):
             raise InputError("unknown example %r (have: %s)"
                              % (args.target,
                                 ", ".join(sorted(corpus.EXAMPLES))))
-        doc = corpus.example_document(args.target)
-        text = inputfmt.print_document(doc)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, inputfmt.print_document(
+            corpus.example_document(args.target)))
         return EXIT_GORENSTEIN, None, None
 
     A, q, power = _load(args)

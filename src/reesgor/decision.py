@@ -214,7 +214,7 @@ def buchsbaum_criterion(A, q, r_max=10):
     red_found = red != invariants.NOT_FOUND
     head, last = q.gens[:-1], q.gens[-1]
     col = rings.colon(A.ideal(head), last)
-    b_ideal = A.ideal(col.gens + [last])
+    b_ideal = A.ideal([*col.gens, last])
     len_b = invariants.artinian_length(A, b_ideal)
     errors.crosscheck("multiplicity of q and the length of A/b",
                       invariants.multiplicity(A, q), len_b)

@@ -5,19 +5,15 @@ All arithmetic is exact, there is no floating point anywhere.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 
-def _is_prime(n):
+def is_prime(n):
     if n < 2:
         return False
     if n % 2 == 0:
         return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return all(n % f for f in range(3, isqrt(n) + 1, 2))
 
 
 class PrimeField:
@@ -26,7 +22,7 @@ class PrimeField:
     kind = "prime"
 
     def __init__(self, p):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError("characteristic must be prime, got %r" % (p,))
         self.p = p
         self.zero = 0

@@ -11,10 +11,15 @@ Grammar (one directive per line, blank lines and #-comments ignored):
 
 Polynomial expressions use + - * ^ with integer coefficients and
 parentheses.  Parse errors carry 1-based line and column positions.
+A document is checked before any ring is built: the characteristic is 0
+or a prime, variable names are distinct, the power is positive and every
+generator is homogeneous.
 """
 
+import re
+
 from .errors import InputError
-from .fields import DEFAULT_PRIME, GF, QQ
+from .fields import DEFAULT_PRIME, GF, QQ, is_prime
 from .polys import PolyRing
 from . import rings
 
@@ -27,30 +32,51 @@ class InputDocument:
         self.ideal_exprs = []     # raw strings, kept for round-tripping
         self.param_exprs = []
         self.power = None
-        self.ideal_lines = []     # source line per expression, when parsed
-        self.param_lines = []
+        self.ideal_pos = []       # source (line, col) per expression,
+        self.param_pos = []       # when parsed
 
     def build(self, char_override=None):
         """Materialize (PresentedGradedRing, q: Ideal, power or None)."""
         if not self.vars:
             raise InputError("no vars directive")
-        char = self.char if char_override is None else char_override
-        field = QQ if char == 0 else GF(char)
-        names = tuple(n for n, _ in self.vars)
-        weights = tuple(w for _, w in self.vars)
-        ambient = PolyRing(names, weights, field)
-        ideal_gens = [parse_poly(e, ambient, line=ln)
-                      for e, ln in zip(self.ideal_exprs,
-                                       self.ideal_lines or
-                                       [None] * len(self.ideal_exprs))]
-        A = rings.PresentedGradedRing.from_ambient(ambient, ideal_gens,
-                                                   label=self.name)
-        params = [parse_poly(e, ambient, line=ln)
-                  for e, ln in zip(self.param_exprs,
-                                   self.param_lines or
-                                   [None] * len(self.param_exprs))]
+        char = self.char
+        if char_override is not None:
+            char = char_override
+            _check_char(char)
+        names, weights = zip(*self.vars)
+        ambient = PolyRing(names, weights, QQ if char == 0 else GF(char))
+        A = rings.PresentedGradedRing.from_ambient(
+            ambient, _generators(ambient, self.ideal_exprs, self.ideal_pos),
+            label=self.name)
+        params = _generators(ambient, self.param_exprs, self.param_pos)
         q = A.ideal(params) if params else None
         return A, q, self.power
+
+
+def _check_char(char, line=None, col=None):
+    if char != 0 and not is_prime(char):
+        raise InputError("characteristic must be 0 or a prime, got %d"
+                         % char, line, col)
+
+
+def _generators(ring, exprs, positions):
+    """The expressions parsed into ring, each checked homogeneous."""
+    out = []
+    for e, (line, col) in zip(exprs, positions or [(None, 1)] * len(exprs)):
+        f = parse_poly(e, ring, line=line, col=col)
+        if not f.is_homogeneous():
+            raise InputError("inhomogeneous generator %s" % e, line, col)
+        out.append(f)
+    return out
+
+
+def _items(raw, key, pattern):
+    """(item, 1-based column) of each match of pattern after the directive
+    key in the raw line, comments left out."""
+    body = raw.split("#", 1)[0]
+    end = body.index(key) + len(key)
+    return [(m.group().rstrip(), end + m.start() + 1)
+            for m in re.finditer(pattern, body[end:])]
 
 
 def parse_document(text):
@@ -70,41 +96,40 @@ def parse_document(text):
                 doc.char = int(rest.strip())
             except ValueError:
                 raise InputError("char expects an integer", lineno, col)
-            if doc.char < 0:
-                raise InputError("characteristic must be >= 0", lineno, col)
+            _check_char(doc.char, lineno, col)
         elif key == "vars":
-            for item in rest.split():
+            for item, icol in _items(raw, key, r"\S+"):
                 if ":" in item:
                     name, _, w = item.partition(":")
                     try:
                         weight = int(w)
                     except ValueError:
                         raise InputError("bad weight in %r" % item, lineno,
-                                         raw.index(item) + 1)
+                                         icol)
                 else:
                     name, weight = item, 1
                 if not name.isidentifier():
                     raise InputError("bad variable name %r" % name, lineno,
-                                     raw.index(item) + 1)
+                                     icol)
+                if name in dict(doc.vars):
+                    raise InputError("duplicate variable %r" % name, lineno,
+                                     icol)
                 if weight <= 0:
-                    raise InputError("weight must be positive", lineno,
-                                     raw.index(item) + 1)
+                    raise InputError("weight must be positive", lineno, icol)
                 doc.vars.append((name, weight))
-        elif key == "ideal":
-            for s in rest.split(","):
-                if s.strip():
-                    doc.ideal_exprs.append(s.strip())
-                    doc.ideal_lines.append(lineno)
-        elif key == "params":
-            for s in rest.split(","):
-                if s.strip():
-                    doc.param_exprs.append(s.strip())
-                    doc.param_lines.append(lineno)
+        elif key in ("ideal", "params"):
+            exprs, pos = ((doc.ideal_exprs, doc.ideal_pos) if key == "ideal"
+                          else (doc.param_exprs, doc.param_pos))
+            for expr, icol in _items(raw, key, r"[^,\s][^,]*"):
+                exprs.append(expr)
+                pos.append((lineno, icol))
         elif key == "power":
             try:
                 doc.power = int(rest.strip())
             except ValueError:
                 raise InputError("power expects an integer", lineno, col)
+            if doc.power < 1:
+                raise InputError("power must be at least 1", lineno, col)
         else:
             raise InputError("unknown directive %r" % key, lineno, col)
     return doc
@@ -128,16 +153,16 @@ def print_document(doc):
 # -- polynomial expression parsing ----------------------------------------
 
 class _Tokens:
-    def __init__(self, text, line=None):
+    def __init__(self, text, line=None, col=1):
         self.text = text
         self.line = line
-        self.pos = 0
+        self.col = col
         self.toks = []
         self._tokenize()
         self.i = 0
 
     def _err(self, msg, pos):
-        raise InputError(msg, self.line or 1, pos + 1)
+        raise InputError(msg, self.line or 1, pos + self.col)
 
     def _tokenize(self):
         t = self.text
@@ -175,13 +200,14 @@ class _Tokens:
         return tok
 
 
-def parse_poly(expr, ring, line=None):
-    """Parse a polynomial expression into the given ring."""
-    toks = _Tokens(expr, line)
+def parse_poly(expr, ring, line=None, col=1):
+    """Parse a polynomial expression into the given ring; `col` is the
+    expression's column in its line."""
+    toks = _Tokens(expr, line, col)
     index = {name: i for i, name in enumerate(ring.names)}
 
     def err(msg, pos):
-        raise InputError(msg, line or 1, pos + 1)
+        raise InputError(msg, line or 1, pos + col)
 
     def atom():
         kind, val, pos = toks.next()

@@ -3,6 +3,8 @@ dimension, depth, type, Artinian lengths, Hilbert-Samuel multiplicity,
 reduction numbers, and the Artinian Gorenstein test.
 """
 
+from collections import namedtuple
+
 from .errors import NoStabilization, NotArtinian, NotContained
 from . import idealops
 from .hilbert import INFINITE
@@ -11,24 +13,8 @@ from . import rings
 NOT_FOUND = "NOT_FOUND"
 
 
-class InvariantReport:
-    """dim/depth/pd/CM classification of a ring, with its type when defined."""
-
-    def __init__(self, dim, depth, pd, cm, ring_type=None, notes=""):
-        self.dim = dim
-        self.depth = depth
-        self.pd = pd
-        self.cm = cm
-        self.type = ring_type
-        self.notes = notes
-
-    def __repr__(self):
-        return ("InvariantReport(dim=%s, depth=%s, pd=%s, cm=%s, type=%s)"
-                % (self.dim, self.depth, self.pd, self.cm, self.type))
-
-
-def krull_dim(A):
-    return A.dim()
+# dim/depth/pd/CM classification of a ring, with its type when defined
+InvariantReport = namedtuple("InvariantReport", "dim depth pd cm type")
 
 
 def depth_and_type(A, length_cap=None):
@@ -46,13 +32,11 @@ def depth_and_type(A, length_cap=None):
     dim = A.dim()
     cm = (dim == depth)
     ring_type = None
-    notes = ""
     if cm:
         ring_type = res.betti()[-1] if pd > 0 else 1
     elif depth == 1:
         ring_type = A.ext(amb.n - 1).min_generators()
-        notes = "type from the generators of the dual of first cohomology"
-    return InvariantReport(dim, depth, pd, cm, ring_type, notes)
+    return InvariantReport(dim, depth, pd, cm, ring_type)
 
 
 def artinian_length(A, J):

@@ -28,9 +28,10 @@ lies in the tail P^s has no F part, so those elements are a Groebner basis
 of the tail submodule {w : (0, w) in the span} (Greuel-Pfister, A Singular
 Introduction to Commutative Algebra, the method behind Singular's
 `syz`, `quotient`, `intersect` and `lift`).  Rows (g_i, e_i) give the
-syzygies of the g_i; rows (g, 1) and (r_j, 0) give the colon (rels : g),
-and the normal form of (f, 0) against that basis divides f by g modulo
-the rels.
+syzygies of the g_i; rows (g, 1) and (r_j, 0) give `colon_basis`, whose
+tail is the colon (rels : g), and `module_divide` divides f by g modulo
+the rels by reducing (f, 0) against it, so one kept basis serves the
+colon and every division by g.
 """
 
 import heapq
@@ -434,11 +435,17 @@ def module_syzygies(gens):
             for b in basis if b.lead()[0][0] >= rank]
 
 
-def _colon_basis(g, rels):
-    """Graph basis of the rows (g, 1) and (r, 0) in F + P."""
+def colon_basis(g, rels):
+    """Graph basis of the rows (g, 1) and (r, 0) in F + P: its tail gives
+    the colon (rels : g) and `module_divide` reduces against it."""
     one = g.module.ring.one
     return graph_basis([(g, [(0, one)])] + [(r, []) for r in rels],
                        (g.degree(),))
+
+
+def colon_from_basis(basis, rank):
+    """The colon ideal read off the tail of a `colon_basis` over F^rank."""
+    return [b.component(rank) for b in basis if b.lead()[0][0] >= rank]
 
 
 def module_colon(g, rels):
@@ -446,20 +453,18 @@ def module_colon(g, rels):
     span(rels)}; the unit ideal when g is zero."""
     if g.is_zero():
         return [g.module.ring.one]
-    rank = g.module.rank
-    return [b.component(rank) for b in _colon_basis(g, rels)
-            if b.lead()[0][0] >= rank]
+    return colon_from_basis(colon_basis(g, rels), g.module.rank)
 
 
-def module_divide(f, g, rels):
-    """A Poly h with f - h*g in span(rels); NotDivisible when none exists.
+def module_divide(f, basis):
+    """A Poly h with f - h*g in span(rels), for basis = colon_basis(g, rels);
+    NotDivisible when none exists.
 
     The normal form of (f, 0) against the colon graph basis keeps an F
     term exactly when f is outside span(g, rels); otherwise it is (0, -h),
     since (f, 0) minus it is the row combination (h*g + sum c_j r_j, h).
     """
-    rank = g.module.rank
-    basis = _colon_basis(g, rels)
+    rank = f.module.rank
     r = vec_nf(basis[0].module.from_dict(dict(f.terms)), basis)
     if not r.is_zero() and r.lead()[0][0] < rank:
         raise NotDivisible("vector is not a multiple of the divisor")

@@ -12,6 +12,7 @@ import itertools
 from .errors import DepthNotOne, NotParameters, crosscheck
 from . import idealops, invariants, rings
 from .groebner import groebner_basis, normal_form
+from .orders import GrevlexOrder
 
 
 class ReesPresentation:
@@ -75,9 +76,11 @@ def _verify_substitution(rp):
     ext = amb.extend(("@t",), (1,))
     t = ext.gen(ext.n - 1)
     images = [ext.transfer(g) * t for g in rp.power_gens]
+    # a reduced grevlex basis of I stays one in P[t], whose new last
+    # variable t changes no leading term
     gb = [ext.transfer(g) for g in A.gb()]
-    gb = groebner_basis(gb) if gb else []
-    sub = rp.ring.ambient
+    if amb.order != GrevlexOrder(amb.weights):
+        gb = groebner_basis(gb)
     for f in rp.ring.defining:
         acc = ext.zero
         for exp, c in f.terms:
@@ -90,10 +93,8 @@ def _verify_substitution(rp):
                 else:
                     term = term * images[i - amb.n] ** e
             acc = acc + term
-        if gb:
-            acc = normal_form(acc, gb)
         crosscheck("substitution T_j -> g_j t into a defining generator",
-                   acc, ext.zero)
+                   normal_form(acc, gb), ext.zero)
 
 
 def graded_gorenstein_oracle(rp, length_cap=None):

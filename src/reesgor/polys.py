@@ -5,7 +5,7 @@ decreasing monomial order, so the leading term is terms[0].  Rings are
 immutable; polynomials from different rings never mix.
 """
 
-from operator import add
+from operator import add, mul
 
 from .errors import OwnerMismatch
 from .fields import DEFAULT_PRIME, GF
@@ -61,8 +61,7 @@ class PolyRing:
         return Poly(self, tuple(items))
 
     def wdeg(self, exp):
-        w = self.weights
-        return sum(e * w[i] for i, e in enumerate(exp))
+        return sum(map(mul, exp, self.weights))
 
     # -- derived rings ----------------------------------------------------
 

@@ -207,8 +207,8 @@ def minimal_free_resolution(cols, f0, length_cap=None, minimalize_f0=False):
 class ModulePresentation:
     """Graded subquotient (im gens)/(im rels) of a free module.
 
-    The free presentation, its Groebner basis and the resolution are each
-    computed once per object.
+    The free presentation, its Groebner basis, the resolution and the
+    annihilator are each computed once per object.
     """
 
     def __init__(self, ambient, gens, rels):
@@ -220,6 +220,7 @@ class ModulePresentation:
         self._free_pres = None
         self._gb = None
         self._resolution = None
+        self._ann = None
 
     @classmethod
     def cokernel(cls, ambient, rels):
@@ -313,18 +314,18 @@ class ModulePresentation:
         return f0.rank - _field_rank(field, rows)
 
     def annihilator_gens(self):
-        """Generators of {f in P : f * self = 0}: the intersection of the
-        colons (rels : g) over the generators g."""
-        ring = self.ambient.ring
-        result = None
-        for g in self.gens:
-            if g.is_zero():
-                continue
-            ann = module_colon(g, self.rels)
-            result = ann if result is None else intersect_ideals(ring, result, ann)
-        if result is None:
-            return [ring.one]  # zero module
-        return result
+        """Generators of {f in P : f * self = 0}, as a tuple: the
+        intersection of the colons (rels : g) over the generators g."""
+        if self._ann is None:
+            ring = self.ambient.ring
+            result = None
+            for g in self.gens:
+                if not g.is_zero():
+                    ann = module_colon(g, self.rels)
+                    result = (ann if result is None
+                              else intersect_ideals(ring, result, ann))
+            self._ann = (ring.one,) if result is None else tuple(result)
+        return self._ann
 
     def socle_dim(self):
         """Length of (0 :_M m) for finite-length M, by linear algebra.
@@ -443,16 +444,11 @@ def dual_columns(resolution, k):
     """
     ring = resolution.ring
     c = sum(ring.weights)
-    src_shifts = resolution.shifts(k - 1)
     tgt_shifts = resolution.shifts(k)
     dualF = FreeModule(ring, len(tgt_shifts), tuple(c - s for s in tgt_shifts))
-    cols = []
-    mat = resolution.matrix(k)  # rows: F_{k-1}, cols: F_k
-    for i in range(len(src_shifts)):
-        col = dualF.from_poly_list([(j, mat[i][j])
-                                    for j in range(len(tgt_shifts))])
-        cols.append(col)
-    return dualF, cols
+    # one column per row of d_k, that is per basis element of F_{k-1}
+    return dualF, [dualF.from_poly_list(enumerate(row))
+                   for row in resolution.matrix(k)]
 
 
 def ext_dualizing(resolution, i):
@@ -467,19 +463,10 @@ def ext_dualizing(resolution, i):
     dualF = FreeModule(ring, len(shifts_i), tuple(c - s for s in shifts_i))
     if i < pd:
         _, out_cols = dual_columns(resolution, i + 1)
-        kernel = module_syzygies(out_cols)
         # kernel vectors are coefficient vectors over the dual basis of F_i
-        gens = []
-        for v in kernel:
-            d = {}
-            for (comp, e), cc in v.terms:
-                d[(comp, e)] = cc
-            gens.append(dualF.from_dict(d))
+        gens = [dualF.from_dict(dict(v.terms))
+                for v in module_syzygies(out_cols)]
     else:
         gens = [dualF.basis_vec(j) for j in range(dualF.rank)]
-    if i >= 1:
-        _, img_cols = dual_columns(resolution, i)
-        rels = img_cols
-    else:
-        rels = []
+    rels = dual_columns(resolution, i)[1] if i >= 1 else []
     return ModulePresentation(dualF, gens, rels)

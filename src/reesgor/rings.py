@@ -3,16 +3,27 @@
 Ideals of A are stored as preimages in the ambient polynomial ring P:
 every A-level operation becomes a P-level operation on generator lists
 that always carry the defining ideal I along.
+A ring memoizes the basis of I, its resolution, its Ext modules and one
+`ColonGraph` per colon (gens, I) : b by an element b, from which come the
+colon ideal, the module ((gens, I) : b)/(gens, I), the regularity test of
+b and every division by b in A (gens empty), once per ring.
 """
+
+from collections import namedtuple
 
 from .errors import (NonPositiveWeight, NotDivisible, NotParameters,
                      OwnerMismatch, crosscheck)
 from .groebner import as_vecs, groebner_basis, is_member, normal_form
 from .hilbert import dimension_from_numerator, hilbert_numerator
 from . import idealops
-from .modules import module_divide
+from .modules import colon_basis, colon_from_basis, module_divide
 from .polys import PolyRing
-from .resolutions import ext_dualizing, resolve_quotient_ring
+from .resolutions import (ModulePresentation, ext_dualizing,
+                          resolve_quotient_ring)
+
+# the graph basis of the rows (b, 1) and (r, 0), r in gens + I, the colon
+# Ideal off its tail, and the ModulePresentation of ((gens, I) : b)/(gens, I)
+ColonGraph = namedtuple("ColonGraph", "basis ideal module")
 
 
 class PresentedGradedRing:
@@ -43,6 +54,7 @@ class PresentedGradedRing:
         self._dim = None
         self._resolution = None
         self._ext = {}
+        self._colons = {}
 
     # -- cached invariants -------------------------------------------------
 
@@ -75,6 +87,19 @@ class PresentedGradedRing:
         if i not in self._ext:
             self._ext[i] = ext_dualizing(self.resolution(), i)
         return self._ext[i]
+
+    def colon_graph(self, gens, b):
+        """The ColonGraph of (gens, I) : b, built once per (gens, b)."""
+        key = (tuple(gens), b)
+        if key not in self._colons:
+            bv, *rels = as_vecs([b] + self._full(gens))
+            basis = tuple(colon_basis(bv, rels))
+            ideal = Ideal.from_basis(self, colon_from_basis(basis, 1))
+            F = bv.module
+            module = ModulePresentation(
+                F, [F.basis_vec(0, g) for g in ideal.gb()], rels)
+            self._colons[key] = ColonGraph(basis, ideal, module)
+        return self._colons[key]
 
     @property
     def names(self):
@@ -117,8 +142,7 @@ class PresentedGradedRing:
 
     def is_regular_element(self, a):
         """True when a is a non-zerodivisor on A: (I : a) = I in P."""
-        c = idealops.colon(self.ambient, self.defining, [a])
-        return tuple(c) == self.gb()
+        return self.colon_graph((), a).ideal.gb() == self.gb()
 
     def _full(self, gens):
         return [g for g in gens if not g.is_zero()] + self.defining
@@ -140,19 +164,18 @@ class PresentedGradedRing:
 
 
 class Ideal:
-    """Ideal of a presented ring, stored as a preimage generator list."""
+    """Ideal of a presented ring, stored as a preimage generator tuple."""
 
     def __init__(self, owner, gens):
         self.owner = owner
-        self.gens = []
+        gens = tuple(gens)
         for g in gens:
             if g.ring != owner.ambient:
                 raise OwnerMismatch("generator from a different ring")
-            if g.is_zero():
-                continue
             if not g.is_homogeneous():
                 raise ValueError("inhomogeneous ideal generator: %s" % g)
-            self.gens.append(g)
+        # a tuple, because a ring's memoized colon ideals are shared
+        self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = None
         self._dim = None
 
@@ -232,13 +255,11 @@ def intersect(ia, ib):
 def colon(ia, by):
     """ia : by, where by is an Ideal or a single ring element."""
     A = ia.owner
-    if isinstance(by, Ideal):
-        _check_owner(ia, by)
-        divs = by.gens
-    else:
-        divs = [by]
-    out = idealops.colon(A.ambient, ia.preimage_gens(), divs)
-    return Ideal.from_basis(A, out)
+    if not isinstance(by, Ideal):
+        return A.colon_graph(ia.gens, by).ideal
+    _check_owner(ia, by)
+    return Ideal.from_basis(
+        A, idealops.colon(A.ambient, ia.preimage_gens(), by.gens))
 
 
 def saturate(ia, by, cap=64):
@@ -302,24 +323,22 @@ def sigma_tilde(a_list, A):
     q = Ideal(A, a_list)
     if q.quotient_dim() != 0 or len(a_list) != A.dim():
         raise NotParameters("elements are not a system of parameters")
-    amb = A.ambient
     total = []
     for i, ai in enumerate(a_list):
         rest = [a for j, a in enumerate(a_list) if j != i]
-        ci = idealops.colon(amb, A._full(rest), [ai])
-        total.extend(ci)
+        total.extend(A.colon_graph(rest, ai).ideal.gb())
     return Ideal.from_basis(A, groebner_basis(total))
 
 
 def ring_division(f, a, A):
     """g with a*g = f in A, for a regular on A; NotDivisible otherwise.
 
-    g is in normal form modulo I: `module_divide` reduces it modulo
-    (I : a), whose leading terms contain those of I.
+    `module_divide` reduces (f, 0) against the ring's graph basis of
+    I : a, so g is in normal form modulo I : a, whose leading terms
+    contain those of I.
     """
-    fv, av, *rels = as_vecs([f, a] + A.defining)
     try:
-        g = module_divide(fv, av, rels)
+        g = module_divide(as_vecs([f])[0], A.colon_graph((), a).basis)
     except NotDivisible:
         raise NotDivisible("%s is not divisible by %s in the ring" % (f, a))
     crosscheck("re-expansion of a division", A.reduce(a * g), A.reduce(f))

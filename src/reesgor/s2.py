@@ -2,9 +2,14 @@
 A~ = (1/a)(aA : b) represented through its colon ideal, the conductor by
 two independent routes, first-cohomology invariants, the cohomology
 hypothesis profile, and the standardness test for parameter ideals.
+
+The pair's colon (I, a) : b and its module (aA : b)/aA, presenting
+H^1_m(A), come from the ring's memoized `colon_graph`: the filter-regular
+test, the overring CM check and `s2_construct` share one graph basis.
 """
 
 import random
+from collections import namedtuple
 
 from .errors import (HypothesisNotVerified, NotApplicable, PairNotFound,
                      crosscheck)
@@ -17,7 +22,7 @@ from .resolutions import ModulePresentation
 def is_filter_regular(A, a, b):
     """b filter-regular on A/aA: the colon module (aA : b)/aA has finite
     length, i.e. (I, a) : b lies in the saturation (I, a) : m^inf."""
-    return colon_module(A, a, b)[1].length() != INFINITE
+    return A.colon_graph((a,), b).module.length() != INFINITE
 
 
 def filter_regular_pair(A, q, seed=0):
@@ -61,35 +66,17 @@ def filter_regular_pair(A, q, seed=0):
     raise PairNotFound("no filter-regular pair among the tried candidates")
 
 
-def colon_module(A, a, b):
-    """(aA : b)/aA as a subquotient presentation over the ambient ring."""
-    col = rings.colon(A.ideal([a]), b)
-    amb = A.ambient
-    F = FreeModule(amb, 1)
-    gens = [F.basis_vec(0, g) for g in col.gb()]
-    rels = [F.basis_vec(0, g) for g in A._full([a])]
-    return col, ModulePresentation(F, gens, rels)
-
-
-class S2Data:
-    """Everything the decision procedure needs about A~ and the conductor."""
-
-    def __init__(self, A, pair, colon_ideal, h1_length, conductor,
-                 fraction_numerators, h1_module):
-        self.ring = A
-        self.pair = pair
-        self.colon_ideal = colon_ideal          # aA :_A b, as an Ideal of A
-        self.h1_length = h1_length
-        self.conductor = conductor
-        # numerators g_j with g_j/a generating A~ over A (g_j not in aA)
-        self.fraction_numerators = fraction_numerators
-        self.h1_module = h1_module              # presentation of (aA:b)/aA
+# everything the decision procedure needs about A~ and the conductor: the
+# fraction numerators g_j, not in aA, give g_j/a generating A~ over A, and
+# h1_module presents (aA : b)/aA
+S2Data = namedtuple("S2Data", "pair h1_length conductor fraction_numerators "
+                              "h1_module")
 
 
 def s2_construct(A, pair):
     """Assemble S2Data for a validated filter-regular pair."""
     a, b = pair
-    colon_ideal, h1_mod = colon_module(A, a, b)
+    _, colon_ideal, h1_mod = A.colon_graph((a,), b)
     h1_length = h1_mod.length()
     if h1_length == INFINITE:
         raise HypothesisNotVerified("first cohomology has infinite length")
@@ -99,8 +86,7 @@ def s2_construct(A, pair):
         conductor = rings.Ideal.from_basis(A, h1_mod.annihilator_gens())
     aA = A.ideal([a])
     numerators = [g for g in colon_ideal.gb() if not aA.contains(g)]
-    return S2Data(A, pair, colon_ideal, h1_length, conductor, numerators,
-                  h1_mod)
+    return S2Data(pair, h1_length, conductor, numerators, h1_mod)
 
 
 def conductor_crosscheck(A, data):
@@ -153,7 +139,7 @@ def hypothesis_profile(A, pair):
         in_conductor = rings.Ideal.from_basis(
             A, A.ext(n - 1).annihilator_gens()).contains(a)
     if in_conductor:
-        col = rings.colon(A.ideal([a]), b)
+        col = A.colon_graph((a,), b).ideal
         crosscheck("cohomology profile and the CM test for the overring",
                    _ideal_module(A, col).pd() == n - d, verdict)
     return HypothesisProfile(d, ext_lengths, verdict)

@@ -184,3 +184,47 @@ def test_decide_resolves_the_ring_once(monkeypatch):
     assert calls.get("resolve_quotient_ring", 0) == 0
     assert calls.get("ext_dualizing", 0) == 0
     assert second == first
+
+
+def _input_key(value):
+    """A hashable picture of a graph-basis, colon or syzygy input."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_input_key(v) for v in value)
+    return getattr(value, "terms", value)
+
+
+def test_decide_builds_each_graph_basis_once(monkeypatch):
+    """A criteria-only `decide` builds no graph basis, colon or syzygy
+    module twice: the pair's colon, its H^1 module, the regularity tests
+    and the divisions come from the ring's memoized colon graphs."""
+    import sys
+    from reesgor import modules
+    seen = {}
+
+    def recording(name):
+        fn = getattr(modules, name)
+
+        def wrapper(*args):
+            key = (name, _input_key(args))
+            seen[key] = seen.get(key, 0) + 1
+            return fn(*args)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("reesgor"):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, wrapper)
+
+    for name in ("graph_basis", "module_colon", "module_syzygies"):
+        recording(name)
+    repeated, built = [], set()
+    for name in ("hochster_roberts", "two_planes", "idealization_xy",
+                 "idealization_x2y3"):
+        for char in (32003, 0, 2, 3):
+            A, q, _ = corpus.example_document(name).build(char_override=char)
+            seen.clear()
+            assert decision.decide(A, q).verdict, (name, char)
+            repeated += [(name, char, key[0], n)
+                         for key, n in seen.items() if n > 1]
+            built.update(key[0] for key in seen)
+    assert built == {"graph_basis", "module_colon", "module_syzygies"}
+    assert not repeated, repeated

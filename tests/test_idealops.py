@@ -309,6 +309,25 @@ def test_memoized_bases_cannot_be_corrupted():
     assert ideal.contains(a)
 
 
+def test_colon_graph_is_built_once_and_shared():
+    """A ring keeps one colon graph per (gens, b): `rings.colon` by an
+    element and the regularity test read the memoized entry, which equals
+    the colon built afresh; its ideal and annihilator are tuples."""
+    A, q = corpus.build_two_planes()
+    a, b = q.gens
+    entry = A.colon_graph((a,), b)
+    assert A.colon_graph([a], b) is entry
+    assert rings.colon(A.ideal([a]), b) is entry.ideal
+    assert entry.ideal.gb() == tuple(idealops.colon(A.ambient, A._full([a]),
+                                                    [b]))
+    assert isinstance(entry.ideal.gens, tuple)
+    ann = entry.module.annihilator_gens()
+    assert isinstance(ann, tuple)
+    assert entry.module.annihilator_gens() is ann
+    assert A.is_regular_element(a)
+    assert A.colon_graph((), a).ideal.gb() == A.gb()
+
+
 def test_owner_mismatch_raises():
     A, x, y = quotient_xy()
     B = rings.PresentedGradedRing(("x", "y"), (1, 1), [], field=F)

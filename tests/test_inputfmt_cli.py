@@ -168,6 +168,42 @@ def test_cli_input_errors(tmp_path):
     assert "line 2" in out
 
 
+MALFORMED = {
+    "char_not_prime": ("vars x y\nchar 4\nideal x*y\nparams x, y\n",
+                       ["check"], "line 2, col 1: characteristic must be 0 "
+                                  "or a prime, got 4"),
+    "char_override_not_prime": ("vars x y\nideal x*y\nparams x, y\n",
+                                ["check", "--char", "4"],
+                                "characteristic must be 0 or a prime, got 4"),
+    "power_zero": ("vars x y\nideal x*y\nparams x, y\npower 0\n",
+                   ["oracle"], "line 4, col 1: power must be at least 1"),
+    "power_negative": ("vars x y\nideal x*y\nparams x, y\npower -1\n",
+                       ["check", "--mode", "oracle"],
+                       "line 4, col 1: power must be at least 1"),
+    "inhomogeneous_ideal": ("vars x y\nideal x*y - x\nparams x, y\n",
+                            ["check"], "line 2, col 7: inhomogeneous "
+                                       "generator x*y - x"),
+    "inhomogeneous_params": ("vars x y\nideal x*y\nparams x, y^2 + x\n",
+                             ["check"], "line 3, col 11: inhomogeneous "
+                                        "generator y^2 + x"),
+    "duplicate_variable": ("vars x x y\nideal x*y\nparams x, y\n",
+                           ["check"], "line 1, col 8: duplicate variable 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_rejects_malformed_document(tmp_path, case):
+    """Each malformed document or characteristic is an input error (exit
+    3) with its line and column when it has one, not an uncaught exception
+    or a verdict."""
+    text, args, error = MALFORMED[case]
+    path = tmp_path / "bad.ring"
+    path.write_text(text)
+    code, out = run([args[0], str(path)] + args[1:])
+    assert code == 3
+    assert inputfmt.parse_report(out)["error"] == error
+
+
 def test_cli_examples_unknown_name():
     assert run(["examples", "nope"])[0] == 3
 

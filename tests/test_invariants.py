@@ -14,7 +14,7 @@ F = GF(DEFAULT_PRIME)
 
 def test_dimensions_on_corpus(corpus_instances):
     for name, (A, _) in corpus_instances.items():
-        assert invariants.krull_dim(A) == 2, name
+        assert A.dim() == 2, name
 
 
 def test_depth_and_type_frozen_values(corpus_instances):

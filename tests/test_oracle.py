@@ -87,3 +87,15 @@ def test_n_neq_d_suite_needs_depth_one(regular_base):
     A, q = regular_base
     with pytest.raises(DepthNotOne):
         oracle.n_neq_d_suite(A, q, 2, (1, 2))
+
+
+@pytest.mark.parametrize("char", [DEFAULT_PRIME, 0, 2, 3])
+def test_ring_basis_stays_reduced_with_a_new_last_variable(char):
+    """The substitution check reduces against A.gb() moved into P[t]
+    without a new Buchberger run: a reduced grevlex basis stays reduced
+    when a last variable is added."""
+    for name in corpus.EXAMPLES:
+        A, _, _ = corpus.example_document(name).build(char_override=char)
+        ext = A.ambient.extend(("@t",), (1,))
+        moved = [ext.transfer(g) for g in A.gb()]
+        assert groebner_basis(moved) == moved, (name, char)

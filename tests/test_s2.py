@@ -138,7 +138,7 @@ def test_non_standard_parameters_detected(ideal_x2y3):
 def test_colon_module_presents_h1(two_planes):
     A, q = two_planes
     a, b = s2.filter_regular_pair(A, q)
-    colon_ideal, h1_mod = s2.colon_module(A, a, b)
+    _, colon_ideal, h1_mod = A.colon_graph((a,), b)
     assert h1_mod.length() == 1
     assert h1_mod.socle_dim() == 1
     assert colon_ideal.contains(A.reduce(a))
