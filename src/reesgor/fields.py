@@ -5,15 +5,39 @@ All arithmetic is exact, there is no floating point anywhere.
 """
 
 from fractions import Fraction
-from math import isqrt
+
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, Strong pseudoprimes to twelve
+# prime bases, Math. Comp. 86, 2017)
+PRIME_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n):
+    """Deterministic Miller-Rabin test; ValueError at PRIME_BOUND and
+    above, where these bases no longer decide."""
+    if n >= PRIME_BOUND:
+        raise ValueError("primality is decided below %d only" % PRIME_BOUND)
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    return all(n % f for f in range(3, isqrt(n) + 1, 2))
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class PrimeField:

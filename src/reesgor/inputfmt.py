@@ -54,7 +54,12 @@ class InputDocument:
 
 
 def _check_char(char, line=None, col=None):
-    if char != 0 and not is_prime(char):
+    try:
+        prime = is_prime(char)
+    except ValueError as err:
+        raise InputError("characteristic %d is too large: %s" % (char, err),
+                         line, col) from None
+    if char != 0 and not prime:
         raise InputError("characteristic must be 0 or a prime, got %d"
                          % char, line, col)
 

@@ -1,14 +1,16 @@
 """Free modules over a polynomial ring and module Groebner machinery.
 
 A Vec is an element of a free module F = sum_i P(-shift_i), stored as
-((component, exponent), coefficient) terms sorted descending in a
-position-over-term order extending the ring's monomial order.  The
-Buchberger loop computes reduced bases only; it prunes S-pairs by the
-Gebauer-Moeller update (Gebauer & Moeller 1988) as each element joins the
-basis, with the product criterion on rank 1 only, where it is valid, and
-by the G-filter of Becker-Weispfenning's UPDATE (Groebner Bases, 1993):
-an element whose lead a later lead divides forms no further pairs.  Its
-`pair_cap` counts the S-vectors actually reduced.
+((component, exponent), coefficient) terms sorted descending in the
+module's order: position over term extending the ring's monomial order
+by default, or an order induced through the module's `order` hook, such
+as the Schreyer orders of `schreyer_syzygies`.  The Buchberger loop
+computes reduced bases only; it prunes S-pairs by the Gebauer-Moeller
+update (Gebauer & Moeller 1988) as each element joins the basis, with the
+product criterion on rank 1 only, where it is valid, and by the G-filter
+of Becker-Weispfenning's UPDATE (Groebner Bases, 1993): an element whose
+lead a later lead divides forms no further pairs.  Its `pair_cap` counts
+the S-vectors actually reduced.
 
 A run keeps one reducer index, extended as each element joins the basis:
 per component, the (mask, lead exp, position) of every element in basis
@@ -31,28 +33,50 @@ Introduction to Commutative Algebra, the method behind Singular's
 syzygies of the g_i; rows (g, 1) and (r_j, 0) give `colon_basis`, whose
 tail is the colon (rels : g), and `module_divide` divides f by g modulo
 the rels by reducing (f, 0) against it, so one kept basis serves the
-colon and every division by g.
+colon and every division by g.  `schreyer_syzygies` reduces graph rows
+too, but needs no Buchberger run: for a Groebner basis, the S-vectors of
+its pairs reduce to syzygies that are a Groebner basis already.
 """
 
 import heapq
 from itertools import compress
-from operator import add, ge, sub
+from operator import add, ge, neg, sub
 
-from .errors import NotDivisible, OwnerMismatch, ResourceExceeded
+from .errors import (NotDivisible, OwnerMismatch, ResourceExceeded,
+                     crosscheck)
 from .polys import _exp_lcm, _exp_mul
 
 
 class FreeModule:
-    """Graded free module of finite rank with per-component degree shifts."""
+    """Graded free module of finite rank with per-component degree shifts.
 
-    def __init__(self, ring, rank, shifts=None):
+    `key(comp, exp)` orders the terms, larger key larger term, and
+    `neg_key` is key negated: ascending neg_key is descending module
+    order.  The default is position over term, earlier components
+    dominating.  An induced order is given as `order`, one (head, shift,
+    tail) triple of tuples per component: the term x^a e_i is keyed
+    head_i + neg_key(a + shift_i) + tail_i.  Position over term is the
+    triple ((i,), 0, ()), and `schreyer_syzygies` builds Schreyer orders
+    this way.
+    """
+
+    def __init__(self, ring, rank, shifts=None, order=None):
         self.ring = ring
         self.rank = rank
         self.shifts = tuple(shifts) if shifts is not None else (0,) * rank
+        self.order = tuple(order) if order is not None else None
+        rkey, rneg = ring.order.key, ring.order.neg_key
+        if order is None:
+            self.key = lambda comp, exp: (-comp,) + rkey(exp)
+            self.neg_key = lambda comp, exp: (comp,) + rneg(exp)
+        else:
+            triples = self.order
 
-    def key(self, comp, exp):
-        # position over term: earlier components dominate
-        return (-comp,) + self.ring.order.key(exp)
+            def neg_key(comp, exp):
+                head, shift, tail = triples[comp]
+                return head + rneg(tuple(map(add, exp, shift))) + tail
+            self.neg_key = neg_key
+            self.key = lambda comp, exp: tuple(map(neg, neg_key(comp, exp)))
 
     def zero(self):
         return Vec(self, ())
@@ -76,15 +100,16 @@ class FreeModule:
 
     def from_dict(self, d):
         zero = self.ring.field.zero
-        neg_key = self.ring.order.neg_key
+        neg_key = self.neg_key
         items = [(ce, c) for ce, c in d.items() if c != zero]
-        # ascending (comp, neg_key) is descending position over term
-        items.sort(key=lambda t: (t[0][0],) + neg_key(t[0][1]))
+        items.sort(key=lambda t: neg_key(*t[0]))
         return Vec(self, tuple(items))
 
     def __eq__(self, other):
-        return (isinstance(other, FreeModule) and other.ring == self.ring
-                and other.rank == self.rank and other.shifts == self.shifts)
+        return other is self or (
+            isinstance(other, FreeModule) and other.ring == self.ring
+            and other.rank == self.rank and other.shifts == self.shifts
+            and other.order == self.order)
 
     def __hash__(self):
         return hash((self.ring, self.rank, self.shifts))
@@ -236,9 +261,9 @@ def vec_nf(f, basis, index=None):
         index = reducer_index(basis, module.rank)
     F = module.ring.field
     fadd, fmul, fneg, zero = F.add, F.mul, F.neg, F.zero
-    neg_key = module.ring.order.neg_key
+    neg_key = module.neg_key
     work = dict(f.terms)
-    heap = [((comp,) + neg_key(e), comp, e) for comp, e in work]
+    heap = [(neg_key(comp, e), comp, e) for comp, e in work]
     heapq.heapify(heap)
     rem = []
     while heap:
@@ -261,7 +286,7 @@ def vec_nf(f, basis, index=None):
             old = work.get(k)
             if old is None:
                 work[k] = fmul(mc, bc)
-                heapq.heappush(heap, ((bcomp,) + neg_key(ne), bcomp, ne))
+                heapq.heappush(heap, (neg_key(bcomp, ne), bcomp, ne))
             else:
                 nc = fadd(old, fmul(mc, bc))
                 if nc == zero:
@@ -433,6 +458,75 @@ def module_syzygies(gens):
     SF = FreeModule(module.ring, len(gens), shifts)
     return [SF.from_dict({(comp - rank, e): c for (comp, e), c in b.terms})
             for b in basis if b.lead()[0][0] >= rank]
+
+
+def schreyer_syzygies(basis):
+    """Syzygies of a Groebner basis read off its S-pair reductions
+    (Schreyer 1980; La Scala-Stillman 1998).
+
+    `basis` is a monic Groebner basis under the order of its module M.
+    The syzygies lie in F, free on the basis elements, graded by their
+    degrees, under the Schreyer order they induce: x^a e_i is above
+    x^b e_j when x^a lead_i is above x^b lead_j in M, or the two are equal
+    and i < j.  For each i, the pairs (i, j > i) whose leads share a
+    component and whose monomials m_ij = lcm/lead_i are minimal give one
+    syzygy each: vec_nf reduces the S-vector of the rows (g_i, e_i) and
+    (g_j, e_j) of M + F against all rows (g_k, e_k) to (0, m_ij e_i -
+    m_ji e_j - sum q_k e_k).  These syzygies are a Groebner basis of the
+    syzygy module under F's order, with leads m_ij e_i (Schreyer's
+    theorem), so no Buchberger run is needed.  Within a lead component
+    they are listed with leads descending lexicographically, which bounds
+    the length of an iterated frame by the number of variables.  An
+    S-vector whose F part does not reduce to zero (the basis was not a
+    Groebner basis) fails a crosscheck.
+    """
+    M = basis[0].module
+    ring = M.ring
+    r = M.rank
+    leads = [b.terms[0][0] for b in basis]
+    triples = M.order or [((i,), ring.zero_exp, ()) for i in range(r)]
+    order = []
+    for i, (comp, e) in enumerate(leads):
+        head, shift, tail = triples[comp]
+        order.append((head, tuple(map(add, shift, e)), tail + (i,)))
+    F = FreeModule(ring, len(basis),
+                   [ring.wdeg(e) + M.shifts[comp] for comp, e in leads], order)
+    # the F block first: its heads start with 0, those of the tail with 1
+    GM = FreeModule(ring, r + F.rank, M.shifts + F.shifts,
+                    [((0,) + h, s, t) for h, s, t in triples]
+                    + [((1,) + h, s, t) for h, s, t in order])
+    one, zero_exp = ring.field.one, ring.zero_exp
+    rows = [Vec(GM, b.terms + (((r + i, zero_exp), one),))
+            for i, b in enumerate(basis)]
+    index = reducer_index(rows, GM.rank)
+    same_comp = {}
+    for i, (comp, _) in enumerate(leads):
+        same_comp.setdefault(comp, []).append(i)
+    syz = []
+    stuck = 0
+    for i, (comp, ei) in enumerate(leads):
+        cands = []
+        for j in same_comp[comp]:
+            if j > i:
+                lcm = tuple(map(max, ei, leads[j][1]))
+                m = tuple(map(sub, lcm, ei))
+                cands.append((sum(m), m, j, lcm))
+        # by total degree a divisor sorts before its multiples
+        cands.sort()
+        kept = []
+        for _, m, j, lcm in cands:
+            if not any(all(map(ge, m, k)) for k, _, _ in kept):
+                kept.append((m, j, lcm))
+        for m, j, lcm in sorted(kept, reverse=True):
+            h = vec_nf(_s_vector(rows[i], rows[j], lcm), rows, index)
+            if h.terms[0][0][0] < r:
+                stuck += 1
+                continue
+            syz.append(Vec(F, tuple(((c - r, e), v)
+                                    for (c, e), v in h.terms)))
+    crosscheck("S-vectors of a Groebner basis whose F part is not zero",
+               stuck, 0)
+    return syz
 
 
 def colon_basis(g, rels):

@@ -2,22 +2,30 @@
 finite-module invariants (length, minimal generators, annihilator, socle).
 
 Modules are subquotients (im gens)/(im rels) of a graded free module.
-Resolutions are built by iterated syzygies; after each syzygy step the new
-differential is minimalized by pivoting away unit (degree-zero) entries,
-so every stored differential has all entries in the irrelevant ideal.
-All unit pivots of a step are taken in one pass, each on the first column
-with a constant entry and its smallest such component, and the surviving
-components are renumbered once at the end.  A resolution stores its
-differentials as tuples, so a cached one can be shared between callers.
+A resolution is built from a Schreyer frame (Schreyer 1980; La Scala and
+Stillman, Strategies for computing minimal free resolutions, JSC 26,
+1998): its first level is the reduced Groebner basis of the presentation
+columns, and each next level is read off the S-pair reductions of the
+last by `modules.schreyer_syzygies`, under the Schreyer order that level
+induces.  Those syzygies are already a Groebner basis of the next syzygy
+module, so only the first level runs Buchberger.  The frame is exact but
+not minimal; it is minimalized once, level by level, by the unit-pivot
+loop of `minimalize_step`, so every stored differential has all entries
+in the irrelevant ideal.  A frame can be longer than the minimal
+resolution; a length cap raises only when the minimal length exceeds it.
+Each result's graded Euler characteristic is crosschecked against the
+Hilbert numerator of the module.  A resolution stores its differentials as
+tuples, so a cached one can be shared between callers.
 """
 
-from operator import ge
+from operator import ge, neg
 
-from .errors import NotFiniteLength, ResourceExceeded
-from .hilbert import INFINITE, finite_length, hilbert_numerator
+from .errors import NotFiniteLength, ResourceExceeded, crosscheck
+from .hilbert import INFINITE, finite_length, hilbert_numerator, upoly_add
 from .idealops import intersect as intersect_ideals
-from .modules import (FreeModule, Vec, module_buchberger, module_colon,
-                      module_syzygies, reducer_index, vec_nf)
+from .modules import (FreeModule, module_buchberger, module_colon,
+                      module_syzygies, reducer_index, schreyer_syzygies,
+                      vec_nf)
 from .polys import _exp_mul
 
 
@@ -35,45 +43,48 @@ def _unit_entry(vec):
     return None
 
 
-def minimalize_step(prev_cols, s_cols):
-    """Pivot unit entries out of the differential s_cols : F_{k+1} -> F_k.
-
-    prev_cols are the columns of d_k (generators of F_k's target image);
-    a unit entry (i, c) lets us delete generator i of F_k and column c.
-    All pivots of the step are taken in one pass over the columns held as
-    {component: {exp: coeff}} in F_k's numbering.  Each pivot is the first
-    column with a constant entry u, at its smallest such component i;
-    alpha/u times it is subtracted from every column whose entry alpha in
-    component i is nonzero, then the pivot column, component i and the
-    columns that became zero go.  The surviving components are renumbered
-    once at the end: keys are position over term, so that keeps the term
-    order, and only columns a pivot changed are sorted again.
-    Returns the reduced (prev_cols, s_cols).
-    """
-    prev_cols = list(prev_cols)
-    s_cols = list(s_cols)
-    if not s_cols:
-        return prev_cols, s_cols
-    F = s_cols[0].module
-    ring = F.ring
-    field = ring.field
-    zero, zero_exp = field.zero, ring.zero_exp
+def _column_dicts(vecs, gone=()):
+    """Columns as {component: {exp: coeff}}, without the components in
+    gone."""
     cols = []
-    for v in s_cols:
+    for v in vecs:
         col = {}
         for (comp, e), c in v.terms:
-            col.setdefault(comp, {})[e] = c
+            if comp not in gone:
+                col.setdefault(comp, {})[e] = c
         cols.append(col)
+    return cols
+
+
+def _renumbered(module, renum, col):
+    """The column {comp: {exp: coeff}} as a Vec of module, with component
+    comp renumbered to renum[comp]."""
+    return module.from_dict({(renum[comp], e): v
+                             for comp, ent in col.items()
+                             for e, v in ent.items()})
+
+
+def _pivot_units(cols, field, zero_exp):
+    """Pivot every unit entry out of columns held as {comp: {exp: coeff}},
+    in place, in one pass.
+
+    Each pivot is the first live column with a constant entry u, at its
+    smallest such component i; alpha/u times it is subtracted from every
+    other live column whose entry alpha in component i is nonzero, so
+    component i is left only in the pivot column.  The pivot column and
+    the columns that became zero leave the live set.  Returns the
+    (column, component) pivots in order.
+    """
+    zero = field.zero
     # units[c]: the components in which column c has a constant term
     units = [{comp for comp, ent in col.items() if zero_exp in ent}
              for col in cols]
     live = list(range(len(cols)))
-    touched = set()
-    dropped = set()
+    pivots = []
     while True:
         p = next((c for c in live if units[c]), None)
         if p is None:
-            break
+            return pivots
         i = min(units[p])
         inv = field.inv(cols[p][i][zero_exp])
         pivot = [(comp, ent) for comp, ent in cols[p].items() if comp != i]
@@ -99,28 +110,83 @@ def minimalize_step(prev_cols, s_cols):
                             del col[comp]
                 units[c] = {comp for comp, ent in col.items()
                             if zero_exp in ent}
-                touched.add(c)
             if col:
                 kept.append(c)
         live = kept
-        dropped.add(i)
-    if not dropped:
+        pivots.append((p, i))
+
+
+def minimalize_step(prev_cols, s_cols):
+    """Pivot unit entries out of the differential s_cols : F_{k+1} -> F_k.
+
+    prev_cols are the columns of d_k (generators of F_k's target image);
+    a unit entry (i, c) lets us delete generator i of F_k and column c.
+    All pivots are taken by `_pivot_units` in F_k's numbering; then the
+    pivot columns, the components pivoted on and the columns that became
+    zero go, and the surviving components are renumbered.
+    Returns the reduced (prev_cols, s_cols).
+    """
+    prev_cols = list(prev_cols)
+    s_cols = list(s_cols)
+    if not s_cols:
         return prev_cols, s_cols
+    F = s_cols[0].module
+    ring = F.ring
+    cols = _column_dicts(s_cols)
+    pivots = _pivot_units(cols, ring.field, ring.zero_exp)
+    if not pivots:
+        return prev_cols, s_cols
+    dropped = {i for _, i in pivots}
+    gone = {p for p, _ in pivots}
     surviving = [j for j in range(F.rank) if j not in dropped]
     renum = {j: k for k, j in enumerate(surviving)}
     newF = FreeModule(ring, len(surviving), [F.shifts[j] for j in surviving])
-    key = ring.order.key
-    out = []
-    for c in live:
-        if c in touched:
-            terms = tuple(((renum[comp], e), ent[e])
-                          for comp, ent in sorted(cols[c].items())
-                          for e in sorted(ent, key=key, reverse=True))
-        else:
-            terms = tuple(((renum[comp], e), v)
-                          for (comp, e), v in s_cols[c].terms)
-        out.append(Vec(newF, terms))
+    out = [_renumbered(newF, renum, col)
+           for c, col in enumerate(cols) if c not in gone and col]
     return [prev_cols[j] for j in surviving], out
+
+
+def _minimalize_frame(frame):
+    """Minimal differentials d_1, d_2, ... from a Schreyer frame.
+
+    frame[k] holds the columns of the frame's d_{k+1}.  Level by level
+    from d_2, the rows of the previous level's pivot columns are dropped
+    and `_pivot_units` pivots the units out; a pivot on component i drops
+    column i of the level before.  Dropping those rows is exact: after the
+    pivot column c of d_k is used to clear its component, the syzygies in
+    d_{k+1} have coordinate zero on the new generator e_c, and their other
+    coordinates are unchanged.  A column that becomes zero stays: it is a
+    cycle, so the next level pivots it out.  d_1 is not pivoted, and the
+    levels from the first one left empty on are cut off: once F_k is zero
+    in a minimal resolution, so is every later module, and the last level
+    of a truncated frame may still hold such zero columns.  Returns the
+    differentials as lists of Vecs in position-over-term free modules.
+    """
+    ring = frame[0][0].module.ring
+    levels = []     # column dicts of each level
+    dropped = []    # column indices of each level that go
+    gone = set()
+    for k, vecs in enumerate(frame):
+        cols = _column_dicts(vecs, gone)
+        if k:
+            pivots = _pivot_units(cols, ring.field, ring.zero_exp)
+            dropped[-1].update(i for _, i in pivots)
+            gone = {p for p, _ in pivots}
+        levels.append(cols)
+        dropped.append(set(gone))
+    diffs = []
+    # new index of each surviving column of the level before
+    renum = {j: j for j in range(frame[0][0].module.rank)}
+    for k, cols in enumerate(levels):
+        shifts = frame[k][0].module.shifts
+        target = FreeModule(ring, len(renum), [shifts[j] for j in renum])
+        survivors = [c for c in range(len(cols)) if c not in dropped[k]]
+        if not survivors:
+            break
+        diffs.append([_renumbered(target, renum, cols[c])
+                      for c in survivors])
+        renum = {c: n for n, c in enumerate(survivors)}
+    return diffs
 
 
 class GradedResolution:
@@ -159,6 +225,16 @@ class GradedResolution:
         return all(_unit_entry(col) is None
                    for cols in self.diffs for col in cols)
 
+    def euler_characteristic(self):
+        """The alternating sum over k of t^shift over the generators of
+        F_k, as {degree: coefficient}: for an exact resolution, the
+        numerator of the module's Hilbert series."""
+        out = {}
+        for k in range(self.pd + 1):
+            for s in self.shifts(k):
+                out[s] = out.get(s, 0) + (-1) ** k
+        return {d: c for d, c in out.items() if c}
+
     def composes_to_zero(self):
         for k in range(1, self.pd):
             prev = self.diffs[k - 1]
@@ -176,7 +252,14 @@ def minimal_free_resolution(cols, f0, length_cap=None, minimalize_f0=False):
     """Minimal graded free resolution of coker(cols : F_1 -> f0).
 
     cols are Vecs in f0.  With minimalize_f0 the generators of the module
-    itself are minimalized first (used for abstract presentations).
+    itself are minimalized first (used for abstract presentations).  The
+    frame starts from the reduced Groebner basis of the columns; each next
+    level is `schreyer_syzygies` of the last, until one is empty, and the
+    whole frame is minimalized once.  With a length cap the frame is built
+    through d_{cap+2} at most, which fixes the minimal rank of F_{cap+1}:
+    ResourceExceeded is raised only when the minimal length exceeds the
+    cap.  The graded Euler characteristic of the result is crosschecked
+    against the Hilbert numerator read off the basis leads.
     """
     ring = f0.ring
     cols = [c for c in cols if not c.is_zero()]
@@ -187,21 +270,44 @@ def minimal_free_resolution(cols, f0, length_cap=None, minimalize_f0=False):
         f0_shifts = [f0_shifts[i] for i in vcols]
     if not cols:
         return GradedResolution(ring, f0_shifts, [])
-    diffs = [cols]
-    while True:
-        if length_cap is not None and len(diffs) > length_cap:
-            raise ResourceExceeded("resolution length cap exceeded")
-        syz = module_syzygies(diffs[-1])
-        prev, syz = minimalize_step(diffs[-1], syz)
-        diffs[-1] = prev
-        if not prev:
-            # the whole step died: previous module was free
-            diffs.pop()
-            break
+
+    def lex_descending(b):
+        (comp, e), _ = b.terms[0]
+        return comp, tuple(map(neg, e))
+
+    # within a component, leads descend lexicographically, as in
+    # schreyer_syzygies, which bounds the frame's length
+    gb = sorted(module_buchberger(cols).basis, key=lex_descending)
+    frame = [gb]
+    while length_cap is None or len(frame) < length_cap + 2:
+        syz = schreyer_syzygies(frame[-1])
         if not syz:
             break
-        diffs.append(syz)
-    return GradedResolution(ring, f0_shifts, diffs)
+        frame.append(syz)
+    diffs = _minimalize_frame(frame)
+    if length_cap is not None and len(diffs) > length_cap:
+        raise ResourceExceeded("resolution length cap exceeded")
+    res = GradedResolution(ring, f0_shifts, diffs)
+    numerator = {}
+    for shift, num in zip(f0_shifts, _component_numerators(
+            len(f0_shifts), gb, ring.weights)):
+        numerator = upoly_add(numerator,
+                              {d + shift: c for d, c in num.items()})
+    crosscheck("graded Euler characteristic of the resolution and the "
+               "Hilbert numerator of its module",
+               res.euler_characteristic(), numerator)
+    return res
+
+
+def _component_numerators(rank, basis, weights):
+    """The Hilbert numerator of each component of F/(basis), unshifted,
+    for a Groebner basis in a free module F of this rank, read off the
+    basis leads."""
+    leads = [[] for _ in range(rank)]
+    for b in basis:
+        (comp, e), _ = b.lead()
+        leads[comp].append(e)
+    return [hilbert_numerator(exps, weights) for exps in leads]
 
 
 class ModulePresentation:
@@ -277,15 +383,10 @@ class ModulePresentation:
     def length(self):
         """k-dimension, or INFINITE."""
         f0, _ = self.free_presentation()
-        ring = self.ambient.ring
-        leads = [[] for _ in range(f0.rank)]
-        for b in self._basis():
-            (comp, e), _ = b.lead()
-            leads[comp].append(e)
+        weights = self.ambient.ring.weights
         total = 0
-        for comp in range(f0.rank):
-            num = hilbert_numerator(leads[comp], ring.weights)
-            l = finite_length(num, ring.weights)
+        for num in _component_numerators(f0.rank, self._basis(), weights):
+            l = finite_length(num, weights)
             if l == INFINITE:
                 return INFINITE
             total += l

@@ -188,6 +188,11 @@ MALFORMED = {
                                         "generator y^2 + x"),
     "duplicate_variable": ("vars x x y\nideal x*y\nparams x, y\n",
                            ["check"], "line 1, col 8: duplicate variable 'x'"),
+    "char_above_prime_bound": (
+        "vars x y\nchar 3317044064679887385961981\nideal x*y\nparams x, y\n",
+        ["check"], "line 2, col 1: characteristic 3317044064679887385961981 "
+                   "is too large: primality is decided below "
+                   "3317044064679887385961981 only"),
 }
 
 
@@ -202,6 +207,18 @@ def test_cli_rejects_malformed_document(tmp_path, case):
     code, out = run([args[0], str(path)] + args[1:])
     assert code == 3
     assert inputfmt.parse_report(out)["error"] == error
+
+
+@pytest.mark.parametrize("cap, want", [(4, 0), (3, 4)])
+def test_cli_resolution_cap_bounds_the_minimal_length(cap, want):
+    """The Rees presentation of Hochster-Roberts has a minimal resolution
+    of length 4 and a Schreyer frame one level longer; only a minimal
+    length above the cap is a resource limit (exit 4)."""
+    code, out = run(["oracle", corpus_path("hochster_roberts"),
+                     "--resolution-cap", str(cap)])
+    assert code == want
+    if want == 0:
+        assert inputfmt.parse_report(out)["pd"] == "4"
 
 
 def test_cli_examples_unknown_name():

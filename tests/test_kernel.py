@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import time
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from reesgor.fields import GF, QQ, DEFAULT_PRIME
+from reesgor.fields import GF, QQ, DEFAULT_PRIME, PRIME_BOUND, is_prime
 from reesgor.groebner import groebner_basis, is_member, normal_form
 from reesgor.hilbert import (count_standard_monomials, dimension_from_numerator,
                              finite_length, hilbert_numerator, quotient_series,
@@ -41,6 +43,33 @@ def test_prime_field_add_commutes(a, b):
 def test_rational_field_exact():
     third = QQ.div(QQ.of(1), QQ.of(3))
     assert QQ.mul(third, QQ.of(3)) == QQ.one
+
+
+def _trial_division_is_prime(n):
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _trial_division_is_prime(n)
+               for n in range(-3, 10 ** 5))
+    assert not is_prime(561)                # a Carmichael number
+    # the least strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(3215031751)
+
+
+def test_is_prime_decides_a_large_prime_fast():
+    start = time.process_time()
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime((2 ** 61 - 1) * 1000003)
+    assert time.process_time() - start < 1.0
+
+
+def test_is_prime_refuses_beyond_its_bound():
+    # the least strong pseudoprime to the primes up to 37; base 41 exposes it
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ValueError):
+        is_prime(PRIME_BOUND)
 
 
 def test_gf_rejects_composites():

@@ -1,16 +1,21 @@
 """Minimal graded free resolutions, Ext duals, module presentations."""
 
+import contextlib
+import io
 import itertools
+import os
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from reesgor.errors import NotApplicable
+from reesgor.errors import (EquivalenceViolation, NotApplicable,
+                            ResourceExceeded)
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
-from reesgor.hilbert import INFINITE
-from reesgor.modules import FreeModule
+from reesgor.hilbert import INFINITE, hilbert_numerator
+from reesgor.modules import FreeModule, module_syzygies, schreyer_syzygies
 from reesgor.polys import PolyRing
 from reesgor import resolutions
+from reesgor.cli import run_cli
 from reesgor.resolutions import (ModulePresentation, ext_dualizing,
                                  minimalize_step, resolve_quotient_ring)
 
@@ -332,3 +337,157 @@ def test_minimalize_step_matches_per_pivot_reference(diff):
     assert [v.terms for v in out] == [v.terms for v in ref_out]
     assert [v.module.shifts for v in out] == [v.module.shifts for v in ref_out]
     assert all(_reference_unit_entry(v) is None for v in out)
+
+
+# -- the Schreyer frame against the iterated-syzygy loop -------------------
+#
+# The reference is the loop the frame replaced: a fresh module_syzygies of
+# each differential, minimalized against it by minimalize_step.
+
+def _reference_resolution(cols, f0, minimalize_f0=False):
+    diffs = [[c for c in cols if not c.is_zero()]]
+    shifts = f0.shifts
+    if minimalize_f0 and diffs[0]:
+        kept, diffs[0] = minimalize_step(range(f0.rank), diffs[0])
+        shifts = [shifts[i] for i in kept]
+    if not diffs[0]:
+        return resolutions.GradedResolution(f0.ring, shifts, [])
+    while True:
+        prev, syz = minimalize_step(diffs[-1], module_syzygies(diffs[-1]))
+        diffs[-1] = prev
+        if not prev:
+            diffs.pop()
+            break
+        if not syz:
+            break
+        diffs.append(syz)
+    return resolutions.GradedResolution(f0.ring, shifts, diffs)
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """(ring, generators): 2-4 homogeneous generators of degree 1-3 with
+    1-3 terms, in 4 or 5 variables over GF(2), GF(3) or GF(32003)."""
+    field = GF(draw(st.sampled_from([2, 3, DEFAULT_PRIME])))
+    n = draw(st.integers(min_value=4, max_value=5))
+    R = PolyRing(("a", "b", "c", "d", "e")[:n], (1,) * n, field)
+    gens = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        monos = _monomials(n, draw(st.sampled_from([1, 2, 2, 3])))
+        terms = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3,
+                              unique=True))
+        coeffs = draw(st.lists(st.integers(min_value=1, max_value=field.p - 1),
+                               min_size=len(terms), max_size=len(terms)))
+        gens.append(R.from_dict({e: field.of(c)
+                                 for e, c in zip(terms, coeffs)}))
+    return R, gens
+
+
+def _long_frame_ideal():
+    """A complete intersection in 6 variables, pd 3, whose frame has 6
+    levels: capped at its pd, the frame is cut at d_5."""
+    R = PolyRing(("a", "b", "c", "d", "e", "f"), (1,) * 6, F)
+    a, b, c, d, e, f = R.gens()
+    return R, [a ** 3 + a * d ** 2, a * b * c + a * e ** 2 + c * e ** 2,
+               d ** 2 * e + b * d * f]
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_ideals())
+@example(_long_frame_ideal())
+def test_frame_resolution_matches_iterated_syzygies(ideal):
+    R, gens = ideal
+    res = resolve_quotient_ring(R, gens)
+    f0 = FreeModule(R, 1, (0,))
+    ref = _reference_resolution([f0.from_poly_list([(0, g)]) for g in gens],
+                                f0)
+    assert res.pd == ref.pd
+    for k in range(res.pd + 1):
+        assert sorted(res.shifts(k)) == sorted(ref.shifts(k)), k
+    assert res.is_minimal()
+    assert res.composes_to_zero()
+    # a cap at the minimal length cuts the frame at d_{pd+2} and succeeds
+    capped = resolve_quotient_ring(R, gens, length_cap=ref.pd)
+    assert [capped.shifts(k) for k in range(capped.pd + 1)] == \
+        [res.shifts(k) for k in range(res.pd + 1)]
+    if ref.pd:
+        with pytest.raises(ResourceExceeded):
+            resolve_quotient_ring(R, gens, length_cap=ref.pd - 1)
+
+
+def test_frame_resolves_presentations_like_iterated_syzygies(
+        corpus_instances):
+    """Module presentations minimalize their generators before the frame:
+    each Ext module of a corpus ring, and q modulo I as s2 presents an
+    ideal of A."""
+    for name, (A, q) in corpus_instances.items():
+        mods = [A.ext(i) for i in range(A.ambient.n + 1)]
+        Fm = FreeModule(A.ambient, 1)
+        mods.append(ModulePresentation(
+            Fm, [Fm.basis_vec(0, g) for g in q.gb()],
+            [Fm.basis_vec(0, g) for g in A.defining]))
+        for i, mod in enumerate(mods):
+            f0, cols = mod.free_presentation()
+            res = mod.resolution()
+            ref = _reference_resolution(cols, f0, minimalize_f0=True)
+            assert res.betti() == ref.betti(), (name, i)
+            for k in range(res.pd + 1):
+                assert sorted(res.shifts(k)) == sorted(ref.shifts(k)), \
+                    (name, i, k)
+            assert res.is_minimal() and res.composes_to_zero(), (name, i)
+
+
+def test_schreyer_syzygies_of_a_non_basis_raise():
+    """x^2 and x*y + y^2 are no Groebner basis: their S-vector leaves y^3."""
+    R = ring2()
+    x, y = R.gens()
+    Fm = FreeModule(R, 1)
+    with pytest.raises(EquivalenceViolation):
+        schreyer_syzygies([Fm.basis_vec(0, x * x),
+                           Fm.basis_vec(0, x * y + y * y)])
+
+
+def test_schreyer_syzygy_leads():
+    """On a Groebner basis the syzygies lead with m_ij e_i, descending
+    lexicographically within each e_i, and each is a syzygy."""
+    R = ring3()
+    x, y, z = R.gens()
+    Fm = FreeModule(R, 1)
+    basis = [Fm.basis_vec(0, g) for g in (x * y, x * z, y * z)]
+    syz = schreyer_syzygies(basis)
+    assert syz[0].module.shifts == (2, 2, 2)
+    # the pairs (0, 1) and (0, 2) share m = z, so one of them is kept
+    assert [v.lead() for v in syz] == [((0, (0, 0, 1)), 1),
+                                       ((1, (0, 1, 0)), 1)]
+    for v in syz:
+        acc = Fm.zero()
+        for (comp, e), c in v.terms:
+            acc = acc + basis[comp].mul_term(e, c)
+        assert acc.is_zero()
+
+
+def test_euler_characteristic_is_the_hilbert_numerator(corpus_instances):
+    for name, (A, _) in corpus_instances.items():
+        num = hilbert_numerator([g.lead_exp() for g in A.gb()],
+                                A.ambient.weights)
+        assert A.resolution().euler_characteristic() == num, name
+
+
+def test_inexact_resolution_fails_the_crosscheck(monkeypatch, two_planes):
+    """A frame minimalization that loses a generator breaks the Euler
+    characteristic; the CLI reports it as a disagreement (exit 5)."""
+    real = resolutions._minimalize_frame
+
+    def lossy(frame):
+        diffs = real(frame)
+        return diffs[:-1] + [diffs[-1][1:]] if len(diffs[-1]) > 1 \
+            else diffs[:-1]
+
+    monkeypatch.setattr(resolutions, "_minimalize_frame", lossy)
+    A, _ = two_planes
+    with pytest.raises(EquivalenceViolation):
+        resolve_quotient_ring(A.ambient, A.defining)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "corpus",
+                        "two_planes.ring")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(["invariants", path]) == 5
