@@ -1,12 +1,10 @@
 """Built-in example rings: the Hochster-Roberts subring, the two-planes
-ring, idealizations of parameter ideals over k[x,y], and the regular base
-used as a negative control.
+ring, idealizations of parameter ideals over k[x,y] and k[x,y,z], and the
+regular base used as a negative control.
 """
 
-from .errors import NotParameters
 from . import inputfmt, rings
 from .fields import DEFAULT_PRIME
-from .groebner import groebner_basis
 from .modules import FreeModule, module_syzygies
 from .polys import PolyRing
 
@@ -42,12 +40,8 @@ def build_idealization(b_names, b_weights, q_exprs, char=DEFAULT_PRIME,
     """
     B = PolyRing(tuple(b_names), tuple(b_weights), _field(char))
     q_gens = [inputfmt.parse_poly(e, B) for e in q_exprs]
-    gb = groebner_basis(q_gens)
-    from .hilbert import dimension_from_numerator, hilbert_numerator
-    num = hilbert_numerator([g.lead_exp() for g in gb], B.weights)
-    if dimension_from_numerator(num, B.weights) != 0 \
-            or len(q_gens) != B.n:
-        raise NotParameters("Q must be a parameter ideal of the base ring")
+    rings.check_parameters(
+        rings.PresentedGradedRing.from_ambient(B, []).ideal(q_gens))
     t = len(q_gens)
     z_names = tuple(_z_name(B, j) for j in range(t))
     z_weights = tuple(g.degree() for g in q_gens)
@@ -98,6 +92,9 @@ EXAMPLES = {
         ("x", "y"), (1, 1), ("x", "y"), label="idealization_xy"),
     "idealization_x2y3": lambda: build_idealization(
         ("x", "y"), (1, 1), ("x^2", "y^3"), label="idealization_x2y3"),
+    "idealization_xyz": lambda: build_idealization(
+        ("x", "y", "z"), (1, 1, 1), ("x", "y", "z"),
+        label="idealization_xyz"),
     "regular_base": lambda: build_regular_base(),
 }
 

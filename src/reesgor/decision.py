@@ -3,8 +3,7 @@ of a parameter ideal: the two criteria routes with consequence checks,
 the dimension-two Shimoda test, and the Buchsbaum multiplicity test.
 """
 
-from .errors import (DepthNotOne, HypothesisNotVerified, NotParameters,
-                     WrongDimension)
+from .errors import DepthNotOne, HypothesisNotVerified, WrongDimension
 from . import errors, invariants, rings, s2
 
 
@@ -38,16 +37,9 @@ class BuchsbaumReport:
         self.verdict = verdict
 
 
-def _validate_parameters(A, q):
-    d = A.dim()
-    if len(q.gens) != d or q.quotient_dim() != 0:
-        raise NotParameters("q must be generated by a system of parameters")
-    return d
-
-
 def _prepare(A, q, seed=0):
     """Shared certificate inputs for both condition routes."""
-    d = _validate_parameters(A, q)
+    d = rings.check_parameters(q)
     pair = s2.filter_regular_pair(A, q, seed)
     profile = s2.hypothesis_profile(A, pair=pair)
     if not profile.verdict:
@@ -81,7 +73,9 @@ def decide_condition2(A, q, prepared):
 
 def decide_condition3(A, q, prepared, r_max=10):
     """Depth one, type one, the multiplicity equation for the conductor,
-    and q a reduction of the conductor.  `prepared` is `_prepare(A, q)`."""
+    and q a reduction of the conductor.  `prepared` is `_prepare(A, q)`.
+    When q reduces c, e_c = e_q (Northcott-Rees) is read off the Hilbert
+    series of A; otherwise it comes from the difference scheme."""
     d, pair, profile, data = prepared
     rep = invariants.depth_and_type(A)
     depth_is_1 = rep.depth == 1
@@ -92,11 +86,12 @@ def decide_condition3(A, q, prepared, r_max=10):
         e_c = len_c = red = None
         mult_eq = red_found = False
     else:
-        e_c = invariants.multiplicity(A, c)
-        len_c = invariants.artinian_length(A, c)
-        mult_eq = (e_c == 2 * len_c)
         red = invariants.is_reduction(q, c, r_max=r_max)
         red_found = red != invariants.NOT_FOUND
+        e_c = (invariants.parameter_multiplicity(A, q) if red_found
+               else invariants.multiplicity(A, c))
+        len_c = invariants.artinian_length(A, c)
+        mult_eq = (e_c == 2 * len_c)
     verdict = depth_is_1 and type_is_1 and mult_eq and red_found
     return {
         "depth_is_1": depth_is_1,
@@ -170,7 +165,7 @@ def shimoda_check(A, a, b):
     if A.dim() != 2:
         raise WrongDimension("the pairwise criterion needs dim A = 2")
     q = A.ideal([a, b])
-    _validate_parameters(A, q)
+    rings.check_parameters(q)
     regular = A.is_regular_element(a) and A.is_regular_element(b)
     aA, bA = A.ideal([a]), A.ideal([b])
     col_ab = rings.colon(aA, b)
@@ -201,22 +196,24 @@ def shimoda_check(A, a, b):
 def buchsbaum_criterion(A, q, r_max=10):
     """Multiplicity-two test: e_m(A) = 2 and q a reduction of m.
 
-    The Buchsbaum property of A itself is a caller assertion and is not
-    machine-verified.
+    e_q, read off the Hilbert series of A, is crosschecked against the
+    length of A/b and is e_m when q reduces m; otherwise e_m comes from the
+    difference scheme.  The Buchsbaum property of A itself is a caller
+    assertion and is not machine-verified.
     """
     rep = invariants.depth_and_type(A)
     if rep.depth != 1:
         raise DepthNotOne("the multiplicity criterion needs depth 1")
-    _validate_parameters(A, q)
+    rings.check_parameters(q)
     m = A.maximal_ideal()
-    e_m = invariants.multiplicity(A, m)
     red = invariants.is_reduction(q, m, r_max=r_max)
     red_found = red != invariants.NOT_FOUND
+    e_q = invariants.parameter_multiplicity(A, q)
+    e_m = e_q if red_found else invariants.multiplicity(A, m)
     head, last = q.gens[:-1], q.gens[-1]
     col = rings.colon(A.ideal(head), last)
     b_ideal = A.ideal([*col.gens, last])
     len_b = invariants.artinian_length(A, b_ideal)
-    errors.crosscheck("multiplicity of q and the length of A/b",
-                      invariants.multiplicity(A, q), len_b)
+    errors.crosscheck("multiplicity of q and the length of A/b", e_q, len_b)
     verdict = (e_m == 2) and red_found
     return BuchsbaumReport(e_m, red, b_ideal, len_b, verdict)

@@ -30,10 +30,6 @@ def upoly_add(a, b):
     return out
 
 
-def upoly_sub(a, b):
-    return upoly_add(a, {d: -c for d, c in b.items()})
-
-
 def upoly_eval_one(a):
     return sum(a.values())
 
@@ -78,37 +74,34 @@ def hilbert_numerator(exps, weights):
         g = gens[-1]
         rest = gens[:-1]
         colon = [tuple(max(x - y, 0) for x, y in zip(e, g)) for e in rest]
-        return upoly_sub(rec(rest),
-                         {wdeg(g) + d: c for d, c in rec(colon).items()})
+        return upoly_add(rec(rest),
+                         {wdeg(g) + d: -c for d, c in rec(colon).items()})
 
     return rec(list(exps))
 
 
-def one_minus_t_multiplicity(num):
-    """Multiplicity of the root t = 1 in the numerator polynomial."""
-    mult = 0
+def divide_one_minus_t(num):
+    """(k, g) with num = (1 - t)^k g and g(1) != 0 (k = 0 for num = 0)."""
+    k = 0
     cur = dict(num)
     while cur and upoly_eval_one(cur) == 0:
-        # divide by (1 - t): if f = (1-t) g then g_k = f_0 + ... + f_k ... do
-        # synthetic division by (t - 1) and negate
-        maxdeg = max(cur)
-        coeffs = [cur.get(d, 0) for d in range(maxdeg + 1)]
-        # f(t) = (1 - t) g(t): g has degree maxdeg - 1
-        g = [0] * maxdeg
+        # f(t) = (1 - t) g(t): g_d = f_0 + ... + f_d, of degree deg f - 1
         acc = 0
-        for d in range(maxdeg):
-            acc += coeffs[d]
-            g[d] = acc
-        cur = {d: c for d, c in enumerate(g) if c}
-        mult += 1
-    return mult
+        g = {}
+        for d in range(max(cur)):
+            acc += cur.get(d, 0)
+            if acc:
+                g[d] = acc
+        cur = g
+        k += 1
+    return k, cur
 
 
 def dimension_from_numerator(num, weights):
     """Krull dimension of P/I from the numerator of its Hilbert series."""
     if not num:
         return -1  # the unit ideal: empty quotient
-    return len(weights) - one_minus_t_multiplicity(num)
+    return len(weights) - divide_one_minus_t(num)[0]
 
 
 def quotient_series(num, weights):

@@ -1,13 +1,16 @@
 """Numerical invariants of a presented graded ring at the irrelevant ideal:
-dimension, depth, type, Artinian lengths, Hilbert-Samuel multiplicity,
-reduction numbers, and the Artinian Gorenstein test.
+dimension, depth, type, Artinian lengths, Hilbert-Samuel multiplicities
+(from the Hilbert series for parameter ideals), reduction numbers, and the
+Artinian Gorenstein test.
 """
 
 from collections import namedtuple
+from fractions import Fraction
+from math import prod
 
-from .errors import NoStabilization, NotArtinian, NotContained
+from .errors import NoStabilization, NotArtinian, NotContained, crosscheck
 from . import idealops
-from .hilbert import INFINITE
+from .hilbert import INFINITE, divide_one_minus_t, upoly_eval_one
 from . import rings
 
 NOT_FOUND = "NOT_FOUND"
@@ -77,6 +80,18 @@ def multiplicity(A, J, cap=30):
         power = idealops.ideal_product(amb, power, J.gens, A.gb())
     raise NoStabilization("difference scheme did not settle within %d steps"
                           % cap)
+
+
+def parameter_multiplicity(A, q):
+    """e_q(A) for a homogeneous system of parameters q, with no power of q:
+    e_q(A) = chi(q; A) = (prod_i deg q_i) * lim_{t->1} (1-t)^d H_A(t)
+    (Serre, Algebre locale, multiplicites).  For the Hilbert numerator
+    N = (1-t)^(n-d) g of A the limit is g(1) / prod_i w_i, kept exact."""
+    rings.check_parameters(q)
+    _, g = divide_one_minus_t(A.hilbert_numerator())
+    chi = (Fraction(upoly_eval_one(g), prod(A.ambient.weights))
+           * prod(f.degree() for f in q.gens))
+    return crosscheck("chi(q; A) is an integer", int(chi), chi)
 
 
 def is_reduction(q, c, r_max=10):

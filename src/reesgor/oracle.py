@@ -9,7 +9,7 @@ every presentation here is connected graded over the base field.
 
 import itertools
 
-from .errors import DepthNotOne, NotParameters, crosscheck
+from .errors import DepthNotOne, crosscheck
 from . import idealops, invariants, rings
 from .groebner import groebner_basis, normal_form
 from .orders import GrevlexOrder
@@ -40,9 +40,7 @@ def rees_presentation(A, q, n):
     """Present R(q^n) by elimination, with a substitution check."""
     if n < 1:
         raise ValueError("power must be at least 1")
-    d = A.dim()
-    if len(q.gens) != d or q.quotient_dim() != 0:
-        raise NotParameters("q must be a parameter ideal")
+    d = rings.check_parameters(q)
     amb = A.ambient
     gens_n = power_monomials(q.gens, n)
     t_names = tuple(_t_name(amb, j) for j in range(len(gens_n)))

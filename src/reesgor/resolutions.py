@@ -18,6 +18,7 @@ Hilbert numerator of the module.  A resolution stores its differentials as
 tuples, so a cached one can be shared between callers.
 """
 
+from itertools import product
 from operator import ge, neg
 
 from .errors import NotFiniteLength, ResourceExceeded, crosscheck
@@ -27,11 +28,6 @@ from .modules import (FreeModule, module_buchberger, module_colon,
                       module_syzygies, reducer_index, schreyer_syzygies,
                       vec_nf)
 from .polys import _exp_mul
-
-
-def _column_entry(vec, comp):
-    d = {e: c for (cc, e), c in vec.terms if cc == comp}
-    return vec.module.ring.from_dict(d)
 
 
 def _unit_entry(vec):
@@ -219,7 +215,7 @@ class GradedResolution:
         """Entries of d_k as rows x cols of Poly (k >= 1)."""
         cols = self.diffs[k - 1]
         rank = len(self.shifts(k - 1))
-        return [[_column_entry(col, i) for col in cols] for i in range(rank)]
+        return [[col.component(i) for col in cols] for i in range(rank)]
 
     def is_minimal(self):
         return all(_unit_entry(col) is None
@@ -480,17 +476,8 @@ def _standard_module_basis(f0, gb):
             if not pure:
                 raise NotFiniteLength("component has infinite colength")
             bounds.append(min(pure))
-
-        def rec(i, exp):
-            if i == n:
-                t = tuple(exp)
-                if not any(all(map(ge, t, e)) for e in L):
-                    out.append((comp, t))
-                return
-            for v in range(bounds[i]):
-                rec(i + 1, exp + [v])
-
-        rec(0, [])
+        out.extend((comp, t) for t in product(*map(range, bounds))
+                   if not any(all(map(ge, t, e)) for e in L))
     return out
 
 

@@ -3,13 +3,15 @@
 Ideals of A are stored as preimages in the ambient polynomial ring P:
 every A-level operation becomes a P-level operation on generator lists
 that always carry the defining ideal I along.
-A ring memoizes the basis of I, its resolution, its Ext modules and one
-`ColonGraph` per colon (gens, I) : b by an element b, from which come the
-colon ideal, the module ((gens, I) : b)/(gens, I), the regularity test of
-b and every division by b in A (gens empty), once per ring.
+A ring memoizes the basis of I, its Hilbert numerator, its resolution,
+its Ext modules and one `ColonGraph` per colon (gens, I) : b by an
+element b, from which come the colon ideal, the module
+((gens, I) : b)/(gens, I), the regularity test of b and every division by
+b in A (gens empty), once per ring.
 """
 
 from collections import namedtuple
+from types import MappingProxyType
 
 from .errors import (NonPositiveWeight, NotDivisible, NotParameters,
                      OwnerMismatch, crosscheck)
@@ -51,6 +53,7 @@ class PresentedGradedRing:
             self.defining.append(g)
         self.label = label
         self._gb = None
+        self._numerator = None
         self._dim = None
         self._resolution = None
         self._ext = {}
@@ -64,11 +67,18 @@ class PresentedGradedRing:
             self._gb = tuple(groebner_basis(self.defining))
         return self._gb
 
+    def hilbert_numerator(self):
+        """N(t) with H_A(t) = N(t) / prod_i (1 - t^w_i), from the leads of
+        the basis of I, as a read-only {degree: coefficient} mapping."""
+        if self._numerator is None:
+            self._numerator = MappingProxyType(hilbert_numerator(
+                [g.lead_exp() for g in self.gb()], self.ambient.weights))
+        return self._numerator
+
     def dim(self):
         if self._dim is None:
-            num = hilbert_numerator([g.lead_exp() for g in self.gb()],
-                                    self.ambient.weights)
-            self._dim = dimension_from_numerator(num, self.ambient.weights)
+            self._dim = dimension_from_numerator(self.hilbert_numerator(),
+                                                 self.ambient.weights)
         return self._dim
 
     def resolution(self, length_cap=None):
@@ -211,10 +221,9 @@ class Ideal:
     def quotient_dim(self):
         """Krull dimension of A / this ideal."""
         if self._dim is None:
-            num = hilbert_numerator([g.lead_exp() for g in self.gb()],
-                                    self.owner.ambient.weights)
-            self._dim = dimension_from_numerator(num,
-                                                 self.owner.ambient.weights)
+            weights = self.owner.weights
+            self._dim = dimension_from_numerator(hilbert_numerator(
+                [g.lead_exp() for g in self.gb()], weights), weights)
         return self._dim
 
     def is_zero(self):
@@ -318,11 +327,18 @@ def ring_map_kernel(targets, source_names, target_ring):
     return Ideal(source, out)
 
 
+def check_parameters(q):
+    """dim A for the ring A of q, once q is seen to be generated by a
+    system of parameters of A; NotParameters otherwise."""
+    d = q.owner.dim()
+    if len(q.gens) != d or q.quotient_dim() != 0:
+        raise NotParameters("q must be generated by a system of parameters")
+    return d
+
+
 def sigma_tilde(a_list, A):
     """The colon-sum ideal sum_i ((a_1,..,a_i-hat,..,a_d) : a_i) of A."""
-    q = Ideal(A, a_list)
-    if q.quotient_dim() != 0 or len(a_list) != A.dim():
-        raise NotParameters("elements are not a system of parameters")
+    check_parameters(Ideal(A, a_list))
     total = []
     for i, ai in enumerate(a_list):
         rest = [a for j, a in enumerate(a_list) if j != i]

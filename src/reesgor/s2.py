@@ -10,6 +10,7 @@ test, the overring CM check and `s2_construct` share one graph basis.
 
 import random
 from collections import namedtuple
+from itertools import permutations
 
 from .errors import (HypothesisNotVerified, NotApplicable, PairNotFound,
                      crosscheck)
@@ -32,11 +33,7 @@ def filter_regular_pair(A, q, seed=0):
     seeded random combinations of equal-degree generators.
     """
     gens = list(q.gens)
-    candidates = []
-    for i, a in enumerate(gens):
-        for j, b in enumerate(gens):
-            if i != j:
-                candidates.append((a, b))
+    candidates = list(permutations(gens, 2))
     rng = random.Random(seed)
     by_deg = {}
     for g in gens:

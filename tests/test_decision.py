@@ -3,7 +3,7 @@ variants."""
 
 import pytest
 
-from reesgor import corpus, decision, rings
+from reesgor import corpus, decision, invariants, rings
 from reesgor.errors import (DepthNotOne, HypothesisNotVerified,
                             NotParameters, WrongDimension)
 from reesgor.fields import GF, DEFAULT_PRIME
@@ -184,6 +184,33 @@ def test_decide_resolves_the_ring_once(monkeypatch):
     assert calls.get("resolve_quotient_ring", 0) == 0
     assert calls.get("ext_dualizing", 0) == 0
     assert second == first
+
+
+def test_true_verdict_forms_no_multiplicity_by_differences(monkeypatch):
+    """A true verdict has q reducing the conductor, so e_c comes from the
+    Hilbert series of A and the difference scheme is never run; the
+    Buchsbaum test runs it only for an e_m that q does not reduce."""
+    calls = []
+    multiplicity = invariants.multiplicity
+
+    def counting(A, J, *args):
+        calls.append(J)
+        return multiplicity(A, J, *args)
+    monkeypatch.setattr(invariants, "multiplicity", counting)
+    for name in ("hochster_roberts", "two_planes", "idealization_xy",
+                 "idealization_x2y3", "idealization_xyz"):
+        A, q = corpus.EXAMPLES[name]()
+        report = decision.decide(A, q)
+        assert report.verdict, name
+        assert report.cond3["e_c"] == 2 * report.cond3["len_a_mod_c"], name
+        assert calls == [], name
+    A, q = corpus.EXAMPLES["two_planes"]()
+    assert decision.buchsbaum_criterion(A, q).e_m == 2
+    assert calls == []
+    A, q = corpus.EXAMPLES["idealization_x2y3"]()
+    rep = decision.buchsbaum_criterion(A, q)
+    assert (rep.e_m, rep.reduction_number) == (2, invariants.NOT_FOUND)
+    assert len(calls) == 1
 
 
 def _input_key(value):

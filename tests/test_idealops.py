@@ -297,7 +297,8 @@ def test_ideal_membership_respects_defining_ideal():
 
 def test_memoized_bases_cannot_be_corrupted():
     """The memoized bases of a ring and of an ideal are handed out as
-    tuples, so a caller cannot change what later reductions read."""
+    tuples, and the ring's Hilbert numerator as a read-only mapping, so a
+    caller cannot change what later reductions and dimensions read."""
     A, q = corpus.build_two_planes()
     x, a = A.gen(0), q.gens[0]
     ideal = A.ideal([a])
@@ -305,8 +306,12 @@ def test_memoized_bases_cannot_be_corrupted():
         A.gb().append(x)
     with contextlib.suppress(AttributeError):
         ideal.gb().clear()
+    with contextlib.suppress(TypeError):
+        A.hilbert_numerator()[0] = 5
     assert not A.reduce(x).is_zero()
     assert ideal.contains(a)
+    assert A.hilbert_numerator() is A.hilbert_numerator()
+    assert A.hilbert_numerator()[0] == 1 and A.dim() == 2
 
 
 def test_colon_graph_is_built_once_and_shared():

@@ -40,7 +40,7 @@ def run(args):
 
 def test_document_roundtrip_on_corpus_files():
     files = sorted(glob.glob(os.path.join(CORPUS, "*.ring")))
-    assert len(files) == 5
+    assert len(files) == 6
     for path in files:
         with open(path) as fh:
             text = fh.read()

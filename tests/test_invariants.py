@@ -2,8 +2,8 @@
 
 import pytest
 
-from reesgor import invariants, rings
-from reesgor.errors import NotArtinian, NotContained
+from reesgor import corpus, invariants, rings, s2
+from reesgor.errors import NotArtinian, NotContained, NotParameters
 from reesgor.fields import GF, DEFAULT_PRIME
 from reesgor.modules import FreeModule
 from reesgor.polys import PolyRing
@@ -62,6 +62,45 @@ def test_multiplicity_weighted_polynomial_ring():
     assert invariants.multiplicity(A, A.ideal([x, y])) == 1
     assert invariants.multiplicity(A, A.ideal([x * x, y])) == 2
     assert invariants.multiplicity(A, A.ideal([x * x, y ** 3])) == 6
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (1, 2)])
+def test_parameter_multiplicity_in_a_weighted_polynomial_ring(weights):
+    A = rings.PresentedGradedRing(("x", "y"), weights, [], field=F)
+    x, y = A.gens()
+    for gens in ([x, y], [x * x, y], [x * x, y ** 3]):
+        q = A.ideal(gens)
+        assert invariants.parameter_multiplicity(A, q) == \
+            invariants.multiplicity(A, q), (weights, gens)
+    with pytest.raises(NotParameters):
+        invariants.parameter_multiplicity(A, A.ideal([x]))
+
+
+def _check_parameter_multiplicity(A, q, label):
+    """chi(q; A) equals e_q by the difference scheme, and e_c for the
+    conductor c, which q reduces on every corpus ring with H^1 != 0."""
+    chi = invariants.parameter_multiplicity(A, q)
+    assert type(chi) is int, label
+    assert chi == invariants.multiplicity(A, q), label
+    c = s2.s2_construct(A, s2.filter_regular_pair(A, q)).conductor
+    if c.is_unit():
+        return
+    assert invariants.is_reduction(q, c) != invariants.NOT_FOUND, label
+    assert chi == invariants.multiplicity(A, c), label
+
+
+@pytest.mark.parametrize("char", [DEFAULT_PRIME, 0, 2, 3])
+def test_parameter_multiplicity_matches_the_difference_scheme(char):
+    for name in ("hochster_roberts", "two_planes", "idealization_xy",
+                 "idealization_x2y3", "regular_base"):
+        A, q, _ = corpus.example_document(name).build(char_override=char)
+        _check_parameter_multiplicity(A, q, (name, char))
+
+
+@pytest.mark.parametrize("params", [("x", "y", "z"), ("x^2", "y", "z")])
+def test_parameter_multiplicity_in_dimension_three(params):
+    A, q = corpus.build_idealization(("x", "y", "z"), (1, 1, 1), params)
+    _check_parameter_multiplicity(A, q, params)
 
 
 def test_is_reduction_of_the_maximal_ideal(two_planes):
