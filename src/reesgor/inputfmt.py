@@ -19,7 +19,7 @@ generator is homogeneous.
 import re
 
 from .errors import InputError
-from .fields import DEFAULT_PRIME, GF, QQ, is_prime
+from .fields import DEFAULT_PRIME, GF, PRIME_BOUND, QQ
 from .polys import PolyRing
 from . import rings
 
@@ -34,34 +34,41 @@ class InputDocument:
         self.power = None
         self.ideal_pos = []       # source (line, col) per expression,
         self.param_pos = []       # when parsed
+        self._field = None        # (char, field) of the last char tested
 
     def build(self, char_override=None):
         """Materialize (PresentedGradedRing, q: Ideal, power or None)."""
         if not self.vars:
             raise InputError("no vars directive")
-        char = self.char
-        if char_override is not None:
-            char = char_override
-            _check_char(char)
+        char = self.char if char_override is None else char_override
+        if self._field is None or self._field[0] != char:
+            self._field = (char, _field(char))
         names, weights = zip(*self.vars)
-        ambient = PolyRing(names, weights, QQ if char == 0 else GF(char))
+        ambient = PolyRing(names, weights, self._field[1])
+        # _generators tests each generator homogeneous, where its position
+        # is known, so the ring and the ideal do not test it again
         A = rings.PresentedGradedRing.from_ambient(
             ambient, _generators(ambient, self.ideal_exprs, self.ideal_pos),
-            label=self.name)
+            label=self.name, checked=True)
         params = _generators(ambient, self.param_exprs, self.param_pos)
-        q = A.ideal(params) if params else None
+        q = rings.Ideal(A, params, checked=True) if params else None
         return A, q, self.power
 
 
-def _check_char(char, line=None, col=None):
+def _field(char, line=None, col=None):
+    """The coefficient field of characteristic char: QQ for 0, else GF,
+    which tests char prime; a document keeps the field of the last char
+    it tested, so each characteristic is tested once per document."""
+    if char == 0:
+        return QQ
     try:
-        prime = is_prime(char)
+        return GF(char)
     except ValueError as err:
-        raise InputError("characteristic %d is too large: %s" % (char, err),
-                         line, col) from None
-    if char != 0 and not prime:
+        if char >= PRIME_BOUND:
+            raise InputError("characteristic %d is too large: %s"
+                             % (char, err), line, col) from None
         raise InputError("characteristic must be 0 or a prime, got %d"
-                         % char, line, col)
+                         % char, line, col) from None
 
 
 def _generators(ring, exprs, positions):
@@ -101,7 +108,7 @@ def parse_document(text):
                 doc.char = int(rest.strip())
             except ValueError:
                 raise InputError("char expects an integer", lineno, col)
-            _check_char(doc.char, lineno, col)
+            doc._field = (doc.char, _field(doc.char, lineno, col))
         elif key == "vars":
             for item, icol in _items(raw, key, r"\S+"):
                 if ":" in item:

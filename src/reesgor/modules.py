@@ -18,10 +18,12 @@ order.  The mask is a short exponent vector (Greuel-Pfister, A Singular
 Introduction to Commutative Algebra): bit i is set when exponent i is
 nonzero, so `lm & ~em` rejects most leads that cannot divide a term
 before the exponents are compared.  `vec_nf` orders its work heap by the
-order's `neg_key`, so no key is negated per push.  Interreduction needs
-no index per element: a lead never divides a smaller term of its own
-component, so each kept element's tail reduces against one index of all
-kept elements.
+order's `neg_key`, so no key is negated per push.  An S-vector reaches
+`vec_nf` as the unsorted term dict `_s_vector` builds, not as a sorted
+Vec, so each of its terms is keyed once, when it enters the heap.
+Interreduction needs no index per element: a lead never divides a
+smaller term of its own component, so each kept element's tail reduces
+against one index of all kept elements.
 
 Syzygies, colons and exact division all come from one Groebner basis of a
 graph module: the submodule of F + P^s spanned by rows (v_i, w_i), under
@@ -252,17 +254,22 @@ def _first_divisor(reducers, e):
 def vec_nf(f, basis, index=None):
     """Fully reduced normal form of f against basis (monic leads assumed).
 
-    `index` is the reducer index of basis, built here when not given.  A
-    term is reduced by the first basis element, in basis order, whose
-    lead divides it.
+    f is a Vec, or the terms {(comp, exp): coeff} of a vector of the
+    basis's module in any order, zero coefficients allowed, such as an
+    S-vector from `_s_vector`; the dict is consumed.  Each term is keyed
+    once, when it enters the work heap.  `index` is the reducer index of
+    basis, built here when not given.  A term is reduced by the first
+    basis element, in basis order, whose lead divides it.
     """
-    module = f.module
+    if isinstance(f, Vec):
+        module, work = f.module, dict(f.terms)
+    else:
+        module, work = basis[0].module, f
     if index is None:
         index = reducer_index(basis, module.rank)
     F = module.ring.field
     fadd, fmul, fneg, zero = F.add, F.mul, F.neg, F.zero
     neg_key = module.neg_key
-    work = dict(f.terms)
     heap = [(neg_key(comp, e), comp, e) for comp, e in work]
     heapq.heapify(heap)
     rem = []
@@ -304,10 +311,10 @@ class GroebnerData:
 
 
 def _s_vector(bi, bj, lcm):
-    """S-vector of two monic elements with the given lead lcm; the leads
-    cancel, so only the tails are multiplied."""
-    module = bi.module
-    F = module.ring.field
+    """S-vector of two monic elements with the given lead lcm, as the
+    unsorted term dict `vec_nf` takes; the leads cancel, so only the
+    tails are multiplied."""
+    F = bi.module.ring.field
     (_, ei), _ = bi.terms[0]
     (_, ej), _ = bj.terms[0]
     ui = tuple(map(sub, lcm, ei))
@@ -316,7 +323,7 @@ def _s_vector(bi, bj, lcm):
     for (comp, e), c in bj.terms[1:]:
         k = (comp, tuple(map(add, e, uj)))
         d[k] = F.sub(d.get(k, F.zero), c)
-    return module.from_dict(d)
+    return d
 
 
 def module_buchberger(gens, pair_cap=None):

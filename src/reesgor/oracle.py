@@ -11,7 +11,8 @@ import itertools
 
 from .errors import DepthNotOne, crosscheck
 from . import idealops, invariants, rings
-from .groebner import groebner_basis, normal_form
+from .groebner import groebner_basis
+from .modules import FreeModule, reducer_index, vec_nf
 from .orders import GrevlexOrder
 
 
@@ -51,8 +52,11 @@ def rees_presentation(A, q, n):
     work = [big.transfer(g) for g in A.defining]
     for j, g in enumerate(gens_n):
         work.append(big.gen(amb.n + j) - big.transfer(g) * t)
+    # the eliminated generators are the reduced basis of the Rees ideal
+    # under the grevlex order of `sub`, the rest block of the elimination
+    # order, so the ring keeps them as its gb()
     sub, out = idealops.eliminate(big, work, (big.n - 1,))
-    ring = rings.PresentedGradedRing.from_ambient(sub, out)
+    ring = rings.PresentedGradedRing.from_basis(sub, out)
     rp = ReesPresentation(A, q, n, gens_n, ring)
     _verify_substitution(rp)
     crosscheck("dimension of the Rees presentation and dim A + 1",
@@ -68,31 +72,40 @@ def _t_name(ring, j):
 
 
 def _verify_substitution(rp):
-    """Every defining generator must die under T_j -> g_j * t mod I."""
+    """Every defining generator must die under T_j -> g_j * t mod I.
+
+    The basis of I is turned into vectors and indexed once per check, and
+    each power (g_j t)^e or x_i^e is formed once.
+    """
     A = rp.base
     amb = A.ambient
     ext = amb.extend(("@t",), (1,))
     t = ext.gen(ext.n - 1)
-    images = [ext.transfer(g) * t for g in rp.power_gens]
+    # the image of each variable of the Rees ring: x_i itself, T_j -> g_j t
+    images = [ext.gen(i) for i in range(amb.n)]
+    images += [ext.transfer(g) * t for g in rp.power_gens]
     # a reduced grevlex basis of I stays one in P[t], whose new last
     # variable t changes no leading term
     gb = [ext.transfer(g) for g in A.gb()]
     if amb.order != GrevlexOrder(amb.weights):
         gb = groebner_basis(gb)
+    F = FreeModule(ext, 1)
+    basis = [F.from_poly_list([(0, g)]) for g in gb]
+    index = reducer_index(basis, 1)
+    powers = {}
     for f in rp.ring.defining:
         acc = ext.zero
         for exp, c in f.terms:
             term = ext.const(c)
             for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                if i < amb.n:
-                    term = term * ext.gen(i) ** e
-                else:
-                    term = term * images[i - amb.n] ** e
+                if e:
+                    if (i, e) not in powers:
+                        powers[(i, e)] = images[i] ** e
+                    term = term * powers[(i, e)]
             acc = acc + term
+        nf = vec_nf(F.from_poly_list([(0, acc)]), basis, index)
         crosscheck("substitution T_j -> g_j t into a defining generator",
-                   normal_form(acc, gb), ext.zero)
+                   nf.component(0), ext.zero)
 
 
 def graded_gorenstein_oracle(rp, length_cap=None):

@@ -5,16 +5,21 @@ Modules are subquotients (im gens)/(im rels) of a graded free module.
 A resolution is built from a Schreyer frame (Schreyer 1980; La Scala and
 Stillman, Strategies for computing minimal free resolutions, JSC 26,
 1998): its first level is the reduced Groebner basis of the presentation
-columns, and each next level is read off the S-pair reductions of the
+columns, or a basis the caller already holds, such as a ring's memoized
+`gb()`, and each next level is read off the S-pair reductions of the
 last by `modules.schreyer_syzygies`, under the Schreyer order that level
 induces.  Those syzygies are already a Groebner basis of the next syzygy
-module, so only the first level runs Buchberger.  The frame is exact but
-not minimal; it is minimalized once, level by level, by the unit-pivot
-loop of `minimalize_step`, so every stored differential has all entries
-in the irrelevant ideal.  A frame can be longer than the minimal
-resolution; a length cap raises only when the minimal length exceeds it.
-Each result's graded Euler characteristic is crosschecked against the
-Hilbert numerator of the module.  A resolution stores its differentials as
+module, so at most the first level runs Buchberger.  The frame is exact
+but not minimal; it is minimalized once, level by level, by the
+unit-pivot loop of `minimalize_step`, so every stored differential has
+all entries in the irrelevant ideal.  A frame can be longer than the
+minimal resolution; a length cap raises only when the minimal length
+exceeds it.  Each result is crosschecked twice: its graded Euler
+characteristic against the Hilbert numerator of the module (given by the
+caller or read off the basis leads), and its Betti numbers against the
+ranks of Tor(M, k), the homology of the frame tensored with k, whose
+differentials are the frame's constant entries (`tor_betti`, by sparse
+elimination over the field).  A resolution stores its differentials as
 tuples, so a cached one can be shared between callers.
 """
 
@@ -244,18 +249,60 @@ class GradedResolution:
         return True
 
 
-def minimal_free_resolution(cols, f0, length_cap=None, minimalize_f0=False):
+def _lex_descending(b):
+    (comp, e), _ = b.terms[0]
+    return comp, tuple(map(neg, e))
+
+
+def schreyer_frame(gb, length_cap=None):
+    """The levels of a Schreyer frame, the columns of d_1, d_2, ...
+
+    gb is a monic Groebner basis, the first level; it is listed with
+    leads descending lexicographically within each component, as
+    `schreyer_syzygies` lists every later level, which bounds the frame's
+    length.  Each next level is `schreyer_syzygies` of the last, until one
+    is empty or, with a length cap, through d_{cap+2}.
+    """
+    frame = [sorted(gb, key=_lex_descending)]
+    while length_cap is None or len(frame) < length_cap + 2:
+        syz = schreyer_syzygies(frame[-1])
+        if not syz:
+            break
+        frame.append(syz)
+    return frame
+
+
+def tor_betti(rank0, frame):
+    """dim Tor_k(M, k) for k = 0, ..., len(frame), where M = coker d_1 and
+    frame holds the columns of the differentials d_1, d_2, ... of a free
+    resolution of M whose next differential is zero.
+
+    Tor(M, k) is the homology of F tensor k, whose differentials keep the
+    constant entries of the d_k, so beta_k = f_k - rank(d_k tensor k) -
+    rank(d_{k+1} tensor k): the Betti numbers of M with no minimalization.
+    """
+    ranks = [0] + [_constant_rank(cols) for cols in frame] + [0]
+    sizes = [rank0] + [len(cols) for cols in frame]
+    return [f - ranks[k] - ranks[k + 1] for k, f in enumerate(sizes)]
+
+
+def minimal_free_resolution(cols, f0, length_cap=None, minimalize_f0=False,
+                            numerator=None):
     """Minimal graded free resolution of coker(cols : F_1 -> f0).
 
     cols are Vecs in f0.  With minimalize_f0 the generators of the module
     itself are minimalized first (used for abstract presentations).  The
-    frame starts from the reduced Groebner basis of the columns; each next
-    level is `schreyer_syzygies` of the last, until one is empty, and the
+    frame starts from the reduced Groebner basis of the columns; with
+    `numerator` (not with minimalize_f0), cols are that basis already and
+    numerator is the module's Hilbert numerator, so neither is computed
+    again.  Each next level is `schreyer_syzygies` of the last, and the
     whole frame is minimalized once.  With a length cap the frame is built
     through d_{cap+2} at most, which fixes the minimal rank of F_{cap+1}:
     ResourceExceeded is raised only when the minimal length exceeds the
     cap.  The graded Euler characteristic of the result is crosschecked
-    against the Hilbert numerator read off the basis leads.
+    against the Hilbert numerator, read off the basis leads when not
+    given, and its Betti numbers against the ranks of Tor(M, k) off the
+    frame (`tor_betti`).
     """
     ring = f0.ring
     cols = [c for c in cols if not c.is_zero()]
@@ -266,32 +313,28 @@ def minimal_free_resolution(cols, f0, length_cap=None, minimalize_f0=False):
         f0_shifts = [f0_shifts[i] for i in vcols]
     if not cols:
         return GradedResolution(ring, f0_shifts, [])
-
-    def lex_descending(b):
-        (comp, e), _ = b.terms[0]
-        return comp, tuple(map(neg, e))
-
-    # within a component, leads descend lexicographically, as in
-    # schreyer_syzygies, which bounds the frame's length
-    gb = sorted(module_buchberger(cols).basis, key=lex_descending)
-    frame = [gb]
-    while length_cap is None or len(frame) < length_cap + 2:
-        syz = schreyer_syzygies(frame[-1])
-        if not syz:
-            break
-        frame.append(syz)
+    gb = cols if numerator is not None else module_buchberger(cols).basis
+    frame = schreyer_frame(gb, length_cap)
     diffs = _minimalize_frame(frame)
     if length_cap is not None and len(diffs) > length_cap:
         raise ResourceExceeded("resolution length cap exceeded")
     res = GradedResolution(ring, f0_shifts, diffs)
-    numerator = {}
-    for shift, num in zip(f0_shifts, _component_numerators(
-            len(f0_shifts), gb, ring.weights)):
-        numerator = upoly_add(numerator,
-                              {d + shift: c for d, c in num.items()})
+    if numerator is None:
+        numerator = {}
+        for shift, num in zip(f0_shifts, _component_numerators(
+                len(f0_shifts), gb, ring.weights)):
+            numerator = upoly_add(numerator,
+                                  {d + shift: c for d, c in num.items()})
     crosscheck("graded Euler characteristic of the resolution and the "
                "Hilbert numerator of its module",
-               res.euler_characteristic(), numerator)
+               res.euler_characteristic(), dict(numerator))
+    tor = tor_betti(len(f0_shifts), frame)
+    if length_cap is not None and len(frame) == length_cap + 2:
+        tor.pop()   # the frame was cut: its next differential is unknown
+    betti = res.betti()
+    crosscheck("Betti numbers of the minimal resolution and the ranks of "
+               "Tor(M, k) off its frame",
+               betti + [0] * (len(tor) - len(betti)), tor)
     return res
 
 
@@ -394,21 +437,7 @@ class ModulePresentation:
     def min_generators(self):
         """Number of minimal generators (graded Nakayama)."""
         f0, cols = self.free_presentation()
-        if f0.rank == 0:
-            return 0
-        field = self.ambient.ring.field
-        zero_exp = self.ambient.ring.zero_exp
-        rows = []
-        for col in cols:
-            row = [field.zero] * f0.rank
-            any_const = False
-            for (comp, e), c in col.terms:
-                if e == zero_exp:
-                    row[comp] = c
-                    any_const = True
-            if any_const:
-                rows.append(row)
-        return f0.rank - _field_rank(field, rows)
+        return f0.rank - _constant_rank(cols)
 
     def annihilator_gens(self):
         """Generators of {f in P : f * self = 0}, as a tuple: the
@@ -442,20 +471,19 @@ class ModulePresentation:
         if not basis:
             return 0
         reducers = reducer_index(gb, f0.rank)
-        index = {be: i for i, be in enumerate(basis)}
-        rows = []
-        for k in range(ring.n):
-            exp_k = tuple(1 if i == k else 0 for i in range(ring.n))
-            for _ in basis:
-                rows.append([field.zero] * len(basis))
-            base = len(rows) - len(basis)
-            for j, (comp, e) in enumerate(basis):
+        # column j of the stacked multiplication matrix: the coordinates
+        # of x_k times basis element j, keyed (k, basis element)
+        cols = []
+        for comp, e in basis:
+            col = {}
+            for k in range(ring.n):
+                exp_k = tuple(1 if i == k else 0 for i in range(ring.n))
                 shifted = f0.from_dict({(comp, _exp_mul(e, exp_k)): field.one})
-                nf = vec_nf(shifted, gb, reducers)
-                for (c2, e2), coeff in nf.terms:
-                    rows[base + index[(c2, e2)]][j] = coeff
+                for ce, coeff in vec_nf(shifted, gb, reducers).terms:
+                    col[(k,) + ce] = coeff
+            cols.append(col)
         # socle = kernel of the stacked multiplication matrix
-        return len(basis) - _field_rank(field, rows)
+        return len(basis) - _sparse_rank(field, cols)
 
 
 def _standard_module_basis(f0, gb):
@@ -481,47 +509,63 @@ def _standard_module_basis(f0, gb):
     return out
 
 
-def _field_rank(field, rows):
-    if not rows:
-        return 0
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        piv = None
-        for rr in range(r, len(rows)):
-            if rows[rr][col] != field.zero:
-                piv = rr
+def _sparse_rank(field, vectors):
+    """Rank of sparse vectors {index: coeff} over the field: each is
+    reduced against the pivots so far, kept monic at their least index,
+    and becomes a pivot when it does not reduce to zero."""
+    zero = field.zero
+    pivots = {}
+    for v in vectors:
+        v = dict(v)
+        while v:
+            i = min(v)
+            pivot = pivots.get(i)
+            if pivot is None:
+                inv = field.inv(v[i])
+                pivots[i] = {j: field.mul(c, inv) for j, c in v.items()}
                 break
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][col])
-        rows[r] = [field.mul(x, inv) for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][col] != field.zero:
-                f = rows[rr][col]
-                rows[rr] = [field.sub(a, field.mul(f, b))
-                            for a, b in zip(rows[rr], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
+            c = v[i]
+            for j, pc in pivot.items():
+                x = field.sub(v.get(j, zero), field.mul(c, pc))
+                if x == zero:
+                    v.pop(j, None)
+                else:
+                    v[j] = x
+    return len(pivots)
 
 
-def resolve_quotient_ring(ring, ideal_gens, length_cap=None):
+def _constant_rank(cols):
+    """Rank over the field of the constant entries of the columns: the
+    rank of the map d tensor k."""
+    if not cols:
+        return 0
+    ring = cols[0].module.ring
+    zero_exp = ring.zero_exp
+    return _sparse_rank(ring.field, [
+        {comp: c for (comp, e), c in col.terms if e == zero_exp}
+        for col in cols])
+
+
+def resolve_quotient_ring(ring, ideal_gens, length_cap=None, numerator=None):
     """Minimal free resolution of P/(ideal_gens) as a P-module.
 
     The generators are resolved as given; a non-minimal generating set,
     such as a reduced Groebner basis, is trimmed by the first
-    minimalization step.
+    minimalization step.  With `numerator`, the generators are the
+    reduced Groebner basis of the ideal and numerator the Hilbert
+    numerator of P/(ideal_gens): the frame starts from that basis and the
+    exactness check reads that numerator.  A generating set that is not a
+    Groebner basis still fails the crosscheck of `schreyer_syzygies`.
+    A nonzero constant generator makes P/(ideal_gens) zero, and the zero
+    module has the empty resolution.
     """
+    if any(g.lead_exp() == ring.zero_exp for g in ideal_gens
+           if not g.is_zero()):
+        return GradedResolution(ring, (), [])
     f0 = FreeModule(ring, 1, (0,))
     cols = [f0.from_poly_list([(0, g)]) for g in ideal_gens]
-    return minimal_free_resolution(cols, f0, length_cap=length_cap)
+    return minimal_free_resolution(cols, f0, length_cap=length_cap,
+                                   numerator=numerator)
 
 
 def dual_columns(resolution, k):

@@ -7,7 +7,11 @@ A ring memoizes the basis of I, its Hilbert numerator, its resolution,
 its Ext modules and one `ColonGraph` per colon (gens, I) : b by an
 element b, from which come the colon ideal, the module
 ((gens, I) : b)/(gens, I), the regularity test of b and every division by
-b in A (gens empty), once per ring.
+b in A (gens empty), once per ring.  A ring built `from_basis` (the Rees
+presentation) keeps the basis it was given, and its resolution starts
+from that basis and reads its memoized numerator, so one Groebner basis
+and one Hilbert numerator serve the ring's dimension, resolution and
+exactness check.
 """
 
 from collections import namedtuple
@@ -35,12 +39,25 @@ class PresentedGradedRing:
         self._setup(PolyRing(names, weights, field), ideal_gens, label)
 
     @classmethod
-    def from_ambient(cls, ambient, ideal_gens, label=None):
+    def from_ambient(cls, ambient, ideal_gens, label=None, checked=False):
+        """A = ambient/(ideal_gens); `checked` says the caller has already
+        seen every generator to be homogeneous, as a document parser does
+        where it knows each generator's position."""
         ring = cls.__new__(cls)
-        ring._setup(ambient, ideal_gens, label)
+        ring._setup(ambient, ideal_gens, label, checked)
         return ring
 
-    def _setup(self, ambient, ideal_gens, label):
+    @classmethod
+    def from_basis(cls, ambient, gb, label=None):
+        """A = ambient/(gb) for gb the reduced Groebner basis of a
+        homogeneous ideal under the ambient order, such as the output of
+        `idealops.eliminate`; gb is kept as `gb()`, the ring-level twin of
+        `Ideal.from_basis`."""
+        ring = cls.from_ambient(ambient, gb, label, checked=True)
+        ring._gb = tuple(ring.defining)
+        return ring
+
+    def _setup(self, ambient, ideal_gens, label, checked=False):
         self.ambient = ambient
         self.defining = []
         for g in ideal_gens:
@@ -48,7 +65,7 @@ class PresentedGradedRing:
                 g = ambient.transfer(g)
             if g.is_zero():
                 continue
-            if not g.is_homogeneous():
+            if not checked and not g.is_homogeneous():
                 raise ValueError("inhomogeneous defining generator: %s" % g)
             self.defining.append(g)
         self.label = label
@@ -84,12 +101,14 @@ class PresentedGradedRing:
     def resolution(self, length_cap=None):
         """Minimal free resolution of A over its ambient ring.
 
-        The cap bounds the first computation only; once computed, the
-        resolution is returned as it is.
+        Its frame starts from `gb()`, and its exactness check reads
+        `hilbert_numerator()`.  The cap bounds the first computation
+        only; once computed, the resolution is returned as it is.
         """
         if self._resolution is None:
             self._resolution = resolve_quotient_ring(
-                self.ambient, self.gb(), length_cap=length_cap)
+                self.ambient, self.gb(), length_cap=length_cap,
+                numerator=self.hilbert_numerator())
         return self._resolution
 
     def ext(self, i):
@@ -174,15 +193,18 @@ class PresentedGradedRing:
 
 
 class Ideal:
-    """Ideal of a presented ring, stored as a preimage generator tuple."""
+    """Ideal of a presented ring, stored as a preimage generator tuple.
 
-    def __init__(self, owner, gens):
+    `checked` says the caller has already seen every generator to be
+    homogeneous, as a document parser does."""
+
+    def __init__(self, owner, gens, checked=False):
         self.owner = owner
         gens = tuple(gens)
         for g in gens:
             if g.ring != owner.ambient:
                 raise OwnerMismatch("generator from a different ring")
-            if not g.is_homogeneous():
+            if not checked and not g.is_homogeneous():
                 raise ValueError("inhomogeneous ideal generator: %s" % g)
         # a tuple, because a ring's memoized colon ideals are shared
         self.gens = tuple(g for g in gens if not g.is_zero())

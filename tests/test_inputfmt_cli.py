@@ -209,6 +209,33 @@ def test_cli_rejects_malformed_document(tmp_path, case):
     assert inputfmt.parse_report(out)["error"] == error
 
 
+def test_document_tests_each_generator_and_its_characteristic_once(
+        monkeypatch):
+    """Parsing and building a document tests its characteristic prime
+    once and each generator homogeneous once, where the generator's
+    position is known."""
+    from reesgor import fields, polys
+    primes, tested = [], []
+    is_prime = fields.is_prime
+    is_homogeneous = polys.Poly.is_homogeneous
+
+    def counting_prime(n):
+        primes.append(n)
+        return is_prime(n)
+
+    def counting_homogeneous(f):
+        tested.append(str(f))
+        return is_homogeneous(f)
+    monkeypatch.setattr(fields, "is_prime", counting_prime)
+    monkeypatch.setattr(polys.Poly, "is_homogeneous", counting_homogeneous)
+    doc = inputfmt.parse_document("char 7\nvars x y\nideal x*y\n"
+                                  "params x, y^2\n")
+    doc.build()
+    doc.build()
+    assert primes == [7]
+    assert tested == ["x*y", "x", "y^2"] * 2
+
+
 @pytest.mark.parametrize("cap, want", [(4, 0), (3, 4)])
 def test_cli_resolution_cap_bounds_the_minimal_length(cap, want):
     """The Rees presentation of Hochster-Roberts has a minimal resolution

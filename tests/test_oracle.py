@@ -1,8 +1,10 @@
 """Rees algebra presentations and the direct Gorenstein oracle."""
 
+import sys
+
 import pytest
 
-from reesgor import corpus, decision, oracle, rings
+from reesgor import corpus, decision, groebner, hilbert, modules, oracle, rings
 from reesgor.errors import DepthNotOne, NotParameters
 from reesgor.fields import GF, DEFAULT_PRIME
 from reesgor.groebner import groebner_basis, is_member
@@ -99,3 +101,58 @@ def test_ring_basis_stays_reduced_with_a_new_last_variable(char):
         ext = A.ambient.extend(("@t",), (1,))
         moved = [ext.transfer(g) for g in A.gb()]
         assert groebner_basis(moved) == moved, (name, char)
+
+
+D2_CORPUS = ("hochster_roberts", "two_planes", "idealization_xy",
+             "idealization_x2y3", "regular_base")
+
+
+def _record_calls(monkeypatch, fn, record):
+    """Wrap fn at every module binding in reesgor, recording its args."""
+    def wrapper(*args, **kwargs):
+        record.append(args)
+        return fn(*args, **kwargs)
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "reesgor":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+def test_oracle_computes_one_basis_and_one_numerator_per_rees_ring(
+        monkeypatch):
+    """The elimination is the only Groebner basis of the Rees ideal: the
+    ring keeps it as gb(), the resolution's frame starts from it, and the
+    ring's dimension and the resolution's exactness check share one
+    Hilbert numerator of its leads."""
+    bases, numerators, runs = [], [], []
+    _record_calls(monkeypatch, groebner.groebner_basis, bases)
+    _record_calls(monkeypatch, hilbert.hilbert_numerator, numerators)
+    _record_calls(monkeypatch, modules.module_buchberger, runs)
+    for name in D2_CORPUS:
+        A, q, _ = corpus.example_document(name).build()
+        del bases[:], numerators[:], runs[:]
+        rp = oracle.rees_presentation(A, q, 2)
+        oracle.graded_gorenstein_oracle(rp)
+        t_names = set(rp.ring.names) - set(A.names)
+        on_rees = [args for args in bases
+                   if args[0] and t_names <= set(args[0][0].ring.names)]
+        assert len(on_rees) == 1, name
+        assert on_rees[0][0][0].ring.n == rp.ring.ambient.n + 1, name
+        assert len([args for args in numerators
+                    if tuple(args[1]) == rp.ring.weights]) == 1, name
+        rees_runs = [args for args in runs
+                     if t_names <= set(args[0][0].module.ring.names)]
+        assert len(rees_runs) == 1, name
+
+
+@pytest.mark.parametrize("char", [DEFAULT_PRIME, 0, 2, 3])
+def test_rees_ring_keeps_the_eliminated_basis(char):
+    """The eliminated generators are the reduced basis of the Rees ideal
+    under the ring's own order, so from_basis may keep them as gb()."""
+    for name in D2_CORPUS:
+        A, q, _ = corpus.example_document(name).build(char_override=char)
+        for n in (2, 3):
+            ring = oracle.rees_presentation(A, q, n).ring
+            assert ring.gb() == tuple(groebner_basis(ring.defining)), \
+                (name, char, n)

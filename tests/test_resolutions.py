@@ -12,9 +12,10 @@ from reesgor.errors import (EquivalenceViolation, NotApplicable,
                             ResourceExceeded)
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.hilbert import INFINITE, hilbert_numerator
-from reesgor.modules import FreeModule, module_syzygies, schreyer_syzygies
+from reesgor.modules import (FreeModule, module_buchberger, module_syzygies,
+                             schreyer_syzygies)
 from reesgor.polys import PolyRing
-from reesgor import resolutions
+from reesgor import oracle, resolutions
 from reesgor.cli import run_cli
 from reesgor.resolutions import (ModulePresentation, ext_dualizing,
                                  minimalize_step, resolve_quotient_ring)
@@ -435,6 +436,44 @@ def test_frame_resolves_presentations_like_iterated_syzygies(
                 assert sorted(res.shifts(k)) == sorted(ref.shifts(k)), \
                     (name, i, k)
             assert res.is_minimal() and res.composes_to_zero(), (name, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_ideals())
+@example(_long_frame_ideal())
+def test_tor_ranks_of_the_frame_give_the_betti_numbers(ideal):
+    """The ranks of Tor(P/I, k), read off the constant entries of the
+    unminimalized frame, are the Betti numbers of the minimalized one."""
+    R, gens = ideal
+    f0 = FreeModule(R, 1, (0,))
+    cols = [f0.from_poly_list([(0, g)]) for g in gens]
+    frame = resolutions.schreyer_frame(module_buchberger(cols).basis)
+    tor = resolutions.tor_betti(1, frame)
+    betti = resolve_quotient_ring(R, gens).betti()
+    assert tor == betti + [0] * (len(tor) - len(betti))
+
+
+def test_unminimal_resolution_fails_the_tor_crosscheck(monkeypatch, hr):
+    """The frame of Hochster-Roberts' Rees ring is exact, so it passes the
+    Euler characteristic check, but it is one level longer than minimal:
+    the Tor ranks catch it (exit 5 through the CLI)."""
+    monkeypatch.setattr(resolutions, "_minimalize_frame",
+                        lambda frame: [list(level) for level in frame])
+    A, q = hr
+    rees = oracle.rees_presentation(A, q, 2).ring
+    with pytest.raises(EquivalenceViolation, match="Tor"):
+        resolve_quotient_ring(rees.ambient, rees.defining)
+
+
+def test_unit_ideal_has_the_empty_resolution():
+    """P/(x, 1) is the zero module: no generators in any degree, so its
+    Betti numbers agree with the Tor ranks of any resolution of it."""
+    R = ring2()
+    x, _ = R.gens()
+    for gens in ([R.one], [x, R.one]):
+        res = resolve_quotient_ring(R, gens)
+        assert res.betti() == [0] and res.pd == 0
+        assert res.euler_characteristic() == {}
 
 
 def test_schreyer_syzygies_of_a_non_basis_raise():
