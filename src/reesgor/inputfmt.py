@@ -12,8 +12,8 @@ Grammar (one directive per line, blank lines and #-comments ignored):
 Polynomial expressions use + - * ^ with integer coefficients and
 parentheses.  Parse errors carry 1-based line and column positions.
 A document is checked before any ring is built: the characteristic is 0
-or a prime, variable names are distinct, the power is positive and every
-generator is homogeneous.
+or a prime, variable names are distinct, the power is positive, every
+generator is homogeneous and no ideal generator is a nonzero constant.
 """
 
 import re
@@ -48,7 +48,8 @@ class InputDocument:
         # _generators tests each generator homogeneous, where its position
         # is known, so the ring and the ideal do not test it again
         A = rings.PresentedGradedRing.from_ambient(
-            ambient, _generators(ambient, self.ideal_exprs, self.ideal_pos),
+            ambient, _generators(ambient, self.ideal_exprs, self.ideal_pos,
+                                 proper=True),
             label=self.name, checked=True)
         params = _generators(ambient, self.param_exprs, self.param_pos)
         q = rings.Ideal(A, params, checked=True) if params else None
@@ -71,13 +72,17 @@ def _field(char, line=None, col=None):
                          % char, line, col) from None
 
 
-def _generators(ring, exprs, positions):
-    """The expressions parsed into ring, each checked homogeneous."""
+def _generators(ring, exprs, positions, proper=False):
+    """The expressions parsed into ring, each checked homogeneous and,
+    when proper, not a nonzero constant, which generates the unit ideal."""
     out = []
     for e, (line, col) in zip(exprs, positions or [(None, 1)] * len(exprs)):
         f = parse_poly(e, ring, line=line, col=col)
         if not f.is_homogeneous():
             raise InputError("inhomogeneous generator %s" % e, line, col)
+        if proper and not f.is_zero() and f.lead_exp() == ring.zero_exp:
+            raise InputError("constant generator %s makes the ideal the "
+                             "unit ideal" % e, line, col)
         out.append(f)
     return out
 

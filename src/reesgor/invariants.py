@@ -21,9 +21,9 @@ InvariantReport = namedtuple("InvariantReport", "dim depth pd cm type")
 
 
 def depth_and_type(A, length_cap=None):
-    """Depth via Auslander-Buchsbaum on the minimal resolution of A over P.
+    """Depth via Auslander-Buchsbaum on the Betti numbers of A over P.
 
-    For CM rings the type is the rank of the last resolution step.  For
+    For CM rings the type is the last Betti number.  For
     depth-1 non-CM rings the type r_A(A) = dim Soc H^1_m(A) is the minimal
     generator count of Ext^{n-1}_P(A, omega_P), the Matlis dual of H^1:
     duality turns the socle of H^1 into the generators of its dual.

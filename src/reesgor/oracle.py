@@ -39,9 +39,9 @@ def power_monomials(q_gens, n):
 
 def rees_presentation(A, q, n):
     """Present R(q^n) by elimination, with a substitution check."""
+    d = rings.check_parameters(q)
     if n < 1:
         raise ValueError("power must be at least 1")
-    d = rings.check_parameters(q)
     amb = A.ambient
     gens_n = power_monomials(q.gens, n)
     t_names = tuple(_t_name(amb, j) for j in range(len(gens_n)))
@@ -109,7 +109,7 @@ def _verify_substitution(rp):
 
 
 def graded_gorenstein_oracle(rp, length_cap=None):
-    """CM and type from the minimal resolution of the presentation."""
+    """CM and type from the Betti numbers of the presentation."""
     rep = invariants.depth_and_type(rp.ring, length_cap=length_cap)
     cm = rep.cm
     gorenstein = bool(cm and rep.type == 1)

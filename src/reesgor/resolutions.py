@@ -1,30 +1,36 @@
-"""Minimal graded free resolutions, Ext against the dualizing module, and
+"""Graded free resolutions, Ext against the dualizing module, and
 finite-module invariants (length, minimal generators, annihilator, socle).
 
 Modules are subquotients (im gens)/(im rels) of a graded free module.
-A resolution is built from a Schreyer frame (Schreyer 1980; La Scala and
-Stillman, Strategies for computing minimal free resolutions, JSC 26,
-1998): its first level is the reduced Groebner basis of the presentation
-columns, or a basis the caller already holds, such as a ring's memoized
-`gb()`, and each next level is read off the S-pair reductions of the
-last by `modules.schreyer_syzygies`, under the Schreyer order that level
+A resolution is a Schreyer frame (Schreyer 1980; La Scala and Stillman,
+Strategies for computing minimal free resolutions, JSC 26, 1998): its
+first level is the reduced Groebner basis of the presentation columns,
+or a basis the caller already holds, such as a ring's memoized `gb()`,
+and each next level is read off the S-pair reductions of the last by
+`modules.schreyer_syzygies`, under the Schreyer order that level
 induces.  Those syzygies are already a Groebner basis of the next syzygy
 module, so at most the first level runs Buchberger.  The frame is exact
-but not minimal; it is minimalized once, level by level, by the
-unit-pivot loop of `minimalize_step`, so every stored differential has
-all entries in the irrelevant ideal.  A frame can be longer than the
-minimal resolution; a length cap raises only when the minimal length
-exceeds it.  Each result is crosschecked twice: its graded Euler
-characteristic against the Hilbert numerator of the module (given by the
-caller or read off the basis leads), and its Betti numbers against the
-ranks of Tor(M, k), the homology of the frame tensored with k, whose
-differentials are the frame's constant entries (`tor_betti`, by sparse
-elimination over the field).  A resolution stores its differentials as
-tuples, so a cached one can be shared between callers.
+but not minimal, and it is never minimalized: the graded Betti numbers
+are the ranks of Tor(M, k), the homology of the frame tensored with k,
+whose differentials are the frame's constant entries (`tor_betti`, by
+sparse elimination over the field, degree by degree; Erocal, Motsak,
+Schreyer and Steenpass, Refined algorithms to compute syzygies, JSC 74,
+2016).  pd, the Betti numbers and the shifts of a minimal resolution
+are read off them, and Ext is the cohomology of the dual of the frame.
+A frame can be longer than pd; a length cap raises only when the
+minimal length exceeds it.  The graded Euler characteristic of the Betti
+numbers, which is the frame's own, is crosschecked against the Hilbert
+numerator of the module (given by the caller or read off the basis
+leads).  A resolution stores its differentials as tuples, so a cached
+one can be shared between callers.  `minimalize_step` pivots the unit
+entries out of one differential; a module presentation uses it to drop
+redundant generators before its frame is built.
 """
 
+from collections import Counter
 from itertools import product
 from operator import ge, neg
+from types import MappingProxyType
 
 from .errors import NotFiniteLength, ResourceExceeded, crosscheck
 from .hilbert import INFINITE, finite_length, hilbert_numerator, upoly_add
@@ -35,24 +41,13 @@ from .modules import (FreeModule, module_buchberger, module_colon,
 from .polys import _exp_mul
 
 
-def _unit_entry(vec):
-    """(component, coeff) of a nonzero constant entry, or None."""
-    zero_exp = vec.module.ring.zero_exp
-    for (comp, e), c in vec.terms:
-        if e == zero_exp:
-            return comp, c
-    return None
-
-
-def _column_dicts(vecs, gone=()):
-    """Columns as {component: {exp: coeff}}, without the components in
-    gone."""
+def _column_dicts(vecs):
+    """Columns as {component: {exp: coeff}}."""
     cols = []
     for v in vecs:
         col = {}
         for (comp, e), c in v.terms:
-            if comp not in gone:
-                col.setdefault(comp, {})[e] = c
+            col.setdefault(comp, {})[e] = c
         cols.append(col)
     return cols
 
@@ -147,99 +142,49 @@ def minimalize_step(prev_cols, s_cols):
     return [prev_cols[j] for j in surviving], out
 
 
-def _minimalize_frame(frame):
-    """Minimal differentials d_1, d_2, ... from a Schreyer frame.
-
-    frame[k] holds the columns of the frame's d_{k+1}.  Level by level
-    from d_2, the rows of the previous level's pivot columns are dropped
-    and `_pivot_units` pivots the units out; a pivot on component i drops
-    column i of the level before.  Dropping those rows is exact: after the
-    pivot column c of d_k is used to clear its component, the syzygies in
-    d_{k+1} have coordinate zero on the new generator e_c, and their other
-    coordinates are unchanged.  A column that becomes zero stays: it is a
-    cycle, so the next level pivots it out.  d_1 is not pivoted, and the
-    levels from the first one left empty on are cut off: once F_k is zero
-    in a minimal resolution, so is every later module, and the last level
-    of a truncated frame may still hold such zero columns.  Returns the
-    differentials as lists of Vecs in position-over-term free modules.
-    """
-    ring = frame[0][0].module.ring
-    levels = []     # column dicts of each level
-    dropped = []    # column indices of each level that go
-    gone = set()
-    for k, vecs in enumerate(frame):
-        cols = _column_dicts(vecs, gone)
-        if k:
-            pivots = _pivot_units(cols, ring.field, ring.zero_exp)
-            dropped[-1].update(i for _, i in pivots)
-            gone = {p for p, _ in pivots}
-        levels.append(cols)
-        dropped.append(set(gone))
-    diffs = []
-    # new index of each surviving column of the level before
-    renum = {j: j for j in range(frame[0][0].module.rank)}
-    for k, cols in enumerate(levels):
-        shifts = frame[k][0].module.shifts
-        target = FreeModule(ring, len(renum), [shifts[j] for j in renum])
-        survivors = [c for c in range(len(cols)) if c not in dropped[k]]
-        if not survivors:
-            break
-        diffs.append([_renumbered(target, renum, cols[c])
-                      for c in survivors])
-        renum = {c: n for n, c in enumerate(survivors)}
-    return diffs
-
-
 class GradedResolution:
-    """Chain F_0 <- F_1 <- ... with minimal graded differentials."""
+    """A graded free resolution F_0 <- F_1 <- ... of a module M, held as
+    its Schreyer frame, with the graded Betti numbers of M.
 
-    def __init__(self, ring, f0_shifts, diffs):
+    diffs[k] holds the columns of the frame's d_{k+1} as Vecs in F_k;
+    betti[k] maps each degree j to beta_{k,j} = dim Tor_k(M, k)_j, the
+    rank of F_k in degree j of a minimal resolution.  pd, betti() and
+    shifts(k) read the Betti numbers; the frame can be longer than pd.
+    """
+
+    def __init__(self, ring, f0_shifts, diffs, betti):
         self.ring = ring
         self.f0_shifts = tuple(f0_shifts)
-        # diffs[k]: columns of d_{k+1} as Vecs in F_k; tuples, because
-        # resolutions are cached and shared between callers
+        # tuples and read-only mappings, because resolutions are cached
+        # and shared between callers
         self.diffs = tuple(tuple(cols) for cols in diffs)
+        self.graded_betti = tuple(MappingProxyType(dict(b)) for b in betti)
 
     @property
     def pd(self):
-        return len(self.diffs)
+        return len(self.graded_betti) - 1
 
     def betti(self):
-        """Ranks (b_0, b_1, ..., b_pd)."""
-        out = [len(self.f0_shifts)]
-        for cols in self.diffs:
-            out.append(len(cols))
-        return out
+        """Ranks (b_0, b_1, ..., b_pd) of a minimal resolution."""
+        return [sum(b.values()) for b in self.graded_betti]
 
     def shifts(self, k):
-        if k == 0:
-            return self.f0_shifts
-        return tuple(v.degree() for v in self.diffs[k - 1])
-
-    def matrix(self, k):
-        """Entries of d_k as rows x cols of Poly (k >= 1)."""
-        cols = self.diffs[k - 1]
-        rank = len(self.shifts(k - 1))
-        return [[col.component(i) for col in cols] for i in range(rank)]
-
-    def is_minimal(self):
-        return all(_unit_entry(col) is None
-                   for cols in self.diffs for col in cols)
+        """The generator degrees of F_k in a minimal resolution, sorted."""
+        return tuple(sorted(Counter(self.graded_betti[k]).elements()))
 
     def euler_characteristic(self):
         """The alternating sum over k of t^shift over the generators of
         F_k, as {degree: coefficient}: for an exact resolution, the
         numerator of the module's Hilbert series."""
-        out = {}
-        for k in range(self.pd + 1):
-            for s in self.shifts(k):
-                out[s] = out.get(s, 0) + (-1) ** k
-        return {d: c for d, c in out.items() if c}
+        out = Counter()
+        for k, b in enumerate(self.graded_betti):
+            for j, c in b.items():
+                out[j] += (-1) ** k * c
+        return {j: c for j, c in out.items() if c}
 
     def composes_to_zero(self):
-        for k in range(1, self.pd):
-            prev = self.diffs[k - 1]
-            for col in self.diffs[k]:
+        for prev, cols in zip(self.diffs, self.diffs[1:]):
+            for col in cols:
                 acc = None
                 for (comp, e), c in col.terms:
                     term = prev[comp].mul_term(e, c)
@@ -272,69 +217,68 @@ def schreyer_frame(gb, length_cap=None):
     return frame
 
 
-def tor_betti(rank0, frame):
-    """dim Tor_k(M, k) for k = 0, ..., len(frame), where M = coker d_1 and
-    frame holds the columns of the differentials d_1, d_2, ... of a free
+def tor_betti(f0_shifts, frame):
+    """{j: dim Tor_k(M, k)_j} for k = 0, ..., len(frame), where M =
+    coker d_1, F_0 has generators in the degrees f0_shifts and frame holds
+    the columns of the differentials d_1, d_2, ... of a graded free
     resolution of M whose next differential is zero.
 
     Tor(M, k) is the homology of F tensor k, whose differentials keep the
-    constant entries of the d_k, so beta_k = f_k - rank(d_k tensor k) -
-    rank(d_{k+1} tensor k): the Betti numbers of M with no minimalization.
+    constant entries of the d_k.  These maps preserve degree, so
+    beta_{k,j} = f_{k,j} - rank(d_k tensor k)_j - rank(d_{k+1} tensor k)_j:
+    the graded Betti numbers of M with no minimalization.
     """
-    ranks = [0] + [_constant_rank(cols) for cols in frame] + [0]
-    sizes = [rank0] + [len(cols) for cols in frame]
-    return [f - ranks[k] - ranks[k + 1] for k, f in enumerate(sizes)]
+    ranks = [{}] + [_constant_ranks(cols) for cols in frame] + [{}]
+    degrees = [f0_shifts] + [[v.degree() for v in cols] for cols in frame]
+    out = []
+    for k, degs in enumerate(degrees):
+        b = Counter(degs)
+        b.subtract(ranks[k])
+        b.subtract(ranks[k + 1])
+        out.append({j: c for j, c in b.items() if c})
+    return out
 
 
-def minimal_free_resolution(cols, f0, length_cap=None, minimalize_f0=False,
-                            numerator=None):
-    """Minimal graded free resolution of coker(cols : F_1 -> f0).
+def minimal_free_resolution(cols, f0, length_cap=None, numerator=None):
+    """Graded free resolution of coker(cols : F_1 -> f0), with the
+    minimal graded Betti numbers.
 
-    cols are Vecs in f0.  With minimalize_f0 the generators of the module
-    itself are minimalized first (used for abstract presentations).  The
-    frame starts from the reduced Groebner basis of the columns; with
-    `numerator` (not with minimalize_f0), cols are that basis already and
+    cols are Vecs in f0.  The frame starts from the reduced Groebner basis
+    of the columns; with `numerator`, cols are that basis already and
     numerator is the module's Hilbert numerator, so neither is computed
     again.  Each next level is `schreyer_syzygies` of the last, and the
-    whole frame is minimalized once.  With a length cap the frame is built
-    through d_{cap+2} at most, which fixes the minimal rank of F_{cap+1}:
-    ResourceExceeded is raised only when the minimal length exceeds the
-    cap.  The graded Euler characteristic of the result is crosschecked
-    against the Hilbert numerator, read off the basis leads when not
-    given, and its Betti numbers against the ranks of Tor(M, k) off the
-    frame (`tor_betti`).
+    Betti numbers are the ranks of Tor(M, k) off the frame (`tor_betti`).
+    With a length cap the frame is built through d_{cap+2} at most, which
+    fixes beta_{cap+1}: ResourceExceeded is raised only when it is not
+    zero, that is when the minimal length exceeds the cap.  The graded
+    Euler characteristic of the Betti numbers is crosschecked against the
+    Hilbert numerator, read off the basis leads when not given; it is the
+    frame's own, so the check covers the frame and the Tor ranks both.
     """
     ring = f0.ring
     cols = [c for c in cols if not c.is_zero()]
-    f0_shifts = list(f0.shifts)
-    if minimalize_f0 and cols:
-        virtual = list(range(len(f0_shifts)))
-        vcols, cols = minimalize_step(virtual, cols)
-        f0_shifts = [f0_shifts[i] for i in vcols]
     if not cols:
-        return GradedResolution(ring, f0_shifts, [])
+        return GradedResolution(ring, f0.shifts, [], tor_betti(f0.shifts, []))
     gb = cols if numerator is not None else module_buchberger(cols).basis
     frame = schreyer_frame(gb, length_cap)
-    diffs = _minimalize_frame(frame)
-    if length_cap is not None and len(diffs) > length_cap:
+    betti = tor_betti(f0.shifts, frame)
+    if length_cap is not None and len(frame) == length_cap + 2:
+        betti.pop()     # the frame was cut: Tor_{cap+2} needs d_{cap+3}
+    while len(betti) > 1 and not betti[-1]:
+        betti.pop()
+    if length_cap is not None and len(betti) > length_cap + 1:
         raise ResourceExceeded("resolution length cap exceeded")
-    res = GradedResolution(ring, f0_shifts, diffs)
+    # Ext^pd reads d_{pd+1}; no later level of the frame is needed
+    res = GradedResolution(ring, f0.shifts, frame[:len(betti)], betti)
     if numerator is None:
         numerator = {}
-        for shift, num in zip(f0_shifts, _component_numerators(
-                len(f0_shifts), gb, ring.weights)):
+        for shift, num in zip(f0.shifts, _component_numerators(
+                f0.rank, gb, ring.weights)):
             numerator = upoly_add(numerator,
                                   {d + shift: c for d, c in num.items()})
     crosscheck("graded Euler characteristic of the resolution and the "
                "Hilbert numerator of its module",
                res.euler_characteristic(), dict(numerator))
-    tor = tor_betti(len(f0_shifts), frame)
-    if length_cap is not None and len(frame) == length_cap + 2:
-        tor.pop()   # the frame was cut: its next differential is unknown
-    betti = res.betti()
-    crosscheck("Betti numbers of the minimal resolution and the ranks of "
-               "Tor(M, k) off its frame",
-               betti + [0] * (len(tor) - len(betti)), tor)
     return res
 
 
@@ -402,15 +346,18 @@ class ModulePresentation:
         self._free_pres = (f0, tuple(cols))
         return self._free_pres
 
-    def resolution(self, length_cap=None):
+    def resolution(self):
+        """The resolution of the module, from the presentation columns
+        after `minimalize_step` drops the generators they make redundant."""
         if self._resolution is None:
             f0, cols = self.free_presentation()
-            self._resolution = minimal_free_resolution(
-                cols, f0, length_cap=length_cap, minimalize_f0=True)
+            kept, cols = minimalize_step(range(f0.rank), cols)
+            f0 = FreeModule(f0.ring, len(kept), [f0.shifts[i] for i in kept])
+            self._resolution = minimal_free_resolution(cols, f0)
         return self._resolution
 
-    def pd(self, length_cap=None):
-        return self.resolution(length_cap).pd
+    def pd(self):
+        return self.resolution().pd
 
     def _basis(self):
         """Groebner basis of the presentation columns, computed once."""
@@ -437,7 +384,7 @@ class ModulePresentation:
     def min_generators(self):
         """Number of minimal generators (graded Nakayama)."""
         f0, cols = self.free_presentation()
-        return f0.rank - _constant_rank(cols)
+        return f0.rank - sum(_constant_ranks(cols).values())
 
     def annihilator_gens(self):
         """Generators of {f in P : f * self = 0}, as a tuple: the
@@ -534,34 +481,35 @@ def _sparse_rank(field, vectors):
     return len(pivots)
 
 
-def _constant_rank(cols):
-    """Rank over the field of the constant entries of the columns: the
-    rank of the map d tensor k."""
+def _constant_ranks(cols):
+    """{degree j: rank over the field of the constant entries of the
+    columns of degree j}: the graded pieces of the rank of d tensor k.
+    A constant entry of a column of degree j lies in a row of shift j,
+    so the pieces are independent."""
     if not cols:
-        return 0
+        return {}
     ring = cols[0].module.ring
+    shifts = cols[0].module.shifts
     zero_exp = ring.zero_exp
-    return _sparse_rank(ring.field, [
-        {comp: c for (comp, e), c in col.terms if e == zero_exp}
-        for col in cols])
+    by_degree = {}
+    for col in cols:
+        units = {comp: c for (comp, e), c in col.terms if e == zero_exp}
+        if units:
+            by_degree.setdefault(shifts[next(iter(units))], []).append(units)
+    return {j: _sparse_rank(ring.field, rows)
+            for j, rows in by_degree.items()}
 
 
 def resolve_quotient_ring(ring, ideal_gens, length_cap=None, numerator=None):
-    """Minimal free resolution of P/(ideal_gens) as a P-module.
+    """Free resolution of P/(ideal_gens) as a P-module.
 
-    The generators are resolved as given; a non-minimal generating set,
-    such as a reduced Groebner basis, is trimmed by the first
-    minimalization step.  With `numerator`, the generators are the
-    reduced Groebner basis of the ideal and numerator the Hilbert
-    numerator of P/(ideal_gens): the frame starts from that basis and the
-    exactness check reads that numerator.  A generating set that is not a
-    Groebner basis still fails the crosscheck of `schreyer_syzygies`.
-    A nonzero constant generator makes P/(ideal_gens) zero, and the zero
-    module has the empty resolution.
+    With `numerator`, the generators are the reduced Groebner basis of
+    the ideal and numerator the Hilbert numerator of P/(ideal_gens): the
+    frame starts from that basis and the exactness check reads that
+    numerator.  A generating set that is not a Groebner basis still fails
+    the crosscheck of `schreyer_syzygies`.  A nonzero constant generator
+    makes P/(ideal_gens) zero, with no Betti numbers.
     """
-    if any(g.lead_exp() == ring.zero_exp for g in ideal_gens
-           if not g.is_zero()):
-        return GradedResolution(ring, (), [])
     f0 = FreeModule(ring, 1, (0,))
     cols = [f0.from_poly_list([(0, g)]) for g in ideal_gens]
     return minimal_free_resolution(cols, f0, length_cap=length_cap,
@@ -569,36 +517,46 @@ def resolve_quotient_ring(ring, ideal_gens, length_cap=None, numerator=None):
 
 
 def dual_columns(resolution, k):
-    """Columns of the dual map Hom(d_k, omega): F_{k-1}^* -> F_k^*.
+    """Columns of the dual map Hom(d_k, omega): F_{k-1}^* -> F_k^* of the
+    frame's d_k, as (F_k^*, columns).
 
-    omega = P(-sum of weights); dual shifts are c - shift.  k between 1
-    and pd; the columns are indexed by the basis of F_{k-1}^*.
+    omega = P(-sum of weights); dual shifts are c - shift.  The columns
+    are indexed by the basis of F_{k-1}^*.
     """
     ring = resolution.ring
     c = sum(ring.weights)
-    tgt_shifts = resolution.shifts(k)
-    dualF = FreeModule(ring, len(tgt_shifts), tuple(c - s for s in tgt_shifts))
+    cols = resolution.diffs[k - 1]
+    dualF = FreeModule(ring, len(cols), tuple(c - v.degree() for v in cols))
     # one column per row of d_k, that is per basis element of F_{k-1}
-    return dualF, [dualF.from_poly_list(enumerate(row))
-                   for row in resolution.matrix(k)]
+    rows = [{} for _ in range(cols[0].module.rank)]
+    for j, col in enumerate(cols):
+        for (comp, e), coeff in col.terms:
+            rows[comp][(j, e)] = coeff
+    return dualF, [dualF.from_dict(row) for row in rows]
 
 
 def ext_dualizing(resolution, i):
-    """Ext^i_P(M, omega_P) as a ModulePresentation, from M's resolution."""
+    """Ext^i_P(M, omega_P) as a ModulePresentation, from a resolution of M.
+
+    Ext^i is the cohomology ker(d_{i+1}^*) / im(d_i^*) of the dual of the
+    frame, zero for i > pd.  At i = pd the kernel is all of F_pd^* when the
+    frame ends there, and is taken when the frame is longer.
+    """
     ring = resolution.ring
-    c = sum(ring.weights)
-    pd = resolution.pd
-    if i < 0 or i > pd:
-        empty = FreeModule(ring, 0, ())
-        return ModulePresentation(empty, [], [])
-    shifts_i = resolution.shifts(i)
-    dualF = FreeModule(ring, len(shifts_i), tuple(c - s for s in shifts_i))
-    if i < pd:
+    if i < 0 or i > resolution.pd:
+        return ModulePresentation(FreeModule(ring, 0, ()), [], [])
+    if i:
+        dualF, rels = dual_columns(resolution, i)
+    else:
+        c = sum(ring.weights)
+        dualF = FreeModule(ring, len(resolution.f0_shifts),
+                           tuple(c - s for s in resolution.f0_shifts))
+        rels = []
+    if i < len(resolution.diffs):
         _, out_cols = dual_columns(resolution, i + 1)
         # kernel vectors are coefficient vectors over the dual basis of F_i
         gens = [dualF.from_dict(dict(v.terms))
                 for v in module_syzygies(out_cols)]
     else:
         gens = [dualF.basis_vec(j) for j in range(dualF.rank)]
-    rels = dual_columns(resolution, i)[1] if i >= 1 else []
     return ModulePresentation(dualF, gens, rels)

@@ -99,7 +99,8 @@ class PresentedGradedRing:
         return self._dim
 
     def resolution(self, length_cap=None):
-        """Minimal free resolution of A over its ambient ring.
+        """Free resolution of A over its ambient ring, with the minimal
+        Betti numbers.
 
         Its frame starts from `gb()`, and its exactness check reads
         `hilbert_numerator()`.  The cap bounds the first computation

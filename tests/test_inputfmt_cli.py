@@ -188,6 +188,12 @@ MALFORMED = {
                                         "generator y^2 + x"),
     "duplicate_variable": ("vars x x y\nideal x*y\nparams x, y\n",
                            ["check"], "line 1, col 8: duplicate variable 'x'"),
+    "unit_ideal": ("vars x y\nideal 1\nparams x, y\n", ["invariants"],
+                   "line 2, col 7: constant generator 1 makes the ideal "
+                   "the unit ideal"),
+    "unit_ideal_oracle": ("vars x y\nideal x*y, 3\nparams x, y\n",
+                          ["oracle"], "line 2, col 12: constant generator 3 "
+                                      "makes the ideal the unit ideal"),
     "char_above_prime_bound": (
         "vars x y\nchar 3317044064679887385961981\nideal x*y\nparams x, y\n",
         ["check"], "line 2, col 1: characteristic 3317044064679887385961981 "
@@ -234,6 +240,18 @@ def test_document_tests_each_generator_and_its_characteristic_once(
     doc.build()
     assert primes == [7]
     assert tested == ["x*y", "x", "y^2"] * 2
+
+
+def test_cli_oracle_needs_parameters(tmp_path):
+    """With no power line the oracle takes n = dim A; on an Artinian ring
+    that is 0, and the one parameter x is no system of parameters: a
+    hypothesis failure (exit 2), not a verdict."""
+    path = tmp_path / "artinian.ring"
+    path.write_text("vars x y\nideal x^2, y^2\nparams x\n")
+    code, out = run(["oracle", str(path)])
+    assert code == 2
+    assert inputfmt.parse_report(out)["error"] == \
+        "q must be generated by a system of parameters"
 
 
 @pytest.mark.parametrize("cap, want", [(4, 0), (3, 4)])

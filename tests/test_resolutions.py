@@ -1,9 +1,11 @@
-"""Minimal graded free resolutions, Ext duals, module presentations."""
+"""Graded free resolutions and their Betti numbers, Ext duals, module
+presentations."""
 
 import contextlib
 import io
 import itertools
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,7 +37,8 @@ def test_koszul_resolution_of_the_residue_field():
     R = ring3()
     res = resolve_quotient_ring(R, list(R.gens()))
     assert res.betti() == [1, 3, 3, 1]
-    assert res.is_minimal()
+    assert [res.shifts(k) for k in range(4)] == \
+        [(0,), (1, 1, 1), (2, 2, 2), (3,)]
     assert res.composes_to_zero()
     assert res.pd == 3
 
@@ -63,7 +66,8 @@ def test_resolution_shifts_are_increasing():
 def test_corpus_resolutions_minimal_and_exact(corpus_instances):
     for name, (A, _) in corpus_instances.items():
         res = resolve_quotient_ring(A.ambient, A.defining)
-        assert res.is_minimal(), name
+        ref = _reference_quotient_resolution(A.ambient, A.defining)
+        assert res.graded_betti == ref.graded_betti, name
         assert res.composes_to_zero(), name
         if A.defining:
             # rank additivity: a resolution of a torsion quotient
@@ -83,6 +87,8 @@ def test_cached_ring_resolution_is_immutable(two_planes):
         res.diffs.pop()
     with pytest.raises(AttributeError):
         res.diffs[-1].append(res.diffs[-1][0])
+    with pytest.raises(TypeError):
+        res.graded_betti[0][0] = 2
     assert A.resolution().betti() == [1, 4, 4, 1]
 
 
@@ -342,8 +348,10 @@ def test_minimalize_step_matches_per_pivot_reference(diff):
 
 # -- the Schreyer frame against the iterated-syzygy loop -------------------
 #
-# The reference is the loop the frame replaced: a fresh module_syzygies of
-# each differential, minimalized against it by minimalize_step.
+# The reference is a minimal resolution by a loop with no frame: a fresh
+# module_syzygies of each differential, minimalized against it by
+# minimalize_step.  Its Betti numbers are the generator degrees of its
+# free modules, with no Tor ranks.
 
 def _reference_resolution(cols, f0, minimalize_f0=False):
     diffs = [[c for c in cols if not c.is_zero()]]
@@ -351,18 +359,23 @@ def _reference_resolution(cols, f0, minimalize_f0=False):
     if minimalize_f0 and diffs[0]:
         kept, diffs[0] = minimalize_step(range(f0.rank), diffs[0])
         shifts = [shifts[i] for i in kept]
-    if not diffs[0]:
-        return resolutions.GradedResolution(f0.ring, shifts, [])
-    while True:
-        prev, syz = minimalize_step(diffs[-1], module_syzygies(diffs[-1]))
-        diffs[-1] = prev
-        if not prev:
-            diffs.pop()
-            break
-        if not syz:
-            break
+    while diffs[-1]:
+        diffs[-1], syz = minimalize_step(diffs[-1],
+                                         module_syzygies(diffs[-1]))
         diffs.append(syz)
-    return resolutions.GradedResolution(f0.ring, shifts, diffs)
+    while diffs and not diffs[-1]:
+        diffs.pop()
+    assert all(_reference_unit_entry(v) is None
+               for level in diffs for v in level)
+    betti = [Counter(shifts)] + [Counter(v.degree() for v in level)
+                                 for level in diffs]
+    return resolutions.GradedResolution(f0.ring, shifts, diffs, betti)
+
+
+def _reference_quotient_resolution(R, gens):
+    f0 = FreeModule(R, 1, (0,))
+    return _reference_resolution([f0.from_poly_list([(0, g)]) for g in gens],
+                                 f0)
 
 
 @st.composite
@@ -399,13 +412,10 @@ def _long_frame_ideal():
 def test_frame_resolution_matches_iterated_syzygies(ideal):
     R, gens = ideal
     res = resolve_quotient_ring(R, gens)
-    f0 = FreeModule(R, 1, (0,))
-    ref = _reference_resolution([f0.from_poly_list([(0, g)]) for g in gens],
-                                f0)
-    assert res.pd == ref.pd
+    ref = _reference_quotient_resolution(R, gens)
+    assert res.betti() == ref.betti()
     for k in range(res.pd + 1):
-        assert sorted(res.shifts(k)) == sorted(ref.shifts(k)), k
-    assert res.is_minimal()
+        assert res.shifts(k) == ref.shifts(k), k
     assert res.composes_to_zero()
     # a cap at the minimal length cuts the frame at d_{pd+2} and succeeds
     capped = resolve_quotient_ring(R, gens, length_cap=ref.pd)
@@ -433,41 +443,46 @@ def test_frame_resolves_presentations_like_iterated_syzygies(
             ref = _reference_resolution(cols, f0, minimalize_f0=True)
             assert res.betti() == ref.betti(), (name, i)
             for k in range(res.pd + 1):
-                assert sorted(res.shifts(k)) == sorted(ref.shifts(k)), \
-                    (name, i, k)
-            assert res.is_minimal() and res.composes_to_zero(), (name, i)
+                assert res.shifts(k) == ref.shifts(k), (name, i, k)
+            assert res.composes_to_zero(), (name, i)
 
 
 @settings(max_examples=60, deadline=None)
 @given(homogeneous_ideals())
 @example(_long_frame_ideal())
 def test_tor_ranks_of_the_frame_give_the_betti_numbers(ideal):
-    """The ranks of Tor(P/I, k), read off the constant entries of the
-    unminimalized frame, are the Betti numbers of the minimalized one."""
+    """The graded ranks of Tor(P/I, k), read off the constant entries of
+    the frame, are the graded Betti numbers of the reference minimal
+    resolution."""
     R, gens = ideal
     f0 = FreeModule(R, 1, (0,))
     cols = [f0.from_poly_list([(0, g)]) for g in gens]
     frame = resolutions.schreyer_frame(module_buchberger(cols).basis)
-    tor = resolutions.tor_betti(1, frame)
-    betti = resolve_quotient_ring(R, gens).betti()
-    assert tor == betti + [0] * (len(tor) - len(betti))
+    tor = resolutions.tor_betti((0,), frame)
+    ref = [dict(b) for b in _reference_resolution(cols, f0).graded_betti]
+    assert tor == ref + [{}] * (len(tor) - len(ref))
 
 
-def test_unminimal_resolution_fails_the_tor_crosscheck(monkeypatch, hr):
-    """The frame of Hochster-Roberts' Rees ring is exact, so it passes the
-    Euler characteristic check, but it is one level longer than minimal:
-    the Tor ranks catch it (exit 5 through the CLI)."""
-    monkeypatch.setattr(resolutions, "_minimalize_frame",
-                        lambda frame: [list(level) for level in frame])
+def test_ext_from_the_frame_matches_the_minimal_resolution(hr):
+    """The frame of Hochster-Roberts' Rees ring at n = 2 is one level
+    longer than its minimal resolution; every Ext^i read off the frame
+    has the invariants of Ext^i off the reference minimal resolution."""
     A, q = hr
     rees = oracle.rees_presentation(A, q, 2).ring
-    with pytest.raises(EquivalenceViolation, match="Tor"):
-        resolve_quotient_ring(rees.ambient, rees.defining)
+    res = rees.resolution()
+    ref = _reference_quotient_resolution(rees.ambient, rees.gb())
+    assert res.betti() == ref.betti()
+    assert len(res.diffs) == res.pd + 1 == len(ref.diffs) + 1
+    for i in range(rees.ambient.n + 1):
+        got, want = ext_dualizing(res, i), ext_dualizing(ref, i)
+        assert got.length() == want.length(), i
+        assert got.min_generators() == want.min_generators(), i
+        assert got.annihilator_gens() == want.annihilator_gens(), i
 
 
 def test_unit_ideal_has_the_empty_resolution():
-    """P/(x, 1) is the zero module: no generators in any degree, so its
-    Betti numbers agree with the Tor ranks of any resolution of it."""
+    """P/(x, 1) is the zero module: the Tor ranks of its frame find no
+    generators in any degree."""
     R = ring2()
     x, _ = R.gens()
     for gens in ([R.one], [x, R.one]):
@@ -513,16 +528,15 @@ def test_euler_characteristic_is_the_hilbert_numerator(corpus_instances):
 
 
 def test_inexact_resolution_fails_the_crosscheck(monkeypatch, two_planes):
-    """A frame minimalization that loses a generator breaks the Euler
-    characteristic; the CLI reports it as a disagreement (exit 5)."""
-    real = resolutions._minimalize_frame
+    """A frame that loses a syzygy breaks the Euler characteristic; the
+    CLI reports it as a disagreement (exit 5)."""
+    real = resolutions.schreyer_frame
 
-    def lossy(frame):
-        diffs = real(frame)
-        return diffs[:-1] + [diffs[-1][1:]] if len(diffs[-1]) > 1 \
-            else diffs[:-1]
+    def lossy(gb, length_cap=None):
+        frame = real(gb, length_cap)
+        return frame[:-1] + [frame[-1][1:]]
 
-    monkeypatch.setattr(resolutions, "_minimalize_frame", lossy)
+    monkeypatch.setattr(resolutions, "schreyer_frame", lossy)
     A, _ = two_planes
     with pytest.raises(EquivalenceViolation):
         resolve_quotient_ring(A.ambient, A.defining)
