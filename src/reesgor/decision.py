@@ -58,7 +58,7 @@ def decide_condition2(A, q, prepared):
     h1_nonzero = data.h1_length > 0
     socle = s2.h1_socle(A, data) if h1_nonzero else 0
     socle_is_1 = socle == 1
-    sigma = rings.sigma_tilde(q.gens, A)
+    sigma = rings.sigma_tilde(q)
     c_equals_sigma = rings.ideals_equal(data.conductor, sigma)
     verdict = h1_nonzero and socle_is_1 and c_equals_sigma
     return {

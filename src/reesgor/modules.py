@@ -25,19 +25,19 @@ Interreduction needs no index per element: a lead never divides a
 smaller term of its own component, so each kept element's tail reduces
 against one index of all kept elements.
 
-Syzygies, colons and exact division all come from one Groebner basis of a
-graph module: the submodule of F + P^s spanned by rows (v_i, w_i), under
-position over term with the F block first.  A basis element whose lead
-lies in the tail P^s has no F part, so those elements are a Groebner basis
-of the tail submodule {w : (0, w) in the span} (Greuel-Pfister, A Singular
-Introduction to Commutative Algebra, the method behind Singular's
-`syz`, `quotient`, `intersect` and `lift`).  Rows (g_i, e_i) give the
-syzygies of the g_i; rows (g, 1) and (r_j, 0) give `colon_basis`, whose
-tail is the colon (rels : g), and `module_divide` divides f by g modulo
-the rels by reducing (f, 0) against it, so one kept basis serves the
-colon and every division by g.  `schreyer_syzygies` reduces graph rows
-too, but needs no Buchberger run: for a Groebner basis, the S-vectors of
-its pairs reduce to syzygies that are a Groebner basis already.
+Syzygies, colons, presentations and exact division all come from one
+Groebner basis of a graph module: the submodule of F + P^s spanned by rows
+(v_i, w_i), under position over term with the F block first.  Its elements
+led in the tail P^s have no F part: a reduced Groebner basis of the tail
+{w : (0, w) in the span} (Greuel-Pfister, A Singular Introduction to
+Commutative Algebra; Singular's `syz`, `quotient`, `intersect`, `modulo`).
+For the rows (g_i, e_i) and (r_j, 0) of `colon_basis(gens, rels)` the tail
+is {u : sum u_i g_i in span(rels)}: the syzygies of the g_i with no rels,
+the colon (rels : g) for gens = [g], whose basis `module_divide` reduces
+(f, 0) against, and in general the presentation of (im gens)/(im rels).
+`schreyer_syzygies` reduces graph rows too, but needs no Buchberger run:
+for a Groebner basis, the S-vectors of its pairs reduce to syzygies that
+are a Groebner basis already.
 """
 
 import heapq
@@ -452,19 +452,21 @@ def graph_basis(rows, tail_shifts):
     return module_buchberger(work).basis
 
 
-def module_syzygies(gens):
-    """Generators of the first syzygy module of `gens` (Vecs in F^len).
-
-    The tails of the graph basis of the rows (g_i, e_i) are a Groebner
-    basis of the syzygy module (elimination theorem for submodules).
-    """
-    module = gens[0].module
-    rank, one = module.rank, module.ring.one
-    shifts = tuple(g.degree() if not g.is_zero() else 0 for g in gens)
-    basis = graph_basis([(g, [(i, one)]) for i, g in enumerate(gens)], shifts)
-    SF = FreeModule(module.ring, len(gens), shifts)
-    return [SF.from_dict({(comp - rank, e): c for (comp, e), c in b.terms})
+def graph_tail(basis, target):
+    """The elements of a graph basis in F + target led in the tail, which
+    have no F part, as Vecs of target."""
+    rank = basis[0].module.rank - target.rank
+    return [Vec(target, tuple(((comp - rank, e), c)
+                              for (comp, e), c in b.terms))
             for b in basis if b.lead()[0][0] >= rank]
+
+
+def module_syzygies(gens):
+    """The syzygies of `gens` (Vecs in F^len) as a reduced Groebner basis:
+    the tail of `colon_basis(gens, [])`."""
+    shifts = [g.degree() if not g.is_zero() else 0 for g in gens]
+    return graph_tail(colon_basis(gens, []),
+                      FreeModule(gens[0].module.ring, len(gens), shifts))
 
 
 def schreyer_syzygies(basis):
@@ -536,12 +538,14 @@ def schreyer_syzygies(basis):
     return syz
 
 
-def colon_basis(g, rels):
-    """Graph basis of the rows (g, 1) and (r, 0) in F + P: its tail gives
-    the colon (rels : g) and `module_divide` reduces against it."""
-    one = g.module.ring.one
-    return graph_basis([(g, [(0, one)])] + [(r, []) for r in rels],
-                       (g.degree(),))
+def colon_basis(gens, rels):
+    """Graph basis of the rows (g_i, e_i) and (r, 0) in F + P^s, with tail
+    shifts deg g_i (0 for a zero g_i); its tail is {u : sum u_i g_i in
+    span(rels)}."""
+    one = gens[0].module.ring.one
+    return graph_basis([(g, [(i, one)]) for i, g in enumerate(gens)]
+                       + [(r, []) for r in rels],
+                       [g.degree() if not g.is_zero() else 0 for g in gens])
 
 
 def colon_from_basis(basis, rank):
@@ -554,11 +558,11 @@ def module_colon(g, rels):
     span(rels)}; the unit ideal when g is zero."""
     if g.is_zero():
         return [g.module.ring.one]
-    return colon_from_basis(colon_basis(g, rels), g.module.rank)
+    return colon_from_basis(colon_basis([g], rels), g.module.rank)
 
 
 def module_divide(f, basis):
-    """A Poly h with f - h*g in span(rels), for basis = colon_basis(g, rels);
+    """A Poly h with f - h*g in span(rels), for basis = colon_basis([g], rels);
     NotDivisible when none exists.
 
     The normal form of (f, 0) against the colon graph basis keeps an F

@@ -11,9 +11,7 @@ import itertools
 
 from .errors import DepthNotOne, crosscheck
 from . import idealops, invariants, rings
-from .groebner import groebner_basis
 from .modules import FreeModule, reducer_index, vec_nf
-from .orders import GrevlexOrder
 
 
 class ReesPresentation:
@@ -72,40 +70,37 @@ def _t_name(ring, j):
 
 
 def _verify_substitution(rp):
-    """Every defining generator must die under T_j -> g_j * t mod I.
+    """Every defining generator f must die under T_j -> g_j * t mod I.
 
-    The basis of I is turned into vectors and indexed once per check, and
-    each power (g_j t)^e or x_i^e is formed once.
+    I P[t] is the direct sum of the I t^k, so f(x, g t) lies in it exactly
+    when each part of f of T-degree k, with T_j -> g_j, lies in I: each
+    part is reduced against the basis of I in P, zero when I is.  The
+    basis is turned into vectors and indexed once per check, and each
+    power g_j^e or x_i^e is formed once.
     """
     A = rp.base
     amb = A.ambient
-    ext = amb.extend(("@t",), (1,))
-    t = ext.gen(ext.n - 1)
-    # the image of each variable of the Rees ring: x_i itself, T_j -> g_j t
-    images = [ext.gen(i) for i in range(amb.n)]
-    images += [ext.transfer(g) * t for g in rp.power_gens]
-    # a reduced grevlex basis of I stays one in P[t], whose new last
-    # variable t changes no leading term
-    gb = [ext.transfer(g) for g in A.gb()]
-    if amb.order != GrevlexOrder(amb.weights):
-        gb = groebner_basis(gb)
-    F = FreeModule(ext, 1)
-    basis = [F.from_poly_list([(0, g)]) for g in gb]
+    # the image of each variable of the Rees ring: x_i itself, T_j -> g_j
+    images = list(amb.gens()) + list(rp.power_gens)
+    F = FreeModule(amb, 1)
+    basis = [F.from_poly_list([(0, g)]) for g in A.gb()]
     index = reducer_index(basis, 1)
     powers = {}
     for f in rp.ring.defining:
-        acc = ext.zero
+        parts = {}
         for exp, c in f.terms:
-            term = ext.const(c)
+            term = amb.const(c)
             for i, e in enumerate(exp):
                 if e:
                     if (i, e) not in powers:
                         powers[(i, e)] = images[i] ** e
                     term = term * powers[(i, e)]
-            acc = acc + term
-        nf = vec_nf(F.from_poly_list([(0, acc)]), basis, index)
-        crosscheck("substitution T_j -> g_j t into a defining generator",
-                   nf.component(0), ext.zero)
+            k = sum(exp[amb.n:])
+            parts[k] = parts[k] + term if k in parts else term
+        for part in parts.values():
+            nf = vec_nf(F.from_poly_list([(0, part)]), basis, index)
+            crosscheck("substitution T_j -> g_j t into a defining generator",
+                       nf.component(0), amb.zero)
 
 
 def graded_gorenstein_oracle(rp, length_cap=None):

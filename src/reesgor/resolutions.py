@@ -1,13 +1,15 @@
 """Graded free resolutions, Ext against the dualizing module, and
 finite-module invariants (length, minimal generators, annihilator, socle).
 
-Modules are subquotients (im gens)/(im rels) of a graded free module.
-A resolution is a Schreyer frame (Schreyer 1980; La Scala and Stillman,
-Strategies for computing minimal free resolutions, JSC 26, 1998): its
-first level is the reduced Groebner basis of the presentation columns,
-or a basis the caller already holds, such as a ring's memoized `gb()`,
-and each next level is read off the S-pair reductions of the last by
-`modules.schreyer_syzygies`, under the Schreyer order that level
+Modules are subquotients (im gens)/(im rels) of a graded free module,
+presented by the tail of `modules.colon_basis(gens, rels)`, a reduced
+Groebner basis off which the length, socle, minimal generators and the
+colon by the last generator are read.  A resolution is a Schreyer frame
+(Schreyer 1980; La Scala and Stillman, Strategies for computing minimal
+free resolutions, JSC 26, 1998): its first level is a Groebner basis (a
+module's columns, a ring's memoized `gb()` or the basis of given
+columns), and each next level is read off the S-pair reductions of the
+last by `modules.schreyer_syzygies`, under the Schreyer order that level
 induces.  Those syzygies are already a Groebner basis of the next syzygy
 module, so at most the first level runs Buchberger.  The frame is exact
 but not minimal, and it is never minimalized: the graded Betti numbers
@@ -23,11 +25,11 @@ numbers, which is the frame's own, is crosschecked against the Hilbert
 numerator of the module (given by the caller or read off the basis
 leads).  A resolution stores its differentials as tuples, so a cached
 one can be shared between callers.  `minimalize_step` pivots the unit
-entries out of one differential; a module presentation uses it to drop
-redundant generators before its frame is built.
+entries out of one differential: the tests' reference minimalization.
 """
 
 from collections import Counter
+from functools import partial, reduce
 from itertools import product
 from operator import ge, neg
 from types import MappingProxyType
@@ -35,9 +37,8 @@ from types import MappingProxyType
 from .errors import NotFiniteLength, ResourceExceeded, crosscheck
 from .hilbert import INFINITE, finite_length, hilbert_numerator, upoly_add
 from .idealops import intersect as intersect_ideals
-from .modules import (FreeModule, module_buchberger, module_colon,
-                      module_syzygies, reducer_index, schreyer_syzygies,
-                      vec_nf)
+from .modules import (FreeModule, colon_basis, graph_tail, module_buchberger,
+                      module_colon, reducer_index, schreyer_syzygies, vec_nf)
 from .polys import _exp_mul
 
 
@@ -271,11 +272,7 @@ def minimal_free_resolution(cols, f0, length_cap=None, numerator=None):
     # Ext^pd reads d_{pd+1}; no later level of the frame is needed
     res = GradedResolution(ring, f0.shifts, frame[:len(betti)], betti)
     if numerator is None:
-        numerator = {}
-        for shift, num in zip(f0.shifts, _component_numerators(
-                f0.rank, gb, ring.weights)):
-            numerator = upoly_add(numerator,
-                                  {d + shift: c for d, c in num.items()})
+        numerator = module_numerator(f0, gb)
     crosscheck("graded Euler characteristic of the resolution and the "
                "Hilbert numerator of its module",
                res.euler_characteristic(), dict(numerator))
@@ -293,11 +290,22 @@ def _component_numerators(rank, basis, weights):
     return [hilbert_numerator(exps, weights) for exps in leads]
 
 
+def module_numerator(f0, gb):
+    """The Hilbert numerator of f0/(gb), for a Groebner basis gb in f0:
+    the numerators of its components, shifted and summed."""
+    numerator = {}
+    for shift, num in zip(f0.shifts, _component_numerators(
+            f0.rank, gb, f0.ring.weights)):
+        numerator = upoly_add(numerator,
+                              {d + shift: c for d, c in num.items()})
+    return numerator
+
+
 class ModulePresentation:
     """Graded subquotient (im gens)/(im rels) of a free module.
 
-    The free presentation, its Groebner basis, the resolution and the
-    annihilator are each computed once per object.
+    The free presentation, whose columns are a reduced Groebner basis,
+    the resolution and the annihilator are each computed once per object.
     """
 
     def __init__(self, ambient, gens, rels):
@@ -307,7 +315,6 @@ class ModulePresentation:
         self.gens = tuple(gens)
         self.rels = tuple(r for r in rels if not r.is_zero())
         self._free_pres = None
-        self._gb = None
         self._resolution = None
         self._ann = None
 
@@ -317,61 +324,35 @@ class ModulePresentation:
         return cls(ambient, gens, rels)
 
     def free_presentation(self):
-        """(F0, presentation columns) with self = coker(cols : F1 -> F0)."""
-        if self._free_pres is not None:
-            return self._free_pres
-        ring = self.ambient.ring
-        s = len(self.gens)
-        shifts = tuple(g.degree() if not g.is_zero() else 0 for g in self.gens)
-        f0 = FreeModule(ring, s, shifts)
-        if s == 0:
-            self._free_pres = (f0, ())
-            return self._free_pres
-        all_cols = self.gens + self.rels
-        if all(v.is_zero() for v in all_cols):
-            syz = []
-            cols = [f0.basis_vec(i) for i, g in enumerate(self.gens)
-                    if g.is_zero()]
-        else:
-            syz = module_syzygies(all_cols)
-            cols = []
-            for v in syz:
-                d = {}
-                for (comp, e), c in v.terms:
-                    if comp < s:
-                        d[(comp, e)] = c
-                w = f0.from_dict(d)
-                if not w.is_zero():
-                    cols.append(w)
-        self._free_pres = (f0, tuple(cols))
+        """(F0, columns) with self = coker(cols : F1 -> F0).  The columns
+        are the tail of `colon_basis(gens, rels)`, the module
+        {u : sum u_i g_i in span(rels)}, as a reduced Groebner basis."""
+        if self._free_pres is None:
+            shifts = [g.degree() if not g.is_zero() else 0 for g in self.gens]
+            f0 = FreeModule(self.ambient.ring, len(shifts), shifts)
+            cols = (graph_tail(colon_basis(self.gens, self.rels), f0)
+                    if self.gens else ())
+            self._free_pres = (f0, tuple(cols))
         return self._free_pres
 
     def resolution(self):
-        """The resolution of the module, from the presentation columns
-        after `minimalize_step` drops the generators they make redundant."""
+        """The resolution of the module, whose frame starts from the
+        presentation columns."""
         if self._resolution is None:
             f0, cols = self.free_presentation()
-            kept, cols = minimalize_step(range(f0.rank), cols)
-            f0 = FreeModule(f0.ring, len(kept), [f0.shifts[i] for i in kept])
-            self._resolution = minimal_free_resolution(cols, f0)
+            self._resolution = minimal_free_resolution(
+                cols, f0, numerator=module_numerator(f0, cols))
         return self._resolution
 
     def pd(self):
         return self.resolution().pd
 
-    def _basis(self):
-        """Groebner basis of the presentation columns, computed once."""
-        if self._gb is None:
-            _, cols = self.free_presentation()
-            self._gb = tuple(module_buchberger(cols).basis) if cols else ()
-        return self._gb
-
     def length(self):
         """k-dimension, or INFINITE."""
-        f0, _ = self.free_presentation()
+        f0, cols = self.free_presentation()
         weights = self.ambient.ring.weights
         total = 0
-        for num in _component_numerators(f0.rank, self._basis(), weights):
+        for num in _component_numerators(f0.rank, cols, weights):
             l = finite_length(num, weights)
             if l == INFINITE:
                 return INFINITE
@@ -388,16 +369,20 @@ class ModulePresentation:
 
     def annihilator_gens(self):
         """Generators of {f in P : f * self = 0}, as a tuple: the
-        intersection of the colons (rels : g) over the generators g."""
+        intersection of the colons (rels : g) over the nonzero generators
+        g.  The presentation columns led in the last component have no
+        other component, and their entries are the colon by the last g."""
         if self._ann is None:
             ring = self.ambient.ring
-            result = None
-            for g in self.gens:
-                if not g.is_zero():
-                    ann = module_colon(g, self.rels)
-                    result = (ann if result is None
-                              else intersect_ideals(ring, result, ann))
-            self._ann = (ring.one,) if result is None else tuple(result)
+            colons = [module_colon(g, self.rels)
+                      for g in self.gens[:-1] if not g.is_zero()]
+            if self.gens and not self.gens[-1].is_zero():
+                f0, cols = self.free_presentation()
+                last = f0.rank - 1
+                colons.append([c.component(last) for c in cols
+                               if c.lead()[0][0] == last])
+            self._ann = (tuple(reduce(partial(intersect_ideals, ring), colons))
+                         if colons else (ring.one,))
         return self._ann
 
     def socle_dim(self):
@@ -408,12 +393,11 @@ class ModulePresentation:
         """
         if self.length() == INFINITE:
             raise NotFiniteLength("socle needs a finite-length module")
-        f0, _ = self.free_presentation()
+        f0, gb = self.free_presentation()
         ring = self.ambient.ring
         field = ring.field
         if f0.rank == 0:
             return 0
-        gb = self._basis()
         basis = _standard_module_basis(f0, gb)
         if not basis:
             return 0
@@ -555,8 +539,7 @@ def ext_dualizing(resolution, i):
     if i < len(resolution.diffs):
         _, out_cols = dual_columns(resolution, i + 1)
         # kernel vectors are coefficient vectors over the dual basis of F_i
-        gens = [dualF.from_dict(dict(v.terms))
-                for v in module_syzygies(out_cols)]
+        gens = graph_tail(colon_basis(out_cols, []), dualF)
     else:
         gens = [dualF.basis_vec(j) for j in range(dualF.rank)]
     return ModulePresentation(dualF, gens, rels)

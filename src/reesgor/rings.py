@@ -123,7 +123,7 @@ class PresentedGradedRing:
         key = (tuple(gens), b)
         if key not in self._colons:
             bv, *rels = as_vecs([b] + self._full(gens))
-            basis = tuple(colon_basis(bv, rels))
+            basis = tuple(colon_basis([bv], rels))
             ideal = Ideal.from_basis(self, colon_from_basis(basis, 1))
             F = bv.module
             module = ModulePresentation(
@@ -359,14 +359,15 @@ def check_parameters(q):
     return d
 
 
-def sigma_tilde(a_list, A):
-    """The colon-sum ideal sum_i ((a_1,..,a_i-hat,..,a_d) : a_i) of A."""
-    check_parameters(Ideal(A, a_list))
+def sigma_tilde(q):
+    """The colon-sum ideal sum_i ((a_1,..,a_i-hat,..,a_d) : a_i) of A, for
+    q = (a_1, .., a_d) generated by a system of parameters of A."""
+    check_parameters(q)
     total = []
-    for i, ai in enumerate(a_list):
-        rest = [a for j, a in enumerate(a_list) if j != i]
-        total.extend(A.colon_graph(rest, ai).ideal.gb())
-    return Ideal.from_basis(A, groebner_basis(total))
+    for i, ai in enumerate(q.gens):
+        rest = q.gens[:i] + q.gens[i + 1:]
+        total.extend(q.owner.colon_graph(rest, ai).ideal.gb())
+    return Ideal.from_basis(q.owner, groebner_basis(total))
 
 
 def ring_division(f, a, A):

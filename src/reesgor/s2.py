@@ -29,9 +29,10 @@ def is_filter_regular(A, a, b):
 def filter_regular_pair(A, q, seed=0):
     """A pair (a, b) from q with a regular on A and b filter-regular mod a.
 
-    Tries ordered pairs of q's generators first, then deterministic
-    seeded random combinations of equal-degree generators.
+    Tests q as a system of parameters, then tries ordered pairs of q's
+    generators, then seeded random combinations of equal-degree ones.
     """
+    rings.check_parameters(q)
     gens = list(q.gens)
     candidates = list(permutations(gens, 2))
     rng = random.Random(seed)

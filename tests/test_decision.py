@@ -213,6 +213,23 @@ def test_true_verdict_forms_no_multiplicity_by_differences(monkeypatch):
     assert len(calls) == 1
 
 
+def test_decide_computes_the_quotient_dimension_of_q_once(monkeypatch):
+    """`_prepare` and `sigma_tilde` both test q as a system of parameters,
+    and both read q's memo: one `decide` computes dim A/q once."""
+    real = rings.Ideal.quotient_dim
+    computed = []
+
+    def recording(self):
+        if self._dim is None:
+            computed.append(self.gens)
+        return real(self)
+
+    monkeypatch.setattr(rings.Ideal, "quotient_dim", recording)
+    A, q = corpus.EXAMPLES["hochster_roberts"]()
+    assert decision.decide(A, q).verdict
+    assert computed.count(q.gens) == 1
+
+
 def _input_key(value):
     """A hashable picture of a graph-basis, colon or syzygy input."""
     if isinstance(value, (list, tuple)):
@@ -253,5 +270,7 @@ def test_decide_builds_each_graph_basis_once(monkeypatch):
             repeated += [(name, char, key[0], n)
                          for key, n in seen.items() if n > 1]
             built.update(key[0] for key in seen)
-    assert built == {"graph_basis", "module_colon", "module_syzygies"}
+    # the module presentations read their columns off `colon_basis`, so
+    # no syzygy module is built on its own
+    assert built == {"graph_basis", "module_colon"}
     assert not repeated, repeated

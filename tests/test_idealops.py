@@ -379,14 +379,14 @@ def test_ring_map_kernel_hochster_roberts_relation(hr):
 
 def test_sigma_tilde_hochster_roberts(hr):
     A, q = hr
-    sigma = rings.sigma_tilde(q.gens, A)
+    sigma = rings.sigma_tilde(q)
     assert rings.ideals_equal(sigma, A.maximal_ideal())
 
 
 def test_sigma_tilde_rejects_non_parameters(hr):
     A, _ = hr
     with pytest.raises(NotParameters):
-        rings.sigma_tilde([A.gen(0)], A)
+        rings.sigma_tilde(A.ideal([A.gen(0)]))
 
 
 def test_ring_division(hr):

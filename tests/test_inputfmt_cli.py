@@ -254,6 +254,19 @@ def test_cli_oracle_needs_parameters(tmp_path):
         "q must be generated by a system of parameters"
 
 
+@pytest.mark.parametrize("params", ["1", "0, x"])
+def test_cli_s2_needs_parameters(tmp_path, params):
+    """s2 tests its parameters first, as check and oracle do: a unit or a
+    zero generator is no system of parameters (exit 2), whatever pair a
+    search might find."""
+    path = tmp_path / "not_parameters.ring"
+    path.write_text("vars x y\nideal x*y\nparams %s\n" % params)
+    code, out = run(["s2", str(path)])
+    assert code == 2
+    assert inputfmt.parse_report(out)["error"] == \
+        "q must be generated by a system of parameters"
+
+
 @pytest.mark.parametrize("cap, want", [(4, 0), (3, 4)])
 def test_cli_resolution_cap_bounds_the_minimal_length(cap, want):
     """The Rees presentation of Hochster-Roberts has a minimal resolution

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from reesgor import corpus, decision, groebner, hilbert, modules, oracle, rings
-from reesgor.errors import DepthNotOne, NotParameters
+from reesgor import (corpus, decision, groebner, hilbert, idealops, modules,
+                     oracle, rings)
+from reesgor.errors import DepthNotOne, EquivalenceViolation, NotParameters
 from reesgor.fields import GF, DEFAULT_PRIME
 from reesgor.groebner import groebner_basis, is_member
 from reesgor.polys import PolyRing
@@ -91,16 +92,22 @@ def test_n_neq_d_suite_needs_depth_one(regular_base):
         oracle.n_neq_d_suite(A, q, 2, (1, 2))
 
 
-@pytest.mark.parametrize("char", [DEFAULT_PRIME, 0, 2, 3])
-def test_ring_basis_stays_reduced_with_a_new_last_variable(char):
-    """The substitution check reduces against A.gb() moved into P[t]
-    without a new Buchberger run: a reduced grevlex basis stays reduced
-    when a last variable is added."""
-    for name in corpus.EXAMPLES:
-        A, _, _ = corpus.example_document(name).build(char_override=char)
-        ext = A.ambient.extend(("@t",), (1,))
-        moved = [ext.transfer(g) for g in A.gb()]
-        assert groebner_basis(moved) == moved, (name, char)
+@pytest.mark.parametrize("name",
+                         ["hochster_roberts", "two_planes", "regular_base"])
+def test_substitution_check_catches_a_wrong_rees_generator(monkeypatch, name):
+    """T_0^2 x appended to the eliminated basis maps to g_0^2 x t^2, whose
+    part of T-degree 2 is not in I (I is zero on regular_base): the
+    substitution check raises."""
+    A, q, _ = corpus.example_document(name).build()
+    real = idealops.eliminate
+
+    def wrong(ring, gens, block):
+        sub, out = real(ring, gens, block)
+        return sub, list(out) + [sub.gen(A.ambient.n) ** 2 * sub.gen(0)]
+
+    monkeypatch.setattr(idealops, "eliminate", wrong)
+    with pytest.raises(EquivalenceViolation, match="substitution"):
+        oracle.rees_presentation(A, q, 2)
 
 
 D2_CORPUS = ("hochster_roberts", "two_planes", "idealization_xy",

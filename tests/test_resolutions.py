@@ -5,6 +5,7 @@ import contextlib
 import io
 import itertools
 import os
+import sys
 from collections import Counter
 
 import pytest
@@ -14,10 +15,10 @@ from reesgor.errors import (EquivalenceViolation, NotApplicable,
                             ResourceExceeded)
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.hilbert import INFINITE, hilbert_numerator
-from reesgor.modules import (FreeModule, module_buchberger, module_syzygies,
-                             schreyer_syzygies)
+from reesgor.modules import (FreeModule, module_buchberger, module_colon,
+                             module_syzygies, schreyer_syzygies)
 from reesgor.polys import PolyRing
-from reesgor import oracle, resolutions
+from reesgor import idealops, modules, oracle, resolutions
 from reesgor.cli import run_cli
 from reesgor.resolutions import (ModulePresentation, ext_dualizing,
                                  minimalize_step, resolve_quotient_ring)
@@ -134,24 +135,74 @@ def test_free_presentation_is_immutable():
 
 
 def test_presentation_basis_is_computed_once(monkeypatch):
+    """The presentation columns are one graph basis and a Groebner basis
+    already: length, socle, minimal generators and the resolution
+    together run one Buchberger."""
     R = ring2()
     x, y = R.gens()
-    Fm = FreeModule(R, 2)
+    Fm = FreeModule(R, 2, (1, 0))
     mod = ModulePresentation.cokernel(
         Fm, [Fm.basis_vec(0, x), Fm.basis_vec(0, y ** 2),
              Fm.basis_vec(1, x ** 2) + Fm.basis_vec(0, y), Fm.basis_vec(1, y)])
     runs = []
-    real = resolutions.module_buchberger
+    real = modules.module_buchberger
 
     def counted(*args, **kwargs):
         runs.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(resolutions, "module_buchberger", counted)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("reesgor"):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
     assert mod.length() == 4
     assert mod.socle_dim() == 1
+    assert mod.min_generators() == 2
+    assert mod.resolution().betti() == [2, 3, 1]
     assert mod.length() == 4
     assert len(runs) == 1
+
+
+def _reference_annihilator(mod):
+    """The intersection of the colons (rels : g) over the nonzero
+    generators g, each colon from its own graph basis."""
+    ring = mod.ambient.ring
+    result = None
+    for g in mod.gens:
+        if not g.is_zero():
+            ann = module_colon(g, mod.rels)
+            result = (ann if result is None
+                      else idealops.intersect(ring, result, ann))
+    return (ring.one,) if result is None else tuple(result)
+
+
+def test_annihilator_reads_the_last_colon_off_the_presentation(
+        corpus_instances):
+    """The colon by the last generator, read off the presentation
+    columns, gives the annihilator of the per-generator colons: with a
+    zero last generator, with no rels (the zero ideal), with no
+    generators (the unit ideal), and on every Ext^i of the corpus."""
+    R = ring2()
+    x, y = R.gens()
+    Fm = FreeModule(R, 2)
+    rels = [Fm.basis_vec(0, x ** 2), Fm.basis_vec(1, y ** 2),
+            Fm.basis_vec(0, y) + Fm.basis_vec(1, x)]
+    special = [
+        (ModulePresentation(Fm, [Fm.basis_vec(0), Fm.zero()], rels),
+         tuple(module_colon(Fm.basis_vec(0), rels))),
+        (ModulePresentation(Fm, [Fm.basis_vec(0, x), Fm.basis_vec(1)], []),
+         ()),
+        (ModulePresentation(Fm, [], rels), (R.one,)),
+    ]
+    for mod, want in special:
+        assert mod.annihilator_gens() == want
+        assert _reference_annihilator(mod) == want
+    for name, (A, _) in corpus_instances.items():
+        for i in range(A.ambient.n + 1):
+            mod = A.ext(i)
+            assert mod.annihilator_gens() == _reference_annihilator(mod), \
+                (name, i)
 
 
 def test_presentation_of_infinite_length_module():
@@ -428,9 +479,10 @@ def test_frame_resolution_matches_iterated_syzygies(ideal):
 
 def test_frame_resolves_presentations_like_iterated_syzygies(
         corpus_instances):
-    """Module presentations minimalize their generators before the frame:
-    each Ext module of a corpus ring, and q modulo I as s2 presents an
-    ideal of A."""
+    """A module presentation's frame starts from its columns, with no
+    generator dropped first, and has the Betti numbers of the reference,
+    which minimalizes the generators before it resolves: each Ext module
+    of a corpus ring, and q modulo I as s2 presents an ideal of A."""
     for name, (A, q) in corpus_instances.items():
         mods = [A.ext(i) for i in range(A.ambient.n + 1)]
         Fm = FreeModule(A.ambient, 1)
