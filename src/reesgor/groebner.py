@@ -3,7 +3,7 @@ module engine.  Nothing is cached here; a reduced basis is memoized by
 the object it belongs to (`PresentedGradedRing.gb`, `Ideal.gb`), and
 the ideal operations return reduced bases that callers keep."""
 
-from .modules import FreeModule, module_buchberger, vec_nf
+from .modules import FreeModule, module_buchberger, reducer_index, vec_nf
 
 
 def as_vecs(polys):
@@ -24,15 +24,25 @@ def groebner_basis(gens):
     return [v.component(0) for v in module_buchberger(as_vecs(live)).basis]
 
 
+def reducer(basis):
+    """f -> normal_form(f, basis), with the basis indexed once."""
+    if not basis:
+        return lambda f: f
+    ring = basis[0].ring
+    vecs = as_vecs(list(basis))
+    F = vecs[0].module
+    index = reducer_index(vecs, 1)
+
+    def nf(f):
+        if f.ring != ring:
+            f = ring.from_dict(dict(f.terms))
+        return vec_nf(F.from_poly_list([(0, f)]), vecs, index).component(0)
+    return nf
+
+
 def normal_form(f, basis):
     """Fully reduced remainder of f modulo a Groebner basis."""
-    if not basis:
-        return f
-    ring = basis[0].ring
-    if f.ring != ring:
-        f = ring.from_dict(dict(f.terms))
-    fv, *vecs = as_vecs([f] + list(basis))
-    return vec_nf(fv, vecs).component(0)
+    return reducer(basis)(f)
 
 
 def is_member(f, basis):

@@ -2,10 +2,10 @@
 
 Univariate integer polynomials are dicts {degree: coefficient}.  The
 Hilbert series of P/I for a monomial ideal I is N(t) / prod_i (1 - t^w_i)
-with N computed by the classical pivot recursion.
+with N computed by Bigatti's pivot, on an explicit stack.
 """
 
-from operator import ge
+from operator import ge, mul
 
 from .errors import NotArtinian
 
@@ -35,49 +35,50 @@ def upoly_eval_one(a):
 
 
 def _minimalize(exps):
-    """Drop monomial generators divisible by another generator."""
-    out = []
-    exps = sorted(set(exps), key=lambda e: (sum(e), e))
-    for i, e in enumerate(exps):
-        if any(all(map(ge, e, f)) for j, f in enumerate(exps) if j != i
-               and (sum(f), f) <= (sum(e), e)):
-            continue
-        out.append(e)
-    return out
+    """The minimal monomial exponents: by ascending total degree, each is
+    checked only against those kept, as no larger degree divides it."""
+    kept = []
+    for e in sorted(set(exps), key=sum):
+        if not any(all(map(ge, e, f)) for f in kept):
+            kept.append(e)
+    return kept
 
 
 def hilbert_numerator(exps, weights):
     """Numerator N(t) for the monomial ideal generated by exps.
 
-    Satisfies series(P / (exps)) = N(t) / prod_i (1 - t^{w_i}).
+    Satisfies series(P / (exps)) = N(t) / prod_i (1 - t^{w_i}).  Bigatti's
+    pivot (JPAA 119, 1997) splits N(J) = N(J + x_i^p) + t^{w_i p} N(J : x_i^p)
+    for x_i in the most generators and p the median of its positive
+    exponents (the least when x_i^p is a generator), on a stack of pending
+    t^shift N(gens); pairwise coprime gens give prod (1 - t^{deg g}).
     """
     weights = tuple(weights)
-
-    def wdeg(e):
-        return sum(x * w for x, w in zip(e, weights))
-
-    def rec(gens):
-        gens = _minimalize(gens)
-        if not gens:
-            return {0: 1}
-        if any(sum(e) == 0 for e in gens):  # contains 1
-            return {}
-        if len(gens) == 1:
-            return {0: 1, wdeg(gens[0]): -1}
-        # pure powers of distinct variables split as a product
-        if all(sum(1 for x in e if x) == 1 for e in gens):
-            out = {0: 1}
+    out = {}
+    stack = [(0, _minimalize(exps))]
+    while stack:
+        shift, gens = stack.pop()
+        if gens and not any(gens[0]):  # the unit ideal
+            continue
+        cols = list(zip(*gens))
+        counts = [len(col) - col.count(0) for col in cols]
+        i = max(range(len(counts)), key=counts.__getitem__, default=0)
+        if not gens or counts[i] < 2:
+            leaf = {shift: 1}
             for e in gens:
-                out = upoly_mul(out, {0: 1, wdeg(e): -1})
-            return out
-        # pivot on the last generator: N(J + (g)) = N(J) - t^deg(g) N(J : g)
-        g = gens[-1]
-        rest = gens[:-1]
-        colon = [tuple(max(x - y, 0) for x, y in zip(e, g)) for e in rest]
-        return upoly_add(rec(rest),
-                         {wdeg(g) + d: -c for d, c in rec(colon).items()})
-
-    return rec(list(exps))
+                leaf = upoly_mul(leaf, {0: 1, sum(map(mul, e, weights)): -1})
+            for d, c in leaf.items():
+                out[d] = out.get(d, 0) + c
+            continue
+        pos = sorted(x for x in cols[i] if x)
+        p = pos[len(pos) // 2]
+        if any(e[i] == p == sum(e) for e in gens):
+            p = pos[0]
+        pure = tuple(p if j == i else 0 for j in range(len(weights)))
+        stack.append((shift, [e for e in gens if e[i] < p] + [pure]))
+        stack.append((shift + weights[i] * p, _minimalize(
+            [e[:i] + (max(e[i] - p, 0),) + e[i + 1:] for e in gens])))
+    return {d: c for d, c in out.items() if c}
 
 
 def divide_one_minus_t(num):

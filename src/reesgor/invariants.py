@@ -10,6 +10,7 @@ from math import prod
 
 from .errors import NoStabilization, NotArtinian, NotContained, crosscheck
 from . import idealops
+from .groebner import reducer
 from .hilbert import INFINITE, divide_one_minus_t, upoly_eval_one
 from . import rings
 
@@ -97,21 +98,23 @@ def parameter_multiplicity(A, q):
 def is_reduction(q, c, r_max=10):
     """Least r with c^(r+1) = q * c^r, or NOT_FOUND.
 
-    Requires q contained in c (as ideals of their common ring).  Each
-    c^r is kept as the reduced basis of c^r + I; the two sides are then
-    c * (c^r + I) + I = c^(r+1) + I and q * (c^r + I) + I = q c^r + I.
+    Requires q contained in c (as ideals of their common ring), so the
+    test is c * (c^r + I) in q c^r + I, by the products c_i * h for h in
+    the basis of c^r + I against that of q c^r + I (q.gb() at r = 0).
+    c^(r+1) + I and q c^(r+1) + I are formed only when it fails.
     """
     if not c.contains_ideal(q):
         raise NotContained("q is not contained in c")
     A = q.owner
     amb = A.ambient
     c_pow = [amb.one]  # c^0 + I
+    q_side = q.gb()
     for r in range(r_max + 1):
-        c_next = idealops.ideal_product(amb, c_pow, c.gens, A.gb())
-        q_side = idealops.ideal_product(amb, c_pow, q.gens, A.gb())
-        if c_next == q_side:
+        nf = reducer(q_side)
+        if all(nf(g * h).is_zero() for g in c.gens for h in c_pow):
             return r
-        c_pow = c_next
+        c_pow = idealops.ideal_product(amb, c_pow, c.gens, A.gb())
+        q_side = idealops.ideal_product(amb, c_pow, q.gens, A.gb())
     return NOT_FOUND
 
 

@@ -329,7 +329,9 @@ def _s_vector(bi, bj, lcm):
 def module_buchberger(gens, pair_cap=None):
     """Reduced module Groebner basis of the submodule spanned by gens.
 
-    Pairs are taken smallest lcm first (the normal strategy) and pruned by
+    Pairs are taken by the shifted degree of their lcm, then smallest lcm
+    first (the sugar strategy of Giovini et al. 1991, which reorders pairs
+    only where the order does not lead with the degree), and pruned by
     the Gebauer-Moeller update each time an element joins the basis: of
     its new pairs, one is kept per lcm and none whose lcm is a multiple of
     a kept one; on rank 1 only, coprime pairs are then dropped (the
@@ -355,15 +357,16 @@ def module_buchberger(gens, pair_cap=None):
     leads = []      # (comp, exp) of each basis element
     redundant = []  # whether a later lead divides this element's lead
     index = reducer_index((), module.rank)
-    pairs = []      # heap of (key of lcm, i, j, comp, lcm)
+    pairs = []      # heap of (degree of lcm, key of lcm, i, j, comp, lcm)
+    wdeg, shifts = module.ring.wdeg, module.shifts
 
     def update(k):
         """Gebauer-Moeller update and G-filter for the new element k."""
         compk, ek = leads[k]
         live = [p for p in pairs
-                if p[3] != compk or not all(map(ge, p[4], ek))
-                or _exp_lcm(leads[p[1]][1], ek) == p[4]
-                or _exp_lcm(leads[p[2]][1], ek) == p[4]]
+                if p[4] != compk or not all(map(ge, p[5], ek))
+                or _exp_lcm(leads[p[2]][1], ek) == p[5]
+                or _exp_lcm(leads[p[3]][1], ek) == p[5]]
         if len(live) != len(pairs):
             pairs[:] = live
             heapq.heapify(pairs)
@@ -386,8 +389,9 @@ def module_buchberger(gens, pair_cap=None):
                 continue
             kept.append(lcm)
             if not_coprime:
-                heapq.heappush(pairs,
-                               (module.key(compk, lcm), i, k, compk, lcm))
+                heapq.heappush(pairs, (wdeg(lcm) + shifts[compk],
+                                       module.key(compk, lcm), i, k, compk,
+                                       lcm))
 
     def join(h):
         k = len(basis)
@@ -413,7 +417,7 @@ def module_buchberger(gens, pair_cap=None):
         reduced_count += 1
         if pair_cap is not None and reduced_count > pair_cap:
             raise ResourceExceeded("pair queue cap %d exceeded" % pair_cap)
-        _, i, j, _comp, lcm = heapq.heappop(pairs)
+        _, _, i, j, _comp, lcm = heapq.heappop(pairs)
         h = vec_nf(_s_vector(basis[i], basis[j], lcm), basis, index)
         if not h.is_zero():
             join(h.monic())

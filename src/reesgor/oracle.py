@@ -11,7 +11,7 @@ import itertools
 
 from .errors import DepthNotOne, crosscheck
 from . import idealops, invariants, rings
-from .modules import FreeModule, reducer_index, vec_nf
+from .groebner import reducer
 
 
 class ReesPresentation:
@@ -74,17 +74,14 @@ def _verify_substitution(rp):
 
     I P[t] is the direct sum of the I t^k, so f(x, g t) lies in it exactly
     when each part of f of T-degree k, with T_j -> g_j, lies in I: each
-    part is reduced against the basis of I in P, zero when I is.  The
-    basis is turned into vectors and indexed once per check, and each
-    power g_j^e or x_i^e is formed once.
+    part is reduced against the basis of I in P, indexed once per check,
+    and each power g_j^e or x_i^e is formed once.
     """
     A = rp.base
     amb = A.ambient
     # the image of each variable of the Rees ring: x_i itself, T_j -> g_j
     images = list(amb.gens()) + list(rp.power_gens)
-    F = FreeModule(amb, 1)
-    basis = [F.from_poly_list([(0, g)]) for g in A.gb()]
-    index = reducer_index(basis, 1)
+    nf = reducer(A.gb())
     powers = {}
     for f in rp.ring.defining:
         parts = {}
@@ -98,9 +95,8 @@ def _verify_substitution(rp):
             k = sum(exp[amb.n:])
             parts[k] = parts[k] + term if k in parts else term
         for part in parts.values():
-            nf = vec_nf(F.from_poly_list([(0, part)]), basis, index)
             crosscheck("substitution T_j -> g_j t into a defining generator",
-                       nf.component(0), amb.zero)
+                       nf(part), amb.zero)
 
 
 def graded_gorenstein_oracle(rp, length_cap=None):

@@ -36,7 +36,7 @@ from types import MappingProxyType
 
 from .errors import NotFiniteLength, ResourceExceeded, crosscheck
 from .hilbert import INFINITE, finite_length, hilbert_numerator, upoly_add
-from .idealops import intersect as intersect_ideals
+from .idealops import colon as colon_ideals, intersect as intersect_ideals
 from .modules import (FreeModule, colon_basis, graph_tail, module_buchberger,
                       module_colon, reducer_index, schreyer_syzygies, vec_nf)
 from .polys import _exp_mul
@@ -306,6 +306,7 @@ class ModulePresentation:
 
     The free presentation, whose columns are a reduced Groebner basis,
     the resolution and the annihilator are each computed once per object.
+    Inhomogeneous generators or relations are a ValueError.
     """
 
     def __init__(self, ambient, gens, rels):
@@ -314,6 +315,9 @@ class ModulePresentation:
         # such as a ring's memoized Ext modules are shared between callers
         self.gens = tuple(gens)
         self.rels = tuple(r for r in rels if not r.is_zero())
+        for v in self.gens + self.rels:
+            if not v.is_homogeneous():
+                raise ValueError("inhomogeneous generator or relation %r" % v)
         self._free_pres = None
         self._resolution = None
         self._ann = None
@@ -371,18 +375,25 @@ class ModulePresentation:
         """Generators of {f in P : f * self = 0}, as a tuple: the
         intersection of the colons (rels : g) over the nonzero generators
         g.  The presentation columns led in the last component have no
-        other component, and their entries are the colon by the last g."""
+        other component, and their entries are the colon by the last g.
+        On a rank-one ambient with several generators the intersection is
+        one colon of ideals, ann((J + K)/K) = K : J."""
         if self._ann is None:
             ring = self.ambient.ring
-            colons = [module_colon(g, self.rels)
-                      for g in self.gens[:-1] if not g.is_zero()]
-            if self.gens and not self.gens[-1].is_zero():
-                f0, cols = self.free_presentation()
-                last = f0.rank - 1
-                colons.append([c.component(last) for c in cols
-                               if c.lead()[0][0] == last])
-            self._ann = (tuple(reduce(partial(intersect_ideals, ring), colons))
-                         if colons else (ring.one,))
+            if self.ambient.rank == 1 and len(self.gens) > 1:
+                ann = colon_ideals(ring, [r.component(0) for r in self.rels],
+                                   [g.component(0) for g in self.gens])
+            else:
+                colons = [module_colon(g, self.rels)
+                          for g in self.gens[:-1] if not g.is_zero()]
+                if self.gens and not self.gens[-1].is_zero():
+                    f0, cols = self.free_presentation()
+                    last = f0.rank - 1
+                    colons.append([c.component(last) for c in cols
+                                   if c.lead()[0][0] == last])
+                ann = (reduce(partial(intersect_ideals, ring), colons)
+                       if colons else (ring.one,))
+            self._ann = tuple(ann)
         return self._ann
 
     def socle_dim(self):

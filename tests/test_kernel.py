@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import sys
 import time
 from math import isqrt
+from operator import ge
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,7 +14,7 @@ from reesgor.fields import GF, QQ, DEFAULT_PRIME, PRIME_BOUND, is_prime
 from reesgor.groebner import groebner_basis, is_member, normal_form
 from reesgor.hilbert import (count_standard_monomials, dimension_from_numerator,
                              finite_length, hilbert_numerator, quotient_series,
-                             upoly_eval_one, upoly_mul)
+                             upoly_add, upoly_eval_one, upoly_mul)
 from reesgor.inputfmt import parse_poly
 from reesgor.orders import BlockOrder, GrevlexOrder, LexOrder
 from reesgor.polys import PolyRing
@@ -300,6 +302,16 @@ def brute_count(exps, weights, up_to):
     return counts
 
 
+def _expand(num, weights, up_to):
+    """Coefficients of num / prod(1 - t^w) up to degree up_to."""
+    series = [num.get(d, 0) for d in range(up_to + 1)]
+    for w in weights:
+        # multiply by 1/(1 - t^w): prefix-sum with stride w
+        for d in range(w, up_to + 1):
+            series[d] += series[d - w]
+    return series
+
+
 @pytest.mark.parametrize("exps,weights", [
     ([(2, 0), (0, 3)], (1, 1)),
     ([(1, 1)], (1, 1)),
@@ -309,18 +321,112 @@ def brute_count(exps, weights, up_to):
 ])
 def test_numerator_expansion_matches_enumeration(exps, weights):
     num = hilbert_numerator(exps, weights)
-    series = [0] * 13
-    # expand num / prod(1 - t^w) to degree 12 by polynomial division
-    denom_roots = list(weights)
-    cur = dict(num)
-    for w in denom_roots:
-        # multiply series by 1/(1 - t^w): prefix-sum with stride w
-        nxt = [0] * 13
-        for d in range(13):
-            nxt[d] = cur.get(d, 0) + (nxt[d - w] if d >= w else 0)
-        cur = {d: v for d, v in enumerate(nxt)}
-    got = [cur.get(d, 0) for d in range(13)]
-    assert got == brute_count(exps, weights, 12)
+    assert _expand(num, weights, 12) == brute_count(exps, weights, 12)
+
+
+def _recursive_numerator(exps, weights):
+    """The recursion hilbert_numerator replaced, frozen as the reference:
+    pivot on the last generator, N(J + (g)) = N(J) - t^deg(g) N(J : g),
+    with a full rescan to minimalize each node."""
+    weights = tuple(weights)
+
+    def minimalize(exps):
+        out = []
+        exps = sorted(set(exps), key=lambda e: (sum(e), e))
+        for i, e in enumerate(exps):
+            if any(all(map(ge, e, f)) for j, f in enumerate(exps) if j != i
+                   and (sum(f), f) <= (sum(e), e)):
+                continue
+            out.append(e)
+        return out
+
+    def wdeg(e):
+        return sum(x * w for x, w in zip(e, weights))
+
+    def rec(gens):
+        gens = minimalize(gens)
+        if not gens:
+            return {0: 1}
+        if any(sum(e) == 0 for e in gens):  # contains 1
+            return {}
+        if len(gens) == 1:
+            return {0: 1, wdeg(gens[0]): -1}
+        # pure powers of distinct variables split as a product
+        if all(sum(1 for x in e if x) == 1 for e in gens):
+            out = {0: 1}
+            for e in gens:
+                out = upoly_mul(out, {0: 1, wdeg(e): -1})
+            return out
+        g = gens[-1]
+        rest = gens[:-1]
+        colon = [tuple(max(x - y, 0) for x, y in zip(e, g)) for e in rest]
+        return upoly_add(rec(rest),
+                         {wdeg(g) + d: -c for d, c in rec(colon).items()})
+
+    return rec(list(exps))
+
+
+@st.composite
+def monomial_ideals(draw):
+    """(weights, exps): up to 8 exponent vectors, repeats and zero
+    exponents allowed, in 1..4 variables of weights 1..3."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    weights = draw(st.tuples(*[st.integers(min_value=1, max_value=3)] * n))
+    exps = draw(st.lists(st.tuples(*[st.integers(min_value=0, max_value=4)]
+                                   * n), max_size=8))
+    if exps and draw(st.booleans()):
+        # a repeated generator and a multiple of one
+        exps += [exps[0], tuple(x + 1 for x in exps[-1])]
+    return weights, exps
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_ideals())
+def test_numerator_matches_the_recursive_reference(case):
+    weights, exps = case
+    num = hilbert_numerator(exps, weights)
+    assert num == _recursive_numerator(exps, weights)
+    counts = count_standard_monomials(exps, weights, 10)
+    assert _expand(num, weights, 10) == [counts.get(d, 0) for d in range(11)]
+
+
+def _staircase(n):
+    """The n + 1 generators x^i y^(n - i) of (x, y)^n."""
+    return [(i, n - i) for i in range(n + 1)]
+
+
+def test_numerator_of_large_monomial_sets_is_fast():
+    """Bigatti's pivot splits a staircase into two of half its size: 400
+    generators in two variables, and 400 monomials of degree 400 in
+    three, each well under half a second."""
+    start = time.process_time()
+    num = hilbert_numerator(_staircase(399), (1, 1))
+    assert time.process_time() - start < 0.5
+    assert num == {0: 1, 399: -400, 400: 399}
+    rng = random.Random(400)
+    exps = set()
+    while len(exps) < 400:
+        a = rng.randint(0, 400)
+        b = rng.randint(0, 400 - a)
+        exps.add((a, b, 400 - a - b))
+    start = time.process_time()
+    num = hilbert_numerator(exps, (1, 1, 1))
+    assert time.process_time() - start < 0.5
+    # below degree 400 every monomial is standard; in degree 400 all but
+    # the 400 generators are
+    series = _expand(num, (1, 1, 1), 400)
+    assert series[:400] == [(d + 1) * (d + 2) // 2 for d in range(400)]
+    assert series[400] == 401 * 402 // 2 - 400
+
+
+def test_numerator_of_a_2000_generator_staircase_needs_no_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        num = hilbert_numerator(_staircase(1999), (1, 1))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert num == {0: 1, 1999: -2000, 2000: 1999}
 
 
 def test_count_standard_monomials_agrees():

@@ -6,7 +6,8 @@ import pytest
 
 from reesgor import (corpus, decision, groebner, hilbert, idealops, modules,
                      oracle, rings)
-from reesgor.errors import DepthNotOne, EquivalenceViolation, NotParameters
+from reesgor.errors import (DepthNotOne, EquivalenceViolation, NotParameters,
+                            ResourceExceeded)
 from reesgor.fields import GF, DEFAULT_PRIME
 from reesgor.groebner import groebner_basis, is_member
 from reesgor.polys import PolyRing
@@ -151,6 +152,36 @@ def test_oracle_computes_one_basis_and_one_numerator_per_rees_ring(
         rees_runs = [args for args in runs
                      if t_names <= set(args[0][0].module.ring.names)]
         assert len(rees_runs) == 1, name
+
+
+# S-vectors the Rees elimination of each ring reduces at n = 2, 3 when
+# pairs are taken by the degree of their lcm first; taken by the block
+# order's lcm key alone they were 79, 136; 55, 116; 33, 82; 33, 82; 11, 35
+REES_S_VECTORS = {
+    "hochster_roberts": (40, 46), "two_planes": (45, 76),
+    "idealization_xy": (24, 45), "idealization_x2y3": (24, 45),
+    "regular_base": (8, 20)}
+
+
+@pytest.mark.parametrize("name", D2_CORPUS)
+def test_rees_elimination_takes_pairs_by_degree(monkeypatch, name):
+    """Under the block order of the elimination, the pairs taken by
+    degree first leave the fewest S-vectors to reduce: a pair cap of
+    exactly that count finishes and one below it raises."""
+    A, q, _ = corpus.example_document(name).build()
+    real = modules.module_buchberger
+    for n, want in zip((2, 3), REES_S_VECTORS[name]):
+        for cap, enough in ((want, True), (want - 1, False)):
+            def capped(gens, pair_cap=None, cap=cap):
+                if gens[0].module.ring.order.kind == "block":
+                    pair_cap = cap
+                return real(gens, pair_cap)
+            monkeypatch.setattr(groebner, "module_buchberger", capped)
+            if enough:
+                oracle.rees_presentation(A, q, n)
+            else:
+                with pytest.raises(ResourceExceeded):
+                    oracle.rees_presentation(A, q, n)
 
 
 @pytest.mark.parametrize("char", [DEFAULT_PRIME, 0, 2, 3])

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from reesgor.errors import (EquivalenceViolation, NotApplicable,
                             ResourceExceeded)
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
+from reesgor.groebner import groebner_basis
 from reesgor.hilbert import INFINITE, hilbert_numerator
 from reesgor.modules import (FreeModule, module_buchberger, module_colon,
                              module_syzygies, schreyer_syzygies)
@@ -164,6 +165,21 @@ def test_presentation_basis_is_computed_once(monkeypatch):
     assert len(runs) == 1
 
 
+def test_presentation_rejects_inhomogeneous_vectors():
+    """x^2 e1 + y e0 has degrees 2 and 1 when both generators sit in
+    degree 0; once accepted, its resolution failed the Euler
+    characteristic crosscheck (exit 5) instead."""
+    R = ring2()
+    x, y = R.gens()
+    Fm = FreeModule(R, 2)
+    bad = Fm.basis_vec(1, x ** 2) + Fm.basis_vec(0, y)
+    good = [Fm.basis_vec(0, x), Fm.basis_vec(0, y ** 2), Fm.basis_vec(1, y)]
+    with pytest.raises(ValueError, match=r"inhomogeneous .*'x\^2'"):
+        ModulePresentation.cokernel(Fm, good + [bad])
+    with pytest.raises(ValueError, match=r"inhomogeneous .*'x\^2'"):
+        ModulePresentation(Fm, [bad], good)
+
+
 def _reference_annihilator(mod):
     """The intersection of the colons (rels : g) over the nonzero
     generators g, each colon from its own graph basis."""
@@ -182,10 +198,12 @@ def test_annihilator_reads_the_last_colon_off_the_presentation(
     """The colon by the last generator, read off the presentation
     columns, gives the annihilator of the per-generator colons: with a
     zero last generator, with no rels (the zero ideal), with no
-    generators (the unit ideal), and on every Ext^i of the corpus."""
+    generators (the unit ideal), on a rank-one ambient (one colon of
+    ideals), and on every Ext^i of the corpus."""
     R = ring2()
     x, y = R.gens()
     Fm = FreeModule(R, 2)
+    F1 = FreeModule(R, 1)
     rels = [Fm.basis_vec(0, x ** 2), Fm.basis_vec(1, y ** 2),
             Fm.basis_vec(0, y) + Fm.basis_vec(1, x)]
     special = [
@@ -194,6 +212,11 @@ def test_annihilator_reads_the_last_colon_off_the_presentation(
         (ModulePresentation(Fm, [Fm.basis_vec(0, x), Fm.basis_vec(1)], []),
          ()),
         (ModulePresentation(Fm, [], rels), (R.one,)),
+        # rank one: ann((x, y)/(x^2, xy, y^3)) = (x^2, xy, y^3) : (x, y)
+        (ModulePresentation(F1, [F1.basis_vec(0, x), F1.basis_vec(0, y)],
+                            [F1.basis_vec(0, g) for g in (x ** 2, x * y,
+                                                          y ** 3)]),
+         tuple(groebner_basis([x, y ** 2]))),
     ]
     for mod, want in special:
         assert mod.annihilator_gens() == want
