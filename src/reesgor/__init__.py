@@ -15,9 +15,9 @@ from .errors import (DepthNotOne, EquivalenceViolation,
                      ResourceExceeded, WrongDimension)
 from .fields import GF, QQ, DEFAULT_PRIME
 from .polys import PolyRing
-from .rings import (Ideal, PresentedGradedRing, colon, eliminate,
-                    ideals_equal, intersect, ring_division,
-                    ring_map_kernel, saturate, sigma_tilde)
+from .rings import (Ideal, PresentedGradedRing, colon, ideals_equal,
+                    intersect, ring_division, ring_map_kernel, saturate,
+                    sigma_tilde)
 from .invariants import (artinian_gorenstein, artinian_length,
                          depth_and_type, is_reduction, multiplicity)
 from .s2 import (conductor_crosscheck, filter_regular_pair, h1_socle,

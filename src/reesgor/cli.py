@@ -134,9 +134,11 @@ def _dispatch(args):
                              "assertion not machine-verified)"]
     if args.command == "s2":
         pair = s2.filter_regular_pair(A, q, args.seed)
+        prof = s2.hypothesis_profile(A, pair=pair)
+        if not prof.verdict:
+            raise HypothesisNotVerified("cohomology hypothesis fails for A")
         data = s2.s2_construct(A, pair)
         s2.conductor_crosscheck(A, data)
-        prof = s2.hypothesis_profile(A, pair=pair)
         pairs = [("pair_a", pair[0]), ("pair_b", pair[1]),
                  ("h1_length", data.h1_length),
                  ("conductor", _ideal_str(data.conductor)),

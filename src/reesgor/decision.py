@@ -4,6 +4,7 @@ the dimension-two Shimoda test, and the Buchsbaum multiplicity test.
 """
 
 from .errors import DepthNotOne, HypothesisNotVerified, WrongDimension
+from .hilbert import INFINITE
 from . import errors, invariants, rings, s2
 
 
@@ -199,12 +200,17 @@ def buchsbaum_criterion(A, q, r_max=10):
     e_q, read off the Hilbert series of A, is crosschecked against the
     length of A/b and is e_m when q reduces m; otherwise e_m comes from the
     difference scheme.  The Buchsbaum property of A itself is a caller
-    assertion and is not machine-verified.
+    assertion and is not machine-verified, but its necessary condition
+    that H^i_m(A), dual to Ext^(n-i)(A, omega), has finite length for
+    every i < d is tested first.
     """
     rep = invariants.depth_and_type(A)
     if rep.depth != 1:
         raise DepthNotOne("the multiplicity criterion needs depth 1")
-    rings.check_parameters(q)
+    d = rings.check_parameters(q)
+    if any(A.ext(A.ambient.n - i).length() == INFINITE for i in range(d)):
+        raise HypothesisNotVerified("local cohomology below dim A has "
+                                    "infinite length: A is not Buchsbaum")
     m = A.maximal_ideal()
     red = invariants.is_reduction(q, m, r_max=r_max)
     red_found = red != invariants.NOT_FOUND

@@ -5,9 +5,11 @@ Hilbert series of P/I for a monomial ideal I is N(t) / prod_i (1 - t^w_i)
 with N computed by Bigatti's pivot, on an explicit stack.
 """
 
+from fractions import Fraction
+from math import prod
 from operator import ge, mul
 
-from .errors import NotArtinian
+from .errors import crosscheck
 
 INFINITE = "INFINITE"
 
@@ -105,36 +107,19 @@ def dimension_from_numerator(num, weights):
     return len(weights) - divide_one_minus_t(num)[0]
 
 
-def quotient_series(num, weights):
-    """Hilbert series as a polynomial when P/I is finite dimensional.
-
-    Divides N(t) exactly by prod (1 - t^{w_i}); raises NotArtinian when
-    the division leaves a remainder (infinite-dimensional quotient).
-    """
-    cur = dict(num)
-    for w in weights:
-        if not cur:
-            continue
-        maxdeg = max(cur)
-        # (1 - t^w) g = f  <=>  g_d = f_d + g_{d-w}; exact iff the top w
-        # accumulated coefficients vanish
-        g = [0] * (maxdeg + 1)
-        for d in range(maxdeg + 1):
-            g[d] = cur.get(d, 0) + (g[d - w] if d >= w else 0)
-        cut = max(0, maxdeg - w + 1)
-        if any(g[d] for d in range(cut, maxdeg + 1)):
-            raise NotArtinian("Hilbert series is not a polynomial")
-        cur = {d: g[d] for d in range(cut) if g[d]}
-    return cur
-
-
 def finite_length(num, weights):
-    """k-dimension of P/I, or INFINITE."""
+    """k-dimension of P/I from its Hilbert numerator num, or INFINITE.
+    For num = (1 - t)^k g, P/I is finite dimensional when k = n, and its
+    series g / prod_i (1 + t + ... + t^(w_i - 1)) is g(1) / prod_i w_i
+    at t = 1, kept exact."""
     if not num:
         return 0
-    if dimension_from_numerator(num, weights) > 0:
+    k, g = divide_one_minus_t(num)
+    if k < len(weights):
         return INFINITE
-    return upoly_eval_one(quotient_series(num, weights))
+    length = Fraction(upoly_eval_one(g), prod(weights))
+    return crosscheck("the length g(1) / prod w_i is an integer",
+                      int(length), length)
 
 
 def count_standard_monomials(exps, weights, up_to_degree):

@@ -2,20 +2,21 @@
 
 These are the engine-level routines; the user-facing Ideal type in
 rings.py wraps them with owner bookkeeping and preimage conventions.
-Intersections and colons are read off one module Groebner basis each
-(`modules.graph_basis`); a colon by k divisors is one colon of a vector
-of P^k, not k colons and k - 1 intersections.  Only `eliminate` changes
-the ring order, for the oracle and for ring-map kernels.  `intersect`,
-`colon` and `saturate` return reduced Groebner bases, equal to
-`groebner_basis` of themselves: the tails of a reduced graph basis are
-monic, reduced and sorted by descending lead, and no element with an F
-lead can reduce a tail term.
+Intersections and colons are module colons, each read off one graph
+basis (`modules.colon_basis`): a colon by k divisors is one colon of a
+vector of P^k, not k colons and k - 1 intersections, and an intersection
+is one colon of a vector of P^2.  Only `eliminate` changes the ring
+order, for the oracle and for ring-map kernels.  `intersect`, `colon`
+and `saturate` return reduced Groebner bases, equal to `groebner_basis`
+of themselves: the tails of a reduced graph basis are monic, reduced and
+sorted by descending lead, and no element with an F lead can reduce a
+tail term.
 """
 
 from .errors import ResourceExceeded
-from .groebner import as_vecs, groebner_basis
+from .groebner import groebner_basis
 from .hilbert import finite_length, hilbert_numerator
-from .modules import FreeModule, graph_basis, module_colon
+from .modules import FreeModule, module_colon
 from .orders import BlockOrder
 
 
@@ -35,13 +36,14 @@ def ideal_product(ring, gens_a, gens_b, base):
 
 
 def intersect(ring, gens_a, gens_b):
-    """(A) cap (B): the tails of the graph basis of the rows (a, a), (b, 0)."""
+    """(A) cap (B) as the module colon (A e_0 + B e_1) : (e_0 + e_1) in
+    P^2: h lies in both exactly when h e_0 + h e_1 lies in the span."""
     if not gens_a or not gens_b:
         return []
-    rows = [(v, [(0, a)]) for v, a in zip(as_vecs(gens_a), gens_a)]
-    rows += [(v, []) for v in as_vecs(gens_b)]
-    return [b.component(1) for b in graph_basis(rows, (0,))
-            if b.lead()[0][0] == 1]
+    F = FreeModule(ring, 2)
+    rels = ([F.basis_vec(0, a) for a in gens_a]
+            + [F.basis_vec(1, b) for b in gens_b])
+    return module_colon(F.basis_vec(0) + F.basis_vec(1), rels)
 
 
 def colon(ring, gens, colon_by):

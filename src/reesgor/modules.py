@@ -25,16 +25,17 @@ Interreduction needs no index per element: a lead never divides a
 smaller term of its own component, so each kept element's tail reduces
 against one index of all kept elements.
 
-Syzygies, colons, presentations and exact division all come from one
-Groebner basis of a graph module: the submodule of F + P^s spanned by rows
-(v_i, w_i), under position over term with the F block first.  Its elements
-led in the tail P^s have no F part: a reduced Groebner basis of the tail
-{w : (0, w) in the span} (Greuel-Pfister, A Singular Introduction to
-Commutative Algebra; Singular's `syz`, `quotient`, `intersect`, `modulo`).
-For the rows (g_i, e_i) and (r_j, 0) of `colon_basis(gens, rels)` the tail
-is {u : sum u_i g_i in span(rels)}: the syzygies of the g_i with no rels,
-the colon (rels : g) for gens = [g], whose basis `module_divide` reduces
-(f, 0) against, and in general the presentation of (im gens)/(im rels).
+Syzygies, colons, intersections, presentations and exact division all
+come from one Groebner basis of a graph module, `colon_basis(gens, rels)`:
+the submodule of F + P^s spanned by the rows (g_i, e_i) and (r_j, 0),
+under position over term with the F block first.  Its elements led in
+the tail P^s have no F part: a reduced Groebner basis of the tail
+{u : sum u_i g_i in span(rels)} (Greuel-Pfister, A Singular Introduction
+to Commutative Algebra; Singular's `syz`, `quotient`, `modulo`).  That is
+the syzygies of the g_i with no rels, the colon (rels : g) for gens = [g],
+whose basis `module_divide` reduces (f, 0) against, the intersection
+(A) cap (B) = (A e_0 + B e_1) : (e_0 + e_1), and in general the
+presentation of (im gens)/(im rels).
 `schreyer_syzygies` reduces graph rows too, but needs no Buchberger run:
 for a Groebner basis, the S-vectors of its pairs reduce to syzygies that
 are a Groebner basis already.
@@ -434,28 +435,6 @@ def module_buchberger(gens, pair_cap=None):
     return GroebnerData(reduced)
 
 
-def graph_basis(rows, tail_shifts):
-    """Groebner basis of the submodule of F + P^s spanned by the rows.
-
-    A row is (v, w): a Vec v of F and its tail w, a list of (j, Poly)
-    pairs with distinct j < s = len(tail_shifts).  Under position over
-    term with the F block first, a basis element whose lead lies in the
-    tail has no F part.
-    """
-    module = rows[0][0].module
-    rank = module.rank
-    GM = FreeModule(module.ring, rank + len(tail_shifts),
-                    module.shifts + tuple(tail_shifts))
-    work = []
-    for v, w in rows:
-        d = dict(v.terms)
-        for j, p in w:
-            for e, c in p.terms:
-                d[(rank + j, e)] = c
-        work.append(GM.from_dict(d))
-    return module_buchberger(work).basis
-
-
 def graph_tail(basis, target):
     """The elements of a graph basis in F + target led in the tail, which
     have no F part, as Vecs of target."""
@@ -543,13 +522,20 @@ def schreyer_syzygies(basis):
 
 
 def colon_basis(gens, rels):
-    """Graph basis of the rows (g_i, e_i) and (r, 0) in F + P^s, with tail
-    shifts deg g_i (0 for a zero g_i); its tail is {u : sum u_i g_i in
+    """Groebner basis of the graph module in F + P^s spanned by the rows
+    (g_i, e_i) and (r, 0), with tail shifts deg g_i (0 for a zero g_i).
+    Under position over term with the F block first, an element led in
+    the tail has no F part, and the tail is {u : sum u_i g_i in
     span(rels)}."""
-    one = gens[0].module.ring.one
-    return graph_basis([(g, [(i, one)]) for i, g in enumerate(gens)]
-                       + [(r, []) for r in rels],
-                       [g.degree() if not g.is_zero() else 0 for g in gens])
+    module = gens[0].module
+    rank = module.rank
+    GM = FreeModule(module.ring, rank + len(gens), module.shifts + tuple(
+        g.degree() if not g.is_zero() else 0 for g in gens))
+    one, zero_exp = module.ring.field.one, module.ring.zero_exp
+    rows = [GM.from_dict({**dict(g.terms), (rank + i, zero_exp): one})
+            for i, g in enumerate(gens)]
+    rows += [GM.from_dict(dict(r.terms)) for r in rels]
+    return module_buchberger(rows).basis
 
 
 def colon_from_basis(basis, rank):

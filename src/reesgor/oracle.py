@@ -11,7 +11,6 @@ import itertools
 
 from .errors import DepthNotOne, crosscheck
 from . import idealops, invariants, rings
-from .groebner import reducer
 
 
 class ReesPresentation:
@@ -74,14 +73,13 @@ def _verify_substitution(rp):
 
     I P[t] is the direct sum of the I t^k, so f(x, g t) lies in it exactly
     when each part of f of T-degree k, with T_j -> g_j, lies in I: each
-    part is reduced against the basis of I in P, indexed once per check,
-    and each power g_j^e or x_i^e is formed once.
+    part is reduced modulo I by `A.reduce`, and each power g_j^e or x_i^e
+    is formed once.
     """
     A = rp.base
     amb = A.ambient
     # the image of each variable of the Rees ring: x_i itself, T_j -> g_j
     images = list(amb.gens()) + list(rp.power_gens)
-    nf = reducer(A.gb())
     powers = {}
     for f in rp.ring.defining:
         parts = {}
@@ -96,7 +94,7 @@ def _verify_substitution(rp):
             parts[k] = parts[k] + term if k in parts else term
         for part in parts.values():
             crosscheck("substitution T_j -> g_j t into a defining generator",
-                       nf(part), amb.zero)
+                       A.reduce(part), amb.zero)
 
 
 def graded_gorenstein_oracle(rp, length_cap=None):

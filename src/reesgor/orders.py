@@ -35,27 +35,6 @@ class GrevlexOrder:
         return hash(("grevlex", self.weights))
 
 
-class LexOrder:
-    """Pure lexicographic order."""
-
-    kind = "lex"
-
-    def __init__(self, weights):
-        self.weights = tuple(weights)
-
-    def key(self, exp):
-        return tuple(exp)
-
-    def neg_key(self, exp):
-        return tuple(map(neg, exp))
-
-    def __eq__(self, other):
-        return isinstance(other, LexOrder) and other.weights == self.weights
-
-    def __hash__(self):
-        return hash(("lex", self.weights))
-
-
 class BlockOrder:
     """Elimination order: the block of variables in `block` dominates.
 

@@ -79,28 +79,19 @@ class PolyRing:
         return PolyRing(tuple(self.names[i] for i in keep),
                         tuple(self.weights[i] for i in keep), self.field)
 
-    def transfer(self, f, var_map=None):
-        """Reinterpret polynomial f from another ring with compatible names.
-
-        var_map maps source variable index -> target index; defaults to
-        matching by name.  Exponents outside the map must be zero.
+    def transfer(self, f):
+        """Reinterpret polynomial f from another ring, matching variables
+        by name.  Exponents of variables missing here must be zero.
         """
-        src = f.ring
-        if var_map is None:
-            pos = {name: i for i, name in enumerate(self.names)}
-            var_map = {}
-            for i, name in enumerate(src.names):
-                if name in pos:
-                    var_map[i] = pos[name]
+        pos = {name: i for i, name in enumerate(self.names)}
         d = {}
         for exp, c in f.terms:
             new = [0] * self.n
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                if i not in var_map:
-                    raise ValueError("variable %s has no image" % src.names[i])
-                new[var_map[i]] = e
+            for name, e in zip(f.ring.names, exp):
+                if e:
+                    if name not in pos:
+                        raise ValueError("variable %s has no image" % name)
+                    new[pos[name]] = e
             d[tuple(new)] = self.field.add(d.get(tuple(new), self.field.zero),
                                            self.field.of(c))
         return self.from_dict(d)

@@ -3,23 +3,23 @@
 Ideals of A are stored as preimages in the ambient polynomial ring P:
 every A-level operation becomes a P-level operation on generator lists
 that always carry the defining ideal I along.
-A ring memoizes the basis of I, its Hilbert numerator, its resolution,
-its Ext modules and one `ColonGraph` per colon (gens, I) : b by an
-element b, from which come the colon ideal, the module
-((gens, I) : b)/(gens, I), the regularity test of b and every division by
-b in A (gens empty), once per ring.  A ring built `from_basis` (the Rees
-presentation) keeps the basis it was given, and its resolution starts
-from that basis and reads its memoized numerator, so one Groebner basis
-and one Hilbert numerator serve the ring's dimension, resolution and
-exactness check.
+A ring memoizes the basis of I and its reducer, its Hilbert numerator,
+its resolution, its Ext modules and one `ColonGraph` per colon
+(gens, I) : b by an element b, from which come the colon ideal, the
+module ((gens, I) : b)/(gens, I), the regularity test of b and every
+division by b in A (gens empty), once per ring.  A ring built
+`from_basis` (the Rees presentation) keeps the basis it was given, and
+its resolution starts from that basis and reads its memoized numerator,
+so one Groebner basis and one Hilbert numerator serve the ring's
+dimension, resolution and exactness check.
 """
 
 from collections import namedtuple
 from types import MappingProxyType
 
 from .errors import (NonPositiveWeight, NotDivisible, NotParameters,
-                     OwnerMismatch, crosscheck)
-from .groebner import as_vecs, groebner_basis, is_member, normal_form
+                     OwnerMismatch, ResourceExceeded, crosscheck)
+from .groebner import as_vecs, groebner_basis, reducer
 from .hilbert import dimension_from_numerator, hilbert_numerator
 from . import idealops
 from .modules import colon_basis, colon_from_basis, module_divide
@@ -70,6 +70,7 @@ class PresentedGradedRing:
             self.defining.append(g)
         self.label = label
         self._gb = None
+        self._nf = None
         self._numerator = None
         self._dim = None
         self._resolution = None
@@ -83,6 +84,12 @@ class PresentedGradedRing:
         if self._gb is None:
             self._gb = tuple(groebner_basis(self.defining))
         return self._gb
+
+    def reduce(self, f):
+        """Normal form of f modulo I; `gb()` is indexed once per ring."""
+        if self._nf is None:
+            self._nf = reducer(self.gb())
+        return self._nf(f)
 
     def hilbert_numerator(self):
         """N(t) with H_A(t) = N(t) / prod_i (1 - t^w_i), from the leads of
@@ -103,13 +110,16 @@ class PresentedGradedRing:
         Betti numbers.
 
         Its frame starts from `gb()`, and its exactness check reads
-        `hilbert_numerator()`.  The cap bounds the first computation
-        only; once computed, the resolution is returned as it is.
+        `hilbert_numerator()`.  ResourceExceeded is raised when the
+        minimal length exceeds the cap, whether the resolution is
+        computed now or was memoized by an earlier call.
         """
         if self._resolution is None:
             self._resolution = resolve_quotient_ring(
                 self.ambient, self.gb(), length_cap=length_cap,
                 numerator=self.hilbert_numerator())
+        elif length_cap is not None and self._resolution.pd > length_cap:
+            raise ResourceExceeded("resolution length cap exceeded")
         return self._resolution
 
     def ext(self, i):
@@ -163,10 +173,6 @@ class PresentedGradedRing:
     def maximal_ideal(self):
         return Ideal(self, self.ambient.gens())
 
-    def reduce(self, f):
-        """Normal form of f modulo the defining ideal."""
-        return normal_form(f, self.gb())
-
     def is_zero_element(self, f):
         return self.reduce(f).is_zero()
 
@@ -210,6 +216,7 @@ class Ideal:
         # a tuple, because a ring's memoized colon ideals are shared
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = None
+        self._nf = None
         self._dim = None
 
     @classmethod
@@ -232,10 +239,10 @@ class Ideal:
         return self._gb
 
     def contains(self, f):
-        if f.is_zero():
-            return True
-        gb = self.gb()
-        return bool(gb) and is_member(f, gb)
+        """f in the preimage; `gb()` is indexed once per ideal."""
+        if self._nf is None:
+            self._nf = reducer(self.gb())
+        return self._nf(f).is_zero()
 
     def contains_ideal(self, other):
         _check_owner(self, other)
@@ -255,18 +262,6 @@ class Ideal:
 
     def is_unit(self):
         return self.contains(self.owner.ambient.one)
-
-    def minimal_gens(self):
-        """The stored generators with redundant ones greedily dropped (in A)."""
-        kept = list(self.gens)
-        i = 0
-        while i < len(kept):
-            rest = self.owner._full(kept[:i] + kept[i + 1:])
-            if rest and is_member(kept[i], groebner_basis(rest)):
-                del kept[i]
-            else:
-                i += 1
-        return kept
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.gens)
@@ -309,20 +304,6 @@ def saturate(ia, by, cap=64):
 def ideals_equal(ia, ib):
     _check_owner(ia, ib)
     return ia.gb() == ib.gb()
-
-
-def eliminate(ia, block):
-    """Contract an ambient-ring ideal to the subring without `block`.
-
-    The owner must have a trivial presentation (an honest polynomial
-    ring); returns the contracted Ideal over the restricted ring.
-    """
-    A = ia.owner
-    if A.defining:
-        raise ValueError("eliminate expects an ideal of a polynomial ring")
-    sub, out = idealops.eliminate(A.ambient, ia.gens, block)
-    target = PresentedGradedRing.from_ambient(sub, [])
-    return Ideal(target, out)
 
 
 def ring_map_kernel(targets, source_names, target_ring):

@@ -258,7 +258,7 @@ def test_decide_builds_each_graph_basis_once(monkeypatch):
                     if value is fn:
                         monkeypatch.setattr(mod, attr, wrapper)
 
-    for name in ("graph_basis", "module_colon", "module_syzygies"):
+    for name in ("colon_basis", "module_colon", "module_syzygies"):
         recording(name)
     repeated, built = [], set()
     for name in ("hochster_roberts", "two_planes", "idealization_xy",
@@ -272,5 +272,5 @@ def test_decide_builds_each_graph_basis_once(monkeypatch):
             built.update(key[0] for key in seen)
     # the module presentations read their columns off `colon_basis`, so
     # no syzygy module is built on its own
-    assert built == {"graph_basis", "module_colon"}
+    assert built == {"colon_basis", "module_colon"}
     assert not repeated, repeated

@@ -349,14 +349,6 @@ def test_quotient_dim_and_units():
     assert A.zero_ideal().is_zero()
 
 
-def test_minimal_gens_drops_redundant():
-    A, x, y = quotient_xy()
-    ideal = A.ideal([x, A.reduce(x * x), A.reduce(x * x + x * y)])
-    mins = ideal.minimal_gens()
-    assert rings.ideals_equal(A.ideal(mins), A.ideal([x]))
-    assert len(mins) == 1
-
-
 def test_ring_map_kernel_cuspidal_cubic():
     base = rings.PresentedGradedRing(("t",), (1,), [], field=F)
     t = base.gen(0)

@@ -267,6 +267,19 @@ def test_cli_s2_needs_parameters(tmp_path, params):
         "q must be generated by a system of parameters"
 
 
+@pytest.mark.parametrize("cmd", ["check", "s2", "buchsbaum"])
+def test_cli_infinite_first_cohomology_is_outside_the_hypotheses(tmp_path,
+                                                                 cmd):
+    """k[x,y,z]/(x^2, xy) with q = (y, z) has a first cohomology of
+    infinite length: check, s2 and buchsbaum exit 2, and none of them
+    reaches a crosscheck that only holds under the hypotheses (exit 5)."""
+    path = tmp_path / "infinite_h1.ring"
+    path.write_text("vars x y z\nideal x^2, x*y\nparams y, z\n")
+    code, out = run([cmd, str(path)])
+    assert code == 2, out
+    assert "infinite length" in out or "hypothesis fails" in out
+
+
 @pytest.mark.parametrize("cap, want", [(4, 0), (3, 4)])
 def test_cli_resolution_cap_bounds_the_minimal_length(cap, want):
     """The Rees presentation of Hochster-Roberts has a minimal resolution

@@ -3,7 +3,8 @@
 import pytest
 
 from reesgor import corpus, invariants, rings, s2
-from reesgor.errors import NotArtinian, NotContained, NotParameters
+from reesgor.errors import (NotArtinian, NotContained, NotParameters,
+                            ResourceExceeded)
 from reesgor.fields import GF, DEFAULT_PRIME
 from reesgor.modules import FreeModule
 from reesgor.polys import PolyRing
@@ -129,6 +130,20 @@ def test_artinian_gorenstein_detection():
     assert invariants.artinian_gorenstein(A, A.ideal([x, y]))
     assert not invariants.artinian_gorenstein(
         A, A.ideal([x * x, x * y, y * y]))
+
+
+def test_a_length_cap_bounds_a_memoized_resolution():
+    """Hochster-Roberts has pd 3: a cap of 1 is a resource limit on a
+    fresh ring and after an uncapped resolution alike, and a cap of 3 is
+    not."""
+    fresh, _ = corpus.build_hochster_roberts()
+    with pytest.raises(ResourceExceeded):
+        invariants.depth_and_type(fresh, length_cap=1)
+    A, _ = corpus.build_hochster_roberts()
+    assert A.resolution().pd == 3
+    with pytest.raises(ResourceExceeded):
+        invariants.depth_and_type(A, length_cap=1)
+    assert invariants.depth_and_type(A, length_cap=3).pd == 3
 
 
 def test_type_via_last_betti_for_cm_quotient():

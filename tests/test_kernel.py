@@ -12,11 +12,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from reesgor.fields import GF, QQ, DEFAULT_PRIME, PRIME_BOUND, is_prime
 from reesgor.groebner import groebner_basis, is_member, normal_form
-from reesgor.hilbert import (count_standard_monomials, dimension_from_numerator,
-                             finite_length, hilbert_numerator, quotient_series,
-                             upoly_add, upoly_eval_one, upoly_mul)
+from reesgor.hilbert import (INFINITE, count_standard_monomials,
+                             dimension_from_numerator, finite_length,
+                             hilbert_numerator, upoly_add, upoly_mul)
 from reesgor.inputfmt import parse_poly
-from reesgor.orders import BlockOrder, GrevlexOrder, LexOrder
+from reesgor.orders import BlockOrder, GrevlexOrder
 from reesgor.polys import PolyRing
 
 F = GF(DEFAULT_PRIME)
@@ -95,7 +95,7 @@ def test_grevlex_is_multiplicative(a, b, c):
 
 @given(exps3)
 def test_orders_bottom_at_one(e):
-    for order in (GrevlexOrder((1, 1, 1)), LexOrder((1, 1, 1))):
+    for order in (GrevlexOrder((1, 1, 1)), BlockOrder((1, 1, 1), (0,))):
         if e != (0, 0, 0):
             assert order.key(e) > order.key((0, 0, 0))
 
@@ -138,8 +138,7 @@ def test_order_keys_match_reference_formulas(case):
     assert GrevlexOrder(weights).key(e) == _grevlex_key_reference(weights, e)
     assert (BlockOrder(weights, block).key(e)
             == _block_key_reference(weights, block, e))
-    for order in (GrevlexOrder(weights), LexOrder(weights),
-                  BlockOrder(weights, block)):
+    for order in (GrevlexOrder(weights), BlockOrder(weights, block)):
         assert order.neg_key(e) == tuple(-x for x in order.key(e))
 
 
@@ -444,10 +443,39 @@ def test_dimension_and_length():
     assert finite_length(num_artin, weights) == 4
     num_curve = hilbert_numerator([(1, 1)], weights)
     assert dimension_from_numerator(num_curve, weights) == 1
+    assert finite_length(num_curve, weights) == INFINITE
+    num_line = hilbert_numerator([(1, 0), (0, 2)], weights)
+    assert finite_length(num_line, weights) == 2     # k[x,y]/(x, y^2)
 
 
-def test_quotient_series_of_finite_quotient():
-    weights = (1, 1)
-    num = hilbert_numerator([(1, 0), (0, 2)], weights)
-    series = quotient_series(num, weights)
-    assert upoly_eval_one(series) == 2
+@st.composite
+def artinian_monomial_ideals(draw):
+    """(weights, powers, exps): exps holds x_i^powers[i] for each of 1..4
+    variables of weights 1..3, up to 5 more generators, and sometimes a
+    repeated generator, a multiple of one or the unit."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    weights = draw(st.tuples(*[st.integers(min_value=1, max_value=3)] * n))
+    powers = draw(st.tuples(*[st.integers(min_value=1, max_value=4)] * n))
+    exps = [tuple(p if j == i else 0 for j in range(n))
+            for i, p in enumerate(powers)]
+    exps += draw(st.lists(st.tuples(*[st.integers(min_value=0, max_value=4)]
+                                    * n), max_size=5))
+    if draw(st.booleans()):
+        exps += [exps[-1], tuple(x + 1 for x in exps[0])]
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        exps.append((0,) * n)
+    return weights, powers, exps
+
+
+@settings(max_examples=150, deadline=None)
+@given(artinian_monomial_ideals())
+def test_finite_length_counts_standard_monomials(case):
+    """g(1) / prod w_i is the number of standard monomials, all of which
+    lie below the pure powers."""
+    weights, powers, exps = case
+    top = sum((p - 1) * w for p, w in zip(powers, weights))
+    counts = count_standard_monomials(exps, weights, top)
+    assert finite_length(hilbert_numerator(exps, weights), weights) == \
+        sum(counts.values())
+
+
