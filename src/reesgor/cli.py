@@ -2,7 +2,7 @@
 
 Subcommands: check, oracle, shimoda, buchsbaum, invariants, s2, examples.
 Exit codes: 0 Gorenstein, 1 not Gorenstein, 2 hypothesis not satisfied,
-3 input error, 4 resource exceeded, 5 two routes that must agree
+3 input or usage error, 4 resource exceeded, 5 two routes that must agree
 disagreed (an engine bug, never a verdict).
 """
 
@@ -23,8 +23,16 @@ EXIT_RESOURCE = 4
 EXIT_DISAGREE = 5
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error (exit 3); argparse would exit 2,
+    the code of a ring outside the theorem hypotheses."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="reesgor",
         description="Decide Gorensteinness of the Rees algebra of a power "
                     "of a parameter ideal.")
@@ -38,15 +46,15 @@ def _build_parser():
     p.add_argument("--char", type=int, default=None,
                    help="override the coefficient characteristic")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rmax", type=int, default=10)
     p.add_argument("--resolution-cap", type=int, default=None)
     p.add_argument("--out", default=None)
     return p
 
 
 def run_cli(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = None
     try:
+        args = _build_parser().parse_args(argv)
         code, pairs, narrative = _dispatch(args)
     except InputError as e:
         _emit(args, [("error", str(e))], ["input error"])
@@ -74,7 +82,7 @@ def _emit(args, pairs, narrative):
 
 
 def _write(args, text):
-    if args.out:
+    if args is not None and args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -126,19 +134,14 @@ def _dispatch(args):
         code = EXIT_GORENSTEIN if rep["verdict"] else EXIT_NOT_GORENSTEIN
         return code, pairs, ["pairwise criterion in dimension two"]
     if args.command == "buchsbaum":
-        rep = decision.buchsbaum_criterion(A, q, r_max=args.rmax)
+        rep = decision.buchsbaum_criterion(A, q)
         pairs = [("e_m", rep.e_m), ("reduction_number", rep.reduction_number),
                  ("len_a_mod_b", rep.len_b), ("verdict", rep.verdict)]
         code = EXIT_GORENSTEIN if rep.verdict else EXIT_NOT_GORENSTEIN
         return code, pairs, ["multiplicity-two criterion (Buchsbaum caller "
                              "assertion not machine-verified)"]
     if args.command == "s2":
-        pair = s2.filter_regular_pair(A, q, args.seed)
-        prof = s2.hypothesis_profile(A, pair=pair)
-        if not prof.verdict:
-            raise HypothesisNotVerified("cohomology hypothesis fails for A")
-        data = s2.s2_construct(A, pair)
-        s2.conductor_crosscheck(A, data)
+        _, pair, prof, data = decision.prepare(A, q, args.seed)
         pairs = [("pair_a", pair[0]), ("pair_b", pair[1]),
                  ("h1_length", data.h1_length),
                  ("conductor", _ideal_str(data.conductor)),
@@ -152,10 +155,10 @@ def _dispatch(args):
 
 
 def _run_check(args, A, q, power):
-    run_oracle = args.mode in ("oracle", "both")
     if args.mode == "oracle":
         return _run_oracle(args, A, q, power)
-    report = decision.decide(A, q, run_oracle=run_oracle, seed=args.seed)
+    report = decision.decide(A, q, run_oracle=args.mode == "both",
+                             seed=args.seed, length_cap=args.resolution_cap)
     pairs = _report_pairs(report)
     if report.verdict:
         code = EXIT_GORENSTEIN

@@ -38,8 +38,10 @@ class BuchsbaumReport:
         self.verdict = verdict
 
 
-def _prepare(A, q, seed=0):
-    """Shared certificate inputs for both condition routes."""
+def prepare(A, q, seed=0):
+    """Shared certificate inputs for both condition routes and the s2
+    command: (d, pair, profile, data), each hypothesis gate run before
+    the conductor crosscheck that needs it."""
     d = rings.check_parameters(q)
     pair = s2.filter_regular_pair(A, q, seed)
     profile = s2.hypothesis_profile(A, pair=pair)
@@ -54,7 +56,7 @@ def _prepare(A, q, seed=0):
 
 def decide_condition2(A, q, prepared):
     """First cohomology nonzero with simple socle, and c equals the
-    colon-sum ideal of the parameters.  `prepared` is `_prepare(A, q)`."""
+    colon-sum ideal of the parameters.  `prepared` is `prepare(A, q)`."""
     d, pair, profile, data = prepared
     h1_nonzero = data.h1_length > 0
     socle = s2.h1_socle(A, data) if h1_nonzero else 0
@@ -72,9 +74,9 @@ def decide_condition2(A, q, prepared):
     }
 
 
-def decide_condition3(A, q, prepared, r_max=10):
+def decide_condition3(A, q, prepared):
     """Depth one, type one, the multiplicity equation for the conductor,
-    and q a reduction of the conductor.  `prepared` is `_prepare(A, q)`.
+    and q a reduction of the conductor.  `prepared` is `prepare(A, q)`.
     When q reduces c, e_c = e_q (Northcott-Rees) is read off the Hilbert
     series of A; otherwise it comes from the difference scheme."""
     d, pair, profile, data = prepared
@@ -87,7 +89,7 @@ def decide_condition3(A, q, prepared, r_max=10):
         e_c = len_c = red = None
         mult_eq = red_found = False
     else:
-        red = invariants.is_reduction(q, c, r_max=r_max)
+        red = invariants.is_reduction(q, c)
         red_found = red != invariants.NOT_FOUND
         e_c = (invariants.parameter_multiplicity(A, q) if red_found
                else invariants.multiplicity(A, c))
@@ -129,11 +131,12 @@ def _consequences(A, q, data):
     }
 
 
-def decide(A, q, run_oracle=False, seed=0):
+def decide(A, q, run_oracle=False, seed=0, length_cap=None):
     """Full decision: both criteria, agreement assertion, consequence
-    suite on a true verdict, and optionally the resolution oracle."""
+    suite on a true verdict, and optionally the resolution oracle, whose
+    resolution length_cap bounds."""
     report = DecisionReport(A, q, A.dim())
-    prepared = _prepare(A, q, seed)
+    prepared = prepare(A, q, seed)
     d, pair, profile, data = prepared
     report.d = d
     report.profile = profile
@@ -155,7 +158,7 @@ def decide(A, q, run_oracle=False, seed=0):
     if run_oracle:
         from . import oracle
         rp = oracle.rees_presentation(A, q, d)
-        o = oracle.graded_gorenstein_oracle(rp)
+        o = oracle.graded_gorenstein_oracle(rp, length_cap=length_cap)
         report.oracle_verdict = errors.crosscheck(
             "oracle and criteria verdicts", o["gorenstein"], report.verdict)
     return report
@@ -194,7 +197,7 @@ def shimoda_check(A, a, b):
     }
 
 
-def buchsbaum_criterion(A, q, r_max=10):
+def buchsbaum_criterion(A, q):
     """Multiplicity-two test: e_m(A) = 2 and q a reduction of m.
 
     e_q, read off the Hilbert series of A, is crosschecked against the
@@ -212,7 +215,7 @@ def buchsbaum_criterion(A, q, r_max=10):
         raise HypothesisNotVerified("local cohomology below dim A has "
                                     "infinite length: A is not Buchsbaum")
     m = A.maximal_ideal()
-    red = invariants.is_reduction(q, m, r_max=r_max)
+    red = invariants.is_reduction(q, m)
     red_found = red != invariants.NOT_FOUND
     e_q = invariants.parameter_multiplicity(A, q)
     e_m = e_q if red_found else invariants.multiplicity(A, m)

@@ -169,65 +169,35 @@ def print_document(doc):
 
 # -- polynomial expression parsing ----------------------------------------
 
-class _Tokens:
-    def __init__(self, text, line=None, col=1):
-        self.text = text
-        self.line = line
-        self.col = col
-        self.toks = []
-        self._tokenize()
-        self.i = 0
-
-    def _err(self, msg, pos):
-        raise InputError(msg, self.line or 1, pos + self.col)
-
-    def _tokenize(self):
-        t = self.text
-        i = 0
-        while i < len(t):
-            ch = t[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(t) and t[j].isdigit():
-                    j += 1
-                self.toks.append(("int", int(t[i:j]), i))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(t) and (t[j].isalnum() or t[j] == "_"):
-                    j += 1
-                self.toks.append(("name", t[i:j], i))
-                i = j
-            elif ch in "+-*^()":
-                self.toks.append((ch, ch, i))
-                i += 1
-            else:
-                self._err("unexpected character %r" % ch, i)
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else ("end", None,
-                                                                 len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
+_TOKEN = re.compile(r"([0-9]+)|([^\W\d]\w*)|([-+*^()])|(\S)")
+MAX_NESTING = 100
 
 
 def parse_poly(expr, ring, line=None, col=1):
     """Parse a polynomial expression into the given ring; `col` is the
-    expression's column in its line."""
-    toks = _Tokens(expr, line, col)
+    expression's column in its line.  _TOKEN reads an ASCII integer, a
+    name, an operator or any other character, which is an error;
+    parentheses nest at most MAX_NESTING deep."""
     index = {name: i for i, name in enumerate(ring.names)}
 
     def err(msg, pos):
         raise InputError(msg, line or 1, pos + col)
 
+    toks = []
+    for m in _TOKEN.finditer(expr):
+        num, name, op, other = m.groups()
+        if other is not None:
+            err("unexpected character %r" % other, m.start())
+        toks.append(("int", int(num), m.start()) if num is not None
+                    else ("name", name, m.start()) if name is not None
+                    else (op, op, m.start()))
+    toks.append(("end", None, len(expr)))
+    toks.reverse()      # a stack: the next token is last
+    depth = 0
+
     def atom():
-        kind, val, pos = toks.next()
+        nonlocal depth
+        kind, val, pos = toks.pop()
         if kind == "int":
             return ring.const(val)
         if kind == "name":
@@ -235,8 +205,12 @@ def parse_poly(expr, ring, line=None, col=1):
                 err("unknown variable %r" % val, pos)
             return ring.gen(index[val])
         if kind == "(":
+            if depth == MAX_NESTING:
+                err("parentheses nested deeper than %d" % MAX_NESTING, pos)
+            depth += 1
             f = expr_sum()
-            kind2, _, pos2 = toks.next()
+            depth -= 1
+            kind2, _, pos2 = toks.pop()
             if kind2 != ")":
                 err("expected ')'", pos2)
             return f
@@ -246,9 +220,9 @@ def parse_poly(expr, ring, line=None, col=1):
 
     def power():
         f = atom()
-        while toks.peek()[0] == "^":
-            toks.next()
-            kind, val, pos = toks.next()
+        while toks[-1][0] == "^":
+            toks.pop()
+            kind, val, pos = toks.pop()
             if kind != "int":
                 err("exponent must be an integer", pos)
             f = f ** val
@@ -257,38 +231,23 @@ def parse_poly(expr, ring, line=None, col=1):
     def product():
         f = power()
         while True:
-            kind, _, _ = toks.peek()
+            kind = toks[-1][0]
             if kind == "*":
-                toks.next()
-                f = f * power()
-            elif kind in ("name", "(") or kind == "int":
-                # juxtaposition: 2x, x y
-                f = f * power()
-            else:
+                toks.pop()
+            elif kind not in ("name", "(", "int"):  # juxtaposition: 2x, x y
                 return f
+            f = f * power()
 
     def expr_sum():
-        kind, _, _ = toks.peek()
-        if kind == "-":
-            toks.next()
-            f = -product()
-        else:
-            if kind == "+":
-                toks.next()
-            f = product()
-        while True:
-            kind, _, _ = toks.peek()
-            if kind == "+":
-                toks.next()
-                f = f + product()
-            elif kind == "-":
-                toks.next()
-                f = f - product()
-            else:
-                return f
+        sign = toks.pop()[0] if toks[-1][0] in ("+", "-") else "+"
+        f = product() if sign == "+" else -product()
+        while toks[-1][0] in ("+", "-"):
+            sign = toks.pop()[0]
+            f = f + product() if sign == "+" else f - product()
+        return f
 
     f = expr_sum()
-    kind, val, pos = toks.peek()
+    kind, val, pos = toks[-1]
     if kind != "end":
         err("trailing input %r" % (val,), pos)
     return f

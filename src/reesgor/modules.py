@@ -176,10 +176,6 @@ class Vec:
             d[k] = F.sub(d.get(k, F.zero), c)
         return self.module.from_dict(d)
 
-    def __neg__(self):
-        F = self.module.ring.field
-        return Vec(self.module, tuple((k, F.neg(c)) for k, c in self.terms))
-
     def scale(self, c):
         F = self.module.ring.field
         if c == F.zero:

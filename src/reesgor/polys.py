@@ -182,9 +182,6 @@ class Poly:
             d[e] = F.sub(d.get(e, F.zero), c)
         return self.ring.from_dict(d)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         F = self.ring.field
         return Poly(self.ring, tuple((e, F.neg(c)) for e, c in self.terms))
@@ -230,11 +227,6 @@ class Poly:
         return Poly(self.ring,
                     tuple((_exp_mul(e, exp), F.mul(c, coeff))
                           for e, c in self.terms))
-
-    def monic(self):
-        if not self.terms:
-            return self
-        return self.scale(self.ring.field.inv(self.terms[0][1]))
 
     # -- comparison and display ------------------------------------------
 

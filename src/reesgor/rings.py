@@ -289,18 +289,6 @@ def colon(ia, by):
         A, idealops.colon(A.ambient, ia.preimage_gens(), by.gens))
 
 
-def saturate(ia, by, cap=64):
-    """(stable iterated colon, first stabilization index)."""
-    A = ia.owner
-    if isinstance(by, Ideal):
-        _check_owner(ia, by)
-        divs = by.gens
-    else:
-        divs = [by]
-    out, idx = idealops.saturate(A.ambient, ia.preimage_gens(), divs, cap=cap)
-    return Ideal.from_basis(A, out), idx
-
-
 def ideals_equal(ia, ib):
     _check_owner(ia, ib)
     return ia.gb() == ib.gb()

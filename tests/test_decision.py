@@ -214,7 +214,7 @@ def test_true_verdict_forms_no_multiplicity_by_differences(monkeypatch):
 
 
 def test_decide_computes_the_quotient_dimension_of_q_once(monkeypatch):
-    """`_prepare` and `sigma_tilde` both test q as a system of parameters,
+    """`prepare` and `sigma_tilde` both test q as a system of parameters,
     and both read q's memo: one `decide` computes dim A/q once."""
     real = rings.Ideal.quotient_dim
     computed = []

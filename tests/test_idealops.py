@@ -400,7 +400,10 @@ def test_ring_division_over_qq():
 
 
 def test_saturate_on_quotient():
+    """(x^2) saturated by x in k[x,y]/(xy) is the unit ideal: saturating
+    its preimage (x^2, xy) by x in k[x,y] gives the basis [1]."""
     A, x, y = quotient_xy()
-    sat, idx = rings.saturate(A.ideal([A.reduce(x * x)]), x)
-    assert rings.ideals_equal(sat, A.unit_ideal())
+    preimage = A.ideal([A.reduce(x * x)]).preimage_gens()
+    sat, idx = idealops.saturate(A.ambient, preimage, [x])
+    assert sat == [A.ambient.one]
     assert idx >= 1

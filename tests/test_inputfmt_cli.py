@@ -108,6 +108,29 @@ def test_parse_poly_str_roundtrip(seed):
     assert inputfmt.parse_poly(str(f), R) == f
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="xy0123456789+-*^() \u00b2\u00bd\U0001d7d8\u00e9_",
+               max_size=8))
+def test_parse_poly_raises_only_input_errors(text):
+    """Any text is a polynomial or an InputError: digits outside ASCII,
+    such as a superscript two, are never handed to int().  (The size
+    bound keeps powers like (x+y)^999 out of a fuzz run.)"""
+    R = PolyRing(("x", "y"), (1, 1), F)
+    try:
+        inputfmt.parse_poly(text, R)
+    except InputError:
+        pass
+
+
+def test_parse_poly_bounds_nesting_at_the_opening_parenthesis():
+    R = PolyRing(("x", "y"), (1, 1), F)
+    depth = inputfmt.MAX_NESTING
+    assert inputfmt.parse_poly("(" * depth + "x" + ")" * depth, R) == R.gen(0)
+    with pytest.raises(InputError) as e:
+        inputfmt.parse_poly("(" * 400 + "x" + ")" * 400, R, line=2, col=7)
+    assert (e.value.line, e.value.col) == (2, 7 + depth)
+
+
 def test_report_roundtrip():
     pairs = [("verdict", True), ("dim", 2), ("conductor", "(a, b)")]
     text = inputfmt.format_report(pairs, ["narrative line"])
@@ -194,6 +217,13 @@ MALFORMED = {
     "unit_ideal_oracle": ("vars x y\nideal x*y, 3\nparams x, y\n",
                           ["oracle"], "line 2, col 12: constant generator 3 "
                                       "makes the ideal the unit ideal"),
+    "exponent_not_ascii": ("vars x y\nideal x^\u00b2*y\nparams x, y\n",
+                           ["check"], "line 2, col 9: exponent must be an "
+                                      "integer"),
+    "nesting_too_deep": ("vars x y\nideal %sx%s*y\nparams x, y\n"
+                         % ("(" * 400, ")" * 400), ["check"],
+                         "line 2, col 107: parentheses nested deeper than "
+                         "100"),
     "char_above_prime_bound": (
         "vars x y\nchar 3317044064679887385961981\nideal x*y\nparams x, y\n",
         ["check"], "line 2, col 1: characteristic 3317044064679887385961981 "
@@ -290,6 +320,47 @@ def test_cli_resolution_cap_bounds_the_minimal_length(cap, want):
     assert code == want
     if want == 0:
         assert inputfmt.parse_report(out)["pd"] == "4"
+
+
+@pytest.mark.parametrize("cmd", ["check", "s2"])
+def test_cli_thick_plane_is_not_standard(tmp_path, cmd):
+    """A plane meeting a thickened plane: q is a system of parameters
+    but not a standard one, so check and s2 both stop at the standardness
+    gate (exit 2), before the conductor crosscheck that needs it (exit
+    5)."""
+    path = tmp_path / "thick_plane.ring"
+    path.write_text("vars x y u v\n"
+                    "ideal x*u^2, x*u*v, x*v^2, y*u^2, y*u*v, y*v^2\n"
+                    "params x+u, y+v\n")
+    code, out = run([cmd, str(path)])
+    assert code == 2, out
+    assert inputfmt.parse_report(out)["error"] == \
+        "q is not a standard parameter ideal"
+
+
+@pytest.mark.parametrize("cap, want", [(1, 4), (4, 0)])
+def test_cli_resolution_cap_reaches_the_oracle_of_check_both(cap, want):
+    """--resolution-cap bounds the oracle of check --mode both as it does
+    that of --mode oracle."""
+    code, _ = run(["check", corpus_path("hochster_roberts"), "--mode",
+                   "both", "--resolution-cap", str(cap)])
+    assert code == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", corpus_path("hochster_roberts"), "--mode", "foo"],
+    ["check", corpus_path("hochster_roberts"), "--rmax", "1"],
+    ["check", corpus_path("hochster_roberts"), "--seed", "one"],
+    ["bogus", corpus_path("hochster_roberts")],
+    ["check"],
+], ids=["mode", "rmax", "seed", "command", "target"])
+def test_cli_usage_errors_are_input_errors(argv):
+    """A usage error exits 3 with an error line, not argparse's exit 2,
+    which would read as a ring outside the hypotheses."""
+    code, out = run(argv)
+    assert code == 3
+    assert inputfmt.parse_report(out)["error"]
+    assert out.endswith("# input error\n")
 
 
 def test_cli_examples_unknown_name():
