@@ -17,6 +17,7 @@ generator is homogeneous and no ideal generator is a nonzero constant.
 """
 
 import re
+from math import comb
 
 from .errors import InputError
 from .fields import DEFAULT_PRIME, GF, PRIME_BOUND, QQ
@@ -171,13 +172,15 @@ def print_document(doc):
 
 _TOKEN = re.compile(r"([0-9]+)|([^\W\d]\w*)|([-+*^()])|(\S)")
 MAX_NESTING = 100
+MAX_POWER_TERMS = 500
 
 
 def parse_poly(expr, ring, line=None, col=1):
     """Parse a polynomial expression into the given ring; `col` is the
     expression's column in its line.  _TOKEN reads an ASCII integer, a
     name, an operator or any other character, which is an error;
-    parentheses nest at most MAX_NESTING deep."""
+    parentheses nest at most MAX_NESTING deep; a power f^n of a k-term f,
+    with up to comb(n + k - 1, n) terms, has at most MAX_POWER_TERMS."""
     index = {name: i for i, name in enumerate(ring.names)}
 
     def err(msg, pos):
@@ -225,6 +228,9 @@ def parse_poly(expr, ring, line=None, col=1):
             kind, val, pos = toks.pop()
             if kind != "int":
                 err("exponent must be an integer", pos)
+            k = len(f.terms)
+            if k > 1 and comb(val + k - 1, val) > MAX_POWER_TERMS:
+                err("power expands past %d terms" % MAX_POWER_TERMS, pos)
             f = f ** val
         return f
 

@@ -17,10 +17,10 @@ per component, the (mask, lead exp, position) of every element in basis
 order.  The mask is a short exponent vector (Greuel-Pfister, A Singular
 Introduction to Commutative Algebra): bit i is set when exponent i is
 nonzero, so `lm & ~em` rejects most leads that cannot divide a term
-before the exponents are compared.  `vec_nf` orders its work heap by the
-order's `neg_key`, so no key is negated per push.  An S-vector reaches
-`vec_nf` as the unsorted term dict `_s_vector` builds, not as a sorted
-Vec, so each of its terms is keyed once, when it enters the heap.
+before the exponents are compared.  The index also keys each element's
+tail, once, when it first reduces a term or forms an S-vector; as
+`neg_key` is linear, x^q times that tail is keyed by adding
+`key_shift(q)`, so `vec_nf` keys no term per push, S-vectors included.
 Interreduction needs no index per element: a lead never divides a
 smaller term of its own component, so each kept element's tail reduces
 against one index of all kept elements.
@@ -36,9 +36,9 @@ the syzygies of the g_i with no rels, the colon (rels : g) for gens = [g],
 whose basis `module_divide` reduces (f, 0) against, the intersection
 (A) cap (B) = (A e_0 + B e_1) : (e_0 + e_1), and in general the
 presentation of (im gens)/(im rels).
-`schreyer_syzygies` reduces graph rows too, but needs no Buchberger run:
-for a Groebner basis, the S-vectors of its pairs reduce to syzygies that
-are a Groebner basis already.
+`schreyer_syzygies` needs neither graph rows nor a Buchberger run: for a
+Groebner basis, the quotients of its S-vectors' reductions are syzygies
+that are a Groebner basis already, and come sorted.
 """
 
 import heapq
@@ -60,7 +60,8 @@ class FreeModule:
     tail) triple of tuples per component: the term x^a e_i is keyed
     head_i + neg_key(a + shift_i) + tail_i.  Position over term is the
     triple ((i,), 0, ()), and `schreyer_syzygies` builds Schreyer orders
-    this way.
+    this way.  neg_key(comp, a + q) = neg_key(comp, a) + key_shift(q);
+    key_shift is memoized, and unequal head or tail lengths raise ValueError.
     """
 
     def __init__(self, ring, rank, shifts=None, order=None):
@@ -72,6 +73,7 @@ class FreeModule:
         if order is None:
             self.key = lambda comp, exp: (-comp,) + rkey(exp)
             self.neg_key = lambda comp, exp: (comp,) + rneg(exp)
+            pads = {(1, 0)}
         else:
             triples = self.order
 
@@ -80,6 +82,12 @@ class FreeModule:
                 return head + rneg(tuple(map(add, exp, shift))) + tail
             self.neg_key = neg_key
             self.key = lambda comp, exp: tuple(map(neg, neg_key(comp, exp)))
+            pads = {(len(h), len(t)) for h, _, t in triples} or {(0, 0)}
+        if len(pads) > 1:
+            raise ValueError("order triples differ in head or tail length")
+        (hz, tz), memo = ((0,) * n for n in pads.pop()), {}
+        self.key_shift = lambda q: memo.get(q) or memo.setdefault(
+            q, hz + rneg(q) + tz)
 
     def zero(self):
         return Vec(self, ())
@@ -226,8 +234,8 @@ def _mask(exp):
 
 
 def reducer_index(basis, rank):
-    """Per-component lists of (mask, lead exp, position), in basis order."""
-    index = [[] for _ in range(rank)]
+    """Per-component (mask, lead exp, position) lists, and keyed tails."""
+    index = ([[] for _ in range(rank)], {})
     for pos, b in enumerate(basis):
         _index_add(index, pos, b)
     return index
@@ -235,7 +243,16 @@ def reducer_index(basis, rank):
 
 def _index_add(index, pos, b):
     (comp, e), _ = b.terms[0]
-    index[comp].append((_mask(e), e, pos))
+    index[0][comp].append((_mask(e), e, pos))
+
+
+def _keyed(index, basis, pos):
+    """basis[pos]'s tail as (neg_key, comp, exp, coeff), keyed once."""
+    if pos not in index[1]:
+        nk = basis[pos].module.neg_key
+        index[1][pos] = tuple((nk(comp, e), comp, e, c)
+                              for (comp, e), c in basis[pos].terms[1:])
+    return index[1][pos]
 
 
 def _first_divisor(reducers, e):
@@ -248,34 +265,36 @@ def _first_divisor(reducers, e):
     return None
 
 
-def vec_nf(f, basis, index=None):
+def vec_nf(f, basis, index=None, quotients=None):
     """Fully reduced normal form of f against basis (monic leads assumed).
 
-    f is a Vec, or the terms {(comp, exp): coeff} of a vector of the
-    basis's module in any order, zero coefficients allowed, such as an
-    S-vector from `_s_vector`; the dict is consumed.  Each term is keyed
-    once, when it enters the work heap.  `index` is the reducer index of
-    basis, built here when not given.  A term is reduced by the first
-    basis element, in basis order, whose lead divides it.
+    f is a Vec, or the work dict {neg_key: coeff} and heap of (neg_key,
+    comp, exp) of an S-vector from `_s_vector`; a neg_key names its term.
+    `index` is basis's reducer index, built when not given.  The first
+    basis element whose lead divides a term reduces it, x^q times its tail
+    keyed by adding key_shift(q); a list `quotients` gets ((pos, q), -c)
+    per step subtracting c x^q basis[pos].
     """
     if isinstance(f, Vec):
-        module, work = f.module, dict(f.terms)
+        module, neg_key = f.module, f.module.neg_key
+        heap = [(neg_key(comp, e), comp, e) for (comp, e), _ in f.terms]
+        work = {h[0]: c for h, (_, c) in zip(heap, f.terms)}
     else:
-        module, work = basis[0].module, f
+        module, (work, heap) = basis[0].module, f
     if index is None:
         index = reducer_index(basis, module.rank)
+    leads, tails = index
     F = module.ring.field
     fadd, fmul, fneg, zero = F.add, F.mul, F.neg, F.zero
-    neg_key = module.neg_key
-    heap = [(neg_key(comp, e), comp, e) for comp, e in work]
+    key_shift = module.key_shift
     heapq.heapify(heap)
     rem = []
     while heap:
-        _, comp, e = heapq.heappop(heap)
-        c = work.pop((comp, e), None)
+        k, comp, e = heapq.heappop(heap)
+        c = work.pop(k, None)
         if c is None or c == zero:
             continue
-        hit = _first_divisor(index[comp], e)
+        hit = _first_divisor(leads[comp], e)
         if hit is None:
             # terms pop in descending order, so rem stays sorted
             rem.append(((comp, e), c))
@@ -283,14 +302,16 @@ def vec_nf(f, basis, index=None):
         pos, le = hit
         q = tuple(map(sub, e, le))
         mc = fneg(c)
+        if quotients is not None:
+            quotients.append(((pos, q), mc))
+        shift = key_shift(q)
         # the monic lead cancels the popped term; the tail is smaller
-        for (bcomp, be), bc in basis[pos].terms[1:]:
-            ne = tuple(map(add, be, q))
-            k = (bcomp, ne)
+        for bk, bcomp, be, bc in tails.get(pos) or _keyed(index, basis, pos):
+            k = tuple(map(add, bk, shift))
             old = work.get(k)
             if old is None:
                 work[k] = fmul(mc, bc)
-                heapq.heappush(heap, (neg_key(bcomp, ne), bcomp, ne))
+                heapq.heappush(heap, (k, bcomp, tuple(map(add, be, q))))
             else:
                 nc = fadd(old, fmul(mc, bc))
                 if nc == zero:
@@ -307,20 +328,25 @@ class GroebnerData:
         self.basis = basis          # reduced Groebner basis, monic, sorted
 
 
-def _s_vector(bi, bj, lcm):
-    """S-vector of two monic elements with the given lead lcm, as the
-    unsorted term dict `vec_nf` takes; the leads cancel, so only the
-    tails are multiplied."""
-    F = bi.module.ring.field
-    (_, ei), _ = bi.terms[0]
-    (_, ej), _ = bj.terms[0]
-    ui = tuple(map(sub, lcm, ei))
-    uj = tuple(map(sub, lcm, ej))
-    d = {(comp, tuple(map(add, e, ui))): c for (comp, e), c in bi.terms[1:]}
-    for (comp, e), c in bj.terms[1:]:
-        k = (comp, tuple(map(add, e, uj)))
-        d[k] = F.sub(d.get(k, F.zero), c)
-    return d
+def _s_vector(basis, index, i, j, lcm):
+    """The S-vector of the monic basis[i] and basis[j] with lead lcm, their
+    shifted keyed tails, as the work dict and heap `vec_nf` takes."""
+    module = basis[i].module
+    fsub, fneg = module.ring.field.sub, module.ring.field.neg
+    ui = tuple(map(sub, lcm, basis[i].terms[0][0][1]))
+    uj = tuple(map(sub, lcm, basis[j].terms[0][0][1]))
+    si, sj = module.key_shift(ui), module.key_shift(uj)
+    heap = [(tuple(map(add, k, si)), comp, tuple(map(add, e, ui)))
+            for k, comp, e, _ in _keyed(index, basis, i)]
+    work = {h[0]: c for h, (_, _, _, c) in zip(heap, _keyed(index, basis, i))}
+    for k, comp, e, c in _keyed(index, basis, j):
+        k = tuple(map(add, k, sj))
+        if k in work:
+            work[k] = fsub(work[k], c)
+        else:
+            work[k] = fneg(c)
+            heap.append((k, comp, tuple(map(add, e, uj))))
+    return work, heap
 
 
 def module_buchberger(gens, pair_cap=None):
@@ -403,7 +429,7 @@ def module_buchberger(gens, pair_cap=None):
     for g in sorted((g for g in gens if not g.is_zero()),
                     key=lambda g: module.key(*g.terms[0][0])):
         (comp, e), _ = g.terms[0]
-        if _first_divisor(index[comp], e) is not None:
+        if _first_divisor(index[0][comp], e) is not None:
             g = vec_nf(g, basis, index)
             if g.is_zero():
                 continue
@@ -415,7 +441,7 @@ def module_buchberger(gens, pair_cap=None):
         if pair_cap is not None and reduced_count > pair_cap:
             raise ResourceExceeded("pair queue cap %d exceeded" % pair_cap)
         _, _, i, j, _comp, lcm = heapq.heappop(pairs)
-        h = vec_nf(_s_vector(basis[i], basis[j], lcm), basis, index)
+        h = vec_nf(_s_vector(basis, index, i, j, lcm), basis, index)
         if not h.is_zero():
             join(h.monic())
 
@@ -458,35 +484,28 @@ def schreyer_syzygies(basis):
     x^b e_j when x^a lead_i is above x^b lead_j in M, or the two are equal
     and i < j.  For each i, the pairs (i, j > i) whose leads share a
     component and whose monomials m_ij = lcm/lead_i are minimal give one
-    syzygy each: vec_nf reduces the S-vector of the rows (g_i, e_i) and
-    (g_j, e_j) of M + F against all rows (g_k, e_k) to (0, m_ij e_i -
-    m_ji e_j - sum q_k e_k).  These syzygies are a Groebner basis of the
-    syzygy module under F's order, with leads m_ij e_i (Schreyer's
-    theorem), so no Buchberger run is needed.  Within a lead component
-    they are listed with leads descending lexicographically, which bounds
-    the length of an iterated frame by the number of variables.  An
-    S-vector whose F part does not reduce to zero (the basis was not a
-    Groebner basis) fails a crosscheck.
+    syzygy each: vec_nf reduces the S-vector m_ij g_i - m_ji g_j to zero,
+    and m_ij e_i - m_ji e_j plus its quotients, already sorted (the F key
+    of x^q e_k is that of the term vec_nf popped, strictly descending
+    below the lcm, then k), is the syzygy.  These syzygies are a Groebner
+    basis of the syzygy module under F's order, with leads m_ij e_i
+    (Schreyer's theorem), so no Buchberger run is needed.  Within a lead
+    component they are listed with leads descending lexicographically,
+    which bounds the length of an iterated frame by the number of
+    variables.  A nonzero remainder (no Groebner basis) fails a crosscheck.
     """
     M = basis[0].module
     ring = M.ring
-    r = M.rank
     leads = [b.terms[0][0] for b in basis]
-    triples = M.order or [((i,), ring.zero_exp, ()) for i in range(r)]
+    triples = M.order or [((i,), ring.zero_exp, ()) for i in range(M.rank)]
     order = []
     for i, (comp, e) in enumerate(leads):
         head, shift, tail = triples[comp]
         order.append((head, tuple(map(add, shift, e)), tail + (i,)))
     F = FreeModule(ring, len(basis),
                    [ring.wdeg(e) + M.shifts[comp] for comp, e in leads], order)
-    # the F block first: its heads start with 0, those of the tail with 1
-    GM = FreeModule(ring, r + F.rank, M.shifts + F.shifts,
-                    [((0,) + h, s, t) for h, s, t in triples]
-                    + [((1,) + h, s, t) for h, s, t in order])
-    one, zero_exp = ring.field.one, ring.zero_exp
-    rows = [Vec(GM, b.terms + (((r + i, zero_exp), one),))
-            for i, b in enumerate(basis)]
-    index = reducer_index(rows, GM.rank)
+    index = reducer_index(basis, M.rank)
+    one, minus_one = ring.field.one, ring.field.neg(ring.field.one)
     same_comp = {}
     for i, (comp, _) in enumerate(leads):
         same_comp.setdefault(comp, []).append(i)
@@ -506,12 +525,13 @@ def schreyer_syzygies(basis):
             if not any(all(map(ge, m, k)) for k, _, _ in kept):
                 kept.append((m, j, lcm))
         for m, j, lcm in sorted(kept, reverse=True):
-            h = vec_nf(_s_vector(rows[i], rows[j], lcm), rows, index)
-            if h.terms[0][0][0] < r:
+            terms = [((i, m), one),
+                     ((j, tuple(map(sub, lcm, leads[j][1]))), minus_one)]
+            if vec_nf(_s_vector(basis, index, i, j, lcm), basis, index,
+                      terms).terms:
                 stuck += 1
                 continue
-            syz.append(Vec(F, tuple(((c - r, e), v)
-                                    for (c, e), v in h.terms)))
+            syz.append(Vec(F, tuple(terms)))
     crosscheck("S-vectors of a Groebner basis whose F part is not zero",
                stuck, 0)
     return syz
@@ -547,16 +567,20 @@ def module_colon(g, rels):
     return colon_from_basis(colon_basis([g], rels), g.module.rank)
 
 
-def module_divide(f, basis):
-    """A Poly h with f - h*g in span(rels), for basis = colon_basis([g], rels);
-    NotDivisible when none exists.
+def divider(basis):
+    """f -> h with f - h*g in span(rels), NotDivisible when none exists,
+    for basis = colon_basis([g], rels) indexed once: the normal form of
+    (f, 0) keeps an F term exactly when f is outside span(g, rels), and is
+    (0, -h) otherwise, (f, 0) minus it being (h*g + sum c_j r_j, h)."""
+    index = reducer_index(basis, basis[0].module.rank)
 
-    The normal form of (f, 0) against the colon graph basis keeps an F
-    term exactly when f is outside span(g, rels); otherwise it is (0, -h),
-    since (f, 0) minus it is the row combination (h*g + sum c_j r_j, h).
-    """
-    rank = f.module.rank
-    r = vec_nf(basis[0].module.from_dict(dict(f.terms)), basis)
-    if not r.is_zero() and r.lead()[0][0] < rank:
-        raise NotDivisible("vector is not a multiple of the divisor")
-    return -r.component(rank)
+    def divide(f):
+        r = vec_nf(Vec(basis[0].module, f.terms), basis, index)
+        if not r.is_zero() and r.lead()[0][0] < f.module.rank:
+            raise NotDivisible("vector is not a multiple of the divisor")
+        return -r.component(f.module.rank)
+    return divide
+
+
+def module_divide(f, basis):
+    return divider(basis)(f)

@@ -1,11 +1,11 @@
 """Monomial orders on exponent vectors.
 
-Every order exposes key(exp) -> tuple; larger key means larger monomial.
-Keys compare lexicographically as Python tuples, so sorted(..., key=...)
-does the right thing.  neg_key(exp) equals tuple(map(neg, key(exp))), so
-ascending neg_key is descending monomial order: the min-heap of
-`modules.vec_nf` and the term sorts of `from_dict` use it, and no key is
-negated per term.  All orders here are multiplicative well-orders.
+Every order exposes key(exp) -> tuple; larger key means larger monomial,
+comparing lexicographically as Python tuples.  neg_key(exp) equals
+tuple(map(neg, key(exp))), so ascending neg_key is descending monomial
+order, as the min-heap of `modules.vec_nf` and `from_dict` use it; it is
+linear, neg_key(a + b) = neg_key(a) + neg_key(b) entry by entry.  All
+orders here are multiplicative well-orders.
 """
 
 from operator import mul, neg

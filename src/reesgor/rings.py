@@ -22,14 +22,14 @@ from .errors import (NonPositiveWeight, NotDivisible, NotParameters,
 from .groebner import as_vecs, groebner_basis, reducer
 from .hilbert import dimension_from_numerator, hilbert_numerator
 from . import idealops
-from .modules import colon_basis, colon_from_basis, module_divide
+from .modules import colon_basis, colon_from_basis, divider
 from .polys import PolyRing
 from .resolutions import (ModulePresentation, ext_dualizing,
                           resolve_quotient_ring)
 
-# the graph basis of the rows (b, 1) and (r, 0), r in gens + I, the colon
-# Ideal off its tail, and the ModulePresentation of ((gens, I) : b)/(gens, I)
-ColonGraph = namedtuple("ColonGraph", "basis ideal module")
+# division by b, the colon Ideal and ((gens, I) : b)/(gens, I), all off the
+# graph basis of the rows (b, 1) and (r, 0), r in gens + I
+ColonGraph = namedtuple("ColonGraph", "divide ideal module")
 
 
 class PresentedGradedRing:
@@ -138,7 +138,7 @@ class PresentedGradedRing:
             F = bv.module
             module = ModulePresentation(
                 F, [F.basis_vec(0, g) for g in ideal.gb()], rels)
-            self._colons[key] = ColonGraph(basis, ideal, module)
+            self._colons[key] = ColonGraph(divider(basis), ideal, module)
         return self._colons[key]
 
     @property
@@ -342,12 +342,12 @@ def sigma_tilde(q):
 def ring_division(f, a, A):
     """g with a*g = f in A, for a regular on A; NotDivisible otherwise.
 
-    `module_divide` reduces (f, 0) against the ring's graph basis of
-    I : a, so g is in normal form modulo I : a, whose leading terms
-    contain those of I.
+    The ring's colon graph of I : a divides, reducing (f, 0) against its
+    graph basis, indexed once per ring, so g is in normal form modulo
+    I : a, whose leading terms contain those of I.
     """
     try:
-        g = module_divide(as_vecs([f])[0], A.colon_graph((), a).basis)
+        g = A.colon_graph((), a).divide(as_vecs([f])[0])
     except NotDivisible:
         raise NotDivisible("%s is not divisible by %s in the ring" % (f, a))
     crosscheck("re-expansion of a division", A.reduce(a * g), A.reduce(f))

@@ -9,7 +9,7 @@ from operator import sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reesgor import corpus, idealops, rings
+from reesgor import corpus, idealops, modules, rings
 from reesgor.errors import NotDivisible, NotParameters, OwnerMismatch
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import as_vecs, groebner_basis
@@ -387,6 +387,21 @@ def test_ring_division(hr):
     assert rings.ring_division(A.reduce(a * c), a, A) == c
     with pytest.raises(NotDivisible):
         rings.ring_division(A.gen(1), a, A)
+
+
+def test_divisions_by_one_element_index_its_colon_basis_once(monkeypatch):
+    """The ring's colon graph of I : a indexes its basis when it is built;
+    later divisions by a build no reducer index."""
+    A, _ = corpus.build_hochster_roberts()
+    a = A.gen(0)
+    assert rings.ring_division(A.reduce(a * a), a, A) == a
+    built = []
+    real = modules.reducer_index
+    monkeypatch.setattr(modules, "reducer_index",
+                        lambda *args: built.append(args) or real(*args))
+    for g in A.ambient.gens():
+        assert rings.ring_division(A.reduce(a * g), a, A) == A.reduce(g)
+    assert built == []
 
 
 def test_ring_division_over_qq():

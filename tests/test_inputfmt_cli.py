@@ -131,6 +131,19 @@ def test_parse_poly_bounds_nesting_at_the_opening_parenthesis():
     assert (e.value.line, e.value.col) == (2, 7 + depth)
 
 
+def test_parse_poly_bounds_the_expansion_of_a_power():
+    """A power of a k-term polynomial that may expand to more than
+    MAX_POWER_TERMS terms is refused at its exponent; a monomial's power
+    is not bounded."""
+    R = PolyRing(("x", "y"), (1, 1), F)
+    top = inputfmt.MAX_POWER_TERMS - 1    # (x+y)^top has top + 1 terms
+    assert len(inputfmt.parse_poly("(x+y)^%d" % top, R).terms) == top + 1
+    assert inputfmt.parse_poly("x^1000", R) == R.gen(0) ** 1000
+    with pytest.raises(InputError) as e:
+        inputfmt.parse_poly("(x+y)^%d" % (top + 1), R, line=3, col=5)
+    assert (e.value.line, e.value.col) == (3, 5 + len("(x+y)^"))
+
+
 def test_report_roundtrip():
     pairs = [("verdict", True), ("dim", 2), ("conductor", "(a, b)")]
     text = inputfmt.format_report(pairs, ["narrative line"])
@@ -224,6 +237,9 @@ MALFORMED = {
                          % ("(" * 400, ")" * 400), ["check"],
                          "line 2, col 107: parentheses nested deeper than "
                          "100"),
+    "power_too_large": ("vars x y\nideal (x+y)^1000*x\nparams x, y\n",
+                        ["check"], "line 2, col 13: power expands past 500 "
+                                   "terms"),
     "char_above_prime_bound": (
         "vars x y\nchar 3317044064679887385961981\nideal x*y\nparams x, y\n",
         ["check"], "line 2, col 1: characteristic 3317044064679887385961981 "

@@ -3,7 +3,7 @@
 import heapq
 import itertools
 import random
-from operator import ge, sub
+from operator import add, ge, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,8 @@ from reesgor.groebner import groebner_basis
 from reesgor.modules import (FreeModule, Vec, _index_add, _mask,
                              colon_basis, module_buchberger, module_colon,
                              module_divide, module_syzygies, reducer_index,
-                             vec_nf)
+                             schreyer_syzygies, vec_nf)
+from reesgor.orders import BlockOrder, GrevlexOrder
 from reesgor.polys import PolyRing, _exp_lcm
 
 F = GF(DEFAULT_PRIME)
@@ -136,6 +137,51 @@ def test_mask_prefilter_keeps_every_divisor(pairs):
     b = tuple(x for x, _ in pairs)
     a = tuple(x + y for x, y in pairs)
     assert not _mask(b) & ~_mask(a)
+
+
+@st.composite
+def shifted_terms(draw):
+    """(module, comp, a, q): a position-over-term module of rank 1-3 over
+    GrevlexOrder or BlockOrder with random positive weights and block, or
+    one of the Schreyer-induced modules `schreyer_syzygies` builds over it
+    from a basis of monomial vectors, which is a Groebner basis."""
+    n = draw(st.integers(1, 4))
+    weights = draw(st.tuples(*[st.integers(1, 4)] * n))
+    block = draw(st.none() | st.sets(st.integers(0, n - 1)))
+    order = (GrevlexOrder(weights) if block is None
+             else BlockOrder(weights, block))
+    R = PolyRing(["x%d" % i for i in range(n)], weights, F, order)
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    M = FreeModule(R, draw(st.integers(1, 3)))
+    for _ in range(draw(st.integers(0, 2))):
+        terms = draw(st.sets(st.tuples(st.integers(0, M.rank - 1), exps),
+                             min_size=1, max_size=4))
+        syz = schreyer_syzygies([Vec(M, ((t, F.one),)) for t in terms])
+        if not syz:
+            break
+        M = syz[0].module
+    return M, draw(st.integers(0, M.rank - 1)), draw(exps), draw(exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shifted_terms())
+def test_key_shift_is_the_key_of_a_shifted_term(case):
+    """neg_key is linear in the exponent: shifting a term by x^q adds
+    key_shift(q) to its key, under position over term and under the
+    Schreyer orders alike."""
+    M, comp, a, q = case
+    assert (M.neg_key(comp, tuple(map(add, a, q)))
+            == tuple(map(add, M.neg_key(comp, a), M.key_shift(q))))
+
+
+def test_key_shift_needs_one_head_and_tail_length():
+    R = ring3()
+    z = R.zero_exp
+    for order in ([((0,), z, ()), ((1, 0), z, ())],
+                  [((0,), z, ()), ((1,), z, (0,))]):
+        with pytest.raises(ValueError):
+            FreeModule(R, 2, order=order)
+    FreeModule(R, 2, order=[((0,), z, (1,)), ((1,), z, (0,))])
 
 
 def test_koszul_syzygy_two_variables():

@@ -7,17 +7,19 @@ import itertools
 import os
 import sys
 from collections import Counter
+from operator import add, ge, sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reesgor.errors import (EquivalenceViolation, NotApplicable,
-                            ResourceExceeded)
+                            ResourceExceeded, crosscheck)
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
-from reesgor.groebner import groebner_basis
+from reesgor.groebner import as_vecs, groebner_basis
 from reesgor.hilbert import INFINITE, hilbert_numerator
-from reesgor.modules import (FreeModule, module_buchberger, module_colon,
-                             module_syzygies, schreyer_syzygies)
+from reesgor.modules import (FreeModule, Vec, module_buchberger, module_colon,
+                             module_syzygies, reducer_index, schreyer_syzygies,
+                             vec_nf)
 from reesgor.polys import PolyRing
 from reesgor import idealops, modules, oracle, resolutions
 from reesgor.cli import run_cli
@@ -567,13 +569,16 @@ def test_unit_ideal_has_the_empty_resolution():
 
 
 def test_schreyer_syzygies_of_a_non_basis_raise():
-    """x^2 and x*y + y^2 are no Groebner basis: their S-vector leaves y^3."""
+    """x^2 and x*y + y^2 are no Groebner basis: their S-vector leaves y^3;
+    nor are x e_0 + y e_1 and y e_0, whose S-vector leaves y^2 e_1."""
     R = ring2()
     x, y = R.gens()
-    Fm = FreeModule(R, 1)
-    with pytest.raises(EquivalenceViolation):
-        schreyer_syzygies([Fm.basis_vec(0, x * x),
-                           Fm.basis_vec(0, x * y + y * y)])
+    Fm, Gm = FreeModule(R, 1), FreeModule(R, 2)
+    for basis in ([Fm.basis_vec(0, x * x), Fm.basis_vec(0, x * y + y * y)],
+                  [Gm.from_poly_list([(0, x), (1, y)]), Gm.basis_vec(0, y)]):
+        for syzygies in (schreyer_syzygies, _reference_schreyer_syzygies):
+            with pytest.raises(EquivalenceViolation):
+                syzygies(basis)
 
 
 def test_schreyer_syzygy_leads():
@@ -593,6 +598,103 @@ def test_schreyer_syzygy_leads():
         for (comp, e), c in v.terms:
             acc = acc + basis[comp].mul_term(e, c)
         assert acc.is_zero()
+
+
+def _reference_schreyer_syzygies(basis):
+    """schreyer_syzygies as it was before it recorded quotients: each
+    S-vector of the graph rows (g_i, e_i) of M + F reduces against all the
+    rows, and the F part of the remainder is the syzygy.  The M block
+    comes first; its tails are padded by a constant 0 to the length of
+    F's, which leaves the order unchanged."""
+    M = basis[0].module
+    ring = M.ring
+    r = M.rank
+    leads = [b.terms[0][0] for b in basis]
+    triples = M.order or [((i,), ring.zero_exp, ()) for i in range(r)]
+    order = [(triples[c][0], tuple(map(add, triples[c][1], e)),
+              triples[c][2] + (i,)) for i, (c, e) in enumerate(leads)]
+    Fm = FreeModule(ring, len(basis),
+                    [ring.wdeg(e) + M.shifts[c] for c, e in leads], order)
+    GM = FreeModule(ring, r + Fm.rank, M.shifts + Fm.shifts,
+                    [((0,) + h, s, t + (0,)) for h, s, t in triples]
+                    + [((1,) + h, s, t) for h, s, t in order])
+    one = ring.field.one
+    rows = [Vec(GM, b.terms + (((r + i, ring.zero_exp), one),))
+            for i, b in enumerate(basis)]
+    index = reducer_index(rows, GM.rank)
+    syz = []
+    stuck = 0
+    for i, (comp, ei) in enumerate(leads):
+        cands = []
+        for j, (compj, ej) in enumerate(leads):
+            if j > i and compj == comp:
+                lcm = tuple(map(max, ei, ej))
+                m = tuple(map(sub, lcm, ei))
+                cands.append((sum(m), m, j, lcm))
+        cands.sort()
+        kept = []
+        for _, m, j, lcm in cands:
+            if not any(all(map(ge, m, k)) for k, _, _ in kept):
+                kept.append((m, j, lcm))
+        for m, j, lcm in sorted(kept, reverse=True):
+            uj = tuple(map(sub, lcm, leads[j][1]))
+            h = vec_nf(rows[i].mul_term(m, one) - rows[j].mul_term(uj, one),
+                       rows, index)
+            if h.terms[0][0][0] < r:
+                stuck += 1
+                continue
+            syz.append(Vec(Fm, tuple(((c - r, e), v)
+                                     for (c, e), v in h.terms)))
+    crosscheck("S-vectors of a Groebner basis whose F part is not zero",
+               stuck, 0)
+    return syz
+
+
+def _assert_next_level_matches_reference(level, syz):
+    """syz equals the reference's next level term for term, and each
+    syzygy's terms strictly descend under its module's neg_key."""
+    assert syz == _reference_schreyer_syzygies(level)
+    for v in syz:
+        keys = [v.module.neg_key(*ce) for ce, _ in v.terms]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@st.composite
+def monic_groebner_bases(draw):
+    """Reduced Groebner bases of random vectors of rank 1-3 in three
+    variables over GF(32003) or QQ."""
+    field = draw(st.sampled_from([F, QQ]))
+    rank = draw(st.integers(1, 3))
+    M = FreeModule(PolyRing(("x", "y", "z"), (1, 1, 1), field), rank)
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    gens = [M.from_dict({k: field.of(c) for k, c in draw(st.dictionaries(
+                st.tuples(st.integers(0, rank - 1), exps),
+                st.integers(-3, 3).filter(bool), min_size=1,
+                max_size=3)).items()})
+            for _ in range(draw(st.integers(1, 4)))]
+    return module_buchberger(gens).basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(monic_groebner_bases())
+def test_schreyer_syzygies_match_the_graph_row_reference(basis):
+    for _ in range(3):
+        syz = schreyer_syzygies(basis)
+        _assert_next_level_matches_reference(basis, syz)
+        if not syz:
+            break
+        basis = syz
+
+
+def test_corpus_frames_match_the_graph_row_reference(corpus_instances):
+    """Every level of the Rees rings' frames at n = 2, 3 equals the
+    graph-row reference's."""
+    for name, (A, q) in corpus_instances.items():
+        for n in (2, 3):
+            gb = as_vecs(list(oracle.rees_presentation(A, q, n).ring.gb()))
+            frame = resolutions.schreyer_frame(gb)
+            for lower, upper in zip(frame, frame[1:] + [[]]):
+                _assert_next_level_matches_reference(lower, upper)
 
 
 def test_euler_characteristic_is_the_hilbert_numerator(corpus_instances):
