@@ -3,13 +3,21 @@ module engine.  Nothing is cached here; a reduced basis is memoized by
 the object it belongs to (`PresentedGradedRing.gb`, `Ideal.gb`), and
 the ideal operations return reduced bases that callers keep."""
 
-from .modules import FreeModule, module_buchberger, reducer_index, vec_nf
+from .errors import OwnerMismatch
+from .modules import FreeModule, Vec, module_buchberger, reducer_index, vec_nf
 
 
-def as_vecs(polys):
-    """The polys as vectors of the rank-one free module over their ring."""
-    F = FreeModule(polys[0].ring, 1)
-    return [F.from_poly_list([(0, p)]) for p in polys]
+def as_vecs(polys, F=None):
+    """The polys as vectors of the rank-one free module F over their ring,
+    built when not given.  Position over term on rank one is the ring's
+    order, so each poly's terms are already in F's order."""
+    if F is None:
+        F = FreeModule(polys[0].ring, 1)
+    ring = F.ring
+    for p in polys:
+        if p.ring is not ring and p.ring != ring:
+            raise OwnerMismatch("polynomial from a different ring")
+    return [Vec(F, tuple(((0, e), c) for e, c in p.terms)) for p in polys]
 
 
 def groebner_basis(gens):
@@ -34,9 +42,9 @@ def reducer(basis):
     index = reducer_index(vecs, 1)
 
     def nf(f):
-        if f.ring != ring:
+        if f.ring is not ring and f.ring != ring:
             f = ring.from_dict(dict(f.terms))
-        return vec_nf(F.from_poly_list([(0, f)]), vecs, index).component(0)
+        return vec_nf(as_vecs([f], F)[0], vecs, index).component(0)
     return nf
 
 

@@ -180,7 +180,8 @@ def parse_poly(expr, ring, line=None, col=1):
     expression's column in its line.  _TOKEN reads an ASCII integer, a
     name, an operator or any other character, which is an error;
     parentheses nest at most MAX_NESTING deep; a power f^n of a k-term f,
-    with up to comb(n + k - 1, n) terms, has at most MAX_POWER_TERMS."""
+    with up to comb(n + k - 1, n) terms, and a product f*g, with up to
+    len(f) * len(g) terms, each have at most MAX_POWER_TERMS."""
     index = {name: i for i, name in enumerate(ring.names)}
 
     def err(msg, pos):
@@ -237,12 +238,15 @@ def parse_poly(expr, ring, line=None, col=1):
     def product():
         f = power()
         while True:
-            kind = toks[-1][0]
+            kind, _, pos = toks[-1]
             if kind == "*":
                 toks.pop()
             elif kind not in ("name", "(", "int"):  # juxtaposition: 2x, x y
                 return f
-            f = f * power()
+            g = power()
+            if len(f.terms) * len(g.terms) > MAX_POWER_TERMS:
+                err("product expands past %d terms" % MAX_POWER_TERMS, pos)
+            f = f * g
 
     def expr_sum():
         sign = toks.pop()[0] if toks[-1][0] in ("+", "-") else "+"

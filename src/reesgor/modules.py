@@ -22,8 +22,9 @@ tail, once, when it first reduces a term or forms an S-vector; as
 `neg_key` is linear, x^q times that tail is keyed by adding
 `key_shift(q)`, so `vec_nf` keys no term per push, S-vectors included.
 Interreduction needs no index per element: a lead never divides a
-smaller term of its own component, so each kept element's tail reduces
-against one index of all kept elements.
+smaller term of its own component, so each kept element's tail, keyed
+in the run's index, is both the work `vec_nf` reduces and a reducer in
+one index of all kept elements.
 
 Syzygies, colons, intersections, presentations and exact division all
 come from one Groebner basis of a graph module, `colon_basis(gens, rels)`:
@@ -36,9 +37,11 @@ the syzygies of the g_i with no rels, the colon (rels : g) for gens = [g],
 whose basis `module_divide` reduces (f, 0) against, the intersection
 (A) cap (B) = (A e_0 + B e_1) : (e_0 + e_1), and in general the
 presentation of (im gens)/(im rels).
-`schreyer_syzygies` needs neither graph rows nor a Buchberger run: for a
+`schreyer_level` needs neither graph rows nor a Buchberger run: for a
 Groebner basis, the quotients of its S-vectors' reductions are syzygies
-that are a Groebner basis already, and come sorted.
+that are a Groebner basis already, and come sorted and keyed, so each
+level of a frame hands the next its reducer index with every tail keyed.
+No term is keyed twice.
 """
 
 import heapq
@@ -269,15 +272,20 @@ def vec_nf(f, basis, index=None, quotients=None):
     """Fully reduced normal form of f against basis (monic leads assumed).
 
     f is a Vec, or the work dict {neg_key: coeff} and heap of (neg_key,
-    comp, exp) of an S-vector from `_s_vector`; a neg_key names its term.
+    comp, exp, u) of an S-vector from `_s_vector`; a neg_key names its
+    term, whose exponent exp + u is formed only when the term pops with a
+    nonzero coefficient, since most terms of a reduction cancel first.
     `index` is basis's reducer index, built when not given.  The first
     basis element whose lead divides a term reduces it, x^q times its tail
-    keyed by adding key_shift(q); a list `quotients` gets ((pos, q), -c)
-    per step subtracting c x^q basis[pos].
+    keyed by adding key_shift(q); a list `quotients` gets the keyed term
+    (k + (pos,), pos, q, -c) per step subtracting c x^q basis[pos] from
+    the term of key k, as `schreyer_level` keys x^q e_pos.
     """
     if isinstance(f, Vec):
         module, neg_key = f.module, f.module.neg_key
-        heap = [(neg_key(comp, e), comp, e) for (comp, e), _ in f.terms]
+        zero_exp = module.ring.zero_exp
+        heap = [(neg_key(comp, e), comp, e, zero_exp)
+                for (comp, e), _ in f.terms]
         work = {h[0]: c for h, (_, c) in zip(heap, f.terms)}
     else:
         module, (work, heap) = basis[0].module, f
@@ -290,10 +298,11 @@ def vec_nf(f, basis, index=None, quotients=None):
     heapq.heapify(heap)
     rem = []
     while heap:
-        k, comp, e = heapq.heappop(heap)
+        k, comp, e, u = heapq.heappop(heap)
         c = work.pop(k, None)
         if c is None or c == zero:
             continue
+        e = tuple(map(add, e, u))
         hit = _first_divisor(leads[comp], e)
         if hit is None:
             # terms pop in descending order, so rem stays sorted
@@ -303,7 +312,7 @@ def vec_nf(f, basis, index=None, quotients=None):
         q = tuple(map(sub, e, le))
         mc = fneg(c)
         if quotients is not None:
-            quotients.append(((pos, q), mc))
+            quotients.append((k + (pos,), pos, q, mc))
         shift = key_shift(q)
         # the monic lead cancels the popped term; the tail is smaller
         for bk, bcomp, be, bc in tails.get(pos) or _keyed(index, basis, pos):
@@ -311,7 +320,7 @@ def vec_nf(f, basis, index=None, quotients=None):
             old = work.get(k)
             if old is None:
                 work[k] = fmul(mc, bc)
-                heapq.heappush(heap, (k, bcomp, tuple(map(add, be, q))))
+                heapq.heappush(heap, (k, bcomp, be, q))
             else:
                 nc = fadd(old, fmul(mc, bc))
                 if nc == zero:
@@ -336,16 +345,16 @@ def _s_vector(basis, index, i, j, lcm):
     ui = tuple(map(sub, lcm, basis[i].terms[0][0][1]))
     uj = tuple(map(sub, lcm, basis[j].terms[0][0][1]))
     si, sj = module.key_shift(ui), module.key_shift(uj)
-    heap = [(tuple(map(add, k, si)), comp, tuple(map(add, e, ui)))
-            for k, comp, e, _ in _keyed(index, basis, i)]
-    work = {h[0]: c for h, (_, _, _, c) in zip(heap, _keyed(index, basis, i))}
+    ti = _keyed(index, basis, i)
+    heap = [(tuple(map(add, k, si)), comp, e, ui) for k, comp, e, _ in ti]
+    work = {h[0]: t[3] for h, t in zip(heap, ti)}
     for k, comp, e, c in _keyed(index, basis, j):
         k = tuple(map(add, k, sj))
         if k in work:
             work[k] = fsub(work[k], c)
         else:
             work[k] = fneg(c)
-            heap.append((k, comp, tuple(map(add, e, uj))))
+            heap.append((k, comp, e, uj))
     return work, heap
 
 
@@ -394,9 +403,10 @@ def module_buchberger(gens, pair_cap=None):
             pairs[:] = live
             heapq.heapify(pairs)
         cands = []
-        for i in range(k):
-            compi, ei = leads[i]
-            if compi != compk or redundant[i]:
+        # k joins the index after its update: these are the earlier
+        # elements of its component
+        for _, ei, i in index[0][compk]:
+            if redundant[i]:
                 continue
             lcm = tuple(map(max, ei, ek))
             coprime = rank1 and not any(map(min, ei, ek))
@@ -421,8 +431,8 @@ def module_buchberger(gens, pair_cap=None):
         basis.append(h)
         leads.append(h.terms[0][0])
         redundant.append(False)
-        _index_add(index, k, h)
         update(k)
+        _index_add(index, k, h)
 
     # ascending lead order: a divisor joins before its multiples, so every
     # input an earlier lead divides is caught before it forms any pair
@@ -447,12 +457,20 @@ def module_buchberger(gens, pair_cap=None):
 
     # no lead divides a lead joined after it, so the elements no later
     # lead divides have minimal leads; a lead never divides a smaller
-    # term of its component, so every tail reduces against one index
-    keep = [b for b, r in zip(basis, redundant) if not r]
+    # term of its component, so every tail reduces against one index,
+    # which takes each kept tail keyed from the run's index
+    kept = [pos for pos, r in enumerate(redundant) if not r]
+    keep = [basis[pos] for pos in kept]
     keep_index = reducer_index(keep, module.rank)
-    reduced = [Vec(module, b.terms[:1]
-                   + vec_nf(Vec(module, b.terms[1:]), keep, keep_index).terms)
-               for b in keep]
+    zero_exp = module.ring.zero_exp
+    tails = [_keyed(index, basis, pos) for pos in kept]
+    keep_index[1].update(enumerate(tails))
+    reduced = []
+    for b, tail in zip(keep, tails):
+        work = {t[0]: t[3] for t in tail}
+        nf = vec_nf((work, [t[:3] + (zero_exp,) for t in tail]), keep,
+                    keep_index)
+        reduced.append(Vec(module, b.terms[:1] + nf.terms))
     reduced.sort(key=lambda b: module.key(*b.terms[0][0]), reverse=True)
     return GroebnerData(reduced)
 
@@ -475,24 +493,34 @@ def module_syzygies(gens):
 
 
 def schreyer_syzygies(basis):
-    """Syzygies of a Groebner basis read off its S-pair reductions
-    (Schreyer 1980; La Scala-Stillman 1998).
+    """Syzygies of a Groebner basis read off its S-pair reductions: the
+    first part of `schreyer_level` with a fresh reducer index."""
+    return schreyer_level(basis, reducer_index(basis, basis[0].module.rank))[0]
 
-    `basis` is a monic Groebner basis under the order of its module M.
-    The syzygies lie in F, free on the basis elements, graded by their
-    degrees, under the Schreyer order they induce: x^a e_i is above
-    x^b e_j when x^a lead_i is above x^b lead_j in M, or the two are equal
-    and i < j.  For each i, the pairs (i, j > i) whose leads share a
-    component and whose monomials m_ij = lcm/lead_i are minimal give one
-    syzygy each: vec_nf reduces the S-vector m_ij g_i - m_ji g_j to zero,
-    and m_ij e_i - m_ji e_j plus its quotients, already sorted (the F key
-    of x^q e_k is that of the term vec_nf popped, strictly descending
-    below the lcm, then k), is the syzygy.  These syzygies are a Groebner
-    basis of the syzygy module under F's order, with leads m_ij e_i
-    (Schreyer's theorem), so no Buchberger run is needed.  Within a lead
-    component they are listed with leads descending lexicographically,
-    which bounds the length of an iterated frame by the number of
-    variables.  A nonzero remainder (no Groebner basis) fails a crosscheck.
+
+def schreyer_level(basis, index):
+    """(syzygies, their reducer index): the syzygies of a Groebner basis
+    read off its S-pair reductions (Schreyer 1980; La Scala-Stillman
+    1998), with their tails keyed.
+
+    `basis` is a monic Groebner basis under the order of its module M,
+    and `index` its reducer index.  The syzygies lie in F, free on the
+    basis elements, graded by their degrees, under the Schreyer order they
+    induce: x^a e_i is above x^b e_j when x^a lead_i is above x^b lead_j
+    in M, or the two are equal and i < j, so the F key of x^a e_i is the M
+    key of x^a lead_i followed by i.  For each i, the pairs (i, j > i)
+    whose leads share a component and whose monomials m_ij = lcm/lead_i
+    are minimal give one syzygy each: vec_nf reduces the S-vector
+    m_ij g_i - m_ji g_j to zero, and m_ij e_i - m_ji e_j plus its
+    quotients, already sorted and keyed (x^q e_k is keyed by the term
+    vec_nf popped, strictly descending below the lcm, then k), is the
+    syzygy.  These syzygies are a Groebner basis of the syzygy module
+    under F's order, with leads m_ij e_i (Schreyer's theorem), so no
+    Buchberger run is needed, and their index holds those keyed tails.
+    Within a lead component they are listed with leads descending
+    lexicographically, which bounds the length of an iterated frame by
+    the number of variables.  A nonzero remainder (no Groebner basis)
+    fails a crosscheck.
     """
     M = basis[0].module
     ring = M.ring
@@ -504,12 +532,12 @@ def schreyer_syzygies(basis):
         order.append((head, tuple(map(add, shift, e)), tail + (i,)))
     F = FreeModule(ring, len(basis),
                    [ring.wdeg(e) + M.shifts[comp] for comp, e in leads], order)
-    index = reducer_index(basis, M.rank)
     one, minus_one = ring.field.one, ring.field.neg(ring.field.one)
     same_comp = {}
     for i, (comp, _) in enumerate(leads):
         same_comp.setdefault(comp, []).append(i)
     syz = []
+    syz_index = reducer_index((), F.rank)
     stuck = 0
     for i, (comp, ei) in enumerate(leads):
         cands = []
@@ -525,16 +553,20 @@ def schreyer_syzygies(basis):
             if not any(all(map(ge, m, k)) for k, _, _ in kept):
                 kept.append((m, j, lcm))
         for m, j, lcm in sorted(kept, reverse=True):
-            terms = [((i, m), one),
-                     ((j, tuple(map(sub, lcm, leads[j][1]))), minus_one)]
+            tail = [(M.neg_key(comp, lcm) + (j,), j,
+                     tuple(map(sub, lcm, leads[j][1])), minus_one)]
             if vec_nf(_s_vector(basis, index, i, j, lcm), basis, index,
-                      terms).terms:
+                      tail).terms:
                 stuck += 1
                 continue
-            syz.append(Vec(F, tuple(terms)))
+            v = Vec(F, (((i, m), one),)
+                    + tuple(((pos, q), c) for _, pos, q, c in tail))
+            syz_index[1][len(syz)] = tuple(tail)
+            _index_add(syz_index, len(syz), v)
+            syz.append(v)
     crosscheck("S-vectors of a Groebner basis whose F part is not zero",
                stuck, 0)
-    return syz
+    return syz, syz_index
 
 
 def colon_basis(gens, rels):

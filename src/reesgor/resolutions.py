@@ -9,7 +9,7 @@ colon by the last generator are read.  A resolution is a Schreyer frame
 free resolutions, JSC 26, 1998): its first level is a Groebner basis (a
 module's columns, a ring's memoized `gb()` or the basis of given
 columns), and each next level is read off the S-pair reductions of the
-last by `modules.schreyer_syzygies`, under the Schreyer order that level
+last by `modules.schreyer_level`, under the Schreyer order that level
 induces.  Those syzygies are already a Groebner basis of the next syzygy
 module, so at most the first level runs Buchberger.  The frame is exact
 but not minimal, and it is never minimalized: the graded Betti numbers
@@ -35,10 +35,11 @@ from operator import ge, neg
 from types import MappingProxyType
 
 from .errors import NotFiniteLength, ResourceExceeded, crosscheck
+from .groebner import as_vecs
 from .hilbert import INFINITE, finite_length, hilbert_numerator, upoly_add
 from .idealops import colon as colon_ideals, intersect as intersect_ideals
 from .modules import (FreeModule, colon_basis, graph_tail, module_buchberger,
-                      module_colon, reducer_index, schreyer_syzygies, vec_nf)
+                      module_colon, reducer_index, schreyer_level, vec_nf)
 from .polys import _exp_mul
 
 
@@ -205,17 +206,26 @@ def schreyer_frame(gb, length_cap=None):
 
     gb is a monic Groebner basis, the first level; it is listed with
     leads descending lexicographically within each component, as
-    `schreyer_syzygies` lists every later level, which bounds the frame's
-    length.  Each next level is `schreyer_syzygies` of the last, until one
-    is empty or, with a length cap, through d_{cap+2}.
+    `schreyer_level` lists every later level, which bounds the frame's
+    length.  Each next level is `schreyer_level` of the last, until one
+    is empty or, with a length cap, through d_{cap+2}; it hands down its
+    reducer index with the tails keyed, so only the first level's tails
+    are keyed from their Vecs.
     """
     frame = [sorted(gb, key=_lex_descending)]
+    index = reducer_index(frame[0], frame[0][0].module.rank)
     while length_cap is None or len(frame) < length_cap + 2:
-        syz = schreyer_syzygies(frame[-1])
+        syz, index = schreyer_level(frame[-1], index)
         if not syz:
             break
         frame.append(syz)
     return frame
+
+
+def _lead_degree(v):
+    """The degree of a homogeneous nonzero Vec, read off its lead."""
+    (comp, e), _ = v.terms[0]
+    return v.module.ring.wdeg(e) + v.module.shifts[comp]
 
 
 def tor_betti(f0_shifts, frame):
@@ -230,7 +240,7 @@ def tor_betti(f0_shifts, frame):
     the graded Betti numbers of M with no minimalization.
     """
     ranks = [{}] + [_constant_ranks(cols) for cols in frame] + [{}]
-    degrees = [f0_shifts] + [[v.degree() for v in cols] for cols in frame]
+    degrees = [f0_shifts] + [list(map(_lead_degree, cols)) for cols in frame]
     out = []
     for k, degs in enumerate(degrees):
         b = Counter(degs)
@@ -247,7 +257,7 @@ def minimal_free_resolution(cols, f0, length_cap=None, numerator=None):
     cols are Vecs in f0.  The frame starts from the reduced Groebner basis
     of the columns; with `numerator`, cols are that basis already and
     numerator is the module's Hilbert numerator, so neither is computed
-    again.  Each next level is `schreyer_syzygies` of the last, and the
+    again.  Each next level is `schreyer_level` of the last, and the
     Betti numbers are the ranks of Tor(M, k) off the frame (`tor_betti`).
     With a length cap the frame is built through d_{cap+2} at most, which
     fixes beta_{cap+1}: ResourceExceeded is raised only when it is not
@@ -502,11 +512,11 @@ def resolve_quotient_ring(ring, ideal_gens, length_cap=None, numerator=None):
     the ideal and numerator the Hilbert numerator of P/(ideal_gens): the
     frame starts from that basis and the exactness check reads that
     numerator.  A generating set that is not a Groebner basis still fails
-    the crosscheck of `schreyer_syzygies`.  A nonzero constant generator
+    the crosscheck of `schreyer_level`.  A nonzero constant generator
     makes P/(ideal_gens) zero, with no Betti numbers.
     """
     f0 = FreeModule(ring, 1, (0,))
-    cols = [f0.from_poly_list([(0, g)]) for g in ideal_gens]
+    cols = as_vecs(ideal_gens, f0)
     return minimal_free_resolution(cols, f0, length_cap=length_cap,
                                    numerator=numerator)
 
@@ -521,7 +531,8 @@ def dual_columns(resolution, k):
     ring = resolution.ring
     c = sum(ring.weights)
     cols = resolution.diffs[k - 1]
-    dualF = FreeModule(ring, len(cols), tuple(c - v.degree() for v in cols))
+    dualF = FreeModule(ring, len(cols), tuple(c - _lead_degree(v)
+                                              for v in cols))
     # one column per row of d_k, that is per basis element of F_{k-1}
     rows = [{} for _ in range(cols[0].module.rank)]
     for j, col in enumerate(cols):

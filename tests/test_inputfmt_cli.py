@@ -144,6 +144,27 @@ def test_parse_poly_bounds_the_expansion_of_a_power():
     assert (e.value.line, e.value.col) == (3, 5 + len("(x+y)^"))
 
 
+def test_parse_poly_bounds_the_expansion_of_a_product():
+    """A product of an a-term and a b-term factor, which may expand to
+    a * b terms, is refused at its operator when a * b exceeds
+    MAX_POWER_TERMS, also when the factors are juxtaposed; each factor
+    of (a+b)^499*(c+d)^499 is within the bound, and the product would
+    have 250,000 terms."""
+    R = PolyRing(("a", "b", "c", "d"), (1, 1, 1, 1), F)
+    top = inputfmt.MAX_POWER_TERMS - 1
+    expr = "(a+b)^%d*(c+d)^%d" % (top, top)
+    with pytest.raises(InputError) as e:
+        inputfmt.parse_poly(expr, R, line=2, col=7)
+    assert (e.value.line, e.value.col) == (2, 7 + expr.index("*"))
+    assert "product expands past" in str(e.value)
+    with pytest.raises(InputError) as e:
+        inputfmt.parse_poly("(a+b)^30 (c+d)^30", R)
+    assert e.value.col == 1 + len("(a+b)^30 ")
+    # 20 * 25 = MAX_POWER_TERMS terms, and a monomial factor adds none
+    f = inputfmt.parse_poly("(a+b)^19*(c+d)^24*a*b", R)
+    assert len(f.terms) == inputfmt.MAX_POWER_TERMS
+
+
 def test_report_roundtrip():
     pairs = [("verdict", True), ("dim", 2), ("conductor", "(a, b)")]
     text = inputfmt.format_report(pairs, ["narrative line"])
@@ -240,6 +261,9 @@ MALFORMED = {
     "power_too_large": ("vars x y\nideal (x+y)^1000*x\nparams x, y\n",
                         ["check"], "line 2, col 13: power expands past 500 "
                                    "terms"),
+    "product_too_large": ("vars a b c d\nideal (a+b)^499*(c+d)^499\n"
+                          "params a, c\n", ["check"],
+                          "line 2, col 16: product expands past 500 terms"),
     "char_above_prime_bound": (
         "vars x y\nchar 3317044064679887385961981\nideal x*y\nparams x, y\n",
         ["check"], "line 2, col 1: characteristic 3317044064679887385961981 "

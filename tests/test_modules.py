@@ -8,15 +8,16 @@ from operator import add, ge, sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reesgor.errors import NotDivisible, ResourceExceeded
+from reesgor.errors import NotDivisible, OwnerMismatch, ResourceExceeded
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
-from reesgor.groebner import groebner_basis
+from reesgor.groebner import as_vecs, groebner_basis, reducer
 from reesgor.modules import (FreeModule, Vec, _index_add, _mask,
                              colon_basis, module_buchberger, module_colon,
                              module_divide, module_syzygies, reducer_index,
                              schreyer_syzygies, vec_nf)
 from reesgor.orders import BlockOrder, GrevlexOrder
 from reesgor.polys import PolyRing, _exp_lcm
+from reesgor.resolutions import resolve_quotient_ring
 
 F = GF(DEFAULT_PRIME)
 
@@ -316,6 +317,93 @@ def test_module_buchberger_basis_checked_without_pruning(gens, rnd):
     perm = list(gens)
     rnd.shuffle(perm)
     assert module_buchberger(perm).basis == basis
+
+
+def _reference_interreduce(keep):
+    """module_buchberger's interreduction as it was before it took the
+    run's keyed tails: each tail reduced as a Vec against a fresh index
+    of the kept elements."""
+    M = keep[0].module
+    index = reducer_index(keep, M.rank)
+    out = [Vec(M, b.terms[:1] + vec_nf(Vec(M, b.terms[1:]), keep,
+                                       index).terms) for b in keep]
+    out.sort(key=lambda b: M.key(*b.terms[0][0]), reverse=True)
+    return out
+
+
+@st.composite
+def tangled_bases(draw):
+    """(reduced, tangled): a reduced Groebner basis of random vectors of
+    rank 1-3 in three variables over GF(32003) or QQ, and the same basis
+    with multiples x^a b_j below each b_i's lead added to b_i, a monic
+    Groebner basis of the same module with the same leads whose tails
+    need interreduction."""
+    field = draw(st.sampled_from([F, QQ]))
+    rank = draw(st.integers(1, 3))
+    M = FreeModule(PolyRing(("x", "y", "z"), (1, 1, 1), field), rank)
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    coeffs = st.integers(-3, 3).filter(bool)
+    gens = [M.from_dict({k: field.of(c) for k, c in draw(st.dictionaries(
+                st.tuples(st.integers(0, rank - 1), exps), coeffs,
+                min_size=1, max_size=3)).items()})
+            for _ in range(draw(st.integers(1, 5)))]
+    reduced = module_buchberger(gens).basis
+    tangled = []
+    for bi in reduced:
+        top = M.key(*bi.lead()[0])
+        for bj in reduced:
+            a = draw(exps)
+            if (bj is not bi and draw(st.booleans())
+                    and M.key(bj.lead()[0][0], tuple(
+                        map(add, bj.lead()[0][1], a))) < top):
+                bi = bi + bj.mul_term(a, field.of(draw(coeffs)))
+        tangled.append(bi)
+    return reduced, tangled
+
+
+@settings(max_examples=80, deadline=None)
+@given(tangled_bases(), st.randoms(use_true_random=False))
+def test_interreduction_matches_the_vec_tail_reference(bases, rnd):
+    """The interreduction of a Buchberger run, which takes the keyed
+    tails the run holds, gives the reduced basis, as the Vec-tail
+    reference does, in any input order."""
+    reduced, tangled = bases
+    assert _reference_interreduce(tangled) == reduced
+    rnd.shuffle(tangled)
+    assert module_buchberger(tangled).basis == reduced
+
+
+def test_rank_one_vectors_are_the_poly_list_vectors():
+    """as_vecs and the normal forms of `reducer` wrap each polynomial's
+    terms, which are in the rank-one module's order under grevlex and
+    block orders alike; a polynomial over another ring is refused."""
+    rng = random.Random(5)
+    for order in (None, BlockOrder((1, 2, 1), (0,))):
+        R = PolyRing(("x", "y", "z"), (1, 2, 1), F, order)
+        polys = [R.from_dict({e: rng.randint(1, 9) for e in rng.sample(
+                     _monomials(3, 3), rng.randint(1, 5))})
+                 for _ in range(6)]
+        M = FreeModule(R, 1)
+        want = [M.from_poly_list([(0, p)]) for p in polys]
+        assert as_vecs(polys) == want
+        assert as_vecs(polys, M) == want
+        # an equal ring built apart is the same ring
+        twin = PolyRing(("x", "y", "z"), (1, 2, 1), F, order)
+        assert as_vecs([twin.from_dict(dict(p.terms)) for p in polys],
+                       M) == want
+        basis = groebner_basis(polys[:3])
+        nf = reducer(basis)
+        for p in polys:
+            assert nf(p) == vec_nf(M.from_poly_list([(0, p)]),
+                                   as_vecs(basis)).component(0)
+        for other in (PolyRing(("x", "y", "z"), (1, 2, 1), QQ, order),
+                      PolyRing(("x", "y", "w"), (1, 2, 1), F, order)):
+            with pytest.raises(OwnerMismatch):
+                as_vecs([polys[0], other.gen(0)])
+            with pytest.raises(OwnerMismatch):
+                as_vecs([other.gen(0)], M)
+            with pytest.raises(OwnerMismatch):
+                resolve_quotient_ring(R, [other.gen(0)])
 
 
 def _random_poly(R, rnd):

@@ -18,8 +18,8 @@ from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import as_vecs, groebner_basis
 from reesgor.hilbert import INFINITE, hilbert_numerator
 from reesgor.modules import (FreeModule, Vec, module_buchberger, module_colon,
-                             module_syzygies, reducer_index, schreyer_syzygies,
-                             vec_nf)
+                             module_syzygies, reducer_index, schreyer_level,
+                             schreyer_syzygies, vec_nf)
 from reesgor.polys import PolyRing
 from reesgor import idealops, modules, oracle, resolutions
 from reesgor.cli import run_cli
@@ -650,13 +650,19 @@ def _reference_schreyer_syzygies(basis):
     return syz
 
 
-def _assert_next_level_matches_reference(level, syz):
-    """syz equals the reference's next level term for term, and each
-    syzygy's terms strictly descend under its module's neg_key."""
+def _assert_next_level_matches_reference(level, syz, index):
+    """syz equals the reference's next level term for term, each
+    syzygy's terms strictly descend under its module's neg_key, and the
+    index handed down with syz is a fresh reducer index of syz holding
+    every tail keyed as F.neg_key keys it."""
     assert syz == _reference_schreyer_syzygies(level)
     for v in syz:
         keys = [v.module.neg_key(*ce) for ce, _ in v.terms]
         assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert index[0] == reducer_index(syz, len(level))[0]
+    assert index[1] == {pos: tuple((v.module.neg_key(comp, e), comp, e, c)
+                                   for (comp, e), c in v.terms[1:])
+                        for pos, v in enumerate(syz)}
 
 
 @st.composite
@@ -678,23 +684,36 @@ def monic_groebner_bases(draw):
 @settings(max_examples=60, deadline=None)
 @given(monic_groebner_bases())
 def test_schreyer_syzygies_match_the_graph_row_reference(basis):
+    """Three levels, each reduced against the index the last handed
+    down, as in a frame."""
+    index = reducer_index(basis, basis[0].module.rank)
     for _ in range(3):
-        syz = schreyer_syzygies(basis)
-        _assert_next_level_matches_reference(basis, syz)
+        syz, index = schreyer_level(basis, index)
+        assert syz == schreyer_syzygies(basis)
+        _assert_next_level_matches_reference(basis, syz, index)
         if not syz:
             break
         basis = syz
 
 
-def test_corpus_frames_match_the_graph_row_reference(corpus_instances):
-    """Every level of the Rees rings' frames at n = 2, 3 equals the
-    graph-row reference's."""
+def test_corpus_frames_match_the_graph_row_reference(corpus_instances,
+                                                     monkeypatch):
+    """Every level of the Rees rings' frames at n = 2, 3, and the index
+    it hands down, equals the graph-row reference's."""
+    handed = []
+
+    def recording(basis, index):
+        handed.append(schreyer_level(basis, index))
+        return handed[-1]
+    monkeypatch.setattr(resolutions, "schreyer_level", recording)
     for name, (A, q) in corpus_instances.items():
         for n in (2, 3):
             gb = as_vecs(list(oracle.rees_presentation(A, q, n).ring.gb()))
+            handed.clear()
             frame = resolutions.schreyer_frame(gb)
-            for lower, upper in zip(frame, frame[1:] + [[]]):
-                _assert_next_level_matches_reference(lower, upper)
+            assert [syz for syz, _ in handed] == frame[1:] + [[]]
+            for lower, (upper, index) in zip(frame, handed):
+                _assert_next_level_matches_reference(lower, upper, index)
 
 
 def test_euler_characteristic_is_the_hilbert_numerator(corpus_instances):
