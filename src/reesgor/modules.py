@@ -40,8 +40,9 @@ presentation of (im gens)/(im rels).
 `schreyer_level` needs neither graph rows nor a Buchberger run: for a
 Groebner basis, the quotients of its S-vectors' reductions are syzygies
 that are a Groebner basis already, and come sorted and keyed, so each
-level of a frame hands the next its reducer index with every tail keyed.
-No term is keyed twice.
+level of a frame hands the next its reducer index with its tails keyed.
+No term is keyed twice, and a tail term in a component that carries no
+lead of its level, which no reduction can ever touch, is not keyed at all.
 """
 
 import heapq
@@ -50,7 +51,7 @@ from operator import add, ge, neg, sub
 
 from .errors import (NotDivisible, OwnerMismatch, ResourceExceeded,
                      crosscheck)
-from .polys import _exp_lcm, _exp_mul
+from .polys import Poly, _exp_lcm, _exp_mul
 
 
 class FreeModule:
@@ -147,9 +148,14 @@ class Vec:
         return self.terms[0]
 
     def component(self, i):
-        """The polynomial entry in component i."""
-        d = {e: c for (comp, e), c in self.terms if comp == i}
-        return self.module.ring.from_dict(d)
+        """The polynomial entry in component i.  Under position over term
+        its terms are contiguous and already in the ring's order."""
+        ring = self.module.ring
+        if self.module.order is None:
+            return Poly(ring, tuple((e, c) for (comp, e), c in self.terms
+                                    if comp == i))
+        return ring.from_dict({e: c for (comp, e), c in self.terms
+                               if comp == i})
 
     def components(self):
         polys = [dict() for _ in range(self.module.rank)]
@@ -279,7 +285,11 @@ def vec_nf(f, basis, index=None, quotients=None):
     basis element whose lead divides a term reduces it, x^q times its tail
     keyed by adding key_shift(q); a list `quotients` gets the keyed term
     (k + (pos,), pos, q, -c) per step subtracting c x^q basis[pos] from
-    the term of key k, as `schreyer_level` keys x^q e_pos.
+    the term of key k, as `schreyer_level` keys x^q e_pos.  A term in a
+    component that carries no lead finds no divisor: it records no
+    quotient and pushes no term, so an index whose keyed tails leave such
+    terms out (as a frame's do) gives the same quotients, and the same
+    remainder in every component that carries a lead.
     """
     if isinstance(f, Vec):
         module, neg_key = f.module, f.module.neg_key
@@ -494,8 +504,22 @@ def module_syzygies(gens):
 
 def schreyer_syzygies(basis):
     """Syzygies of a Groebner basis read off its S-pair reductions: the
-    first part of `schreyer_level` with a fresh reducer index."""
+    first part of `schreyer_level` with a fresh reducer index, which keys
+    tails in full, so the remainder crosscheck covers every component."""
     return schreyer_level(basis, reducer_index(basis, basis[0].module.rank))[0]
+
+
+def frame_index(basis):
+    """The reducer index of a frame's first level, keyed as `schreyer_level`
+    keys every later level: each tail term in a component that carries a
+    lead of basis, none elsewhere."""
+    M = basis[0].module
+    index = reducer_index(basis, M.rank)
+    leads, nk = index[0], M.neg_key
+    for pos, b in enumerate(basis):
+        index[1][pos] = tuple((nk(comp, e), comp, e, c)
+                              for (comp, e), c in b.terms[1:] if leads[comp])
+    return index
 
 
 def schreyer_level(basis, index):
@@ -516,11 +540,17 @@ def schreyer_level(basis, index):
     vec_nf popped, strictly descending below the lcm, then k), is the
     syzygy.  These syzygies are a Groebner basis of the syzygy module
     under F's order, with leads m_ij e_i (Schreyer's theorem), so no
-    Buchberger run is needed, and their index holds those keyed tails.
+    Buchberger run is needed.  Every pair is picked before any is
+    reduced: component i of F carries a lead of the syzygies exactly when
+    i has a kept pair, and their index holds only the keyed tail terms in
+    those components, since no reduction against the syzygies can reduce
+    a term anywhere else (see `vec_nf`); the syzygies keep every term.
     Within a lead component they are listed with leads descending
     lexicographically, which bounds the length of an iterated frame by
     the number of variables.  A nonzero remainder (no Groebner basis)
-    fails a crosscheck.
+    fails a crosscheck; against an index that leaves lead-free terms out,
+    as a frame's does, the check covers the components that carry a lead
+    of `basis`.
     """
     M = basis[0].module
     ring = M.ring
@@ -536,9 +566,7 @@ def schreyer_level(basis, index):
     same_comp = {}
     for i, (comp, _) in enumerate(leads):
         same_comp.setdefault(comp, []).append(i)
-    syz = []
-    syz_index = reducer_index((), F.rank)
-    stuck = 0
+    pairs = []
     for i, (comp, ei) in enumerate(leads):
         cands = []
         for j in same_comp[comp]:
@@ -552,18 +580,25 @@ def schreyer_level(basis, index):
         for _, m, j, lcm in cands:
             if not any(all(map(ge, m, k)) for k, _, _ in kept):
                 kept.append((m, j, lcm))
-        for m, j, lcm in sorted(kept, reverse=True):
-            tail = [(M.neg_key(comp, lcm) + (j,), j,
-                     tuple(map(sub, lcm, leads[j][1])), minus_one)]
-            if vec_nf(_s_vector(basis, index, i, j, lcm), basis, index,
-                      tail).terms:
-                stuck += 1
-                continue
-            v = Vec(F, (((i, m), one),)
-                    + tuple(((pos, q), c) for _, pos, q, c in tail))
-            syz_index[1][len(syz)] = tuple(tail)
-            _index_add(syz_index, len(syz), v)
-            syz.append(v)
+        pairs += [(i, m, j, lcm) for m, j, lcm in sorted(kept, reverse=True)]
+    # component i of F carries a lead m_ij e_i of syz exactly when i has a
+    # kept pair; a tail term anywhere else can never be reduced
+    lead_comps = {i for i, _, _, _ in pairs}
+    syz = []
+    syz_index = reducer_index((), F.rank)
+    stuck = 0
+    for i, m, j, lcm in pairs:
+        tail = [(M.neg_key(leads[i][0], lcm) + (j,), j,
+                 tuple(map(sub, lcm, leads[j][1])), minus_one)]
+        if vec_nf(_s_vector(basis, index, i, j, lcm), basis, index,
+                  tail).terms:
+            stuck += 1
+            continue
+        v = Vec(F, (((i, m), one),)
+                + tuple(((pos, q), c) for _, pos, q, c in tail))
+        syz_index[1][len(syz)] = tuple(t for t in tail if t[1] in lead_comps)
+        _index_add(syz_index, len(syz), v)
+        syz.append(v)
     crosscheck("S-vectors of a Groebner basis whose F part is not zero",
                stuck, 0)
     return syz, syz_index

@@ -175,6 +175,23 @@ def test_key_shift_is_the_key_of_a_shifted_term(case):
             == tuple(map(add, M.neg_key(comp, a), M.key_shift(q))))
 
 
+@settings(max_examples=100, deadline=None)
+@given(shifted_terms(), st.data())
+def test_component_is_the_sorted_entry(case, data):
+    """Vec.component(i) equals ring.from_dict of the entry in component i,
+    under position over term, where it takes the terms as they stand, and
+    under the Schreyer orders, where it sorts them."""
+    M = case[0]
+    exps = st.tuples(*[st.integers(0, 3)] * len(M.ring.zero_exp))
+    v = M.from_dict({k: F.of(c) for k, c in data.draw(st.dictionaries(
+        st.tuples(st.integers(0, M.rank - 1), exps),
+        st.integers(1, DEFAULT_PRIME - 1), max_size=8)).items()})
+    for i in range(M.rank):
+        want = M.ring.from_dict({e: c for (comp, e), c in v.terms
+                                 if comp == i})
+        assert v.component(i).terms == want.terms
+
+
 def test_key_shift_needs_one_head_and_tail_length():
     R = ring3()
     z = R.zero_exp

@@ -17,9 +17,9 @@ from reesgor.errors import (EquivalenceViolation, NotApplicable,
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import as_vecs, groebner_basis
 from reesgor.hilbert import INFINITE, hilbert_numerator
-from reesgor.modules import (FreeModule, Vec, module_buchberger, module_colon,
-                             module_syzygies, reducer_index, schreyer_level,
-                             schreyer_syzygies, vec_nf)
+from reesgor.modules import (FreeModule, Vec, frame_index, module_buchberger,
+                             module_colon, module_syzygies, reducer_index,
+                             schreyer_level, schreyer_syzygies, vec_nf)
 from reesgor.polys import PolyRing
 from reesgor import idealops, modules, oracle, resolutions
 from reesgor.cli import run_cli
@@ -654,15 +654,24 @@ def _assert_next_level_matches_reference(level, syz, index):
     """syz equals the reference's next level term for term, each
     syzygy's terms strictly descend under its module's neg_key, and the
     index handed down with syz is a fresh reducer index of syz holding
-    every tail keyed as F.neg_key keys it."""
+    every tail keyed as F.neg_key keys it, restricted to the components
+    that carry a lead of syz."""
     assert syz == _reference_schreyer_syzygies(level)
     for v in syz:
         keys = [v.module.neg_key(*ce) for ce, _ in v.terms]
         assert all(a < b for a, b in zip(keys, keys[1:]))
     assert index[0] == reducer_index(syz, len(level))[0]
-    assert index[1] == {pos: tuple((v.module.neg_key(comp, e), comp, e, c)
-                                   for (comp, e), c in v.terms[1:])
-                        for pos, v in enumerate(syz)}
+    assert index[1] == _lead_keyed_tails(syz)
+
+
+def _lead_keyed_tails(level):
+    """{pos: tail} of every element of level, each tail term keyed by
+    neg_key when its component carries a lead of level, and dropped when
+    it does not."""
+    lead_comps = {v.terms[0][0][0] for v in level}
+    return {pos: tuple((v.module.neg_key(comp, e), comp, e, c)
+                       for (comp, e), c in v.terms[1:] if comp in lead_comps)
+            for pos, v in enumerate(level)}
 
 
 @st.composite
@@ -682,11 +691,37 @@ def monic_groebner_bases(draw):
 
 
 @settings(max_examples=60, deadline=None)
+@given(monic_groebner_bases(), st.data())
+def test_lead_free_tail_terms_change_no_quotient(basis, data):
+    """frame_index keys a basis's tails in the components that carry a
+    lead only.  A term elsewhere finds no divisor, so it never records a
+    quotient or pushes a term: reducing against it records the quotients
+    of the full tails, and the same remainder in every component that
+    carries a lead."""
+    M = basis[0].module
+    field = M.ring.field
+    index = frame_index(basis)
+    assert index[0] == reducer_index(basis, M.rank)[0]
+    assert index[1] == _lead_keyed_tails(basis)
+    lead_comps = {b.terms[0][0][0] for b in basis}
+    exps = st.tuples(*[st.integers(0, 3)] * 3)
+    f = M.from_dict({k: field.of(c) for k, c in data.draw(st.dictionaries(
+        st.tuples(st.integers(0, M.rank - 1), exps),
+        st.integers(-3, 3).filter(bool), max_size=6)).items()})
+    full, lead = [], []
+    r_full = vec_nf(f, basis, reducer_index(basis, M.rank), full)
+    r_lead = vec_nf(f, basis, index, lead)
+    assert lead == full
+    assert ([t for t in r_lead.terms if t[0][0] in lead_comps]
+            == [t for t in r_full.terms if t[0][0] in lead_comps])
+
+
+@settings(max_examples=60, deadline=None)
 @given(monic_groebner_bases())
 def test_schreyer_syzygies_match_the_graph_row_reference(basis):
     """Three levels, each reduced against the index the last handed
-    down, as in a frame."""
-    index = reducer_index(basis, basis[0].module.rank)
+    down, from the first level's `frame_index`, as in a frame."""
+    index = frame_index(basis)
     for _ in range(3):
         syz, index = schreyer_level(basis, index)
         assert syz == schreyer_syzygies(basis)
