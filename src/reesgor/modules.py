@@ -41,8 +41,9 @@ presentation of (im gens)/(im rels).
 Groebner basis, the quotients of its S-vectors' reductions are syzygies
 that are a Groebner basis already, and come sorted and keyed, so each
 level of a frame hands the next its reducer index with its tails keyed.
-No term is keyed twice, and a tail term in a component that carries no
-lead of its level, which no reduction can ever touch, is not keyed at all.
+No term is keyed twice, and a handed-down index leaves out the tail terms
+in components that carry no lead of its level, which no reduction can
+touch.
 """
 
 import heapq
@@ -148,14 +149,11 @@ class Vec:
         return self.terms[0]
 
     def component(self, i):
-        """The polynomial entry in component i.  Under position over term
-        its terms are contiguous and already in the ring's order."""
-        ring = self.module.ring
-        if self.module.order is None:
-            return Poly(ring, tuple((e, c) for (comp, e), c in self.terms
-                                    if comp == i))
-        return ring.from_dict({e: c for (comp, e), c in self.terms
-                               if comp == i})
+        """The polynomial entry in component i.  Its terms are already in
+        the ring's order: every module order keys x^a e_i as head_i +
+        neg_key(a + shift_i) + tail_i, and the ring's neg_key is linear."""
+        return Poly(self.module.ring, tuple((e, c) for (comp, e), c
+                                            in self.terms if comp == i))
 
     def components(self):
         polys = [dict() for _ in range(self.module.rank)]
@@ -325,7 +323,10 @@ def vec_nf(f, basis, index=None, quotients=None):
             quotients.append((k + (pos,), pos, q, mc))
         shift = key_shift(q)
         # the monic lead cancels the popped term; the tail is smaller
-        for bk, bcomp, be, bc in tails.get(pos) or _keyed(index, basis, pos):
+        tail = tails.get(pos)
+        if tail is None:
+            tail = _keyed(index, basis, pos)
+        for bk, bcomp, be, bc in tail:
             k = tuple(map(add, bk, shift))
             old = work.get(k)
             if old is None:
@@ -507,19 +508,6 @@ def schreyer_syzygies(basis):
     first part of `schreyer_level` with a fresh reducer index, which keys
     tails in full, so the remainder crosscheck covers every component."""
     return schreyer_level(basis, reducer_index(basis, basis[0].module.rank))[0]
-
-
-def frame_index(basis):
-    """The reducer index of a frame's first level, keyed as `schreyer_level`
-    keys every later level: each tail term in a component that carries a
-    lead of basis, none elsewhere."""
-    M = basis[0].module
-    index = reducer_index(basis, M.rank)
-    leads, nk = index[0], M.neg_key
-    for pos, b in enumerate(basis):
-        index[1][pos] = tuple((nk(comp, e), comp, e, c)
-                              for (comp, e), c in b.terms[1:] if leads[comp])
-    return index
 
 
 def schreyer_level(basis, index):

@@ -11,17 +11,18 @@ module's columns, a ring's memoized `gb()` or the basis of given
 columns), and each next level is read off the S-pair reductions of the
 last by `modules.schreyer_level`, under the Schreyer order that level
 induces.  Those syzygies are already a Groebner basis of the next syzygy
-module, so at most the first level runs Buchberger.  Each level's
-reducer index keys only the tail terms in components that carry one of
-its leads: no reduction can touch the others, so the quotients, and the
-syzygies, are the same without them, and the differentials keep every
-term.  The frame is exact but not minimal, and it is never
+module, so at most the first level runs Buchberger.  The reducer index
+each level hands down keys only the tail terms in components that carry
+one of its leads: no reduction can touch the others, so the quotients,
+and the syzygies, are the same without them, and the differentials keep
+every term.  The frame is exact but not minimal, and it is never
 minimalized: the graded Betti numbers are the ranks of Tor(M, k), the
 homology of the frame tensored with k, whose differentials are the
 frame's constant entries (`tor_betti`, by sparse elimination over the
 field, degree by degree; Erocal, Motsak, Schreyer and Steenpass, Refined
-algorithms to compute syzygies, JSC 74, 2016).  pd, the Betti numbers and the shifts of a minimal resolution
-are read off them, and Ext is the cohomology of the dual of the frame.
+algorithms to compute syzygies, JSC 74, 2016).  pd, the Betti numbers
+and the shifts of a minimal resolution are read off them, and Ext is the
+cohomology of the dual of the frame.
 A frame can be longer than pd; a length cap raises only when the
 minimal length exceeds it.  The graded Euler characteristic of the Betti
 numbers, which is the frame's own, is crosschecked against the Hilbert
@@ -41,9 +42,8 @@ from .errors import NotFiniteLength, ResourceExceeded, crosscheck
 from .groebner import as_vecs
 from .hilbert import INFINITE, finite_length, hilbert_numerator, upoly_add
 from .idealops import colon as colon_ideals, intersect as intersect_ideals
-from .modules import (FreeModule, colon_basis, frame_index, graph_tail,
-                      module_buchberger, module_colon, reducer_index,
-                      schreyer_level, vec_nf)
+from .modules import (FreeModule, colon_basis, graph_tail, module_buchberger,
+                      module_colon, reducer_index, schreyer_level, vec_nf)
 from .polys import _exp_mul
 
 
@@ -214,15 +214,15 @@ def schreyer_frame(gb, length_cap=None):
     length.  Each next level is `schreyer_level` of the last, until one
     is empty or, with a length cap, through d_{cap+2}; it hands down its
     reducer index with the tails keyed, so only the first level's tails
-    are keyed from their Vecs (`frame_index`).  Every level's index keys
+    are keyed from their Vecs, in full.  Every later level's index keys
     only the tail terms in components that carry a lead of that level,
-    which changes no quotient; for a ring, the first level's leads all
-    lie in its one component.  The remainder crosscheck of each S-vector
-    thus covers the components that carry a lead; the Euler-characteristic
-    crosscheck of `minimal_free_resolution` covers the whole frame.
+    which changes no quotient, so the remainder crosscheck of a later
+    level's S-vectors covers the components that carry a lead; the
+    Euler-characteristic crosscheck of `minimal_free_resolution` covers
+    the whole frame.
     """
     frame = [sorted(gb, key=_lex_descending)]
-    index = frame_index(frame[0])
+    index = reducer_index(frame[0], frame[0][0].module.rank)
     while length_cap is None or len(frame) < length_cap + 2:
         syz, index = schreyer_level(frame[-1], index)
         if not syz:

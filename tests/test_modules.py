@@ -178,9 +178,10 @@ def test_key_shift_is_the_key_of_a_shifted_term(case):
 @settings(max_examples=100, deadline=None)
 @given(shifted_terms(), st.data())
 def test_component_is_the_sorted_entry(case, data):
-    """Vec.component(i) equals ring.from_dict of the entry in component i,
-    under position over term, where it takes the terms as they stand, and
-    under the Schreyer orders, where it sorts them."""
+    """Vec.component(i) takes the terms of component i as they stand, and
+    equals ring.from_dict of that entry under position over term and under
+    the Schreyer orders: within a component every module order is the
+    ring's order."""
     M = case[0]
     exps = st.tuples(*[st.integers(0, 3)] * len(M.ring.zero_exp))
     v = M.from_dict({k: F.of(c) for k, c in data.draw(st.dictionaries(

@@ -10,16 +10,16 @@ from collections import Counter
 from operator import add, ge, sub
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from reesgor.errors import (EquivalenceViolation, NotApplicable,
                             ResourceExceeded, crosscheck)
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import as_vecs, groebner_basis
 from reesgor.hilbert import INFINITE, hilbert_numerator
-from reesgor.modules import (FreeModule, Vec, frame_index, module_buchberger,
-                             module_colon, module_syzygies, reducer_index,
-                             schreyer_level, schreyer_syzygies, vec_nf)
+from reesgor.modules import (FreeModule, Vec, module_buchberger, module_colon,
+                             module_syzygies, reducer_index, schreyer_level,
+                             schreyer_syzygies, vec_nf)
 from reesgor.polys import PolyRing
 from reesgor import idealops, modules, oracle, resolutions
 from reesgor.cli import run_cli
@@ -693,24 +693,25 @@ def monic_groebner_bases(draw):
 @settings(max_examples=60, deadline=None)
 @given(monic_groebner_bases(), st.data())
 def test_lead_free_tail_terms_change_no_quotient(basis, data):
-    """frame_index keys a basis's tails in the components that carry a
-    lead only.  A term elsewhere finds no divisor, so it never records a
-    quotient or pushes a term: reducing against it records the quotients
-    of the full tails, and the same remainder in every component that
-    carries a lead."""
-    M = basis[0].module
-    field = M.ring.field
-    index = frame_index(basis)
-    assert index[0] == reducer_index(basis, M.rank)[0]
-    assert index[1] == _lead_keyed_tails(basis)
-    lead_comps = {b.terms[0][0][0] for b in basis}
+    """The index schreyer_level hands down keys the syzygies' tails in the
+    components that carry a lead only.  A term elsewhere finds no divisor,
+    so it never records a quotient or pushes a term: reducing against
+    that index records the quotients of the full tails, and the same
+    remainder in every component that carries a lead."""
+    syz, index = schreyer_level(basis, reducer_index(basis,
+                                                     basis[0].module.rank))
+    assume(syz)
+    S = syz[0].module
+    field = S.ring.field
+    assert index[1] == _lead_keyed_tails(syz)
+    lead_comps = {v.terms[0][0][0] for v in syz}
     exps = st.tuples(*[st.integers(0, 3)] * 3)
-    f = M.from_dict({k: field.of(c) for k, c in data.draw(st.dictionaries(
-        st.tuples(st.integers(0, M.rank - 1), exps),
+    f = S.from_dict({k: field.of(c) for k, c in data.draw(st.dictionaries(
+        st.tuples(st.integers(0, S.rank - 1), exps),
         st.integers(-3, 3).filter(bool), max_size=6)).items()})
     full, lead = [], []
-    r_full = vec_nf(f, basis, reducer_index(basis, M.rank), full)
-    r_lead = vec_nf(f, basis, index, lead)
+    r_full = vec_nf(f, syz, reducer_index(syz, S.rank), full)
+    r_lead = vec_nf(f, syz, index, lead)
     assert lead == full
     assert ([t for t in r_lead.terms if t[0][0] in lead_comps]
             == [t for t in r_full.terms if t[0][0] in lead_comps])
@@ -720,8 +721,8 @@ def test_lead_free_tail_terms_change_no_quotient(basis, data):
 @given(monic_groebner_bases())
 def test_schreyer_syzygies_match_the_graph_row_reference(basis):
     """Three levels, each reduced against the index the last handed
-    down, from the first level's `frame_index`, as in a frame."""
-    index = frame_index(basis)
+    down, as in a frame."""
+    index = reducer_index(basis, basis[0].module.rank)
     for _ in range(3):
         syz, index = schreyer_level(basis, index)
         assert syz == schreyer_syzygies(basis)
