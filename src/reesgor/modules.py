@@ -510,7 +510,7 @@ def schreyer_syzygies(basis):
     return schreyer_level(basis, reducer_index(basis, basis[0].module.rank))[0]
 
 
-def schreyer_level(basis, index):
+def schreyer_level(basis, index, lex=None):
     """(syzygies, their reducer index): the syzygies of a Groebner basis
     read off its S-pair reductions (Schreyer 1980; La Scala-Stillman
     1998), with their tails keyed.
@@ -534,8 +534,10 @@ def schreyer_level(basis, index):
     those components, since no reduction against the syzygies can reduce
     a term anywhere else (see `vec_nf`); the syzygies keep every term.
     Within a lead component they are listed with leads descending
-    lexicographically, which bounds the length of an iterated frame by
-    the number of variables.  A nonzero remainder (no Groebner basis)
+    lexicographically, in the lex order that ranks the variables as
+    `lex` lists them, most significant first (by index when not given),
+    which bounds the length of an iterated frame by the number of
+    variables under any lex order.  A nonzero remainder (no Groebner basis)
     fails a crosscheck; against an index that leaves lead-free terms out,
     as a frame's does, the check covers the components that carry a lead
     of `basis`.
@@ -554,6 +556,8 @@ def schreyer_level(basis, index):
     same_comp = {}
     for i, (comp, _) in enumerate(leads):
         same_comp.setdefault(comp, []).append(i)
+    if lex is None:
+        lex = range(ring.n)
     pairs = []
     for i, (comp, ei) in enumerate(leads):
         cands = []
@@ -568,7 +572,8 @@ def schreyer_level(basis, index):
         for _, m, j, lcm in cands:
             if not any(all(map(ge, m, k)) for k, _, _ in kept):
                 kept.append((m, j, lcm))
-        pairs += [(i, m, j, lcm) for m, j, lcm in sorted(kept, reverse=True)]
+        kept.sort(key=lambda t: [t[0][v] for v in lex], reverse=True)
+        pairs += [(i, m, j, lcm) for m, j, lcm in kept]
     # component i of F carries a lead m_ij e_i of syz exactly when i has a
     # kept pair; a tail term anywhere else can never be reduced
     lead_comps = {i for i, _, _, _ in pairs}

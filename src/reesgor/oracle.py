@@ -1,16 +1,30 @@
 """Direct oracle for Gorensteinness of R(q^n) = A[q^n t].
 
-The Rees algebra is presented as a graded quotient of P[T_0..T_s] by
-eliminating t from I + (T_j - g_j t), where the g_j run over all
-degree-n monomials in the parameters.  Gorensteinness of the quotient is
+The Rees algebra is presented as a graded quotient of P[T_0..T_s], where
+the T_j map to g_j t and the g_j run over all degree-n monomials in the
+parameters.  In the t-grading R(q^n) is the n-th Veronese subring of
+R(q) (Goto-Watanabe 1978, On graded rings, I, section 3), so it is read
+off R(q) rather than eliminated afresh: t is eliminated from
+I + (S_j - a_j t) over the d parameters a_j once per q
+(`Ideal.rees_ideal`), which gives the reduced basis of J_1, the ideal of
+R(q) in P[S].  The kernel of P[T] -> P[S]/J_1, T_j -> S^(combo j), is
+generated by the quadratic binomials of the Veronese of k[S] (Sturmfels,
+Groebner Bases and Convex Polytopes, ch. 14) and by the products f S^b
+with |b| < n, f in J_1's bihomogeneous basis and deg_S f + |b|
+divisible by n, each S-monomial of degree nk written as k of the T_j.
+One grevlex basis of these in P[T] is the reduced basis of the Rees
+ideal, term for term what the direct elimination of t in P[T, t] gives,
+since a reduced basis is unique.  Gorensteinness of the quotient is
 Cohen-Macaulayness plus last Betti number one, which is valid because
 every presentation here is connected graded over the base field.
 """
 
-import itertools
+from itertools import combinations_with_replacement
 
 from .errors import DepthNotOne, crosscheck
-from . import idealops, invariants, rings
+from .groebner import groebner_basis
+from .polys import Poly
+from . import invariants, rings
 
 
 class ReesPresentation:
@@ -26,7 +40,7 @@ def power_monomials(q_gens, n):
     """All degree-n monomials in the parameters, in a fixed order."""
     d = len(q_gens)
     out = []
-    for combo in itertools.combinations_with_replacement(range(d), n):
+    for combo in combinations_with_replacement(range(d), n):
         g = q_gens[combo[0]]
         for i in combo[1:]:
             g = g * q_gens[i]
@@ -35,30 +49,65 @@ def power_monomials(q_gens, n):
 
 
 def rees_presentation(A, q, n):
-    """Present R(q^n) by elimination, with a substitution check."""
+    """Present R(q^n) as the n-th Veronese of R(q), with a substitution
+    check."""
     d = rings.check_parameters(q)
     if n < 1:
         raise ValueError("power must be at least 1")
     amb = A.ambient
     gens_n = power_monomials(q.gens, n)
     t_names = tuple(_t_name(amb, j) for j in range(len(gens_n)))
-    t_weights = tuple(g.degree() + 1 for g in gens_n)
-    helper = "@t"
-    big = amb.extend(t_names + (helper,), t_weights + (1,))
-    t = big.gen(big.n - 1)
-    work = [big.transfer(g) for g in A.defining]
-    for j, g in enumerate(gens_n):
-        work.append(big.gen(amb.n + j) - big.transfer(g) * t)
-    # the eliminated generators are the reduced basis of the Rees ideal
-    # under the grevlex order of `sub`, the rest block of the elimination
-    # order, so the ring keeps them as its gb()
-    sub, out = idealops.eliminate(big, work, (big.n - 1,))
+    sub = amb.extend(t_names, tuple(g.degree() + 1 for g in gens_n))
+    one = q.rees_ideal()
+    if n == 1:
+        # J_1's ring differs from sub in the T-variables' names only
+        out = [Poly(sub, f.terms) for f in one]
+    else:
+        out = groebner_basis(_veronese_generators(sub, one, amb.n, d, n))
+    # either way, out is the reduced basis of the Rees ideal under the
+    # grevlex order of sub, so the ring keeps it as its gb()
     ring = rings.PresentedGradedRing.from_basis(sub, out)
     rp = ReesPresentation(A, q, n, gens_n, ring)
     _verify_substitution(rp)
     crosscheck("dimension of the Rees presentation and dim A + 1",
                ring.dim(), d + 1)
     return rp
+
+
+def _veronese_generators(sub, one, m, d, n):
+    """Generators of the Rees ideal of q^n in sub = P[T], the kernel of
+    T_j -> S^(combo j) into P[S]/J_1 for one = J_1's basis, P having m
+    variables and S d of them.  An S-monomial of degree nk, as its sorted
+    list of variable indices, becomes the T-monomial of its k consecutive
+    runs of n; the quadratic binomials T_a T_b - (that T-monomial of
+    a + b) generate the kernel of P[T] -> P[S]."""
+    field = sub.field
+    unit, minus = field.one, field.neg(field.one)
+    col = {c: m + j for j, c in enumerate(
+        combinations_with_replacement(range(d), n))}
+
+    def t_exp(x_part, svars):
+        exp = list(x_part) + [0] * len(col)
+        for k in range(0, len(svars), n):
+            exp[col[tuple(svars[k:k + n])]] += 1
+        return tuple(exp)
+
+    out = []
+    for a, b in combinations_with_replacement(list(col), 2):
+        runs = t_exp(sub.zero_exp[:m], sorted(a + b))
+        pair = t_exp(sub.zero_exp[:m], a + b)
+        if runs != pair:
+            out.append(sub.from_dict({pair: unit, runs: minus}))
+    for f in one:
+        # J_1 is bihomogeneous: every term of f has one S-degree
+        for extra in combinations_with_replacement(
+                range(d), -sum(f.lead_exp()[m:]) % n):
+            terms = {}
+            for e, c in f.terms:
+                svars = [i for i in range(d) for _ in range(e[m + i])]
+                terms[t_exp(e[:m], sorted(svars + list(extra)))] = c
+            out.append(sub.from_dict(terms))
+    return out
 
 
 def _t_name(ring, j):

@@ -35,7 +35,7 @@ entries out of one differential: the tests' reference minimalization.
 from collections import Counter
 from functools import partial, reduce
 from itertools import product
-from operator import ge, neg
+from operator import ge
 from types import MappingProxyType
 
 from .errors import NotFiniteLength, ResourceExceeded, crosscheck
@@ -200,9 +200,15 @@ class GradedResolution:
         return True
 
 
-def _lex_descending(b):
-    (comp, e), _ = b.terms[0]
-    return comp, tuple(map(neg, e))
+def _lex_ranking(gb):
+    """The variables ranked for the frame's lex order, most significant
+    first: those in the fewest leads of gb first, ties by index."""
+    counts = [0] * gb[0].module.ring.n
+    for b in gb:
+        for v, a in enumerate(b.terms[0][0][1]):
+            if a:
+                counts[v] += 1
+    return sorted(range(len(counts)), key=counts.__getitem__)
 
 
 def schreyer_frame(gb, length_cap=None):
@@ -211,7 +217,9 @@ def schreyer_frame(gb, length_cap=None):
     gb is a monic Groebner basis, the first level; it is listed with
     leads descending lexicographically within each component, as
     `schreyer_level` lists every later level, which bounds the frame's
-    length.  Each next level is `schreyer_level` of the last, until one
+    length under any lex order.  The lex order ranks the variables in
+    the fewest leads of gb first (`_lex_ranking`), which keeps the frame
+    small.  Each next level is `schreyer_level` of the last, until one
     is empty or, with a length cap, through d_{cap+2}; it hands down its
     reducer index with the tails keyed, so only the first level's tails
     are keyed from their Vecs, in full.  Every later level's index keys
@@ -221,10 +229,15 @@ def schreyer_frame(gb, length_cap=None):
     Euler-characteristic crosscheck of `minimal_free_resolution` covers
     the whole frame.
     """
-    frame = [sorted(gb, key=_lex_descending)]
+    lex = _lex_ranking(gb)
+
+    def lex_descending(b):
+        (comp, e), _ = b.terms[0]
+        return comp, [-e[v] for v in lex]
+    frame = [sorted(gb, key=lex_descending)]
     index = reducer_index(frame[0], frame[0][0].module.rank)
     while length_cap is None or len(frame) < length_cap + 2:
-        syz, index = schreyer_level(frame[-1], index)
+        syz, index = schreyer_level(frame[-1], index, lex)
         if not syz:
             break
         frame.append(syz)

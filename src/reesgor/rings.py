@@ -7,7 +7,8 @@ A ring memoizes the basis of I and its reducer, its Hilbert numerator,
 its resolution, its Ext modules and one `ColonGraph` per colon
 (gens, I) : b by an element b, from which come the colon ideal, the
 module ((gens, I) : b)/(gens, I), the regularity test of b and every
-division by b in A (gens empty), once per ring.  A ring built
+division by b in A (gens empty), once per ring; an ideal memoizes its
+basis and, for the oracle, the ideal of its Rees algebra.  A ring built
 `from_basis` (the Rees presentation) keeps the basis it was given, and
 its resolution starts from that basis and reads its memoized numerator,
 so one Groebner basis and one Hilbert numerator serve the ring's
@@ -218,6 +219,7 @@ class Ideal:
         self._gb = None
         self._nf = None
         self._dim = None
+        self._rees = None
 
     @classmethod
     def from_basis(cls, owner, gb):
@@ -237,6 +239,25 @@ class Ideal:
         if self._gb is None:
             self._gb = tuple(groebner_basis(self.preimage_gens()))
         return self._gb
+
+    def rees_ideal(self):
+        """The ideal of the Rees algebra A[a_0 t, .., a_s t] of this ideal,
+        a_j its generators, in P[@T_0..@T_s] with @T_j -> a_j t and deg
+        @T_j = deg a_j + 1, as its reduced grevlex basis, a tuple: t is
+        eliminated from I + (@T_j - a_j t) once per ideal."""
+        if self._rees is None:
+            amb = self.owner.ambient
+            names = tuple("@T%d" % j for j in range(len(self.gens)))
+            big = amb.extend(names + ("@t",), tuple(
+                g.degree() + 1 for g in self.gens) + (1,))
+            t = big.gen(big.n - 1)
+            work = [big.transfer(g) for g in self.owner.defining]
+            for j, g in enumerate(self.gens):
+                work.append(big.gen(amb.n + j) - big.transfer(g) * t)
+            # the eliminated generators are the reduced basis under the
+            # grevlex order of the rest block of the elimination order
+            self._rees = tuple(idealops.eliminate(big, work, (big.n - 1,))[1])
+        return self._rees
 
     def contains(self, f):
         """f in the preimage; `gb()` is indexed once per ideal."""

@@ -1,11 +1,15 @@
 """Rees algebra presentations and the direct Gorenstein oracle."""
 
+import contextlib
+import io
+import os
 import sys
 
 import pytest
 
 from reesgor import (corpus, decision, groebner, hilbert, idealops, modules,
                      oracle, rings)
+from reesgor.cli import run_cli
 from reesgor.errors import (DepthNotOne, EquivalenceViolation, NotParameters,
                             ResourceExceeded)
 from reesgor.fields import GF, DEFAULT_PRIME
@@ -111,6 +115,28 @@ def test_substitution_check_catches_a_wrong_rees_generator(monkeypatch, name):
         oracle.rees_presentation(A, q, 2)
 
 
+def test_substitution_check_catches_a_wrong_veronese_generator(
+        monkeypatch):
+    """T_0^2 a appended to the basis computed in R(q^2)'s own ring,
+    after an exact R(q), fails the substitution check too: the CLI
+    reports it as a disagreement (exit 5)."""
+    real = oracle.groebner_basis
+
+    def wrong(gens):
+        out = real(gens)
+        ring = out[0].ring
+        return out + [ring.gen(ring.n - 3) ** 2 * ring.gen(0)]
+
+    monkeypatch.setattr(oracle, "groebner_basis", wrong)
+    A, q, _ = corpus.example_document("hochster_roberts").build()
+    with pytest.raises(EquivalenceViolation, match="substitution"):
+        oracle.rees_presentation(A, q, 2)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "corpus",
+                        "hochster_roberts.ring")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(["oracle", path]) == 5
+
+
 D2_CORPUS = ("hochster_roberts", "two_planes", "idealization_xy",
              "idealization_x2y3", "regular_base")
 
@@ -129,10 +155,10 @@ def _record_calls(monkeypatch, fn, record):
 
 def test_oracle_computes_one_basis_and_one_numerator_per_rees_ring(
         monkeypatch):
-    """The elimination is the only Groebner basis of the Rees ideal: the
-    ring keeps it as gb(), the resolution's frame starts from it, and the
-    ring's dimension and the resolution's exactness check share one
-    Hilbert numerator of its leads."""
+    """R(q^2) costs one elimination, for R(q), and one Groebner basis in
+    its own ring: the ring keeps that basis as gb(), the resolution's
+    frame starts from it, and the ring's dimension and the resolution's
+    exactness check share one Hilbert numerator of its leads."""
     bases, numerators, runs = [], [], []
     _record_calls(monkeypatch, groebner.groebner_basis, bases)
     _record_calls(monkeypatch, hilbert.hilbert_numerator, numerators)
@@ -146,34 +172,45 @@ def test_oracle_computes_one_basis_and_one_numerator_per_rees_ring(
         on_rees = [args for args in bases
                    if args[0] and t_names <= set(args[0][0].ring.names)]
         assert len(on_rees) == 1, name
-        assert on_rees[0][0][0].ring.n == rp.ring.ambient.n + 1, name
+        assert on_rees[0][0][0].ring == rp.ring.ambient, name
         assert len([args for args in numerators
                     if tuple(args[1]) == rp.ring.weights]) == 1, name
         rees_runs = [args for args in runs
                      if t_names <= set(args[0][0].module.ring.names)]
         assert len(rees_runs) == 1, name
+        eliminations = [args[0][0].module.ring for args in runs
+                        if "@t" in args[0][0].module.ring.names]
+        assert len(eliminations) == 1, name
+        assert eliminations[0].n == A.ambient.n + len(q.gens) + 1, name
+        assert eliminations[0].order.kind == "block", name
 
 
-# S-vectors the Rees elimination of each ring reduces at n = 2, 3 when
-# pairs are taken by the degree of their lcm first; taken by the block
-# order's lcm key alone they were 79, 136; 55, 116; 33, 82; 33, 82; 11, 35
+# S-vectors each ring reduces in the elimination of R(q) (block order,
+# pairs taken by the degree of their lcm first), and in the grevlex basis
+# of R(q^n) in its own ring at n = 2, 3; the direct elimination of R(q^n)
+# in P[T, t] reduced 40, 46; 45, 76; 24, 45; 24, 45; 8, 20
 REES_S_VECTORS = {
-    "hochster_roberts": (40, 46), "two_planes": (45, 76),
-    "idealization_xy": (24, 45), "idealization_x2y3": (24, 45),
-    "regular_base": (8, 20)}
+    "hochster_roberts": (24, 16, 30), "two_planes": (24, 16, 30),
+    "idealization_xy": (11, 16, 30), "idealization_x2y3": (11, 16, 30),
+    "regular_base": (2, 2, 8)}
 
 
 @pytest.mark.parametrize("name", D2_CORPUS)
 def test_rees_elimination_takes_pairs_by_degree(monkeypatch, name):
-    """Under the block order of the elimination, the pairs taken by
-    degree first leave the fewest S-vectors to reduce: a pair cap of
-    exactly that count finishes and one below it raises."""
-    A, q, _ = corpus.example_document(name).build()
+    """The elimination of R(q) takes its pairs by degree first under the
+    block order, and R(q^n)'s basis in its own ring takes the rest: a
+    pair cap of exactly each run's count finishes and one below it
+    raises.  A fresh q is built for each run, since R(q) is memoized."""
     real = modules.module_buchberger
-    for n, want in zip((2, 3), REES_S_VECTORS[name]):
+    one, *veronese = REES_S_VECTORS[name]
+    for n, kind, want in [(1, "block", one), (2, "grevlex", veronese[0]),
+                          (3, "grevlex", veronese[1])]:
         for cap, enough in ((want, True), (want - 1, False)):
+            A, q, _ = corpus.example_document(name).build()
+
             def capped(gens, pair_cap=None, cap=cap):
-                if gens[0].module.ring.order.kind == "block":
+                ring = gens[0].module.ring
+                if ring.order.kind == kind and ring.n > A.ambient.n:
                     pair_cap = cap
                 return real(gens, pair_cap)
             monkeypatch.setattr(groebner, "module_buchberger", capped)
@@ -182,6 +219,54 @@ def test_rees_elimination_takes_pairs_by_degree(monkeypatch, name):
             else:
                 with pytest.raises(ResourceExceeded):
                     oracle.rees_presentation(A, q, n)
+
+
+def test_rees_ideal_is_eliminated_once_per_q(monkeypatch):
+    """R(q) is eliminated once per q and kept on q as a tuple: the power
+    suite over n = 1, 2, 3 and a repeated power run one block-order
+    elimination between them."""
+    A, q, _ = corpus.example_document("hochster_roberts").build()
+    real = modules.module_buchberger
+    eliminations = []
+
+    def counting(gens, pair_cap=None):
+        if gens[0].module.ring.order.kind == "block":
+            eliminations.append(gens)
+        return real(gens, pair_cap)
+    monkeypatch.setattr(groebner, "module_buchberger", counting)
+    oracle.n_neq_d_suite(A, q, 2, (1, 2, 3))
+    oracle.rees_presentation(A, q, 2)
+    assert len(eliminations) == 1
+    assert isinstance(q.rees_ideal(), tuple)
+
+
+def _direct_rees_basis(A, q, n):
+    """The reduced basis of the Rees ideal of q^n by eliminating t from
+    I + (T_j - g_j t) in P[T, t], the route the Veronese replaces."""
+    amb = A.ambient
+    gens_n = oracle.power_monomials(q.gens, n)
+    names = tuple(oracle._t_name(amb, j) for j in range(len(gens_n)))
+    big = amb.extend(names + ("@t",),
+                     tuple(g.degree() + 1 for g in gens_n) + (1,))
+    t = big.gen(big.n - 1)
+    work = [big.transfer(g) for g in A.defining]
+    for j, g in enumerate(gens_n):
+        work.append(big.gen(amb.n + j) - big.transfer(g) * t)
+    return tuple(idealops.eliminate(big, work, (big.n - 1,))[1])
+
+
+@pytest.mark.parametrize("char", [DEFAULT_PRIME, 0, 2, 3])
+def test_veronese_route_matches_the_direct_elimination(char):
+    """R(q^n) read off R(q) has the reduced basis the direct elimination
+    gives, in the same ring, term for term."""
+    cases = [(name, n) for name in D2_CORPUS for n in (1, 2, 3, 4)]
+    cases += [("idealization_xyz", 2), ("idealization_xyz", 3)]
+    for name, n in cases:
+        A, q, _ = corpus.example_document(name).build(char_override=char)
+        got = oracle.rees_presentation(A, q, n).ring
+        want = _direct_rees_basis(A, q, n)
+        assert got.ambient == want[0].ring, (name, char, n)
+        assert got.gb() == want, (name, char, n)
 
 
 @pytest.mark.parametrize("char", [DEFAULT_PRIME, 0, 2, 3])

@@ -600,12 +600,14 @@ def test_schreyer_syzygy_leads():
         assert acc.is_zero()
 
 
-def _reference_schreyer_syzygies(basis):
+def _reference_schreyer_syzygies(basis, lex=None):
     """schreyer_syzygies as it was before it recorded quotients: each
     S-vector of the graph rows (g_i, e_i) of M + F reduces against all the
     rows, and the F part of the remainder is the syzygy.  The M block
     comes first; its tails are padded by a constant 0 to the length of
-    F's, which leaves the order unchanged."""
+    F's, which leaves the order unchanged.  Within a lead component the
+    syzygies descend in the lex order ranking the variables as `lex`
+    lists them (by index when not given)."""
     M = basis[0].module
     ring = M.ring
     r = M.rank
@@ -636,7 +638,9 @@ def _reference_schreyer_syzygies(basis):
         for _, m, j, lcm in cands:
             if not any(all(map(ge, m, k)) for k, _, _ in kept):
                 kept.append((m, j, lcm))
-        for m, j, lcm in sorted(kept, reverse=True):
+        rank = list(lex) if lex is not None else list(range(ring.n))
+        for m, j, lcm in sorted(kept, reverse=True,
+                                key=lambda t: [t[0][v] for v in rank]):
             uj = tuple(map(sub, lcm, leads[j][1]))
             h = vec_nf(rows[i].mul_term(m, one) - rows[j].mul_term(uj, one),
                        rows, index)
@@ -650,13 +654,13 @@ def _reference_schreyer_syzygies(basis):
     return syz
 
 
-def _assert_next_level_matches_reference(level, syz, index):
+def _assert_next_level_matches_reference(level, syz, index, lex=None):
     """syz equals the reference's next level term for term, each
     syzygy's terms strictly descend under its module's neg_key, and the
     index handed down with syz is a fresh reducer index of syz holding
     every tail keyed as F.neg_key keys it, restricted to the components
     that carry a lead of syz."""
-    assert syz == _reference_schreyer_syzygies(level)
+    assert syz == _reference_schreyer_syzygies(level, lex)
     for v in syz:
         keys = [v.module.neg_key(*ce) for ce, _ in v.terms]
         assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -735,21 +739,32 @@ def test_schreyer_syzygies_match_the_graph_row_reference(basis):
 def test_corpus_frames_match_the_graph_row_reference(corpus_instances,
                                                      monkeypatch):
     """Every level of the Rees rings' frames at n = 2, 3, and the index
-    it hands down, equals the graph-row reference's."""
-    handed = []
+    it hands down, equals the graph-row reference's, in the lex order
+    that ranks the variables in the fewest leads of the first level
+    first, ties by index."""
+    handed, orders = [], []
 
-    def recording(basis, index):
-        handed.append(schreyer_level(basis, index))
+    def recording(basis, index, lex):
+        orders.append(list(lex))
+        handed.append(schreyer_level(basis, index, lex))
         return handed[-1]
     monkeypatch.setattr(resolutions, "schreyer_level", recording)
     for name, (A, q) in corpus_instances.items():
         for n in (2, 3):
             gb = as_vecs(list(oracle.rees_presentation(A, q, n).ring.gb()))
-            handed.clear()
+            counts = Counter(v for b in gb
+                             for v, a in enumerate(b.terms[0][0][1]) if a)
+            lex = sorted(range(gb[0].module.ring.n),
+                         key=lambda v: (counts[v], v))
+            del handed[:], orders[:]
             frame = resolutions.schreyer_frame(gb)
+            assert orders == [lex] * len(handed), (name, n)
+            assert frame[0] == sorted(
+                gb, key=lambda b: [-b.terms[0][0][1][v] for v in lex])
             assert [syz for syz, _ in handed] == frame[1:] + [[]]
             for lower, (upper, index) in zip(frame, handed):
-                _assert_next_level_matches_reference(lower, upper, index)
+                _assert_next_level_matches_reference(lower, upper, index,
+                                                     lex)
 
 
 def test_euler_characteristic_is_the_hilbert_numerator(corpus_instances):
