@@ -70,9 +70,6 @@ class PrimeField:
     def inv(self, a):
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return (a * pow(b, -1, self.p)) % self.p
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -110,9 +107,6 @@ class RationalField:
 
     def inv(self, a):
         return 1 / a
-
-    def div(self, a, b):
-        return a / b
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -1,7 +1,8 @@
 """Ring-level Groebner bases and normal forms: the rank-one case of the
 module engine.  Nothing is cached here; a reduced basis is memoized by
-the object it belongs to (`PresentedGradedRing.gb`, `Ideal.gb`), and
-the ideal operations return reduced bases that callers keep."""
+the ideal it belongs to (`Ideal.gb`, which a ring reads off its zero
+ideal), and the ideal operations return reduced bases that callers
+keep."""
 
 from .errors import OwnerMismatch
 from .modules import FreeModule, Vec, module_buchberger, reducer_index, vec_nf
@@ -52,6 +53,3 @@ def normal_form(f, basis):
     """Fully reduced remainder of f modulo a Groebner basis."""
     return reducer(basis)(f)
 
-
-def is_member(f, basis):
-    return normal_form(f, basis).is_zero()

@@ -121,28 +121,3 @@ def finite_length(num, weights):
     return crosscheck("the length g(1) / prod w_i is an integer",
                       int(length), length)
 
-
-def count_standard_monomials(exps, weights, up_to_degree):
-    """Brute-force count of monomials outside the ideal, by weighted degree.
-
-    Returns {degree: count} for degrees <= up_to_degree.  Test oracle for
-    hilbert_numerator; exponential, keep inputs small.
-    """
-    n = len(weights)
-    gens = _minimalize(exps)
-    counts = {}
-
-    def rec(i, exp, deg):
-        if deg > up_to_degree:
-            return
-        if i == n:
-            if not any(all(map(ge, exp, g)) for g in gens):
-                counts[deg] = counts.get(deg, 0) + 1
-            return
-        e = 0
-        while deg + e * weights[i] <= up_to_degree:
-            rec(i + 1, exp + (e,), deg + e * weights[i])
-            e += 1
-
-    rec(0, (), 0)
-    return counts

@@ -4,7 +4,7 @@ A Vec is an element of a free module F = sum_i P(-shift_i), stored as
 ((component, exponent), coefficient) terms sorted descending in the
 module's order: position over term extending the ring's monomial order
 by default, or an order induced through the module's `order` hook, such
-as the Schreyer orders of `schreyer_syzygies`.  The Buchberger loop
+as the Schreyer orders of `schreyer_level`.  The Buchberger loop
 computes reduced bases only; it prunes S-pairs by the Gebauer-Moeller
 update (Gebauer & Moeller 1988) as each element joins the basis, with the
 product criterion on rank 1 only, where it is valid, and by the G-filter
@@ -34,7 +34,7 @@ the tail P^s have no F part: a reduced Groebner basis of the tail
 {u : sum u_i g_i in span(rels)} (Greuel-Pfister, A Singular Introduction
 to Commutative Algebra; Singular's `syz`, `quotient`, `modulo`).  That is
 the syzygies of the g_i with no rels, the colon (rels : g) for gens = [g],
-whose basis `module_divide` reduces (f, 0) against, the intersection
+whose basis `divider` reduces (f, 0) against, the intersection
 (A) cap (B) = (A e_0 + B e_1) : (e_0 + e_1), and in general the
 presentation of (im gens)/(im rels).
 `schreyer_level` needs neither graph rows nor a Buchberger run: for a
@@ -64,7 +64,7 @@ class FreeModule:
     dominating.  An induced order is given as `order`, one (head, shift,
     tail) triple of tuples per component: the term x^a e_i is keyed
     head_i + neg_key(a + shift_i) + tail_i.  Position over term is the
-    triple ((i,), 0, ()), and `schreyer_syzygies` builds Schreyer orders
+    triple ((i,), 0, ()), and `schreyer_level` builds Schreyer orders
     this way.  neg_key(comp, a + q) = neg_key(comp, a) + key_shift(q);
     key_shift is memoized, and unequal head or tail lengths raise ValueError.
     """
@@ -272,16 +272,16 @@ def _first_divisor(reducers, e):
     return None
 
 
-def vec_nf(f, basis, index=None, quotients=None):
+def vec_nf(f, basis, index, quotients=None):
     """Fully reduced normal form of f against basis (monic leads assumed).
 
     f is a Vec, or the work dict {neg_key: coeff} and heap of (neg_key,
     comp, exp, u) of an S-vector from `_s_vector`; a neg_key names its
     term, whose exponent exp + u is formed only when the term pops with a
     nonzero coefficient, since most terms of a reduction cancel first.
-    `index` is basis's reducer index, built when not given.  The first
-    basis element whose lead divides a term reduces it, x^q times its tail
-    keyed by adding key_shift(q); a list `quotients` gets the keyed term
+    `index` is basis's reducer index.  The first basis element whose lead
+    divides a term reduces it, x^q times its tail keyed by adding
+    key_shift(q); a list `quotients` gets the keyed term
     (k + (pos,), pos, q, -c) per step subtracting c x^q basis[pos] from
     the term of key k, as `schreyer_level` keys x^q e_pos.  A term in a
     component that carries no lead finds no divisor: it records no
@@ -297,8 +297,6 @@ def vec_nf(f, basis, index=None, quotients=None):
         work = {h[0]: c for h, (_, c) in zip(heap, f.terms)}
     else:
         module, (work, heap) = basis[0].module, f
-    if index is None:
-        index = reducer_index(basis, module.rank)
     leads, tails = index
     F = module.ring.field
     fadd, fmul, fneg, zero = F.add, F.mul, F.neg, F.zero
@@ -503,14 +501,7 @@ def module_syzygies(gens):
                       FreeModule(gens[0].module.ring, len(gens), shifts))
 
 
-def schreyer_syzygies(basis):
-    """Syzygies of a Groebner basis read off its S-pair reductions: the
-    first part of `schreyer_level` with a fresh reducer index, which keys
-    tails in full, so the remainder crosscheck covers every component."""
-    return schreyer_level(basis, reducer_index(basis, basis[0].module.rank))[0]
-
-
-def schreyer_level(basis, index, lex=None):
+def schreyer_level(basis, index, lex):
     """(syzygies, their reducer index): the syzygies of a Groebner basis
     read off its S-pair reductions (Schreyer 1980; La Scala-Stillman
     1998), with their tails keyed.
@@ -535,12 +526,11 @@ def schreyer_level(basis, index, lex=None):
     a term anywhere else (see `vec_nf`); the syzygies keep every term.
     Within a lead component they are listed with leads descending
     lexicographically, in the lex order that ranks the variables as
-    `lex` lists them, most significant first (by index when not given),
-    which bounds the length of an iterated frame by the number of
-    variables under any lex order.  A nonzero remainder (no Groebner basis)
-    fails a crosscheck; against an index that leaves lead-free terms out,
-    as a frame's does, the check covers the components that carry a lead
-    of `basis`.
+    `lex` lists them, most significant first, which bounds the length of
+    an iterated frame by the number of variables under any lex order.  A
+    nonzero remainder (no Groebner basis) fails a crosscheck; against an
+    index that leaves lead-free terms out, as a frame's does, the check
+    covers the components that carry a lead of `basis`.
     """
     M = basis[0].module
     ring = M.ring
@@ -556,8 +546,6 @@ def schreyer_level(basis, index, lex=None):
     same_comp = {}
     for i, (comp, _) in enumerate(leads):
         same_comp.setdefault(comp, []).append(i)
-    if lex is None:
-        lex = range(ring.n)
     pairs = []
     for i, (comp, ei) in enumerate(leads):
         cands = []
@@ -640,7 +628,3 @@ def divider(basis):
             raise NotDivisible("vector is not a multiple of the divisor")
         return -r.component(f.module.rank)
     return divide
-
-
-def module_divide(f, basis):
-    return divider(basis)(f)

@@ -19,21 +19,16 @@ Cohen-Macaulayness plus last Betti number one, which is valid because
 every presentation here is connected graded over the base field.
 """
 
+from collections import namedtuple
 from itertools import combinations_with_replacement
 
 from .errors import DepthNotOne, crosscheck
 from .groebner import groebner_basis
-from .polys import Poly
 from . import invariants, rings
 
-
-class ReesPresentation:
-    def __init__(self, base, q, n, power_gens, ring):
-        self.base = base            # the PresentedGradedRing A
-        self.q = q
-        self.n = n
-        self.power_gens = power_gens  # generators of q^n, in order
-        self.ring = ring            # R(q^n) as a PresentedGradedRing
+# base is the PresentedGradedRing A, power_gens the generators of q^n in
+# order, and ring R(q^n) as a PresentedGradedRing
+ReesPresentation = namedtuple("ReesPresentation", "base q n power_gens ring")
 
 
 def power_monomials(q_gens, n):
@@ -58,14 +53,10 @@ def rees_presentation(A, q, n):
     gens_n = power_monomials(q.gens, n)
     t_names = tuple(_t_name(amb, j) for j in range(len(gens_n)))
     sub = amb.extend(t_names, tuple(g.degree() + 1 for g in gens_n))
-    one = q.rees_ideal()
-    if n == 1:
-        # J_1's ring differs from sub in the T-variables' names only
-        out = [Poly(sub, f.terms) for f in one]
-    else:
-        out = groebner_basis(_veronese_generators(sub, one, amb.n, d, n))
-    # either way, out is the reduced basis of the Rees ideal under the
-    # grevlex order of sub, so the ring keeps it as its gb()
+    out = groebner_basis(_veronese_generators(sub, q.rees_ideal(), amb.n,
+                                              d, n))
+    # out is the reduced basis of the Rees ideal under the grevlex order
+    # of sub, so the ring keeps it as its gb()
     ring = rings.PresentedGradedRing.from_basis(sub, out)
     rp = ReesPresentation(A, q, n, gens_n, ring)
     _verify_substitution(rp)
@@ -80,7 +71,8 @@ def _veronese_generators(sub, one, m, d, n):
     variables and S d of them.  An S-monomial of degree nk, as its sorted
     list of variable indices, becomes the T-monomial of its k consecutive
     runs of n; the quadratic binomials T_a T_b - (that T-monomial of
-    a + b) generate the kernel of P[T] -> P[S]."""
+    a + b) generate the kernel of P[T] -> P[S].  At n = 1 there are no
+    binomials, and the products are J_1's basis with S renamed T."""
     field = sub.field
     unit, minus = field.one, field.neg(field.one)
     col = {c: m + j for j, c in enumerate(

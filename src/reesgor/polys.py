@@ -134,9 +134,6 @@ class Poly:
     def lead_exp(self):
         return self.terms[0][0]
 
-    def lead_coeff(self):
-        return self.terms[0][1]
-
     def degree(self):
         """Weighted degree of the highest-degree term; -1 for zero."""
         if not self.terms:

@@ -6,12 +6,13 @@ presented by the tail of `modules.colon_basis(gens, rels)`, a reduced
 Groebner basis off which the length, socle, minimal generators and the
 colon by the last generator are read.  A resolution is a Schreyer frame
 (Schreyer 1980; La Scala and Stillman, Strategies for computing minimal
-free resolutions, JSC 26, 1998): its first level is a Groebner basis (a
-module's columns, a ring's memoized `gb()` or the basis of given
-columns), and each next level is read off the S-pair reductions of the
-last by `modules.schreyer_level`, under the Schreyer order that level
-induces.  Those syzygies are already a Groebner basis of the next syzygy
-module, so at most the first level runs Buchberger.  The reducer index
+free resolutions, JSC 26, 1998): every resolution starts from a reduced
+Groebner basis and its Hilbert numerator (a module's presentation
+columns or a ring's memoized `gb()`), the frame's first level, and each
+next level is read off the S-pair reductions of the last by
+`modules.schreyer_level`, under the Schreyer order that level induces.
+Those syzygies are already a Groebner basis of the next syzygy module,
+so no level runs Buchberger.  The reducer index
 each level hands down keys only the tail terms in components that carry
 one of its leads: no reduction can touch the others, so the quotients,
 and the syzygies, are the same without them, and the differentials keep
@@ -25,9 +26,8 @@ and the shifts of a minimal resolution are read off them, and Ext is the
 cohomology of the dual of the frame.
 A frame can be longer than pd; a length cap raises only when the
 minimal length exceeds it.  The graded Euler characteristic of the Betti
-numbers, which is the frame's own, is crosschecked against the Hilbert
-numerator of the module (given by the caller or read off the basis
-leads).  A resolution stores its differentials as tuples, so a cached
+numbers, which is the frame's own, is crosschecked against that
+numerator.  A resolution stores its differentials as tuples, so a cached
 one can be shared between callers.  `minimalize_step` pivots the unit
 entries out of one differential: the tests' reference minimalization.
 """
@@ -42,8 +42,8 @@ from .errors import NotFiniteLength, ResourceExceeded, crosscheck
 from .groebner import as_vecs
 from .hilbert import INFINITE, finite_length, hilbert_numerator, upoly_add
 from .idealops import colon as colon_ideals, intersect as intersect_ideals
-from .modules import (FreeModule, colon_basis, graph_tail, module_buchberger,
-                      module_colon, reducer_index, schreyer_level, vec_nf)
+from .modules import (FreeModule, colon_basis, graph_tail, module_colon,
+                      reducer_index, schreyer_level, vec_nf)
 from .polys import _exp_mul
 
 
@@ -272,27 +272,23 @@ def tor_betti(f0_shifts, frame):
     return out
 
 
-def minimal_free_resolution(cols, f0, length_cap=None, numerator=None):
-    """Graded free resolution of coker(cols : F_1 -> f0), with the
+def minimal_free_resolution(gb, f0, numerator, length_cap=None):
+    """Graded free resolution of M = coker(gb : F_1 -> f0), with the
     minimal graded Betti numbers.
 
-    cols are Vecs in f0.  The frame starts from the reduced Groebner basis
-    of the columns; with `numerator`, cols are that basis already and
-    numerator is the module's Hilbert numerator, so neither is computed
-    again.  Each next level is `schreyer_level` of the last, and the
-    Betti numbers are the ranks of Tor(M, k) off the frame (`tor_betti`).
-    With a length cap the frame is built through d_{cap+2} at most, which
-    fixes beta_{cap+1}: ResourceExceeded is raised only when it is not
-    zero, that is when the minimal length exceeds the cap.  The graded
-    Euler characteristic of the Betti numbers is crosschecked against the
-    Hilbert numerator, read off the basis leads when not given; it is the
-    frame's own, so the check covers the frame and the Tor ranks both.
+    gb is a reduced Groebner basis of Vecs in f0, the frame's first
+    level, and numerator the Hilbert numerator of M.  Each next level is
+    `schreyer_level` of the last, and the Betti numbers are the ranks of
+    Tor(M, k) off the frame (`tor_betti`).  With a length cap the frame
+    is built through d_{cap+2} at most, which fixes beta_{cap+1}:
+    ResourceExceeded is raised only when it is not zero, that is when
+    the minimal length exceeds the cap.  The graded Euler characteristic
+    of the Betti numbers, the frame's own, is crosschecked against the
+    numerator, so the check covers the frame and the Tor ranks both.
     """
     ring = f0.ring
-    cols = [c for c in cols if not c.is_zero()]
-    if not cols:
+    if not gb:
         return GradedResolution(ring, f0.shifts, [], tor_betti(f0.shifts, []))
-    gb = cols if numerator is not None else module_buchberger(cols).basis
     frame = schreyer_frame(gb, length_cap)
     betti = tor_betti(f0.shifts, frame)
     if length_cap is not None and len(frame) == length_cap + 2:
@@ -303,8 +299,6 @@ def minimal_free_resolution(cols, f0, length_cap=None, numerator=None):
         raise ResourceExceeded("resolution length cap exceeded")
     # Ext^pd reads d_{pd+1}; no later level of the frame is needed
     res = GradedResolution(ring, f0.shifts, frame[:len(betti)], betti)
-    if numerator is None:
-        numerator = module_numerator(f0, gb)
     crosscheck("graded Euler characteristic of the resolution and the "
                "Hilbert numerator of its module",
                res.euler_characteristic(), dict(numerator))
@@ -377,7 +371,7 @@ class ModulePresentation:
         if self._resolution is None:
             f0, cols = self.free_presentation()
             self._resolution = minimal_free_resolution(
-                cols, f0, numerator=module_numerator(f0, cols))
+                cols, f0, module_numerator(f0, cols))
         return self._resolution
 
     def pd(self):
@@ -527,20 +521,17 @@ def _constant_ranks(cols):
             for j, rows in by_degree.items()}
 
 
-def resolve_quotient_ring(ring, ideal_gens, length_cap=None, numerator=None):
-    """Free resolution of P/(ideal_gens) as a P-module.
-
-    With `numerator`, the generators are the reduced Groebner basis of
-    the ideal and numerator the Hilbert numerator of P/(ideal_gens): the
-    frame starts from that basis and the exactness check reads that
-    numerator.  A generating set that is not a Groebner basis still fails
-    the crosscheck of `schreyer_level`.  A nonzero constant generator
-    makes P/(ideal_gens) zero, with no Betti numbers.
+def resolve_quotient_ring(ring, gb, numerator, length_cap=None):
+    """Free resolution of P/(gb) as a P-module, for gb the reduced
+    Groebner basis of an ideal and numerator the Hilbert numerator of
+    P/(gb): the frame starts from that basis and the exactness check
+    reads that numerator.  A generating set that is not a Groebner basis
+    fails the crosscheck of `schreyer_level`.  The unit ideal makes
+    P/(gb) zero, with no Betti numbers.
     """
     f0 = FreeModule(ring, 1, (0,))
-    cols = as_vecs(ideal_gens, f0)
-    return minimal_free_resolution(cols, f0, length_cap=length_cap,
-                                   numerator=numerator)
+    return minimal_free_resolution(as_vecs(gb, f0), f0, numerator,
+                                   length_cap)
 
 
 def dual_columns(resolution, k):

@@ -3,16 +3,19 @@
 Ideals of A are stored as preimages in the ambient polynomial ring P:
 every A-level operation becomes a P-level operation on generator lists
 that always carry the defining ideal I along.
-A ring memoizes the basis of I and its reducer, its Hilbert numerator,
-its resolution, its Ext modules and one `ColonGraph` per colon
+An ideal memoizes the basis of its preimage and its reducer, the
+Hilbert numerator and dimension of its quotient and, for the oracle, the
+ideal of its Rees algebra.  A ring keeps the first four on its zero
+ideal, whose preimage is I: that one memo serves `gb`, `reduce`,
+`hilbert_numerator`, `dim` and `zero_ideal()` alike.  A ring also
+memoizes its resolution, its Ext modules and one `ColonGraph` per colon
 (gens, I) : b by an element b, from which come the colon ideal, the
 module ((gens, I) : b)/(gens, I), the regularity test of b and every
-division by b in A (gens empty), once per ring; an ideal memoizes its
-basis and, for the oracle, the ideal of its Rees algebra.  A ring built
-`from_basis` (the Rees presentation) keeps the basis it was given, and
-its resolution starts from that basis and reads its memoized numerator,
-so one Groebner basis and one Hilbert numerator serve the ring's
-dimension, resolution and exactness check.
+division by b in A (gens empty).  A ring built `from_basis` (the Rees
+presentation) keeps the basis it was given, and its resolution starts
+from that basis and reads its memoized numerator, so one Groebner basis
+and one Hilbert numerator serve the ring's dimension, resolution and
+exactness check.
 """
 
 from collections import namedtuple
@@ -49,13 +52,13 @@ class PresentedGradedRing:
         return ring
 
     @classmethod
-    def from_basis(cls, ambient, gb, label=None):
+    def from_basis(cls, ambient, gb):
         """A = ambient/(gb) for gb the reduced Groebner basis of a
-        homogeneous ideal under the ambient order, such as the output of
-        `idealops.eliminate`; gb is kept as `gb()`, the ring-level twin of
+        homogeneous ideal under the ambient order, such as the Rees
+        presentation's; gb is kept as `gb()`, the ring-level twin of
         `Ideal.from_basis`."""
-        ring = cls.from_ambient(ambient, gb, label, checked=True)
-        ring._gb = tuple(ring.defining)
+        ring = cls.from_ambient(ambient, gb, checked=True)
+        ring._zero._gb = tuple(ring.defining)
         return ring
 
     def _setup(self, ambient, ideal_gens, label, checked=False):
@@ -70,10 +73,7 @@ class PresentedGradedRing:
                 raise ValueError("inhomogeneous defining generator: %s" % g)
             self.defining.append(g)
         self.label = label
-        self._gb = None
-        self._nf = None
-        self._numerator = None
-        self._dim = None
+        self._zero = Ideal(self, ())
         self._resolution = None
         self._ext = {}
         self._colons = {}
@@ -82,29 +82,19 @@ class PresentedGradedRing:
 
     def gb(self):
         """Reduced Groebner basis of I, as a tuple."""
-        if self._gb is None:
-            self._gb = tuple(groebner_basis(self.defining))
-        return self._gb
+        return self._zero.gb()
 
     def reduce(self, f):
-        """Normal form of f modulo I; `gb()` is indexed once per ring."""
-        if self._nf is None:
-            self._nf = reducer(self.gb())
-        return self._nf(f)
+        """Normal form of f modulo I."""
+        return self._zero.reduce(f)
 
     def hilbert_numerator(self):
-        """N(t) with H_A(t) = N(t) / prod_i (1 - t^w_i), from the leads of
-        the basis of I, as a read-only {degree: coefficient} mapping."""
-        if self._numerator is None:
-            self._numerator = MappingProxyType(hilbert_numerator(
-                [g.lead_exp() for g in self.gb()], self.ambient.weights))
-        return self._numerator
+        """N(t) with H_A(t) = N(t) / prod_i (1 - t^w_i), as a read-only
+        {degree: coefficient} mapping."""
+        return self._zero.hilbert_numerator()
 
     def dim(self):
-        if self._dim is None:
-            self._dim = dimension_from_numerator(self.hilbert_numerator(),
-                                                 self.ambient.weights)
-        return self._dim
+        return self._zero.quotient_dim()
 
     def resolution(self, length_cap=None):
         """Free resolution of A over its ambient ring, with the minimal
@@ -117,8 +107,8 @@ class PresentedGradedRing:
         """
         if self._resolution is None:
             self._resolution = resolve_quotient_ring(
-                self.ambient, self.gb(), length_cap=length_cap,
-                numerator=self.hilbert_numerator())
+                self.ambient, self.gb(), self.hilbert_numerator(),
+                length_cap)
         elif length_cap is not None and self._resolution.pd > length_cap:
             raise ResourceExceeded("resolution length cap exceeded")
         return self._resolution
@@ -166,7 +156,7 @@ class PresentedGradedRing:
         return Ideal(self, gens)
 
     def zero_ideal(self):
-        return Ideal(self, [])
+        return self._zero
 
     def unit_ideal(self):
         return Ideal(self, [self.ambient.one])
@@ -218,6 +208,7 @@ class Ideal:
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb = None
         self._nf = None
+        self._numerator = None
         self._dim = None
         self._rees = None
 
@@ -259,30 +250,40 @@ class Ideal:
             self._rees = tuple(idealops.eliminate(big, work, (big.n - 1,))[1])
         return self._rees
 
-    def contains(self, f):
-        """f in the preimage; `gb()` is indexed once per ideal."""
+    def reduce(self, f):
+        """Normal form of f modulo the preimage; `gb()` is indexed once
+        per ideal."""
         if self._nf is None:
             self._nf = reducer(self.gb())
-        return self._nf(f).is_zero()
+        return self._nf(f)
+
+    def contains(self, f):
+        """f in the preimage."""
+        return self.reduce(f).is_zero()
 
     def contains_ideal(self, other):
         _check_owner(self, other)
         return all(self.contains(g) for g in other.gens)
 
+    def hilbert_numerator(self):
+        """N(t) with H(t) = N(t) / prod_i (1 - t^w_i) the Hilbert series
+        of A / this ideal, from the leads of `gb()`, as a read-only
+        {degree: coefficient} mapping."""
+        if self._numerator is None:
+            self._numerator = MappingProxyType(hilbert_numerator(
+                [g.lead_exp() for g in self.gb()], self.owner.weights))
+        return self._numerator
+
     def quotient_dim(self):
         """Krull dimension of A / this ideal."""
         if self._dim is None:
-            weights = self.owner.weights
-            self._dim = dimension_from_numerator(hilbert_numerator(
-                [g.lead_exp() for g in self.gb()], weights), weights)
+            self._dim = dimension_from_numerator(self.hilbert_numerator(),
+                                                 self.owner.weights)
         return self._dim
 
     def is_zero(self):
         """True when the ideal is zero in A (preimage equals I)."""
         return all(self.owner.is_zero_element(g) for g in self.gens)
-
-    def is_unit(self):
-        return self.contains(self.owner.ambient.one)
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.gens)

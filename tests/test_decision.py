@@ -215,19 +215,19 @@ def test_true_verdict_forms_no_multiplicity_by_differences(monkeypatch):
 
 def test_decide_computes_the_quotient_dimension_of_q_once(monkeypatch):
     """`prepare` and `sigma_tilde` both test q as a system of parameters,
-    and both read q's memo: one `decide` computes dim A/q once."""
-    real = rings.Ideal.quotient_dim
+    and both read q's memo: one `decide` computes the Hilbert numerator
+    of A/q, and from it dim A/q, once."""
+    real = rings.hilbert_numerator
     computed = []
 
-    def recording(self):
-        if self._dim is None:
-            computed.append(self.gens)
-        return real(self)
+    def recording(exps, weights):
+        computed.append(sorted(exps))
+        return real(exps, weights)
 
-    monkeypatch.setattr(rings.Ideal, "quotient_dim", recording)
+    monkeypatch.setattr(rings, "hilbert_numerator", recording)
     A, q = corpus.EXAMPLES["hochster_roberts"]()
     assert decision.decide(A, q).verdict
-    assert computed.count(q.gens) == 1
+    assert computed.count(sorted(g.lead_exp() for g in q.gb())) == 1
 
 
 def _input_key(value):

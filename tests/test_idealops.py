@@ -4,12 +4,13 @@ owner-aware ideal layer on presented rings."""
 import contextlib
 import itertools
 import random
+import sys
 from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reesgor import corpus, idealops, modules, rings
+from reesgor import corpus, groebner, hilbert, idealops, modules, rings
 from reesgor.errors import NotDivisible, NotParameters, OwnerMismatch
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import as_vecs, groebner_basis
@@ -59,7 +60,7 @@ def test_monomial_intersection_vs_lcm_oracle(nvars):
                                      [monomial(ring, e) for e in ea],
                                      [monomial(ring, e) for e in eb])
             want = [monomial(ring, e) for e in brute_intersect(ea, eb)]
-            assert idealops.ideals_equal(ring, got, want), (ea, eb)
+            assert groebner_basis(got) == groebner_basis(want), (ea, eb)
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
@@ -73,7 +74,7 @@ def test_monomial_colon_vs_oracle(nvars):
             got = idealops.colon(ring, [monomial(ring, e) for e in exps],
                                  [monomial(ring, m)])
             want = [monomial(ring, e) for e in brute_colon(exps, m)]
-            assert idealops.ideals_equal(ring, got, want), (exps, m)
+            assert groebner_basis(got) == groebner_basis(want), (exps, m)
 
 
 exp_strat = st.tuples(st.integers(min_value=0, max_value=4),
@@ -90,7 +91,7 @@ def test_monomial_intersection_property(ea, eb):
     got = idealops.intersect(ring, [monomial(ring, e) for e in ea],
                              [monomial(ring, e) for e in eb])
     want = [monomial(ring, e) for e in brute_intersect(ea, eb)]
-    assert idealops.ideals_equal(ring, got, want)
+    assert groebner_basis(got) == groebner_basis(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,7 +101,7 @@ def test_monomial_colon_property(exps, m):
     got = idealops.colon(ring, [monomial(ring, e) for e in exps],
                          [monomial(ring, m)])
     want = [monomial(ring, e) for e in brute_colon(exps, m)]
-    assert idealops.ideals_equal(ring, got, want)
+    assert groebner_basis(got) == groebner_basis(want)
 
 
 # -- saturation and elimination --------------------------------------------
@@ -109,7 +110,7 @@ def test_saturation_value_and_index():
     ring = PolyRing(("x", "y"), (1, 1), F)
     x, y = ring.gens()
     sat, idx = idealops.saturate(ring, [x * x * y], [x])
-    assert idealops.ideals_equal(ring, sat, [y])
+    assert groebner_basis(sat) == groebner_basis([y])
     assert idx == 2
 
 
@@ -118,7 +119,7 @@ def test_saturation_is_a_fixpoint():
     x, y = ring.gens()
     sat, _ = idealops.saturate(ring, [x * x * y, x * y ** 3], [x])
     again = idealops.colon(ring, sat, [x])
-    assert idealops.ideals_equal(ring, sat, again)
+    assert groebner_basis(sat) == groebner_basis(again)
 
 
 def test_eliminate_parametrized_curve():
@@ -127,7 +128,7 @@ def test_eliminate_parametrized_curve():
     sub, out = idealops.eliminate(ring, [x - t ** 2, y - t ** 3], (2,))
     assert sub.names == ("x", "y")
     want = sub.gen(0) ** 3 - sub.gen(1) ** 2
-    assert idealops.ideals_equal(sub, out, [want])
+    assert groebner_basis(out) == groebner_basis([want])
 
 
 def test_general_intersection_non_monomial():
@@ -135,7 +136,7 @@ def test_general_intersection_non_monomial():
     x, y = ring.gens()
     # (x) cap (y) = (xy); (x+y) cap (x-y) = ((x+y)(x-y))
     got = idealops.intersect(ring, [x + y], [x - y])
-    assert idealops.ideals_equal(ring, got, [(x + y) * (x - y)])
+    assert groebner_basis(got) == groebner_basis([(x + y) * (x - y)])
 
 
 # -- reference: intersection by eliminating t, colon by exact division -----
@@ -158,7 +159,8 @@ def exact_quotient(f, g):
     q = ring.zero
     while not f.is_zero():
         e = tuple(map(sub, f.lead_exp(), g.lead_exp()))
-        m = ring.monomial(e, field.div(f.lead_coeff(), g.lead_coeff()))
+        m = ring.monomial(e, field.mul(f.terms[0][1],
+                                       field.inv(g.terms[0][1])))
         q, f = q + m, f - m * g
     return q
 
@@ -345,8 +347,37 @@ def test_quotient_dim_and_units():
     assert A.dim() == 1
     assert A.ideal([x, y]).quotient_dim() == 0
     assert A.ideal([x]).quotient_dim() == 1
-    assert A.unit_ideal().is_unit()
+    assert A.unit_ideal().contains(A.ambient.one)
     assert A.zero_ideal().is_zero()
+
+
+def test_ring_and_its_zero_ideal_share_one_memo(monkeypatch):
+    """A ring keeps its basis, reducer, Hilbert numerator and dimension
+    on its zero ideal, whose preimage is I: on a ring built from
+    generators, one Groebner basis and one Hilbert numerator serve gb,
+    reduce, dim, hilbert_numerator, the resolution and the zero ideal's
+    own quotient_dim."""
+    calls = []
+    for fn in (groebner.groebner_basis, hilbert.hilbert_numerator):
+        def wrapper(*args, fn=fn):
+            calls.append(fn.__name__)
+            return fn(*args)
+        # every binding inside the package
+        for modname, module in list(sys.modules.items()):
+            if (modname.split(".")[0] == "reesgor"
+                    and vars(module).get(fn.__name__) is fn):
+                monkeypatch.setattr(module, fn.__name__, wrapper)
+    amb = PolyRing(("x", "y", "z"), (1, 1, 1), F)
+    x, y, z = amb.gens()
+    A = rings.PresentedGradedRing.from_ambient(amb, [x * y - z * z, x * z])
+    zero = A.zero_ideal()
+    assert zero is A.zero_ideal() and zero.gb() is A.gb()
+    f = x * x * z + y * z * z
+    assert A.reduce(f) == zero.reduce(f)
+    assert A.dim() == zero.quotient_dim() == 1
+    assert A.hilbert_numerator() is zero.hilbert_numerator()
+    assert A.resolution().betti() == [1, 2, 1]
+    assert sorted(calls) == ["groebner_basis", "hilbert_numerator"]
 
 
 def test_ring_map_kernel_cuspidal_cubic():

@@ -84,7 +84,7 @@ def _check_parameter_multiplicity(A, q, label):
     assert type(chi) is int, label
     assert chi == invariants.multiplicity(A, q), label
     c = s2.s2_construct(A, s2.filter_regular_pair(A, q)).conductor
-    if c.is_unit():
+    if c.contains(A.ambient.one):
         return
     assert invariants.is_reduction(q, c) != invariants.NOT_FOUND, label
     assert chi == invariants.multiplicity(A, c), label

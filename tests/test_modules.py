@@ -12,12 +12,14 @@ from reesgor.errors import NotDivisible, OwnerMismatch, ResourceExceeded
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import as_vecs, groebner_basis, reducer
 from reesgor.modules import (FreeModule, Vec, _index_add, _mask,
-                             colon_basis, module_buchberger, module_colon,
-                             module_divide, module_syzygies, reducer_index,
-                             schreyer_syzygies, vec_nf)
+                             colon_basis, divider, module_buchberger,
+                             module_colon, module_syzygies, reducer_index,
+                             vec_nf)
 from reesgor.orders import BlockOrder, GrevlexOrder
 from reesgor.polys import PolyRing, _exp_lcm
 from reesgor.resolutions import resolve_quotient_ring
+
+from reference import syzygies
 
 F = GF(DEFAULT_PRIME)
 
@@ -40,7 +42,7 @@ def test_vec_nf_remainder_is_irreducible():
     basis = [M.basis_vec(0, x), M.basis_vec(1, y * y)]
     f = M.from_dict({(0, (1, 1, 0)): F.one, (1, (0, 2, 1)): F.one,
                      (0, (0, 0, 2)): F.one})
-    r = vec_nf(f, basis)
+    r = vec_nf(f, basis, reducer_index(basis, M.rank))
     for (comp, exp), _c in r.terms:
         for b in basis:
             (bc, be), _ = b.lead()
@@ -127,7 +129,8 @@ def test_vec_nf_with_extended_index_matches_reference(problem):
         _index_add(index, k, b)
         want = _reference_vec_nf(f, basis[:k + 1])
         assert vec_nf(f, basis[:k + 1], index) == want
-        assert vec_nf(f, basis[:k + 1]) == want
+        assert vec_nf(f, basis[:k + 1], reducer_index(
+            basis[:k + 1], f.module.rank)) == want
 
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
@@ -144,7 +147,7 @@ def test_mask_prefilter_keeps_every_divisor(pairs):
 def shifted_terms(draw):
     """(module, comp, a, q): a position-over-term module of rank 1-3 over
     GrevlexOrder or BlockOrder with random positive weights and block, or
-    one of the Schreyer-induced modules `schreyer_syzygies` builds over it
+    one of the Schreyer-induced modules `schreyer_level` builds over it
     from a basis of monomial vectors, which is a Groebner basis."""
     n = draw(st.integers(1, 4))
     weights = draw(st.tuples(*[st.integers(1, 4)] * n))
@@ -157,7 +160,7 @@ def shifted_terms(draw):
     for _ in range(draw(st.integers(0, 2))):
         terms = draw(st.sets(st.tuples(st.integers(0, M.rank - 1), exps),
                              min_size=1, max_size=4))
-        syz = schreyer_syzygies([Vec(M, ((t, F.one),)) for t in terms])
+        syz = syzygies([Vec(M, ((t, F.one),)) for t in terms])
         if not syz:
             break
         M = syz[0].module
@@ -314,8 +317,9 @@ def homogeneous_gens(draw):
 def test_module_buchberger_basis_checked_without_pruning(gens, rnd):
     """The returned basis is checked against all of its own S-vectors."""
     basis = module_buchberger(gens).basis
+    index = reducer_index(basis, basis[0].module.rank)
     for g in gens:
-        assert vec_nf(g, basis).is_zero()
+        assert vec_nf(g, basis, index).is_zero()
     for bi, bj in itertools.combinations(basis, 2):
         (ci, ei), _ = bi.lead()
         (cj, ej), _ = bj.lead()
@@ -324,7 +328,7 @@ def test_module_buchberger_basis_checked_without_pruning(gens, rnd):
         lcm = _exp_lcm(ei, ej)
         sp = (bi.mul_term(tuple(map(sub, lcm, ei)), F.one)
               - bj.mul_term(tuple(map(sub, lcm, ej)), F.one))
-        assert vec_nf(sp, basis).is_zero()
+        assert vec_nf(sp, basis, index).is_zero()
     for b in basis:
         (comp, lead), _ = b.lead()
         for other in basis:
@@ -412,8 +416,9 @@ def test_rank_one_vectors_are_the_poly_list_vectors():
         basis = groebner_basis(polys[:3])
         nf = reducer(basis)
         for p in polys:
-            assert nf(p) == vec_nf(M.from_poly_list([(0, p)]),
-                                   as_vecs(basis)).component(0)
+            vecs = as_vecs(basis)
+            assert nf(p) == vec_nf(M.from_poly_list([(0, p)]), vecs,
+                                   reducer_index(vecs, 1)).component(0)
         for other in (PolyRing(("x", "y", "z"), (1, 2, 1), QQ, order),
                       PolyRing(("x", "y", "w"), (1, 2, 1), F, order)):
             with pytest.raises(OwnerMismatch):
@@ -421,7 +426,7 @@ def test_rank_one_vectors_are_the_poly_list_vectors():
             with pytest.raises(OwnerMismatch):
                 as_vecs([other.gen(0)], M)
             with pytest.raises(OwnerMismatch):
-                resolve_quotient_ring(R, [other.gen(0)])
+                resolve_quotient_ring(R, [other.gen(0)], {0: 1})
 
 
 def _random_poly(R, rnd):
@@ -449,14 +454,15 @@ def test_colon_and_division_from_the_graph_basis(gens, rnd):
     f = g.mul_poly(h)
     for r in rels:
         f = f + r.mul_poly(_random_poly(M.ring, rnd))
-    off = g.mul_poly(module_divide(f, colon_basis([g], rels)) - h)
+    divide = divider(colon_basis([g], rels))
+    off = g.mul_poly(divide(f) - h)
     if rels:
-        off = vec_nf(off, module_buchberger(rels).basis)
+        span = module_buchberger(rels).basis
+        off = vec_nf(off, span, reducer_index(span, M.rank))
     assert off.is_zero()
     # every generator entry lies in the maximal ideal, so e_i does not
     with pytest.raises(NotDivisible):
-        module_divide(f + M.basis_vec(rnd.randrange(M.rank)),
-                      colon_basis([g], rels))
+        divide(f + M.basis_vec(rnd.randrange(M.rank)))
 
 
 def test_pair_cap_counts_reduced_s_vectors():

@@ -13,8 +13,10 @@ from reesgor.cli import run_cli
 from reesgor.errors import (DepthNotOne, EquivalenceViolation, NotParameters,
                             ResourceExceeded)
 from reesgor.fields import GF, DEFAULT_PRIME
-from reesgor.groebner import groebner_basis, is_member
+from reesgor.groebner import groebner_basis
 from reesgor.polys import PolyRing
+
+from reference import is_member
 
 F = GF(DEFAULT_PRIME)
 

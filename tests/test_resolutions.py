@@ -19,12 +19,14 @@ from reesgor.groebner import as_vecs, groebner_basis
 from reesgor.hilbert import INFINITE, hilbert_numerator
 from reesgor.modules import (FreeModule, Vec, module_buchberger, module_colon,
                              module_syzygies, reducer_index, schreyer_level,
-                             schreyer_syzygies, vec_nf)
+                             vec_nf)
 from reesgor.polys import PolyRing
 from reesgor import idealops, modules, oracle, resolutions
 from reesgor.cli import run_cli
 from reesgor.resolutions import (ModulePresentation, ext_dualizing,
-                                 minimalize_step, resolve_quotient_ring)
+                                 minimalize_step)
+
+from reference import resolve, syzygies
 
 F = GF(DEFAULT_PRIME)
 
@@ -39,7 +41,7 @@ def ring3():
 
 def test_koszul_resolution_of_the_residue_field():
     R = ring3()
-    res = resolve_quotient_ring(R, list(R.gens()))
+    res = resolve(R, list(R.gens()))
     assert res.betti() == [1, 3, 3, 1]
     assert [res.shifts(k) for k in range(4)] == \
         [(0,), (1, 1, 1), (2, 2, 2), (3,)]
@@ -50,7 +52,7 @@ def test_koszul_resolution_of_the_residue_field():
 def test_complete_intersection_resolution():
     R = ring2()
     x, y = R.gens()
-    res = resolve_quotient_ring(R, [x ** 2, y ** 3])
+    res = resolve(R, [x ** 2, y ** 3])
     assert res.betti() == [1, 2, 1]
     # graded shifts of the last step: the Koszul relation in degree 5
     assert res.shifts(2) == (5,)
@@ -59,7 +61,7 @@ def test_complete_intersection_resolution():
 def test_resolution_shifts_are_increasing():
     R = ring3()
     x, y, z = R.gens()
-    res = resolve_quotient_ring(R, [x * y, y * z, x * z])
+    res = resolve(R, [x * y, y * z, x * z])
     assert res.betti() == [1, 3, 2]
     for k in range(1, res.pd + 1):
         prev = res.shifts(k - 1)
@@ -69,7 +71,7 @@ def test_resolution_shifts_are_increasing():
 
 def test_corpus_resolutions_minimal_and_exact(corpus_instances):
     for name, (A, _) in corpus_instances.items():
-        res = resolve_quotient_ring(A.ambient, A.defining)
+        res = resolve(A.ambient, A.defining)
         ref = _reference_quotient_resolution(A.ambient, A.defining)
         assert res.graded_betti == ref.graded_betti, name
         assert res.composes_to_zero(), name
@@ -80,7 +82,7 @@ def test_corpus_resolutions_minimal_and_exact(corpus_instances):
 
 def test_two_planes_betti_numbers(two_planes):
     A, _ = two_planes
-    res = resolve_quotient_ring(A.ambient, A.defining)
+    res = resolve(A.ambient, A.defining)
     assert res.betti() == [1, 4, 4, 1]
 
 
@@ -98,7 +100,7 @@ def test_cached_ring_resolution_is_immutable(two_planes):
 
 def test_ext_vanishes_below_codimension(two_planes):
     A, _ = two_planes
-    res = resolve_quotient_ring(A.ambient, A.defining)
+    res = resolve(A.ambient, A.defining)
     # codim 2 inside 4 variables: Ext^0 and Ext^1 against omega vanish
     for i in (0, 1):
         assert ext_dualizing(res, i).is_zero()
@@ -107,7 +109,7 @@ def test_ext_vanishes_below_codimension(two_planes):
 def test_ext_top_length_is_h1(hr):
     """Ext^(n-1)(A, omega) is the Matlis dual of the first cohomology."""
     A, _ = hr
-    res = resolve_quotient_ring(A.ambient, A.defining)
+    res = resolve(A.ambient, A.defining)
     ext = ext_dualizing(res, A.ambient.n - 1)
     assert ext.length() == 1
     assert ext.min_generators() == 1
@@ -281,7 +283,7 @@ def test_gorenstein_artinian_socle_is_one():
 def test_auslander_buchsbaum_on_corpus(corpus_instances):
     from reesgor import invariants
     for name, (A, _) in corpus_instances.items():
-        res = resolve_quotient_ring(A.ambient, A.defining)
+        res = resolve(A.ambient, A.defining)
         rep = invariants.depth_and_type(A)
         assert rep.pd == res.pd, name
         assert rep.depth == A.ambient.n - res.pd, name
@@ -487,19 +489,19 @@ def _long_frame_ideal():
 @example(_long_frame_ideal())
 def test_frame_resolution_matches_iterated_syzygies(ideal):
     R, gens = ideal
-    res = resolve_quotient_ring(R, gens)
+    res = resolve(R, gens)
     ref = _reference_quotient_resolution(R, gens)
     assert res.betti() == ref.betti()
     for k in range(res.pd + 1):
         assert res.shifts(k) == ref.shifts(k), k
     assert res.composes_to_zero()
     # a cap at the minimal length cuts the frame at d_{pd+2} and succeeds
-    capped = resolve_quotient_ring(R, gens, length_cap=ref.pd)
+    capped = resolve(R, gens, length_cap=ref.pd)
     assert [capped.shifts(k) for k in range(capped.pd + 1)] == \
         [res.shifts(k) for k in range(res.pd + 1)]
     if ref.pd:
         with pytest.raises(ResourceExceeded):
-            resolve_quotient_ring(R, gens, length_cap=ref.pd - 1)
+            resolve(R, gens, length_cap=ref.pd - 1)
 
 
 def test_frame_resolves_presentations_like_iterated_syzygies(
@@ -563,7 +565,7 @@ def test_unit_ideal_has_the_empty_resolution():
     R = ring2()
     x, _ = R.gens()
     for gens in ([R.one], [x, R.one]):
-        res = resolve_quotient_ring(R, gens)
+        res = resolve(R, gens)
         assert res.betti() == [0] and res.pd == 0
         assert res.euler_characteristic() == {}
 
@@ -576,9 +578,9 @@ def test_schreyer_syzygies_of_a_non_basis_raise():
     Fm, Gm = FreeModule(R, 1), FreeModule(R, 2)
     for basis in ([Fm.basis_vec(0, x * x), Fm.basis_vec(0, x * y + y * y)],
                   [Gm.from_poly_list([(0, x), (1, y)]), Gm.basis_vec(0, y)]):
-        for syzygies in (schreyer_syzygies, _reference_schreyer_syzygies):
+        for level in (syzygies, _reference_schreyer_syzygies):
             with pytest.raises(EquivalenceViolation):
-                syzygies(basis)
+                level(basis)
 
 
 def test_schreyer_syzygy_leads():
@@ -588,7 +590,7 @@ def test_schreyer_syzygy_leads():
     x, y, z = R.gens()
     Fm = FreeModule(R, 1)
     basis = [Fm.basis_vec(0, g) for g in (x * y, x * z, y * z)]
-    syz = schreyer_syzygies(basis)
+    syz = syzygies(basis)
     assert syz[0].module.shifts == (2, 2, 2)
     # the pairs (0, 1) and (0, 2) share m = z, so one of them is kept
     assert [v.lead() for v in syz] == [((0, (0, 0, 1)), 1),
@@ -601,9 +603,10 @@ def test_schreyer_syzygy_leads():
 
 
 def _reference_schreyer_syzygies(basis, lex=None):
-    """schreyer_syzygies as it was before it recorded quotients: each
-    S-vector of the graph rows (g_i, e_i) of M + F reduces against all the
-    rows, and the F part of the remainder is the syzygy.  The M block
+    """schreyer_level's syzygies as they were before it recorded
+    quotients: each S-vector of the graph rows (g_i, e_i) of M + F
+    reduces against all the rows, and the F part of the remainder is the
+    syzygy.  The M block
     comes first; its tails are padded by a constant 0 to the length of
     F's, which leaves the order unchanged.  Within a lead component the
     syzygies descend in the lex order ranking the variables as `lex`
@@ -702,8 +705,8 @@ def test_lead_free_tail_terms_change_no_quotient(basis, data):
     so it never records a quotient or pushes a term: reducing against
     that index records the quotients of the full tails, and the same
     remainder in every component that carries a lead."""
-    syz, index = schreyer_level(basis, reducer_index(basis,
-                                                     basis[0].module.rank))
+    syz, index = schreyer_level(basis, reducer_index(
+        basis, basis[0].module.rank), range(3))
     assume(syz)
     S = syz[0].module
     field = S.ring.field
@@ -728,8 +731,8 @@ def test_schreyer_syzygies_match_the_graph_row_reference(basis):
     down, as in a frame."""
     index = reducer_index(basis, basis[0].module.rank)
     for _ in range(3):
-        syz, index = schreyer_level(basis, index)
-        assert syz == schreyer_syzygies(basis)
+        syz, index = schreyer_level(basis, index, range(3))
+        assert syz == syzygies(basis)
         _assert_next_level_matches_reference(basis, syz, index)
         if not syz:
             break
@@ -786,7 +789,7 @@ def test_inexact_resolution_fails_the_crosscheck(monkeypatch, two_planes):
     monkeypatch.setattr(resolutions, "schreyer_frame", lossy)
     A, _ = two_planes
     with pytest.raises(EquivalenceViolation):
-        resolve_quotient_ring(A.ambient, A.defining)
+        resolve(A.ambient, A.defining)
     path = os.path.join(os.path.dirname(__file__), os.pardir, "corpus",
                         "two_planes.ring")
     with contextlib.redirect_stdout(io.StringIO()):
