@@ -3,39 +3,24 @@ of a parameter ideal: the two criteria routes with consequence checks,
 the dimension-two Shimoda test, and the Buchsbaum multiplicity test.
 """
 
+from collections import namedtuple
+
 from .errors import DepthNotOne, HypothesisNotVerified, WrongDimension
 from .hilbert import INFINITE
 from . import errors, invariants, rings, s2
 
 
-class DecisionReport:
-    """Full certificate of the criteria evaluation for (A, q)."""
+# full certificate of the criteria evaluation for (A, q): cond2 and cond3
+# are the dicts of `decide_condition2` and `decide_condition3`,
+# consequences is None unless the verdict is true and oracle_verdict None
+# unless the oracle ran
+DecisionReport = namedtuple(
+    "DecisionReport", "ring q d profile standard h1_length h1_socle "
+                      "conductor sigma cond2 cond3 consequences "
+                      "oracle_verdict verdict")
 
-    def __init__(self, ring, q, d):
-        self.ring = ring
-        self.q = q
-        self.d = d
-        self.profile = None
-        self.standard = None
-        self.h1_length = None
-        self.h1_socle = None
-        self.conductor = None
-        self.sigma = None
-        self.cond2 = None        # dict: h1_nonzero, socle_is_1, c_equals_sigma, verdict
-        self.cond3 = None        # dict: depth_is_1, type_is_1, e_c, len_a_mod_c,
-        #                          multiplicity_equation, reduction_number, verdict
-        self.consequences = None
-        self.oracle_verdict = None
-        self.verdict = None
-
-
-class BuchsbaumReport:
-    def __init__(self, e_m, reduction_number, b_ideal, len_b, verdict):
-        self.e_m = e_m
-        self.reduction_number = reduction_number
-        self.b_ideal = b_ideal
-        self.len_b = len_b
-        self.verdict = verdict
+BuchsbaumReport = namedtuple(
+    "BuchsbaumReport", "e_m reduction_number b_ideal len_b verdict")
 
 
 def prepare(A, q, seed=0):
@@ -135,33 +120,26 @@ def decide(A, q, run_oracle=False, seed=0, length_cap=None):
     """Full decision: both criteria, agreement assertion, consequence
     suite on a true verdict, and optionally the resolution oracle, whose
     resolution length_cap bounds."""
-    report = DecisionReport(A, q, A.dim())
     prepared = prepare(A, q, seed)
     d, pair, profile, data = prepared
-    report.d = d
-    report.profile = profile
-    report.standard = True
-    report.h1_length = data.h1_length
-    report.conductor = data.conductor
-    report.cond2 = decide_condition2(A, q, prepared)
-    report.sigma = report.cond2["sigma"]
-    report.h1_socle = report.cond2["h1_socle"]
-    report.cond3 = decide_condition3(A, q, prepared)
-    report.verdict = errors.crosscheck(
-        "condition (2) and condition (3) verdicts",
-        report.cond2["verdict"], report.cond3["verdict"])
-    if report.verdict:
-        report.consequences = _consequences(A, q, data)
+    cond2 = decide_condition2(A, q, prepared)
+    cond3 = decide_condition3(A, q, prepared)
+    verdict = errors.crosscheck("condition (2) and condition (3) verdicts",
+                                cond2["verdict"], cond3["verdict"])
+    consequences = oracle_verdict = None
+    if verdict:
+        consequences = _consequences(A, q, data)
         errors.crosscheck("consequence checks on a true verdict",
-                          report.consequences,
-                          dict.fromkeys(report.consequences, True))
+                          consequences, dict.fromkeys(consequences, True))
     if run_oracle:
         from . import oracle
         rp = oracle.rees_presentation(A, q, d)
         o = oracle.graded_gorenstein_oracle(rp, length_cap=length_cap)
-        report.oracle_verdict = errors.crosscheck(
-            "oracle and criteria verdicts", o["gorenstein"], report.verdict)
-    return report
+        oracle_verdict = errors.crosscheck(
+            "oracle and criteria verdicts", o["gorenstein"], verdict)
+    return DecisionReport(A, q, d, profile, True, data.h1_length,
+                          cond2["h1_socle"], data.conductor, cond2["sigma"],
+                          cond2, cond3, consequences, oracle_verdict, verdict)
 
 
 def shimoda_check(A, a, b):

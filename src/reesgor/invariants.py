@@ -11,7 +11,8 @@ from math import prod
 from .errors import NoStabilization, NotArtinian, NotContained, crosscheck
 from . import idealops
 from .groebner import reducer
-from .hilbert import INFINITE, divide_one_minus_t, upoly_eval_one
+from .hilbert import (INFINITE, divide_one_minus_t, finite_length,
+                      upoly_eval_one)
 from . import rings
 
 NOT_FOUND = "NOT_FOUND"
@@ -44,8 +45,9 @@ def depth_and_type(A, length_cap=None):
 
 
 def artinian_length(A, J):
-    """Length of A/J for an Artinian quotient."""
-    l = idealops.ideal_length(A.ambient, J.gb())
+    """Length of A/J for an Artinian quotient, read off J's memoized
+    Hilbert numerator."""
+    l = finite_length(J.hilbert_numerator(), A.ambient.weights)
     if l == INFINITE:
         raise NotArtinian("A/J has positive dimension")
     return l

@@ -58,11 +58,11 @@ from .polys import Poly, _exp_lcm, _exp_mul
 class FreeModule:
     """Graded free module of finite rank with per-component degree shifts.
 
-    `key(comp, exp)` orders the terms, larger key larger term, and
-    `neg_key` is key negated: ascending neg_key is descending module
-    order.  The default is position over term, earlier components
-    dominating.  An induced order is given as `order`, one (head, shift,
-    tail) triple of tuples per component: the term x^a e_i is keyed
+    One key, `neg_key(comp, exp)`, orders the terms, smaller neg_key
+    larger term: ascending neg_key is descending module order.  The
+    default is position over term, earlier components dominating.  An
+    induced order is given as `order`, one (head, shift, tail) triple of
+    tuples per component: the term x^a e_i is keyed
     head_i + neg_key(a + shift_i) + tail_i.  Position over term is the
     triple ((i,), 0, ()), and `schreyer_level` builds Schreyer orders
     this way.  neg_key(comp, a + q) = neg_key(comp, a) + key_shift(q);
@@ -74,9 +74,8 @@ class FreeModule:
         self.rank = rank
         self.shifts = tuple(shifts) if shifts is not None else (0,) * rank
         self.order = tuple(order) if order is not None else None
-        rkey, rneg = ring.order.key, ring.order.neg_key
+        rneg = ring.order.neg_key
         if order is None:
-            self.key = lambda comp, exp: (-comp,) + rkey(exp)
             self.neg_key = lambda comp, exp: (comp,) + rneg(exp)
             pads = {(1, 0)}
         else:
@@ -86,7 +85,6 @@ class FreeModule:
                 head, shift, tail = triples[comp]
                 return head + rneg(tuple(map(add, exp, shift))) + tail
             self.neg_key = neg_key
-            self.key = lambda comp, exp: tuple(map(neg, neg_key(comp, exp)))
             pads = {(len(h), len(t)) for h, _, t in triples} or {(0, 0)}
         if len(pads) > 1:
             raise ValueError("order triples differ in head or tail length")
@@ -202,15 +200,6 @@ class Vec:
         return Vec(self.module,
                    tuple(((comp, _exp_mul(e, exp)), F.mul(c, coeff))
                          for (comp, e), c in self.terms))
-
-    def mul_poly(self, p):
-        F = self.module.ring.field
-        d = {}
-        for e1, c1 in p.terms:
-            for (comp, e2), c2 in self.terms:
-                k = (comp, _exp_mul(e1, e2))
-                d[k] = F.add(d.get(k, F.zero), F.mul(c1, c2))
-        return self.module.from_dict(d)
 
     def monic(self):
         if not self.terms:
@@ -398,7 +387,7 @@ def module_buchberger(gens, pair_cap=None):
     leads = []      # (comp, exp) of each basis element
     redundant = []  # whether a later lead divides this element's lead
     index = reducer_index((), module.rank)
-    pairs = []      # heap of (degree of lcm, key of lcm, i, j, comp, lcm)
+    pairs = []      # heap of (degree of lcm, -neg_key of lcm, i, j, comp, lcm)
     wdeg, shifts = module.ring.wdeg, module.shifts
 
     def update(k):
@@ -431,9 +420,8 @@ def module_buchberger(gens, pair_cap=None):
                 continue
             kept.append(lcm)
             if not_coprime:
-                heapq.heappush(pairs, (wdeg(lcm) + shifts[compk],
-                                       module.key(compk, lcm), i, k, compk,
-                                       lcm))
+                heapq.heappush(pairs, (wdeg(lcm) + shifts[compk], tuple(
+                    map(neg, module.neg_key(compk, lcm))), i, k, compk, lcm))
 
     def join(h):
         k = len(basis)
@@ -446,7 +434,8 @@ def module_buchberger(gens, pair_cap=None):
     # ascending lead order: a divisor joins before its multiples, so every
     # input an earlier lead divides is caught before it forms any pair
     for g in sorted((g for g in gens if not g.is_zero()),
-                    key=lambda g: module.key(*g.terms[0][0])):
+                    key=lambda g: module.neg_key(*g.terms[0][0]),
+                    reverse=True):
         (comp, e), _ = g.terms[0]
         if _first_divisor(index[0][comp], e) is not None:
             g = vec_nf(g, basis, index)
@@ -480,7 +469,7 @@ def module_buchberger(gens, pair_cap=None):
         nf = vec_nf((work, [t[:3] + (zero_exp,) for t in tail]), keep,
                     keep_index)
         reduced.append(Vec(module, b.terms[:1] + nf.terms))
-    reduced.sort(key=lambda b: module.key(*b.terms[0][0]), reverse=True)
+    reduced.sort(key=lambda b: module.neg_key(*b.terms[0][0]))
     return GroebnerData(reduced)
 
 

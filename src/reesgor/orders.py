@@ -1,14 +1,14 @@
 """Monomial orders on exponent vectors.
 
-Every order exposes key(exp) -> tuple; larger key means larger monomial,
-comparing lexicographically as Python tuples.  neg_key(exp) equals
-tuple(map(neg, key(exp))), so ascending neg_key is descending monomial
-order, as the min-heap of `modules.vec_nf` and `from_dict` use it; it is
-linear, neg_key(a + b) = neg_key(a) + neg_key(b) entry by entry.  All
-orders here are multiplicative well-orders.
+Every order exposes one key, neg_key(exp) -> tuple, comparing
+lexicographically as Python tuples: a smaller neg_key means a larger
+monomial, so ascending neg_key is descending monomial order, as the
+min-heap of `modules.vec_nf` and `from_dict` use it.  It is linear,
+neg_key(a + b) = neg_key(a) + neg_key(b) entry by entry.  All orders
+here are multiplicative well-orders.
 """
 
-from operator import mul, neg
+from operator import mul
 
 
 class GrevlexOrder:
@@ -21,11 +21,8 @@ class GrevlexOrder:
             raise ValueError("all weights must be positive")
         self.weights = tuple(weights)
 
-    def key(self, exp):
-        # ties broken by the last variable with differing exponent, smaller wins
-        return (sum(map(mul, exp, self.weights)),) + tuple(map(neg, exp[::-1]))
-
     def neg_key(self, exp):
+        # ties broken by the last variable with differing exponent, smaller wins
         return (-sum(map(mul, exp, self.weights)),) + exp[::-1]
 
     def __eq__(self, other):
@@ -57,12 +54,6 @@ class BlockOrder:
         self._rrest = self.rest[::-1]
         self._wblock = tuple(self.weights[i] for i in self._rblock)
         self._wrest = tuple(self.weights[i] for i in self._rrest)
-
-    def key(self, exp):
-        nb = [-exp[i] for i in self._rblock]
-        nr = [-exp[i] for i in self._rrest]
-        return ((-sum(map(mul, nb, self._wblock)),) + tuple(nb)
-                + (-sum(map(mul, nr, self._wrest)),) + tuple(nr))
 
     def neg_key(self, exp):
         b = [exp[i] for i in self._rblock]

@@ -188,17 +188,6 @@ class GradedResolution:
                 out[j] += (-1) ** k * c
         return {j: c for j, c in out.items() if c}
 
-    def composes_to_zero(self):
-        for prev, cols in zip(self.diffs, self.diffs[1:]):
-            for col in cols:
-                acc = None
-                for (comp, e), c in col.terms:
-                    term = prev[comp].mul_term(e, c)
-                    acc = term if acc is None else acc + term
-                if acc is not None and not acc.is_zero():
-                    return False
-        return True
-
 
 def _lex_ranking(gb):
     """The variables ranked for the frame's lex order, most significant
@@ -305,33 +294,12 @@ def minimal_free_resolution(gb, f0, numerator, length_cap=None):
     return res
 
 
-def _component_numerators(rank, basis, weights):
-    """The Hilbert numerator of each component of F/(basis), unshifted,
-    for a Groebner basis in a free module F of this rank, read off the
-    basis leads."""
-    leads = [[] for _ in range(rank)]
-    for b in basis:
-        (comp, e), _ = b.lead()
-        leads[comp].append(e)
-    return [hilbert_numerator(exps, weights) for exps in leads]
-
-
-def module_numerator(f0, gb):
-    """The Hilbert numerator of f0/(gb), for a Groebner basis gb in f0:
-    the numerators of its components, shifted and summed."""
-    numerator = {}
-    for shift, num in zip(f0.shifts, _component_numerators(
-            f0.rank, gb, f0.ring.weights)):
-        numerator = upoly_add(numerator,
-                              {d + shift: c for d, c in num.items()})
-    return numerator
-
-
 class ModulePresentation:
     """Graded subquotient (im gens)/(im rels) of a free module.
 
     The free presentation, whose columns are a reduced Groebner basis,
-    the resolution and the annihilator are each computed once per object.
+    the Hilbert numerators of its components, the resolution and the
+    annihilator are each computed once per object.
     Inhomogeneous generators or relations are a ValueError.
     """
 
@@ -345,13 +313,9 @@ class ModulePresentation:
             if not v.is_homogeneous():
                 raise ValueError("inhomogeneous generator or relation %r" % v)
         self._free_pres = None
+        self._numerators = None
         self._resolution = None
         self._ann = None
-
-    @classmethod
-    def cokernel(cls, ambient, rels):
-        gens = [ambient.basis_vec(i) for i in range(ambient.rank)]
-        return cls(ambient, gens, rels)
 
     def free_presentation(self):
         """(F0, columns) with self = coker(cols : F1 -> F0).  The columns
@@ -365,13 +329,30 @@ class ModulePresentation:
             self._free_pres = (f0, tuple(cols))
         return self._free_pres
 
+    def component_numerators(self):
+        """The Hilbert numerator of each component of F0/(columns),
+        unshifted, read off the column leads."""
+        if self._numerators is None:
+            f0, cols = self.free_presentation()
+            leads = [[] for _ in range(f0.rank)]
+            for b in cols:
+                (comp, e), _ = b.lead()
+                leads[comp].append(e)
+            self._numerators = tuple(hilbert_numerator(exps, f0.ring.weights)
+                                     for exps in leads)
+        return self._numerators
+
     def resolution(self):
         """The resolution of the module, whose frame starts from the
-        presentation columns."""
+        presentation columns and whose exactness check reads the
+        component numerators, shifted and summed."""
         if self._resolution is None:
             f0, cols = self.free_presentation()
-            self._resolution = minimal_free_resolution(
-                cols, f0, module_numerator(f0, cols))
+            numerator = {}
+            for shift, num in zip(f0.shifts, self.component_numerators()):
+                numerator = upoly_add(numerator,
+                                      {d + shift: c for d, c in num.items()})
+            self._resolution = minimal_free_resolution(cols, f0, numerator)
         return self._resolution
 
     def pd(self):
@@ -379,10 +360,9 @@ class ModulePresentation:
 
     def length(self):
         """k-dimension, or INFINITE."""
-        f0, cols = self.free_presentation()
         weights = self.ambient.ring.weights
         total = 0
-        for num in _component_numerators(f0.rank, cols, weights):
+        for num in self.component_numerators():
             l = finite_length(num, weights)
             if l == INFINITE:
                 return INFINITE

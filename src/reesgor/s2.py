@@ -102,17 +102,9 @@ def conductor_crosscheck(A, data):
     return route2
 
 
-class HypothesisProfile:
-    """Vanishing pattern of Ext^(n-i)(A, omega) for 0 <= i < d."""
-
-    def __init__(self, d, ext_lengths, verdict):
-        self.d = d
-        self.ext_lengths = ext_lengths  # {i: length or INFINITE}
-        self.verdict = verdict
-
-    def __repr__(self):
-        return ("HypothesisProfile(d=%d, ext_lengths=%s, verdict=%s)"
-                % (self.d, self.ext_lengths, self.verdict))
+# vanishing pattern of Ext^(n-i)(A, omega) for 0 <= i < d: ext_lengths
+# maps each i to its length or INFINITE
+HypothesisProfile = namedtuple("HypothesisProfile", "d ext_lengths verdict")
 
 
 def hypothesis_profile(A, pair):

@@ -1,11 +1,12 @@
 """Test-only helpers: brute-force references that nothing in the package
 calls, and the package's engines called on plain generators."""
 
-from operator import ge
+from operator import add, ge
 
 from reesgor.groebner import normal_form
 from reesgor.hilbert import _minimalize
 from reesgor.modules import reducer_index, schreyer_level
+from reesgor.resolutions import ModulePresentation
 from reesgor.rings import PresentedGradedRing
 
 
@@ -55,3 +56,33 @@ def syzygies(basis):
     M = basis[0].module
     return schreyer_level(basis, reducer_index(basis, M.rank),
                           range(M.ring.n))[0]
+
+
+def mul_poly(v, p):
+    """The Vec v times the polynomial p."""
+    F = v.module.ring.field
+    d = {}
+    for e1, c1 in p.terms:
+        for (comp, e2), c2 in v.terms:
+            k = (comp, tuple(map(add, e1, e2)))
+            d[k] = F.add(d.get(k, F.zero), F.mul(c1, c2))
+    return v.module.from_dict(d)
+
+
+def cokernel(ambient, rels):
+    """ambient/(rels) as a ModulePresentation."""
+    gens = [ambient.basis_vec(i) for i in range(ambient.rank)]
+    return ModulePresentation(ambient, gens, rels)
+
+
+def composes_to_zero(res):
+    """Each differential of res composed with the one before it is zero."""
+    for prev, cols in zip(res.diffs, res.diffs[1:]):
+        for col in cols:
+            acc = None
+            for (comp, e), c in col.terms:
+                term = prev[comp].mul_term(e, c)
+                acc = term if acc is None else acc + term
+            if acc is not None and not acc.is_zero():
+                return False
+    return True

@@ -19,7 +19,7 @@ from reesgor.orders import BlockOrder, GrevlexOrder
 from reesgor.polys import PolyRing, _exp_lcm
 from reesgor.resolutions import resolve_quotient_ring
 
-from reference import syzygies
+from reference import mul_poly, syzygies
 
 F = GF(DEFAULT_PRIME)
 
@@ -31,7 +31,7 @@ def ring3():
 def vec_combination(gens, coeffs):
     acc = gens[0].module.zero()
     for g, c in zip(gens, coeffs):
-        acc = acc + g.mul_poly(c)
+        acc = acc + mul_poly(g, c)
     return acc
 
 
@@ -61,7 +61,7 @@ def _reference_vec_nf(f, basis):
         (comp, e), _ = b.lead()
         by_comp.setdefault(comp, []).append((e, idx))
     work = dict(f.terms)
-    heap = [(tuple(-x for x in module.key(comp, e)), comp, e)
+    heap = [(module.neg_key(comp, e), comp, e)
             for (comp, e) in work]
     heapq.heapify(heap)
     rem = {}
@@ -92,10 +92,9 @@ def _reference_vec_nf(f, basis):
                 work.pop(k, None)
             else:
                 if old is None and k != (comp, e):
-                    heapq.heappush(heap, (tuple(-x for x in module.key(*k)),
-                                          k[0], k[1]))
+                    heapq.heappush(heap, (module.neg_key(*k), k[0], k[1]))
                 work[k] = nc
-    items = sorted(rem.items(), key=lambda t: module.key(*t[0]), reverse=True)
+    items = sorted(rem.items(), key=lambda t: module.neg_key(*t[0]))
     return Vec(module, tuple(items))
 
 
@@ -265,7 +264,7 @@ def test_syzygies_of_module_columns():
     for s in syz:
         acc = M.zero()
         for i, c in enumerate(cols):
-            acc = acc + c.mul_poly(s.component(i))
+            acc = acc + mul_poly(c, s.component(i))
         assert acc.is_zero()
 
 
@@ -276,8 +275,8 @@ def test_module_buchberger_basis_is_monic_and_sorted():
     gens = [M.basis_vec(0, 3 * x * x), M.basis_vec(1, 2 * y),
             M.basis_vec(0, x * y) + M.basis_vec(1, z)]
     data = module_buchberger(gens)
-    keys = [M.key(*b.lead()[0]) for b in data.basis]
-    assert keys == sorted(keys, reverse=True)
+    keys = [M.neg_key(*b.lead()[0]) for b in data.basis]
+    assert keys == sorted(keys)
     for b in data.basis:
         assert b.lead()[1] == F.one
 
@@ -349,7 +348,7 @@ def _reference_interreduce(keep):
     index = reducer_index(keep, M.rank)
     out = [Vec(M, b.terms[:1] + vec_nf(Vec(M, b.terms[1:]), keep,
                                        index).terms) for b in keep]
-    out.sort(key=lambda b: M.key(*b.terms[0][0]), reverse=True)
+    out.sort(key=lambda b: M.neg_key(*b.terms[0][0]))
     return out
 
 
@@ -372,12 +371,12 @@ def tangled_bases(draw):
     reduced = module_buchberger(gens).basis
     tangled = []
     for bi in reduced:
-        top = M.key(*bi.lead()[0])
+        top = M.neg_key(*bi.lead()[0])
         for bj in reduced:
             a = draw(exps)
             if (bj is not bi and draw(st.booleans())
-                    and M.key(bj.lead()[0][0], tuple(
-                        map(add, bj.lead()[0][1], a))) < top):
+                    and M.neg_key(bj.lead()[0][0], tuple(
+                        map(add, bj.lead()[0][1], a))) > top):
                 bi = bi + bj.mul_term(a, field.of(draw(coeffs)))
         tangled.append(bi)
     return reduced, tangled
@@ -451,11 +450,11 @@ def test_colon_and_division_from_the_graph_basis(gens, rnd):
     want = groebner_basis(firsts) if firsts else []
     assert module_colon(g, rels) == want
     h = _random_poly(M.ring, rnd)
-    f = g.mul_poly(h)
+    f = mul_poly(g, h)
     for r in rels:
-        f = f + r.mul_poly(_random_poly(M.ring, rnd))
+        f = f + mul_poly(r, _random_poly(M.ring, rnd))
     divide = divider(colon_basis([g], rels))
-    off = g.mul_poly(divide(f) - h)
+    off = mul_poly(g, divide(f) - h)
     if rels:
         span = module_buchberger(rels).basis
         off = vec_nf(off, span, reducer_index(span, M.rank))
