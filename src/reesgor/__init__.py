@@ -10,8 +10,8 @@ direct free-resolution oracle on a presentation of R(q^n).
 from .errors import (DepthNotOne, EquivalenceViolation,
                      HypothesisNotVerified, InputError, NoStabilization,
                      NonPositiveWeight, NotApplicable, NotArtinian,
-                     NotContained, NotDivisible, NotFiniteLength,
-                     NotParameters, OwnerMismatch, PairNotFound, ReesgorError,
+                     NotContained, NotDivisible, NotParameters,
+                     OwnerMismatch, PairNotFound, ReesgorError,
                      ResourceExceeded, WrongDimension)
 from .fields import GF, QQ, DEFAULT_PRIME
 from .polys import PolyRing

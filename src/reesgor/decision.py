@@ -74,10 +74,8 @@ def decide_condition3(A, q, prepared):
         e_c = len_c = red = None
         mult_eq = red_found = False
     else:
-        red = invariants.is_reduction(q, c)
+        red, e_c = invariants.reduction_multiplicity(A, q, c)
         red_found = red != invariants.NOT_FOUND
-        e_c = (invariants.parameter_multiplicity(A, q) if red_found
-               else invariants.multiplicity(A, c))
         len_c = invariants.artinian_length(A, c)
         mult_eq = (e_c == 2 * len_c)
     verdict = depth_is_1 and type_is_1 and mult_eq and red_found
@@ -100,15 +98,12 @@ def _consequences(A, q, data):
                         for g in data.fraction_numerators]
                 for ai in q.gens]
     # contraction of q*A~ to A
-    contraction = [g for row in products for g in row]
-    c_equals_qatilde = rings.ideals_equal(
-        data.conductor, A.ideal([g for g in contraction
-                                 if not A.is_zero_element(g)]))
+    contraction = A.ideal([g for row in products for g in row])
+    c_equals_qatilde = rings.ideals_equal(data.conductor, contraction)
     len_eq = (data.h1_length == invariants.artinian_length(A, data.conductor))
     # the Artinian quotient by (a_1..a_{d-1})A~ * A + a_d A
     proj_gens = [q.gens[-1]] + [g for row in products[:-1] for g in row]
-    proj = A.ideal([g for g in proj_gens if not A.is_zero_element(g)])
-    proj_gorenstein = invariants.artinian_gorenstein(A, proj)
+    proj_gorenstein = invariants.artinian_gorenstein(A, A.ideal(proj_gens))
     return {
         "c_equals_qatilde": c_equals_qatilde,
         "h1_length_equals_len_a_mod_c": len_eq,
@@ -160,9 +155,7 @@ def shimoda_check(A, a, b):
         third_gens = ([ab]
                       + [A.reduce(a * g) for g in col_ab.gens]
                       + [A.reduce(b * g) for g in col_ba.gens])
-        third_ideal = A.ideal([g for g in third_gens
-                               if not A.is_zero_element(g)])
-        third = invariants.artinian_gorenstein(A, third_ideal)
+        third = invariants.artinian_gorenstein(A, A.ideal(third_gens))
     else:
         colon_intersection = False
         third = False
@@ -192,15 +185,12 @@ def buchsbaum_criterion(A, q):
     if any(A.ext(A.ambient.n - i).length() == INFINITE for i in range(d)):
         raise HypothesisNotVerified("local cohomology below dim A has "
                                     "infinite length: A is not Buchsbaum")
-    m = A.maximal_ideal()
-    red = invariants.is_reduction(q, m)
-    red_found = red != invariants.NOT_FOUND
+    red, e_m = invariants.reduction_multiplicity(A, q, A.maximal_ideal())
     e_q = invariants.parameter_multiplicity(A, q)
-    e_m = e_q if red_found else invariants.multiplicity(A, m)
     head, last = q.gens[:-1], q.gens[-1]
     col = rings.colon(A.ideal(head), last)
     b_ideal = A.ideal([*col.gens, last])
     len_b = invariants.artinian_length(A, b_ideal)
     errors.crosscheck("multiplicity of q and the length of A/b", e_q, len_b)
-    verdict = (e_m == 2) and red_found
+    verdict = (e_m == 2) and red != invariants.NOT_FOUND
     return BuchsbaumReport(e_m, red, b_ideal, len_b, verdict)

@@ -33,11 +33,7 @@ class NotContained(ReesgorError):
 
 
 class NotArtinian(ReesgorError):
-    """Quotient is not finite dimensional over the base field."""
-
-
-class NotFiniteLength(ReesgorError):
-    """Module invariant needs finite length but the module is infinite."""
+    """A quotient or module is not finite dimensional over the base field."""
 
 
 class NonPositiveWeight(ReesgorError):

@@ -83,41 +83,32 @@ def hilbert_numerator(exps, weights):
     return {d: c for d, c in out.items() if c}
 
 
-def divide_one_minus_t(num):
-    """(k, g) with num = (1 - t)^k g and g(1) != 0 (k = 0 for num = 0)."""
-    k = 0
-    cur = dict(num)
-    while cur and upoly_eval_one(cur) == 0:
+def hilbert(num, weights):
+    """(dim, e) for P/I with Hilbert numerator num = (1 - t)^(n - dim) g,
+    g(1) != 0: its Krull dimension and e = g(1) / prod_i w_i, the limit
+    of (1 - t)^dim H(t) at t = 1, kept exact; (-1, 0) for num = 0, the
+    unit ideal's empty quotient."""
+    if not num:
+        return -1, 0
+    dim = len(weights)
+    g = dict(num)
+    while upoly_eval_one(g) == 0:
         # f(t) = (1 - t) g(t): g_d = f_0 + ... + f_d, of degree deg f - 1
-        acc = 0
-        g = {}
-        for d in range(max(cur)):
-            acc += cur.get(d, 0)
+        f, g, acc = g, {}, 0
+        for d in range(max(f)):
+            acc += f.get(d, 0)
             if acc:
                 g[d] = acc
-        cur = g
-        k += 1
-    return k, cur
-
-
-def dimension_from_numerator(num, weights):
-    """Krull dimension of P/I from the numerator of its Hilbert series."""
-    if not num:
-        return -1  # the unit ideal: empty quotient
-    return len(weights) - divide_one_minus_t(num)[0]
+        dim -= 1
+    return dim, Fraction(upoly_eval_one(g), prod(weights))
 
 
 def finite_length(num, weights):
-    """k-dimension of P/I from its Hilbert numerator num, or INFINITE.
-    For num = (1 - t)^k g, P/I is finite dimensional when k = n, and its
-    series g / prod_i (1 + t + ... + t^(w_i - 1)) is g(1) / prod_i w_i
-    at t = 1, kept exact."""
-    if not num:
-        return 0
-    k, g = divide_one_minus_t(num)
-    if k < len(weights):
+    """k-dimension of P/I from its Hilbert numerator num, or INFINITE: P/I
+    is finite dimensional when its dimension is at most 0, and its length
+    is then the e of `hilbert`."""
+    dim, length = hilbert(num, weights)
+    if dim > 0:
         return INFINITE
-    length = Fraction(upoly_eval_one(g), prod(weights))
     return crosscheck("the length g(1) / prod w_i is an integer",
                       int(length), length)
-

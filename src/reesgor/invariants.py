@@ -5,14 +5,14 @@ Artinian Gorenstein test.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from math import prod
 
 from .errors import NoStabilization, NotArtinian, NotContained, crosscheck
 from . import idealops
 from .groebner import reducer
-from .hilbert import (INFINITE, divide_one_minus_t, finite_length,
-                      upoly_eval_one)
+from .hilbert import INFINITE, finite_length, hilbert
+from .modules import FreeModule
+from .resolutions import ModulePresentation
 from . import rings
 
 NOT_FOUND = "NOT_FOUND"
@@ -88,11 +88,10 @@ def multiplicity(A, J, cap=30):
 def parameter_multiplicity(A, q):
     """e_q(A) for a homogeneous system of parameters q, with no power of q:
     e_q(A) = chi(q; A) = (prod_i deg q_i) * lim_{t->1} (1-t)^d H_A(t)
-    (Serre, Algebre locale, multiplicites).  For the Hilbert numerator
-    N = (1-t)^(n-d) g of A the limit is g(1) / prod_i w_i, kept exact."""
+    (Serre, Algebre locale, multiplicites), the limit read by `hilbert`
+    exactly."""
     rings.check_parameters(q)
-    _, g = divide_one_minus_t(A.hilbert_numerator())
-    chi = (Fraction(upoly_eval_one(g), prod(A.ambient.weights))
+    chi = (hilbert(A.hilbert_numerator(), A.ambient.weights)[1]
            * prod(f.degree() for f in q.gens))
     return crosscheck("chi(q; A) is an integer", int(chi), chi)
 
@@ -120,9 +119,20 @@ def is_reduction(q, c, r_max=10):
     return NOT_FOUND
 
 
+def reduction_multiplicity(A, q, c):
+    """(r, e_c(A)) for a parameter ideal q inside c, r as `is_reduction`
+    gives it.  When q reduces c, e_c = e_q (Northcott-Rees) is read off
+    the Hilbert series of A; otherwise it comes from the difference
+    scheme."""
+    red = is_reduction(q, c)
+    return red, (parameter_multiplicity(A, q) if red != NOT_FOUND
+                 else multiplicity(A, c))
+
+
 def artinian_gorenstein(A, J):
-    """True iff the Artinian ring A/J is Gorenstein (socle of length one)."""
-    base = artinian_length(A, J)
-    soc = rings.colon(J, A.maximal_ideal())
-    upper = artinian_length(A, soc)
-    return base - upper == 1
+    """True iff the Artinian ring A/J is Gorenstein: the socle of A/J,
+    presented as P e_0 modulo J's preimage, is one-dimensional.
+    NotArtinian when A/J has positive dimension."""
+    F = FreeModule(A.ambient, 1)
+    return ModulePresentation(F, [F.basis_vec(0)], [
+        F.basis_vec(0, g) for g in J.gb()]).socle_dim() == 1

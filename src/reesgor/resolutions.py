@@ -38,7 +38,7 @@ from itertools import product
 from operator import ge
 from types import MappingProxyType
 
-from .errors import NotFiniteLength, ResourceExceeded, crosscheck
+from .errors import NotArtinian, ResourceExceeded, crosscheck
 from .groebner import as_vecs
 from .hilbert import INFINITE, finite_length, hilbert_numerator, upoly_add
 from .idealops import colon as colon_ideals, intersect as intersect_ideals
@@ -334,12 +334,8 @@ class ModulePresentation:
         unshifted, read off the column leads."""
         if self._numerators is None:
             f0, cols = self.free_presentation()
-            leads = [[] for _ in range(f0.rank)]
-            for b in cols:
-                (comp, e), _ = b.lead()
-                leads[comp].append(e)
             self._numerators = tuple(hilbert_numerator(exps, f0.ring.weights)
-                                     for exps in leads)
+                                     for exps in _component_leads(f0, cols))
         return self._numerators
 
     def resolution(self):
@@ -409,7 +405,7 @@ class ModulePresentation:
         kernel of the multiplication maps by the variables.
         """
         if self.length() == INFINITE:
-            raise NotFiniteLength("socle needs a finite-length module")
+            raise NotArtinian("socle needs a finite-length module")
         f0, gb = self.free_presentation()
         ring = self.ambient.ring
         field = ring.field
@@ -434,23 +430,26 @@ class ModulePresentation:
         return len(basis) - _sparse_rank(field, cols)
 
 
-def _standard_module_basis(f0, gb):
-    """All (component, exponent) pairs outside the lead module (finite)."""
-    ring = f0.ring
-    n = ring.n
+def _component_leads(f0, gb):
+    """The lead exponents of gb, one list per component of f0."""
     leads = [[] for _ in range(f0.rank)]
     for b in gb:
         (comp, e), _ = b.lead()
         leads[comp].append(e)
+    return leads
+
+
+def _standard_module_basis(f0, gb):
+    """All (component, exponent) pairs outside the lead module (finite)."""
+    n = f0.ring.n
     out = []
-    for comp in range(f0.rank):
-        L = leads[comp]
+    for comp, L in enumerate(_component_leads(f0, gb)):
         bounds = []
         for i in range(n):
             pure = [e[i] for e in L
                     if all(e[j] == 0 for j in range(n) if j != i)]
             if not pure:
-                raise NotFiniteLength("component has infinite colength")
+                raise NotArtinian("component has infinite colength")
             bounds.append(min(pure))
         out.extend((comp, t) for t in product(*map(range, bounds))
                    if not any(all(map(ge, t, e)) for e in L))

@@ -24,7 +24,7 @@ from types import MappingProxyType
 from .errors import (NonPositiveWeight, NotDivisible, NotParameters,
                      OwnerMismatch, ResourceExceeded, crosscheck)
 from .groebner import as_vecs, groebner_basis, reducer
-from .hilbert import dimension_from_numerator, hilbert_numerator
+from .hilbert import hilbert, hilbert_numerator
 from . import idealops
 from .modules import colon_basis, colon_from_basis, divider
 from .polys import PolyRing
@@ -277,8 +277,8 @@ class Ideal:
     def quotient_dim(self):
         """Krull dimension of A / this ideal."""
         if self._dim is None:
-            self._dim = dimension_from_numerator(self.hilbert_numerator(),
-                                                 self.owner.weights)
+            self._dim = hilbert(self.hilbert_numerator(),
+                                self.owner.weights)[0]
         return self._dim
 
     def is_zero(self):
@@ -301,14 +301,9 @@ def intersect(ia, ib):
     return Ideal.from_basis(A, out)
 
 
-def colon(ia, by):
-    """ia : by, where by is an Ideal or a single ring element."""
-    A = ia.owner
-    if not isinstance(by, Ideal):
-        return A.colon_graph(ia.gens, by).ideal
-    _check_owner(ia, by)
-    return Ideal.from_basis(
-        A, idealops.colon(A.ambient, ia.preimage_gens(), by.gens))
+def colon(ia, b):
+    """ia : b for a single ring element b, off the ring's colon graph."""
+    return ia.owner.colon_graph(ia.gens, b).ideal
 
 
 def ideals_equal(ia, ib):

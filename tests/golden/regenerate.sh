@@ -1,5 +1,7 @@
 #!/bin/sh
-# Rewrite the golden CLI reports that CI diffs each report against:
+# Rewrite the golden CLI reports that tests/test_golden.py compares each
+# report against (CI diffs the last one, the d = 3 oracle, too slow for
+# tier-1):
 # tests/golden/<ring>.<cmd>.<char>.txt holds the standard output of
 #   reesgor <cmd> corpus/<ring>.ring --char <char>
 # with check run as `--mode both`.  The dimension-three ring

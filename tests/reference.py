@@ -3,11 +3,13 @@ calls, and the package's engines called on plain generators."""
 
 from operator import add, ge
 
+from reesgor import idealops
 from reesgor.groebner import normal_form
 from reesgor.hilbert import _minimalize
+from reesgor.invariants import artinian_length
 from reesgor.modules import reducer_index, schreyer_level
 from reesgor.resolutions import ModulePresentation
-from reesgor.rings import PresentedGradedRing
+from reesgor.rings import Ideal, PresentedGradedRing
 
 
 def is_member(f, basis):
@@ -86,3 +88,11 @@ def composes_to_zero(res):
             if acc is not None and not acc.is_zero():
                 return False
     return True
+
+
+def artinian_gorenstein_by_colon(A, J):
+    """A/J is Gorenstein iff its socle (J : m)/J has length one, with
+    J : m the colon of J's preimage by the variables."""
+    soc = Ideal.from_basis(A, idealops.colon(A.ambient, J.preimage_gens(),
+                                             A.gens()))
+    return artinian_length(A, J) - artinian_length(A, soc) == 1

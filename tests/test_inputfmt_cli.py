@@ -276,13 +276,16 @@ MALFORMED = {
 def test_cli_rejects_malformed_document(tmp_path, case):
     """Each malformed document or characteristic is an input error (exit
     3) with its line and column when it has one, not an uncaught exception
-    or a verdict."""
+    or a verdict: under its own command, and under check --mode criteria
+    and check --mode oracle (argparse reads the last --mode given)."""
     text, args, error = MALFORMED[case]
     path = tmp_path / "bad.ring"
     path.write_text(text)
-    code, out = run([args[0], str(path)] + args[1:])
-    assert code == 3
-    assert inputfmt.parse_report(out)["error"] == error
+    for argv in (args, ["check"] + args[1:] + ["--mode", "criteria"],
+                 ["check"] + args[1:] + ["--mode", "oracle"]):
+        code, out = run([argv[0], str(path)] + argv[1:])
+        assert code == 3, argv
+        assert inputfmt.parse_report(out)["error"] == error, argv
 
 
 def test_document_tests_each_generator_and_its_characteristic_once(

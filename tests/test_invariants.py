@@ -1,14 +1,19 @@
 """Krull dimension, depth, type, multiplicity, reductions."""
 
-import pytest
+import itertools
 
-from reesgor import corpus, invariants, rings, s2
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from reesgor import corpus, idealops, invariants, rings, s2
 from reesgor.errors import (NotArtinian, NotContained, NotParameters,
                             ResourceExceeded)
-from reesgor.fields import GF, DEFAULT_PRIME
+from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.modules import FreeModule
 from reesgor.polys import PolyRing
 from reesgor.resolutions import ModulePresentation
+
+from reference import artinian_gorenstein_by_colon
 
 F = GF(DEFAULT_PRIME)
 
@@ -130,6 +135,45 @@ def test_artinian_gorenstein_detection():
     assert invariants.artinian_gorenstein(A, A.ideal([x, y]))
     assert not invariants.artinian_gorenstein(
         A, A.ideal([x * x, x * y, y * y]))
+    with pytest.raises(NotArtinian):
+        invariants.artinian_gorenstein(A, A.ideal([x]))
+
+
+@st.composite
+def artinian_quotients(draw):
+    """(A, J): A a weighted k[x,y] or k[x,y,z] over GF(32003), GF(2),
+    GF(3) or QQ, sometimes modulo a random form, and J a pure power of
+    each variable plus up to three random homogeneous forms."""
+    field = draw(st.sampled_from([F, GF(2), GF(3), QQ]))
+    n = draw(st.integers(2, 3))
+    weights = draw(st.tuples(*[st.integers(1, 3)] * n))
+    amb = PolyRing(("x", "y", "z")[:n], weights, field)
+
+    def form():
+        top = draw(st.tuples(*[st.integers(0, 2)] * n).filter(any))
+        deg = amb.wdeg(top)
+        pool = [e for e in itertools.product(range(deg + 1), repeat=n)
+                if amb.wdeg(e) == deg]
+        exps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                             unique=True))
+        coeffs = st.integers(-5, 5).filter(bool)
+        return sum((amb.monomial(e, draw(coeffs)) for e in exps), amb.zero)
+
+    A = rings.PresentedGradedRing.from_ambient(
+        amb, [form() for _ in range(draw(st.integers(0, 1)))])
+    powers = [amb.gen(i) ** draw(st.integers(1, 4)) for i in range(n)]
+    forms = [form() for _ in range(draw(st.integers(0, 3)))]
+    return A, A.ideal(powers + forms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(artinian_quotients())
+def test_artinian_gorenstein_matches_the_colon_route(case):
+    """The socle of A/J by `socle_dim` is one-dimensional exactly when the
+    socle (J : m)/J of the colon route has length one."""
+    A, J = case
+    assert invariants.artinian_gorenstein(A, J) == \
+        artinian_gorenstein_by_colon(A, J)
 
 
 def test_a_length_cap_bounds_a_memoized_resolution():
@@ -168,8 +212,8 @@ def test_type_in_depth_one_counts_the_socle_of_h1():
     rep = invariants.depth_and_type(A)
     assert (rep.depth, rep.cm, rep.type) == (1, False, 2)
     assert A.is_regular_element(x)
-    soc = rings.colon(A.ideal([x]), A.maximal_ideal())
+    soc = idealops.colon(amb, A._full([x]), amb.gens())
     F1 = FreeModule(amb, 1)
-    socle = ModulePresentation(F1, [F1.basis_vec(0, g) for g in soc.gb()],
+    socle = ModulePresentation(F1, [F1.basis_vec(0, g) for g in soc],
                                [F1.basis_vec(0, g) for g in A._full([x])])
     assert socle.length() == rep.type

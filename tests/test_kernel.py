@@ -12,9 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from reesgor.fields import GF, QQ, DEFAULT_PRIME, PRIME_BOUND, is_prime
 from reesgor.groebner import groebner_basis, normal_form
-from reesgor.hilbert import (INFINITE, dimension_from_numerator,
-                             finite_length, hilbert_numerator, upoly_add,
-                             upoly_mul)
+from reesgor.hilbert import (INFINITE, finite_length, hilbert,
+                             hilbert_numerator, upoly_add, upoly_mul)
 from reesgor.inputfmt import parse_poly
 from reesgor.orders import BlockOrder, GrevlexOrder
 from reesgor.polys import PolyRing
@@ -440,10 +439,10 @@ def test_count_standard_monomials_agrees():
 def test_dimension_and_length():
     weights = (1, 1)
     num_artin = hilbert_numerator([(2, 0), (0, 2)], weights)
-    assert dimension_from_numerator(num_artin, weights) == 0
+    assert hilbert(num_artin, weights)[0] == 0
     assert finite_length(num_artin, weights) == 4
     num_curve = hilbert_numerator([(1, 1)], weights)
-    assert dimension_from_numerator(num_curve, weights) == 1
+    assert hilbert(num_curve, weights)[0] == 1
     assert finite_length(num_curve, weights) == INFINITE
     num_line = hilbert_numerator([(1, 0), (0, 2)], weights)
     assert finite_length(num_line, weights) == 2     # k[x,y]/(x, y^2)
