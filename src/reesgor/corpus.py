@@ -4,7 +4,7 @@ regular base used as a negative control.
 """
 
 from . import inputfmt, rings
-from .fields import DEFAULT_PRIME
+from .fields import DEFAULT_PRIME, field
 from .modules import FreeModule, module_syzygies
 from .polys import PolyRing
 
@@ -12,7 +12,7 @@ from .polys import PolyRing
 def build_hochster_roberts(char=DEFAULT_PRIME):
     """k[a,b,c,d] presenting k[x^2, y, x^3, xy], with q = (a, b)."""
     base = rings.PresentedGradedRing(("x", "y"), (1, 1), [],
-                                     field=_field(char))
+                                     field=field(char))
     x, y = base.gens()
     ker = rings.ring_map_kernel([x * x, y, x * x * x, x * y],
                                 ("a", "b", "c", "d"), base)
@@ -24,7 +24,7 @@ def build_hochster_roberts(char=DEFAULT_PRIME):
 
 def build_two_planes(char=DEFAULT_PRIME):
     """k[x,y,u,v]/(xu, xv, yu, yv), with q = (x+u, y+v)."""
-    amb = PolyRing(("x", "y", "u", "v"), (1, 1, 1, 1), _field(char))
+    amb = PolyRing(("x", "y", "u", "v"), (1, 1, 1, 1), field(char))
     x, y, u, v = amb.gens()
     A = rings.PresentedGradedRing.from_ambient(
         amb, [x * u, x * v, y * u, y * v], label="two_planes")
@@ -38,7 +38,7 @@ def build_idealization(b_names, b_weights, q_exprs, char=DEFAULT_PRIME,
     New variables square to zero pairwise and satisfy the syzygies of
     Q's generators; q is the image of Q.
     """
-    B = PolyRing(tuple(b_names), tuple(b_weights), _field(char))
+    B = PolyRing(tuple(b_names), tuple(b_weights), field(char))
     q_gens = [inputfmt.parse_poly(e, B) for e in q_exprs]
     rings.check_parameters(
         rings.PresentedGradedRing.from_ambient(B, []).ideal(q_gens))
@@ -66,15 +66,10 @@ def build_idealization(b_names, b_weights, q_exprs, char=DEFAULT_PRIME,
 
 def build_regular_base(char=DEFAULT_PRIME):
     """k[x,y] with q = (x, y): the Cohen-Macaulay negative control."""
-    A = rings.PresentedGradedRing(("x", "y"), (1, 1), [], field=_field(char))
+    A = rings.PresentedGradedRing(("x", "y"), (1, 1), [], field=field(char))
     A.label = "regular_base"
     x, y = A.gens()
     return A, A.ideal([x, y])
-
-
-def _field(char):
-    from .fields import GF, QQ
-    return QQ if char == 0 else GF(char)
 
 
 def _z_name(ring, j):

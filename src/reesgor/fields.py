@@ -125,3 +125,8 @@ DEFAULT_PRIME = 32003
 
 def GF(p):
     return PrimeField(p)
+
+
+def field(char):
+    """The prime field of characteristic char: QQ for 0, else GF(char)."""
+    return QQ if char == 0 else GF(char)

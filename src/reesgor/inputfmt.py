@@ -20,7 +20,7 @@ import re
 from math import comb
 
 from .errors import InputError
-from .fields import DEFAULT_PRIME, GF, PRIME_BOUND, QQ
+from .fields import DEFAULT_PRIME, PRIME_BOUND, field
 from .polys import PolyRing
 from . import rings
 
@@ -61,10 +61,8 @@ def _field(char, line=None, col=None):
     """The coefficient field of characteristic char: QQ for 0, else GF,
     which tests char prime; a document keeps the field of the last char
     it tested, so each characteristic is tested once per document."""
-    if char == 0:
-        return QQ
     try:
-        return GF(char)
+        return field(char)
     except ValueError as err:
         if char >= PRIME_BOUND:
             raise InputError("characteristic %d is too large: %s"

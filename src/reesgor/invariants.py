@@ -9,7 +9,7 @@ from math import prod
 
 from .errors import NoStabilization, NotArtinian, NotContained, crosscheck
 from . import idealops
-from .groebner import reducer
+from .groebner import as_vecs, reducer
 from .hilbert import INFINITE, finite_length, hilbert
 from .modules import FreeModule
 from .resolutions import ModulePresentation
@@ -131,8 +131,7 @@ def reduction_multiplicity(A, q, c):
 
 def artinian_gorenstein(A, J):
     """True iff the Artinian ring A/J is Gorenstein: the socle of A/J,
-    presented as P e_0 modulo J's preimage, is one-dimensional.
+    the cokernel of the basis of J's preimage, is one-dimensional.
     NotArtinian when A/J has positive dimension."""
     F = FreeModule(A.ambient, 1)
-    return ModulePresentation(F, [F.basis_vec(0)], [
-        F.basis_vec(0, g) for g in J.gb()]).socle_dim() == 1
+    return ModulePresentation(F, as_vecs(J.gb(), F)).socle_dim() == 1

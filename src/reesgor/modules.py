@@ -599,8 +599,6 @@ def colon_from_basis(basis, rank):
 def module_colon(g, rels):
     """Reduced Groebner basis (Polys) of the ideal (rels : g) = {h : h*g in
     span(rels)}; the unit ideal when g is zero."""
-    if g.is_zero():
-        return [g.module.ring.one]
     return colon_from_basis(colon_basis([g], rels), g.module.rank)
 
 

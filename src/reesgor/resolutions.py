@@ -1,14 +1,15 @@
 """Graded free resolutions, Ext against the dualizing module, and
 finite-module invariants (length, minimal generators, annihilator, socle).
 
-Modules are subquotients (im gens)/(im rels) of a graded free module,
-presented by the tail of `modules.colon_basis(gens, rels)`, a reduced
-Groebner basis off which the length, socle, minimal generators and the
-colon by the last generator are read.  A resolution is a Schreyer frame
+A module is the cokernel of a reduced Groebner basis of a graded free
+module (`ModulePresentation(f0, cols)`), off which the length, socle,
+minimal generators, resolution and annihilator are read; `subquotient`
+presents (im gens)/(im rels) so, by the tail of
+`modules.colon_basis(gens, rels)`.  A resolution is a Schreyer frame
 (Schreyer 1980; La Scala and Stillman, Strategies for computing minimal
 free resolutions, JSC 26, 1998): every resolution starts from a reduced
-Groebner basis and its Hilbert numerator (a module's presentation
-columns or a ring's memoized `gb()`), the frame's first level, and each
+Groebner basis and its Hilbert numerator (a module's columns or a
+ring's memoized `gb()`), the frame's first level, and each
 next level is read off the S-pair reductions of the last by
 `modules.schreyer_level`, under the Schreyer order that level induces.
 Those syzygies are already a Groebner basis of the next syzygy module,
@@ -34,14 +35,14 @@ entries out of one differential: the tests' reference minimalization.
 
 from collections import Counter
 from functools import partial, reduce
-from itertools import product
+from itertools import chain, product
 from operator import ge
 from types import MappingProxyType
 
 from .errors import NotArtinian, ResourceExceeded, crosscheck
 from .groebner import as_vecs
 from .hilbert import INFINITE, finite_length, hilbert_numerator, upoly_add
-from .idealops import colon as colon_ideals, intersect as intersect_ideals
+from .idealops import intersect as intersect_ideals
 from .modules import (FreeModule, colon_basis, graph_tail, module_colon,
                       reducer_index, schreyer_level, vec_nf)
 from .polys import _exp_mul
@@ -295,60 +296,43 @@ def minimal_free_resolution(gb, f0, numerator, length_cap=None):
 
 
 class ModulePresentation:
-    """Graded subquotient (im gens)/(im rels) of a free module.
-
-    The free presentation, whose columns are a reduced Groebner basis,
-    the Hilbert numerators of its components, the resolution and the
-    annihilator are each computed once per object.
-    Inhomogeneous generators or relations are a ValueError.
+    """The graded module coker(cols : F1 -> f0), for cols a reduced
+    Groebner basis of Vecs in the free module f0, as Singular's `modulo`
+    holds one (Greuel-Pfister, A Singular Introduction to Commutative
+    Algebra).  Every invariant reads f0 and cols; the component
+    numerators, resolution and annihilator are computed once per object.
     """
 
-    def __init__(self, ambient, gens, rels):
-        self.ambient = ambient
-        # tuples, like the cached free presentation, because presentations
-        # such as a ring's memoized Ext modules are shared between callers
-        self.gens = tuple(gens)
-        self.rels = tuple(r for r in rels if not r.is_zero())
-        for v in self.gens + self.rels:
-            if not v.is_homogeneous():
-                raise ValueError("inhomogeneous generator or relation %r" % v)
-        self._free_pres = None
+    def __init__(self, f0, cols):
+        self.f0 = f0
+        # a tuple, because presentations such as a ring's memoized Ext
+        # modules are shared between callers
+        self.cols = tuple(cols)
         self._numerators = None
         self._resolution = None
         self._ann = None
-
-    def free_presentation(self):
-        """(F0, columns) with self = coker(cols : F1 -> F0).  The columns
-        are the tail of `colon_basis(gens, rels)`, the module
-        {u : sum u_i g_i in span(rels)}, as a reduced Groebner basis."""
-        if self._free_pres is None:
-            shifts = [g.degree() if not g.is_zero() else 0 for g in self.gens]
-            f0 = FreeModule(self.ambient.ring, len(shifts), shifts)
-            cols = (graph_tail(colon_basis(self.gens, self.rels), f0)
-                    if self.gens else ())
-            self._free_pres = (f0, tuple(cols))
-        return self._free_pres
 
     def component_numerators(self):
         """The Hilbert numerator of each component of F0/(columns),
         unshifted, read off the column leads."""
         if self._numerators is None:
-            f0, cols = self.free_presentation()
-            self._numerators = tuple(hilbert_numerator(exps, f0.ring.weights)
-                                     for exps in _component_leads(f0, cols))
+            self._numerators = tuple(
+                hilbert_numerator(exps, self.f0.ring.weights)
+                for exps in _component_leads(self.f0, self.cols))
         return self._numerators
 
     def resolution(self):
         """The resolution of the module, whose frame starts from the
-        presentation columns and whose exactness check reads the
-        component numerators, shifted and summed."""
+        columns and whose exactness check reads the component numerators,
+        shifted and summed."""
         if self._resolution is None:
-            f0, cols = self.free_presentation()
             numerator = {}
-            for shift, num in zip(f0.shifts, self.component_numerators()):
+            for shift, num in zip(self.f0.shifts,
+                                  self.component_numerators()):
                 numerator = upoly_add(numerator,
                                       {d + shift: c for d, c in num.items()})
-            self._resolution = minimal_free_resolution(cols, f0, numerator)
+            self._resolution = minimal_free_resolution(self.cols, self.f0,
+                                                       numerator)
         return self._resolution
 
     def pd(self):
@@ -356,7 +340,7 @@ class ModulePresentation:
 
     def length(self):
         """k-dimension, or INFINITE."""
-        weights = self.ambient.ring.weights
+        weights = self.f0.ring.weights
         total = 0
         for num in self.component_numerators():
             l = finite_length(num, weights)
@@ -370,31 +354,23 @@ class ModulePresentation:
 
     def min_generators(self):
         """Number of minimal generators (graded Nakayama)."""
-        f0, cols = self.free_presentation()
-        return f0.rank - sum(_constant_ranks(cols).values())
+        return self.f0.rank - sum(_constant_ranks(self.cols).values())
 
     def annihilator_gens(self):
         """Generators of {f in P : f * self = 0}, as a tuple: the
-        intersection of the colons (rels : g) over the nonzero generators
-        g.  The presentation columns led in the last component have no
-        other component, and their entries are the colon by the last g.
-        On a rank-one ambient with several generators the intersection is
-        one colon of ideals, ann((J + K)/K) = K : J."""
+        intersection of the colons (cols : e_i) over the generators e_i
+        of f0.  The columns led in the last component have no other
+        component, and their entries are the colon by the last e_i."""
         if self._ann is None:
-            ring = self.ambient.ring
-            if self.ambient.rank == 1 and len(self.gens) > 1:
-                ann = colon_ideals(ring, [r.component(0) for r in self.rels],
-                                   [g.component(0) for g in self.gens])
-            else:
-                colons = [module_colon(g, self.rels)
-                          for g in self.gens[:-1] if not g.is_zero()]
-                if self.gens and not self.gens[-1].is_zero():
-                    f0, cols = self.free_presentation()
-                    last = f0.rank - 1
-                    colons.append([c.component(last) for c in cols
-                                   if c.lead()[0][0] == last])
-                ann = (reduce(partial(intersect_ideals, ring), colons)
-                       if colons else (ring.one,))
+            f0, ring = self.f0, self.f0.ring
+            last = f0.rank - 1
+            colons = [module_colon(f0.basis_vec(i), self.cols)
+                      for i in range(last)]
+            if f0.rank:
+                colons.append([c.component(last) for c in self.cols
+                               if c.lead()[0][0] == last])
+            ann = (reduce(partial(intersect_ideals, ring), colons)
+                   if colons else (ring.one,))
             self._ann = tuple(ann)
         return self._ann
 
@@ -406,8 +382,8 @@ class ModulePresentation:
         """
         if self.length() == INFINITE:
             raise NotArtinian("socle needs a finite-length module")
-        f0, gb = self.free_presentation()
-        ring = self.ambient.ring
+        f0, gb = self.f0, self.cols
+        ring = f0.ring
         field = ring.field
         if f0.rank == 0:
             return 0
@@ -428,6 +404,22 @@ class ModulePresentation:
             cols.append(col)
         # socle = kernel of the stacked multiplication matrix
         return len(basis) - _sparse_rank(field, cols)
+
+
+def subquotient(ambient, gens, rels):
+    """The graded subquotient (im gens)/(im rels) of the free module
+    ambient, as the cokernel of the tail of `colon_basis(gens, rels)`,
+    the module {u : sum u_i g_i in span(rels)} over generators of
+    degrees deg g_i (0 for a zero g_i), a reduced Groebner basis.
+    Inhomogeneous generators or relations are a ValueError."""
+    rels = [r for r in rels if not r.is_zero()]
+    for v in chain(gens, rels):
+        if not v.is_homogeneous():
+            raise ValueError("inhomogeneous generator or relation %r" % v)
+    shifts = [g.degree() if not g.is_zero() else 0 for g in gens]
+    f0 = FreeModule(ambient.ring, len(shifts), shifts)
+    return ModulePresentation(
+        f0, graph_tail(colon_basis(gens, rels), f0) if gens else ())
 
 
 def _component_leads(f0, gb):
@@ -542,7 +534,7 @@ def ext_dualizing(resolution, i):
     """
     ring = resolution.ring
     if i < 0 or i > resolution.pd:
-        return ModulePresentation(FreeModule(ring, 0, ()), [], [])
+        return ModulePresentation(FreeModule(ring, 0, ()), ())
     if i:
         dualF, rels = dual_columns(resolution, i)
     else:
@@ -556,4 +548,4 @@ def ext_dualizing(resolution, i):
         gens = graph_tail(colon_basis(out_cols, []), dualF)
     else:
         gens = [dualF.basis_vec(j) for j in range(dualF.rank)]
-    return ModulePresentation(dualF, gens, rels)
+    return subquotient(dualF, gens, rels)

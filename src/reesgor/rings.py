@@ -10,12 +10,11 @@ ideal, whose preimage is I: that one memo serves `gb`, `reduce`,
 `hilbert_numerator`, `dim` and `zero_ideal()` alike.  A ring also
 memoizes its resolution, its Ext modules and one `ColonGraph` per colon
 (gens, I) : b by an element b, from which come the colon ideal, the
-module ((gens, I) : b)/(gens, I), the regularity test of b and every
-division by b in A (gens empty).  A ring built `from_basis` (the Rees
-presentation) keeps the basis it was given, and its resolution starts
-from that basis and reads its memoized numerator, so one Groebner basis
-and one Hilbert numerator serve the ring's dimension, resolution and
-exactness check.
+regularity test of b and every division by b in A (gens empty).  A ring
+built `from_basis` (the Rees presentation) keeps the basis it was given,
+and its resolution starts from that basis and reads its memoized
+numerator, so one Groebner basis and one Hilbert numerator serve the
+ring's dimension, resolution and exactness check.
 """
 
 from collections import namedtuple
@@ -28,12 +27,11 @@ from .hilbert import hilbert, hilbert_numerator
 from . import idealops
 from .modules import colon_basis, colon_from_basis, divider
 from .polys import PolyRing
-from .resolutions import (ModulePresentation, ext_dualizing,
-                          resolve_quotient_ring)
+from .resolutions import ext_dualizing, resolve_quotient_ring
 
-# division by b, the colon Ideal and ((gens, I) : b)/(gens, I), all off the
-# graph basis of the rows (b, 1) and (r, 0), r in gens + I
-ColonGraph = namedtuple("ColonGraph", "divide ideal module")
+# division by b and the colon Ideal, both off the graph basis of the rows
+# (b, 1) and (r, 0), r in gens + I
+ColonGraph = namedtuple("ColonGraph", "divide ideal")
 
 
 class PresentedGradedRing:
@@ -125,11 +123,8 @@ class PresentedGradedRing:
         if key not in self._colons:
             bv, *rels = as_vecs([b] + self._full(gens))
             basis = tuple(colon_basis([bv], rels))
-            ideal = Ideal.from_basis(self, colon_from_basis(basis, 1))
-            F = bv.module
-            module = ModulePresentation(
-                F, [F.basis_vec(0, g) for g in ideal.gb()], rels)
-            self._colons[key] = ColonGraph(divider(basis), ideal, module)
+            self._colons[key] = ColonGraph(divider(basis), Ideal.from_basis(
+                self, colon_from_basis(basis, 1)))
         return self._colons[key]
 
     @property

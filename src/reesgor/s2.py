@@ -3,9 +3,13 @@ A~ = (1/a)(aA : b) represented through its colon ideal, the conductor by
 two independent routes, first-cohomology invariants, the cohomology
 hypothesis profile, and the standardness test for parameter ideals.
 
-The pair's colon (I, a) : b and its module (aA : b)/aA, presenting
-H^1_m(A), come from the ring's memoized `colon_graph`: the filter-regular
-test, the overring CM check and `s2_construct` share one graph basis.
+The pair's colon J : b, J = (a) + I, comes from the ring's memoized
+`colon_graph`, so the filter-regular test, the overring CM check and
+`s2_construct` share one graph basis.  H^1_m(A) = (aA : b)/aA has the
+length of the exact sequence 0 -> (J : b)/J -> P/J -> P/(J : b) -> 0,
+read off the two ideals' memoized Hilbert numerators, and the conductor
+is its definition, J : (J : b).  `s2_construct` presents H^1 as a
+module only when it is not zero, and crosschecks its length.
 """
 
 import random
@@ -14,16 +18,26 @@ from itertools import permutations
 
 from .errors import (HypothesisNotVerified, NotApplicable, PairNotFound,
                      crosscheck)
-from . import rings
-from .hilbert import INFINITE
+from . import idealops, rings
+from .groebner import as_vecs
+from .hilbert import INFINITE, finite_length, upoly_add
 from .modules import FreeModule
-from .resolutions import ModulePresentation
+from .resolutions import subquotient
+
+
+def _h1_length(A, aA, b):
+    """The length of (aA : b)/aA, or INFINITE: with J = (a) + I, the
+    numerator of P/J less that of P/(J : b), by the exact sequence
+    0 -> (J : b)/J -> P/J -> P/(J : b) -> 0."""
+    colon = A.colon_graph(aA.gens, b).ideal
+    return finite_length(upoly_add(aA.hilbert_numerator(), {
+        d: -c for d, c in colon.hilbert_numerator().items()}), A.weights)
 
 
 def is_filter_regular(A, a, b):
     """b filter-regular on A/aA: the colon module (aA : b)/aA has finite
     length, i.e. (I, a) : b lies in the saturation (I, a) : m^inf."""
-    return A.colon_graph((a,), b).module.length() != INFINITE
+    return _h1_length(A, A.ideal([a]), b) != INFINITE
 
 
 def filter_regular_pair(A, q, seed=0):
@@ -66,7 +80,7 @@ def filter_regular_pair(A, q, seed=0):
 
 # everything the decision procedure needs about A~ and the conductor: the
 # fraction numerators g_j, not in aA, give g_j/a generating A~ over A, and
-# h1_module presents (aA : b)/aA
+# h1_module presents (aA : b)/aA, None when it is zero
 S2Data = namedtuple("S2Data", "pair h1_length conductor fraction_numerators "
                               "h1_module")
 
@@ -74,16 +88,22 @@ S2Data = namedtuple("S2Data", "pair h1_length conductor fraction_numerators "
 def s2_construct(A, pair):
     """Assemble S2Data for a validated filter-regular pair."""
     a, b = pair
-    _, colon_ideal, h1_mod = A.colon_graph((a,), b)
-    h1_length = h1_mod.length()
+    aA = A.ideal([a])
+    colon_ideal = A.colon_graph((a,), b).ideal
+    h1_length = _h1_length(A, aA, b)
     if h1_length == INFINITE:
         raise HypothesisNotVerified("first cohomology has infinite length")
-    if h1_length == 0:
-        conductor = A.unit_ideal()
-    else:
-        conductor = rings.Ideal.from_basis(A, h1_mod.annihilator_gens())
-    aA = A.ideal([a])
     numerators = [g for g in colon_ideal.gb() if not aA.contains(g)]
+    conductor, h1_mod = A.unit_ideal(), None
+    if h1_length:
+        J = aA.preimage_gens()
+        conductor = rings.Ideal.from_basis(A, idealops.colon(
+            A.ambient, J, colon_ideal.gb()))
+        # the numerators, outside J, generate (J : b)/J
+        F = FreeModule(A.ambient, 1)
+        h1_mod = subquotient(F, as_vecs(numerators, F), as_vecs(J, F))
+        crosscheck("length of the first cohomology by its presentation "
+                   "and by the exact sequence", h1_mod.length(), h1_length)
     return S2Data(pair, h1_length, conductor, numerators, h1_mod)
 
 
@@ -129,9 +149,13 @@ def hypothesis_profile(A, pair):
         in_conductor = rings.Ideal.from_basis(
             A, A.ext(n - 1).annihilator_gens()).contains(a)
     if in_conductor:
-        col = A.colon_graph((a,), b).ideal
+        # the colon ideal as a P-module, its preimage modulo I
+        F = FreeModule(A.ambient, 1)
+        colon_module = subquotient(
+            F, as_vecs(A.colon_graph((a,), b).ideal.gb(), F),
+            as_vecs(A.defining, F))
         crosscheck("cohomology profile and the CM test for the overring",
-                   _ideal_module(A, col).pd() == n - d, verdict)
+                   colon_module.pd() == n - d, verdict)
     return HypothesisProfile(d, ext_lengths, verdict)
 
 
@@ -159,11 +183,3 @@ def is_standard_parameters(A, q, profile, data):
     if profile.ext_lengths.get(1, 0) != data.h1_length:
         return False
     return data.conductor.contains_ideal(q)
-
-
-def _ideal_module(A, ideal):
-    """An ideal of A as a subquotient P-module (preimage modulo I)."""
-    F = FreeModule(A.ambient, 1)
-    gens = [F.basis_vec(0, g) for g in ideal.gb()]
-    rels = [F.basis_vec(0, g) for g in A.defining]
-    return ModulePresentation(F, gens, rels)

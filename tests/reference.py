@@ -1,6 +1,7 @@
 """Test-only helpers: brute-force references that nothing in the package
 calls, and the package's engines called on plain generators."""
 
+import sys
 from operator import add, ge
 
 from reesgor import idealops
@@ -8,7 +9,7 @@ from reesgor.groebner import normal_form
 from reesgor.hilbert import _minimalize
 from reesgor.invariants import artinian_length
 from reesgor.modules import reducer_index, schreyer_level
-from reesgor.resolutions import ModulePresentation
+from reesgor.resolutions import subquotient
 from reesgor.rings import Ideal, PresentedGradedRing
 
 
@@ -72,9 +73,27 @@ def mul_poly(v, p):
 
 
 def cokernel(ambient, rels):
-    """ambient/(rels) as a ModulePresentation."""
+    """ambient/(rels) as a ModulePresentation, the subquotient of the
+    basis vectors of ambient by rels."""
     gens = [ambient.basis_vec(i) for i in range(ambient.rank)]
-    return ModulePresentation(ambient, gens, rels)
+    return subquotient(ambient, gens, rels)
+
+
+def count_calls(monkeypatch, fn):
+    """A list that gains an entry per call of fn, for the rest of the
+    test: fn is replaced at every binding inside the reesgor package."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("reesgor"):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def composes_to_zero(res):

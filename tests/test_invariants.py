@@ -5,15 +5,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reesgor import corpus, idealops, invariants, rings, s2
+from reesgor import corpus, decision, idealops, invariants, modules, rings, s2
 from reesgor.errors import (NotArtinian, NotContained, NotParameters,
                             ResourceExceeded)
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.modules import FreeModule
 from reesgor.polys import PolyRing
-from reesgor.resolutions import ModulePresentation
+from reesgor.resolutions import subquotient
 
-from reference import artinian_gorenstein_by_colon
+from reference import artinian_gorenstein_by_colon, count_calls
 
 F = GF(DEFAULT_PRIME)
 
@@ -176,6 +176,27 @@ def test_artinian_gorenstein_matches_the_colon_route(case):
         artinian_gorenstein_by_colon(A, J)
 
 
+def test_artinian_gorenstein_runs_no_buchberger(corpus_instances,
+                                               monkeypatch):
+    """The socle of A/J is read off the cokernel of J's memoized basis:
+    on every Artinian quotient that `decide` and the pairwise criterion
+    test on the corpus, once J's basis is known, no Buchberger runs."""
+    seen = []
+    real = invariants.artinian_gorenstein
+    monkeypatch.setattr(invariants, "artinian_gorenstein",
+                        lambda A, J: seen.append((A, J)) or real(A, J))
+    for A, q in corpus_instances.values():
+        decision.decide(A, q)
+        decision.shimoda_check(A, *q.gens)
+    assert len(seen) == 9
+    runs = count_calls(monkeypatch, modules.module_buchberger)
+    for A, J in seen:
+        J.gb()
+        runs.clear()
+        real(A, J)
+        assert runs == [], J
+
+
 def test_a_length_cap_bounds_a_memoized_resolution():
     """Hochster-Roberts has pd 3: a cap of 1 is a resource limit on a
     fresh ring and after an uncapped resolution alike, and a cap of 3 is
@@ -214,6 +235,6 @@ def test_type_in_depth_one_counts_the_socle_of_h1():
     assert A.is_regular_element(x)
     soc = idealops.colon(amb, A._full([x]), amb.gens())
     F1 = FreeModule(amb, 1)
-    socle = ModulePresentation(F1, [F1.basis_vec(0, g) for g in soc],
-                               [F1.basis_vec(0, g) for g in A._full([x])])
+    socle = subquotient(F1, [F1.basis_vec(0, g) for g in soc],
+                        [F1.basis_vec(0, g) for g in A._full([x])])
     assert socle.length() == rep.type

@@ -5,7 +5,6 @@ import contextlib
 import io
 import itertools
 import os
-import sys
 from collections import Counter
 from operator import add, ge, sub
 
@@ -23,11 +22,10 @@ from reesgor.modules import (FreeModule, Vec, module_buchberger, module_colon,
 from reesgor.polys import PolyRing
 from reesgor import idealops, modules, oracle, resolutions
 from reesgor.cli import run_cli
-from reesgor.resolutions import (ModulePresentation, ext_dualizing,
-                                 minimalize_step)
+from reesgor.resolutions import ext_dualizing, minimalize_step, subquotient
 
-from reference import (cokernel, composes_to_zero, mul_poly, resolve,
-                       syzygies)
+from reference import (cokernel, composes_to_zero, count_calls, mul_poly,
+                       resolve, syzygies)
 
 F = GF(DEFAULT_PRIME)
 
@@ -134,34 +132,21 @@ def test_free_presentation_is_immutable():
     mod = cokernel(Fm, [Fm.basis_vec(0, x ** 2),
                         Fm.basis_vec(0, y ** 3)])
     with pytest.raises(AttributeError):
-        mod.free_presentation()[1].pop()
-    with pytest.raises(AttributeError):
-        mod.rels.pop()
+        mod.cols.pop()
     assert mod.length() == 6
 
 
 def test_presentation_basis_is_computed_once(monkeypatch):
     """The presentation columns are one graph basis and a Groebner basis
-    already: length, socle, minimal generators and the resolution
-    together run one Buchberger."""
+    already: building the cokernel, its length, socle, minimal generators
+    and the resolution together run one Buchberger."""
     R = ring2()
     x, y = R.gens()
     Fm = FreeModule(R, 2, (1, 0))
+    runs = count_calls(monkeypatch, modules.module_buchberger)
     mod = cokernel(
         Fm, [Fm.basis_vec(0, x), Fm.basis_vec(0, y ** 2),
              Fm.basis_vec(1, x ** 2) + Fm.basis_vec(0, y), Fm.basis_vec(1, y)])
-    runs = []
-    real = modules.module_buchberger
-
-    def counted(*args, **kwargs):
-        runs.append(1)
-        return real(*args, **kwargs)
-
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("reesgor"):
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, counted)
     assert mod.length() == 4
     assert mod.socle_dim() == 1
     assert mod.min_generators() == 2
@@ -180,24 +165,13 @@ def test_numerators_are_computed_once_per_presentation(monkeypatch):
     ext = A.ext(A.ambient.n - 1)
     J = A.maximal_ideal()
     J.hilbert_numerator()
-    calls = []
-    real = hilbert.hilbert_numerator
-
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
-
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("reesgor"):
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, counted)
+    calls = count_calls(monkeypatch, hilbert.hilbert_numerator)
     for _ in range(2):
         assert ext.length() == 1
         assert not ext.is_zero()
         assert ext.socle_dim() == 1
         assert ext.resolution().pd == A.ambient.n
-    assert len(calls) == ext.free_presentation()[0].rank
+    assert len(calls) == ext.f0.rank
     calls.clear()
     assert invariants.artinian_length(A, J) == 1
     assert calls == []
@@ -215,17 +189,16 @@ def test_presentation_rejects_inhomogeneous_vectors():
     with pytest.raises(ValueError, match=r"inhomogeneous .*'x\^2'"):
         cokernel(Fm, good + [bad])
     with pytest.raises(ValueError, match=r"inhomogeneous .*'x\^2'"):
-        ModulePresentation(Fm, [bad], good)
+        subquotient(Fm, [bad], good)
 
 
-def _reference_annihilator(mod):
+def _reference_annihilator(ring, gens, rels):
     """The intersection of the colons (rels : g) over the nonzero
     generators g, each colon from its own graph basis."""
-    ring = mod.ambient.ring
     result = None
-    for g in mod.gens:
+    for g in gens:
         if not g.is_zero():
-            ann = module_colon(g, mod.rels)
+            ann = module_colon(g, rels)
             result = (ann if result is None
                       else idealops.intersect(ring, result, ann))
     return (ring.one,) if result is None else tuple(result)
@@ -233,37 +206,44 @@ def _reference_annihilator(mod):
 
 def test_annihilator_reads_the_last_colon_off_the_presentation(
         corpus_instances):
-    """The colon by the last generator, read off the presentation
-    columns, gives the annihilator of the per-generator colons: with a
-    zero last generator, with no rels (the zero ideal), with no
-    generators (the unit ideal), on a rank-one ambient (one colon of
-    ideals), and on every Ext^i of the corpus."""
+    """The annihilator of a subquotient, the colons (cols : e_i) of its
+    cokernel with the last read off the columns, is the intersection of
+    the per-generator colons (rels : g): with a zero last generator, with
+    no rels (the zero ideal), with no generators (the unit ideal), on
+    several generators of a rank-one ambient, on a cokernel of rank two,
+    and on every Ext^i of the corpus, as a cokernel."""
     R = ring2()
     x, y = R.gens()
     Fm = FreeModule(R, 2)
     F1 = FreeModule(R, 1)
     rels = [Fm.basis_vec(0, x ** 2), Fm.basis_vec(1, y ** 2),
             Fm.basis_vec(0, y) + Fm.basis_vec(1, x)]
+    basis = [Fm.basis_vec(0), Fm.basis_vec(1)]
     special = [
-        (ModulePresentation(Fm, [Fm.basis_vec(0), Fm.zero()], rels),
+        (Fm, [Fm.basis_vec(0), Fm.zero()], rels,
          tuple(module_colon(Fm.basis_vec(0), rels))),
-        (ModulePresentation(Fm, [Fm.basis_vec(0, x), Fm.basis_vec(1)], []),
-         ()),
-        (ModulePresentation(Fm, [], rels), (R.one,)),
-        # rank one: ann((x, y)/(x^2, xy, y^3)) = (x^2, xy, y^3) : (x, y)
-        (ModulePresentation(F1, [F1.basis_vec(0, x), F1.basis_vec(0, y)],
-                            [F1.basis_vec(0, g) for g in (x ** 2, x * y,
-                                                          y ** 3)]),
+        (Fm, [Fm.basis_vec(0, x), Fm.basis_vec(1)], [], ()),
+        (Fm, [], rels, (R.one,)),
+        # ann((x, y)/(x^2, xy, y^3)) = (x^2, xy, y^3) : (x, y)
+        (F1, [F1.basis_vec(0, x), F1.basis_vec(0, y)],
+         [F1.basis_vec(0, g) for g in (x ** 2, x * y, y ** 3)],
          tuple(groebner_basis([x, y ** 2]))),
+        # coker(rels) needs both generators: its annihilator is
+        # (x^2, y^3) : e_0 cap (x^3, y^2) : e_1
+        (Fm, basis, rels, tuple(groebner_basis([x ** 2 * y ** 2, x ** 3,
+                                                y ** 3]))),
     ]
-    for mod, want in special:
-        assert mod.annihilator_gens() == want
-        assert _reference_annihilator(mod) == want
+    for ambient, gens, rels_, want in special:
+        mod = subquotient(ambient, gens, rels_)
+        assert mod.annihilator_gens() == want, (gens, rels_)
+        assert _reference_annihilator(R, gens, rels_) == want
+    assert subquotient(Fm, basis, rels).min_generators() == 2
     for name, (A, _) in corpus_instances.items():
         for i in range(A.ambient.n + 1):
             mod = A.ext(i)
-            assert mod.annihilator_gens() == _reference_annihilator(mod), \
-                (name, i)
+            gens = [mod.f0.basis_vec(j) for j in range(mod.f0.rank)]
+            assert mod.annihilator_gens() == \
+                _reference_annihilator(A.ambient, gens, mod.cols), (name, i)
 
 
 def test_presentation_of_infinite_length_module():
@@ -547,13 +527,12 @@ def test_frame_resolves_presentations_like_iterated_syzygies(
     for name, (A, q) in corpus_instances.items():
         mods = [A.ext(i) for i in range(A.ambient.n + 1)]
         Fm = FreeModule(A.ambient, 1)
-        mods.append(ModulePresentation(
+        mods.append(subquotient(
             Fm, [Fm.basis_vec(0, g) for g in q.gb()],
             [Fm.basis_vec(0, g) for g in A.defining]))
         for i, mod in enumerate(mods):
-            f0, cols = mod.free_presentation()
             res = mod.resolution()
-            ref = _reference_resolution(cols, f0, minimalize_f0=True)
+            ref = _reference_resolution(mod.cols, mod.f0, minimalize_f0=True)
             assert res.betti() == ref.betti(), (name, i)
             for k in range(res.pd + 1):
                 assert res.shifts(k) == ref.shifts(k), (name, i, k)

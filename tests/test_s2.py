@@ -3,11 +3,14 @@ hypothesis profile."""
 
 import pytest
 
-from reesgor import idealops, rings, s2
+from reesgor import corpus, idealops, rings, s2
 from reesgor.errors import NotApplicable
 from reesgor.fields import GF, DEFAULT_PRIME
+from reesgor.groebner import as_vecs
 from reesgor.hilbert import INFINITE
+from reesgor.modules import FreeModule
 from reesgor.polys import PolyRing
+from reesgor.resolutions import subquotient
 
 from reference import is_member
 
@@ -65,6 +68,7 @@ def test_h1_and_conductor_frozen(corpus_instances):
         data = s2.s2_construct(A, s2.filter_regular_pair(A, q))
         h1, socle, c_is_m = FROZEN[name]
         assert data.h1_length == h1, name
+        assert (data.h1_module is None) == (h1 == 0), name
         if c_is_m:
             assert rings.ideals_equal(data.conductor, A.maximal_ideal()), name
         if socle is not None:
@@ -137,9 +141,36 @@ def test_non_standard_parameters_detected(ideal_x2y3):
 
 
 def test_colon_module_presents_h1(two_planes):
+    """`s2_construct` presents H^1 = (aA : b)/aA, a module of length one
+    whose annihilator, a tuple computed once, is the conductor."""
     A, q = two_planes
     a, b = s2.filter_regular_pair(A, q)
-    _, colon_ideal, h1_mod = A.colon_graph((a,), b)
+    data = s2.s2_construct(A, (a, b))
+    h1_mod = data.h1_module
     assert h1_mod.length() == 1
     assert h1_mod.socle_dim() == 1
-    assert colon_ideal.contains(A.reduce(a))
+    assert A.colon_graph((a,), b).ideal.contains(A.reduce(a))
+    ann = h1_mod.annihilator_gens()
+    assert isinstance(ann, tuple) and h1_mod.annihilator_gens() is ann
+    assert ann == data.conductor.gb()
+
+
+@pytest.mark.parametrize("char", (DEFAULT_PRIME, 0, 2, 3))
+def test_h1_length_by_exact_sequence_presentation_and_ext(char):
+    """On every corpus ring, the length of H^1 = (aA : b)/aA read off the
+    exact sequence of J = (a) + I equals the length of its presentation
+    as a subquotient, and, q being standard (inside the conductor), the
+    length of its Matlis dual Ext^(n-1)(A, omega)."""
+    for name in corpus.EXAMPLES:
+        A, q, _ = corpus.example_document(name).build(char_override=char)
+        a, b = s2.filter_regular_pair(A, q)
+        aA = A.ideal([a])
+        length = s2._h1_length(A, aA, b)
+        F1 = FreeModule(A.ambient, 1)
+        mod = subquotient(
+            F1, as_vecs(A.colon_graph((a,), b).ideal.gb(), F1),
+            as_vecs(aA.preimage_gens(), F1))
+        assert length == mod.length(), (name, char)
+        assert s2.s2_construct(A, (a, b)).conductor.contains_ideal(q), \
+            (name, char)
+        assert length == A.ext(A.ambient.n - 1).length(), (name, char)
