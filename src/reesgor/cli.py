@@ -2,8 +2,8 @@
 
 Subcommands: check, oracle, shimoda, buchsbaum, invariants, s2, examples.
 Exit codes: 0 Gorenstein, 1 not Gorenstein, 2 hypothesis not satisfied,
-3 input or usage error, 4 resource exceeded, 5 two routes that must agree
-disagreed (an engine bug, never a verdict).
+3 input or usage error, 4 resource exceeded (a cap, or out of memory),
+5 two routes that must agree disagreed (an engine bug, never a verdict).
 """
 
 import argparse
@@ -62,6 +62,11 @@ def run_cli(argv=None):
     except (ResourceExceeded, NoStabilization) as e:
         _emit(args, [("error", str(e))], ["resource limit hit"])
         return EXIT_RESOURCE
+    except MemoryError:
+        # reported once the handler has dropped the traceback, whose
+        # frames hold the memory that ran out
+        code, pairs, narrative = (EXIT_RESOURCE, [("error", "out of memory")],
+                                  ["resource limit hit"])
     except (HypothesisNotVerified, NotParameters, PairNotFound,
             DepthNotOne, WrongDimension) as e:
         _emit(args, [("error", str(e))], ["outside the theorem hypotheses"])

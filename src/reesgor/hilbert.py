@@ -6,7 +6,8 @@ with N computed by Bigatti's pivot, on an explicit stack.
 """
 
 from fractions import Fraction
-from math import prod
+from itertools import count
+from math import comb, prod
 from operator import ge, mul
 
 from .errors import crosscheck
@@ -30,10 +31,6 @@ def upoly_add(a, b):
         if out[d] == 0:
             del out[d]
     return out
-
-
-def upoly_eval_one(a):
-    return sum(a.values())
 
 
 def _minimalize(exps):
@@ -84,23 +81,17 @@ def hilbert_numerator(exps, weights):
 
 
 def hilbert(num, weights):
-    """(dim, e) for P/I with Hilbert numerator num = (1 - t)^(n - dim) g,
-    g(1) != 0: its Krull dimension and e = g(1) / prod_i w_i, the limit
-    of (1 - t)^dim H(t) at t = 1, kept exact; (-1, 0) for num = 0, the
-    unit ideal's empty quotient."""
+    """(dim, e) for P/I with Hilbert numerator num = (1 - t)^k g, g(1) != 0
+    and k = n - dim: its Krull dimension and e = g(1) / prod_i w_i, kept
+    exact; (-1, 0) for num = 0, the unit ideal's empty quotient.  k is the
+    least j with s_j = sum_d c_d C(d, j), num's j-th Taylor coefficient at
+    t = 1, not zero, and g(1) = (-1)^k s_k, read off num's terms alone."""
     if not num:
         return -1, 0
-    dim = len(weights)
-    g = dict(num)
-    while upoly_eval_one(g) == 0:
-        # f(t) = (1 - t) g(t): g_d = f_0 + ... + f_d, of degree deg f - 1
-        f, g, acc = g, {}, 0
-        for d in range(max(f)):
-            acc += f.get(d, 0)
-            if acc:
-                g[d] = acc
-        dim -= 1
-    return dim, Fraction(upoly_eval_one(g), prod(weights))
+    for k in count():
+        s_k = sum(c * comb(d, k) for d, c in num.items())
+        if s_k:
+            return len(weights) - k, Fraction((-1) ** k * s_k, prod(weights))
 
 
 def finite_length(num, weights):

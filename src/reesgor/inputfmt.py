@@ -35,17 +35,14 @@ class InputDocument:
         self.power = None
         self.ideal_pos = []       # source (line, col) per expression,
         self.param_pos = []       # when parsed
-        self._field = None        # (char, field) of the last char tested
 
     def build(self, char_override=None):
         """Materialize (PresentedGradedRing, q: Ideal, power or None)."""
         if not self.vars:
             raise InputError("no vars directive")
         char = self.char if char_override is None else char_override
-        if self._field is None or self._field[0] != char:
-            self._field = (char, _field(char))
         names, weights = zip(*self.vars)
-        ambient = PolyRing(names, weights, self._field[1])
+        ambient = PolyRing(names, weights, _field(char))
         # _generators tests each generator homogeneous, where its position
         # is known, so the ring and the ideal do not test it again
         A = rings.PresentedGradedRing.from_ambient(
@@ -59,8 +56,8 @@ class InputDocument:
 
 def _field(char, line=None, col=None):
     """The coefficient field of characteristic char: QQ for 0, else GF,
-    which tests char prime; a document keeps the field of the last char
-    it tested, so each characteristic is tested once per document."""
+    which tests char prime; InputError, at line and col when given,
+    otherwise."""
     try:
         return field(char)
     except ValueError as err:
@@ -112,7 +109,7 @@ def parse_document(text):
                 doc.char = int(rest.strip())
             except ValueError:
                 raise InputError("char expects an integer", lineno, col)
-            doc._field = (doc.char, _field(doc.char, lineno, col))
+            _field(doc.char, lineno, col)
         elif key == "vars":
             for item, icol in _items(raw, key, r"\S+"):
                 if ":" in item:

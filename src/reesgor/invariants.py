@@ -102,7 +102,7 @@ def is_reduction(q, c, r_max=10):
     Requires q contained in c (as ideals of their common ring), so the
     test is c * (c^r + I) in q c^r + I, by the products c_i * h for h in
     the basis of c^r + I against that of q c^r + I (q.gb() at r = 0).
-    c^(r+1) + I and q c^(r+1) + I are formed only when it fails.
+    c^(r+1) + I (c.gb() at r = 0) and q c^(r+1) + I are formed on failure.
     """
     if not c.contains_ideal(q):
         raise NotContained("q is not contained in c")
@@ -114,7 +114,8 @@ def is_reduction(q, c, r_max=10):
         nf = reducer(q_side)
         if all(nf(g * h).is_zero() for g in c.gens for h in c_pow):
             return r
-        c_pow = idealops.ideal_product(amb, c_pow, c.gens, A.gb())
+        c_pow = (idealops.ideal_product(amb, c_pow, c.gens, A.gb()) if r
+                 else c.gb())
         q_side = idealops.ideal_product(amb, c_pow, q.gens, A.gb())
     return NOT_FOUND
 

@@ -9,12 +9,13 @@ ideal of its Rees algebra.  A ring keeps the first four on its zero
 ideal, whose preimage is I: that one memo serves `gb`, `reduce`,
 `hilbert_numerator`, `dim` and `zero_ideal()` alike.  A ring also
 memoizes its resolution, its Ext modules and one `ColonGraph` per colon
-(gens, I) : b by an element b, from which come the colon ideal, the
-regularity test of b and every division by b in A (gens empty).  A ring
-built `from_basis` (the Rees presentation) keeps the basis it was given,
-and its resolution starts from that basis and reads its memoized
-numerator, so one Groebner basis and one Hilbert numerator serve the
-ring's dimension, resolution and exactness check.
+(gens, I) : b by an element b, which holds its base, the Ideal (gens),
+and gives the colon ideal, the regularity test of b and every division
+by b in A (gens empty).  A ring built `from_basis` (the Rees
+presentation) keeps the basis it was given, and its resolution starts
+from that basis and reads its memoized numerator, so one Groebner basis
+and one Hilbert numerator serve the ring's dimension, resolution and
+exactness check.
 """
 
 from collections import namedtuple
@@ -29,9 +30,9 @@ from .modules import colon_basis, colon_from_basis, divider
 from .polys import PolyRing
 from .resolutions import ext_dualizing, resolve_quotient_ring
 
-# division by b and the colon Ideal, both off the graph basis of the rows
-# (b, 1) and (r, 0), r in gens + I
-ColonGraph = namedtuple("ColonGraph", "divide ideal")
+# division by b and the colon Ideal base : b, both off the graph basis of
+# the rows (b, 1) and (r, 0), r in base.preimage_gens()
+ColonGraph = namedtuple("ColonGraph", "base divide ideal")
 
 
 class PresentedGradedRing:
@@ -118,13 +119,15 @@ class PresentedGradedRing:
         return self._ext[i]
 
     def colon_graph(self, gens, b):
-        """The ColonGraph of (gens, I) : b, built once per (gens, b)."""
+        """The ColonGraph of (gens, I) : b, built once per (gens, b); its
+        base is the zero ideal when gens is empty."""
         key = (tuple(gens), b)
         if key not in self._colons:
-            bv, *rels = as_vecs([b] + self._full(gens))
+            base = Ideal(self, gens) if gens else self._zero
+            bv, *rels = as_vecs([b] + base.preimage_gens())
             basis = tuple(colon_basis([bv], rels))
-            self._colons[key] = ColonGraph(divider(basis), Ideal.from_basis(
-                self, colon_from_basis(basis, 1)))
+            ideal = Ideal.from_basis(self, colon_from_basis(basis, 1))
+            self._colons[key] = ColonGraph(base, divider(basis), ideal)
         return self._colons[key]
 
     @property
@@ -154,7 +157,7 @@ class PresentedGradedRing:
         return self._zero
 
     def unit_ideal(self):
-        return Ideal(self, [self.ambient.one])
+        return Ideal.from_basis(self, [self.ambient.one])
 
     def maximal_ideal(self):
         return Ideal(self, self.ambient.gens())
@@ -165,9 +168,6 @@ class PresentedGradedRing:
     def is_regular_element(self, a):
         """True when a is a non-zerodivisor on A: (I : a) = I in P."""
         return self.colon_graph((), a).ideal.gb() == self.gb()
-
-    def _full(self, gens):
-        return [g for g in gens if not g.is_zero()] + self.defining
 
     def __eq__(self, other):
         return (isinstance(other, PresentedGradedRing)

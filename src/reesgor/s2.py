@@ -3,13 +3,13 @@ A~ = (1/a)(aA : b) represented through its colon ideal, the conductor by
 two independent routes, first-cohomology invariants, the cohomology
 hypothesis profile, and the standardness test for parameter ideals.
 
-The pair's colon J : b, J = (a) + I, comes from the ring's memoized
-`colon_graph`, so the filter-regular test, the overring CM check and
-`s2_construct` share one graph basis.  H^1_m(A) = (aA : b)/aA has the
-length of the exact sequence 0 -> (J : b)/J -> P/J -> P/(J : b) -> 0,
-read off the two ideals' memoized Hilbert numerators, and the conductor
-is its definition, J : (J : b).  `s2_construct` presents H^1 as a
-module only when it is not zero, and crosschecks its length.
+The pair's colon J : b and J = (a) + I, its base, come from the ring's
+memoized `colon_graph`, so the filter-regular test, the overring CM check
+and `s2_construct` share one graph basis and one basis of J.  H^1_m(A) =
+(aA : b)/aA has the length of the exact sequence 0 -> (J : b)/J -> P/J
+-> P/(J : b) -> 0, read off the two ideals' memoized Hilbert numerators.
+`s2_construct` presents H^1 only when it is not zero, crosschecks its
+length, and reads the conductor J : (J : b) off it as its annihilator.
 """
 
 import random
@@ -18,26 +18,27 @@ from itertools import permutations
 
 from .errors import (HypothesisNotVerified, NotApplicable, PairNotFound,
                      crosscheck)
-from . import idealops, rings
+from . import rings
 from .groebner import as_vecs
 from .hilbert import INFINITE, finite_length, upoly_add
 from .modules import FreeModule
 from .resolutions import subquotient
 
 
-def _h1_length(A, aA, b):
-    """The length of (aA : b)/aA, or INFINITE: with J = (a) + I, the
-    numerator of P/J less that of P/(J : b), by the exact sequence
-    0 -> (J : b)/J -> P/J -> P/(J : b) -> 0."""
-    colon = A.colon_graph(aA.gens, b).ideal
-    return finite_length(upoly_add(aA.hilbert_numerator(), {
-        d: -c for d, c in colon.hilbert_numerator().items()}), A.weights)
+def _h1_length(A, a, b):
+    """The length of (aA : b)/aA, or INFINITE: the numerator of P/J less
+    that of P/(J : b), J = (a) + I the base of the pair's colon graph, by
+    the exact sequence 0 -> (J : b)/J -> P/J -> P/(J : b) -> 0."""
+    graph = A.colon_graph((a,), b)
+    num = upoly_add(graph.base.hilbert_numerator(), {
+        d: -c for d, c in graph.ideal.hilbert_numerator().items()})
+    return finite_length(num, A.weights)
 
 
 def is_filter_regular(A, a, b):
     """b filter-regular on A/aA: the colon module (aA : b)/aA has finite
     length, i.e. (I, a) : b lies in the saturation (I, a) : m^inf."""
-    return _h1_length(A, A.ideal([a]), b) != INFINITE
+    return _h1_length(A, a, b) != INFINITE
 
 
 def filter_regular_pair(A, q, seed=0):
@@ -86,24 +87,24 @@ S2Data = namedtuple("S2Data", "pair h1_length conductor fraction_numerators "
 
 
 def s2_construct(A, pair):
-    """Assemble S2Data for a validated filter-regular pair."""
+    """Assemble S2Data for a validated filter-regular pair; the conductor
+    J : (J : b) is the annihilator of the presented H^1 = (J : b)/J."""
     a, b = pair
-    aA = A.ideal([a])
-    colon_ideal = A.colon_graph((a,), b).ideal
-    h1_length = _h1_length(A, aA, b)
+    graph = A.colon_graph((a,), b)
+    J = graph.base
+    h1_length = _h1_length(A, a, b)
     if h1_length == INFINITE:
         raise HypothesisNotVerified("first cohomology has infinite length")
-    numerators = [g for g in colon_ideal.gb() if not aA.contains(g)]
+    numerators = [g for g in graph.ideal.gb() if not J.contains(g)]
     conductor, h1_mod = A.unit_ideal(), None
     if h1_length:
-        J = aA.preimage_gens()
-        conductor = rings.Ideal.from_basis(A, idealops.colon(
-            A.ambient, J, colon_ideal.gb()))
         # the numerators, outside J, generate (J : b)/J
         F = FreeModule(A.ambient, 1)
-        h1_mod = subquotient(F, as_vecs(numerators, F), as_vecs(J, F))
+        h1_mod = subquotient(F, as_vecs(numerators, F),
+                             as_vecs(J.preimage_gens(), F))
         crosscheck("length of the first cohomology by its presentation "
                    "and by the exact sequence", h1_mod.length(), h1_length)
+        conductor = rings.Ideal.from_basis(A, h1_mod.annihilator_gens())
     return S2Data(pair, h1_length, conductor, numerators, h1_mod)
 
 

@@ -2,6 +2,8 @@
 calls, and the package's engines called on plain generators."""
 
 import sys
+from fractions import Fraction
+from math import prod
 from operator import add, ge
 
 from reesgor import idealops
@@ -115,3 +117,31 @@ def artinian_gorenstein_by_colon(A, J):
     soc = Ideal.from_basis(A, idealops.colon(A.ambient, J.preimage_gens(),
                                              A.gens()))
     return artinian_length(A, J) - artinian_length(A, soc) == 1
+
+
+def hilbert_by_division(num, weights):
+    """`hilbert` by dividing num by 1 - t, coefficient by coefficient, for
+    as long as num(1) = 0; each division forms max deg num entries."""
+    if not num:
+        return -1, 0
+    dim = len(weights)
+    g = dict(num)
+    while sum(g.values()) == 0:
+        # f(t) = (1 - t) g(t): g_d = f_0 + ... + f_d, of degree deg f - 1
+        f, g, acc = g, {}, 0
+        for d in range(max(f)):
+            acc += f.get(d, 0)
+            if acc:
+                g[d] = acc
+        dim -= 1
+    return dim, Fraction(sum(g.values()), prod(weights))
+
+
+def conductor_by_colon(A, pair):
+    """The conductor J : (J : b), J = (a) + I, as the module colon of J by
+    the basis of J : b in P^k, k the length of that basis, with J and
+    J : b built afresh."""
+    a, b = pair
+    amb = A.ambient
+    J = A.ideal([a]).gb()
+    return tuple(idealops.colon(amb, J, idealops.colon(amb, J, [b])))

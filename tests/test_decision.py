@@ -238,9 +238,11 @@ def _input_key(value):
 
 
 def test_decide_builds_each_graph_basis_once(monkeypatch):
-    """A criteria-only `decide` builds no graph basis, colon or syzygy
-    module twice: the pair's colon, its H^1 module, the regularity tests
-    and the divisions come from the ring's memoized colon graphs."""
+    """A criteria-only `decide` runs Buchberger on no input twice, on
+    every corpus ring with H^1 != 0: the basis of J = (a) + I comes from
+    the base of the pair's memoized colon graph, the conductor from the
+    H^1 presentation, and the regularity tests and the divisions from
+    the ring's memoized colon graphs."""
     import sys
     from reesgor import modules
     seen = {}
@@ -248,29 +250,30 @@ def test_decide_builds_each_graph_basis_once(monkeypatch):
     def recording(name):
         fn = getattr(modules, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             key = (name, _input_key(args))
             seen[key] = seen.get(key, 0) + 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         for mod in list(sys.modules.values()):
             if mod.__name__.startswith("reesgor"):
                 for attr, value in list(vars(mod).items()):
                     if value is fn:
                         monkeypatch.setattr(mod, attr, wrapper)
 
-    for name in ("colon_basis", "module_colon", "module_syzygies"):
+    for name in ("module_buchberger", "module_syzygies"):
         recording(name)
     repeated, built = [], set()
     for name in ("hochster_roberts", "two_planes", "idealization_xy",
-                 "idealization_x2y3"):
+                 "idealization_x2y3", "idealization_xyz"):
         for char in (32003, 0, 2, 3):
             A, q, _ = corpus.example_document(name).build(char_override=char)
             seen.clear()
-            assert decision.decide(A, q).verdict, (name, char)
+            report = decision.decide(A, q)
+            assert report.verdict and report.h1_length > 0, (name, char)
             repeated += [(name, char, key[0], n)
                          for key, n in seen.items() if n > 1]
             built.update(key[0] for key in seen)
     # the module presentations read their columns off `colon_basis`, so
     # no syzygy module is built on its own
-    assert built == {"colon_basis", "module_colon"}
+    assert built == {"module_buchberger"}
     assert not repeated, repeated

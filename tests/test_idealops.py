@@ -319,16 +319,20 @@ def test_memoized_bases_cannot_be_corrupted():
 def test_colon_graph_is_built_once_and_shared():
     """A ring keeps one colon graph per (gens, b): `rings.colon` by an
     element and the regularity test read the memoized entry, which equals
-    the colon built afresh; its ideal is a tuple."""
+    the colon of its base, the ideal (gens), built afresh; its ideal is a
+    tuple.  The base of a colon of I is the ring's zero ideal."""
     A, q = corpus.build_two_planes()
     a, b = q.gens
     entry = A.colon_graph((a,), b)
     assert A.colon_graph([a], b) is entry
     assert rings.colon(A.ideal([a]), b) is entry.ideal
-    assert entry.ideal.gb() == tuple(idealops.colon(A.ambient, A._full([a]),
-                                                    [b]))
+    assert entry.base.gens == (a,)
+    assert entry.base.preimage_gens() == A.ideal([a]).preimage_gens()
+    assert entry.ideal.gb() == tuple(idealops.colon(
+        A.ambient, entry.base.preimage_gens(), [b]))
     assert isinstance(entry.ideal.gens, tuple)
     assert A.is_regular_element(a)
+    assert A.colon_graph((), a).base is A.zero_ideal()
     assert A.colon_graph((), a).ideal.gb() == A.gb()
 
 

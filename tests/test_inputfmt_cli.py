@@ -288,11 +288,11 @@ def test_cli_rejects_malformed_document(tmp_path, case):
         assert inputfmt.parse_report(out)["error"] == error, argv
 
 
-def test_document_tests_each_generator_and_its_characteristic_once(
+def test_document_tests_each_generator_once_and_its_characteristic_per_build(
         monkeypatch):
-    """Parsing and building a document tests its characteristic prime
-    once and each generator homogeneous once, where the generator's
-    position is known."""
+    """Parsing a document tests its characteristic prime, where its line
+    is known, and each build tests it again and each generator
+    homogeneous once, where the generator's position is known."""
     from reesgor import fields, polys
     primes, tested = [], []
     is_prime = fields.is_prime
@@ -311,7 +311,7 @@ def test_document_tests_each_generator_and_its_characteristic_once(
                                   "params x, y^2\n")
     doc.build()
     doc.build()
-    assert primes == [7]
+    assert primes == [7] * 3
     assert tested == ["x*y", "x", "y^2"] * 2
 
 
@@ -436,6 +436,42 @@ def test_cli_resolution_cap_exhausted():
 def test_cli_char_override():
     code, _ = run(["check", corpus_path("hochster_roberts"), "--char", "0"])
     assert code == 0
+
+
+def test_cli_reads_a_generator_of_huge_degree_in_bounded_memory(tmp_path):
+    """`invariants` on k[x,y,z]/(x^40000000 y), whose Hilbert numerator
+    has degree 40000001, answers in a child limited to 1 GB of address
+    space."""
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "huge.ring"
+    path.write_text("vars x y z\nideal x^40000000*y\nparams y, z\n")
+    src = os.path.dirname(os.path.dirname(reesgor.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    proc = subprocess.run(
+        [sys.executable, "-m", "reesgor.cli", "invariants", str(path)],
+        env=env, capture_output=True, text=True, preexec_fn=limit,
+        timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = inputfmt.parse_report(proc.stdout)
+    assert (report["dim"], report["depth"], report["pd"], report["cm"],
+            report["type"]) == ("2", "2", "1", "true", "1")
+
+
+def test_cli_out_of_memory_exits_4(monkeypatch):
+    """Running out of memory is a resource limit (exit 4), with a
+    report."""
+    from reesgor import invariants
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(invariants, "depth_and_type", exhausted)
+    code, out = run(["invariants", corpus_path("hochster_roberts")])
+    assert code == 4
+    assert inputfmt.parse_report(out)["error"] == "out of memory"
+    assert "resource limit hit" in out
 
 
 def test_cli_route_disagreement_exits_5(monkeypatch):

@@ -233,8 +233,9 @@ def test_type_in_depth_one_counts_the_socle_of_h1():
     rep = invariants.depth_and_type(A)
     assert (rep.depth, rep.cm, rep.type) == (1, False, 2)
     assert A.is_regular_element(x)
-    soc = idealops.colon(amb, A._full([x]), amb.gens())
+    xA = A.ideal([x]).preimage_gens()
+    soc = idealops.colon(amb, xA, amb.gens())
     F1 = FreeModule(amb, 1)
     socle = subquotient(F1, [F1.basis_vec(0, g) for g in soc],
-                        [F1.basis_vec(0, g) for g in A._full([x])])
+                        [F1.basis_vec(0, g) for g in xA])
     assert socle.length() == rep.type

@@ -18,7 +18,8 @@ from reesgor.inputfmt import parse_poly
 from reesgor.orders import BlockOrder, GrevlexOrder
 from reesgor.polys import PolyRing
 
-from reference import count_standard_monomials, is_member
+from reference import (count_standard_monomials, hilbert_by_division,
+                       is_member)
 
 F = GF(DEFAULT_PRIME)
 
@@ -446,6 +447,17 @@ def test_dimension_and_length():
     assert finite_length(num_curve, weights) == INFINITE
     num_line = hilbert_numerator([(1, 0), (0, 2)], weights)
     assert finite_length(num_line, weights) == 2     # k[x,y]/(x, y^2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomial_ideals())
+def test_hilbert_matches_the_dense_division(case):
+    """The sparse reader of `hilbert` gives the dimension and leading
+    coefficient that dividing by 1 - t, coefficient by coefficient,
+    gives."""
+    weights, exps = case
+    num = hilbert_numerator(exps, weights)
+    assert hilbert(num, weights) == hilbert_by_division(num, weights)
 
 
 @st.composite

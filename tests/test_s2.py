@@ -12,7 +12,7 @@ from reesgor.modules import FreeModule
 from reesgor.polys import PolyRing
 from reesgor.resolutions import subquotient
 
-from reference import is_member
+from reference import conductor_by_colon, is_member
 
 F = GF(DEFAULT_PRIME)
 
@@ -51,7 +51,7 @@ def test_filter_regular_matches_saturation_definition(corpus_instances):
         for a in cands:
             if A.is_zero_element(a) or not A.is_regular_element(a):
                 continue
-            base = A._full([a])
+            base = A.ideal([a]).preimage_gens()
             sat, _ = idealops.saturate(amb, base, amb.gens())
             for b in cands:
                 if b == a:
@@ -61,6 +61,25 @@ def test_filter_regular_matches_saturation_definition(corpus_instances):
                 assert s2.is_filter_regular(A, a, b) == want, (name, a, b)
                 outcomes.add(want)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("char", (DEFAULT_PRIME, 0, 2, 3))
+def test_conductor_is_the_colon_by_the_colon(char):
+    """On every corpus ring with H^1 != 0, the conductor read off the
+    annihilator of the H^1 presentation is J : (J : b), J = (a) + I, the
+    colon in P^k by the basis of J : b, element for element; two_planes,
+    whose H^1 has two generators, takes the intersection of colons."""
+    cyclic = set()
+    for name in corpus.EXAMPLES:
+        A, q, _ = corpus.example_document(name).build(char_override=char)
+        pair = s2.filter_regular_pair(A, q)
+        data = s2.s2_construct(A, pair)
+        if not data.h1_length:
+            continue
+        assert data.conductor.gb() == conductor_by_colon(A, pair), \
+            (name, char)
+        cyclic.add(data.h1_module.f0.rank == 1)
+    assert cyclic == {True, False}
 
 
 def test_h1_and_conductor_frozen(corpus_instances):
@@ -158,18 +177,20 @@ def test_colon_module_presents_h1(two_planes):
 @pytest.mark.parametrize("char", (DEFAULT_PRIME, 0, 2, 3))
 def test_h1_length_by_exact_sequence_presentation_and_ext(char):
     """On every corpus ring, the length of H^1 = (aA : b)/aA read off the
-    exact sequence of J = (a) + I equals the length of its presentation
-    as a subquotient, and, q being standard (inside the conductor), the
-    length of its Matlis dual Ext^(n-1)(A, omega)."""
+    exact sequence of J = (a) + I, the base of the pair's colon graph,
+    equals the length of its presentation as a subquotient, and, q being
+    standard (inside the conductor), the length of its Matlis dual
+    Ext^(n-1)(A, omega)."""
     for name in corpus.EXAMPLES:
         A, q, _ = corpus.example_document(name).build(char_override=char)
         a, b = s2.filter_regular_pair(A, q)
-        aA = A.ideal([a])
-        length = s2._h1_length(A, aA, b)
+        graph = A.colon_graph((a,), b)
+        assert graph.base.gens == (a,), (name, char)
+        length = s2._h1_length(A, a, b)
         F1 = FreeModule(A.ambient, 1)
         mod = subquotient(
-            F1, as_vecs(A.colon_graph((a,), b).ideal.gb(), F1),
-            as_vecs(aA.preimage_gens(), F1))
+            F1, as_vecs(graph.ideal.gb(), F1),
+            as_vecs(graph.base.preimage_gens(), F1))
         assert length == mod.length(), (name, char)
         assert s2.s2_construct(A, (a, b)).conductor.contains_ideal(q), \
             (name, char)
