@@ -46,9 +46,17 @@ def _build_parser():
     p.add_argument("--char", type=int, default=None,
                    help="override the coefficient characteristic")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resolution-cap", type=int, default=None)
+    p.add_argument("--resolution-cap", type=_non_negative, default=None)
     p.add_argument("--out", default=None)
     return p
+
+
+def _non_negative(text):
+    """The value of a count option, ASCII digits only."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            "expected a non-negative integer, got %r" % text)
+    return int(text)
 
 
 def run_cli(argv=None):

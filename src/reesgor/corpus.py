@@ -1,18 +1,16 @@
 """Built-in example rings: the Hochster-Roberts subring, the two-planes
 ring, idealizations of parameter ideals over k[x,y] and k[x,y,z], and the
-regular base used as a negative control.
+regular base used as a negative control, all over GF(32003).
 """
 
 from . import inputfmt, rings
-from .fields import DEFAULT_PRIME, field
 from .modules import FreeModule, module_syzygies
 from .polys import PolyRing
 
 
-def build_hochster_roberts(char=DEFAULT_PRIME):
+def build_hochster_roberts():
     """k[a,b,c,d] presenting k[x^2, y, x^3, xy], with q = (a, b)."""
-    base = rings.PresentedGradedRing(("x", "y"), (1, 1), [],
-                                     field=field(char))
+    base = rings.PresentedGradedRing(("x", "y"), (1, 1), [])
     x, y = base.gens()
     ker = rings.ring_map_kernel([x * x, y, x * x * x, x * y],
                                 ("a", "b", "c", "d"), base)
@@ -22,23 +20,22 @@ def build_hochster_roberts(char=DEFAULT_PRIME):
     return A, A.ideal([a, b])
 
 
-def build_two_planes(char=DEFAULT_PRIME):
+def build_two_planes():
     """k[x,y,u,v]/(xu, xv, yu, yv), with q = (x+u, y+v)."""
-    amb = PolyRing(("x", "y", "u", "v"), (1, 1, 1, 1), field(char))
+    amb = PolyRing(("x", "y", "u", "v"))
     x, y, u, v = amb.gens()
     A = rings.PresentedGradedRing.from_ambient(
         amb, [x * u, x * v, y * u, y * v], label="two_planes")
     return A, A.ideal([x + u, y + v])
 
 
-def build_idealization(b_names, b_weights, q_exprs, char=DEFAULT_PRIME,
-                       label=None):
+def build_idealization(b_names, b_weights, q_exprs, label=None):
     """The idealization B x Q of a parameter ideal Q over B = k[b_names].
 
     New variables square to zero pairwise and satisfy the syzygies of
     Q's generators; q is the image of Q.
     """
-    B = PolyRing(tuple(b_names), tuple(b_weights), field(char))
+    B = PolyRing(tuple(b_names), tuple(b_weights))
     q_gens = [inputfmt.parse_poly(e, B) for e in q_exprs]
     rings.check_parameters(
         rings.PresentedGradedRing.from_ambient(B, []).ideal(q_gens))
@@ -64,9 +61,9 @@ def build_idealization(b_names, b_weights, q_exprs, char=DEFAULT_PRIME,
     return A, q
 
 
-def build_regular_base(char=DEFAULT_PRIME):
+def build_regular_base():
     """k[x,y] with q = (x, y): the Cohen-Macaulay negative control."""
-    A = rings.PresentedGradedRing(("x", "y"), (1, 1), [], field=field(char))
+    A = rings.PresentedGradedRing(("x", "y"), (1, 1), [])
     A.label = "regular_base"
     x, y = A.gens()
     return A, A.ideal([x, y])
@@ -81,8 +78,8 @@ def _z_name(ring, j):
 
 
 EXAMPLES = {
-    "hochster_roberts": lambda: build_hochster_roberts(),
-    "two_planes": lambda: build_two_planes(),
+    "hochster_roberts": build_hochster_roberts,
+    "two_planes": build_two_planes,
     "idealization_xy": lambda: build_idealization(
         ("x", "y"), (1, 1), ("x", "y"), label="idealization_xy"),
     "idealization_x2y3": lambda: build_idealization(
@@ -90,7 +87,7 @@ EXAMPLES = {
     "idealization_xyz": lambda: build_idealization(
         ("x", "y", "z"), (1, 1, 1), ("x", "y", "z"),
         label="idealization_xyz"),
-    "regular_base": lambda: build_regular_base(),
+    "regular_base": build_regular_base,
 }
 
 

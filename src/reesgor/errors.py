@@ -65,7 +65,7 @@ class NoStabilization(ReesgorError):
 
 
 class ResourceExceeded(ReesgorError):
-    """A configured pair-queue or resolution cap was hit."""
+    """A resolution length cap or the saturation step bound was hit."""
 
 
 class EquivalenceViolation(ReesgorError):

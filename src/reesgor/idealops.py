@@ -19,6 +19,8 @@ from .hilbert import finite_length, hilbert_numerator
 from .modules import FreeModule, module_colon
 from .orders import BlockOrder
 
+SATURATION_STEPS = 64   # the most colons `saturate` takes
+
 
 def ideal_length(ring, gb):
     """k-dimension of P/(gb) for a Groebner basis gb, or INFINITE."""
@@ -55,15 +57,16 @@ def colon(ring, gens, colon_by):
     return module_colon(v, rels)
 
 
-def saturate(ring, gens, sat_by, cap=64):
+def saturate(ring, gens, sat_by):
     """Stable value of iterated colon, with the first stabilization index."""
     cur = groebner_basis(gens)
-    for idx in range(cap + 1):
+    for idx in range(SATURATION_STEPS + 1):
         nxt = colon(ring, cur, sat_by)
         if nxt == cur:
             return cur, idx
         cur = nxt
-    raise ResourceExceeded("saturation did not stabilize within %d steps" % cap)
+    raise ResourceExceeded("saturation did not stabilize within %d steps"
+                           % SATURATION_STEPS)
 
 
 def eliminate(ring, gens, block):

@@ -16,6 +16,8 @@ from .resolutions import ModulePresentation
 from . import rings
 
 NOT_FOUND = "NOT_FOUND"
+MULTIPLICITY_STEPS = 30     # the most powers of J `multiplicity` forms
+MAX_REDUCTION_NUMBER = 10   # the largest r `is_reduction` tries
 
 
 # dim/depth/pd/CM classification of a ring, with its type when defined
@@ -53,7 +55,7 @@ def artinian_length(A, J):
     return l
 
 
-def multiplicity(A, J, cap=30):
+def multiplicity(A, J):
     """Hilbert-Samuel multiplicity e_J(A) by d-th difference stabilization.
 
     Computes l(A/J^n) for n = 1, 2, ... and returns the d-th finite
@@ -68,7 +70,7 @@ def multiplicity(A, J, cap=30):
     lengths = []
     power = J.gb()
     streak = []
-    for n in range(1, cap + 1):
+    for n in range(1, MULTIPLICITY_STEPS + 1):
         l = idealops.ideal_length(amb, power)
         if l == INFINITE:
             raise NotArtinian("power of J is not m-primary")
@@ -82,7 +84,7 @@ def multiplicity(A, J, cap=30):
                 return streak[-1]
         power = idealops.ideal_product(amb, power, J.gens, A.gb())
     raise NoStabilization("difference scheme did not settle within %d steps"
-                          % cap)
+                          % MULTIPLICITY_STEPS)
 
 
 def parameter_multiplicity(A, q):
@@ -96,7 +98,7 @@ def parameter_multiplicity(A, q):
     return crosscheck("chi(q; A) is an integer", int(chi), chi)
 
 
-def is_reduction(q, c, r_max=10):
+def is_reduction(q, c):
     """Least r with c^(r+1) = q * c^r, or NOT_FOUND.
 
     Requires q contained in c (as ideals of their common ring), so the
@@ -110,7 +112,7 @@ def is_reduction(q, c, r_max=10):
     amb = A.ambient
     c_pow = [amb.one]  # c^0 + I
     q_side = q.gb()
-    for r in range(r_max + 1):
+    for r in range(MAX_REDUCTION_NUMBER + 1):
         nf = reducer(q_side)
         if all(nf(g * h).is_zero() for g in c.gens for h in c_pow):
             return r

@@ -9,8 +9,7 @@ computes reduced bases only; it prunes S-pairs by the Gebauer-Moeller
 update (Gebauer & Moeller 1988) as each element joins the basis, with the
 product criterion on rank 1 only, where it is valid, and by the G-filter
 of Becker-Weispfenning's UPDATE (Groebner Bases, 1993): an element whose
-lead a later lead divides forms no further pairs.  Its `pair_cap` counts
-the S-vectors actually reduced.
+lead a later lead divides forms no further pairs.
 
 A run keeps one reducer index, extended as each element joins the basis:
 per component, the (mask, lead exp, position) of every element in basis
@@ -47,11 +46,11 @@ touch.
 """
 
 import heapq
+from collections import namedtuple
 from itertools import compress
 from operator import add, ge, neg, sub
 
-from .errors import (NotDivisible, OwnerMismatch, ResourceExceeded,
-                     crosscheck)
+from .errors import NotDivisible, OwnerMismatch, crosscheck
 from .polys import Poly, _exp_lcm, _exp_mul
 
 
@@ -328,11 +327,8 @@ def vec_nf(f, basis, index, quotients=None):
     return Vec(module, tuple(rem))
 
 
-class GroebnerData:
-    """Result bundle of a module Buchberger run."""
-
-    def __init__(self, basis):
-        self.basis = basis          # reduced Groebner basis, monic, sorted
+# the result of a module Buchberger run: its reduced basis, monic, sorted
+GroebnerData = namedtuple("GroebnerData", "basis")
 
 
 def _s_vector(basis, index, i, j, lcm):
@@ -356,7 +352,7 @@ def _s_vector(basis, index, i, j, lcm):
     return work, heap
 
 
-def module_buchberger(gens, pair_cap=None):
+def module_buchberger(gens):
     """Reduced module Groebner basis of the submodule spanned by gens.
 
     Pairs are taken by the shifted degree of their lcm, then smallest lcm
@@ -372,8 +368,7 @@ def module_buchberger(gens, pair_cap=None):
     Becker-Weispfenning's UPDATE).  The nonzero inputs join in ascending
     lead order; an input whose lead an earlier lead divides is reduced
     against the basis so far before it joins, and dropped when it reduces
-    to zero.  `pair_cap` bounds the number of S-vectors actually reduced;
-    one more raises ResourceExceeded.
+    to zero.
     """
     if not gens:
         raise ValueError("empty generator list")
@@ -443,11 +438,7 @@ def module_buchberger(gens, pair_cap=None):
                 continue
         join(g.monic())
 
-    reduced_count = 0
     while pairs:
-        reduced_count += 1
-        if pair_cap is not None and reduced_count > pair_cap:
-            raise ResourceExceeded("pair queue cap %d exceeded" % pair_cap)
         _, _, i, j, _comp, lcm = heapq.heappop(pairs)
         h = vec_nf(_s_vector(basis, index, i, j, lcm), basis, index)
         if not h.is_zero():

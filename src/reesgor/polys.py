@@ -68,10 +68,10 @@ class PolyRing:
     def with_order(self, order):
         return PolyRing(self.names, self.weights, self.field, order)
 
-    def extend(self, names, weights, order=None):
+    def extend(self, names, weights):
         """Append variables; existing exponent vectors are zero-padded."""
         return PolyRing(self.names + tuple(names),
-                        self.weights + tuple(weights), self.field, order)
+                        self.weights + tuple(weights), self.field)
 
     def restrict(self, keep):
         """Subring on the variable indices in `keep` (sorted)."""

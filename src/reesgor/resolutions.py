@@ -29,8 +29,8 @@ A frame can be longer than pd; a length cap raises only when the
 minimal length exceeds it.  The graded Euler characteristic of the Betti
 numbers, which is the frame's own, is crosschecked against that
 numerator.  A resolution stores its differentials as tuples, so a cached
-one can be shared between callers.  `minimalize_step` pivots the unit
-entries out of one differential: the tests' reference minimalization.
+one can be shared between callers.  `minimalize_step`, the tests'
+reference minimalization, pivots unit entries out one at a time.
 """
 
 from collections import Counter
@@ -48,105 +48,35 @@ from .modules import (FreeModule, colon_basis, graph_tail, module_colon,
 from .polys import _exp_mul
 
 
-def _column_dicts(vecs):
-    """Columns as {component: {exp: coeff}}."""
-    cols = []
-    for v in vecs:
-        col = {}
-        for (comp, e), c in v.terms:
-            col.setdefault(comp, {})[e] = c
-        cols.append(col)
-    return cols
-
-
-def _renumbered(module, renum, col):
-    """The column {comp: {exp: coeff}} as a Vec of module, with component
-    comp renumbered to renum[comp]."""
-    return module.from_dict({(renum[comp], e): v
-                             for comp, ent in col.items()
-                             for e, v in ent.items()})
-
-
-def _pivot_units(cols, field, zero_exp):
-    """Pivot every unit entry out of columns held as {comp: {exp: coeff}},
-    in place, in one pass.
-
-    Each pivot is the first live column with a constant entry u, at its
-    smallest such component i; alpha/u times it is subtracted from every
-    other live column whose entry alpha in component i is nonzero, so
-    component i is left only in the pivot column.  The pivot column and
-    the columns that became zero leave the live set.  Returns the
-    (column, component) pivots in order.
-    """
-    zero = field.zero
-    # units[c]: the components in which column c has a constant term
-    units = [{comp for comp, ent in col.items() if zero_exp in ent}
-             for col in cols]
-    live = list(range(len(cols)))
-    pivots = []
-    while True:
-        p = next((c for c in live if units[c]), None)
-        if p is None:
-            return pivots
-        i = min(units[p])
-        inv = field.inv(cols[p][i][zero_exp])
-        pivot = [(comp, ent) for comp, ent in cols[p].items() if comp != i]
-        kept = []
-        for c in live:
-            if c == p:
-                continue
-            col = cols[c]
-            alpha = col.pop(i, None)
-            if alpha is not None:
-                for e1, c1 in alpha.items():
-                    f = field.mul(c1, inv)
-                    for comp, ent in pivot:
-                        d = col.setdefault(comp, {})
-                        for e2, c2 in ent.items():
-                            e = _exp_mul(e1, e2)
-                            v = field.sub(d.get(e, zero), field.mul(f, c2))
-                            if v == zero:
-                                d.pop(e, None)
-                            else:
-                                d[e] = v
-                        if not d:
-                            del col[comp]
-                units[c] = {comp for comp, ent in col.items()
-                            if zero_exp in ent}
-            if col:
-                kept.append(c)
-        live = kept
-        pivots.append((p, i))
-
-
 def minimalize_step(prev_cols, s_cols):
-    """Pivot unit entries out of the differential s_cols : F_{k+1} -> F_k.
-
-    prev_cols are the columns of d_k (generators of F_k's target image);
-    a unit entry (i, c) lets us delete generator i of F_k and column c.
-    All pivots are taken by `_pivot_units` in F_k's numbering; then the
-    pivot columns, the components pivoted on and the columns that became
-    zero go, and the surviving components are renumbered.
-    Returns the reduced (prev_cols, s_cols).
-    """
-    prev_cols = list(prev_cols)
-    s_cols = list(s_cols)
-    if not s_cols:
-        return prev_cols, s_cols
-    F = s_cols[0].module
-    ring = F.ring
-    cols = _column_dicts(s_cols)
-    pivots = _pivot_units(cols, ring.field, ring.zero_exp)
-    if not pivots:
-        return prev_cols, s_cols
-    dropped = {i for _, i in pivots}
-    gone = {p for p, _ in pivots}
-    surviving = [j for j in range(F.rank) if j not in dropped]
-    renum = {j: k for k, j in enumerate(surviving)}
-    newF = FreeModule(ring, len(surviving), [F.shifts[j] for j in surviving])
-    out = [_renumbered(newF, renum, col)
-           for c, col in enumerate(cols) if c not in gone and col]
-    return [prev_cols[j] for j in surviving], out
+    """Pivot the unit entries out of the differential s_cols : F_{k+1} ->
+    F_k one at a time; prev_cols lists the generators of F_k.  Each pivot
+    is the first column with a constant term u, at its first one, in
+    component i: alpha/u times it leaves every other column with entry
+    alpha there, then generator i, component i and the columns left zero
+    go.  Returns the reduced (prev_cols, s_cols)."""
+    prev_cols, s_cols = list(prev_cols), list(s_cols)
+    while s_cols:
+        F = s_cols[0].module
+        ring = F.ring
+        hit = next(((c, comp, u) for c, col in enumerate(s_cols)
+                    for (comp, e), u in col.terms if e == ring.zero_exp), None)
+        if hit is None:
+            break
+        c, i, u = hit
+        pivot = s_cols.pop(c).scale(ring.field.inv(u))
+        del prev_cols[i]
+        newF = FreeModule(ring, F.rank - 1, F.shifts[:i] + F.shifts[i + 1:])
+        kept = []
+        for col in s_cols:
+            for e, alpha in col.component(i).terms:
+                col = col - pivot.mul_term(e, alpha)
+            col = newF.from_dict({(comp - (comp > i), e): v
+                                  for (comp, e), v in col.terms if comp != i})
+            if not col.is_zero():
+                kept.append(col)
+        s_cols = kept
+    return prev_cols, s_cols
 
 
 class GradedResolution:
@@ -300,7 +230,7 @@ class ModulePresentation:
     Groebner basis of Vecs in the free module f0, as Singular's `modulo`
     holds one (Greuel-Pfister, A Singular Introduction to Commutative
     Algebra).  Every invariant reads f0 and cols; the component
-    numerators, resolution and annihilator are computed once per object.
+    numerators and annihilator are computed once per object.
     """
 
     def __init__(self, f0, cols):
@@ -309,7 +239,6 @@ class ModulePresentation:
         # modules are shared between callers
         self.cols = tuple(cols)
         self._numerators = None
-        self._resolution = None
         self._ann = None
 
     def component_numerators(self):
@@ -325,15 +254,11 @@ class ModulePresentation:
         """The resolution of the module, whose frame starts from the
         columns and whose exactness check reads the component numerators,
         shifted and summed."""
-        if self._resolution is None:
-            numerator = {}
-            for shift, num in zip(self.f0.shifts,
-                                  self.component_numerators()):
-                numerator = upoly_add(numerator,
-                                      {d + shift: c for d, c in num.items()})
-            self._resolution = minimal_free_resolution(self.cols, self.f0,
-                                                       numerator)
-        return self._resolution
+        numerator = {}
+        for shift, num in zip(self.f0.shifts, self.component_numerators()):
+            numerator = upoly_add(numerator,
+                                  {d + shift: c for d, c in num.items()})
+        return minimal_free_resolution(self.cols, self.f0, numerator)
 
     def pd(self):
         return self.resolution().pd

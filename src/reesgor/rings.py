@@ -38,8 +38,8 @@ ColonGraph = namedtuple("ColonGraph", "base divide ideal")
 class PresentedGradedRing:
     """A = P/I for a weighted polynomial ring P and homogeneous ideal I."""
 
-    def __init__(self, names, weights, ideal_gens, field=None, label=None):
-        self._setup(PolyRing(names, weights, field), ideal_gens, label)
+    def __init__(self, names, weights, ideal_gens, field=None):
+        self._setup(PolyRing(names, weights, field), ideal_gens, None)
 
     @classmethod
     def from_ambient(cls, ambient, ideal_gens, label=None, checked=False):

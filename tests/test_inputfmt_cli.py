@@ -134,7 +134,7 @@ def test_parse_poly_bounds_nesting_at_the_opening_parenthesis():
 def test_parse_poly_bounds_the_expansion_of_a_power():
     """A power of a k-term polynomial that may expand to more than
     MAX_POWER_TERMS terms is refused at its exponent; a monomial's power
-    is not bounded."""
+    is bounded only by MAX_EXPONENT."""
     R = PolyRing(("x", "y"), (1, 1), F)
     top = inputfmt.MAX_POWER_TERMS - 1    # (x+y)^top has top + 1 terms
     assert len(inputfmt.parse_poly("(x+y)^%d" % top, R).terms) == top + 1
@@ -142,6 +142,23 @@ def test_parse_poly_bounds_the_expansion_of_a_power():
     with pytest.raises(InputError) as e:
         inputfmt.parse_poly("(x+y)^%d" % (top + 1), R, line=3, col=5)
     assert (e.value.line, e.value.col) == (3, 5 + len("(x+y)^"))
+
+
+def test_parse_poly_bounds_exponents():
+    """An exponent above MAX_EXPONENT, written or reached by a power of a
+    power or by a product, is refused at its exponent or its operator."""
+    R = PolyRing(("x", "y"), (1, 1), F)
+    top = inputfmt.MAX_EXPONENT
+    assert inputfmt.parse_poly("x^%d*y^%d" % (top, top), R) == \
+        R.gen(0) ** top * R.gen(1) ** top
+    # each expression with the offset of the exponent or operator refused
+    for expr, at in [("x^40000000*y", 2), ("(x^200)^200", 8),
+                     ("1^%d" % (top + 1), 2), ("x^%d*x" % top, 6),
+                     ("x^600 x^600", 6)]:
+        with pytest.raises(InputError) as e:
+            inputfmt.parse_poly(expr, R, line=2, col=7)
+        assert (e.value.line, e.value.col) == (2, 7 + at), expr
+        assert "exponent above %d" % top in str(e.value), expr
 
 
 def test_parse_poly_bounds_the_expansion_of_a_product():
@@ -261,6 +278,12 @@ MALFORMED = {
     "power_too_large": ("vars x y\nideal (x+y)^1000*x\nparams x, y\n",
                         ["check"], "line 2, col 13: power expands past 500 "
                                    "terms"),
+    "exponent_too_large": ("vars x y z\nideal x^40000000*y\n"
+                           "params x+y, z\n", ["check"],
+                           "line 2, col 9: exponent above 1000"),
+    "power_of_power_too_large": ("vars x y\nideal (x^200)^200\n"
+                                 "params x, y\n", ["oracle"],
+                                 "line 2, col 15: exponent above 1000"),
     "product_too_large": ("vars a b c d\nideal (a+b)^499*(c+d)^499\n"
                           "params a, c\n", ["check"],
                           "line 2, col 16: product expands past 500 terms"),
@@ -365,6 +388,18 @@ def test_cli_resolution_cap_bounds_the_minimal_length(cap, want):
         assert inputfmt.parse_report(out)["pd"] == "4"
 
 
+@pytest.mark.parametrize("cap", ["-1", "-5"])
+def test_cli_negative_resolution_cap_is_a_usage_error(cap):
+    """A negative --resolution-cap is a usage error (exit 3), not a cap
+    that every resolution exceeds (exit 4)."""
+    code, out = run(["oracle", corpus_path("regular_base"),
+                     "--resolution-cap", cap])
+    assert code == 3, out
+    assert inputfmt.parse_report(out)["error"] == (
+        "argument --resolution-cap: expected a non-negative integer, "
+        "got '%s'" % cap)
+
+
 @pytest.mark.parametrize("cmd", ["check", "s2"])
 def test_cli_thick_plane_is_not_standard(tmp_path, cmd):
     """A plane meeting a thickened plane: q is a system of parameters
@@ -436,28 +471,6 @@ def test_cli_resolution_cap_exhausted():
 def test_cli_char_override():
     code, _ = run(["check", corpus_path("hochster_roberts"), "--char", "0"])
     assert code == 0
-
-
-def test_cli_reads_a_generator_of_huge_degree_in_bounded_memory(tmp_path):
-    """`invariants` on k[x,y,z]/(x^40000000 y), whose Hilbert numerator
-    has degree 40000001, answers in a child limited to 1 GB of address
-    space."""
-    resource = pytest.importorskip("resource")
-    path = tmp_path / "huge.ring"
-    path.write_text("vars x y z\nideal x^40000000*y\nparams y, z\n")
-    src = os.path.dirname(os.path.dirname(reesgor.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-    proc = subprocess.run(
-        [sys.executable, "-m", "reesgor.cli", "invariants", str(path)],
-        env=env, capture_output=True, text=True, preexec_fn=limit,
-        timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    report = inputfmt.parse_report(proc.stdout)
-    assert (report["dim"], report["depth"], report["pd"], report["cm"],
-            report["type"]) == ("2", "2", "1", "true", "1")
 
 
 def test_cli_out_of_memory_exits_4(monkeypatch):

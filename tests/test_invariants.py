@@ -1,10 +1,14 @@
 """Krull dimension, depth, type, multiplicity, reductions."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reesgor
 from reesgor import corpus, decision, idealops, invariants, modules, rings, s2
 from reesgor.errors import (NotArtinian, NotContained, NotParameters,
                             ResourceExceeded)
@@ -117,7 +121,7 @@ def test_is_reduction_of_the_maximal_ideal(two_planes):
 def test_is_reduction_not_found():
     A = rings.PresentedGradedRing(("x", "y"), (1, 1), [], field=F)
     x, y = A.gens()
-    got = invariants.is_reduction(A.ideal([x]), A.ideal([x, y]), r_max=4)
+    got = invariants.is_reduction(A.ideal([x]), A.ideal([x, y]))
     assert got == invariants.NOT_FOUND
 
 
@@ -239,3 +243,28 @@ def test_type_in_depth_one_counts_the_socle_of_h1():
     socle = subquotient(F1, [F1.basis_vec(0, g) for g in soc],
                         [F1.basis_vec(0, g) for g in xA])
     assert socle.length() == rep.type
+
+
+def test_depth_and_type_of_a_generator_of_huge_degree_in_bounded_memory():
+    """`depth_and_type` and `dim` of k[x,y,z]/(x^40000000 y), whose Hilbert
+    numerator has degree 40000001, answer in a child limited to 1 GB of
+    address space.  A document cannot ask for this ring, since the parser
+    bounds exponents, so the child builds it through the library."""
+    resource = pytest.importorskip("resource")
+    script = ("from reesgor.invariants import depth_and_type\n"
+              "from reesgor.polys import PolyRing\n"
+              "from reesgor.rings import PresentedGradedRing\n"
+              "P = PolyRing(('x', 'y', 'z'))\n"
+              "x, y, z = P.gens()\n"
+              "A = PresentedGradedRing.from_ambient(P, [x ** 40000000 * y])\n"
+              "print(tuple(depth_and_type(A)))\n")
+    src = os.path.dirname(os.path.dirname(reesgor.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, preexec_fn=limit,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "(2, 2, 1, True, 1)\n"

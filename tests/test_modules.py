@@ -8,7 +8,8 @@ from operator import add, ge, sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reesgor.errors import NotDivisible, OwnerMismatch, ResourceExceeded
+from reesgor import modules
+from reesgor.errors import NotDivisible, OwnerMismatch
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import as_vecs, groebner_basis, reducer
 from reesgor.modules import (FreeModule, Vec, _index_add, _mask,
@@ -19,7 +20,7 @@ from reesgor.orders import BlockOrder, GrevlexOrder
 from reesgor.polys import PolyRing, _exp_lcm
 from reesgor.resolutions import resolve_quotient_ring
 
-from reference import mul_poly, syzygies
+from reference import count_calls, mul_poly, syzygies
 
 F = GF(DEFAULT_PRIME)
 
@@ -464,28 +465,31 @@ def test_colon_and_division_from_the_graph_basis(gens, rnd):
         divide(f + M.basis_vec(rnd.randrange(M.rank)))
 
 
-def test_pair_cap_counts_reduced_s_vectors():
+def test_pair_cap_counts_reduced_s_vectors(monkeypatch):
+    """(x^2, xy) reduces one S-vector; with coprime leads every pair
+    falls to the product criterion and none is reduced."""
     R = ring3()
     x, y, z = R.gens()
     M = FreeModule(R, 1)
-    with pytest.raises(ResourceExceeded):
-        module_buchberger([M.basis_vec(0, x * x), M.basis_vec(0, x * y)],
-                          pair_cap=0)
-    # coprime leads: every pair falls to the product criterion
+    s_vectors = count_calls(monkeypatch, modules._s_vector)
+    module_buchberger([M.basis_vec(0, x * x), M.basis_vec(0, x * y)])
+    assert len(s_vectors) == 1
     for polys in ([x * x, y * y], [x, y, z], [x * x + y * z, y * y]):
-        data = module_buchberger([M.basis_vec(0, p) for p in polys],
-                                 pair_cap=0)
+        s_vectors.clear()
+        data = module_buchberger([M.basis_vec(0, p) for p in polys])
         assert len(data.basis) == len(polys)
+        assert s_vectors == []
 
 
-def test_input_divisible_by_an_earlier_lead_forms_no_pairs():
+def test_input_divisible_by_an_earlier_lead_forms_no_pairs(monkeypatch):
     """Inputs join in ascending lead order, so in either input order x*y*z
     reduces to zero against x before it joins, no S-vector is reduced
     and the basis is (x, y)."""
     R = ring3()
     x, y, z = R.gens()
     M = FreeModule(R, 1)
+    s_vectors = count_calls(monkeypatch, modules._s_vector)
     for gens in ((x, y, x * y * z), (x * y * z, x, y)):
-        data = module_buchberger([M.basis_vec(0, p) for p in gens],
-                                 pair_cap=0)
+        data = module_buchberger([M.basis_vec(0, p) for p in gens])
+        assert s_vectors == []
         assert data.basis == [M.basis_vec(0, x), M.basis_vec(0, y)]

@@ -8,15 +8,14 @@ import sys
 import pytest
 
 from reesgor import (corpus, decision, groebner, hilbert, idealops, modules,
-                     oracle, rings)
+                     oracle, resolutions, rings)
 from reesgor.cli import run_cli
-from reesgor.errors import (DepthNotOne, EquivalenceViolation, NotParameters,
-                            ResourceExceeded)
+from reesgor.errors import DepthNotOne, EquivalenceViolation, NotParameters
 from reesgor.fields import GF, DEFAULT_PRIME
 from reesgor.groebner import groebner_basis
 from reesgor.polys import PolyRing
 
-from reference import is_member
+from reference import count_calls, is_member
 
 F = GF(DEFAULT_PRIME)
 
@@ -187,6 +186,23 @@ def test_oracle_computes_one_basis_and_one_numerator_per_rees_ring(
         assert eliminations[0].order.kind == "block", name
 
 
+def test_verdicts_neither_minimalize_nor_take_iterated_syzygies(
+        monkeypatch):
+    """Both routes read Betti numbers and Ext off Schreyer frames: with the
+    rings built, neither `decide(A, q, run_oracle=True)` on a d = 2 corpus
+    ring nor the oracle of R(q^n) at n = 2, 3 calls `minimalize_step` or
+    `module_syzygies`, which serve the tests' reference resolution and the
+    idealization builder."""
+    built = [corpus.example_document(name).build()[:2] for name in D2_CORPUS]
+    steps = count_calls(monkeypatch, resolutions.minimalize_step)
+    syzygies = count_calls(monkeypatch, modules.module_syzygies)
+    for A, q in built:
+        decision.decide(A, q, run_oracle=True)
+        for n in (2, 3):
+            oracle.graded_gorenstein_oracle(oracle.rees_presentation(A, q, n))
+    assert steps == [] and syzygies == []
+
+
 # S-vectors each ring reduces in the elimination of R(q) (block order,
 # pairs taken by the degree of their lcm first), and in the grevlex basis
 # of R(q^n) in its own ring at n = 2, 3; the direct elimination of R(q^n)
@@ -200,27 +216,27 @@ REES_S_VECTORS = {
 @pytest.mark.parametrize("name", D2_CORPUS)
 def test_rees_elimination_takes_pairs_by_degree(monkeypatch, name):
     """The elimination of R(q) takes its pairs by degree first under the
-    block order, and R(q^n)'s basis in its own ring takes the rest: a
-    pair cap of exactly each run's count finishes and one below it
-    raises.  A fresh q is built for each run, since R(q) is memoized."""
+    block order, and R(q^n)'s basis in its own ring takes the rest: the
+    largest such run reduces exactly the S-vectors counted above.  A fresh
+    q is built for each run, since R(q) is memoized."""
     real = modules.module_buchberger
+    s_vectors = count_calls(monkeypatch, modules._s_vector)
     one, *veronese = REES_S_VECTORS[name]
     for n, kind, want in [(1, "block", one), (2, "grevlex", veronese[0]),
                           (3, "grevlex", veronese[1])]:
-        for cap, enough in ((want, True), (want - 1, False)):
-            A, q, _ = corpus.example_document(name).build()
+        A, q, _ = corpus.example_document(name).build()
+        runs = []
 
-            def capped(gens, pair_cap=None, cap=cap):
-                ring = gens[0].module.ring
-                if ring.order.kind == kind and ring.n > A.ambient.n:
-                    pair_cap = cap
-                return real(gens, pair_cap)
-            monkeypatch.setattr(groebner, "module_buchberger", capped)
-            if enough:
-                oracle.rees_presentation(A, q, n)
-            else:
-                with pytest.raises(ResourceExceeded):
-                    oracle.rees_presentation(A, q, n)
+        def counting(gens):
+            start = len(s_vectors)
+            data = real(gens)
+            ring = gens[0].module.ring
+            if ring.order.kind == kind and ring.n > A.ambient.n:
+                runs.append(len(s_vectors) - start)
+            return data
+        monkeypatch.setattr(groebner, "module_buchberger", counting)
+        oracle.rees_presentation(A, q, n)
+        assert max(runs) == want, (n, runs)
 
 
 def test_rees_ideal_is_eliminated_once_per_q(monkeypatch):
@@ -231,10 +247,10 @@ def test_rees_ideal_is_eliminated_once_per_q(monkeypatch):
     real = modules.module_buchberger
     eliminations = []
 
-    def counting(gens, pair_cap=None):
+    def counting(gens):
         if gens[0].module.ring.order.kind == "block":
             eliminations.append(gens)
-        return real(gens, pair_cap)
+        return real(gens)
     monkeypatch.setattr(groebner, "module_buchberger", counting)
     oracle.n_neq_d_suite(A, q, 2, (1, 2, 3))
     oracle.rees_presentation(A, q, 2)
