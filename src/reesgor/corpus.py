@@ -10,12 +10,12 @@ from .polys import PolyRing
 
 def build_hochster_roberts():
     """k[a,b,c,d] presenting k[x^2, y, x^3, xy], with q = (a, b)."""
-    base = rings.PresentedGradedRing(("x", "y"), (1, 1), [])
+    base = rings.PresentedGradedRing(PolyRing(("x", "y")), [])
     x, y = base.gens()
     ker = rings.ring_map_kernel([x * x, y, x * x * x, x * y],
                                 ("a", "b", "c", "d"), base)
-    A = rings.PresentedGradedRing.from_ambient(ker.owner.ambient, ker.gens,
-                                               label="hochster_roberts")
+    A = rings.PresentedGradedRing(ker.owner.ambient, ker.gens,
+                                  label="hochster_roberts")
     a, b = A.gen(0), A.gen(1)
     return A, A.ideal([a, b])
 
@@ -24,8 +24,8 @@ def build_two_planes():
     """k[x,y,u,v]/(xu, xv, yu, yv), with q = (x+u, y+v)."""
     amb = PolyRing(("x", "y", "u", "v"))
     x, y, u, v = amb.gens()
-    A = rings.PresentedGradedRing.from_ambient(
-        amb, [x * u, x * v, y * u, y * v], label="two_planes")
+    A = rings.PresentedGradedRing(amb, [x * u, x * v, y * u, y * v],
+                                  label="two_planes")
     return A, A.ideal([x + u, y + v])
 
 
@@ -37,8 +37,7 @@ def build_idealization(b_names, b_weights, q_exprs, label=None):
     """
     B = PolyRing(tuple(b_names), tuple(b_weights))
     q_gens = [inputfmt.parse_poly(e, B) for e in q_exprs]
-    rings.check_parameters(
-        rings.PresentedGradedRing.from_ambient(B, []).ideal(q_gens))
+    rings.check_parameters(rings.PresentedGradedRing(B, []).ideal(q_gens))
     t = len(q_gens)
     z_names = tuple(_z_name(B, j) for j in range(t))
     z_weights = tuple(g.degree() for g in q_gens)
@@ -56,15 +55,15 @@ def build_idealization(b_names, b_weights, q_exprs, label=None):
             rel = rel + zs[comp] * big.transfer(B.from_dict({e: c}))
         if not rel.is_zero():
             defining.append(rel)
-    A = rings.PresentedGradedRing.from_ambient(big, defining, label=label)
+    A = rings.PresentedGradedRing(big, defining, label=label)
     q = A.ideal([big.transfer(g) for g in q_gens])
     return A, q
 
 
 def build_regular_base():
     """k[x,y] with q = (x, y): the Cohen-Macaulay negative control."""
-    A = rings.PresentedGradedRing(("x", "y"), (1, 1), [])
-    A.label = "regular_base"
+    A = rings.PresentedGradedRing(PolyRing(("x", "y")), [],
+                                  label="regular_base")
     x, y = A.gens()
     return A, A.ideal([x, y])
 

@@ -33,7 +33,7 @@ def prepare(A, q, seed=0):
     if not profile.verdict:
         raise HypothesisNotVerified("cohomology hypothesis fails for A")
     data = s2.s2_construct(A, pair)
-    if not s2.is_standard_parameters(A, q, profile=profile, data=data):
+    if not s2.is_standard_parameters(q, profile=profile, data=data):
         raise HypothesisNotVerified("q is not a standard parameter ideal")
     s2.conductor_crosscheck(A, data)
     return d, pair, profile, data
@@ -74,9 +74,9 @@ def decide_condition3(A, q, prepared):
         e_c = len_c = red = None
         mult_eq = red_found = False
     else:
-        red, e_c = invariants.reduction_multiplicity(A, q, c)
+        red, e_c = invariants.reduction_multiplicity(q, c)
         red_found = red != invariants.NOT_FOUND
-        len_c = invariants.artinian_length(A, c)
+        len_c = invariants.artinian_length(c)
         mult_eq = (e_c == 2 * len_c)
     verdict = depth_is_1 and type_is_1 and mult_eq and red_found
     return {
@@ -100,10 +100,10 @@ def _consequences(A, q, data):
     # contraction of q*A~ to A
     contraction = A.ideal([g for row in products for g in row])
     c_equals_qatilde = rings.ideals_equal(data.conductor, contraction)
-    len_eq = (data.h1_length == invariants.artinian_length(A, data.conductor))
+    len_eq = (data.h1_length == invariants.artinian_length(data.conductor))
     # the Artinian quotient by (a_1..a_{d-1})A~ * A + a_d A
     proj_gens = [q.gens[-1]] + [g for row in products[:-1] for g in row]
-    proj_gorenstein = invariants.artinian_gorenstein(A, A.ideal(proj_gens))
+    proj_gorenstein = invariants.artinian_gorenstein(A.ideal(proj_gens))
     return {
         "c_equals_qatilde": c_equals_qatilde,
         "h1_length_equals_len_a_mod_c": len_eq,
@@ -155,7 +155,7 @@ def shimoda_check(A, a, b):
         third_gens = ([ab]
                       + [A.reduce(a * g) for g in col_ab.gens]
                       + [A.reduce(b * g) for g in col_ba.gens])
-        third = invariants.artinian_gorenstein(A, A.ideal(third_gens))
+        third = invariants.artinian_gorenstein(A.ideal(third_gens))
     else:
         colon_intersection = False
         third = False
@@ -185,12 +185,12 @@ def buchsbaum_criterion(A, q):
     if any(A.ext(A.ambient.n - i).length() == INFINITE for i in range(d)):
         raise HypothesisNotVerified("local cohomology below dim A has "
                                     "infinite length: A is not Buchsbaum")
-    red, e_m = invariants.reduction_multiplicity(A, q, A.maximal_ideal())
-    e_q = invariants.parameter_multiplicity(A, q)
+    red, e_m = invariants.reduction_multiplicity(q, A.maximal_ideal())
+    e_q = invariants.parameter_multiplicity(q)
     head, last = q.gens[:-1], q.gens[-1]
     col = rings.colon(A.ideal(head), last)
     b_ideal = A.ideal([*col.gens, last])
-    len_b = invariants.artinian_length(A, b_ideal)
+    len_b = invariants.artinian_length(b_ideal)
     errors.crosscheck("multiplicity of q and the length of A/b", e_q, len_b)
     verdict = (e_m == 2) and red != invariants.NOT_FOUND
     return BuchsbaumReport(e_m, red, b_ideal, len_b, verdict)

@@ -34,19 +34,14 @@ def groebner_basis(gens):
 
 
 def reducer(basis):
-    """f -> normal_form(f, basis), with the basis indexed once."""
+    """f -> normal_form(f, basis), with the basis indexed once; f of
+    another ring raises OwnerMismatch."""
     if not basis:
         return lambda f: f
-    ring = basis[0].ring
     vecs = as_vecs(list(basis))
     F = vecs[0].module
     index = reducer_index(vecs, 1)
-
-    def nf(f):
-        if f.ring is not ring and f.ring != ring:
-            f = ring.from_dict(dict(f.terms))
-        return vec_nf(as_vecs([f], F)[0], vecs, index).component(0)
-    return nf
+    return lambda f: vec_nf(as_vecs([f], F)[0], vecs, index).component(0)
 
 
 def normal_form(f, basis):

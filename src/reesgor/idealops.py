@@ -28,7 +28,7 @@ def ideal_length(ring, gb):
     return finite_length(num, ring.weights)
 
 
-def ideal_product(ring, gens_a, gens_b, base):
+def ideal_product(gens_a, gens_b, base):
     """Reduced Groebner basis of (base) + (gens_a)(gens_b)."""
     return groebner_basis(list(base) + [a * b for a in gens_a for b in gens_b])
 

@@ -45,7 +45,7 @@ class InputDocument:
         ambient = PolyRing(names, weights, _field(char))
         # _generators tests each generator homogeneous, where its position
         # is known, so the ring and the ideal do not test it again
-        A = rings.PresentedGradedRing.from_ambient(
+        A = rings.PresentedGradedRing(
             ambient, _generators(ambient, self.ideal_exprs, self.ideal_pos,
                                  proper=True),
             label=self.name, checked=True)
@@ -173,6 +173,12 @@ MAX_POWER_TERMS = 500
 # and 1.9 s and 37 MB at N = 10^4 (CPython 3.11, one core), and grows with
 # N; 1000 keeps every such reduction short and still reads `x^1000`
 MAX_EXPONENT = 1000
+# CPython converts at most 4300 digits between int and str: a 5000-digit
+# literal ended `invariants`, and over QQ a parameter x + (3^1000)^10*u
+# ended `check`, in a ValueError traceback; ((2^1000)^1000)^100 took 0.91 s
+# and 70 MB to form, and a 1000-bit coefficient's 14th power still prints
+MAX_DIGITS = 100
+MAX_COEFF_BITS = 1000
 
 
 def parse_poly(expr, ring, line=None, col=1):
@@ -183,8 +189,10 @@ def parse_poly(expr, ring, line=None, col=1):
     with up to comb(n + k - 1, n) terms, and a product f*g, with up to
     len(f) * len(g) terms, each have at most MAX_POWER_TERMS; no written
     exponent, and no exponent of a variable in the result, exceeds
-    MAX_EXPONENT."""
+    MAX_EXPONENT; no literal has over MAX_DIGITS digits and, over QQ, no
+    coefficient of a power or product can pass 2^MAX_COEFF_BITS."""
     index = {name: i for i, name in enumerate(ring.names)}
+    rational = ring.field.kind == "rational"
 
     def err(msg, pos):
         raise InputError(msg, line or 1, pos + col)
@@ -194,6 +202,8 @@ def parse_poly(expr, ring, line=None, col=1):
         num, name, op, other = m.groups()
         if other is not None:
             err("unexpected character %r" % other, m.start())
+        if num is not None and len(num) > MAX_DIGITS:
+            err("integer longer than %d digits" % MAX_DIGITS, m.start())
         toks.append(("int", int(num), m.start()) if num is not None
                     else ("name", name, m.start()) if name is not None
                     else (op, op, m.start()))
@@ -224,6 +234,10 @@ def parse_poly(expr, ring, line=None, col=1):
             err("unexpected end of expression", pos)
         err("unexpected token %r" % (val,), pos)
 
+    def bits(f):    # log2 of a bound on f's coefficients, additive under *
+        norm = sum(abs(c) for _, c in f.terms) if rational else 1
+        return int(norm - 1).bit_length()
+
     def bounded(f, pos):
         if max((max(e) for e, _ in f.terms), default=0) > MAX_EXPONENT:
             err("exponent above %d" % MAX_EXPONENT, pos)
@@ -241,6 +255,9 @@ def parse_poly(expr, ring, line=None, col=1):
             k = len(f.terms)
             if k > 1 and comb(val + k - 1, val) > MAX_POWER_TERMS:
                 err("power expands past %d terms" % MAX_POWER_TERMS, pos)
+            if val * bits(f) > MAX_COEFF_BITS:
+                err("power has coefficients past %d bits" % MAX_COEFF_BITS,
+                    pos)
             f = bounded(f ** val, pos)
         return f
 
@@ -255,6 +272,9 @@ def parse_poly(expr, ring, line=None, col=1):
             g = power()
             if len(f.terms) * len(g.terms) > MAX_POWER_TERMS:
                 err("product expands past %d terms" % MAX_POWER_TERMS, pos)
+            if bits(f) + bits(g) > MAX_COEFF_BITS:
+                err("product has coefficients past %d bits" % MAX_COEFF_BITS,
+                    pos)
             f = bounded(f * g, pos)
 
     def expr_sum():

@@ -46,17 +46,18 @@ def depth_and_type(A, length_cap=None):
     return InvariantReport(dim, depth, pd, cm, ring_type)
 
 
-def artinian_length(A, J):
-    """Length of A/J for an Artinian quotient, read off J's memoized
-    Hilbert numerator."""
-    l = finite_length(J.hilbert_numerator(), A.ambient.weights)
+def artinian_length(J):
+    """Length of A/J, A the ring of J, for an Artinian quotient, read off
+    J's memoized Hilbert numerator."""
+    l = finite_length(J.hilbert_numerator(), J.owner.weights)
     if l == INFINITE:
         raise NotArtinian("A/J has positive dimension")
     return l
 
 
-def multiplicity(A, J):
-    """Hilbert-Samuel multiplicity e_J(A) by d-th difference stabilization.
+def multiplicity(J):
+    """Hilbert-Samuel multiplicity e_J(A), A the ring of J, by d-th
+    difference stabilization.
 
     Computes l(A/J^n) for n = 1, 2, ... and returns the d-th finite
     difference once three consecutive values agree (d = dim A).  Each
@@ -65,13 +66,13 @@ def multiplicity(A, J):
     """
     if J.quotient_dim() != 0:
         raise NotArtinian("multiplicity needs an m-primary ideal")
+    A = J.owner
     d = A.dim()
-    amb = A.ambient
     lengths = []
     power = J.gb()
     streak = []
     for n in range(1, MULTIPLICITY_STEPS + 1):
-        l = idealops.ideal_length(amb, power)
+        l = idealops.ideal_length(A.ambient, power)
         if l == INFINITE:
             raise NotArtinian("power of J is not m-primary")
         lengths.append(l)
@@ -82,18 +83,19 @@ def multiplicity(A, J):
             streak.append(diffs[-1])
             if len(streak) >= 3 and streak[-1] == streak[-2] == streak[-3]:
                 return streak[-1]
-        power = idealops.ideal_product(amb, power, J.gens, A.gb())
+        power = idealops.ideal_product(power, J.gens, A.gb())
     raise NoStabilization("difference scheme did not settle within %d steps"
                           % MULTIPLICITY_STEPS)
 
 
-def parameter_multiplicity(A, q):
-    """e_q(A) for a homogeneous system of parameters q, with no power of q:
-    e_q(A) = chi(q; A) = (prod_i deg q_i) * lim_{t->1} (1-t)^d H_A(t)
+def parameter_multiplicity(q):
+    """e_q(A) for a homogeneous system of parameters q of A, with no power
+    of q: e_q(A) = chi(q; A) = (prod_i deg q_i) * lim_{t->1} (1-t)^d H_A(t)
     (Serre, Algebre locale, multiplicites), the limit read by `hilbert`
     exactly."""
     rings.check_parameters(q)
-    chi = (hilbert(A.hilbert_numerator(), A.ambient.weights)[1]
+    A = q.owner
+    chi = (hilbert(A.hilbert_numerator(), A.weights)[1]
            * prod(f.degree() for f in q.gens))
     return crosscheck("chi(q; A) is an integer", int(chi), chi)
 
@@ -109,32 +111,31 @@ def is_reduction(q, c):
     if not c.contains_ideal(q):
         raise NotContained("q is not contained in c")
     A = q.owner
-    amb = A.ambient
-    c_pow = [amb.one]  # c^0 + I
+    c_pow = [A.ambient.one]  # c^0 + I
     q_side = q.gb()
     for r in range(MAX_REDUCTION_NUMBER + 1):
         nf = reducer(q_side)
         if all(nf(g * h).is_zero() for g in c.gens for h in c_pow):
             return r
-        c_pow = (idealops.ideal_product(amb, c_pow, c.gens, A.gb()) if r
+        c_pow = (idealops.ideal_product(c_pow, c.gens, A.gb()) if r
                  else c.gb())
-        q_side = idealops.ideal_product(amb, c_pow, q.gens, A.gb())
+        q_side = idealops.ideal_product(c_pow, q.gens, A.gb())
     return NOT_FOUND
 
 
-def reduction_multiplicity(A, q, c):
+def reduction_multiplicity(q, c):
     """(r, e_c(A)) for a parameter ideal q inside c, r as `is_reduction`
     gives it.  When q reduces c, e_c = e_q (Northcott-Rees) is read off
     the Hilbert series of A; otherwise it comes from the difference
     scheme."""
     red = is_reduction(q, c)
-    return red, (parameter_multiplicity(A, q) if red != NOT_FOUND
-                 else multiplicity(A, c))
+    return red, (parameter_multiplicity(q) if red != NOT_FOUND
+                 else multiplicity(c))
 
 
-def artinian_gorenstein(A, J):
-    """True iff the Artinian ring A/J is Gorenstein: the socle of A/J,
-    the cokernel of the basis of J's preimage, is one-dimensional.
-    NotArtinian when A/J has positive dimension."""
-    F = FreeModule(A.ambient, 1)
+def artinian_gorenstein(J):
+    """True iff the Artinian ring A/J, A the ring of J, is Gorenstein: the
+    socle of A/J, the cokernel of the basis of J's preimage, is
+    one-dimensional.  NotArtinian when A/J has positive dimension."""
+    F = FreeModule(J.owner.ambient, 1)
     return ModulePresentation(F, as_vecs(J.gb(), F)).socle_dim() == 1

@@ -1,5 +1,8 @@
 """Presented graded rings A = P/I and their ideals.
 
+A ring is built from its ambient ring P and generators of I in P, or
+`from_basis`.  An object's ring is read off it, an ideal's `owner` or a
+polynomial's `ring`; one of another ring raises OwnerMismatch.
 Ideals of A are stored as preimages in the ambient polynomial ring P:
 every A-level operation becomes a P-level operation on generator lists
 that always carry the defining ideal I along.
@@ -27,7 +30,6 @@ from .groebner import as_vecs, groebner_basis, reducer
 from .hilbert import hilbert, hilbert_numerator
 from . import idealops
 from .modules import colon_basis, colon_from_basis, divider
-from .polys import PolyRing
 from .resolutions import ext_dualizing, resolve_quotient_ring
 
 # division by b and the colon Ideal base : b, both off the graph basis of
@@ -36,19 +38,20 @@ ColonGraph = namedtuple("ColonGraph", "base divide ideal")
 
 
 class PresentedGradedRing:
-    """A = P/I for a weighted polynomial ring P and homogeneous ideal I."""
+    """A = P/I for P = `ambient`, a weighted polynomial ring, and I the
+    homogeneous ideal that ideal_gens, polynomials of P, generate (none
+    for a free ring).  `checked` says the caller has already seen every
+    generator to be homogeneous, as a document parser does."""
 
-    def __init__(self, names, weights, ideal_gens, field=None):
-        self._setup(PolyRing(names, weights, field), ideal_gens, None)
-
-    @classmethod
-    def from_ambient(cls, ambient, ideal_gens, label=None, checked=False):
-        """A = ambient/(ideal_gens); `checked` says the caller has already
-        seen every generator to be homogeneous, as a document parser does
-        where it knows each generator's position."""
-        ring = cls.__new__(cls)
-        ring._setup(ambient, ideal_gens, label, checked)
-        return ring
+    def __init__(self, ambient, ideal_gens, label=None, checked=False):
+        self.ambient = ambient
+        self.label = label
+        # the zero ideal checks the generators; the ring keeps them as I
+        self.defining = list(Ideal(self, ideal_gens, checked).gens)
+        self._zero = Ideal(self, ())
+        self._resolution = None
+        self._ext = {}
+        self._colons = {}
 
     @classmethod
     def from_basis(cls, ambient, gb):
@@ -56,26 +59,9 @@ class PresentedGradedRing:
         homogeneous ideal under the ambient order, such as the Rees
         presentation's; gb is kept as `gb()`, the ring-level twin of
         `Ideal.from_basis`."""
-        ring = cls.from_ambient(ambient, gb, checked=True)
+        ring = cls(ambient, gb, checked=True)
         ring._zero._gb = tuple(ring.defining)
         return ring
-
-    def _setup(self, ambient, ideal_gens, label, checked=False):
-        self.ambient = ambient
-        self.defining = []
-        for g in ideal_gens:
-            if g.ring != ambient:
-                g = ambient.transfer(g)
-            if g.is_zero():
-                continue
-            if not checked and not g.is_homogeneous():
-                raise ValueError("inhomogeneous defining generator: %s" % g)
-            self.defining.append(g)
-        self.label = label
-        self._zero = Ideal(self, ())
-        self._resolution = None
-        self._ext = {}
-        self._colons = {}
 
     # -- cached invariants -------------------------------------------------
 
@@ -327,8 +313,7 @@ def ring_map_kernel(targets, source_names, target_ring):
     for i, t in enumerate(targets):
         gens.append(big.gen(amb.n + i) - big.transfer(t))
     sub, out = idealops.eliminate(big, gens, tuple(range(amb.n)))
-    source = PresentedGradedRing.from_ambient(sub, [])
-    return Ideal(source, out)
+    return Ideal(PresentedGradedRing(sub, []), out)
 
 
 def check_parameters(q):

@@ -48,35 +48,34 @@ def filter_regular_pair(A, q, seed=0):
     generators, then seeded random combinations of equal-degree ones.
     """
     rings.check_parameters(q)
-    gens = list(q.gens)
-    candidates = list(permutations(gens, 2))
-    rng = random.Random(seed)
-    by_deg = {}
-    for g in gens:
-        by_deg.setdefault(g.degree(), []).append(g)
-    field = A.field
-    for _ in range(20):
-        combo = []
-        for deg, group in sorted(by_deg.items()):
-            if len(group) < 2:
-                continue
-            f = A.ambient.zero
-            g = A.ambient.zero
-            for h in group:
-                f = f + h.scale(field.of(rng.randrange(1, 100)))
-                g = g + h.scale(field.of(rng.randrange(1, 100)))
-            combo.append((f, g))
-        for f, g in combo:
-            candidates.append((f, g))
-            candidates.append((g, f))
-    for a, b in candidates:
-        if A.is_zero_element(a) or A.is_zero_element(b):
-            continue
-        if not A.is_regular_element(a):
-            continue
-        if is_filter_regular(A, a, b):
+    for a, b in _pair_candidates(q, seed):
+        if (not A.is_zero_element(a) and not A.is_zero_element(b)
+                and A.is_regular_element(a) and is_filter_regular(A, a, b)):
             return a, b
     raise PairNotFound("no filter-regular pair among the tried candidates")
+
+
+def _pair_candidates(q, seed):
+    """The ordered pairs of q's generators, then 20 seeded rounds of
+    (f, g) and (g, f) for f, g random combinations of each degree's
+    generators, when there are two or more, drawn only once reached."""
+    yield from permutations(q.gens, 2)
+    rng = random.Random(seed)
+    by_deg = {}
+    for g in q.gens:
+        by_deg.setdefault(g.degree(), []).append(g)
+    A = q.owner
+    of = A.field.of
+    for _ in range(20):
+        for _, group in sorted(by_deg.items()):
+            if len(group) < 2:
+                continue
+            f = g = A.ambient.zero
+            for h in group:
+                f = f + h.scale(of(rng.randrange(1, 100)))
+                g = g + h.scale(of(rng.randrange(1, 100)))
+            yield f, g
+            yield g, f
 
 
 # everything the decision procedure needs about A~ and the conductor: the
@@ -174,7 +173,7 @@ def h1_socle(A, data):
                       data.h1_module.socle_dim())
 
 
-def is_standard_parameters(A, q, profile, data):
+def is_standard_parameters(q, profile, data):
     """q is standard iff q is inside the conductor, under the profile."""
     if not profile.verdict:
         raise HypothesisNotVerified(

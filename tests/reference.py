@@ -50,7 +50,7 @@ def resolve(ring, gens, length_cap=None):
     """The resolution of P/(gens) for P = ring, through a fresh presented
     ring: its frame starts from the reduced basis of gens and its
     exactness check reads that basis's Hilbert numerator."""
-    return PresentedGradedRing.from_ambient(ring, gens).resolution(length_cap)
+    return PresentedGradedRing(ring, gens).resolution(length_cap)
 
 
 def syzygies(basis):
@@ -111,12 +111,13 @@ def composes_to_zero(res):
     return True
 
 
-def artinian_gorenstein_by_colon(A, J):
-    """A/J is Gorenstein iff its socle (J : m)/J has length one, with
-    J : m the colon of J's preimage by the variables."""
+def artinian_gorenstein_by_colon(J):
+    """A/J, A the ring of J, is Gorenstein iff its socle (J : m)/J has
+    length one, with J : m the colon of J's preimage by the variables."""
+    A = J.owner
     soc = Ideal.from_basis(A, idealops.colon(A.ambient, J.preimage_gens(),
                                              A.gens()))
-    return artinian_length(A, J) - artinian_length(A, soc) == 1
+    return artinian_length(J) - artinian_length(soc) == 1
 
 
 def hilbert_by_division(num, weights):

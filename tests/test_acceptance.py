@@ -145,7 +145,7 @@ def test_acceptance_8_consequence_suite():
         assert cons["c_equals_qatilde"], name
         assert cons["h1_length_equals_len_a_mod_c"], name
         assert report.h1_length == \
-            invariants.artinian_length(A, report.conductor), name
+            invariants.artinian_length(report.conductor), name
         assert cons["artinian_proj_gorenstein"], name
 
 

@@ -280,7 +280,7 @@ def quotient_xy():
     """A = k[x,y]/(xy): two lines through the origin."""
     amb = PolyRing(("x", "y"), (1, 1), F)
     x, y = amb.gens()
-    A = rings.PresentedGradedRing.from_ambient(amb, [x * y])
+    A = rings.PresentedGradedRing(amb, [x * y])
     return A, x, y
 
 
@@ -338,9 +338,21 @@ def test_colon_graph_is_built_once_and_shared():
 
 def test_owner_mismatch_raises():
     A, x, y = quotient_xy()
-    B = rings.PresentedGradedRing(("x", "y"), (1, 1), [], field=F)
+    B = rings.PresentedGradedRing(PolyRing(("x", "y"), (1, 1), F), [])
     with pytest.raises(OwnerMismatch):
         rings.intersect(A.ideal([x]), B.ideal([B.gen(0)]))
+
+
+def test_no_polynomial_changes_ring_unasked():
+    """A polynomial of another ring is refused, neither read by position
+    nor moved over by its variables' names: z of k[x,y,z] reduced in
+    k[x,y]/(xy), and xy of k[x,y,z] given as a generator of k[x,y]."""
+    A, x, y = quotient_xy()
+    big = PolyRing(("x", "y", "z"), (1, 1, 1), F)
+    with pytest.raises(OwnerMismatch):
+        A.reduce(big.gen(2))
+    with pytest.raises(OwnerMismatch):
+        rings.PresentedGradedRing(A.ambient, [big.gen(0) * big.gen(1)])
 
 
 def test_quotient_dim_and_units():
@@ -370,7 +382,7 @@ def test_ring_and_its_zero_ideal_share_one_memo(monkeypatch):
                 monkeypatch.setattr(module, fn.__name__, wrapper)
     amb = PolyRing(("x", "y", "z"), (1, 1, 1), F)
     x, y, z = amb.gens()
-    A = rings.PresentedGradedRing.from_ambient(amb, [x * y - z * z, x * z])
+    A = rings.PresentedGradedRing(amb, [x * y - z * z, x * z])
     zero = A.zero_ideal()
     assert zero is A.zero_ideal() and zero.gb() is A.gb()
     f = x * x * z + y * z * z
@@ -382,7 +394,7 @@ def test_ring_and_its_zero_ideal_share_one_memo(monkeypatch):
 
 
 def test_ring_map_kernel_cuspidal_cubic():
-    base = rings.PresentedGradedRing(("t",), (1,), [], field=F)
+    base = rings.PresentedGradedRing(PolyRing(("t",), (1,), F), [])
     t = base.gen(0)
     ker = rings.ring_map_kernel([t ** 2, t ** 3], ("x", "y"), base)
     A = ker.owner
@@ -439,7 +451,7 @@ def test_divisions_by_one_element_index_its_colon_basis_once(monkeypatch):
 def test_ring_division_over_qq():
     amb = PolyRing(("x", "y", "z"), (1, 1, 1), QQ)
     x, y, z = amb.gens()
-    A = rings.PresentedGradedRing.from_ambient(amb, [x * x - 3 * y * z])
+    A = rings.PresentedGradedRing(amb, [x * x - 3 * y * z])
     a, c = 2 * x + y, 5 * x * z - 7 * y * y
     assert rings.ring_division(A.reduce(a * c), a, A) == A.reduce(c)
     with pytest.raises(NotDivisible):

@@ -16,7 +16,7 @@ import reesgor
 from reesgor import corpus, inputfmt
 from reesgor.cli import run_cli
 from reesgor.errors import InputError
-from reesgor.fields import GF, DEFAULT_PRIME
+from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.polys import PolyRing
 
 HERE = os.path.dirname(__file__)
@@ -182,6 +182,37 @@ def test_parse_poly_bounds_the_expansion_of_a_product():
     assert len(f.terms) == inputfmt.MAX_POWER_TERMS
 
 
+def test_parse_poly_bounds_literals_and_rational_coefficients():
+    """A literal of more than MAX_DIGITS digits is refused in every
+    characteristic; over QQ alone a power or product is refused before it
+    is formed when its coefficients could pass 2^MAX_COEFF_BITS, and over
+    GF(32003) the same expressions parse, with coefficients below p."""
+    digits, top = inputfmt.MAX_DIGITS, inputfmt.MAX_COEFF_BITS
+    half = top // 2
+    for field in (F, QQ):
+        R = PolyRing(("x", "y"), (1, 1), field)
+        assert inputfmt.parse_poly("%s*x" % ("9" * digits), R) == \
+            R.gen(0) * int("9" * digits)
+        with pytest.raises(InputError) as e:
+            inputfmt.parse_poly("x + %s*y" % ("9" * (digits + 1)), R)
+        assert e.value.col == 5 and "longer than %d" % digits in str(e.value)
+        assert inputfmt.parse_poly("2^%d*x" % top, R) == R.gen(0) * 2 ** top
+        assert inputfmt.parse_poly("2^%d*2^%d*y" % (half, half), R) == \
+            R.gen(1) * 2 ** top
+        for expr, at, what in (("((2^%d)^%d)^100*x" % (top, top), 10, "power"),
+                               ("3^%d*x" % (half + 1), 2, "power"),
+                               ("2^%d*2^%d*y" % (half, half + 1), 5,
+                                "product")):
+            if field is F:
+                assert not inputfmt.parse_poly(expr, R).is_zero()
+                continue
+            with pytest.raises(InputError) as e:
+                inputfmt.parse_poly(expr, R)
+            assert e.value.col == 1 + at, expr
+            assert "%s has coefficients past %d bits" % (what, top) \
+                in str(e.value), expr
+
+
 def test_report_roundtrip():
     pairs = [("verdict", True), ("dim", 2), ("conductor", "(a, b)")]
     text = inputfmt.format_report(pairs, ["narrative line"])
@@ -287,6 +318,13 @@ MALFORMED = {
     "product_too_large": ("vars a b c d\nideal (a+b)^499*(c+d)^499\n"
                           "params a, c\n", ["check"],
                           "line 2, col 16: product expands past 500 terms"),
+    "literal_too_long": ("vars x y\nideal %s*x*y\nparams x, y\n"
+                         % ("7" * 5000), ["invariants"],
+                         "line 2, col 7: integer longer than 100 digits"),
+    "coefficient_too_large": ("char 0\nvars x y\nideal ((2^1000)^1000)^100*x*y"
+                              "\nparams x, y\n", ["invariants"],
+                              "line 3, col 17: power has coefficients past "
+                              "1000 bits"),
     "char_above_prime_bound": (
         "vars x y\nchar 3317044064679887385961981\nideal x*y\nparams x, y\n",
         ["check"], "line 2, col 1: characteristic 3317044064679887385961981 "

@@ -173,7 +173,7 @@ def test_numerators_are_computed_once_per_presentation(monkeypatch):
         assert ext.resolution().pd == A.ambient.n
     assert len(calls) == ext.f0.rank
     calls.clear()
-    assert invariants.artinian_length(A, J) == 1
+    assert invariants.artinian_length(J) == 1
     assert calls == []
 
 

@@ -1,6 +1,9 @@
 """Filter-regular pairs, the colon module, the conductor and the
 hypothesis profile."""
 
+import random
+from itertools import permutations
+
 import pytest
 
 from reesgor import corpus, idealops, rings, s2
@@ -32,6 +35,59 @@ def test_filter_regular_pair_properties(corpus_instances):
         assert A.is_regular_element(a), name
         assert q.contains(a) and q.contains(b), name
         assert s2.is_filter_regular(A, a, b), name
+
+
+# the pairs at seeds 0-3 when q's generators, or the first eleven
+# candidates, are refused as regular, recorded while every seeded random
+# candidate was drawn before the first was tried
+RANDOM_PAIRS = {
+    ("two_planes", "gens"): [
+        ("50*x + 54*y + 50*u + 54*v", "98*x + 6*y + 98*u + 6*v"),
+        ("18*x + 98*y + 18*u + 98*v", "73*x + 9*y + 73*u + 9*v"),
+        ("8*x + 11*y + 8*u + 11*v", "12*x + 47*y + 12*u + 47*v"),
+        ("31*x + 70*y + 31*u + 70*v", "76*x + 17*y + 76*u + 17*v")],
+    ("idealization_xyz", "gens"): [
+        ("50*x + 54*y + 34*z", "98*x + 6*y + 66*z"),
+        ("18*x + 98*y + 33*z", "73*x + 9*y + 16*z"),
+        ("8*x + 11*y + 22*z", "12*x + 47*y + 95*z"),
+        ("31*x + 70*y + 48*z", "76*x + 17*y + 78*z")],
+    ("idealization_xyz", "eleven"): [
+        ("65*x + 37*y + 97*z", "28*x + 18*y + 18*z"),
+        ("13*x + 4*y + 56*z", "27*x + 63*y + 50*z"),
+        ("75*x + 21*y + 82*z", "5*x + 88*y + 56*z"),
+        ("34*x + 30*y + 92*z", "61*x + 71*y + 25*z")],
+}
+
+
+def test_random_pair_candidates_are_drawn_only_when_reached(
+        corpus_instances, monkeypatch):
+    """An ordered pair of q's generators wins on every corpus ring, with
+    no random draw; once those pairs fail, the seeded random candidates
+    come in the order and with the draws they always had."""
+    draws = []
+
+    class CountingRandom(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    for name, (A, q) in corpus_instances.items():
+        assert s2.filter_regular_pair(A, q) in permutations(q.gens, 2), name
+    assert draws == []
+    for (name, refused), want in RANDOM_PAIRS.items():
+        A, q = corpus.EXAMPLES[name]()
+        regular = A.is_regular_element
+        for seed in range(4):
+            tried = []
+
+            def refuse(a):
+                tried.append(a)
+                return (a not in q.gens if refused == "gens"
+                        else len(tried) > 11) and regular(a)
+            monkeypatch.setattr(A, "is_regular_element", refuse)
+            pair = s2.filter_regular_pair(A, q, seed)
+            assert tuple(map(str, pair)) == want[seed], (name, seed)
+    assert draws
 
 
 def test_filter_regular_matches_saturation_definition(corpus_instances):
@@ -134,7 +190,7 @@ def test_hypothesis_profile_fails_off_the_hypothesis():
     # a plane plus a line: the first cohomology has infinite length
     amb = PolyRing(("x", "y", "z"), (1, 1, 1), F)
     x, y, z = amb.gens()
-    B = rings.PresentedGradedRing.from_ambient(amb, [x * y, x * z])
+    B = rings.PresentedGradedRing(amb, [x * y, x * z])
     qB = B.ideal([B.reduce(x + y), z])
     prof = s2.hypothesis_profile(B, pair=s2.filter_regular_pair(B, qB))
     assert not prof.verdict
@@ -143,7 +199,7 @@ def test_hypothesis_profile_fails_off_the_hypothesis():
 
 def _standard(A, q):
     pair = s2.filter_regular_pair(A, q)
-    return s2.is_standard_parameters(A, q, s2.hypothesis_profile(A, pair),
+    return s2.is_standard_parameters(q, s2.hypothesis_profile(A, pair),
                                      s2.s2_construct(A, pair))
 
 
