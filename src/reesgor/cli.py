@@ -119,8 +119,7 @@ def _dispatch(args):
             raise InputError("unknown example %r (have: %s)"
                              % (args.target,
                                 ", ".join(sorted(corpus.EXAMPLES))))
-        _write(args, inputfmt.print_document(
-            corpus.example_document(args.target)))
+        _write(args, corpus.TEXTS[args.target])
         return EXIT_GORENSTEIN, None, None
 
     A, q, power = _load(args)

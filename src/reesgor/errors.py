@@ -36,10 +36,6 @@ class NotArtinian(ReesgorError):
     """A quotient or module is not finite dimensional over the base field."""
 
 
-class NonPositiveWeight(ReesgorError):
-    """A construction would introduce a variable of weight <= 0."""
-
-
 class NotApplicable(ReesgorError):
     """Invariant undefined for this input (e.g. socle of a zero module)."""
 

@@ -35,7 +35,8 @@ def groebner_basis(gens):
 
 def reducer(basis):
     """f -> normal_form(f, basis), with the basis indexed once; f of
-    another ring raises OwnerMismatch."""
+    another ring raises OwnerMismatch unless the basis is empty, which
+    `Ideal.reduce` checks."""
     if not basis:
         return lambda f: f
     vecs = as_vecs(list(basis))

@@ -6,7 +6,7 @@ Intersections and colons are module colons, each read off one graph
 basis (`modules.colon_basis`): a colon by k divisors is one colon of a
 vector of P^k, not k colons and k - 1 intersections, and an intersection
 is one colon of a vector of P^2.  Only `eliminate` changes the ring
-order, for the oracle and for ring-map kernels.  `intersect`, `colon`
+order, for the oracle.  `intersect`, `colon`
 and `saturate` return reduced Groebner bases, equal to `groebner_basis`
 of themselves: the tails of a reduced graph basis are monic, reduced and
 sorted by descending lead, and no element with an F lead can reduce a

@@ -475,7 +475,8 @@ def graph_tail(basis, target):
 
 def module_syzygies(gens):
     """The syzygies of `gens` (Vecs in F^len) as a reduced Groebner basis:
-    the tail of `colon_basis(gens, [])`."""
+    the tail of `colon_basis(gens, [])`.  No package module calls it; it
+    is the tests' reference and a layer the benchmark traces."""
     shifts = [g.degree() if not g.is_zero() else 0 for g in gens]
     return graph_tail(colon_basis(gens, []),
                       FreeModule(gens[0].module.ring, len(gens), shifts))

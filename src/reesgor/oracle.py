@@ -113,29 +113,46 @@ def _verify_substitution(rp):
     """Every defining generator f must die under T_j -> g_j * t mod I.
 
     I P[t] is the direct sum of the I t^k, so f(x, g t) lies in it exactly
-    when each part of f of T-degree k, with T_j -> g_j, lies in I: each
-    part is reduced modulo I by `A.reduce`, and each power g_j^e or x_i^e
-    is formed once.
+    when each part of f of T-degree k, with T_j -> g_j, lies in I.  As
+    g_j = q^(combo j), a term c x^a T^e maps to c x^a q^b, b counting the
+    parameters in the combos of its T_j: terms are summed per (k, a, b)
+    first, where the Veronese binomials cancel; each q^b is reduced
+    modulo I once, as q_i times the reduced q^(b - e_i), and each part,
+    the sum of the c x^a NF(q^b), once.
     """
-    A = rp.base
-    amb = A.ambient
-    # the image of each variable of the Rees ring: x_i itself, T_j -> g_j
-    images = list(amb.gens()) + list(rp.power_gens)
-    powers = {}
+    A, qs = rp.base, rp.q.gens
+    amb, d = A.ambient, len(qs)
+    m, field = amb.n, amb.field
+    # b of each T_j, off the enumeration that forms power_gens
+    b_of = [tuple(combo.count(i) for i in range(d))
+            for combo in combinations_with_replacement(range(d), rp.n)]
+    nfs = {(0,) * d: amb.one}
+
+    def power_nf(b):
+        chain = []
+        while b not in nfs:
+            i = next(i for i, bi in enumerate(b) if bi)
+            chain.append((b, i))
+            b = b[:i] + (b[i] - 1,) + b[i + 1:]
+        for up, i in reversed(chain):
+            nfs[up] = A.reduce(qs[i] * nfs[b])
+            b = up
+        return nfs[b]
+
     for f in rp.ring.defining:
         parts = {}
         for exp, c in f.terms:
-            term = amb.const(c)
-            for i, e in enumerate(exp):
+            b = (0,) * d
+            for j, e in enumerate(exp[m:]):
                 if e:
-                    if (i, e) not in powers:
-                        powers[(i, e)] = images[i] ** e
-                    term = term * powers[(i, e)]
-            k = sum(exp[amb.n:])
-            parts[k] = parts[k] + term if k in parts else term
+                    b = tuple(bi + e * bj for bi, bj in zip(b, b_of[j]))
+            part = parts.setdefault(sum(exp[m:]), {})
+            part[exp[:m], b] = field.add(part.get((exp[:m], b), field.zero), c)
         for part in parts.values():
+            image = sum((power_nf(b).mul_term(a, c)
+                         for (a, b), c in part.items() if c), amb.zero)
             crosscheck("substitution T_j -> g_j t into a defining generator",
-                       A.reduce(part), amb.zero)
+                       A.reduce(image), amb.zero)
 
 
 def graded_gorenstein_oracle(rp, length_cap=None):

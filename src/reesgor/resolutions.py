@@ -35,7 +35,7 @@ reference minimalization, pivots unit entries out one at a time.
 
 from collections import Counter
 from functools import partial, reduce
-from itertools import chain, product
+from itertools import chain
 from operator import ge
 from types import MappingProxyType
 
@@ -357,19 +357,21 @@ def _component_leads(f0, gb):
 
 
 def _standard_module_basis(f0, gb):
-    """All (component, exponent) pairs outside the lead module (finite)."""
-    n = f0.ring.n
+    """All (component, exponent) pairs outside the lead module, for a
+    finite-length cokernel: the standard monomials are closed under
+    division, so each component's are reached from its 1 by multiplying
+    by variables, and the walk stops at the lead module."""
+    units = [g.lead_exp() for g in f0.ring.gens()]
     out = []
     for comp, L in enumerate(_component_leads(f0, gb)):
-        bounds = []
-        for i in range(n):
-            pure = [e[i] for e in L
-                    if all(e[j] == 0 for j in range(n) if j != i)]
-            if not pure:
-                raise NotArtinian("component has infinite colength")
-            bounds.append(min(pure))
-        out.extend((comp, t) for t in product(*map(range, bounds))
-                   if not any(all(map(ge, t, e)) for e in L))
+        seen = {}       # an ordered set
+        todo = [f0.ring.zero_exp]
+        while todo:
+            t = todo.pop()
+            if t not in seen and not any(all(map(ge, t, e)) for e in L):
+                seen[t] = None
+                todo.extend(_exp_mul(t, u) for u in units)
+        out.extend((comp, t) for t in seen)
     return out
 
 

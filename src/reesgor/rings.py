@@ -24,8 +24,8 @@ exactness check.
 from collections import namedtuple
 from types import MappingProxyType
 
-from .errors import (NonPositiveWeight, NotDivisible, NotParameters,
-                     OwnerMismatch, ResourceExceeded, crosscheck)
+from .errors import (NotDivisible, NotParameters, OwnerMismatch,
+                     ResourceExceeded, crosscheck)
 from .groebner import as_vecs, groebner_basis, reducer
 from .hilbert import hilbert, hilbert_numerator
 from . import idealops
@@ -233,7 +233,10 @@ class Ideal:
 
     def reduce(self, f):
         """Normal form of f modulo the preimage; `gb()` is indexed once
-        per ideal."""
+        per ideal.  f of another ring raises OwnerMismatch, also when
+        the basis is empty."""
+        if f.ring is not self.owner.ambient and f.ring != self.owner.ambient:
+            raise OwnerMismatch("polynomial from a different ring")
         if self._nf is None:
             self._nf = reducer(self.gb())
         return self._nf(f)
@@ -290,30 +293,6 @@ def colon(ia, b):
 def ideals_equal(ia, ib):
     _check_owner(ia, ib)
     return ia.gb() == ib.gb()
-
-
-def ring_map_kernel(targets, source_names, target_ring):
-    """Kernel of k[source_names] -> target_ring, s_i |-> targets[i].
-
-    Source weights are the weighted degrees of the targets.  Returns the
-    kernel as an Ideal of the (freely presented) source ring.
-    """
-    amb = target_ring.ambient
-    weights = []
-    for t in targets:
-        if t.is_zero() or not t.is_homogeneous():
-            raise NonPositiveWeight("targets must be nonzero homogeneous")
-        w = t.degree()
-        if w <= 0:
-            raise NonPositiveWeight("target of non-positive degree: %s" % t)
-        weights.append(w)
-    names = tuple(source_names)
-    big = amb.extend(names, tuple(weights))
-    gens = [g for g in (big.transfer(g) for g in target_ring.defining)]
-    for i, t in enumerate(targets):
-        gens.append(big.gen(amb.n + i) - big.transfer(t))
-    sub, out = idealops.eliminate(big, gens, tuple(range(amb.n)))
-    return Ideal(PresentedGradedRing(sub, []), out)
 
 
 def check_parameters(q):

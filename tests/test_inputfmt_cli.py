@@ -484,10 +484,11 @@ def test_cli_examples_unknown_name():
 
 
 def test_cli_examples_prints_document():
-    code, out = run(["examples", "two_planes"])
-    assert code == 0
-    with open(corpus_path("two_planes")) as fh:
-        assert out == fh.read()
+    for name in corpus.EXAMPLES:
+        code, out = run(["examples", name])
+        assert code == 0
+        with open(corpus_path(name)) as fh:
+            assert out == fh.read(), name
 
 
 def test_cli_out_flag(tmp_path):

@@ -294,6 +294,23 @@ def test_gorenstein_artinian_socle_is_one():
     assert mod.socle_dim() == 1
 
 
+def test_socle_walks_the_standard_monomials_not_their_box():
+    """k[x,y,z]/(x^N, y^N, z^N, xy, yz, xz) has length 3N - 2 and socle
+    (x^(N-1), y^(N-1), z^(N-1)).  At N = 120 the box of its pure-power
+    bounds holds 1,728,000 monomials; the walk from 1 meets only the 358
+    standard ones and their multiples by a variable."""
+    R = PolyRing(("x", "y", "z"), (1, 1, 1), F)
+    x, y, z = R.gens()
+    Fm = FreeModule(R, 1)
+    n = 120
+    gb = groebner_basis([x ** n, y ** n, z ** n, x * y, y * z, x * z])
+    mod = resolutions.ModulePresentation(
+        Fm, [Fm.basis_vec(0, g) for g in gb])
+    basis = resolutions._standard_module_basis(mod.f0, mod.cols)
+    assert len(set(basis)) == len(basis) == mod.length() == 3 * n - 2
+    assert mod.socle_dim() == 3
+
+
 def test_auslander_buchsbaum_on_corpus(corpus_instances):
     from reesgor import invariants
     for name, (A, _) in corpus_instances.items():
