@@ -8,9 +8,10 @@ with N computed by Bigatti's pivot, on an explicit stack.
 from fractions import Fraction
 from itertools import count
 from math import comb, prod
-from operator import ge, mul
+from operator import mul
 
 from .errors import crosscheck
+from .polys import minimal_monomials
 
 INFINITE = "INFINITE"
 
@@ -33,16 +34,6 @@ def upoly_add(a, b):
     return out
 
 
-def _minimalize(exps):
-    """The minimal monomial exponents: by ascending total degree, each is
-    checked only against those kept, as no larger degree divides it."""
-    kept = []
-    for e in sorted(set(exps), key=sum):
-        if not any(all(map(ge, e, f)) for f in kept):
-            kept.append(e)
-    return kept
-
-
 def hilbert_numerator(exps, weights):
     """Numerator N(t) for the monomial ideal generated by exps.
 
@@ -51,10 +42,12 @@ def hilbert_numerator(exps, weights):
     for x_i in the most generators and p the median of its positive
     exponents (the least when x_i^p is a generator), on a stack of pending
     t^shift N(gens); pairwise coprime gens give prod (1 - t^{deg g}).
+    The input and each colon keep their minimal generators
+    (`polys.minimal_monomials`).
     """
     weights = tuple(weights)
     out = {}
-    stack = [(0, _minimalize(exps))]
+    stack = [(0, [e for e, _ in minimal_monomials((e, None) for e in exps)])]
     while stack:
         shift, gens = stack.pop()
         if gens and not any(gens[0]):  # the unit ideal
@@ -75,8 +68,9 @@ def hilbert_numerator(exps, weights):
             p = pos[0]
         pure = tuple(p if j == i else 0 for j in range(len(weights)))
         stack.append((shift, [e for e in gens if e[i] < p] + [pure]))
-        stack.append((shift + weights[i] * p, _minimalize(
-            [e[:i] + (max(e[i] - p, 0),) + e[i + 1:] for e in gens])))
+        colon = (e[:i] + (max(e[i] - p, 0),) + e[i + 1:] for e in gens)
+        stack.append((shift + weights[i] * p, [
+            e for e, _ in minimal_monomials((e, None) for e in colon)]))
     return {d: c for d, c in out.items() if c}
 
 

@@ -5,11 +5,13 @@ A Vec is an element of a free module F = sum_i P(-shift_i), stored as
 module's order: position over term extending the ring's monomial order
 by default, or an order induced through the module's `order` hook, such
 as the Schreyer orders of `schreyer_level`.  The Buchberger loop
-computes reduced bases only; it prunes S-pairs by the Gebauer-Moeller
-update (Gebauer & Moeller 1988) as each element joins the basis, with the
-product criterion on rank 1 only, where it is valid, and by the G-filter
-of Becker-Weispfenning's UPDATE (Groebner Bases, 1993): an element whose
-lead a later lead divides forms no further pairs.
+computes reduced bases only.  It queues S-pairs by degree, and picks them
+by one rule, `polys.minimal_monomials`, that the Schreyer frame shares:
+of an element's pairs, those with minimal lcm, the first partner among
+equal ones (Gebauer & Moeller 1988).  On rank 1 only, where it is valid,
+the product criterion then drops the coprime ones, and by the G-filter of
+Becker-Weispfenning's UPDATE (Groebner Bases, 1993) an element whose lead
+a later lead divides forms no further pairs.
 
 A run keeps one reducer index, extended as each element joins the basis:
 per component, the (mask, lead exp, position) of every element in basis
@@ -48,10 +50,10 @@ touch.
 import heapq
 from collections import namedtuple
 from itertools import compress
-from operator import add, ge, neg, sub
+from operator import add, ge, sub
 
 from .errors import NotDivisible, OwnerMismatch, crosscheck
-from .polys import Poly, _exp_lcm, _exp_mul
+from .polys import Poly, _exp_mul, minimal_monomials
 
 
 class FreeModule:
@@ -355,20 +357,19 @@ def _s_vector(basis, index, i, j, lcm):
 def module_buchberger(gens):
     """Reduced module Groebner basis of the submodule spanned by gens.
 
-    Pairs are taken by the shifted degree of their lcm, then smallest lcm
-    first (the sugar strategy of Giovini et al. 1991, which reorders pairs
-    only where the order does not lead with the degree), and pruned by
-    the Gebauer-Moeller update each time an element joins the basis: of
-    its new pairs, one is kept per lcm and none whose lcm is a multiple of
-    a kept one; on rank 1 only, coprime pairs are then dropped (the
-    product criterion); queued pairs whose lcm the new lead divides are
-    dropped unless the lcm of either end with the new lead equals it
-    (criterion B_k).  An older element whose lead the new lead divides
-    forms no further pairs, though its queued pairs stay (the G-filter of
-    Becker-Weispfenning's UPDATE).  The nonzero inputs join in ascending
-    lead order; an input whose lead an earlier lead divides is reduced
-    against the basis so far before it joins, and dropped when it reduces
-    to zero.
+    Pairs queue by the shifted degree of their lcm, then by the positions
+    of their two elements.  When an element joins the basis, its pairs
+    with the earlier elements of its component are filtered by
+    `minimal_monomials`: one is kept per minimal lcm, the first partner
+    among equal ones, and none whose lcm is a multiple of a kept one; on
+    rank 1 only, the coprime ones are then dropped (the product
+    criterion).  Queued pairs are never revisited.  An older element whose
+    lead the new lead divides forms no further pairs, though its queued
+    pairs stay (the G-filter of Becker-Weispfenning's UPDATE); the
+    elements it leaves are those with minimal leads, which interreduction
+    keeps.  The nonzero inputs join in ascending lead order; an input
+    whose lead an earlier lead divides is reduced against the basis so
+    far before it joins, and dropped when it reduces to zero.
     """
     if not gens:
         raise ValueError("empty generator list")
@@ -382,19 +383,12 @@ def module_buchberger(gens):
     leads = []      # (comp, exp) of each basis element
     redundant = []  # whether a later lead divides this element's lead
     index = reducer_index((), module.rank)
-    pairs = []      # heap of (degree of lcm, -neg_key of lcm, i, j, comp, lcm)
+    pairs = []      # heap of (degree of lcm, i, j, lcm)
     wdeg, shifts = module.ring.wdeg, module.shifts
 
     def update(k):
-        """Gebauer-Moeller update and G-filter for the new element k."""
+        """Queue the new element k's pairs and apply the G-filter."""
         compk, ek = leads[k]
-        live = [p for p in pairs
-                if p[4] != compk or not all(map(ge, p[5], ek))
-                or _exp_lcm(leads[p[2]][1], ek) == p[5]
-                or _exp_lcm(leads[p[3]][1], ek) == p[5]]
-        if len(live) != len(pairs):
-            pairs[:] = live
-            heapq.heapify(pairs)
         cands = []
         # k joins the index after its update: these are the earlier
         # elements of its component
@@ -402,21 +396,12 @@ def module_buchberger(gens):
             if redundant[i]:
                 continue
             lcm = tuple(map(max, ei, ek))
-            coprime = rank1 and not any(map(min, ei, ek))
-            cands.append((sum(lcm), lcm, not coprime, i))
+            cands.append((lcm, i))
             if lcm == ei:
                 redundant[i] = True
-        # by total degree a divisor sorts before its multiples, and equal
-        # lcms sit side by side with a coprime pair first
-        cands.sort()
-        kept = []
-        for _, lcm, not_coprime, i in cands:
-            if any(all(map(ge, lcm, m)) for m in kept):
-                continue
-            kept.append(lcm)
-            if not_coprime:
-                heapq.heappush(pairs, (wdeg(lcm) + shifts[compk], tuple(
-                    map(neg, module.neg_key(compk, lcm))), i, k, compk, lcm))
+        for lcm, i in minimal_monomials(cands):
+            if not rank1 or any(map(min, leads[i][1], ek)):
+                heapq.heappush(pairs, (wdeg(lcm) + shifts[compk], i, k, lcm))
 
     def join(h):
         k = len(basis)
@@ -439,7 +424,7 @@ def module_buchberger(gens):
         join(g.monic())
 
     while pairs:
-        _, _, i, j, _comp, lcm = heapq.heappop(pairs)
+        _, i, j, lcm = heapq.heappop(pairs)
         h = vec_nf(_s_vector(basis, index, i, j, lcm), basis, index)
         if not h.is_zero():
             join(h.monic())
@@ -493,12 +478,14 @@ def schreyer_level(basis, index, lex):
     induce: x^a e_i is above x^b e_j when x^a lead_i is above x^b lead_j
     in M, or the two are equal and i < j, so the F key of x^a e_i is the M
     key of x^a lead_i followed by i.  For each i, the pairs (i, j > i)
-    whose leads share a component and whose monomials m_ij = lcm/lead_i
-    are minimal give one syzygy each: vec_nf reduces the S-vector
-    m_ij g_i - m_ji g_j to zero, and m_ij e_i - m_ji e_j plus its
-    quotients, already sorted and keyed (x^q e_k is keyed by the term
-    vec_nf popped, strictly descending below the lcm, then k), is the
-    syzygy.  These syzygies are a Groebner basis of the syzygy module
+    whose leads share a component and whose lcms are minimal, the first j
+    among equal ones (`minimal_monomials`, the rule `module_buchberger`
+    picks its pairs by), give one syzygy each; their monomials
+    m_ij = lcm/lead_i order and divide as the lcms do.  vec_nf reduces
+    the S-vector m_ij g_i - m_ji g_j to zero, and m_ij e_i - m_ji e_j
+    plus its quotients, already sorted and keyed (x^q e_k is keyed by the
+    term vec_nf popped, strictly descending below the lcm, then k), is
+    the syzygy.  These syzygies are a Groebner basis of the syzygy module
     under F's order, with leads m_ij e_i (Schreyer's theorem), so no
     Buchberger run is needed.  Every pair is picked before any is
     reduced: component i of F carries a lead of the syzygies exactly when
@@ -529,18 +516,10 @@ def schreyer_level(basis, index, lex):
         same_comp.setdefault(comp, []).append(i)
     pairs = []
     for i, (comp, ei) in enumerate(leads):
-        cands = []
-        for j in same_comp[comp]:
-            if j > i:
-                lcm = tuple(map(max, ei, leads[j][1]))
-                m = tuple(map(sub, lcm, ei))
-                cands.append((sum(m), m, j, lcm))
-        # by total degree a divisor sorts before its multiples
-        cands.sort()
-        kept = []
-        for _, m, j, lcm in cands:
-            if not any(all(map(ge, m, k)) for k, _, _ in kept):
-                kept.append((m, j, lcm))
+        kept = [(tuple(map(sub, lcm, ei)), j, lcm)
+                for lcm, j in minimal_monomials(
+                    (tuple(map(max, ei, leads[j][1])), j)
+                    for j in same_comp[comp] if j > i)]
         kept.sort(key=lambda t: [t[0][v] for v in lex], reverse=True)
         pairs += [(i, m, j, lcm) for m, j, lcm in kept]
     # component i of F carries a lead m_ij e_i of syz exactly when i has a

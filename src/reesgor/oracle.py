@@ -26,21 +26,9 @@ from .errors import DepthNotOne, crosscheck
 from .groebner import groebner_basis
 from . import invariants, rings
 
-# base is the PresentedGradedRing A, power_gens the generators of q^n in
-# order, and ring R(q^n) as a PresentedGradedRing
-ReesPresentation = namedtuple("ReesPresentation", "base q n power_gens ring")
-
-
-def power_monomials(q_gens, n):
-    """All degree-n monomials in the parameters, in a fixed order."""
-    d = len(q_gens)
-    out = []
-    for combo in combinations_with_replacement(range(d), n):
-        g = q_gens[combo[0]]
-        for i in combo[1:]:
-            g = g * q_gens[i]
-        out.append(g)
-    return out
+# base is the PresentedGradedRing A, and ring R(q^n) as a
+# PresentedGradedRing
+ReesPresentation = namedtuple("ReesPresentation", "base q n ring")
 
 
 def rees_presentation(A, q, n):
@@ -50,15 +38,18 @@ def rees_presentation(A, q, n):
     if n < 1:
         raise ValueError("power must be at least 1")
     amb = A.ambient
-    gens_n = power_monomials(q.gens, n)
-    t_names = tuple(_t_name(amb, j) for j in range(len(gens_n)))
-    sub = amb.extend(t_names, tuple(g.degree() + 1 for g in gens_n))
+    # T_j -> g_j t has degree 1 + deg g_j, g_j the product of combination j
+    degs = [g.degree() for g in q.gens]
+    weights = tuple(1 + sum(degs[i] for i in combo)
+                    for combo in combinations_with_replacement(range(d), n))
+    t_names = tuple(_t_name(amb, j) for j in range(len(weights)))
+    sub = amb.extend(t_names, weights)
     out = groebner_basis(_veronese_generators(sub, q.rees_ideal(), amb.n,
                                               d, n))
     # out is the reduced basis of the Rees ideal under the grevlex order
     # of sub, so the ring keeps it as its gb()
     ring = rings.PresentedGradedRing.from_basis(sub, out)
-    rp = ReesPresentation(A, q, n, gens_n, ring)
+    rp = ReesPresentation(A, q, n, ring)
     _verify_substitution(rp)
     crosscheck("dimension of the Rees presentation and dim A + 1",
                ring.dim(), d + 1)
@@ -123,7 +114,7 @@ def _verify_substitution(rp):
     A, qs = rp.base, rp.q.gens
     amb, d = A.ambient, len(qs)
     m, field = amb.n, amb.field
-    # b of each T_j, off the enumeration that forms power_gens
+    # b of each T_j, off the enumeration that names the T_j
     b_of = [tuple(combo.count(i) for i in range(d))
             for combo in combinations_with_replacement(range(d), rp.n)]
     nfs = {(0,) * d: amb.one}

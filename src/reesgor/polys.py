@@ -5,7 +5,7 @@ decreasing monomial order, so the leading term is terms[0].  Rings are
 immutable; polynomials from different rings never mix.
 """
 
-from operator import add, mul
+from operator import add, ge, mul
 
 from .errors import OwnerMismatch
 from .fields import DEFAULT_PRIME, GF
@@ -114,8 +114,16 @@ def _exp_mul(a, b):
     return tuple(map(add, a, b))
 
 
-def _exp_lcm(a, b):
-    return tuple(map(max, a, b))
+def minimal_monomials(pairs):
+    """The (monomial, tag) pairs whose monomial is minimal, in order of
+    total degree, then monomial, then tag: each is kept when no monomial
+    kept before it divides it.  A proper divisor has the lower degree, so
+    it comes first, and among equal monomials the first tag stays."""
+    kept = []
+    for m, tag in sorted(pairs, key=lambda p: (sum(p[0]), p)):
+        if not any(all(map(ge, m, k)) for k, _ in kept):
+            kept.append((m, tag))
+    return kept
 
 
 class Poly:

@@ -8,7 +8,6 @@ from operator import add, ge
 
 from reesgor import idealops
 from reesgor.groebner import normal_form
-from reesgor.hilbert import _minimalize
 from reesgor.invariants import artinian_length
 from reesgor.modules import reducer_index, schreyer_level
 from reesgor.resolutions import subquotient
@@ -27,14 +26,13 @@ def count_standard_monomials(exps, weights, up_to_degree):
     hilbert_numerator; exponential, keep inputs small.
     """
     n = len(weights)
-    gens = _minimalize(exps)
     counts = {}
 
     def rec(i, exp, deg):
         if deg > up_to_degree:
             return
         if i == n:
-            if not any(all(map(ge, exp, g)) for g in gens):
+            if not any(all(map(ge, exp, g)) for g in exps):
                 counts[deg] = counts.get(deg, 0) + 1
             return
         e = 0

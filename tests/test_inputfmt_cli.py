@@ -388,6 +388,25 @@ def test_cli_oracle_needs_parameters(tmp_path):
         "q must be generated by a system of parameters"
 
 
+@pytest.mark.parametrize("cmd", [["oracle"], ["check", "--mode", "oracle"]])
+def test_cli_power_is_bounded(tmp_path, cmd):
+    """A power line at MAX_POWER reaches the oracle; one past it is an
+    input error (exit 3) at its line, before any ring is built."""
+    top = inputfmt.MAX_POWER
+    for power, want in ((top, 0), (top + 1, 3)):
+        path = tmp_path / "power.ring"
+        path.write_text("vars x y\nideal x*y\nparams x+y\npower %d\n"
+                        % power)
+        code, out = run(cmd[:1] + [str(path)] + cmd[1:])
+        report = inputfmt.parse_report(out)
+        assert code == want, power
+        if want == 0:
+            assert report["power"] == str(top)
+            assert report["gorenstein"] == "true"
+        else:
+            assert report["error"] == "line 4, col 1: power above %d" % top
+
+
 @pytest.mark.parametrize("params", ["1", "0, x"])
 def test_cli_s2_needs_parameters(tmp_path, params):
     """s2 tests its parameters first, as check and oracle do: a unit or a

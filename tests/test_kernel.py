@@ -16,7 +16,7 @@ from reesgor.hilbert import (INFINITE, finite_length, hilbert,
                              hilbert_numerator, upoly_add, upoly_mul)
 from reesgor.inputfmt import parse_poly
 from reesgor.orders import BlockOrder, GrevlexOrder
-from reesgor.polys import PolyRing
+from reesgor.polys import PolyRing, minimal_monomials
 
 from reference import (count_standard_monomials, hilbert_by_division,
                        is_member)
@@ -211,6 +211,19 @@ def test_homogeneity_with_weights():
     assert (a + b * b).is_homogeneous()
     assert not (a + b).is_homogeneous()
     assert (a * b).degree() == 3
+
+
+@given(st.lists(st.tuples(exps3, st.integers(0, 5)), max_size=12))
+def test_minimal_monomials_matches_brute_force(pairs):
+    """minimal_monomials keeps exactly the monomials no other input
+    monomial properly divides, once each with the least of their tags,
+    in order of total degree, then monomial."""
+    want = {}
+    for m, tag in pairs:
+        if not any(o != m and all(map(ge, m, o)) for o, _ in pairs):
+            want[m] = min(tag, want.get(m, tag))
+    assert minimal_monomials(pairs) == sorted(
+        want.items(), key=lambda p: (sum(p[0]), p))
 
 
 # -- Groebner bases --------------------------------------------------------

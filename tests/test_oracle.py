@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+import itertools
+import math
 import os
 import sys
 
@@ -11,21 +13,10 @@ from reesgor import (corpus, decision, groebner, hilbert, idealops, modules,
                      oracle, resolutions, rings)
 from reesgor.cli import run_cli
 from reesgor.errors import DepthNotOne, EquivalenceViolation, NotParameters
-from reesgor.fields import GF, DEFAULT_PRIME
+from reesgor.fields import DEFAULT_PRIME
 from reesgor.groebner import groebner_basis
-from reesgor.polys import PolyRing
 
 from reference import count_calls, is_member
-
-F = GF(DEFAULT_PRIME)
-
-
-def test_power_monomials_count():
-    R = PolyRing(("x", "y"), (1, 1), F)
-    x, y = R.gens()
-    assert [str(g) for g in oracle.power_monomials([x, y], 1)] == ["x", "y"]
-    assert len(oracle.power_monomials([x, y], 3)) == 4
-    assert len(oracle.power_monomials([x, y, x + y], 2)) == 6
 
 
 def test_koszul_presentation(regular_base):
@@ -262,7 +253,8 @@ def _direct_rees_basis(A, q, n):
     """The reduced basis of the Rees ideal of q^n by eliminating t from
     I + (T_j - g_j t) in P[T, t], the route the Veronese replaces."""
     amb = A.ambient
-    gens_n = oracle.power_monomials(q.gens, n)
+    gens_n = [math.prod(combo, start=amb.one) for combo in
+              itertools.combinations_with_replacement(q.gens, n)]
     names = tuple(oracle._t_name(amb, j) for j in range(len(gens_n)))
     big = amb.extend(names + ("@t",),
                      tuple(g.degree() + 1 for g in gens_n) + (1,))
