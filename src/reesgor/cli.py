@@ -1,13 +1,16 @@
 """Command-line interface.
 
 Subcommands: check, oracle, shimoda, buchsbaum, invariants, s2, examples.
-Exit codes: 0 Gorenstein, 1 not Gorenstein, 2 hypothesis not satisfied,
-3 input or usage error, 4 resource exceeded (a cap, or out of memory),
-5 two routes that must agree disagreed (an engine bug, never a verdict).
+`run_cli` writes one report (for examples, one document) and returns the
+exit code: 0 Gorenstein, 1 not Gorenstein, 2 hypothesis not satisfied,
+3 input or usage error, unreadable input or an unwritable report, 4
+resource exceeded, 5 an engine bug: routes disagreed, or any exception
+the table `_FAILURES` does not name.  Only a verdict exits 1.
 """
 
 import argparse
 import sys
+import traceback
 
 from .errors import (DepthNotOne, EquivalenceViolation,
                      HypothesisNotVerified, InputError, NoStabilization,
@@ -21,6 +24,18 @@ EXIT_HYPOTHESIS = 2
 EXIT_INPUT = 3
 EXIT_RESOURCE = 4
 EXIT_DISAGREE = 5
+
+# (exception types, exit code, narrative) of every failure that ends a
+# run with an error report; any other exception is an engine bug
+_FAILURES = (
+    ((InputError,), EXIT_INPUT, "input error"),
+    ((OSError, UnicodeDecodeError), EXIT_INPUT, "cannot read input"),
+    ((ResourceExceeded, NoStabilization), EXIT_RESOURCE,
+     "resource limit hit"),
+    ((HypothesisNotVerified, NotParameters, PairNotFound, DepthNotOne,
+      WrongDimension), EXIT_HYPOTHESIS, "outside the theorem hypotheses"),
+    ((EquivalenceViolation,), EXIT_DISAGREE, "routes disagree: engine bug"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,7 +56,7 @@ def _build_parser():
                             "invariants", "s2", "examples"])
     p.add_argument("target", help="input file, or example name for "
                                   "the examples command")
-    p.add_argument("--mode", choices=["criteria", "oracle", "both"],
+    p.add_argument("--mode", choices=["criteria", "both"],
                    default="criteria")
     p.add_argument("--char", type=int, default=None,
                    help="override the coefficient characteristic")
@@ -63,50 +78,36 @@ def run_cli(argv=None):
     args = None
     try:
         args = _build_parser().parse_args(argv)
-        code, pairs, narrative = _dispatch(args)
-    except InputError as e:
-        _emit(args, [("error", str(e))], ["input error"])
-        return EXIT_INPUT
-    except (ResourceExceeded, NoStabilization) as e:
-        _emit(args, [("error", str(e))], ["resource limit hit"])
-        return EXIT_RESOURCE
+        code, text = _dispatch(args)
     except MemoryError:
         # reported once the handler has dropped the traceback, whose
         # frames hold the memory that ran out
-        code, pairs, narrative = (EXIT_RESOURCE, [("error", "out of memory")],
-                                  ["resource limit hit"])
-    except (HypothesisNotVerified, NotParameters, PairNotFound,
-            DepthNotOne, WrongDimension) as e:
-        _emit(args, [("error", str(e))], ["outside the theorem hypotheses"])
-        return EXIT_HYPOTHESIS
-    except EquivalenceViolation as e:
-        _emit(args, [("error", str(e))], ["routes disagree: engine bug"])
-        return EXIT_DISAGREE
+        code, text = EXIT_RESOURCE, None
+    except Exception as e:
+        for types, code, narrative in _FAILURES:
+            if isinstance(e, types):
+                message = str(e)
+                break
+        else:
+            code, narrative = EXIT_DISAGREE, "engine bug"
+            message = "%s: %s" % (type(e).__name__, e)
+            traceback.print_exc()
+        text = inputfmt.format_report([("error", message)], [narrative])
+    if text is None:
+        text = inputfmt.format_report([("error", "out of memory")],
+                                      ["resource limit hit"])
+    out = args.out if args is not None else None
+    try:
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except OSError as e:
-        _emit(args, [("error", str(e))], ["cannot read input"])
+        print("reesgor: cannot write %s: %s"
+              % (out or "standard output", e.strerror or e), file=sys.stderr)
         return EXIT_INPUT
-    if pairs is not None:
-        _emit(args, pairs, narrative)
     return code
-
-
-def _emit(args, pairs, narrative):
-    _write(args, inputfmt.format_report(pairs, narrative))
-
-
-def _write(args, text):
-    if args is not None and args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load(args):
-    with open(args.target) as fh:
-        doc = inputfmt.parse_document(fh.read())
-    A, q, power = doc.build(char_override=args.char)
-    return A, q, power
 
 
 def _ideal_str(ideal):
@@ -114,61 +115,70 @@ def _ideal_str(ideal):
 
 
 def _dispatch(args):
+    """The exit code and the text of a run that ends without failing."""
     if args.command == "examples":
         if args.target not in corpus.EXAMPLES:
             raise InputError("unknown example %r (have: %s)"
                              % (args.target,
                                 ", ".join(sorted(corpus.EXAMPLES))))
-        _write(args, corpus.TEXTS[args.target])
-        return EXIT_GORENSTEIN, None, None
+        return EXIT_GORENSTEIN, corpus.TEXTS[args.target]
 
-    A, q, power = _load(args)
+    with open(args.target, encoding="utf-8") as fh:
+        doc = inputfmt.parse_document(fh.read())
+    A, q, power = doc.build(char_override=args.char)
 
     if args.command == "invariants":
         rep = invariants.depth_and_type(A, length_cap=args.resolution_cap)
+        code = EXIT_GORENSTEIN
         pairs = [("ring", A.label or "input"), ("dim", rep.dim),
                  ("depth", rep.depth), ("pd", rep.pd), ("cm", rep.cm),
                  ("type", rep.type)]
-        return EXIT_GORENSTEIN, pairs, ["ring invariants"]
-
-    if q is None:
+        narrative = ["ring invariants"]
+    elif q is None:
         raise InputError("this command needs a params directive")
-
-    if args.command == "check":
-        return _run_check(args, A, q, power)
-    if args.command == "oracle":
-        return _run_oracle(args, A, q, power)
-    if args.command == "shimoda":
+    elif args.command == "check":
+        code, pairs, narrative = _run_check(args, A, q)
+    elif args.command == "oracle":
+        n = power if power is not None else A.dim()
+        rp = oracle.rees_presentation(A, q, n)
+        o = oracle.graded_gorenstein_oracle(rp, length_cap=args.resolution_cap)
+        code = EXIT_GORENSTEIN if o["gorenstein"] else EXIT_NOT_GORENSTEIN
+        pairs = [("power", n), ("ambient_vars", rp.ring.ambient.n),
+                 ("dim", o["dim"]), ("pd", o["pd"]), ("cm", o["cm"]),
+                 ("type", o["type"]), ("gorenstein", o["gorenstein"])]
+        narrative = ["direct resolution oracle on the Rees presentation"]
+    elif args.command == "shimoda":
         if len(q.gens) != 2:
             raise InputError("shimoda needs exactly two parameters")
         rep = decision.shimoda_check(A, q.gens[0], q.gens[1])
-        pairs = [(k, v) for k, v in rep.items()]
         code = EXIT_GORENSTEIN if rep["verdict"] else EXIT_NOT_GORENSTEIN
-        return code, pairs, ["pairwise criterion in dimension two"]
-    if args.command == "buchsbaum":
+        pairs = list(rep.items())
+        narrative = ["pairwise criterion in dimension two"]
+    elif args.command == "buchsbaum":
         rep = decision.buchsbaum_criterion(A, q)
+        code = EXIT_GORENSTEIN if rep.verdict else EXIT_NOT_GORENSTEIN
         pairs = [("e_m", rep.e_m), ("reduction_number", rep.reduction_number),
                  ("len_a_mod_b", rep.len_b), ("verdict", rep.verdict)]
-        code = EXIT_GORENSTEIN if rep.verdict else EXIT_NOT_GORENSTEIN
-        return code, pairs, ["multiplicity-two criterion (Buchsbaum caller "
-                             "assertion not machine-verified)"]
-    if args.command == "s2":
-        _, pair, prof, data = decision.prepare(A, q, args.seed)
-        pairs = [("pair_a", pair[0]), ("pair_b", pair[1]),
+        narrative = ["multiplicity-two criterion (Buchsbaum caller "
+                     "assertion not machine-verified)"]
+    else:
+        # s2, the last of the parser's choices
+        _, prof, data = decision.prepare(A, q, args.seed)
+        a, b = data.pair
+        code = EXIT_GORENSTEIN
+        pairs = [("pair_a", a), ("pair_b", b),
                  ("h1_length", data.h1_length),
                  ("conductor", _ideal_str(data.conductor)),
-                 ("fractions", ", ".join("(%s)/(%s)" % (g, pair[0])
+                 ("fractions", ", ".join("(%s)/(%s)" % (g, a)
                                          for g in data.fraction_numerators)),
                  ("profile_verdict", prof.verdict)]
         if data.h1_length > 0:
             pairs.append(("h1_socle", s2.h1_socle(A, data)))
-        return EXIT_GORENSTEIN, pairs, ["(S2)-ification data"]
-    raise InputError("unknown command %r" % args.command)
+        narrative = ["(S2)-ification data"]
+    return code, inputfmt.format_report(pairs, narrative)
 
 
-def _run_check(args, A, q, power):
-    if args.mode == "oracle":
-        return _run_oracle(args, A, q, power)
+def _run_check(args, A, q):
     report = decision.decide(A, q, run_oracle=args.mode == "both",
                              seed=args.seed, length_cap=args.resolution_cap)
     pairs = _report_pairs(report)
@@ -185,17 +195,6 @@ def _run_check(args, A, q, power):
         code = EXIT_NOT_GORENSTEIN
         narrative = ["not Gorenstein: a criterion clause failed"]
     return code, pairs, narrative
-
-
-def _run_oracle(args, A, q, power):
-    n = power if power is not None else A.dim()
-    rp = oracle.rees_presentation(A, q, n)
-    o = oracle.graded_gorenstein_oracle(rp, length_cap=args.resolution_cap)
-    pairs = [("power", n), ("ambient_vars", rp.ring.ambient.n),
-             ("dim", o["dim"]), ("pd", o["pd"]), ("cm", o["cm"]),
-             ("type", o["type"]), ("gorenstein", o["gorenstein"])]
-    code = EXIT_GORENSTEIN if o["gorenstein"] else EXIT_NOT_GORENSTEIN
-    return code, pairs, ["direct resolution oracle on the Rees presentation"]
 
 
 def _report_pairs(report):

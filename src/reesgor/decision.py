@@ -25,8 +25,8 @@ BuchsbaumReport = namedtuple(
 
 def prepare(A, q, seed=0):
     """Shared certificate inputs for both condition routes and the s2
-    command: (d, pair, profile, data), each hypothesis gate run before
-    the conductor crosscheck that needs it."""
+    command: (d, profile, data), each hypothesis gate run before the
+    conductor crosscheck that needs it; data.pair is the parameter pair."""
     d = rings.check_parameters(q)
     pair = s2.filter_regular_pair(A, q, seed)
     profile = s2.hypothesis_profile(A, pair=pair)
@@ -36,13 +36,13 @@ def prepare(A, q, seed=0):
     if not s2.is_standard_parameters(q, profile=profile, data=data):
         raise HypothesisNotVerified("q is not a standard parameter ideal")
     s2.conductor_crosscheck(A, data)
-    return d, pair, profile, data
+    return d, profile, data
 
 
-def decide_condition2(A, q, prepared):
+def decide_condition2(A, q, data):
     """First cohomology nonzero with simple socle, and c equals the
-    colon-sum ideal of the parameters.  `prepared` is `prepare(A, q)`."""
-    d, pair, profile, data = prepared
+    colon-sum ideal of the parameters.  `data` is the (S2)-ification data
+    of `prepare(A, q)`."""
     h1_nonzero = data.h1_length > 0
     socle = s2.h1_socle(A, data) if h1_nonzero else 0
     socle_is_1 = socle == 1
@@ -59,12 +59,12 @@ def decide_condition2(A, q, prepared):
     }
 
 
-def decide_condition3(A, q, prepared):
+def decide_condition3(A, q, data):
     """Depth one, type one, the multiplicity equation for the conductor,
-    and q a reduction of the conductor.  `prepared` is `prepare(A, q)`.
+    and q a reduction of the conductor.  `data` is the (S2)-ification
+    data of `prepare(A, q)`.
     When q reduces c, e_c = e_q (Northcott-Rees) is read off the Hilbert
     series of A; otherwise it comes from the difference scheme."""
-    d, pair, profile, data = prepared
     rep = invariants.depth_and_type(A)
     depth_is_1 = rep.depth == 1
     type_is_1 = rep.type == 1
@@ -115,10 +115,9 @@ def decide(A, q, run_oracle=False, seed=0, length_cap=None):
     """Full decision: both criteria, agreement assertion, consequence
     suite on a true verdict, and optionally the resolution oracle, whose
     resolution length_cap bounds."""
-    prepared = prepare(A, q, seed)
-    d, pair, profile, data = prepared
-    cond2 = decide_condition2(A, q, prepared)
-    cond3 = decide_condition3(A, q, prepared)
+    d, profile, data = prepare(A, q, seed)
+    cond2 = decide_condition2(A, q, data)
+    cond3 = decide_condition3(A, q, data)
     verdict = errors.crosscheck("condition (2) and condition (3) verdicts",
                                 cond2["verdict"], cond3["verdict"])
     consequences = oracle_verdict = None

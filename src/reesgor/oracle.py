@@ -26,9 +26,8 @@ from .errors import DepthNotOne, crosscheck
 from .groebner import groebner_basis
 from . import invariants, rings
 
-# base is the PresentedGradedRing A, and ring R(q^n) as a
-# PresentedGradedRing
-ReesPresentation = namedtuple("ReesPresentation", "base q n ring")
+# ring is R(q^n) as a PresentedGradedRing; the base ring A is q.owner
+ReesPresentation = namedtuple("ReesPresentation", "q n ring")
 
 
 def rees_presentation(A, q, n):
@@ -49,7 +48,7 @@ def rees_presentation(A, q, n):
     # out is the reduced basis of the Rees ideal under the grevlex order
     # of sub, so the ring keeps it as its gb()
     ring = rings.PresentedGradedRing.from_basis(sub, out)
-    rp = ReesPresentation(A, q, n, ring)
+    rp = ReesPresentation(q, n, ring)
     _verify_substitution(rp)
     crosscheck("dimension of the Rees presentation and dim A + 1",
                ring.dim(), d + 1)
@@ -111,7 +110,7 @@ def _verify_substitution(rp):
     modulo I once, as q_i times the reduced q^(b - e_i), and each part,
     the sum of the c x^a NF(q^b), once.
     """
-    A, qs = rp.base, rp.q.gens
+    A, qs = rp.q.owner, rp.q.gens
     amb, d = A.ambient, len(qs)
     m, field = amb.n, amb.field
     # b of each T_j, off the enumeration that names the T_j

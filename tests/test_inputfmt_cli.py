@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reesgor
-from reesgor import corpus, inputfmt
+from reesgor import corpus, inputfmt, oracle
 from reesgor.cli import run_cli
 from reesgor.errors import InputError
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
@@ -264,6 +264,79 @@ def test_cli_invariants_and_s2():
     assert report["h1_socle"] == "1"
 
 
+# k[x,y] x m^2, the idealization of the square of the maximal ideal, with
+# q = (x^2, y^2): H^1 has length 3 and a socle of dimension 2, so both
+# criteria fail and R(q^2) is Cohen-Macaulay of type 4
+SEMIDIRECT_M2 = ("vars x:1 y:1 u:2 v:2 w:2\n"
+                 "ideal u^2, u*v, u*w, v^2, v*w, w^2, y*u - x*v, y*v - x*w\n"
+                 "params x^2, y^2\n")
+
+
+def test_cli_not_gorenstein_verdict(tmp_path):
+    """The verdict that a criterion clause failed (exit 1), which no
+    corpus ring reaches: each corpus ring is Gorenstein or has H^1 = 0.
+    check --mode both gives one report in every characteristic, and the
+    oracle and the pairwise criterion agree."""
+    path = tmp_path / "semidirect_m2.ring"
+    path.write_text(SEMIDIRECT_M2)
+    outs = set()
+    for char in ("0", "2", "3", "32003"):
+        code, out = run(["check", str(path), "--mode", "both",
+                         "--char", char])
+        assert code == 1, char
+        outs.add(out)
+    (out,) = outs
+    assert out.endswith("# not Gorenstein: a criterion clause failed\n")
+    report = inputfmt.parse_report(out)
+    assert (report["h1_length"], report["h1_socle"]) == ("3", "2")
+    assert {key: report[key] for key in (
+        "cond2.verdict", "cond3.verdict", "cond3.type_is_1", "cond3.e_c",
+        "cond3.len_a_mod_c", "cond3.reduction_number",
+        "oracle.gorenstein", "verdict")} == {
+        "cond2.verdict": "false", "cond3.verdict": "false",
+        "cond3.type_is_1": "false", "cond3.e_c": "8",
+        "cond3.len_a_mod_c": "3", "cond3.reduction_number": "1",
+        "oracle.gorenstein": "false", "verdict": "false"}
+    code, out = run(["oracle", str(path)])
+    assert code == 1
+    report = inputfmt.parse_report(out)
+    assert (report["power"], report["cm"], report["type"]) == \
+        ("2", "true", "4")
+    assert run(["shimoda", str(path)])[0] == 1
+
+
+def test_power_dichotomy_on_a_not_gorenstein_ring():
+    """The oracle finds R(q^n) not Gorenstein at n = d = 2 as the
+    criteria do, and at n = 3 as it must for every n other than d."""
+    A, q, _ = inputfmt.parse_document(SEMIDIRECT_M2).build()
+    assert oracle.n_neq_d_suite(A, q, 2, (2, 3), criteria_verdict=False) \
+        == {2: False, 3: False}
+
+
+@pytest.mark.parametrize("cmd", ["check", "oracle", "shimoda", "buchsbaum",
+                                 "s2"])
+def test_cli_commands_on_parameters_need_a_params_line(tmp_path, cmd):
+    """Every command but invariants reads q: without a params line it is
+    an input error (exit 3), while invariants reads the ring alone."""
+    path = tmp_path / "no_params.ring"
+    path.write_text("vars x y\nideal x*y\n")
+    code, out = run([cmd, str(path)])
+    assert code == 3
+    assert inputfmt.parse_report(out)["error"] == \
+        "this command needs a params directive"
+    assert run(["invariants", str(path)])[0] == 0
+
+
+def test_cli_input_that_is_not_text(tmp_path):
+    """A document that is not UTF-8 text is unreadable input (exit 3)."""
+    path = tmp_path / "binary.ring"
+    path.write_bytes(b"vars x y\nideal x*y\xff\nparams x, y\n")
+    code, out = run(["check", str(path)])
+    assert code == 3
+    assert out.endswith("# cannot read input\n")
+    assert "can't decode byte 0xff" in inputfmt.parse_report(out)["error"]
+
+
 def test_cli_input_errors(tmp_path):
     assert run(["check", str(tmp_path / "missing.ring")])[0] == 3
     bad = tmp_path / "bad.ring"
@@ -283,7 +356,7 @@ MALFORMED = {
     "power_zero": ("vars x y\nideal x*y\nparams x, y\npower 0\n",
                    ["oracle"], "line 4, col 1: power must be at least 1"),
     "power_negative": ("vars x y\nideal x*y\nparams x, y\npower -1\n",
-                       ["check", "--mode", "oracle"],
+                       ["oracle"],
                        "line 4, col 1: power must be at least 1"),
     "inhomogeneous_ideal": ("vars x y\nideal x*y - x\nparams x, y\n",
                             ["check"], "line 2, col 7: inhomogeneous "
@@ -337,13 +410,11 @@ MALFORMED = {
 def test_cli_rejects_malformed_document(tmp_path, case):
     """Each malformed document or characteristic is an input error (exit
     3) with its line and column when it has one, not an uncaught exception
-    or a verdict: under its own command, and under check --mode criteria
-    and check --mode oracle (argparse reads the last --mode given)."""
+    or a verdict: under its own command, and under check --mode criteria."""
     text, args, error = MALFORMED[case]
     path = tmp_path / "bad.ring"
     path.write_text(text)
-    for argv in (args, ["check"] + args[1:] + ["--mode", "criteria"],
-                 ["check"] + args[1:] + ["--mode", "oracle"]):
+    for argv in (args, ["check"] + args[1:] + ["--mode", "criteria"]):
         code, out = run([argv[0], str(path)] + argv[1:])
         assert code == 3, argv
         assert inputfmt.parse_report(out)["error"] == error, argv
@@ -388,8 +459,7 @@ def test_cli_oracle_needs_parameters(tmp_path):
         "q must be generated by a system of parameters"
 
 
-@pytest.mark.parametrize("cmd", [["oracle"], ["check", "--mode", "oracle"]])
-def test_cli_power_is_bounded(tmp_path, cmd):
+def test_cli_power_is_bounded(tmp_path):
     """A power line at MAX_POWER reaches the oracle; one past it is an
     input error (exit 3) at its line, before any ring is built."""
     top = inputfmt.MAX_POWER
@@ -397,7 +467,7 @@ def test_cli_power_is_bounded(tmp_path, cmd):
         path = tmp_path / "power.ring"
         path.write_text("vars x y\nideal x*y\nparams x+y\npower %d\n"
                         % power)
-        code, out = run(cmd[:1] + [str(path)] + cmd[1:])
+        code, out = run(["oracle", str(path)])
         report = inputfmt.parse_report(out)
         assert code == want, power
         if want == 0:
@@ -476,7 +546,7 @@ def test_cli_thick_plane_is_not_standard(tmp_path, cmd):
 @pytest.mark.parametrize("cap, want", [(1, 4), (4, 0)])
 def test_cli_resolution_cap_reaches_the_oracle_of_check_both(cap, want):
     """--resolution-cap bounds the oracle of check --mode both as it does
-    that of --mode oracle."""
+    that of the oracle command."""
     code, _ = run(["check", corpus_path("hochster_roberts"), "--mode",
                    "both", "--resolution-cap", str(cap)])
     assert code == want
@@ -484,14 +554,16 @@ def test_cli_resolution_cap_reaches_the_oracle_of_check_both(cap, want):
 
 @pytest.mark.parametrize("argv", [
     ["check", corpus_path("hochster_roberts"), "--mode", "foo"],
+    ["check", corpus_path("hochster_roberts"), "--mode", "oracle"],
     ["check", corpus_path("hochster_roberts"), "--rmax", "1"],
     ["check", corpus_path("hochster_roberts"), "--seed", "one"],
     ["bogus", corpus_path("hochster_roberts")],
     ["check"],
-], ids=["mode", "rmax", "seed", "command", "target"])
+], ids=["mode", "mode_oracle", "rmax", "seed", "command", "target"])
 def test_cli_usage_errors_are_input_errors(argv):
     """A usage error exits 3 with an error line, not argparse's exit 2,
-    which would read as a ring outside the hypotheses."""
+    which would read as a ring outside the hypotheses; the oracle is the
+    oracle command, not a mode of check."""
     code, out = run(argv)
     assert code == 3
     assert inputfmt.parse_report(out)["error"]
@@ -517,6 +589,22 @@ def test_cli_out_flag(tmp_path):
     assert code == 0
     report = inputfmt.parse_report(target.read_text())
     assert report["depth"] == "2"
+
+
+@pytest.mark.parametrize("cmd", [["check", corpus_path("hochster_roberts")],
+                                 ["examples", "hochster_roberts"]])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_cli_unwritable_out_exits_3(tmp_path, capsys, cmd, where):
+    """A report or document that cannot be written to --out is exit 3,
+    with one stderr line naming the path and nothing on stdout."""
+    out = {"missing_dir": tmp_path / "missing" / "report.txt",
+           "directory": tmp_path}[where]
+    code = run_cli(cmd + ["--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert code == 3
+    assert stdout == ""
+    assert stderr.count("\n") == 1
+    assert stderr.startswith("reesgor: cannot write %s: " % out)
 
 
 def test_cli_resolution_cap_exhausted():
@@ -555,6 +643,25 @@ def test_cli_route_disagreement_exits_5(monkeypatch):
     assert code == 5
     assert "routes disagree" in inputfmt.parse_report(out)["error"]
     assert "engine bug" in out
+
+
+def test_cli_unexpected_exception_is_an_engine_bug(monkeypatch, capsys):
+    """An exception that no exit code names is an engine bug (exit 5),
+    reported with its traceback on stderr, never Python's exit 1."""
+    from reesgor import invariants
+    from reesgor.errors import NotDivisible
+
+    def broken(*args, **kwargs):
+        raise NotDivisible("x does not divide y")
+    monkeypatch.setattr(invariants, "depth_and_type", broken)
+    code = run_cli(["invariants", corpus_path("hochster_roberts")])
+    stdout, stderr = capsys.readouterr()
+    assert code == 5
+    assert inputfmt.parse_report(stdout)["error"] == \
+        "NotDivisible: x does not divide y"
+    assert stdout.endswith("# engine bug\n")
+    assert stderr.startswith("Traceback")
+    assert "NotDivisible: x does not divide y" in stderr
 
 
 def test_package_import_leaves_cli_unloaded():
