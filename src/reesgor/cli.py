@@ -3,7 +3,7 @@
 Subcommands: check, oracle, shimoda, buchsbaum, invariants, s2, examples.
 `run_cli` writes one report (for examples, one document) and returns the
 exit code: 0 Gorenstein, 1 not Gorenstein, 2 hypothesis not satisfied,
-3 input or usage error, unreadable input or an unwritable report, 4
+3 input or usage error, help, unreadable input or an unwritable report, 4
 resource exceeded, 5 an engine bug: routes disagreed, or any exception
 the table `_FAILURES` does not name.  Only a verdict exits 1.
 """
@@ -46,9 +46,18 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+# help and --out, read before the full parse, so that help and usage
+# errors are written to --out too; argparse's own help would print and
+# exit 0, the Gorenstein code
+_FIRST = _Parser(add_help=False)
+_FIRST.add_argument("-h", "--help", action="store_true",
+                    help="show this help and exit 3")
+_FIRST.add_argument("--out")
+
+
 def _build_parser():
     p = _Parser(
-        prog="reesgor",
+        prog="reesgor", add_help=False, parents=[_FIRST],
         description="Decide Gorensteinness of the Rees algebra of a power "
                     "of a parameter ideal.")
     p.add_argument("command",
@@ -62,7 +71,6 @@ def _build_parser():
                    help="override the coefficient characteristic")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resolution-cap", type=_non_negative, default=None)
-    p.add_argument("--out", default=None)
     return p
 
 
@@ -75,10 +83,14 @@ def _non_negative(text):
 
 
 def run_cli(argv=None):
-    args = None
+    out = None
     try:
-        args = _build_parser().parse_args(argv)
-        code, text = _dispatch(args)
+        first = _FIRST.parse_known_args(argv)[0]
+        out, parser = first.out, _build_parser()
+        if first.help:
+            code, text = EXIT_INPUT, parser.format_help()
+        else:
+            code, text = _dispatch(parser.parse_args(argv))
     except MemoryError:
         # reported once the handler has dropped the traceback, whose
         # frames hold the memory that ran out
@@ -96,7 +108,6 @@ def run_cli(argv=None):
     if text is None:
         text = inputfmt.format_report([("error", "out of memory")],
                                       ["resource limit hit"])
-    out = args.out if args is not None else None
     try:
         if out:
             with open(out, "w") as fh:
@@ -163,7 +174,7 @@ def _dispatch(args):
                      "assertion not machine-verified)"]
     else:
         # s2, the last of the parser's choices
-        _, prof, data = decision.prepare(A, q, args.seed)
+        _, prof, data = decision.prepare(q, args.seed)
         a, b = data.pair
         code = EXIT_GORENSTEIN
         pairs = [("pair_a", a), ("pair_b", b),

@@ -23,10 +23,11 @@ BuchsbaumReport = namedtuple(
     "BuchsbaumReport", "e_m reduction_number b_ideal len_b verdict")
 
 
-def prepare(A, q, seed=0):
+def prepare(q, seed=0):
     """Shared certificate inputs for both condition routes and the s2
     command: (d, profile, data), each hypothesis gate run before the
     conductor crosscheck that needs it; data.pair is the parameter pair."""
+    A = q.owner
     d = rings.check_parameters(q)
     pair = s2.filter_regular_pair(A, q, seed)
     profile = s2.hypothesis_profile(A, pair=pair)
@@ -39,12 +40,12 @@ def prepare(A, q, seed=0):
     return d, profile, data
 
 
-def decide_condition2(A, q, data):
+def decide_condition2(q, data):
     """First cohomology nonzero with simple socle, and c equals the
     colon-sum ideal of the parameters.  `data` is the (S2)-ification data
-    of `prepare(A, q)`."""
+    of `prepare(q)`."""
     h1_nonzero = data.h1_length > 0
-    socle = s2.h1_socle(A, data) if h1_nonzero else 0
+    socle = s2.h1_socle(q.owner, data) if h1_nonzero else 0
     socle_is_1 = socle == 1
     sigma = rings.sigma_tilde(q)
     c_equals_sigma = rings.ideals_equal(data.conductor, sigma)
@@ -59,13 +60,13 @@ def decide_condition2(A, q, data):
     }
 
 
-def decide_condition3(A, q, data):
+def decide_condition3(q, data):
     """Depth one, type one, the multiplicity equation for the conductor,
     and q a reduction of the conductor.  `data` is the (S2)-ification
-    data of `prepare(A, q)`.
+    data of `prepare(q)`.
     When q reduces c, e_c = e_q (Northcott-Rees) is read off the Hilbert
     series of A; otherwise it comes from the difference scheme."""
-    rep = invariants.depth_and_type(A)
+    rep = invariants.depth_and_type(q.owner)
     depth_is_1 = rep.depth == 1
     type_is_1 = rep.type == 1
     c = data.conductor
@@ -90,8 +91,9 @@ def decide_condition3(A, q, data):
     }
 
 
-def _consequences(A, q, data):
+def _consequences(q, data):
     """Checks that must hold whenever the verdict is true."""
+    A = q.owner
     a, _ = data.pair
     # a_i * (A~ generators): a_i itself (a/a) and each a_i * g_j / a
     products = [[ai] + [rings.ring_division(A.reduce(ai * g), a, A)
@@ -115,14 +117,15 @@ def decide(A, q, run_oracle=False, seed=0, length_cap=None):
     """Full decision: both criteria, agreement assertion, consequence
     suite on a true verdict, and optionally the resolution oracle, whose
     resolution length_cap bounds."""
-    d, profile, data = prepare(A, q, seed)
-    cond2 = decide_condition2(A, q, data)
-    cond3 = decide_condition3(A, q, data)
+    A = rings.check_owner(A, q)
+    d, profile, data = prepare(q, seed)
+    cond2 = decide_condition2(q, data)
+    cond3 = decide_condition3(q, data)
     verdict = errors.crosscheck("condition (2) and condition (3) verdicts",
                                 cond2["verdict"], cond3["verdict"])
     consequences = oracle_verdict = None
     if verdict:
-        consequences = _consequences(A, q, data)
+        consequences = _consequences(q, data)
         errors.crosscheck("consequence checks on a true verdict",
                           consequences, dict.fromkeys(consequences, True))
     if run_oracle:
@@ -177,6 +180,7 @@ def buchsbaum_criterion(A, q):
     that H^i_m(A), dual to Ext^(n-i)(A, omega), has finite length for
     every i < d is tested first.
     """
+    A = rings.check_owner(A, q)
     rep = invariants.depth_and_type(A)
     if rep.depth != 1:
         raise DepthNotOne("the multiplicity criterion needs depth 1")

@@ -70,20 +70,12 @@ def saturate(ring, gens, sat_by):
 
 
 def eliminate(ring, gens, block):
-    """Generators of (gens) intersected with the subring without `block`.
-
-    Returns (subring, generators transferred into the subring).
-    """
+    """Generators of (gens) intersected with the subring without `block`,
+    transferred into that subring, which they carry as their ring."""
     block = tuple(sorted(block))
     keep = [i for i in range(ring.n) if i not in block]
     sub = ring.restrict(keep)
-    if not gens:
-        return sub, []
     elim_ring = ring.with_order(BlockOrder(ring.weights, block))
     work = [elim_ring.transfer(g) for g in gens]
-    gb = groebner_basis(work)
-    out = []
-    for g in gb:
-        if all(all(e[i] == 0 for i in block) for e, _ in g.terms):
-            out.append(sub.transfer(g))
-    return sub, out
+    return [sub.transfer(g) for g in groebner_basis(work)
+            if all(all(e[i] == 0 for i in block) for e, _ in g.terms)]

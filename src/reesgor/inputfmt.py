@@ -303,17 +303,15 @@ def parse_poly(expr, ring, line=None, col=1):
 
 # -- report serialization --------------------------------------------------
 
-def format_report(pairs, narrative=None):
-    """Flat one-fact-per-line document from (key, value) pairs."""
+def format_report(pairs, narrative):
+    """Flat one-fact-per-line document from (key, value) pairs, then a
+    blank line and each narrative line as a `#` comment."""
     lines = []
     for key, value in pairs:
         if isinstance(value, bool):
             value = "true" if value else "false"
         lines.append("%s = %s" % (key, value))
-    if narrative:
-        lines.append("")
-        for ln in narrative:
-            lines.append("# %s" % ln)
+    lines += [""] + ["# %s" % ln for ln in narrative]
     return "\n".join(lines) + "\n"
 
 

@@ -154,12 +154,6 @@ class Vec:
         return Poly(self.module.ring, tuple((e, c) for (comp, e), c
                                             in self.terms if comp == i))
 
-    def components(self):
-        polys = [dict() for _ in range(self.module.rank)]
-        for (comp, e), c in self.terms:
-            polys[comp][e] = c
-        return [self.module.ring.from_dict(d) for d in polys]
-
     def degree(self):
         """Common weighted degree (with shifts) when homogeneous, else max."""
         if not self.terms:
@@ -217,7 +211,8 @@ class Vec:
         return self._hash
 
     def __repr__(self):
-        return "<Vec %s>" % (tuple(str(p) for p in self.components()),)
+        return "<Vec %s>" % (tuple(str(self.component(i))
+                                   for i in range(self.module.rank)),)
 
 
 # bit i of a divisibility mask; variables past the last bit are left out

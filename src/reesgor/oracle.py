@@ -22,7 +22,7 @@ every presentation here is connected graded over the base field.
 from collections import namedtuple
 from itertools import combinations_with_replacement
 
-from .errors import DepthNotOne, crosscheck
+from .errors import DepthNotOne, WrongDimension, crosscheck
 from .groebner import groebner_basis
 from . import invariants, rings
 
@@ -33,10 +33,10 @@ ReesPresentation = namedtuple("ReesPresentation", "q n ring")
 def rees_presentation(A, q, n):
     """Present R(q^n) as the n-th Veronese of R(q), with a substitution
     check."""
+    amb = rings.check_owner(A, q).ambient
     d = rings.check_parameters(q)
     if n < 1:
         raise ValueError("power must be at least 1")
-    amb = A.ambient
     # T_j -> g_j t has degree 1 + deg g_j, g_j the product of combination j
     degs = [g.degree() for g in q.gens]
     weights = tuple(1 + sum(degs[i] for i in combo)
@@ -158,9 +158,12 @@ def graded_gorenstein_oracle(rp, length_cap=None):
 def n_neq_d_suite(A, q, d, trials, criteria_verdict=None):
     """Oracle verdicts per power n; only n = d may be Gorenstein.
 
-    When the criteria verdict for (A, q) is supplied, the n = d oracle
-    outcome must match it.
+    d is dim A.  When the criteria verdict for (A, q) is supplied, the
+    n = d oracle outcome must match it.
     """
+    A = rings.check_owner(A, q)
+    if d != A.dim():
+        raise WrongDimension("d = %d is not dim A = %d" % (d, A.dim()))
     rep = invariants.depth_and_type(A)
     if rep.depth != 1:
         raise DepthNotOne("the power dichotomy needs depth 1")

@@ -46,12 +46,6 @@ class PolyRing:
             return self.zero
         return Poly(self, ((self.zero_exp, c),))
 
-    def monomial(self, exp, coeff=1):
-        c = self.field.of(coeff)
-        if c == self.field.zero:
-            return self.zero
-        return Poly(self, ((tuple(exp), c),))
-
     def from_dict(self, d):
         """Canonicalize {exp: coeff} into a sorted Poly, dropping zeros."""
         zero = self.field.zero

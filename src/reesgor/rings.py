@@ -228,7 +228,7 @@ class Ideal:
                 work.append(big.gen(amb.n + j) - big.transfer(g) * t)
             # the eliminated generators are the reduced basis under the
             # grevlex order of the rest block of the elimination order
-            self._rees = tuple(idealops.eliminate(big, work, (big.n - 1,))[1])
+            self._rees = tuple(idealops.eliminate(big, work, (big.n - 1,)))
         return self._rees
 
     def reduce(self, f):
@@ -246,7 +246,7 @@ class Ideal:
         return self.reduce(f).is_zero()
 
     def contains_ideal(self, other):
-        _check_owner(self, other)
+        check_owner(self.owner, other)
         return all(self.contains(g) for g in other.gens)
 
     def hilbert_numerator(self):
@@ -265,21 +265,21 @@ class Ideal:
                                 self.owner.weights)[0]
         return self._dim
 
-    def is_zero(self):
-        """True when the ideal is zero in A (preimage equals I)."""
-        return all(self.owner.is_zero_element(g) for g in self.gens)
-
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.gens)
 
 
-def _check_owner(a, b):
-    if a.owner != b.owner:
-        raise OwnerMismatch("ideals from different rings")
+def check_owner(A, ideal):
+    """The ring of ideal, once it is seen to be A: the same object, or an
+    equal ring, as one built twice from one document is; callers go on in
+    it, so one set of memos serves.  OwnerMismatch otherwise."""
+    if ideal.owner is not A and ideal.owner != A:
+        raise OwnerMismatch("ideal of another ring")
+    return ideal.owner
 
 
 def intersect(ia, ib):
-    _check_owner(ia, ib)
+    check_owner(ia.owner, ib)
     A = ia.owner
     out = idealops.intersect(A.ambient, ia.preimage_gens(), ib.preimage_gens())
     return Ideal.from_basis(A, out)
@@ -291,7 +291,7 @@ def colon(ia, b):
 
 
 def ideals_equal(ia, ib):
-    _check_owner(ia, ib)
+    check_owner(ia.owner, ib)
     return ia.gb() == ib.gb()
 
 

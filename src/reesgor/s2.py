@@ -44,9 +44,10 @@ def is_filter_regular(A, a, b):
 def filter_regular_pair(A, q, seed=0):
     """A pair (a, b) from q with a regular on A and b filter-regular mod a.
 
-    Tests q as a system of parameters, then tries ordered pairs of q's
-    generators, then seeded random combinations of equal-degree ones.
+    Tests q as a system of parameters of A, then tries ordered pairs of
+    q's generators, then seeded random combinations of equal-degree ones.
     """
+    A = rings.check_owner(A, q)
     rings.check_parameters(q)
     for a, b in _pair_candidates(q, seed):
         if (not A.is_zero_element(a) and not A.is_zero_element(b)

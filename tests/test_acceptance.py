@@ -181,20 +181,23 @@ def test_acceptance_9_kernel_property_suite():
     from reesgor.polys import PolyRing
     from reesgor.fields import GF, DEFAULT_PRIME
     ring = PolyRing(("x", "y", "z"), (1, 1, 1), GF(DEFAULT_PRIME))
+
+    def monomial(exp):
+        return ring.from_dict({exp: ring.field.one})
+
     pool = [e for e in itertools.product(range(5), repeat=3)
             if 0 < sum(e) <= 4]
     sample = pool[::5]
     for ea in (sample[:3], sample[3:5], sample[5:8]):
         for eb in (sample[1:4], sample[6:9]):
-            got = idealops.intersect(ring, [ring.monomial(e) for e in ea],
-                                     [ring.monomial(e) for e in eb])
-            want = [ring.monomial(tuple(max(a, b) for a, b in zip(x, y)))
+            got = idealops.intersect(ring, [monomial(e) for e in ea],
+                                     [monomial(e) for e in eb])
+            want = [monomial(tuple(max(a, b) for a, b in zip(x, y)))
                     for x in ea for y in eb]
             assert groebner_basis(got) == groebner_basis(want)
         m = sample[2]
-        got = idealops.colon(ring, [ring.monomial(e) for e in ea],
-                             [ring.monomial(m)])
-        want = [ring.monomial(tuple(max(a - b, 0) for a, b in zip(e, m)))
+        got = idealops.colon(ring, [monomial(e) for e in ea], [monomial(m)])
+        want = [monomial(tuple(max(a - b, 0) for a, b in zip(e, m)))
                 for e in ea]
         assert groebner_basis(got) == groebner_basis(want)
 

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from reesgor import corpus, modules
+from reesgor import corpus, decision, modules
 from reesgor.hilbert import upoly_mul
 from reesgor.modules import FreeModule, module_syzygies
 from reesgor.polys import PolyRing
@@ -85,6 +85,14 @@ def test_idealization_examples_are_what_the_builder_writes(name):
     B, qB = corpus.build_idealization(b_names, (1,) * len(b_names),
                                       q_exprs, label=name)
     assert (A, A.label, q.gens) == (B, B.label, qB.gens)
+
+
+def test_idealization_variables_avoid_the_names_of_its_base():
+    """A z_i whose name the base ring already has gains a leading z until
+    it is fresh: over k[u,v] the new variables are zu and zv."""
+    A, q = corpus.build_idealization(("u", "v"), (1, 1), ("u", "v"))
+    assert A.names == ("u", "v", "zu", "zv")
+    assert decision.decide(A, q).verdict
 
 
 def test_examples_run_no_buchberger(monkeypatch):

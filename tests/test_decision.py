@@ -3,11 +3,13 @@ variants."""
 
 import pytest
 
-from reesgor import corpus, decision, invariants, rings
+from reesgor import corpus, decision, invariants, modules, oracle, rings, s2
 from reesgor.errors import (DepthNotOne, HypothesisNotVerified,
-                            NotParameters, WrongDimension)
+                            NotParameters, OwnerMismatch, WrongDimension)
 from reesgor.fields import GF, DEFAULT_PRIME
 from reesgor.polys import PolyRing
+
+from reference import count_calls
 
 F = GF(DEFAULT_PRIME)
 
@@ -277,3 +279,49 @@ def test_decide_builds_each_graph_basis_once(monkeypatch):
     # no syzygy module is built on its own
     assert built == {"module_buchberger"}
     assert not repeated, repeated
+
+
+# (ring, parameters of another ring) pairs: two_planes and the
+# idealization k[x,y] x (x,y) share the ambient ring k[x,y,u,v];
+# hochster_roberts and regular_base do not
+CROSS_RING = {
+    "decide": (lambda A, q: decision.decide(A, q),
+               "two_planes", "idealization_xy"),
+    "filter_regular_pair": (lambda A, q: s2.filter_regular_pair(A, q),
+                            "two_planes", "idealization_xy"),
+    "n_neq_d_suite": (lambda A, q: oracle.n_neq_d_suite(A, q, 2, (2,)),
+                      "two_planes", "idealization_xy"),
+    "buchsbaum_criterion": (lambda A, q: decision.buchsbaum_criterion(A, q),
+                            "two_planes", "idealization_xy"),
+    "rees_presentation": (lambda A, q: oracle.rees_presentation(A, q, 2),
+                          "hochster_roberts", "regular_base"),
+    "rees_presentation_reversed": (
+        lambda A, q: oracle.rees_presentation(A, q, 2),
+        "regular_base", "hochster_roberts"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CROSS_RING))
+def test_entry_points_refuse_parameters_of_another_ring(monkeypatch, case):
+    """An entry point handed A beside q checks that q is an ideal of A
+    before any Groebner work; fresh rings, so no memo hides the work."""
+    call, ring_name, params_name = CROSS_RING[case]
+    A, _ = corpus.EXAMPLES[ring_name]()
+    _, q = corpus.EXAMPLES[params_name]()
+    runs = count_calls(monkeypatch, modules.module_buchberger)
+    with pytest.raises(OwnerMismatch):
+        call(A, q)
+    assert runs == []
+
+
+def test_ring_built_twice_from_one_document_passes_the_check():
+    """Rings built twice from one document are equal, so each one's
+    parameters are parameters of the other; the work goes on in q's
+    ring, whose memos serve both calls."""
+    A, _ = corpus.EXAMPLES["two_planes"]()
+    B, q = corpus.EXAMPLES["two_planes"]()
+    assert A is not B and A == B
+    assert rings.check_owner(A, q) is B
+    report = decision.decide(A, q)
+    assert report.verdict and report.ring is B
+    assert oracle.rees_presentation(A, q, 2).ring.dim() == 3

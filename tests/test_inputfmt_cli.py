@@ -398,6 +398,15 @@ MALFORMED = {
                               "\nparams x, y\n", ["invariants"],
                               "line 3, col 17: power has coefficients past "
                               "1000 bits"),
+    "char_not_integer": ("vars x y\nchar abc\nparams x, y\n", ["check"],
+                         "line 2, col 1: char expects an integer"),
+    "bad_variable_name": ("vars x 9y\nparams x, y\n", ["check"],
+                          "line 1, col 8: bad variable name '9y'"),
+    "weight_not_positive": ("vars x:0 y\nparams x, y\n", ["check"],
+                            "line 1, col 6: weight must be positive"),
+    "power_not_integer": ("vars x y\nparams x, y\npower two\n", ["check"],
+                          "line 3, col 1: power expects an integer"),
+    "no_vars": ("ring r\nchar 7\n", ["check"], "no vars directive"),
     "char_above_prime_bound": (
         "vars x y\nchar 3317044064679887385961981\nideal x*y\nparams x, y\n",
         ["check"], "line 2, col 1: characteristic 3317044064679887385961981 "
@@ -568,6 +577,34 @@ def test_cli_usage_errors_are_input_errors(argv):
     assert code == 3
     assert inputfmt.parse_report(out)["error"]
     assert out.endswith("# input error\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["check", "--help"]],
+                         ids=["h", "check_help"])
+def test_cli_help_is_the_one_write(tmp_path, capsys, argv):
+    """Help is a usage answer, exit 3, never argparse's SystemExit(0),
+    the Gorenstein code: its text goes to stdout, or to --out, before or
+    after the help option."""
+    assert run_cli(argv) == 3
+    help_text = capsys.readouterr().out
+    assert help_text.startswith("usage: reesgor")
+    for at in (0, len(argv)):
+        target = tmp_path / ("help%d.txt" % at)
+        code = run_cli(argv[:at] + ["--out", str(target)] + argv[at:])
+        assert code == 3
+        assert capsys.readouterr().out == ""
+        assert target.read_text() == help_text
+
+
+def test_cli_usage_error_goes_to_out(tmp_path, capsys):
+    """--out is read before the rest of the line, so a usage error's
+    report is written there too."""
+    target = tmp_path / "report.txt"
+    code = run_cli(["check", corpus_path("hochster_roberts"), "--mode",
+                    "foo", "--out", str(target)])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert inputfmt.parse_report(target.read_text())["error"]
 
 
 def test_cli_examples_unknown_name():

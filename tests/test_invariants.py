@@ -175,7 +175,7 @@ def artinian_quotients(draw):
         exps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
                              unique=True))
         coeffs = st.integers(-5, 5).filter(bool)
-        return sum((amb.monomial(e, draw(coeffs)) for e in exps), amb.zero)
+        return amb.from_dict({e: amb.field.of(draw(coeffs)) for e in exps})
 
     A = rings.PresentedGradedRing(
         amb, [form() for _ in range(draw(st.integers(0, 1)))])

@@ -9,10 +9,11 @@ import sys
 
 import pytest
 
-from reesgor import (corpus, decision, groebner, hilbert, idealops, modules,
-                     oracle, resolutions, rings)
+from reesgor import (corpus, decision, groebner, hilbert, idealops,
+                     inputfmt, modules, oracle, resolutions, rings)
 from reesgor.cli import run_cli
-from reesgor.errors import DepthNotOne, EquivalenceViolation, NotParameters
+from reesgor.errors import (DepthNotOne, EquivalenceViolation,
+                            NotParameters, WrongDimension)
 from reesgor.fields import DEFAULT_PRIME
 from reesgor.groebner import groebner_basis
 
@@ -83,6 +84,28 @@ def test_n_neq_d_suite_two_planes(two_planes):
     assert out == {1: False, 2: True}
 
 
+def test_rees_variables_avoid_the_names_of_the_ring(two_planes):
+    """A T_j whose name the ring already has gains underscores until it
+    is fresh: two_planes with x named T0 and u named T1 presents R(q^2)
+    with T0_ and T1_, and its oracle reads as two_planes' does."""
+    A, q, _ = inputfmt.parse_document(
+        "vars T0 y T1 v\nideal T0*T1, T0*v, y*T1, y*v\n"
+        "params T0 + T1, y + v\n").build()
+    rp = oracle.rees_presentation(A, q, 2)
+    assert rp.ring.names == ("T0", "y", "T1", "v", "T0_", "T1_", "T2")
+    want = oracle.rees_presentation(*two_planes, 2)
+    assert (oracle.graded_gorenstein_oracle(rp)
+            == oracle.graded_gorenstein_oracle(want))
+
+
+def test_n_neq_d_suite_needs_d_to_be_dim_a(two_planes):
+    """A d that is not dim A is the caller's error, not a disagreement
+    of routes."""
+    A, q = two_planes
+    with pytest.raises(WrongDimension):
+        oracle.n_neq_d_suite(A, q, 3, (2, 3))
+
+
 def test_n_neq_d_suite_needs_depth_one(regular_base):
     A, q = regular_base
     with pytest.raises(DepthNotOne):
@@ -99,8 +122,9 @@ def test_substitution_check_catches_a_wrong_rees_generator(monkeypatch, name):
     real = idealops.eliminate
 
     def wrong(ring, gens, block):
-        sub, out = real(ring, gens, block)
-        return sub, list(out) + [sub.gen(A.ambient.n) ** 2 * sub.gen(0)]
+        out = real(ring, gens, block)
+        sub = out[0].ring
+        return list(out) + [sub.gen(A.ambient.n) ** 2 * sub.gen(0)]
 
     monkeypatch.setattr(idealops, "eliminate", wrong)
     with pytest.raises(EquivalenceViolation, match="substitution"):
@@ -262,7 +286,7 @@ def _direct_rees_basis(A, q, n):
     work = [big.transfer(g) for g in A.defining]
     for j, g in enumerate(gens_n):
         work.append(big.gen(amb.n + j) - big.transfer(g) * t)
-    return tuple(idealops.eliminate(big, work, (big.n - 1,))[1])
+    return tuple(idealops.eliminate(big, work, (big.n - 1,)))
 
 
 @pytest.mark.parametrize("char", [DEFAULT_PRIME, 0, 2, 3])
