@@ -6,7 +6,6 @@ the dimension-two Shimoda test, and the Buchsbaum multiplicity test.
 from collections import namedtuple
 
 from .errors import DepthNotOne, HypothesisNotVerified, WrongDimension
-from .hilbert import INFINITE
 from . import errors, invariants, rings, s2
 
 
@@ -29,6 +28,8 @@ def prepare(q, seed=0):
     conductor crosscheck that needs it; data.pair is the parameter pair."""
     A = q.owner
     d = rings.check_parameters(q)
+    if d < 2:
+        raise WrongDimension("the (S2)-ification route needs dim A >= 2")
     pair = s2.filter_regular_pair(A, q, seed)
     profile = s2.hypothesis_profile(A, pair=pair)
     if not profile.verdict:
@@ -63,23 +64,20 @@ def decide_condition2(q, data):
 def decide_condition3(q, data):
     """Depth one, type one, the multiplicity equation for the conductor,
     and q a reduction of the conductor.  `data` is the (S2)-ification
-    data of `prepare(q)`.
-    When q reduces c, e_c = e_q (Northcott-Rees) is read off the Hilbert
-    series of A; otherwise it comes from the difference scheme."""
+    data of `prepare(q)`.  e_c is reported only when q reduces c: then
+    e_c = e_q = chi(q; A) (Northcott-Rees), read off the Hilbert series of
+    A.  Otherwise, as when H^1 = 0, e_c is None and the verdict false."""
     rep = invariants.depth_and_type(q.owner)
     depth_is_1 = rep.depth == 1
     type_is_1 = rep.type == 1
-    c = data.conductor
-    if data.h1_length == 0:
-        # conductor is the unit ideal; the depth test already fails
-        e_c = len_c = red = None
-        mult_eq = red_found = False
-    else:
-        red, e_c = invariants.reduction_multiplicity(q, c)
-        red_found = red != invariants.NOT_FOUND
-        len_c = invariants.artinian_length(c)
-        mult_eq = (e_c == 2 * len_c)
-    verdict = depth_is_1 and type_is_1 and mult_eq and red_found
+    e_c = len_c = red = None
+    if data.h1_length > 0:   # else c = A, and the depth test fails
+        red = invariants.is_reduction(q, data.conductor)
+        len_c = invariants.artinian_length(data.conductor)
+        if red != invariants.NOT_FOUND:
+            e_c = invariants.parameter_multiplicity(q)
+    mult_eq = e_c is not None and e_c == 2 * len_c
+    verdict = depth_is_1 and type_is_1 and mult_eq
     return {
         "depth_is_1": depth_is_1,
         "type_is_1": type_is_1,
@@ -171,29 +169,36 @@ def shimoda_check(A, a, b):
 
 
 def buchsbaum_criterion(A, q):
-    """Multiplicity-two test: e_m(A) = 2 and q a reduction of m.
+    """The multiplicity-two corollary: if A is Buchsbaum of depth one with
+    e_m(A) = 2 and q reduces m, then R(q^d) is Gorenstein.
 
-    e_q, read off the Hilbert series of A, is crosschecked against the
-    length of A/b and is e_m when q reduces m; otherwise e_m comes from the
-    difference scheme.  The Buchsbaum property of A itself is a caller
-    assertion and is not machine-verified, but its necessary condition
-    that H^i_m(A), dual to Ext^(n-i)(A, omega), has finite length for
-    every i < d is tested first.
+    The premises are read off the certificate of `decide(A, q)`, under the
+    profile `prepare` verifies (H^0 = 0 = H^i for 1 < i < d): depth one;
+    Buchsbaum, i.e. conductor m, as m H^i_m(A) = 0 (i < d) for Buchsbaum
+    A and, conversely, "A is Buchsbaum if the canonical maps
+    Ext^i_A(k, A) -> H^i_m(A) are surjective for all i < d"
+    (Stueckrad-Vogel, Buchsbaum Rings and Applications, ch. I), where
+    only i = 1 counts and H^0 = 0 makes that map the inclusion of the
+    socle of H^1; q reduces m; and e_m = e_q = 2.  A failed premise raises
+    DepthNotOne or HypothesisNotVerified.  When all hold, decide's verdict
+    must be true, and e_q must equal the length of A/b, b the ideal
+    (q_1..q_{d-1}) : q_d + (q_d).
     """
-    A = rings.check_owner(A, q)
-    rep = invariants.depth_and_type(A)
-    if rep.depth != 1:
+    rep = decide(A, q)
+    A, red, e_m = rep.ring, rep.cond3["reduction_number"], rep.cond3["e_c"]
+    if not rep.cond3["depth_is_1"]:
         raise DepthNotOne("the multiplicity criterion needs depth 1")
-    d = rings.check_parameters(q)
-    if any(A.ext(A.ambient.n - i).length() == INFINITE for i in range(d)):
-        raise HypothesisNotVerified("local cohomology below dim A has "
-                                    "infinite length: A is not Buchsbaum")
-    red, e_m = invariants.reduction_multiplicity(q, A.maximal_ideal())
-    e_q = invariants.parameter_multiplicity(q)
-    head, last = q.gens[:-1], q.gens[-1]
-    col = rings.colon(A.ideal(head), last)
-    b_ideal = A.ideal([*col.gens, last])
+    if not rings.ideals_equal(rep.conductor, A.maximal_ideal()):
+        raise HypothesisNotVerified("m does not annihilate H^1: A is not "
+                                    "Buchsbaum")
+    if red == invariants.NOT_FOUND:
+        raise HypothesisNotVerified("q is not a reduction of m")
+    col = rings.colon(A.ideal(q.gens[:-1]), q.gens[-1])
+    b_ideal = A.ideal([*col.gens, q.gens[-1]])
     len_b = invariants.artinian_length(b_ideal)
-    errors.crosscheck("multiplicity of q and the length of A/b", e_q, len_b)
-    verdict = (e_m == 2) and red != invariants.NOT_FOUND
+    errors.crosscheck("multiplicity of q and the length of A/b", e_m, len_b)
+    if e_m != 2:
+        raise HypothesisNotVerified("e_m(A) = %d, not 2" % e_m)
+    verdict = errors.crosscheck("the multiplicity-two criterion and the "
+                                "criteria verdict", True, rep.verdict)
     return BuchsbaumReport(e_m, red, b_ideal, len_b, verdict)

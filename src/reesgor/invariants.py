@@ -1,7 +1,9 @@
 """Numerical invariants of a presented graded ring at the irrelevant ideal:
-dimension, depth, type, Artinian lengths, Hilbert-Samuel multiplicities
-(from the Hilbert series for parameter ideals), reduction numbers, and the
-Artinian Gorenstein test.
+dimension, depth, type, Artinian lengths, the multiplicity of a parameter
+ideal (chi(q; A), from the Hilbert series), reduction numbers, and the
+Artinian Gorenstein test.  The package reads every multiplicity it
+reports off chi(q; A); the difference scheme `multiplicity` is the tests'
+reference route.
 """
 
 from collections import namedtuple
@@ -57,12 +59,14 @@ def artinian_length(J):
 
 def multiplicity(J):
     """Hilbert-Samuel multiplicity e_J(A), A the ring of J, by d-th
-    difference stabilization.
+    difference stabilization; no package route calls it (the tests'
+    reference, and a traced layer of the benchmark).
 
     Computes l(A/J^n) for n = 1, 2, ... and returns the d-th finite
-    difference once three consecutive values agree (d = dim A).  Each
-    power is kept as the reduced basis of J^n + I, and the next one is
-    J * (J^n + I) + I.
+    difference once three consecutive values agree (d = dim A), a stop
+    that can come early: on k[x,y] x (x^5, y^5) at m it returns 3 where
+    e_m = 2.  Each power is kept as the reduced basis of J^n + I, and the
+    next one is J * (J^n + I) + I.
     """
     if J.quotient_dim() != 0:
         raise NotArtinian("multiplicity needs an m-primary ideal")
@@ -121,16 +125,6 @@ def is_reduction(q, c):
                  else c.gb())
         q_side = idealops.ideal_product(c_pow, q.gens, A.gb())
     return NOT_FOUND
-
-
-def reduction_multiplicity(q, c):
-    """(r, e_c(A)) for a parameter ideal q inside c, r as `is_reduction`
-    gives it.  When q reduces c, e_c = e_q (Northcott-Rees) is read off
-    the Hilbert series of A; otherwise it comes from the difference
-    scheme."""
-    red = is_reduction(q, c)
-    return red, (parameter_multiplicity(q) if red != NOT_FOUND
-                 else multiplicity(c))
 
 
 def artinian_gorenstein(J):

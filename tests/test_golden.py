@@ -29,15 +29,15 @@ PLANE_RINGS = ("hochster_roberts", "two_planes", "idealization_xy",
 
 # regular_base is Cohen-Macaulay: the criterion's premise fails (2),
 # shimoda and the oracle find it not Gorenstein (1) and buchsbaum's
-# depth-one premise fails (2); idealization_x2y3 fails the
-# multiplicity-two criterion (1); shimoda needs two parameters, so on the
-# dimension-three ring it is an input error (3)
+# depth-one premise fails (2); on idealization_x2y3, m does not annihilate
+# H^1, so buchsbaum's Buchsbaum premise fails (2); shimoda needs two
+# parameters, so on the dimension-three ring it is an input error (3)
 EXIT = {
     ("regular_base", "check"): 2,
     ("regular_base", "shimoda"): 1,
     ("regular_base", "oracle"): 1,
     ("regular_base", "buchsbaum"): 2,
-    ("idealization_x2y3", "buchsbaum"): 1,
+    ("idealization_x2y3", "buchsbaum"): 2,
     ("idealization_xyz", "shimoda"): 3,
 }
 

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reesgor
-from reesgor import corpus, inputfmt, oracle
+from reesgor import corpus, inputfmt, invariants, oracle
 from reesgor.cli import run_cli
 from reesgor.errors import InputError
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.polys import PolyRing
+
+from reference import count_calls
 
 HERE = os.path.dirname(__file__)
 CORPUS = os.path.join(HERE, os.pardir, "corpus")
@@ -510,6 +512,61 @@ def test_cli_infinite_first_cohomology_is_outside_the_hypotheses(tmp_path,
     code, out = run([cmd, str(path)])
     assert code == 2, out
     assert "infinite length" in out or "hypothesis fails" in out
+
+
+@pytest.mark.parametrize("cmd", ["check", "s2", "buchsbaum"])
+def test_cli_dimension_one_is_outside_the_hypotheses(tmp_path, cmd):
+    """k[x,y]/(y^2) with q = (x) has dimension one: every command on the
+    (S2)-ification stops at the dimension gate (exit 2) before the pair
+    search, and buchsbaum reads no verdict off it."""
+    path = tmp_path / "dimension_one.ring"
+    path.write_text("vars x y\nideal y^2\nparams x\n")
+    code, out = run([cmd, str(path)])
+    assert code == 2, out
+    assert inputfmt.parse_report(out)["error"] == \
+        "the (S2)-ification route needs dim A >= 2"
+
+
+# rings on which a premise of the multiplicity-two criterion fails, with
+# buchsbaum's error: k[x,y] x m^2 is not Buchsbaum and q = (x, y) is not
+# standard; k[x,y] x (x^5, y^5) has e_m = 2, but m does not annihilate
+# H^1 and q does not reduce m; on two_planes, quadrics do not reduce m
+BUCHSBAUM_UNMET = {
+    "semidirect_m2": (SEMIDIRECT_M2.replace("x^2, y^2", "x, y"),
+                      "q is not a standard parameter ideal"),
+    "idealization_x5y5": ("vars x:1 y:1 u:5 v:5\n"
+                          "ideal u^2, u*v, v^2, y^5*u - x^5*v\n"
+                          "params x^5, y^5\n",
+                          "m does not annihilate H^1: A is not Buchsbaum"),
+    "two_planes_quadrics": ("vars x y u v\nideal x*u, x*v, y*u, y*v\n"
+                            "params x^2 + u^2, y^2 + v^2\n",
+                            "q is not a reduction of m"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUCHSBAUM_UNMET))
+def test_cli_buchsbaum_failed_premise_exits_2(tmp_path, monkeypatch, case):
+    """A failed premise of the multiplicity-two criterion is exit 2 with
+    its reason and no e_m line, never a verdict; no multiplicity comes
+    from the difference scheme.  On two_planes with quadrics check finds
+    R(q^2) not Gorenstein, and reports no e_c, since q does not reduce c."""
+    text, error = BUCHSBAUM_UNMET[case]
+    path = tmp_path / (case + ".ring")
+    path.write_text(text)
+    calls = count_calls(monkeypatch, invariants.multiplicity)
+    code, out = run(["buchsbaum", str(path)])
+    assert (code, inputfmt.parse_report(out)) == (2, {"error": error}), out
+    if case == "two_planes_quadrics":
+        code, out = run(["check", str(path), "--mode", "both"])
+        report = inputfmt.parse_report(out)
+        assert code == 1
+        assert {key: report[key] for key in (
+            "cond3.reduction_number", "cond3.e_c",
+            "cond3.multiplicity_equation", "oracle.gorenstein")} == {
+            "cond3.reduction_number": "NOT_FOUND", "cond3.e_c": "None",
+            "cond3.multiplicity_equation": "false",
+            "oracle.gorenstein": "false"}
+    assert calls == []
 
 
 @pytest.mark.parametrize("cap, want", [(4, 0), (3, 4)])
