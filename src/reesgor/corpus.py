@@ -92,8 +92,9 @@ def build_idealization(b_names, b_weights, q_exprs, label=None):
     zero pairwise and satisfy the Koszul relations q_j z_i - q_i z_j,
     made monic: a system of parameters of the polynomial ring B is a
     regular sequence, so these generate its syzygies (its Koszul complex
-    is exact).  q is the image of Q.  The ring is built from the
-    document these relations are written into.
+    is exact).  q is the image of Q.  B's polynomials embed in B[z] by
+    position.  The ring is built from the document these relations are
+    written into.
     """
     B = PolyRing(tuple(b_names), tuple(b_weights))
     q_gens = [inputfmt.parse_poly(e, B) for e in q_exprs]
@@ -101,7 +102,7 @@ def build_idealization(b_names, b_weights, q_exprs, label=None):
     big = B.extend(tuple(_z_name(B, j) for j in range(d)),
                    tuple(g.degree() for g in q_gens))
     zs = big.gens()[B.n:]
-    qs = [big.transfer(g) for g in q_gens]
+    qs = [big.embed(g) for g in q_gens]
     defining = [zs[i] * zs[j]
                 for i, j in combinations_with_replacement(range(d), 2)]
     for i, j in combinations(range(d), 2):

@@ -179,10 +179,11 @@ def buchsbaum_criterion(A, q):
     Ext^i_A(k, A) -> H^i_m(A) are surjective for all i < d"
     (Stueckrad-Vogel, Buchsbaum Rings and Applications, ch. I), where
     only i = 1 counts and H^0 = 0 makes that map the inclusion of the
-    socle of H^1; q reduces m; and e_m = e_q = 2.  A failed premise raises
-    DepthNotOne or HypothesisNotVerified.  When all hold, decide's verdict
-    must be true, and e_q must equal the length of A/b, b the ideal
-    (q_1..q_{d-1}) : q_d + (q_d).
+    socle of H^1; q reduces m with a reduction number r <= 10, as
+    `is_reduction` tries no larger r; and e_m = e_q = 2.  A failed
+    premise raises DepthNotOne or HypothesisNotVerified.  When all hold,
+    decide's verdict must be true, and e_q must equal the length of A/b,
+    b the ideal (q_1..q_{d-1}) : q_d + (q_d).
     """
     rep = decide(A, q)
     A, red, e_m = rep.ring, rep.cond3["reduction_number"], rep.cond3["e_c"]
@@ -192,7 +193,8 @@ def buchsbaum_criterion(A, q):
         raise HypothesisNotVerified("m does not annihilate H^1: A is not "
                                     "Buchsbaum")
     if red == invariants.NOT_FOUND:
-        raise HypothesisNotVerified("q is not a reduction of m")
+        raise HypothesisNotVerified("q is not a reduction of m with r <= %d"
+                                    % invariants.MAX_REDUCTION_NUMBER)
     col = rings.colon(A.ideal(q.gens[:-1]), q.gens[-1])
     b_ideal = A.ideal([*col.gens, q.gens[-1]])
     len_b = invariants.artinian_length(b_ideal)

@@ -6,11 +6,11 @@ Intersections and colons are module colons, each read off one graph
 basis (`modules.colon_basis`): a colon by k divisors is one colon of a
 vector of P^k, not k colons and k - 1 intersections, and an intersection
 is one colon of a vector of P^2.  Only `eliminate` changes the ring
-order, for the oracle.  `intersect`, `colon`
-and `saturate` return reduced Groebner bases, equal to `groebner_basis`
-of themselves: the tails of a reduced graph basis are monic, reduced and
-sorted by descending lead, and no element with an F lead can reduce a
-tail term.
+order, for the oracle; it relates rings by variable position alone.
+`intersect`, `colon` and `saturate` return reduced Groebner bases,
+equal to `groebner_basis` of themselves: the tails of a reduced graph
+basis are monic, reduced and sorted by descending lead, and no element
+with an F lead can reduce a tail term.
 """
 
 from .errors import ResourceExceeded
@@ -18,6 +18,7 @@ from .groebner import groebner_basis
 from .hilbert import finite_length, hilbert_numerator
 from .modules import FreeModule, module_colon
 from .orders import BlockOrder
+from .polys import PolyRing
 
 SATURATION_STEPS = 64   # the most colons `saturate` takes
 
@@ -70,12 +71,14 @@ def saturate(ring, gens, sat_by):
 
 
 def eliminate(ring, gens, block):
-    """Generators of (gens) intersected with the subring without `block`,
-    transferred into that subring, which they carry as their ring."""
-    block = tuple(sorted(block))
+    """Generators of (gens) intersected with the subring without the
+    variables at the indices in `block`, in that subring: each basis
+    element free of `block` under a block order keeps its other exponents."""
     keep = [i for i in range(ring.n) if i not in block]
-    sub = ring.restrict(keep)
-    elim_ring = ring.with_order(BlockOrder(ring.weights, block))
-    work = [elim_ring.transfer(g) for g in gens]
-    return [sub.transfer(g) for g in groebner_basis(work)
-            if all(all(e[i] == 0 for i in block) for e, _ in g.terms)]
+    sub = PolyRing([ring.names[i] for i in keep],
+                   [ring.weights[i] for i in keep], ring.field)
+    elim = PolyRing(ring.names, ring.weights, ring.field,
+                    BlockOrder(ring.weights, block))
+    return [sub.from_dict({tuple(e[i] for i in keep): c for e, c in g.terms})
+            for g in groebner_basis([elim.embed(g) for g in gens])
+            if all(e[i] == 0 for e, _ in g.terms for i in block)]

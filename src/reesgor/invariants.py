@@ -105,7 +105,8 @@ def parameter_multiplicity(q):
 
 
 def is_reduction(q, c):
-    """Least r with c^(r+1) = q * c^r, or NOT_FOUND.
+    """Least r <= MAX_REDUCTION_NUMBER with c^(r+1) = q * c^r, or
+    NOT_FOUND when there is none: q may still reduce c with a larger r.
 
     Requires q contained in c (as ideals of their common ring), so the
     test is c * (c^r + I) in q c^r + I, by the products c_i * h for h in

@@ -2,7 +2,8 @@
 
 A polynomial is a tuple of (exponent, coefficient) terms kept sorted in
 decreasing monomial order, so the leading term is terms[0].  Rings are
-immutable; polynomials from different rings never mix.
+immutable; polynomials from different rings never mix.  Rings relate
+by position alone, through `extend` and `embed`; names are for display.
 """
 
 from operator import add, ge, mul
@@ -59,36 +60,23 @@ class PolyRing:
 
     # -- derived rings ----------------------------------------------------
 
-    def with_order(self, order):
-        return PolyRing(self.names, self.weights, self.field, order)
-
     def extend(self, names, weights):
         """Append variables; existing exponent vectors are zero-padded."""
         return PolyRing(self.names + tuple(names),
                         self.weights + tuple(weights), self.field)
 
-    def restrict(self, keep):
-        """Subring on the variable indices in `keep` (sorted)."""
-        keep = tuple(keep)
-        return PolyRing(tuple(self.names[i] for i in keep),
-                        tuple(self.weights[i] for i in keep), self.field)
-
-    def transfer(self, f):
-        """Reinterpret polynomial f from another ring, matching variables
-        by name.  Exponents of variables missing here must be zero.
-        """
-        pos = {name: i for i, name in enumerate(self.names)}
-        d = {}
-        for exp, c in f.terms:
-            new = [0] * self.n
-            for name, e in zip(f.ring.names, exp):
-                if e:
-                    if name not in pos:
-                        raise ValueError("variable %s has no image" % name)
-                    new[pos[name]] = e
-            d[tuple(new)] = self.field.add(d.get(tuple(new), self.field.zero),
-                                           self.field.of(c))
-        return self.from_dict(d)
+    def embed(self, f):
+        """f, from a ring this ring extends as `extend` makes one (the
+        same field, and f.ring's names and weights a prefix of this
+        ring's), with its exponents padded by zeros and its terms sorted
+        by this ring's order.  Variables meet by position, never by
+        name; any other f raises OwnerMismatch."""
+        src, k = f.ring, f.ring.n
+        if (src.field != self.field or src.names != self.names[:k]
+                or src.weights != self.weights[:k]):
+            raise OwnerMismatch("%r does not extend %r" % (self, src))
+        pad = self.zero_exp[k:]
+        return self.from_dict({e + pad: c for e, c in f.terms})
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and other.names == self.names

@@ -216,16 +216,17 @@ class Ideal:
         """The ideal of the Rees algebra A[a_0 t, .., a_s t] of this ideal,
         a_j its generators, in P[@T_0..@T_s] with @T_j -> a_j t and deg
         @T_j = deg a_j + 1, as its reduced grevlex basis, a tuple: t is
-        eliminated from I + (@T_j - a_j t) once per ideal."""
+        eliminated from I + (@T_j - a_j t) once per ideal.  P embeds by
+        position, so the names @T_j and @t may repeat a name of P."""
         if self._rees is None:
             amb = self.owner.ambient
             names = tuple("@T%d" % j for j in range(len(self.gens)))
             big = amb.extend(names + ("@t",), tuple(
                 g.degree() + 1 for g in self.gens) + (1,))
             t = big.gen(big.n - 1)
-            work = [big.transfer(g) for g in self.owner.defining]
+            work = [big.embed(g) for g in self.owner.defining]
             for j, g in enumerate(self.gens):
-                work.append(big.gen(amb.n + j) - big.transfer(g) * t)
+                work.append(big.gen(amb.n + j) - big.embed(g) * t)
             # the eliminated generators are the reduced basis under the
             # grevlex order of the rest block of the elimination order
             self._rees = tuple(idealops.eliminate(big, work, (big.n - 1,)))

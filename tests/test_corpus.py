@@ -53,15 +53,16 @@ def _syzygy_relations(A, q):
     over B = k[x_1..x_d], z_i the variables after B's, as
     `module_syzygies` gives them."""
     amb, d = A.ambient, len(q.gens)
-    B = PolyRing(amb.names[:d], amb.weights[:d])
+    B = PolyRing(amb.names[:d], amb.weights[:d], amb.field)
     zs = amb.gens()[d:]
     F = FreeModule(B, 1)
     rels = []
-    for syz in module_syzygies([F.basis_vec(0, B.transfer(g))
-                                for g in q.gens]):
+    # q's generators are free of the z_i: keep their first d exponents
+    for syz in module_syzygies([F.basis_vec(0, B.from_dict(
+            {e[:d]: c for e, c in g.terms})) for g in q.gens]):
         rel = amb.zero
         for (comp, e), c in syz.terms:
-            rel = rel + zs[comp] * amb.transfer(B.from_dict({e: c}))
+            rel = rel + zs[comp] * amb.embed(B.from_dict({e: c}))
         rels.append(rel)
     return rels
 

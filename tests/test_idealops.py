@@ -123,14 +123,18 @@ def test_saturation_is_a_fixpoint():
 
 
 def test_eliminate_parametrized_curve():
-    ring = PolyRing(("x", "y", "t"), (2, 3, 1), F)
-    x, y, t = ring.gens()
-    out = idealops.eliminate(ring, [x - t ** 2, y - t ** 3], (2,))
-    sub = out[0].ring
-    assert sub.names == ("x", "y")
-    assert all(g.ring is sub for g in out)
-    want = sub.gen(0) ** 3 - sub.gen(1) ** 2
-    assert groebner_basis(out) == groebner_basis([want])
+    """t is eliminated from (x - t^2, y - t^3) by position, trailing or
+    between x and y; the subring keeps x and y in their order."""
+    for names, weights, block in [(("x", "y", "t"), (2, 3, 1), (2,)),
+                                  (("x", "t", "y"), (2, 1, 3), (1,))]:
+        ring = PolyRing(names, weights, F)
+        x, y, t = (ring.gen(names.index(v)) for v in "xyt")
+        out = idealops.eliminate(ring, [x - t ** 2, y - t ** 3], block)
+        sub = out[0].ring
+        assert (sub.names, sub.weights) == (("x", "y"), (2, 3))
+        assert all(g.ring is sub for g in out)
+        want = sub.gen(0) ** 3 - sub.gen(1) ** 2
+        assert groebner_basis(out) == groebner_basis([want])
 
 
 def test_general_intersection_non_monomial():
@@ -144,14 +148,17 @@ def test_general_intersection_non_monomial():
 # -- reference: intersection by eliminating t, colon by exact division -----
 
 def t_elimination_intersect(ring, gens_a, gens_b):
-    """(A) cap (B) by eliminating t from t*A + (1-t)*B in P[t]."""
-    ext = ring.extend(("@t",), (1,))
-    n = ext.n - 1
-    ext = ext.with_order(BlockOrder(ext.weights, (n,)))
+    """(A) cap (B) by eliminating t from t*A + (1-t)*B in P[t], t last:
+    the t-free basis elements drop their last exponent."""
+    n = ring.n
+    weights = ring.weights + (1,)
+    ext = PolyRing(ring.names + ("@t",), weights, ring.field,
+                   BlockOrder(weights, (n,)))
     t = ext.gen(n)
-    work = [t * ext.transfer(a) for a in gens_a]
-    work += [(ext.one - t) * ext.transfer(b) for b in gens_b]
-    return [ring.transfer(g) for g in groebner_basis(work)
+    work = [t * ext.embed(a) for a in gens_a]
+    work += [(ext.one - t) * ext.embed(b) for b in gens_b]
+    return [ring.from_dict({e[:n]: c for e, c in g.terms})
+            for g in groebner_basis(work)
             if all(e[n] == 0 for e, _ in g.terms)]
 
 

@@ -10,6 +10,7 @@ from operator import ge
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from reesgor.errors import OwnerMismatch
 from reesgor.fields import GF, QQ, DEFAULT_PRIME, PRIME_BOUND, is_prime
 from reesgor.groebner import groebner_basis, normal_form
 from reesgor.hilbert import (INFINITE, finite_length, hilbert,
@@ -211,6 +212,42 @@ def test_homogeneity_with_weights():
     assert (a + b * b).is_homogeneous()
     assert not (a + b).is_homogeneous()
     assert (a * b).degree() == 3
+
+
+@given(weighted_exps(), st.integers(min_value=0, max_value=10 ** 6))
+def test_embed_pads_exponents_under_a_block_order(case, seed):
+    """embed into an extension under a block order is from_dict of the
+    zero-padded terms: sorted by the extension's order."""
+    weights, block, _ = case
+    rng = random.Random(seed)
+    n = len(weights)
+    k = rng.randint(0, n)
+    names = tuple("x%d" % i for i in range(n))
+    R = PolyRing(names[:k], weights[:k], F)
+    big = PolyRing(names, weights, F, BlockOrder(weights, block))
+    f = rand_poly(R, rng)
+    got = big.embed(f)
+    assert got.ring is big
+    assert got == big.from_dict(
+        {e + (0,) * (n - k): c for e, c in f.terms})
+
+
+def test_embed_needs_a_prefix_ring_over_the_same_field():
+    """embed takes only a ring that this one extends, as `extend` makes
+    one: another field, or names or weights that are not a prefix, raise
+    OwnerMismatch."""
+    big = PolyRing(("x", "y"), (1, 2), F).extend(("t",), (1,))
+    for src in (PolyRing(("x", "y"), (1, 2), GF(3)),
+                PolyRing(("x", "y"), (1, 2), QQ),
+                PolyRing(("y", "x"), (1, 2), F),
+                PolyRing(("x", "z"), (1, 2), F),
+                PolyRing(("x", "y"), (1, 1), F),
+                PolyRing(("x", "y"), (2, 2), F),
+                PolyRing(("x", "y", "t", "s"), (1, 2, 1, 1), F)):
+        with pytest.raises(OwnerMismatch):
+            big.embed(src.gen(0))
+    x, y = PolyRing(("x", "y"), (1, 2), F).gens()
+    assert big.embed(x * y + 1) == big.gen(0) * big.gen(1) + 1
 
 
 @given(st.lists(st.tuples(exps3, st.integers(0, 5)), max_size=12))

@@ -16,6 +16,7 @@ from reesgor.errors import (DepthNotOne, EquivalenceViolation,
                             NotParameters, WrongDimension)
 from reesgor.fields import DEFAULT_PRIME
 from reesgor.groebner import groebner_basis
+from reesgor.polys import PolyRing
 
 from reference import count_calls, is_member
 
@@ -96,6 +97,25 @@ def test_rees_variables_avoid_the_names_of_the_ring(two_planes):
     want = oracle.rees_presentation(*two_planes, 2)
     assert (oracle.graded_gorenstein_oracle(rp)
             == oracle.graded_gorenstein_oracle(want))
+
+
+@pytest.mark.parametrize("names", [("@t", "y", "u", "v"),
+                                   ("x", "@T0", "u", "v"),
+                                   ("@T1", "y", "u", "v")])
+def test_rees_ideal_meets_the_ring_by_position(two_planes, names):
+    """The Rees ideal relates P to P[@T, @t] by variable position alone,
+    so a library-built ring whose variable is named @t, @T0 or @T1 reads
+    as two_planes' own does."""
+    A0, q0 = two_planes
+    P = PolyRing(names, A0.ambient.weights, A0.ambient.field)
+
+    def move(f):
+        return P.from_dict(dict(f.terms))
+    A = rings.PresentedGradedRing(P, [move(g) for g in A0.defining])
+    q = A.ideal([move(g) for g in q0.gens])
+    assert (oracle.graded_gorenstein_oracle(oracle.rees_presentation(A, q, 2))
+            == oracle.graded_gorenstein_oracle(
+                oracle.rees_presentation(A0, q0, 2)))
 
 
 def test_n_neq_d_suite_needs_d_to_be_dim_a(two_planes):
@@ -283,9 +303,9 @@ def _direct_rees_basis(A, q, n):
     big = amb.extend(names + ("@t",),
                      tuple(g.degree() + 1 for g in gens_n) + (1,))
     t = big.gen(big.n - 1)
-    work = [big.transfer(g) for g in A.defining]
+    work = [big.embed(g) for g in A.defining]
     for j, g in enumerate(gens_n):
-        work.append(big.gen(amb.n + j) - big.transfer(g) * t)
+        work.append(big.gen(amb.n + j) - big.embed(g) * t)
     return tuple(idealops.eliminate(big, work, (big.n - 1,)))
 
 
