@@ -19,8 +19,8 @@ order.  The mask is a short exponent vector (Greuel-Pfister, A Singular
 Introduction to Commutative Algebra): bit i is set when exponent i is
 nonzero, so `lm & ~em` rejects most leads that cannot divide a term
 before the exponents are compared.  The index also keys each element's
-tail, once, when it first reduces a term or forms an S-vector; as
-`neg_key` is linear, x^q times that tail is keyed by adding
+tail, once, when it first reduces a term or forms an S-vector; as the
+int `neg_key` is linear, x^q times that tail is keyed by adding
 `key_shift(q)`, so `vec_nf` keys no term per push, S-vectors included.
 Interreduction needs no index per element: a lead never divides a
 smaller term of its own component, so each kept element's tail, keyed
@@ -52,8 +52,19 @@ from collections import namedtuple
 from itertools import compress
 from operator import add, ge, sub
 
-from .errors import NotDivisible, OwnerMismatch, crosscheck
+from .errors import NotDivisible, OwnerMismatch, ResourceExceeded, crosscheck
 from .polys import Poly, _exp_mul, minimal_monomials
+
+
+def _pack(fields):
+    """fields as one int of signed 32-bit fields, first most significant,
+    ordered as the tuples are; ResourceExceeded past +-2**31."""
+    k = 0
+    for f in fields:
+        if not -2**31 < f < 2**31:
+            raise ResourceExceeded("term key field %d is outside +-2**31" % f)
+        k = (k << 32) + f
+    return k
 
 
 class FreeModule:
@@ -63,11 +74,13 @@ class FreeModule:
     larger term: ascending neg_key is descending module order.  The
     default is position over term, earlier components dominating.  An
     induced order is given as `order`, one (head, shift, tail) triple of
-    tuples per component: the term x^a e_i is keyed
-    head_i + neg_key(a + shift_i) + tail_i.  Position over term is the
-    triple ((i,), 0, ()), and `schreyer_level` builds Schreyer orders
-    this way.  neg_key(comp, a + q) = neg_key(comp, a) + key_shift(q);
-    key_shift is memoized, and unequal head or tail lengths raise ValueError.
+    tuples per component: x^a e_i is keyed by the packed (`_pack`) tuple
+    head_i + rneg(a + shift_i) + tail_i, rneg the ring's key, as base_i +
+    key_shift(a), with rneg(a) packed once per ring; so neg_key(comp,
+    a + q) = neg_key(comp, a) + key_shift(q), and a sum is not checked
+    again.  Position over term is the triple ((i,), 0, ()), and
+    `schreyer_level` builds Schreyer orders this way.  Unequal head or
+    tail lengths raise ValueError.
     """
 
     def __init__(self, ring, rank, shifts=None, order=None):
@@ -75,23 +88,21 @@ class FreeModule:
         self.rank = rank
         self.shifts = tuple(shifts) if shifts is not None else (0,) * rank
         self.order = tuple(order) if order is not None else None
-        rneg = ring.order.neg_key
-        if order is None:
-            self.neg_key = lambda comp, exp: (comp,) + rneg(exp)
-            pads = {(1, 0)}
-        else:
-            triples = self.order
-
-            def neg_key(comp, exp):
-                head, shift, tail = triples[comp]
-                return head + rneg(tuple(map(add, exp, shift))) + tail
-            self.neg_key = neg_key
-            pads = {(len(h), len(t)) for h, _, t in triples} or {(0, 0)}
-        if len(pads) > 1:
+        rneg, packed = ring.order.neg_key, ring.packed_keys
+        triples = self.order or [((i,), ring.zero_exp, ())
+                                 for i in range(rank)]
+        if len({(len(h), len(t)) for h, _, t in triples}) > 1:
             raise ValueError("order triples differ in head or tail length")
-        (hz, tz), memo = ((0,) * n for n in pads.pop()), {}
-        self.key_shift = lambda q: memo.get(q) or memo.setdefault(
-            q, hz + rneg(q) + tz)
+        base = [_pack(h + rneg(s) + t) for h, s, t in triples]
+        low = 32 * len(triples[0][2]) if triples else 0
+
+        def key_shift(q):
+            k = packed.get(q)
+            if k is None:
+                k = packed[q] = _pack(rneg(q))
+            return k << low
+        self.key_shift = key_shift
+        self.neg_key = lambda comp, exp: base[comp] + key_shift(exp)
 
     def zero(self):
         return Vec(self, ())
@@ -262,14 +273,14 @@ def vec_nf(f, basis, index, quotients=None):
 
     f is a Vec, or the work dict {neg_key: coeff} and heap of (neg_key,
     comp, exp, u) of an S-vector from `_s_vector`; a neg_key names its
-    term, whose exponent exp + u is formed only when the term pops with a
-    nonzero coefficient, since most terms of a reduction cancel first.
+    term, whose coefficient is reduced mod p (p = 0 over QQ) and exponent
+    exp + u formed only when it pops, since most terms cancel first.
     `index` is basis's reducer index.  The first basis element whose lead
     divides a term reduces it, x^q times its tail keyed by adding
     key_shift(q); a list `quotients` gets the keyed term
-    (k + (pos,), pos, q, -c) per step subtracting c x^q basis[pos] from
-    the term of key k, as `schreyer_level` keys x^q e_pos.  A term in a
-    component that carries no lead finds no divisor: it records no
+    ((k << 32) + pos, pos, q, -c) per step subtracting c x^q basis[pos]
+    from the term of key k, as `schreyer_level` keys x^q e_pos.  A term
+    in a component that carries no lead finds no divisor: it records no
     quotient and pushes no term, so an index whose keyed tails leave such
     terms out (as a frame's do) gives the same quotients, and the same
     remainder in every component that carries a lead.
@@ -283,15 +294,14 @@ def vec_nf(f, basis, index, quotients=None):
     else:
         module, (work, heap) = basis[0].module, f
     leads, tails = index
-    F = module.ring.field
-    fadd, fmul, fneg, zero = F.add, F.mul, F.neg, F.zero
+    p = module.ring.field.p
     key_shift = module.key_shift
     heapq.heapify(heap)
     rem = []
     while heap:
         k, comp, e, u = heapq.heappop(heap)
-        c = work.pop(k, None)
-        if c is None or c == zero:
+        c = work.pop(k) % p if p else work.pop(k)
+        if not c:
             continue
         e = tuple(map(add, e, u))
         hit = _first_divisor(leads[comp], e)
@@ -301,26 +311,22 @@ def vec_nf(f, basis, index, quotients=None):
             continue
         pos, le = hit
         q = tuple(map(sub, e, le))
-        mc = fneg(c)
+        mc = p - c if p else -c
         if quotients is not None:
-            quotients.append((k + (pos,), pos, q, mc))
+            quotients.append(((k << 32) + pos, pos, q, mc))
         shift = key_shift(q)
         # the monic lead cancels the popped term; the tail is smaller
         tail = tails.get(pos)
         if tail is None:
             tail = _keyed(index, basis, pos)
         for bk, bcomp, be, bc in tail:
-            k = tuple(map(add, bk, shift))
+            k = bk + shift
             old = work.get(k)
             if old is None:
-                work[k] = fmul(mc, bc)
+                work[k] = mc * bc
                 heapq.heappush(heap, (k, bcomp, be, q))
             else:
-                nc = fadd(old, fmul(mc, bc))
-                if nc == zero:
-                    del work[k]
-                else:
-                    work[k] = nc
+                work[k] = old + mc * bc
     return Vec(module, tuple(rem))
 
 
@@ -330,21 +336,20 @@ GroebnerData = namedtuple("GroebnerData", "basis")
 
 def _s_vector(basis, index, i, j, lcm):
     """The S-vector of the monic basis[i] and basis[j] with lead lcm, their
-    shifted keyed tails, as the work dict and heap `vec_nf` takes."""
+    shifted keyed tails, as vec_nf's unreduced work dict and heap."""
     module = basis[i].module
-    fsub, fneg = module.ring.field.sub, module.ring.field.neg
     ui = tuple(map(sub, lcm, basis[i].terms[0][0][1]))
     uj = tuple(map(sub, lcm, basis[j].terms[0][0][1]))
     si, sj = module.key_shift(ui), module.key_shift(uj)
     ti = _keyed(index, basis, i)
-    heap = [(tuple(map(add, k, si)), comp, e, ui) for k, comp, e, _ in ti]
+    heap = [(k + si, comp, e, ui) for k, comp, e, _ in ti]
     work = {h[0]: t[3] for h, t in zip(heap, ti)}
     for k, comp, e, c in _keyed(index, basis, j):
-        k = tuple(map(add, k, sj))
+        k += sj
         if k in work:
-            work[k] = fsub(work[k], c)
+            work[k] -= c
         else:
-            work[k] = fneg(c)
+            work[k] = -c
             heap.append((k, comp, e, uj))
     return work, heap
 
@@ -524,7 +529,7 @@ def schreyer_level(basis, index, lex):
     syz_index = reducer_index((), F.rank)
     stuck = 0
     for i, m, j, lcm in pairs:
-        tail = [(M.neg_key(leads[i][0], lcm) + (j,), j,
+        tail = [((M.neg_key(leads[i][0], lcm) << 32) + j, j,
                  tuple(map(sub, lcm, leads[j][1])), minus_one)]
         if vec_nf(_s_vector(basis, index, i, j, lcm), basis, index,
                   tail).terms:

@@ -41,7 +41,7 @@ def rees_presentation(A, q, n):
     degs = [g.degree() for g in q.gens]
     weights = tuple(1 + sum(degs[i] for i in combo)
                     for combo in combinations_with_replacement(range(d), n))
-    t_names = tuple(_t_name(amb, j) for j in range(len(weights)))
+    t_names = tuple(amb.fresh_name("T%d" % j) for j in range(len(weights)))
     sub = amb.extend(t_names, weights)
     out = groebner_basis(_veronese_generators(sub, q.rees_ideal(), amb.n,
                                               d, n))
@@ -90,13 +90,6 @@ def _veronese_generators(sub, one, m, d, n):
                 terms[t_exp(e[:m], sorted(svars + list(extra)))] = c
             out.append(sub.from_dict(terms))
     return out
-
-
-def _t_name(ring, j):
-    name = "T%d" % j
-    while name in ring.names:
-        name += "_"
-    return name
 
 
 def _verify_substitution(rp):

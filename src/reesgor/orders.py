@@ -2,10 +2,10 @@
 
 Every order exposes one key, neg_key(exp) -> tuple, comparing
 lexicographically as Python tuples: a smaller neg_key means a larger
-monomial, so ascending neg_key is descending monomial order, as the
-min-heap of `modules.vec_nf` and `from_dict` use it.  It is linear,
-neg_key(a + b) = neg_key(a) + neg_key(b) entry by entry.  All orders
-here are multiplicative well-orders.
+monomial, so ascending neg_key is descending monomial order.  It is
+linear, neg_key(a + b) = neg_key(a) + neg_key(b) entry by entry.  All
+orders here are multiplicative well-orders.  Ring keys stay tuples; a
+`modules.FreeModule` packs them into one int per term.
 """
 
 from operator import mul

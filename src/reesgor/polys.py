@@ -29,6 +29,9 @@ class PolyRing:
         self.field = field if field is not None else GF(DEFAULT_PRIME)
         self.order = order if order is not None else GrevlexOrder(self.weights)
         self.zero_exp = (0,) * self.n
+        # exponent -> its packed order key, shared by the free modules
+        # over this ring (`modules.FreeModule`)
+        self.packed_keys = {}
         self.zero = Poly(self, ())
         self.one = Poly(self, ((self.zero_exp, self.field.one),))
 
@@ -64,6 +67,12 @@ class PolyRing:
         """Append variables; existing exponent vectors are zero-padded."""
         return PolyRing(self.names + tuple(names),
                         self.weights + tuple(weights), self.field)
+
+    def fresh_name(self, stem):
+        """stem, with underscores appended until no variable has it."""
+        while stem in self.names:
+            stem += "_"
+        return stem
 
     def embed(self, f):
         """f, from a ring this ring extends as `extend` makes one (the

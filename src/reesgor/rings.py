@@ -217,11 +217,12 @@ class Ideal:
         a_j its generators, in P[@T_0..@T_s] with @T_j -> a_j t and deg
         @T_j = deg a_j + 1, as its reduced grevlex basis, a tuple: t is
         eliminated from I + (@T_j - a_j t) once per ideal.  P embeds by
-        position, so the names @T_j and @t may repeat a name of P."""
+        position, and @T_j and @t are kept off P's names (`fresh_name`)."""
         if self._rees is None:
             amb = self.owner.ambient
-            names = tuple("@T%d" % j for j in range(len(self.gens)))
-            big = amb.extend(names + ("@t",), tuple(
+            names = tuple(map(amb.fresh_name, ["@T%d" % j for j in range(
+                len(self.gens))] + ["@t"]))
+            big = amb.extend(names, tuple(
                 g.degree() + 1 for g in self.gens) + (1,))
             t = big.gen(big.n - 1)
             work = [big.embed(g) for g in self.owner.defining]

@@ -61,6 +61,16 @@ def syzygies(basis):
                           range(M.ring.n))[0]
 
 
+def tuple_key(module, comp, exp):
+    """The tuple that module.neg_key(comp, exp) packs: head + rneg(exp +
+    shift) + tail of comp's order triple, position over term being the
+    triple ((comp,), 0, ())."""
+    ring = module.ring
+    head, shift, tail = (module.order[comp] if module.order is not None
+                         else ((comp,), ring.zero_exp, ()))
+    return head + ring.order.neg_key(tuple(map(add, exp, shift))) + tail
+
+
 def mul_poly(v, p):
     """The Vec v times the polynomial p."""
     F = v.module.ring.field

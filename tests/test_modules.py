@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reesgor import modules
-from reesgor.errors import NotDivisible, OwnerMismatch
+from reesgor.errors import NotDivisible, OwnerMismatch, ResourceExceeded
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import as_vecs, groebner_basis, reducer
 from reesgor.modules import (FreeModule, Vec, _index_add, _mask,
@@ -20,7 +20,7 @@ from reesgor.orders import BlockOrder, GrevlexOrder
 from reesgor.polys import PolyRing
 from reesgor.resolutions import resolve_quotient_ring
 
-from reference import count_calls, mul_poly, syzygies
+from reference import count_calls, mul_poly, syzygies, tuple_key
 
 F = GF(DEFAULT_PRIME)
 
@@ -100,14 +100,15 @@ def _reference_vec_nf(f, basis):
 
 
 @st.composite
-def reduction_problems(draw):
-    """(f, basis): random vectors of rank 1-3 over GF(32003) or QQ; the
-    basis is monic but need not be a Groebner basis."""
-    field = draw(st.sampled_from([F, QQ]))
+def reduction_problems(draw, fields=(F, QQ)):
+    """(f, basis): random vectors of rank 1-3 over one of `fields`, with
+    coefficients -5..5 that are nonzero there; the basis is monic but
+    need not be a Groebner basis."""
+    field = draw(st.sampled_from(fields))
     rank = draw(st.integers(1, 3))
     M = FreeModule(PolyRing(("x", "y", "z"), (1, 1, 1), field), rank)
     exps = st.tuples(*[st.integers(0, 3)] * 3)
-    coeffs = st.integers(-5, 5).filter(bool)
+    coeffs = st.integers(-5, 5).filter(lambda c: field.of(c) != field.zero)
 
     def vec(max_terms):
         terms = draw(st.dictionaries(st.tuples(st.integers(0, rank - 1), exps),
@@ -175,7 +176,72 @@ def test_key_shift_is_the_key_of_a_shifted_term(case):
     Schreyer orders alike."""
     M, comp, a, q = case
     assert (M.neg_key(comp, tuple(map(add, a, q)))
-            == tuple(map(add, M.neg_key(comp, a), M.key_shift(q))))
+            == M.neg_key(comp, a) + M.key_shift(q))
+
+
+@st.composite
+def keyed_modules(draw):
+    """(module, terms): a module of `shifted_terms`, or one of rank 1-3
+    whose order is random Schreyer-like triples ((h,), shift, tail) with
+    one tail length, and 2-8 of its terms, with exponents up to 3 or up
+    to 2**24."""
+    M = draw(shifted_terms())[0]
+    n = len(M.ring.zero_exp)
+    if draw(st.booleans()):
+        rank, width = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        small = st.integers(-50, 50)
+        M = FreeModule(M.ring, rank, order=[
+            ((draw(small),), draw(st.tuples(*[st.integers(0, 9)] * n)),
+             draw(st.tuples(*[small] * width))) for _ in range(rank)])
+    exps = st.tuples(*[st.integers(0, 3) | st.integers(0, 2**24)] * n)
+    return M, draw(st.lists(st.tuples(st.integers(0, M.rank - 1), exps),
+                            min_size=2, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(keyed_modules())
+def test_packed_keys_compare_as_tuple_keys(case):
+    """Two terms' int keys compare as their tuple keys head + rneg(exp +
+    shift) + tail do, under position over term, Schreyer orders, random
+    order triples and BlockOrder rings alike."""
+    M, terms = case
+    packed = [M.neg_key(*t) for t in terms]
+    tuples = [tuple_key(M, *t) for t in terms]
+    for a, b in itertools.combinations(range(len(terms)), 2):
+        assert ((packed[a] > packed[b]) - (packed[a] < packed[b])
+                == (tuples[a] > tuples[b]) - (tuples[a] < tuples[b]))
+
+
+def test_a_key_field_past_2_to_31_raises():
+    """An exponent of 2**31 makes a key field that 32 signed bits cannot
+    hold, and keying it raises rather than misorders."""
+    M = FreeModule(ring3(), 2)
+    M.neg_key(1, (2**31 - 1, 0, 0))
+    for e in ((2**31, 0, 0), (0, 0, 2**31)):
+        with pytest.raises(ResourceExceeded):
+            M.neg_key(0, e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(reduction_problems((GF(2), GF(3), F, QQ)))
+def test_vec_nf_coefficients_are_reduced(problem):
+    """Over GF(2), GF(3), GF(32003) and QQ, remainders and quotients
+    carry no zero coefficient, a GF(p) one lies in [0, p), the remainder
+    is the reference normal form, and f plus the recorded multiples of the
+    basis is the remainder."""
+    f, basis = problem
+    field = f.module.ring.field
+    quotients = []
+    r = vec_nf(f, basis, reducer_index(basis, f.module.rank), quotients)
+    assert r == _reference_vec_nf(f, basis)
+    coeffs = [c for _, c in r.terms] + [t[3] for t in quotients]
+    assert all(coeffs)
+    if field.p:
+        assert all(0 <= c < field.p for c in coeffs)
+    acc = f
+    for _, pos, q, c in quotients:
+        acc = acc + basis[pos].mul_term(q, c)
+    assert acc == r
 
 
 @settings(max_examples=100, deadline=None)

@@ -118,6 +118,24 @@ def test_rees_ideal_meets_the_ring_by_position(two_planes, names):
                 oracle.rees_presentation(A0, q0, 2)))
 
 
+def test_rees_ideal_names_are_fresh(two_planes):
+    """A name of P that @T_j or @t would repeat gains underscores: with
+    y named @T0, two_planes' Rees ideal lives in x @T0 u v @T0_ @T1, its
+    basis prints with no name twice, and its terms are two_planes' own."""
+    A0, q0 = two_planes
+    P = PolyRing(("x", "@T0", "u", "v"), A0.ambient.weights,
+                 A0.ambient.field)
+
+    def move(f):
+        return P.from_dict(dict(f.terms))
+    A = rings.PresentedGradedRing(P, [move(g) for g in A0.defining])
+    rees = A.ideal([move(g) for g in q0.gens]).rees_ideal()
+    assert rees[0].ring.names == ("x", "@T0", "u", "v", "@T0_", "@T1")
+    assert str(rees[0]) == "@T0*@T0_ - x*@T1"
+    assert ([f.terms for f in rees]
+            == [f.terms for f in q0.rees_ideal()])
+
+
 def test_n_neq_d_suite_needs_d_to_be_dim_a(two_planes):
     """A d that is not dim A is the caller's error, not a disagreement
     of routes."""
@@ -299,7 +317,7 @@ def _direct_rees_basis(A, q, n):
     amb = A.ambient
     gens_n = [math.prod(combo, start=amb.one) for combo in
               itertools.combinations_with_replacement(q.gens, n)]
-    names = tuple(oracle._t_name(amb, j) for j in range(len(gens_n)))
+    names = tuple(amb.fresh_name("T%d" % j) for j in range(len(gens_n)))
     big = amb.extend(names + ("@t",),
                      tuple(g.degree() + 1 for g in gens_n) + (1,))
     t = big.gen(big.n - 1)
