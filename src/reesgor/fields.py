@@ -1,6 +1,10 @@
-"""Exact coefficient fields: prime fields GF(p) and the rationals.
+"""Exact coefficient fields: one class, `Field(p)`, for GF(p) and, at
+p = 0, the rationals QQ.
 
 Elements of GF(p) are plain ints in [0, p); rationals are Fraction.
+Callers add, subtract and multiply elements with Python's operators and
+reduce a result with `of` (`% p` inline where it is hot) only where a
+term is stored, so a GF(p) sum or product in between may leave [0, p).
 All arithmetic is exact, there is no floating point anywhere.
 """
 
@@ -40,91 +44,46 @@ def is_prime(n):
     return True
 
 
-class PrimeField:
-    """GF(p), elements represented as ints reduced mod p."""
-
-    kind = "prime"
+class Field:
+    """The prime field of characteristic p: GF(p) for a prime p, or QQ
+    for p = 0.  Elements use Python's operators; `of` brings a value to
+    its canonical element."""
 
     def __init__(self, p):
-        if not is_prime(p):
+        if p and not is_prime(p):
             raise ValueError("characteristic must be prime, got %r" % (p,))
         self.p = p
-        self.zero = 0
-        self.one = 1 % p
+        self.zero = self.of(0)
+        self.one = self.of(1)
 
     def of(self, n):
-        return int(n) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+        """n, an int (or over QQ a Fraction), as an element: reduced into
+        [0, p), or a Fraction."""
+        return n % self.p if self.p else Fraction(n)
 
     def inv(self, a):
-        return pow(a, -1, self.p)
+        return pow(a, -1, self.p) if self.p else 1 / Fraction(a)
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return isinstance(other, Field) and other.p == self.p
 
     def __hash__(self):
-        return hash(("GF", self.p))
+        return hash(("Field", self.p))
 
     def __repr__(self):
-        return "GF(%d)" % self.p
+        return "GF(%d)" % self.p if self.p else "QQ"
 
 
-class RationalField:
-    """Exact rationals via fractions.Fraction."""
-
-    kind = "rational"
-    p = 0
-
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
-    def of(self, n):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return 1 / a
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ = RationalField()
+QQ = Field(0)
 
 DEFAULT_PRIME = 32003
 
 
 def GF(p):
-    return PrimeField(p)
+    """GF(p); ValueError unless p is prime, so GF(0) raises."""
+    if not p:
+        raise ValueError("characteristic must be prime, got %r" % (p,))
+    return Field(p)
 
 
 def field(char):

@@ -16,7 +16,7 @@ def as_vecs(polys, F=None):
         F = FreeModule(polys[0].ring, 1)
     ring = F.ring
     for p in polys:
-        if p.ring is not ring and p.ring != ring:
+        if p.ring != ring:
             raise OwnerMismatch("polynomial from a different ring")
     return [Vec(F, tuple(((0, e), c) for e, c in p.terms)) for p in polys]
 

@@ -50,14 +50,13 @@ class InputDocument:
         char = self.char if char_override is None else char_override
         names, weights = zip(*self.vars)
         ambient = PolyRing(names, weights, _field(char))
-        # _generators tests each generator homogeneous, where its position
-        # is known, so the ring and the ideal do not test it again
+        # _generators tests each generator homogeneous first, where its
+        # position is known, for the error message
         A = rings.PresentedGradedRing(
             ambient, _generators(ambient, self.ideal_exprs, self.ideal_pos,
-                                 proper=True),
-            label=self.name, checked=True)
+                                 proper=True), label=self.name)
         params = _generators(ambient, self.param_exprs, self.param_pos)
-        q = rings.Ideal(A, params, checked=True) if params else None
+        q = rings.Ideal(A, params) if params else None
         return A, q, self.power
 
 
@@ -201,7 +200,7 @@ def parse_poly(expr, ring, line=None, col=1):
     MAX_EXPONENT; no literal has over MAX_DIGITS digits and, over QQ, no
     coefficient of a power or product can pass 2^MAX_COEFF_BITS."""
     index = {name: i for i, name in enumerate(ring.names)}
-    rational = ring.field.kind == "rational"
+    rational = not ring.field.p
 
     def err(msg, pos):
         raise InputError(msg, line or 1, pos + col)

@@ -53,7 +53,7 @@ from itertools import compress
 from operator import add, ge, sub
 
 from .errors import NotDivisible, OwnerMismatch, ResourceExceeded, crosscheck
-from .polys import Poly, _exp_mul, minimal_monomials
+from .polys import Poly, _exp_mul, _reduced, minimal_monomials
 
 
 def _pack(fields):
@@ -115,19 +115,19 @@ class FreeModule:
     def from_poly_list(self, pairs):
         """Build a Vec from (component, Poly) pairs."""
         d = {}
-        F = self.ring.field
         for comp, p in pairs:
             if p.ring != self.ring:
                 raise OwnerMismatch("polynomial from a different ring")
             for e, c in p.terms:
                 k = (comp, e)
-                d[k] = F.add(d.get(k, F.zero), c)
+                d[k] = d.get(k, 0) + c
         return self.from_dict(d)
 
     def from_dict(self, d):
-        zero = self.ring.field.zero
+        """The Vec of {(comp, exp): coeff}, sorted: each coefficient is
+        reduced once, mod p over GF(p), and zeros are dropped."""
+        items = _reduced(d, self.ring.field.p)
         neg_key = self.neg_key
-        items = [(ce, c) for ce, c in d.items() if c != zero]
         items.sort(key=lambda t: neg_key(*t[0]))
         return Vec(self, tuple(items))
 
@@ -182,29 +182,26 @@ class Vec:
         return len(degs) == 1
 
     def __add__(self, other):
-        F = self.module.ring.field
         d = dict(self.terms)
         for k, c in other.terms:
-            d[k] = F.add(d.get(k, F.zero), c)
+            d[k] = d.get(k, 0) + c
         return self.module.from_dict(d)
 
     def __sub__(self, other):
-        F = self.module.ring.field
         d = dict(self.terms)
         for k, c in other.terms:
-            d[k] = F.sub(d.get(k, F.zero), c)
+            d[k] = d.get(k, 0) - c
         return self.module.from_dict(d)
 
     def scale(self, c):
-        F = self.module.ring.field
-        if c == F.zero:
-            return self.module.zero()
-        return Vec(self.module, tuple((k, F.mul(cc, c)) for k, cc in self.terms))
+        return self.mul_term(self.module.ring.zero_exp, c)
 
     def mul_term(self, exp, coeff):
-        F = self.module.ring.field
+        of = self.module.ring.field.of
+        if not of(coeff):
+            return self.module.zero()
         return Vec(self.module,
-                   tuple(((comp, _exp_mul(e, exp)), F.mul(c, coeff))
+                   tuple(((comp, _exp_mul(e, exp)), of(c * coeff))
                          for (comp, e), c in self.terms))
 
     def monic(self):
@@ -273,8 +270,9 @@ def vec_nf(f, basis, index, quotients=None):
 
     f is a Vec, or the work dict {neg_key: coeff} and heap of (neg_key,
     comp, exp, u) of an S-vector from `_s_vector`; a neg_key names its
-    term, whose coefficient is reduced mod p (p = 0 over QQ) and exponent
-    exp + u formed only when it pops, since most terms cancel first.
+    term, whose coefficient is summed with Python's operators, reduced
+    mod p over GF(p) only when it pops, and whose exponent exp + u is
+    formed only then, since most terms cancel first.
     `index` is basis's reducer index.  The first basis element whose lead
     divides a term reduces it, x^q times its tail keyed by adding
     key_shift(q); a list `quotients` gets the keyed term
@@ -510,7 +508,7 @@ def schreyer_level(basis, index, lex):
         order.append((head, tuple(map(add, shift, e)), tail + (i,)))
     F = FreeModule(ring, len(basis),
                    [ring.wdeg(e) + M.shifts[comp] for comp, e in leads], order)
-    one, minus_one = ring.field.one, ring.field.neg(ring.field.one)
+    one, minus_one = ring.field.one, ring.field.of(-1)
     same_comp = {}
     for i, (comp, _) in enumerate(leads):
         same_comp.setdefault(comp, []).append(i)

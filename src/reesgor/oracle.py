@@ -64,7 +64,7 @@ def _veronese_generators(sub, one, m, d, n):
     a + b) generate the kernel of P[T] -> P[S].  At n = 1 there are no
     binomials, and the products are J_1's basis with S renamed T."""
     field = sub.field
-    unit, minus = field.one, field.neg(field.one)
+    unit, minus = field.one, field.of(-1)
     col = {c: m + j for j, c in enumerate(
         combinations_with_replacement(range(d), n))}
 
@@ -130,7 +130,7 @@ def _verify_substitution(rp):
                 if e:
                     b = tuple(bi + e * bj for bi, bj in zip(b, b_of[j]))
             part = parts.setdefault(sum(exp[m:]), {})
-            part[exp[:m], b] = field.add(part.get((exp[:m], b), field.zero), c)
+            part[exp[:m], b] = field.of(part.get((exp[:m], b), 0) + c)
         for part in parts.values():
             image = sum((power_nf(b).mul_term(a, c)
                          for (a, b), c in part.items() if c), amb.zero)

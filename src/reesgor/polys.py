@@ -1,7 +1,11 @@
 """Multivariate polynomials with exact coefficients over a graded ring.
 
 A polynomial is a tuple of (exponent, coefficient) terms kept sorted in
-decreasing monomial order, so the leading term is terms[0].  Rings are
+decreasing monomial order, so the leading term is terms[0], and each
+coefficient a nonzero element of the ring's field.  Coefficients combine
+with Python's operators: `from_dict` reduces each term's sum or product
+once, mod p over GF(p), and the term-wise maps (`-f`, `scale`,
+`mul_term`) reduce with the field's `of`.  Rings are
 immutable; polynomials from different rings never mix.  Rings relate
 by position alone, through `extend` and `embed`; names are for display.
 """
@@ -45,15 +49,12 @@ class PolyRing:
         return [self.gen(i) for i in range(self.n)]
 
     def const(self, c):
-        c = self.field.of(c)
-        if c == self.field.zero:
-            return self.zero
-        return Poly(self, ((self.zero_exp, c),))
+        return self.one.scale(c)
 
     def from_dict(self, d):
-        """Canonicalize {exp: coeff} into a sorted Poly, dropping zeros."""
-        zero = self.field.zero
-        items = [(e, c) for e, c in d.items() if c != zero]
+        """Canonicalize {exp: coeff} into a sorted Poly: each coefficient
+        is reduced once, mod p over GF(p), and zeros are dropped."""
+        items = _reduced(d, self.field.p)
         neg_key = self.order.neg_key
         items.sort(key=lambda t: neg_key(t[0]))
         return Poly(self, tuple(items))
@@ -88,17 +89,25 @@ class PolyRing:
         return self.from_dict({e + pad: c for e, c in f.terms})
 
     def __eq__(self, other):
-        return (isinstance(other, PolyRing) and other.names == self.names
-                and other.weights == self.weights and other.field == self.field
-                and other.order == self.order)
+        return other is self or (
+            isinstance(other, PolyRing) and other.names == self.names
+            and other.weights == self.weights and other.field == self.field
+            and other.order == self.order)
 
     def __hash__(self):
         return hash((self.names, self.weights, self.field, self.order))
 
     def __repr__(self):
-        k = "QQ" if self.field.kind == "rational" else "GF(%d)" % self.field.p
         vs = ", ".join("%s:%d" % (n, w) for n, w in zip(self.names, self.weights))
-        return "%s[%s]" % (k, vs)
+        return "%r[%s]" % (self.field, vs)
+
+
+def _reduced(d, p):
+    """The items of d, a {term: coeff} dict, with each coefficient
+    reduced once, mod p for p > 0, and the zeros dropped."""
+    if p:
+        return [(k, r) for k, c in d.items() if (r := c % p)]
+    return [(k, c) for k, c in d.items() if c]
 
 
 def _exp_mul(a, b):
@@ -160,10 +169,9 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        F = self.ring.field
         d = dict(self.terms)
         for e, c in other.terms:
-            d[e] = F.add(d.get(e, F.zero), c)
+            d[e] = d.get(e, 0) + c
         return self.ring.from_dict(d)
 
     __radd__ = __add__
@@ -172,27 +180,24 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        F = self.ring.field
         d = dict(self.terms)
         for e, c in other.terms:
-            d[e] = F.sub(d.get(e, F.zero), c)
+            d[e] = d.get(e, 0) - c
         return self.ring.from_dict(d)
 
     def __neg__(self):
-        F = self.ring.field
-        return Poly(self.ring, tuple((e, F.neg(c)) for e, c in self.terms))
+        of = self.ring.field.of
+        return Poly(self.ring, tuple((e, of(-c)) for e, c in self.terms))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        F = self.ring.field
         d = {}
-        zero = F.zero
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = _exp_mul(e1, e2)
-                d[e] = F.add(d.get(e, zero), F.mul(c1, c2))
+                d[e] = d.get(e, 0) + c1 * c2
         return self.ring.from_dict(d)
 
     __rmul__ = __mul__
@@ -211,18 +216,15 @@ class Poly:
 
     def scale(self, c):
         """Multiply by a field scalar."""
-        F = self.ring.field
-        c = F.of(c) if isinstance(c, int) else c
-        if c == F.zero:
-            return self.ring.zero
-        return Poly(self.ring, tuple((e, F.mul(cc, c)) for e, cc in self.terms))
+        return self.mul_term(self.ring.zero_exp, c)
 
     def mul_term(self, exp, coeff):
         """Multiply by the single term coeff * x^exp."""
-        F = self.ring.field
-        return Poly(self.ring,
-                    tuple((_exp_mul(e, exp), F.mul(c, coeff))
-                          for e, c in self.terms))
+        of = self.ring.field.of
+        if not of(coeff):
+            return self.ring.zero
+        return Poly(self.ring, tuple((_exp_mul(e, exp), of(c * coeff))
+                                     for e, c in self.terms))
 
     # -- comparison and display ------------------------------------------
 
@@ -249,7 +251,7 @@ class Poly:
                     factors.append(self.ring.names[i])
                 elif e > 1:
                     factors.append("%s^%d" % (self.ring.names[i], e))
-            if field.kind == "prime" and c > field.p // 2:
+            if field.p and c > field.p // 2:
                 sign, mag = "-", field.p - c
             else:
                 sign, mag = "+", c

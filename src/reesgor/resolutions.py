@@ -379,7 +379,7 @@ def _sparse_rank(field, vectors):
     """Rank of sparse vectors {index: coeff} over the field: each is
     reduced against the pivots so far, kept monic at their least index,
     and becomes a pivot when it does not reduce to zero."""
-    zero = field.zero
+    of = field.of
     pivots = {}
     for v in vectors:
         v = dict(v)
@@ -388,12 +388,12 @@ def _sparse_rank(field, vectors):
             pivot = pivots.get(i)
             if pivot is None:
                 inv = field.inv(v[i])
-                pivots[i] = {j: field.mul(c, inv) for j, c in v.items()}
+                pivots[i] = {j: of(c * inv) for j, c in v.items()}
                 break
             c = v[i]
             for j, pc in pivot.items():
-                x = field.sub(v.get(j, zero), field.mul(c, pc))
-                if x == zero:
+                x = of(v.get(j, 0) - c * pc)
+                if not x:
                     v.pop(j, None)
                 else:
                     v[j] = x

@@ -40,14 +40,13 @@ ColonGraph = namedtuple("ColonGraph", "base divide ideal")
 class PresentedGradedRing:
     """A = P/I for P = `ambient`, a weighted polynomial ring, and I the
     homogeneous ideal that ideal_gens, polynomials of P, generate (none
-    for a free ring).  `checked` says the caller has already seen every
-    generator to be homogeneous, as a document parser does."""
+    for a free ring)."""
 
-    def __init__(self, ambient, ideal_gens, label=None, checked=False):
+    def __init__(self, ambient, ideal_gens, label=None):
         self.ambient = ambient
         self.label = label
         # the zero ideal checks the generators; the ring keeps them as I
-        self.defining = list(Ideal(self, ideal_gens, checked).gens)
+        self.defining = list(Ideal(self, ideal_gens).gens)
         self._zero = Ideal(self, ())
         self._resolution = None
         self._ext = {}
@@ -59,7 +58,7 @@ class PresentedGradedRing:
         homogeneous ideal under the ambient order, such as the Rees
         presentation's; gb is kept as `gb()`, the ring-level twin of
         `Ideal.from_basis`."""
-        ring = cls(ambient, gb, checked=True)
+        ring = cls(ambient, gb)
         ring._zero._gb = tuple(ring.defining)
         return ring
 
@@ -156,10 +155,11 @@ class PresentedGradedRing:
         return self.colon_graph((), a).ideal.gb() == self.gb()
 
     def __eq__(self, other):
-        return (isinstance(other, PresentedGradedRing)
-                and other.ambient == self.ambient
-                and [g.terms for g in other.defining]
-                == [g.terms for g in self.defining])
+        return other is self or (
+            isinstance(other, PresentedGradedRing)
+            and other.ambient == self.ambient
+            and [g.terms for g in other.defining]
+            == [g.terms for g in self.defining])
 
     def __hash__(self):
         return hash((self.ambient, tuple(g.terms for g in self.defining)))
@@ -172,18 +172,16 @@ class PresentedGradedRing:
 
 
 class Ideal:
-    """Ideal of a presented ring, stored as a preimage generator tuple.
+    """Ideal of a presented ring, stored as a preimage generator tuple;
+    every generator is checked homogeneous."""
 
-    `checked` says the caller has already seen every generator to be
-    homogeneous, as a document parser does."""
-
-    def __init__(self, owner, gens, checked=False):
+    def __init__(self, owner, gens):
         self.owner = owner
         gens = tuple(gens)
         for g in gens:
             if g.ring != owner.ambient:
                 raise OwnerMismatch("generator from a different ring")
-            if not checked and not g.is_homogeneous():
+            if not g.is_homogeneous():
                 raise ValueError("inhomogeneous ideal generator: %s" % g)
         # a tuple, because a ring's memoized colon ideals are shared
         self.gens = tuple(g for g in gens if not g.is_zero())
@@ -237,7 +235,7 @@ class Ideal:
         """Normal form of f modulo the preimage; `gb()` is indexed once
         per ideal.  f of another ring raises OwnerMismatch, also when
         the basis is empty."""
-        if f.ring is not self.owner.ambient and f.ring != self.owner.ambient:
+        if f.ring != self.owner.ambient:
             raise OwnerMismatch("polynomial from a different ring")
         if self._nf is None:
             self._nf = reducer(self.gb())
@@ -275,7 +273,7 @@ def check_owner(A, ideal):
     """The ring of ideal, once it is seen to be A: the same object, or an
     equal ring, as one built twice from one document is; callers go on in
     it, so one set of memos serves.  OwnerMismatch otherwise."""
-    if ideal.owner is not A and ideal.owner != A:
+    if ideal.owner != A:
         raise OwnerMismatch("ideal of another ring")
     return ideal.owner
 

@@ -78,8 +78,38 @@ def mul_poly(v, p):
     for e1, c1 in p.terms:
         for (comp, e2), c2 in v.terms:
             k = (comp, tuple(map(add, e1, e2)))
-            d[k] = F.add(d.get(k, F.zero), F.mul(c1, c2))
+            d[k] = F.of(d.get(k, F.zero) + c1 * c2)
     return v.module.from_dict(d)
+
+
+def exact_sum(*parts):
+    """sum s * d over the (s, d) in parts, d a {key: coeff} dict, with
+    the coefficients added in Z or Q; zeros are kept."""
+    out = {}
+    for s, d in parts:
+        for k, c in d.items():
+            out[k] = out.get(k, 0) + s * c
+    return out
+
+
+def exact_product(a, b, join):
+    """The product of the {key: coeff} dicts a and b in Z or Q, the term
+    of keys k1 and k2 landing at join(k1, k2); zeros are kept."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = join(k1, k2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
+
+
+def in_field(field, d):
+    """The {key: coeff} dict d, computed in Z or Q, mapped into field at
+    the end: each coefficient reduced mod p, or a Fraction over QQ, and
+    the zeros dropped."""
+    p = field.p
+    out = {k: c % p if p else Fraction(c) for k, c in d.items()}
+    return {k: c for k, c in out.items() if c}
 
 
 def cokernel(ambient, rels):

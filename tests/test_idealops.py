@@ -168,8 +168,8 @@ def exact_quotient(f, g):
     q = ring.zero
     while not f.is_zero():
         e = tuple(map(sub, f.lead_exp(), g.lead_exp()))
-        m = ring.from_dict({e: field.mul(f.terms[0][1],
-                                         field.inv(g.terms[0][1]))})
+        m = ring.from_dict({e: field.of(f.terms[0][1]
+                                        * field.inv(g.terms[0][1]))})
         q, f = q + m, f - m * g
     return q
 

@@ -447,11 +447,12 @@ def test_cli_rejects_malformed_document(tmp_path, case):
         assert inputfmt.parse_report(out)["error"] == error, argv
 
 
-def test_document_tests_each_generator_once_and_its_characteristic_per_build(
+def test_document_tests_generators_first_and_its_characteristic_per_build(
         monkeypatch):
     """Parsing a document tests its characteristic prime, where its line
     is known, and each build tests it again and each generator
-    homogeneous once, where the generator's position is known."""
+    homogeneous, first where the generator's position is known, then
+    once more in the ring or ideal it generates."""
     from reesgor import fields, polys
     primes, tested = [], []
     is_prime = fields.is_prime
@@ -471,7 +472,7 @@ def test_document_tests_each_generator_once_and_its_characteristic_per_build(
     doc.build()
     doc.build()
     assert primes == [7] * 3
-    assert tested == ["x*y", "x", "y^2"] * 2
+    assert tested == ["x*y", "x*y", "x", "y^2", "x", "y^2"] * 2
 
 
 def test_cli_oracle_needs_parameters(tmp_path):

@@ -5,22 +5,25 @@ import random
 import sys
 import time
 from math import isqrt
-from operator import ge
+from fractions import Fraction
+from operator import add, ge
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from reesgor.errors import OwnerMismatch
-from reesgor.fields import GF, QQ, DEFAULT_PRIME, PRIME_BOUND, is_prime
+from reesgor.fields import (GF, QQ, DEFAULT_PRIME, PRIME_BOUND, Field,
+                            field, is_prime)
 from reesgor.groebner import groebner_basis, normal_form
 from reesgor.hilbert import (INFINITE, finite_length, hilbert,
                              hilbert_numerator, upoly_add, upoly_mul)
 from reesgor.inputfmt import parse_poly
+from reesgor.modules import FreeModule
 from reesgor.orders import BlockOrder, GrevlexOrder
 from reesgor.polys import PolyRing, minimal_monomials
 
-from reference import (count_standard_monomials, hilbert_by_division,
-                       is_member)
+from reference import (count_standard_monomials, exact_product, exact_sum,
+                       hilbert_by_division, in_field, is_member)
 
 F = GF(DEFAULT_PRIME)
 
@@ -37,17 +40,17 @@ def ring3():
 
 @given(st.integers(min_value=1, max_value=DEFAULT_PRIME - 1))
 def test_prime_field_inverse(a):
-    assert F.mul(a, F.inv(a)) == F.one
+    assert F.of(a * F.inv(a)) == F.one
 
 
 @given(st.integers(), st.integers())
 def test_prime_field_add_commutes(a, b):
-    assert F.add(F.of(a), F.of(b)) == F.add(F.of(b), F.of(a))
+    assert F.of(F.of(a) + F.of(b)) == F.of(F.of(b) + F.of(a))
 
 
 def test_rational_field_exact():
-    third = QQ.mul(QQ.of(1), QQ.inv(QQ.of(3)))
-    assert QQ.mul(third, QQ.of(3)) == QQ.one
+    third = QQ.of(QQ.of(1) * QQ.inv(QQ.of(3)))
+    assert QQ.of(third * QQ.of(3)) == QQ.one
 
 
 def _trial_division_is_prime(n):
@@ -80,6 +83,87 @@ def test_is_prime_refuses_beyond_its_bound():
 def test_gf_rejects_composites():
     with pytest.raises(ValueError):
         GF(12)
+
+
+def test_field_takes_a_prime_or_zero_and_gf_a_prime():
+    for make, p in ((GF, 4), (GF, 0), (Field, 4)):
+        with pytest.raises(ValueError):
+            make(p)
+    assert field(0) == QQ
+
+
+def test_qq_inverts_an_int_coefficient_exactly():
+    """A QQ polynomial built from int coefficients is made monic with
+    exact fractions, not floats."""
+    assert type(QQ.inv(3)) is Fraction and QQ.inv(3) == Fraction(1, 3)
+    R = PolyRing(("x", "y"), (1, 1), QQ)
+    (g,) = groebner_basis([R.from_dict({(1, 0): 3, (0, 1): 1})])
+    assert g.terms == (((1, 0), 1), ((0, 1), Fraction(1, 3)))
+
+
+def _exp_join(a, b):
+    return tuple(map(add, a, b))
+
+
+def _vec_join(k, e):
+    return k[0], _exp_join(k[1], e)
+
+
+@st.composite
+def operands(draw):
+    """(f, g, c, e, raw): f and g both Polys in k[x, y] or both Vecs of
+    rank 2 over it, k one of GF(2), GF(3), GF(32003) and QQ, built by
+    from_dict from raw dicts with any ints (a GF(p) ring) or fractions
+    (QQ) as coefficients; c such a scalar, maybe zero, e an exponent,
+    and raw the dict f was built from."""
+    k = draw(st.sampled_from((GF(2), GF(3), F, QQ)))
+    ring = PolyRing(("x", "y"), (1, 2), k)
+    coeffs = (st.integers(-10 ** 6, 10 ** 6) if k.p else
+              st.fractions(-9, 9, max_denominator=6))
+    exps = st.tuples(*[st.integers(0, 3)] * 2)
+    if draw(st.booleans()):
+        build, keys = ring.from_dict, exps
+    else:
+        build = FreeModule(ring, 2, (0, 1)).from_dict
+        keys = st.tuples(st.integers(0, 1), exps)
+    raw = [draw(st.dictionaries(keys, coeffs, max_size=6)) for _ in "fg"]
+    return build(raw[0]), build(raw[1]), draw(coeffs), draw(exps), raw[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(operands())
+def test_arithmetic_stores_canonical_coefficients(case):
+    """Over GF(2), GF(3), GF(32003) and QQ, from_dict, +, -, scale and
+    mul_term on Polys and Vecs, and * and unary - on Polys, give terms
+    sorted in descending order whose coefficients are canonical and
+    nonzero (an int in [1, p), or a Fraction), equal to the same
+    computation in Z or Q reduced at the end."""
+    f, g, c, e, raw = case
+    a, b = dict(f.terms), dict(g.terms)
+    if hasattr(f, "ring"):
+        ring, join, key = f.ring, _exp_join, f.ring.order.neg_key
+        poly_only = [(f * g, exact_product(a, b, join)),
+                    (-f, exact_sum((-1, a)))]
+    else:
+        ring, join, poly_only = f.module.ring, _vec_join, []
+
+        def key(t):
+            return f.module.neg_key(*t)
+    k, zero_key = ring.field, ring.zero_exp
+    results = [(f, exact_sum((1, raw))),
+               (f + g, exact_sum((1, a), (1, b))),
+               (f - g, exact_sum((1, a), (-1, b))),
+               (f.scale(c), exact_product(a, {zero_key: c}, join)),
+               (f.mul_term(e, c), exact_product(a, {e: c}, join))] + poly_only
+    for got, want in results:
+        coeffs = [v for _, v in got.terms]
+        if k.p:
+            assert all(type(v) is int and 0 < v < k.p for v in coeffs)
+        else:
+            assert all(type(v) is Fraction and v for v in coeffs)
+        keys = [key(t) for t, _ in got.terms]
+        assert keys == sorted(set(keys))
+        assert dict(got.terms) == in_field(k, want)
 
 
 # -- monomial orders -------------------------------------------------------

@@ -84,11 +84,11 @@ def _reference_vec_nf(f, basis):
             k = (bcomp, tuple(x + y for x, y in zip(be, q)))
             old = work.get(k)
             if old is None:
-                nc = F.neg(F.mul(c, bc))
+                nc = F.of(-(c * bc))
                 if k == (comp, e):
-                    nc = F.add(c, nc)
+                    nc = F.of(c + nc)
             else:
-                nc = F.sub(old, F.mul(c, bc))
+                nc = F.of(old - c * bc)
             if nc == F.zero:
                 work.pop(k, None)
             else:
