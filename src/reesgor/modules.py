@@ -3,15 +3,13 @@
 A Vec is an element of a free module F = sum_i P(-shift_i), stored as
 ((component, exponent), coefficient) terms sorted descending in the
 module's order: position over term extending the ring's monomial order
-by default, or an order induced through the module's `order` hook, such
-as the Schreyer orders of `schreyer_level`.  The Buchberger loop
-computes reduced bases only.  It queues S-pairs by degree, and picks them
-by one rule, `polys.minimal_monomials`, that the Schreyer frame shares:
-of an element's pairs, those with minimal lcm, the first partner among
-equal ones (Gebauer & Moeller 1988).  On rank 1 only, where it is valid,
-the product criterion then drops the coprime ones, and by the G-filter of
-Becker-Weispfenning's UPDATE (Groebner Bases, 1993) an element whose lead
-a later lead divides forms no further pairs.
+by default, an order a caller gives as order triples, or the Schreyer
+order that `schreyer_level` keys off the level below.  The Buchberger
+loop computes reduced bases only, and picks its S-pairs by one rule,
+`polys.minimal_monomials`, that the Schreyer frame shares: of an
+element's pairs, those with minimal lcm, the first partner among equal
+ones (Gebauer & Moeller 1988; Becker-Weispfenning's UPDATE, Groebner
+Bases, 1993, filters the rest: see `module_buchberger`).
 
 A run keeps one reducer index, extended as each element joins the basis:
 per component, the (mask, lead exp, position) of every element in basis
@@ -37,14 +35,10 @@ to Commutative Algebra; Singular's `syz`, `quotient`, `modulo`).  That is
 the syzygies of the g_i with no rels, the colon (rels : g) for gens = [g],
 whose basis `divider` reduces (f, 0) against, the intersection
 (A) cap (B) = (A e_0 + B e_1) : (e_0 + e_1), and in general the
-presentation of (im gens)/(im rels).
-`schreyer_level` needs neither graph rows nor a Buchberger run: for a
-Groebner basis, the quotients of its S-vectors' reductions are syzygies
-that are a Groebner basis already, and come sorted and keyed, so each
-level of a frame hands the next its reducer index with its tails keyed.
-No term is keyed twice, and a handed-down index leaves out the tail terms
-in components that carry no lead of its level, which no reduction can
-touch.
+presentation of (im gens)/(im rels).  `schreyer_level` needs neither
+graph rows nor a Buchberger run: each level of a frame is read off the
+S-vector reductions of the last, sorted and keyed, and hands the next
+its reducer index, so no term is keyed twice.
 """
 
 import heapq
@@ -53,7 +47,7 @@ from itertools import compress
 from operator import add, ge, sub
 
 from .errors import NotDivisible, OwnerMismatch, ResourceExceeded, crosscheck
-from .polys import Poly, _exp_mul, _reduced, minimal_monomials
+from .polys import Poly, _exp_mul, _reduced, _scaled, minimal_monomials
 
 
 def _pack(fields):
@@ -70,31 +64,32 @@ def _pack(fields):
 class FreeModule:
     """Graded free module of finite rank with per-component degree shifts.
 
-    One key, `neg_key(comp, exp)`, orders the terms, smaller neg_key
-    larger term: ascending neg_key is descending module order.  The
-    default is position over term, earlier components dominating.  An
-    induced order is given as `order`, one (head, shift, tail) triple of
-    tuples per component: x^a e_i is keyed by the packed (`_pack`) tuple
-    head_i + rneg(a + shift_i) + tail_i, rneg the ring's key, as base_i +
-    key_shift(a), with rneg(a) packed once per ring; so neg_key(comp,
-    a + q) = neg_key(comp, a) + key_shift(q), and a sum is not checked
-    again.  Position over term is the triple ((i,), 0, ()), and
-    `schreyer_level` builds Schreyer orders this way.  Unequal head or
-    tail lengths raise ValueError.
+    One int key, `neg_key(comp, exp)` = bases[comp] + key_shift(exp),
+    orders the terms: ascending neg_key is descending module order.
+    key_shift(q) is the ring's key rneg(q), packed by `_pack` once per
+    ring, shifted left by `key_width`; so neg_key(comp, a + q) =
+    neg_key(comp, a) + key_shift(q), and a sum is not checked again.  The
+    default is position over term, the order triples ((i,), 0, ()): a
+    caller gives an induced order as `order`, one (head, shift, tail)
+    triple of tuples per component, x^a e_i keyed as head_i + rneg(a +
+    shift_i) + tail_i packed (unequal lengths raise ValueError), and
+    `schreyer_level` gives (bases, key_width) packed already, as `keys`.
+    Modules of equal ring, rank, shifts, bases and key width are equal.
     """
 
-    def __init__(self, ring, rank, shifts=None, order=None):
+    def __init__(self, ring, rank, shifts=None, order=None, keys=None):
         self.ring = ring
         self.rank = rank
         self.shifts = tuple(shifts) if shifts is not None else (0,) * rank
-        self.order = tuple(order) if order is not None else None
         rneg, packed = ring.order.neg_key, ring.packed_keys
-        triples = self.order or [((i,), ring.zero_exp, ())
-                                 for i in range(rank)]
-        if len({(len(h), len(t)) for h, _, t in triples}) > 1:
-            raise ValueError("order triples differ in head or tail length")
-        base = [_pack(h + rneg(s) + t) for h, s, t in triples]
-        low = 32 * len(triples[0][2]) if triples else 0
+        if keys is None:
+            triples = order or [((i,), ring.zero_exp, ())
+                                for i in range(rank)]
+            if len({(len(h), len(t)) for h, _, t in triples}) > 1:
+                raise ValueError("order triples differ in head or tail length")
+            keys = ([_pack(h + rneg(s) + t) for h, s, t in triples],
+                    32 * len(triples[0][2]) if triples else 0)
+        self.bases, self.key_width = bases, low = keys
 
         def key_shift(q):
             k = packed.get(q)
@@ -102,7 +97,7 @@ class FreeModule:
                 k = packed[q] = _pack(rneg(q))
             return k << low
         self.key_shift = key_shift
-        self.neg_key = lambda comp, exp: base[comp] + key_shift(exp)
+        self.neg_key = lambda comp, exp: bases[comp] + key_shift(exp)
 
     def zero(self):
         return Vec(self, ())
@@ -135,7 +130,8 @@ class FreeModule:
         return other is self or (
             isinstance(other, FreeModule) and other.ring == self.ring
             and other.rank == self.rank and other.shifts == self.shifts
-            and other.order == self.order)
+            and other.key_width == self.key_width
+            and other.bases == self.bases)
 
     def __hash__(self):
         return hash((self.ring, self.rank, self.shifts))
@@ -160,26 +156,20 @@ class Vec:
 
     def component(self, i):
         """The polynomial entry in component i.  Its terms are already in
-        the ring's order: every module order keys x^a e_i as head_i +
-        neg_key(a + shift_i) + tail_i, and the ring's neg_key is linear."""
+        the ring's order: every module keys x^a e_i as bases_i +
+        key_shift(a), key_shift(a) being the ring's key of a, packed."""
         return Poly(self.module.ring, tuple((e, c) for (comp, e), c
                                             in self.terms if comp == i))
 
     def degree(self):
-        """Common weighted degree (with shifts) when homogeneous, else max."""
-        if not self.terms:
-            return -1
-        ring = self.module.ring
-        sh = self.module.shifts
-        return max(ring.wdeg(e) + sh[comp] for (comp, e), _ in self.terms)
+        """Weighted degree (with shifts) of the highest term; -1 for zero."""
+        ring, sh = self.module.ring, self.module.shifts
+        return max((ring.wdeg(e) + sh[comp] for (comp, e), _ in self.terms),
+                   default=-1)
 
     def is_homogeneous(self):
-        if not self.terms:
-            return True
-        ring = self.module.ring
-        sh = self.module.shifts
-        degs = {ring.wdeg(e) + sh[comp] for (comp, e), _ in self.terms}
-        return len(degs) == 1
+        ring, sh = self.module.ring, self.module.shifts
+        return len({ring.wdeg(e) + sh[c] for (c, e), _ in self.terms}) < 2
 
     def __add__(self, other):
         d = dict(self.terms)
@@ -194,7 +184,9 @@ class Vec:
         return self.module.from_dict(d)
 
     def scale(self, c):
-        return self.mul_term(self.module.ring.zero_exp, c)
+        """Multiply by a field scalar: coefficients only."""
+        module = self.module
+        return Vec(module, _scaled(self.terms, c, module.ring.field))
 
     def mul_term(self, exp, coeff):
         of = self.module.ring.field.of
@@ -332,12 +324,10 @@ def vec_nf(f, basis, index, quotients=None):
 GroebnerData = namedtuple("GroebnerData", "basis")
 
 
-def _s_vector(basis, index, i, j, lcm):
-    """The S-vector of the monic basis[i] and basis[j] with lead lcm, their
-    shifted keyed tails, as vec_nf's unreduced work dict and heap."""
+def _s_vector(basis, index, i, ui, j, uj):
+    """x^ui basis[i] - x^uj basis[j], whose monic leads cancel, as their
+    shifted keyed tails in vec_nf's unreduced work dict and heap."""
     module = basis[i].module
-    ui = tuple(map(sub, lcm, basis[i].terms[0][0][1]))
-    uj = tuple(map(sub, lcm, basis[j].terms[0][0][1]))
     si, sj = module.key_shift(ui), module.key_shift(uj)
     ti = _keyed(index, basis, i)
     heap = [(k + si, comp, e, ui) for k, comp, e, _ in ti]
@@ -381,7 +371,7 @@ def module_buchberger(gens):
     leads = []      # (comp, exp) of each basis element
     redundant = []  # whether a later lead divides this element's lead
     index = reducer_index((), module.rank)
-    pairs = []      # heap of (degree of lcm, i, j, lcm)
+    pairs = []      # heap of (degree of lcm, i, j, lcm/lead_i, lcm/lead_j)
     wdeg, shifts = module.ring.wdeg, module.shifts
 
     def update(k):
@@ -398,8 +388,10 @@ def module_buchberger(gens):
             if lcm == ei:
                 redundant[i] = True
         for lcm, i in minimal_monomials(cands):
-            if not rank1 or any(map(min, leads[i][1], ek)):
-                heapq.heappush(pairs, (wdeg(lcm) + shifts[compk], i, k, lcm))
+            ei = leads[i][1]
+            if not rank1 or any(map(min, ei, ek)):
+                heapq.heappush(pairs, (wdeg(lcm) + shifts[compk], i, k, tuple(
+                    map(sub, lcm, ei)), tuple(map(sub, lcm, ek))))
 
     def join(h):
         k = len(basis)
@@ -422,8 +414,8 @@ def module_buchberger(gens):
         join(g.monic())
 
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
-        h = vec_nf(_s_vector(basis, index, i, j, lcm), basis, index)
+        _, i, j, ui, uj = heapq.heappop(pairs)
+        h = vec_nf(_s_vector(basis, index, i, ui, j, uj), basis, index)
         if not h.is_zero():
             join(h.monic())
 
@@ -472,72 +464,68 @@ def schreyer_level(basis, index, lex):
 
     `basis` is a monic Groebner basis under the order of its module M,
     and `index` its reducer index.  The syzygies lie in F, free on the
-    basis elements, graded by their degrees, under the Schreyer order they
-    induce: x^a e_i is above x^b e_j when x^a lead_i is above x^b lead_j
-    in M, or the two are equal and i < j, so the F key of x^a e_i is the M
-    key of x^a lead_i followed by i.  For each i, the pairs (i, j > i)
-    whose leads share a component and whose lcms are minimal, the first j
-    among equal ones (`minimal_monomials`, the rule `module_buchberger`
-    picks its pairs by), give one syzygy each; their monomials
-    m_ij = lcm/lead_i order and divide as the lcms do.  vec_nf reduces
-    the S-vector m_ij g_i - m_ji g_j to zero, and m_ij e_i - m_ji e_j
-    plus its quotients, already sorted and keyed (x^q e_k is keyed by the
-    term vec_nf popped, strictly descending below the lcm, then k), is
-    the syzygy.  These syzygies are a Groebner basis of the syzygy module
-    under F's order, with leads m_ij e_i (Schreyer's theorem), so no
-    Buchberger run is needed.  Every pair is picked before any is
-    reduced: component i of F carries a lead of the syzygies exactly when
-    i has a kept pair, and their index holds only the keyed tail terms in
-    those components, since no reduction against the syzygies can reduce
-    a term anywhere else (see `vec_nf`); the syzygies keep every term.
-    Within a lead component they are listed with leads descending
-    lexicographically, in the lex order that ranks the variables as
-    `lex` lists them, most significant first, which bounds the length of
-    an iterated frame by the number of variables under any lex order.  A
-    nonzero remainder (no Groebner basis) fails a crosscheck; against an
-    index that leaves lead-free terms out, as a frame's does, the check
-    covers the components that carry a lead of `basis`.
+    basis elements, graded by their degrees, under the Schreyer order:
+    x^a e_i is above x^b e_j when x^a lead_i is above x^b lead_j in M, or
+    the two are equal and i < j.  So e_i's base is (lk_i << 32) + i, for
+    lk_i = M.neg_key(lead_i), and F's key width M's plus 32; a degree in
+    F of 2**31 or more raises ResourceExceeded.  For each i, the pairs
+    (i, j > i) whose leads share a component and whose m_ij = lcm/lead_i
+    are minimal, the first j among equal ones (`minimal_monomials`, as
+    `module_buchberger` picks), give one syzygy each: vec_nf reduces the
+    S-vector m_ij g_i - m_ji g_j to zero, and m_ij e_i - m_ji e_j plus its
+    quotients, already sorted and keyed (x^q e_k by the term vec_nf
+    popped, strictly descending below the lcm, then k), is the syzygy.
+    They are a Groebner basis under F's order, with leads m_ij e_i
+    (Schreyer's theorem).  Every pair is picked before any is reduced:
+    component i of F carries a lead exactly when i has a kept pair, and
+    the index holds only the keyed tail terms in those components, since
+    no reduction can reduce a term anywhere else (see `vec_nf`); the
+    syzygies keep every term.  Within a lead component, leads descend in
+    the lex order ranking the variables as `lex` lists them, which bounds
+    an iterated frame's length by the number of variables.  A nonzero
+    remainder (no Groebner basis) fails a crosscheck, which covers the
+    components that carry a lead of `basis` when `index` leaves the
+    lead-free terms out, as a frame's does.
     """
     M = basis[0].module
-    ring = M.ring
+    ring, key_shift, zero_exp = M.ring, M.key_shift, M.ring.zero_exp
     leads = [b.terms[0][0] for b in basis]
-    triples = M.order or [((i,), ring.zero_exp, ()) for i in range(M.rank)]
-    order = []
-    for i, (comp, e) in enumerate(leads):
-        head, shift, tail = triples[comp]
-        order.append((head, tuple(map(add, shift, e)), tail + (i,)))
-    F = FreeModule(ring, len(basis),
-                   [ring.wdeg(e) + M.shifts[comp] for comp, e in leads], order)
+    shifts = [ring.wdeg(e) + M.shifts[comp] for comp, e in leads]
+    if max(shifts) >= 2**31:
+        raise ResourceExceeded("a Schreyer degree reaches 2**31")
+    lks = [M.neg_key(comp, e) for comp, e in leads]
+    F = FreeModule(ring, len(basis), shifts, keys=(
+        [(lk << 32) + i for i, lk in enumerate(lks)], M.key_width + 32))
     one, minus_one = ring.field.one, ring.field.of(-1)
-    same_comp = {}
+    later = {}
     for i, (comp, _) in enumerate(leads):
-        same_comp.setdefault(comp, []).append(i)
+        later.setdefault(comp, []).append(i)
     pairs = []
     for i, (comp, ei) in enumerate(leads):
-        kept = [(tuple(map(sub, lcm, ei)), j, lcm)
-                for lcm, j in minimal_monomials(
-                    (tuple(map(max, ei, leads[j][1])), j)
-                    for j in same_comp[comp] if j > i)]
-        kept.sort(key=lambda t: [t[0][v] for v in lex], reverse=True)
-        pairs += [(i, m, j, lcm) for m, j, lcm in kept]
-    # component i of F carries a lead m_ij e_i of syz exactly when i has a
-    # kept pair; a tail term anywhere else can never be reduced
+        js = later[comp]
+        del js[0]  # i itself; the rest of its component follows it
+        if not js:
+            continue
+        kept = minimal_monomials([(tuple(map(max, map(sub, leads[j][1], ei),
+                                                  zero_exp)), j) for j in js])
+        if len(kept) > 1:
+            kept.sort(key=lambda t: [t[0][v] for v in lex], reverse=True)
+        pairs += [(i, m, j, tuple(map(max, map(sub, ei, leads[j][1]),
+                                      zero_exp))) for m, j in kept]
     lead_comps = {i for i, _, _, _ in pairs}
     syz = []
     syz_index = reducer_index((), F.rank)
     stuck = 0
-    for i, m, j, lcm in pairs:
-        tail = [((M.neg_key(leads[i][0], lcm) << 32) + j, j,
-                 tuple(map(sub, lcm, leads[j][1])), minus_one)]
-        if vec_nf(_s_vector(basis, index, i, j, lcm), basis, index,
+    for i, m, j, mji in pairs:
+        tail = [(((lks[i] + key_shift(m)) << 32) + j, j, mji, minus_one)]
+        if vec_nf(_s_vector(basis, index, i, m, j, mji), basis, index,
                   tail).terms:
             stuck += 1
             continue
-        v = Vec(F, (((i, m), one),)
-                + tuple(((pos, q), c) for _, pos, q, c in tail))
-        syz_index[1][len(syz)] = tuple(t for t in tail if t[1] in lead_comps)
-        _index_add(syz_index, len(syz), v)
-        syz.append(v)
+        syz_index[0][i].append((_mask(m), m, len(syz)))
+        syz_index[1][len(syz)] = tuple([t for t in tail if t[1] in lead_comps])
+        syz.append(Vec(F, (((i, m), one),)
+                       + tuple([((pos, q), c) for _, pos, q, c in tail])))
     crosscheck("S-vectors of a Groebner basis whose F part is not zero",
                stuck, 0)
     return syz, syz_index

@@ -21,6 +21,7 @@ every presentation here is connected graded over the base field.
 
 from collections import namedtuple
 from itertools import combinations_with_replacement
+from operator import add
 
 from .errors import DepthNotOne, WrongDimension, crosscheck
 from .groebner import groebner_basis
@@ -101,7 +102,7 @@ def _verify_substitution(rp):
     parameters in the combos of its T_j: terms are summed per (k, a, b)
     first, where the Veronese binomials cancel; each q^b is reduced
     modulo I once, as q_i times the reduced q^(b - e_i), and each part,
-    the sum of the c x^a NF(q^b), once.
+    the c x^a NF(q^b) summed into one dict, is built and reduced once.
     """
     A, qs = rp.q.owner, rp.q.gens
     amb, d = A.ambient, len(qs)
@@ -132,10 +133,14 @@ def _verify_substitution(rp):
             part = parts.setdefault(sum(exp[m:]), {})
             part[exp[:m], b] = field.of(part.get((exp[:m], b), 0) + c)
         for part in parts.values():
-            image = sum((power_nf(b).mul_term(a, c)
-                         for (a, b), c in part.items() if c), amb.zero)
+            image = {}
+            for (a, b), c in part.items():
+                if c:
+                    for e, x in power_nf(b).terms:
+                        e = tuple(map(add, e, a))
+                        image[e] = image.get(e, 0) + c * x
             crosscheck("substitution T_j -> g_j t into a defining generator",
-                       A.reduce(image), amb.zero)
+                       A.reduce(amb.from_dict(image)), amb.zero)
 
 
 def graded_gorenstein_oracle(rp, length_cap=None):

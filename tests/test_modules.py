@@ -8,19 +8,22 @@ from operator import add, ge, sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reesgor import modules
+from reesgor import corpus, hilbert, modules, oracle
 from reesgor.errors import NotDivisible, OwnerMismatch, ResourceExceeded
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import as_vecs, groebner_basis, reducer
 from reesgor.modules import (FreeModule, Vec, _index_add, _mask,
                              colon_basis, divider, module_buchberger,
                              module_colon, module_syzygies, reducer_index,
-                             vec_nf)
+                             schreyer_level, vec_nf)
+from reesgor.hilbert import hilbert_numerator
 from reesgor.orders import BlockOrder, GrevlexOrder
-from reesgor.polys import PolyRing
-from reesgor.resolutions import resolve_quotient_ring
+from reesgor.polys import PolyRing, minimal_monomials
+from reesgor.resolutions import resolve_quotient_ring, schreyer_frame
 
-from reference import count_calls, mul_poly, syzygies, tuple_key
+import reference
+from reference import (count_calls, mul_poly, position_over_term,
+                       schreyer_triples, syzygies, tuple_key)
 
 F = GF(DEFAULT_PRIME)
 
@@ -146,10 +149,11 @@ def test_mask_prefilter_keeps_every_divisor(pairs):
 
 @st.composite
 def shifted_terms(draw):
-    """(module, comp, a, q): a position-over-term module of rank 1-3 over
-    GrevlexOrder or BlockOrder with random positive weights and block, or
-    one of the Schreyer-induced modules `schreyer_level` builds over it
-    from a basis of monomial vectors, which is a Groebner basis."""
+    """(module, triples, comp, a, q): a position-over-term module of rank
+    1-3 over GrevlexOrder or BlockOrder with random positive weights and
+    block, or one of the Schreyer-induced modules of levels 1-4 that
+    `schreyer_level` builds over it from bases of monomial vectors, which
+    are Groebner bases, with the reference order triples of its order."""
     n = draw(st.integers(1, 4))
     weights = draw(st.tuples(*[st.integers(1, 4)] * n))
     block = draw(st.none() | st.sets(st.integers(0, n - 1)))
@@ -158,14 +162,17 @@ def shifted_terms(draw):
     R = PolyRing(["x%d" % i for i in range(n)], weights, F, order)
     exps = st.tuples(*[st.integers(0, 3)] * n)
     M = FreeModule(R, draw(st.integers(1, 3)))
-    for _ in range(draw(st.integers(0, 2))):
+    triples = position_over_term(R, M.rank)
+    for _ in range(draw(st.integers(0, 4))):
         terms = draw(st.sets(st.tuples(st.integers(0, M.rank - 1), exps),
                              min_size=1, max_size=4))
-        syz = syzygies([Vec(M, ((t, F.one),)) for t in terms])
+        basis = [Vec(M, ((t, F.one),)) for t in terms]
+        syz = syzygies(basis)
         if not syz:
             break
-        M = syz[0].module
-    return M, draw(st.integers(0, M.rank - 1)), draw(exps), draw(exps)
+        M, triples = syz[0].module, schreyer_triples(triples, basis)
+    return (M, triples, draw(st.integers(0, M.rank - 1)), draw(exps),
+            draw(exps))
 
 
 @settings(max_examples=150, deadline=None)
@@ -174,42 +181,45 @@ def test_key_shift_is_the_key_of_a_shifted_term(case):
     """neg_key is linear in the exponent: shifting a term by x^q adds
     key_shift(q) to its key, under position over term and under the
     Schreyer orders alike."""
-    M, comp, a, q = case
+    M, _, comp, a, q = case
     assert (M.neg_key(comp, tuple(map(add, a, q)))
             == M.neg_key(comp, a) + M.key_shift(q))
 
 
 @st.composite
 def keyed_modules(draw):
-    """(module, terms): a module of `shifted_terms`, or one of rank 1-3
-    whose order is random Schreyer-like triples ((h,), shift, tail) with
-    one tail length, and 2-8 of its terms, with exponents up to 3 or up
-    to 2**24."""
-    M = draw(shifted_terms())[0]
+    """(module, triples, terms): a module of `shifted_terms`, or one of
+    rank 1-3 whose order is random Schreyer-like triples ((h,), shift,
+    tail) with one tail length, and 2-8 of its terms, with exponents up
+    to 3 or up to 2**24."""
+    M, triples = draw(shifted_terms())[:2]
     n = len(M.ring.zero_exp)
     if draw(st.booleans()):
         rank, width = draw(st.integers(1, 3)), draw(st.integers(0, 2))
         small = st.integers(-50, 50)
-        M = FreeModule(M.ring, rank, order=[
-            ((draw(small),), draw(st.tuples(*[st.integers(0, 9)] * n)),
-             draw(st.tuples(*[small] * width))) for _ in range(rank)])
+        triples = [((draw(small),), draw(st.tuples(*[st.integers(0, 9)] * n)),
+                    draw(st.tuples(*[small] * width))) for _ in range(rank)]
+        M = FreeModule(M.ring, rank, order=triples)
     exps = st.tuples(*[st.integers(0, 3) | st.integers(0, 2**24)] * n)
-    return M, draw(st.lists(st.tuples(st.integers(0, M.rank - 1), exps),
-                            min_size=2, max_size=8))
+    return M, triples, draw(st.lists(
+        st.tuples(st.integers(0, M.rank - 1), exps), min_size=2, max_size=8))
 
 
 @settings(max_examples=150, deadline=None)
 @given(keyed_modules())
 def test_packed_keys_compare_as_tuple_keys(case):
     """Two terms' int keys compare as their tuple keys head + rneg(exp +
-    shift) + tail do, under position over term, Schreyer orders, random
-    order triples and BlockOrder rings alike."""
-    M, terms = case
+    shift) + tail do, under position over term, the Schreyer orders of
+    frame levels 1-4, random order triples and BlockOrder rings alike;
+    and a module built from the triples equals the one given, however
+    that one was built."""
+    M, triples, terms = case
     packed = [M.neg_key(*t) for t in terms]
-    tuples = [tuple_key(M, *t) for t in terms]
+    tuples = [tuple_key(M.ring, triples, *t) for t in terms]
     for a, b in itertools.combinations(range(len(terms)), 2):
         assert ((packed[a] > packed[b]) - (packed[a] < packed[b])
                 == (tuples[a] > tuples[b]) - (tuples[a] < tuples[b]))
+    assert FreeModule(M.ring, M.rank, M.shifts, triples) == M
 
 
 def test_a_key_field_past_2_to_31_raises():
@@ -220,6 +230,28 @@ def test_a_key_field_past_2_to_31_raises():
     for e in ((2**31, 0, 0), (0, 0, 2**31)):
         with pytest.raises(ResourceExceeded):
             M.neg_key(0, e)
+
+
+def test_a_frame_level_past_2_to_31_raises():
+    """A Schreyer level whose degree reaches 2**31, whose key fields could
+    then not be packed, raises, the level below it builds; a frame whose
+    second level reaches that degree raises too."""
+    R = ring3()
+    x, y, z = R.gens()
+    for shift in (2**31 - 2, 2**31 - 1):
+        M = FreeModule(R, 1, (shift,))
+        basis = [M.basis_vec(0, x), M.basis_vec(0, y)]
+        index = reducer_index(basis, 1)
+        if shift < 2**31 - 1:
+            syz = schreyer_level(basis, index, range(3))[0]
+            assert syz[0].module.shifts == (2**31 - 1,) * 2
+            continue
+        with pytest.raises(ResourceExceeded):
+            schreyer_level(basis, index, range(3))
+    M = FreeModule(R, 1)
+    with pytest.raises(ResourceExceeded):
+        schreyer_frame([M.basis_vec(0, x ** 2**30),
+                        M.basis_vec(0, y ** 2**30)])
 
 
 @settings(max_examples=120, deadline=None)
@@ -270,6 +302,19 @@ def test_key_shift_needs_one_head_and_tail_length():
         with pytest.raises(ValueError):
             FreeModule(R, 2, order=order)
     FreeModule(R, 2, order=[((0,), z, (1,)), ((1,), z, (0,))])
+
+
+def test_modules_are_equal_when_their_packed_keys_are():
+    """Equality reads the packed bases and the key width: position over
+    term given as triples equals the default; swapped positions, or a
+    constant tail that widens every key, do not."""
+    R = ring3()
+    z = R.zero_exp
+    assert FreeModule(R, 2, order=[((0,), z, ()), ((1,), z, ())]) \
+        == FreeModule(R, 2)
+    assert FreeModule(R, 2, order=[((1,), z, ()), ((0,), z, ())]) \
+        != FreeModule(R, 2)
+    assert FreeModule(R, 1, order=[((0,), z, (0,))]) != FreeModule(R, 1)
 
 
 def test_koszul_syzygy_two_variables():
@@ -559,3 +604,85 @@ def test_input_divisible_by_an_earlier_lead_forms_no_pairs(monkeypatch):
         data = module_buchberger([M.basis_vec(0, p) for p in gens])
         assert s_vectors == []
         assert data.basis == [M.basis_vec(0, x), M.basis_vec(0, y)]
+
+
+def _checked_rule(pairs):
+    """minimal_monomials, checked to keep the reference rule's pairs,
+    listed by total degree."""
+    pairs = list(pairs)
+    got = minimal_monomials(pairs)
+    assert sorted(got) == sorted(reference.minimal_monomials(pairs))
+    degrees = [sum(m) for m, _ in got]
+    assert degrees == sorted(degrees)
+    return got
+
+
+def _under_rule(rule, run):
+    """(run(), the S-pairs it reduces in order as (i, lcm/lead_i, j,
+    lcm/lead_j)), with `rule` picking the pairs of `module_buchberger`
+    and `schreyer_level` and the minimal generators of Bigatti's pivot."""
+    pairs = []
+    s_vector = modules._s_vector
+
+    def recording(basis, index, i, ui, j, uj):
+        pairs.append((i, ui, j, uj))
+        return s_vector(basis, index, i, ui, j, uj)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modules, "_s_vector", recording)
+        patch.setattr(modules, "minimal_monomials", rule)
+        patch.setattr(hilbert, "minimal_monomials", rule)
+        out = run()
+    return out, pairs
+
+
+def _assert_the_reference_rule_agrees(run):
+    """run() reduces the same S-pairs in the same order, and returns the
+    same, under the pair rule and the reference rule."""
+    got = _under_rule(_checked_rule, run)
+    assert got == _under_rule(reference.minimal_monomials, run)
+    return got
+
+
+def _frame_and_numerator(gb):
+    """The Schreyer frame of the monic Groebner basis gb, and the Hilbert
+    numerator of its leads."""
+    weights = gb[0].module.ring.weights
+    return (schreyer_frame(gb),
+            hilbert_numerator([b.terms[0][0][1] for b in gb], weights))
+
+
+@settings(max_examples=40, deadline=None)
+@given(homogeneous_gens())
+def test_pair_rule_matches_the_reference_on_random_vectors(gens):
+    """Buchberger runs and the frames of their bases reduce the same
+    S-pairs in the same order under the pair rule and the reference, and
+    give the same frames and Bigatti numerators."""
+    def run():
+        return _frame_and_numerator(module_buchberger(gens).basis)
+    _assert_the_reference_rule_agrees(run)
+
+
+def test_pair_rule_matches_the_reference_on_the_corpus():
+    """The corpus rings' Rees presentations at n = 2, 3, built afresh,
+    their frames and Bigatti numerators: the same S-pairs in the same
+    order, and the same results, under the pair rule and the reference."""
+    for name in ("hochster_roberts", "two_planes", "idealization_xy",
+                 "idealization_x2y3", "regular_base"):
+        for n in (2, 3):
+            def run():
+                ring = oracle.rees_presentation(*corpus.EXAMPLES[name](),
+                                                n).ring
+                return _frame_and_numerator(as_vecs(list(ring.gb())))
+            (frame, _), pairs = _assert_the_reference_rule_agrees(run)
+            assert len(frame) > 1 and pairs, (name, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 4)] * 4), max_size=14),
+       st.tuples(*[st.integers(1, 3)] * 4))
+def test_bigatti_numerators_match_under_the_reference_rule(exps, weights):
+    """Bigatti's pivot gives the same numerator whichever rule keeps the
+    minimal generators of the input and of each colon."""
+    def run():
+        return hilbert_numerator(exps, weights)
+    _assert_the_reference_rule_agrees(run)

@@ -6,7 +6,7 @@ import io
 import itertools
 import os
 from collections import Counter
-from operator import add, ge, sub
+from operator import ge, sub
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -25,7 +25,8 @@ from reesgor.cli import run_cli
 from reesgor.resolutions import ext_dualizing, minimalize_step, subquotient
 
 from reference import (cokernel, composes_to_zero, count_calls, mul_poly,
-                       resolve, syzygies)
+                       position_over_term, resolve, schreyer_triples,
+                       syzygies)
 
 F = GF(DEFAULT_PRIME)
 
@@ -632,11 +633,13 @@ def test_schreyer_syzygy_leads():
         assert acc.is_zero()
 
 
-def _reference_schreyer_syzygies(basis, lex=None):
+def _reference_schreyer_syzygies(basis, lex=None, triples=None):
     """schreyer_level's syzygies as they were before it recorded
     quotients: each S-vector of the graph rows (g_i, e_i) of M + F
     reduces against all the rows, and the F part of the remainder is the
-    syzygy.  The M block
+    syzygy.  M's order is given by its reference `triples` (position over
+    term when not given), and F's and the graph module's are built from
+    order triples.  The M block
     comes first; its tails are padded by a constant 0 to the length of
     F's, which leaves the order unchanged.  Within a lead component the
     syzygies descend in the lex order ranking the variables as `lex`
@@ -645,9 +648,8 @@ def _reference_schreyer_syzygies(basis, lex=None):
     ring = M.ring
     r = M.rank
     leads = [b.terms[0][0] for b in basis]
-    triples = M.order or [((i,), ring.zero_exp, ()) for i in range(r)]
-    order = [(triples[c][0], tuple(map(add, triples[c][1], e)),
-              triples[c][2] + (i,)) for i, (c, e) in enumerate(leads)]
+    triples = triples or position_over_term(ring, r)
+    order = schreyer_triples(triples, basis)
     Fm = FreeModule(ring, len(basis),
                     [ring.wdeg(e) + M.shifts[c] for c, e in leads], order)
     GM = FreeModule(ring, r + Fm.rank, M.shifts + Fm.shifts,
@@ -687,13 +689,14 @@ def _reference_schreyer_syzygies(basis, lex=None):
     return syz
 
 
-def _assert_next_level_matches_reference(level, syz, index, lex=None):
-    """syz equals the reference's next level term for term, each
-    syzygy's terms strictly descend under its module's neg_key, and the
-    index handed down with syz is a fresh reducer index of syz holding
-    every tail keyed as F.neg_key keys it, restricted to the components
-    that carry a lead of syz."""
-    assert syz == _reference_schreyer_syzygies(level, lex)
+def _assert_next_level_matches_reference(level, syz, index, lex, triples):
+    """syz equals the reference's next level term for term, in a module
+    equal to the one the reference builds from order triples, `triples`
+    being those of level's module; each syzygy's terms strictly descend
+    under its module's neg_key, and the index handed down with syz is a
+    fresh reducer index of syz holding every tail keyed as F.neg_key keys
+    it, restricted to the components that carry a lead of syz."""
+    assert syz == _reference_schreyer_syzygies(level, lex, triples)
     for v in syz:
         keys = [v.module.neg_key(*ce) for ce, _ in v.terms]
         assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -758,21 +761,25 @@ def test_lead_free_tail_terms_change_no_quotient(basis, data):
 @given(monic_groebner_bases())
 def test_schreyer_syzygies_match_the_graph_row_reference(basis):
     """Three levels, each reduced against the index the last handed
-    down, as in a frame."""
+    down, as in a frame, each in a module keyed off the level below that
+    equals the reference's, built from the order triples it tracks."""
     index = reducer_index(basis, basis[0].module.rank)
+    triples = position_over_term(basis[0].module.ring, basis[0].module.rank)
     for _ in range(3):
         syz, index = schreyer_level(basis, index, range(3))
         assert syz == syzygies(basis)
-        _assert_next_level_matches_reference(basis, syz, index)
+        _assert_next_level_matches_reference(basis, syz, index, range(3),
+                                             triples)
         if not syz:
             break
-        basis = syz
+        basis, triples = syz, schreyer_triples(triples, basis)
 
 
 def test_corpus_frames_match_the_graph_row_reference(corpus_instances,
                                                      monkeypatch):
     """Every level of the Rees rings' frames at n = 2, 3, and the index
-    it hands down, equals the graph-row reference's, in the lex order
+    it hands down, equals the graph-row reference's, whose modules are
+    built from order triples tracked level by level, in the lex order
     that ranks the variables in the fewest leads of the first level
     first, ties by index."""
     handed, orders = [], []
@@ -795,9 +802,11 @@ def test_corpus_frames_match_the_graph_row_reference(corpus_instances,
             assert frame[0] == sorted(
                 gb, key=lambda b: [-b.terms[0][0][1][v] for v in lex])
             assert [syz for syz, _ in handed] == frame[1:] + [[]]
+            triples = position_over_term(gb[0].module.ring, 1)
             for lower, (upper, index) in zip(frame, handed):
                 _assert_next_level_matches_reference(lower, upper, index,
-                                                     lex)
+                                                     lex, triples)
+                triples = schreyer_triples(triples, lower)
 
 
 def test_euler_characteristic_is_the_hilbert_numerator(corpus_instances):
