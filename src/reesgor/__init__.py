@@ -8,16 +8,16 @@ direct free-resolution oracle on a presentation of R(q^n).
 """
 
 from .errors import (DepthNotOne, EquivalenceViolation,
-                     HypothesisNotVerified, InputError, NoStabilization,
-                     NotApplicable, NotArtinian, NotContained, NotDivisible,
-                     NotParameters, OwnerMismatch, PairNotFound,
-                     ReesgorError, ResourceExceeded, WrongDimension)
+                     HypothesisNotVerified, InputError, NotApplicable,
+                     NotArtinian, NotContained, NotDivisible, NotParameters,
+                     OwnerMismatch, PairNotFound, ReesgorError,
+                     ResourceExceeded, WrongDimension)
 from .fields import GF, QQ, DEFAULT_PRIME
 from .polys import PolyRing
 from .rings import (Ideal, PresentedGradedRing, colon, ideals_equal,
                     intersect, ring_division, sigma_tilde)
 from .invariants import (artinian_gorenstein, artinian_length,
-                         depth_and_type, is_reduction, multiplicity)
+                         depth_and_type, is_reduction)
 from .s2 import (conductor_crosscheck, filter_regular_pair, h1_socle,
                  hypothesis_profile, is_standard_parameters, s2_construct)
 from .decision import (buchsbaum_criterion, decide, decide_condition2,

@@ -65,12 +65,21 @@ def _build_parser():
     p.add_argument("target", help="input file, or example name for "
                                   "the examples command")
     p.add_argument("--mode", choices=["criteria", "both"],
-                   default="criteria")
-    p.add_argument("--char", type=int, default=None,
+                   help="check only: criteria (the default) or both")
+    p.add_argument("--char", type=int,
                    help="override the coefficient characteristic")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resolution-cap", type=_non_negative, default=None)
+    p.add_argument("--seed", type=int, help="check and s2 only; default 0")
+    p.add_argument("--resolution-cap", type=_non_negative)
     return p
+
+
+# the options each command reads, check reading --resolution-cap only
+# with --mode both, whose oracle it bounds; any other given is an error
+_READS = {"check": "mode char seed",
+          "check --mode both": "mode char seed resolution_cap",
+          "oracle": "char resolution_cap", "shimoda": "char",
+          "buchsbaum": "char", "invariants": "char resolution_cap",
+          "s2": "char seed", "examples": ""}
 
 
 def _non_negative(text):
@@ -126,6 +135,13 @@ def _ideal_str(ideal):
 
 def _dispatch(args):
     """The exit code and the text of a run that ends without failing."""
+    both = (args.command, args.mode) == ("check", "both")
+    reads = _READS["check --mode both" if both else args.command].split()
+    for opt in ("mode", "char", "seed", "resolution_cap"):
+        if getattr(args, opt) is not None and opt not in reads:
+            raise InputError("%s does not read --%s"
+                             % (args.command, opt.replace("_", "-")))
+    args.seed = args.seed or 0   # unset is 0, as an unset --mode is criteria
     if args.command == "examples":
         if args.target not in corpus.EXAMPLES:
             raise InputError("unknown example %r (have: %s)"

@@ -6,7 +6,8 @@ Intersections and colons are module colons, each read off one graph
 basis (`modules.colon_basis`): a colon by k divisors is one colon of a
 vector of P^k, not k colons and k - 1 intersections, and an intersection
 is one colon of a vector of P^2.  Only `eliminate` changes the ring
-order, for the oracle; it relates rings by variable position alone.
+order, to the elimination order of one variable (`orders`), for the
+Rees ideal; it relates rings by variable position alone.
 `intersect`, `colon` and `saturate` return reduced Groebner bases,
 equal to `groebner_basis` of themselves: the tails of a reduced graph
 basis are monic, reduced and sorted by descending lead, and no element
@@ -17,7 +18,7 @@ from .errors import ResourceExceeded
 from .groebner import groebner_basis
 from .hilbert import finite_length, hilbert_numerator
 from .modules import FreeModule, module_colon
-from .orders import BlockOrder
+from .orders import EliminationOrder
 from .polys import PolyRing
 
 SATURATION_STEPS = 64   # the most colons `saturate` takes
@@ -70,15 +71,15 @@ def saturate(ring, gens, sat_by):
                            % SATURATION_STEPS)
 
 
-def eliminate(ring, gens, block):
+def eliminate(ring, gens, index):
     """Generators of (gens) intersected with the subring without the
-    variables at the indices in `block`, in that subring: each basis
-    element free of `block` under a block order keeps its other exponents."""
-    keep = [i for i in range(ring.n) if i not in block]
-    sub = PolyRing([ring.names[i] for i in keep],
-                   [ring.weights[i] for i in keep], ring.field)
+    variable at `index`, in that subring: under its elimination order, a
+    basis element whose lead is free of it has no term in it."""
+    i = index
+    sub = PolyRing(ring.names[:i] + ring.names[i + 1:],
+                   ring.weights[:i] + ring.weights[i + 1:], ring.field)
     elim = PolyRing(ring.names, ring.weights, ring.field,
-                    BlockOrder(ring.weights, block))
-    return [sub.from_dict({tuple(e[i] for i in keep): c for e, c in g.terms})
+                    EliminationOrder(ring.weights, i))
+    return [sub.from_dict({e[:i] + e[i + 1:]: c for e, c in g.terms})
             for g in groebner_basis([elim.embed(g) for g in gens])
-            if all(e[i] == 0 for e, _ in g.terms for i in block)]
+            if not g.lead_exp()[i]]

@@ -2,14 +2,13 @@
 
 A Vec is an element of a free module F = sum_i P(-shift_i), stored as
 ((component, exponent), coefficient) terms sorted descending in the
-module's order: position over term extending the ring's monomial order
-by default, an order a caller gives as order triples, or the Schreyer
-order that `schreyer_level` keys off the level below.  The Buchberger
-loop computes reduced bases only, and picks its S-pairs by one rule,
-`polys.minimal_monomials`, that the Schreyer frame shares: of an
-element's pairs, those with minimal lcm, the first partner among equal
-ones (Gebauer & Moeller 1988; Becker-Weispfenning's UPDATE, Groebner
-Bases, 1993, filters the rest: see `module_buchberger`).
+module's order: position over term extending the ring's monomial order,
+or the Schreyer order that `schreyer_level` keys off the level below.
+The Buchberger loop computes reduced bases only, and picks its S-pairs
+by one rule, `polys.minimal_monomials`, that the Schreyer frame shares:
+of an element's pairs, those with minimal lcm, the first partner among
+equal ones (Gebauer & Moeller 1988; Becker-Weispfenning's UPDATE,
+Groebner Bases, 1993, filters the rest: see `module_buchberger`).
 
 A run keeps one reducer index, extended as each element joins the basis:
 per component, the (mask, lead exp, position) of every element in basis
@@ -69,26 +68,20 @@ class FreeModule:
     key_shift(q) is the ring's key rneg(q), packed by `_pack` once per
     ring, shifted left by `key_width`; so neg_key(comp, a + q) =
     neg_key(comp, a) + key_shift(q), and a sum is not checked again.  The
-    default is position over term, the order triples ((i,), 0, ()): a
-    caller gives an induced order as `order`, one (head, shift, tail)
-    triple of tuples per component, x^a e_i keyed as head_i + rneg(a +
-    shift_i) + tail_i packed (unequal lengths raise ValueError), and
-    `schreyer_level` gives (bases, key_width) packed already, as `keys`.
-    Modules of equal ring, rank, shifts, bases and key width are equal.
+    default is position over term, base i shifted past the packed ring
+    key and key width 0; `schreyer_level` gives the packed (bases,
+    key_width) of a Schreyer order as `keys`.  Modules of equal ring,
+    rank, shifts, bases and key width are equal.
     """
 
-    def __init__(self, ring, rank, shifts=None, order=None, keys=None):
+    def __init__(self, ring, rank, shifts=None, keys=None):
         self.ring = ring
         self.rank = rank
         self.shifts = tuple(shifts) if shifts is not None else (0,) * rank
         rneg, packed = ring.order.neg_key, ring.packed_keys
         if keys is None:
-            triples = order or [((i,), ring.zero_exp, ())
-                                for i in range(rank)]
-            if len({(len(h), len(t)) for h, _, t in triples}) > 1:
-                raise ValueError("order triples differ in head or tail length")
-            keys = ([_pack(h + rneg(s) + t) for h, s, t in triples],
-                    32 * len(triples[0][2]) if triples else 0)
+            width = 32 * len(rneg(ring.zero_exp))
+            keys = [i << width for i in range(rank)], 0
         self.bases, self.key_width = bases, low = keys
 
         def key_shift(q):
@@ -156,8 +149,9 @@ class Vec:
 
     def component(self, i):
         """The polynomial entry in component i.  Its terms are already in
-        the ring's order: every module keys x^a e_i as bases_i +
-        key_shift(a), key_shift(a) being the ring's key of a, packed."""
+        the ring's order: position over term and the Schreyer orders both
+        key x^a e_i as bases_i + key_shift(a), key_shift(a) being the
+        ring's key of a, packed."""
         return Poly(self.module.ring, tuple((e, c) for (comp, e), c
                                             in self.terms if comp == i))
 

@@ -3,9 +3,13 @@
 Every order exposes one key, neg_key(exp) -> tuple, comparing
 lexicographically as Python tuples: a smaller neg_key means a larger
 monomial, so ascending neg_key is descending monomial order.  It is
-linear, neg_key(a + b) = neg_key(a) + neg_key(b) entry by entry.  All
-orders here are multiplicative well-orders.  Ring keys stay tuples; a
-`modules.FreeModule` packs them into one int per term.
+linear, neg_key(a + b) = neg_key(a) + neg_key(b) entry by entry.  Both
+orders here are multiplicative well-orders: weighted grevlex, every
+ring's default, and the elimination order of one variable, under which
+a Groebner basis computes the elimination ideal (Cox-Little-O'Shea,
+Ideals, Varieties, and Algorithms, ch. 3), as `idealops.eliminate`
+does.  Ring keys stay tuples; a `modules.FreeModule` packs them into
+one int per term.
 """
 
 from operator import mul
@@ -13,8 +17,6 @@ from operator import mul
 
 class GrevlexOrder:
     """Weighted degree-reverse-lexicographic order."""
-
-    kind = "grevlex"
 
     def __init__(self, weights):
         if any(w <= 0 for w in weights):
@@ -32,38 +34,26 @@ class GrevlexOrder:
         return hash(("grevlex", self.weights))
 
 
-class BlockOrder:
-    """Elimination order: the block of variables in `block` dominates.
+class EliminationOrder:
+    """Elimination order of the variable at `index`: its higher power is
+    the larger monomial, ties broken by weighted grevlex on the others,
+    so every monomial it divides is above every monomial free of it."""
 
-    Product of two weighted grevlex orders; any monomial involving a block
-    variable is larger than any monomial free of them, so a Groebner basis
-    under this order computes elimination ideals.
-    """
-
-    kind = "block"
-
-    def __init__(self, weights, block):
-        if any(w <= 0 for w in weights):
-            raise ValueError("all weights must be positive")
+    def __init__(self, weights, index):
+        if not 0 <= index < len(weights):
+            raise ValueError("no variable at index %r" % (index,))
         self.weights = tuple(weights)
-        self.block = tuple(sorted(block))
-        blockset = set(self.block)
-        self.rest = tuple(i for i in range(len(weights)) if i not in blockset)
-        # each half is keyed like grevlex: indices reversed once, here
-        self._rblock = self.block[::-1]
-        self._rrest = self.rest[::-1]
-        self._wblock = tuple(self.weights[i] for i in self._rblock)
-        self._wrest = tuple(self.weights[i] for i in self._rrest)
+        self.index = index
+        # the rest are ranked by weighted grevlex, which checks their weights
+        self._rest = GrevlexOrder(weights[:index] + weights[index + 1:])
 
     def neg_key(self, exp):
-        b = [exp[i] for i in self._rblock]
-        r = [exp[i] for i in self._rrest]
-        return ((-sum(map(mul, b, self._wblock)),) + tuple(b)
-                + (-sum(map(mul, r, self._wrest)),) + tuple(r))
+        i = self.index
+        return (-exp[i],) + self._rest.neg_key(exp[:i] + exp[i + 1:])
 
     def __eq__(self, other):
-        return (isinstance(other, BlockOrder) and other.weights == self.weights
-                and other.block == self.block)
+        return (isinstance(other, EliminationOrder)
+                and (other.weights, other.index) == (self.weights, self.index))
 
     def __hash__(self):
-        return hash(("block", self.weights, self.block))
+        return hash(("elimination", self.weights, self.index))

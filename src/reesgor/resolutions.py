@@ -81,8 +81,8 @@ class GradedResolution:
 
     diffs[k] holds the columns of the frame's d_{k+1} as Vecs in F_k;
     betti[k] maps each degree j to beta_{k,j} = dim Tor_k(M, k)_j, the
-    rank of F_k in degree j of a minimal resolution.  pd, betti() and
-    shifts(k) read the Betti numbers; the frame can be longer than pd.
+    rank of F_k in degree j of a minimal resolution.  pd and betti()
+    read the Betti numbers; the frame can be longer than pd.
     """
 
     def __init__(self, ring, f0_shifts, diffs, betti):
@@ -100,10 +100,6 @@ class GradedResolution:
     def betti(self):
         """Ranks (b_0, b_1, ..., b_pd) of a minimal resolution."""
         return [sum(b.values()) for b in self.graded_betti]
-
-    def shifts(self, k):
-        """The generator degrees of F_k in a minimal resolution, sorted."""
-        return tuple(sorted(Counter(self.graded_betti[k]).elements()))
 
     def euler_characteristic(self):
         """The alternating sum over k of t^shift over the generators of
@@ -239,10 +235,10 @@ class ModulePresentation:
 
     def component_numerators(self):
         """The Hilbert numerator of each component of F0/(columns),
-        unshifted, read off the column leads."""
+        unshifted, read off the column leads, as read-only mappings."""
         if self._numerators is None:
             self._numerators = tuple(
-                hilbert_numerator(exps, self.f0.ring.weights)
+                MappingProxyType(hilbert_numerator(exps, self.f0.ring.weights))
                 for exps in _component_leads(self.f0, self.cols))
         return self._numerators
 

@@ -45,8 +45,9 @@ class PresentedGradedRing:
     def __init__(self, ambient, ideal_gens, label=None):
         self.ambient = ambient
         self.label = label
-        # the zero ideal checks the generators; the ring keeps them as I
-        self.defining = list(Ideal(self, ideal_gens).gens)
+        # the zero ideal checks the generators; the ring keeps them as I,
+        # a tuple, because its hash, equality and first gb() read them
+        self.defining = Ideal(self, ideal_gens).gens
         self._zero = Ideal(self, ())
         self._resolution = None
         self._ext = {}
@@ -227,8 +228,8 @@ class Ideal:
             for j, g in enumerate(self.gens):
                 work.append(big.gen(amb.n + j) - big.embed(g) * t)
             # the eliminated generators are the reduced basis under the
-            # grevlex order of the rest block of the elimination order
-            self._rees = tuple(idealops.eliminate(big, work, (big.n - 1,)))
+            # grevlex order that the elimination order of @t ends with
+            self._rees = tuple(idealops.eliminate(big, work, big.n - 1))
         return self._rees
 
     def reduce(self, f):

@@ -2,6 +2,7 @@
 calls, and the package's engines called on plain generators."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import prod
 from operator import add, ge
@@ -9,7 +10,7 @@ from operator import add, ge
 from reesgor import idealops
 from reesgor.groebner import normal_form
 from reesgor.invariants import artinian_length
-from reesgor.modules import reducer_index, schreyer_level
+from reesgor.modules import FreeModule, _pack, reducer_index, schreyer_level
 from reesgor.resolutions import subquotient
 from reesgor.rings import Ideal, PresentedGradedRing
 
@@ -90,12 +91,29 @@ def schreyer_triples(triples, basis):
     return out
 
 
+def triple_module(ring, triples, shifts=None):
+    """The FreeModule ordered by `triples`, one (head, shift, tail) per
+    component, all heads of one length and all tails of one: x^a e_i is
+    keyed as head_i + rneg(a + shift_i) + tail_i, rneg the ring's key,
+    packed into the bases and key width that `keys=` takes."""
+    rneg = ring.order.neg_key
+    return FreeModule(ring, len(triples), shifts, keys=(
+        [_pack(h + rneg(s) + t) for h, s, t in triples],
+        32 * len(triples[0][2]) if triples else 0))
+
+
 def tuple_key(ring, triples, comp, exp):
     """The tuple that a module ordered by `triples` orders x^exp e_comp
     by: head + rneg(exp + shift) + tail of comp's triple, rneg the
     ring's key."""
     head, shift, tail = triples[comp]
     return head + ring.order.neg_key(tuple(map(add, exp, shift))) + tail
+
+
+def shifts(res, k):
+    """The generator degrees of F_k in the minimal resolution res, sorted,
+    read off its graded Betti numbers."""
+    return tuple(sorted(Counter(res.graded_betti[k]).elements()))
 
 
 def mul_poly(v, p):

@@ -76,7 +76,7 @@ def test_idealization_relations_are_the_syzygies_of_its_parameters(
     A, q = corpus.build_idealization(b_names, (1,) * len(b_names), q_exprs)
     d = len(b_names)
     products = d * (d + 1) // 2
-    assert A.defining[products:] == _syzygy_relations(A, q)
+    assert list(A.defining[products:]) == _syzygy_relations(A, q)
 
 
 @pytest.mark.parametrize("name", sorted(IDEALIZATIONS))

@@ -15,7 +15,7 @@ from reesgor.errors import NotDivisible, NotParameters, OwnerMismatch
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import as_vecs, groebner_basis
 from reesgor.modules import module_colon
-from reesgor.orders import BlockOrder
+from reesgor.orders import EliminationOrder
 from reesgor.polys import PolyRing
 
 F = GF(DEFAULT_PRIME)
@@ -125,16 +125,45 @@ def test_saturation_is_a_fixpoint():
 def test_eliminate_parametrized_curve():
     """t is eliminated from (x - t^2, y - t^3) by position, trailing or
     between x and y; the subring keeps x and y in their order."""
-    for names, weights, block in [(("x", "y", "t"), (2, 3, 1), (2,)),
-                                  (("x", "t", "y"), (2, 1, 3), (1,))]:
+    for names, weights, index in [(("x", "y", "t"), (2, 3, 1), 2),
+                                  (("x", "t", "y"), (2, 1, 3), 1)]:
         ring = PolyRing(names, weights, F)
         x, y, t = (ring.gen(names.index(v)) for v in "xyt")
-        out = idealops.eliminate(ring, [x - t ** 2, y - t ** 3], block)
+        out = idealops.eliminate(ring, [x - t ** 2, y - t ** 3], index)
         sub = out[0].ring
         assert (sub.names, sub.weights) == (("x", "y"), (2, 3))
         assert all(g.ring is sub for g in out)
         want = sub.gen(0) ** 3 - sub.gen(1) ** 2
         assert groebner_basis(out) == groebner_basis([want])
+
+
+def eliminate_by_terms(ring, gens, index):
+    """`eliminate` as it read its basis before it read leads alone: the
+    basis elements with no term in the variable, that exponent dropped."""
+    i = index
+    sub = PolyRing(ring.names[:i] + ring.names[i + 1:],
+                   ring.weights[:i] + ring.weights[i + 1:], ring.field)
+    elim = PolyRing(ring.names, ring.weights, ring.field,
+                    EliminationOrder(ring.weights, i))
+    return [sub.from_dict({e[:i] + e[i + 1:]: c for e, c in g.terms})
+            for g in groebner_basis([elim.embed(g) for g in gens])
+            if all(e[i] == 0 for e, _ in g.terms)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(1, 2)] * 3), st.integers(0, 2),
+       st.sampled_from([F, QQ]), st.integers(0, 10 ** 6))
+def test_eliminate_matches_the_term_by_term_reference(weights, index, field,
+                                                      seed):
+    """On random forms, keeping the basis elements whose lead is free of
+    the variable keeps exactly those with no term in it."""
+    ring = PolyRing(("x", "y", "z"), weights, field)
+    rnd = random.Random(seed)
+    gens = [g for g in (random_form(ring, rnd, rnd.randint(1, 2))
+                        for _ in range(rnd.randint(1, 3))) if not g.is_zero()]
+    if gens:
+        assert (idealops.eliminate(ring, gens, index)
+                == eliminate_by_terms(ring, gens, index))
 
 
 def test_general_intersection_non_monomial():
@@ -153,7 +182,7 @@ def t_elimination_intersect(ring, gens_a, gens_b):
     n = ring.n
     weights = ring.weights + (1,)
     ext = PolyRing(ring.names + ("@t",), weights, ring.field,
-                   BlockOrder(weights, (n,)))
+                   EliminationOrder(weights, n))
     t = ext.gen(n)
     work = [t * ext.embed(a) for a in gens_a]
     work += [(ext.one - t) * ext.embed(b) for b in gens_b]
@@ -323,6 +352,17 @@ def test_memoized_bases_cannot_be_corrupted():
     assert ideal.contains(a)
     assert A.hilbert_numerator() is A.hilbert_numerator()
     assert A.hilbert_numerator()[0] == 1 and A.dim() == 2
+
+
+def test_defining_generators_cannot_be_edited():
+    """A ring's defining generators, which its hash, its equality and its
+    first gb() read, are a tuple: appending raises, and the ring still
+    equals and hashes as its twin, with the same basis."""
+    A, twin = corpus.build_two_planes()[0], corpus.build_two_planes()[0]
+    with pytest.raises(AttributeError):
+        A.defining.append(A.gen(0))
+    assert A == twin and hash(A) == hash(twin)
+    assert A.gb() == twin.gb() and not A.reduce(A.gen(0)).is_zero()
 
 
 def test_colon_graph_is_built_once_and_shared():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reesgor
-from reesgor import corpus, inputfmt, invariants, oracle
+from reesgor import cli, corpus, inputfmt, invariants, oracle
 from reesgor.cli import main, run_cli
 from reesgor.errors import InputError
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
@@ -651,6 +651,42 @@ def test_cli_usage_errors_are_input_errors(argv):
     assert code == 3
     assert inputfmt.parse_report(out)["error"]
     assert out.endswith("# input error\n")
+
+
+# every (command, option) pair whose option the command does not read:
+# --seed is read by check and s2, --mode by check, --char by all but
+# examples, and --resolution-cap by oracle, invariants and check --mode both
+UNREAD = [("check", "resolution_cap"), ("oracle", "mode"), ("oracle", "seed"),
+          ("shimoda", "mode"), ("shimoda", "seed"),
+          ("shimoda", "resolution_cap"), ("buchsbaum", "mode"),
+          ("buchsbaum", "seed"), ("buchsbaum", "resolution_cap"),
+          ("invariants", "mode"), ("invariants", "seed"), ("s2", "mode"),
+          ("s2", "resolution_cap"), ("examples", "mode"), ("examples", "char"),
+          ("examples", "seed"), ("examples", "resolution_cap")]
+OPTION_VALUES = {"mode": "both", "char": "0", "seed": "5",
+                 "resolution_cap": "0"}
+
+
+def test_cli_unread_pairs_are_those_outside_the_table():
+    """UNREAD is the complement of cli's table of the options each
+    command reads."""
+    assert sorted(UNREAD) == sorted(
+        (cmd, opt) for cmd, reads in cli._READS.items()
+        for opt in OPTION_VALUES if opt not in reads.split())
+
+
+@pytest.mark.parametrize("command, option", UNREAD)
+def test_cli_an_option_the_command_does_not_read_is_a_usage_error(
+        command, option):
+    """An option given to a command that does not read it is a usage
+    error (exit 3) that names both, where it was ignored (exit 0)."""
+    target = ("hochster_roberts" if command == "examples"
+              else corpus_path("hochster_roberts"))
+    flag = "--" + option.replace("_", "-")
+    code, out = run([command, target, flag, OPTION_VALUES[option]])
+    assert code == 3, out
+    assert inputfmt.parse_report(out)["error"] == \
+        "%s does not read %s" % (command, flag)
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["check", "--help"]],

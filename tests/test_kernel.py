@@ -19,7 +19,7 @@ from reesgor.hilbert import (INFINITE, finite_length, hilbert,
                              hilbert_numerator, upoly_add, upoly_mul)
 from reesgor.inputfmt import parse_poly
 from reesgor.modules import FreeModule
-from reesgor.orders import BlockOrder, GrevlexOrder
+from reesgor.orders import EliminationOrder, GrevlexOrder
 from reesgor.polys import PolyRing, minimal_monomials
 
 import reference
@@ -183,7 +183,7 @@ def test_grevlex_is_multiplicative(a, b, c):
 
 @given(exps3)
 def test_orders_bottom_at_one(e):
-    for order in (GrevlexOrder((1, 1, 1)), BlockOrder((1, 1, 1), (0,))):
+    for order in (GrevlexOrder((1, 1, 1)), EliminationOrder((1, 1, 1), 0)):
         if e != (0, 0, 0):
             assert order.neg_key(e) < order.neg_key((0, 0, 0))
 
@@ -211,44 +211,69 @@ def _block_key_reference(weights, block, exp):
 
 @st.composite
 def weighted_exps(draw, count=1):
-    """(weights, block, exps): `count` exponent vectors in 1..6 variables."""
+    """(weights, index, exps): `count` exponent vectors in 1..6 variables,
+    and the index of one variable."""
     n = draw(st.integers(min_value=1, max_value=6))
     weights = draw(st.tuples(*[st.integers(min_value=1, max_value=4)] * n))
-    block = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    index = draw(st.integers(min_value=0, max_value=n - 1))
     exps = [draw(st.tuples(*[st.integers(min_value=0, max_value=6)] * n))
             for _ in range(count)]
-    return weights, block, exps
+    return weights, index, exps
 
 
 @given(weighted_exps())
 def test_order_keys_match_reference_formulas(case):
-    weights, block, (e,) = case
+    weights, _, (e,) = case
     assert (GrevlexOrder(weights).neg_key(e)
             == tuple(-x for x in _grevlex_key_reference(weights, e)))
-    assert (BlockOrder(weights, block).neg_key(e)
-            == tuple(-x for x in _block_key_reference(weights, block, e)))
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+@settings(max_examples=300)
+@given(weighted_exps(count=3))
+def test_elimination_order_ranks_as_a_one_index_block(case):
+    """EliminationOrder(weights, i) ranks every pair of monomials as the
+    reference block order of the one-index block (i,) does, also pairs
+    that tie in the eliminated variable."""
+    weights, i, (a, b, c) = case
+    order = EliminationOrder(weights, i)
+    tied = b[:i] + a[i:i + 1] + b[i + 1:]
+    for u, v in ((a, b), (a, c), (b, c), (a, tied), (tied, tied)):
+        assert (_sign(order.neg_key(u), order.neg_key(v))
+                == _sign(_block_key_reference(weights, (i,), v),
+                         _block_key_reference(weights, (i,), u)))
 
 
 @given(weighted_exps(count=3))
 def test_block_order_is_multiplicative(case):
-    weights, block, (a, b, c) = case
-    order = BlockOrder(weights, block)
+    """The elimination order of one variable, a block order of a
+    one-variable block, is multiplicative."""
+    weights, i, (a, b, c) = case
+    order = EliminationOrder(weights, i)
     if order.neg_key(a) > order.neg_key(b):
         ac = tuple(x + y for x, y in zip(a, c))
         bc = tuple(x + y for x, y in zip(b, c))
         assert order.neg_key(ac) > order.neg_key(bc)
 
 
-@given(weighted_exps(count=2), st.data())
-def test_block_order_eliminates(case, data):
-    """A monomial with a block variable beats every block-free monomial."""
-    weights, block, (a, b) = case
-    assume(block)
-    i = data.draw(st.sampled_from(sorted(block)))
+@given(weighted_exps(count=2))
+def test_block_order_eliminates(case):
+    """A monomial with the eliminated variable beats every monomial free
+    of it."""
+    weights, i, (a, b) = case
     a = tuple(max(x, 1) if j == i else x for j, x in enumerate(a))
-    b = tuple(0 if j in block else x for j, x in enumerate(b))
-    order = BlockOrder(weights, block)
+    b = tuple(0 if j == i else x for j, x in enumerate(b))
+    order = EliminationOrder(weights, i)
     assert order.neg_key(a) < order.neg_key(b)
+
+
+def test_elimination_order_needs_a_variable_and_positive_weights():
+    for weights, index in (((1, 2), 2), ((1, 2), -1), ((1, 0), 0)):
+        with pytest.raises(ValueError):
+            EliminationOrder(weights, index)
 
 
 def test_grevlex_weighted_degree_dominates():
@@ -301,15 +326,15 @@ def test_homogeneity_with_weights():
 
 @given(weighted_exps(), st.integers(min_value=0, max_value=10 ** 6))
 def test_embed_pads_exponents_under_a_block_order(case, seed):
-    """embed into an extension under a block order is from_dict of the
-    zero-padded terms: sorted by the extension's order."""
-    weights, block, _ = case
+    """embed into an extension under an elimination order is from_dict of
+    the zero-padded terms: sorted by the extension's order."""
+    weights, index, _ = case
     rng = random.Random(seed)
     n = len(weights)
     k = rng.randint(0, n)
     names = tuple("x%d" % i for i in range(n))
     R = PolyRing(names[:k], weights[:k], F)
-    big = PolyRing(names, weights, F, BlockOrder(weights, block))
+    big = PolyRing(names, weights, F, EliminationOrder(weights, index))
     f = rand_poly(R, rng)
     got = big.embed(f)
     assert got.ring is big

@@ -17,13 +17,13 @@ from reesgor.modules import (FreeModule, Vec, _index_add, _mask,
                              module_colon, module_syzygies, reducer_index,
                              schreyer_level, vec_nf)
 from reesgor.hilbert import hilbert_numerator
-from reesgor.orders import BlockOrder, GrevlexOrder
+from reesgor.orders import EliminationOrder, GrevlexOrder
 from reesgor.polys import PolyRing, minimal_monomials
 from reesgor.resolutions import resolve_quotient_ring, schreyer_frame
 
 import reference
 from reference import (count_calls, mul_poly, position_over_term,
-                       schreyer_triples, syzygies, tuple_key)
+                       schreyer_triples, syzygies, triple_module, tuple_key)
 
 F = GF(DEFAULT_PRIME)
 
@@ -150,15 +150,15 @@ def test_mask_prefilter_keeps_every_divisor(pairs):
 @st.composite
 def shifted_terms(draw):
     """(module, triples, comp, a, q): a position-over-term module of rank
-    1-3 over GrevlexOrder or BlockOrder with random positive weights and
-    block, or one of the Schreyer-induced modules of levels 1-4 that
+    1-3 over GrevlexOrder or EliminationOrder with random positive weights
+    and index, or one of the Schreyer-induced modules of levels 1-4 that
     `schreyer_level` builds over it from bases of monomial vectors, which
     are Groebner bases, with the reference order triples of its order."""
     n = draw(st.integers(1, 4))
     weights = draw(st.tuples(*[st.integers(1, 4)] * n))
-    block = draw(st.none() | st.sets(st.integers(0, n - 1)))
-    order = (GrevlexOrder(weights) if block is None
-             else BlockOrder(weights, block))
+    index = draw(st.none() | st.integers(0, n - 1))
+    order = (GrevlexOrder(weights) if index is None
+             else EliminationOrder(weights, index))
     R = PolyRing(["x%d" % i for i in range(n)], weights, F, order)
     exps = st.tuples(*[st.integers(0, 3)] * n)
     M = FreeModule(R, draw(st.integers(1, 3)))
@@ -199,7 +199,7 @@ def keyed_modules(draw):
         small = st.integers(-50, 50)
         triples = [((draw(small),), draw(st.tuples(*[st.integers(0, 9)] * n)),
                     draw(st.tuples(*[small] * width))) for _ in range(rank)]
-        M = FreeModule(M.ring, rank, order=triples)
+        M = triple_module(M.ring, triples)
     exps = st.tuples(*[st.integers(0, 3) | st.integers(0, 2**24)] * n)
     return M, triples, draw(st.lists(
         st.tuples(st.integers(0, M.rank - 1), exps), min_size=2, max_size=8))
@@ -210,16 +210,16 @@ def keyed_modules(draw):
 def test_packed_keys_compare_as_tuple_keys(case):
     """Two terms' int keys compare as their tuple keys head + rneg(exp +
     shift) + tail do, under position over term, the Schreyer orders of
-    frame levels 1-4, random order triples and BlockOrder rings alike;
-    and a module built from the triples equals the one given, however
-    that one was built."""
+    frame levels 1-4, random order triples and EliminationOrder rings
+    alike; and the module that the reference packs from the triples
+    equals the one given, however that one was built."""
     M, triples, terms = case
     packed = [M.neg_key(*t) for t in terms]
     tuples = [tuple_key(M.ring, triples, *t) for t in terms]
     for a, b in itertools.combinations(range(len(terms)), 2):
         assert ((packed[a] > packed[b]) - (packed[a] < packed[b])
                 == (tuples[a] > tuples[b]) - (tuples[a] < tuples[b]))
-    assert FreeModule(M.ring, M.rank, M.shifts, triples) == M
+    assert triple_module(M.ring, triples, M.shifts) == M
 
 
 def test_a_key_field_past_2_to_31_raises():
@@ -294,27 +294,17 @@ def test_component_is_the_sorted_entry(case, data):
         assert v.component(i).terms == want.terms
 
 
-def test_key_shift_needs_one_head_and_tail_length():
-    R = ring3()
-    z = R.zero_exp
-    for order in ([((0,), z, ()), ((1, 0), z, ())],
-                  [((0,), z, ()), ((1,), z, (0,))]):
-        with pytest.raises(ValueError):
-            FreeModule(R, 2, order=order)
-    FreeModule(R, 2, order=[((0,), z, (1,)), ((1,), z, (0,))])
-
-
 def test_modules_are_equal_when_their_packed_keys_are():
     """Equality reads the packed bases and the key width: position over
-    term given as triples equals the default; swapped positions, or a
+    term packed from triples equals the default; swapped positions, or a
     constant tail that widens every key, do not."""
     R = ring3()
     z = R.zero_exp
-    assert FreeModule(R, 2, order=[((0,), z, ()), ((1,), z, ())]) \
+    assert triple_module(R, [((0,), z, ()), ((1,), z, ())]) \
         == FreeModule(R, 2)
-    assert FreeModule(R, 2, order=[((1,), z, ()), ((0,), z, ())]) \
+    assert triple_module(R, [((1,), z, ()), ((0,), z, ())]) \
         != FreeModule(R, 2)
-    assert FreeModule(R, 1, order=[((0,), z, (0,))]) != FreeModule(R, 1)
+    assert triple_module(R, [((0,), z, (0,))]) != FreeModule(R, 1)
 
 
 def test_koszul_syzygy_two_variables():
@@ -509,9 +499,9 @@ def test_interreduction_matches_the_vec_tail_reference(bases, rnd):
 def test_rank_one_vectors_are_the_poly_list_vectors():
     """as_vecs and the normal forms of `reducer` wrap each polynomial's
     terms, which are in the rank-one module's order under grevlex and
-    block orders alike; a polynomial over another ring is refused."""
+    elimination orders alike; a polynomial over another ring is refused."""
     rng = random.Random(5)
-    for order in (None, BlockOrder((1, 2, 1), (0,))):
+    for order in (None, EliminationOrder((1, 2, 1), 0)):
         R = PolyRing(("x", "y", "z"), (1, 2, 1), F, order)
         polys = [R.from_dict({e: rng.randint(1, 9) for e in rng.sample(
                      _monomials(3, 3), rng.randint(1, 5))})

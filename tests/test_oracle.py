@@ -16,6 +16,7 @@ from reesgor.errors import (DepthNotOne, EquivalenceViolation,
                             NotParameters, WrongDimension)
 from reesgor.fields import DEFAULT_PRIME
 from reesgor.groebner import groebner_basis
+from reesgor.orders import EliminationOrder, GrevlexOrder
 from reesgor.polys import PolyRing
 
 from reference import count_calls, is_member
@@ -159,8 +160,8 @@ def test_substitution_check_catches_a_wrong_rees_generator(monkeypatch, name):
     A, q, _ = corpus.example_document(name).build()
     real = idealops.eliminate
 
-    def wrong(ring, gens, block):
-        out = real(ring, gens, block)
+    def wrong(ring, gens, index):
+        out = real(ring, gens, index)
         sub = out[0].ring
         return list(out) + [sub.gen(A.ambient.n) ** 2 * sub.gen(0)]
 
@@ -236,7 +237,7 @@ def test_oracle_computes_one_basis_and_one_numerator_per_rees_ring(
                         if "@t" in args[0][0].module.ring.names]
         assert len(eliminations) == 1, name
         assert eliminations[0].n == A.ambient.n + len(q.gens) + 1, name
-        assert eliminations[0].order.kind == "block", name
+        assert isinstance(eliminations[0].order, EliminationOrder), name
 
 
 def test_verdicts_neither_minimalize_nor_take_iterated_syzygies(
@@ -256,7 +257,7 @@ def test_verdicts_neither_minimalize_nor_take_iterated_syzygies(
     assert steps == [] and syzygies == []
 
 
-# S-vectors each ring reduces in the elimination of R(q) (block order,
+# S-vectors each ring reduces in the elimination of R(q) (elimination order,
 # pairs taken by the degree of their lcm first), and in the grevlex basis
 # of R(q^n) in its own ring at n = 2, 3; the direct elimination of R(q^n)
 # in P[T, t] reduced 40, 46; 45, 76; 24, 45; 24, 45; 8, 20
@@ -269,14 +270,15 @@ REES_S_VECTORS = {
 @pytest.mark.parametrize("name", D2_CORPUS)
 def test_rees_elimination_takes_pairs_by_degree(monkeypatch, name):
     """The elimination of R(q) takes its pairs by degree first under the
-    block order, and R(q^n)'s basis in its own ring takes the rest: the
+    elimination order, and R(q^n)'s basis in its own ring takes the rest: the
     largest such run reduces exactly the S-vectors counted above.  A fresh
     q is built for each run, since R(q) is memoized."""
     real = modules.module_buchberger
     s_vectors = count_calls(monkeypatch, modules._s_vector)
     one, *veronese = REES_S_VECTORS[name]
-    for n, kind, want in [(1, "block", one), (2, "grevlex", veronese[0]),
-                          (3, "grevlex", veronese[1])]:
+    for n, kind, want in [(1, EliminationOrder, one),
+                          (2, GrevlexOrder, veronese[0]),
+                          (3, GrevlexOrder, veronese[1])]:
         A, q, _ = corpus.example_document(name).build()
         runs = []
 
@@ -284,7 +286,7 @@ def test_rees_elimination_takes_pairs_by_degree(monkeypatch, name):
             start = len(s_vectors)
             data = real(gens)
             ring = gens[0].module.ring
-            if ring.order.kind == kind and ring.n > A.ambient.n:
+            if type(ring.order) is kind and ring.n > A.ambient.n:
                 runs.append(len(s_vectors) - start)
             return data
         monkeypatch.setattr(groebner, "module_buchberger", counting)
@@ -294,14 +296,14 @@ def test_rees_elimination_takes_pairs_by_degree(monkeypatch, name):
 
 def test_rees_ideal_is_eliminated_once_per_q(monkeypatch):
     """R(q) is eliminated once per q and kept on q as a tuple: the power
-    suite over n = 1, 2, 3 and a repeated power run one block-order
-    elimination between them."""
+    suite over n = 1, 2, 3 and a repeated power run one elimination-order
+    Buchberger run between them."""
     A, q, _ = corpus.example_document("hochster_roberts").build()
     real = modules.module_buchberger
     eliminations = []
 
     def counting(gens):
-        if gens[0].module.ring.order.kind == "block":
+        if isinstance(gens[0].module.ring.order, EliminationOrder):
             eliminations.append(gens)
         return real(gens)
     monkeypatch.setattr(groebner, "module_buchberger", counting)
@@ -324,7 +326,7 @@ def _direct_rees_basis(A, q, n):
     work = [big.embed(g) for g in A.defining]
     for j, g in enumerate(gens_n):
         work.append(big.gen(amb.n + j) - big.embed(g) * t)
-    return tuple(idealops.eliminate(big, work, (big.n - 1,)))
+    return tuple(idealops.eliminate(big, work, big.n - 1))
 
 
 @pytest.mark.parametrize("char", [DEFAULT_PRIME, 0, 2, 3])

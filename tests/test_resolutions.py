@@ -20,13 +20,13 @@ from reesgor.modules import (FreeModule, Vec, module_buchberger, module_colon,
                              module_syzygies, reducer_index, schreyer_level,
                              vec_nf)
 from reesgor.polys import PolyRing
-from reesgor import idealops, modules, oracle, resolutions
+from reesgor import corpus, idealops, modules, oracle, resolutions
 from reesgor.cli import run_cli
 from reesgor.resolutions import ext_dualizing, minimalize_step, subquotient
 
 from reference import (cokernel, composes_to_zero, count_calls, mul_poly,
                        position_over_term, resolve, schreyer_triples,
-                       syzygies)
+                       shifts, syzygies, triple_module)
 
 F = GF(DEFAULT_PRIME)
 
@@ -43,7 +43,7 @@ def test_koszul_resolution_of_the_residue_field():
     R = ring3()
     res = resolve(R, list(R.gens()))
     assert res.betti() == [1, 3, 3, 1]
-    assert [res.shifts(k) for k in range(4)] == \
+    assert [shifts(res, k) for k in range(4)] == \
         [(0,), (1, 1, 1), (2, 2, 2), (3,)]
     assert composes_to_zero(res)
     assert res.pd == 3
@@ -55,7 +55,7 @@ def test_complete_intersection_resolution():
     res = resolve(R, [x ** 2, y ** 3])
     assert res.betti() == [1, 2, 1]
     # graded shifts of the last step: the Koszul relation in degree 5
-    assert res.shifts(2) == (5,)
+    assert shifts(res, 2) == (5,)
 
 
 def test_resolution_shifts_are_increasing():
@@ -64,8 +64,8 @@ def test_resolution_shifts_are_increasing():
     res = resolve(R, [x * y, y * z, x * z])
     assert res.betti() == [1, 3, 2]
     for k in range(1, res.pd + 1):
-        prev = res.shifts(k - 1)
-        for s in res.shifts(k):
+        prev = shifts(res, k - 1)
+        for s in shifts(res, k):
             assert s > min(prev)
 
 
@@ -96,6 +96,20 @@ def test_cached_ring_resolution_is_immutable(two_planes):
     with pytest.raises(TypeError):
         res.graded_betti[0][0] = 2
     assert A.resolution().betti() == [1, 4, 4, 1]
+
+
+def test_memoized_ext_numerators_are_read_only():
+    """A ring's memoized Ext hands out its component numerators as
+    read-only mappings: editing one raises, and the length of the shared
+    Ext stays 1."""
+    A, _ = corpus.build_two_planes()
+    ext = A.ext(3)
+    assert ext.length() == 1
+    with pytest.raises(AttributeError):
+        ext.component_numerators()[0].clear()
+    with pytest.raises(TypeError):
+        ext.component_numerators()[0][0] = 0
+    assert A.ext(3).length() == 1
 
 
 def test_ext_vanishes_below_codimension(two_planes):
@@ -525,12 +539,12 @@ def test_frame_resolution_matches_iterated_syzygies(ideal):
     ref = _reference_quotient_resolution(R, gens)
     assert res.betti() == ref.betti()
     for k in range(res.pd + 1):
-        assert res.shifts(k) == ref.shifts(k), k
+        assert shifts(res, k) == shifts(ref, k), k
     assert composes_to_zero(res)
     # a cap at the minimal length cuts the frame at d_{pd+2} and succeeds
     capped = resolve(R, gens, length_cap=ref.pd)
-    assert [capped.shifts(k) for k in range(capped.pd + 1)] == \
-        [res.shifts(k) for k in range(res.pd + 1)]
+    assert [shifts(capped, k) for k in range(capped.pd + 1)] == \
+        [shifts(res, k) for k in range(res.pd + 1)]
     if ref.pd:
         with pytest.raises(ResourceExceeded):
             resolve(R, gens, length_cap=ref.pd - 1)
@@ -553,7 +567,7 @@ def test_frame_resolves_presentations_like_iterated_syzygies(
             ref = _reference_resolution(mod.cols, mod.f0, minimalize_f0=True)
             assert res.betti() == ref.betti(), (name, i)
             for k in range(res.pd + 1):
-                assert res.shifts(k) == ref.shifts(k), (name, i, k)
+                assert shifts(res, k) == shifts(ref, k), (name, i, k)
             assert composes_to_zero(res), (name, i)
 
 
@@ -638,10 +652,10 @@ def _reference_schreyer_syzygies(basis, lex=None, triples=None):
     quotients: each S-vector of the graph rows (g_i, e_i) of M + F
     reduces against all the rows, and the F part of the remainder is the
     syzygy.  M's order is given by its reference `triples` (position over
-    term when not given), and F's and the graph module's are built from
-    order triples.  The M block
-    comes first; its tails are padded by a constant 0 to the length of
-    F's, which leaves the order unchanged.  Within a lead component the
+    term when not given), and F's and the graph module's are packed from
+    order triples by `triple_module`.  The M block comes first; its tails
+    are padded by a constant 0 to the length of F's, which leaves the
+    order unchanged.  Within a lead component the
     syzygies descend in the lex order ranking the variables as `lex`
     lists them (by index when not given)."""
     M = basis[0].module
@@ -650,11 +664,11 @@ def _reference_schreyer_syzygies(basis, lex=None, triples=None):
     leads = [b.terms[0][0] for b in basis]
     triples = triples or position_over_term(ring, r)
     order = schreyer_triples(triples, basis)
-    Fm = FreeModule(ring, len(basis),
-                    [ring.wdeg(e) + M.shifts[c] for c, e in leads], order)
-    GM = FreeModule(ring, r + Fm.rank, M.shifts + Fm.shifts,
-                    [((0,) + h, s, t + (0,)) for h, s, t in triples]
-                    + [((1,) + h, s, t) for h, s, t in order])
+    Fm = triple_module(ring, order,
+                       [ring.wdeg(e) + M.shifts[c] for c, e in leads])
+    GM = triple_module(ring, [((0,) + h, s, t + (0,)) for h, s, t in triples]
+                       + [((1,) + h, s, t) for h, s, t in order],
+                       M.shifts + Fm.shifts)
     one = ring.field.one
     rows = [Vec(GM, b.terms + (((r + i, ring.zero_exp), one),))
             for i, b in enumerate(basis)]
