@@ -84,8 +84,3 @@ def GF(p):
     if not p:
         raise ValueError("characteristic must be prime, got %r" % (p,))
     return Field(p)
-
-
-def field(char):
-    """The prime field of characteristic char: QQ for 0, else GF(char)."""
-    return QQ if char == 0 else GF(char)

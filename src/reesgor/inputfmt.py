@@ -20,7 +20,7 @@ import re
 from math import comb
 
 from .errors import InputError
-from .fields import DEFAULT_PRIME, PRIME_BOUND, field
+from .fields import DEFAULT_PRIME, PRIME_BOUND, Field
 from .polys import PolyRing
 from . import rings
 
@@ -62,10 +62,10 @@ class InputDocument:
 
 def _field(char, line=None, col=None):
     """The coefficient field of characteristic char: QQ for 0, else GF,
-    which tests char prime; InputError, at line and col when given,
+    which `Field` tests prime; InputError, at line and col when given,
     otherwise."""
     try:
-        return field(char)
+        return Field(char)
     except ValueError as err:
         if char >= PRIME_BOUND:
             raise InputError("characteristic %d is too large: %s"

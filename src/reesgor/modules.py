@@ -11,18 +11,13 @@ equal ones (Gebauer & Moeller 1988; Becker-Weispfenning's UPDATE,
 Groebner Bases, 1993, filters the rest: see `module_buchberger`).
 
 A run keeps one reducer index, extended as each element joins the basis:
-per component, the (mask, lead exp, position) of every element in basis
-order.  The mask is a short exponent vector (Greuel-Pfister, A Singular
-Introduction to Commutative Algebra): bit i is set when exponent i is
-nonzero, so `lm & ~em` rejects most leads that cannot divide a term
-before the exponents are compared.  The index also keys each element's
-tail, once, when it first reduces a term or forms an S-vector; as the
-int `neg_key` is linear, x^q times that tail is keyed by adding
-`key_shift(q)`, so `vec_nf` keys no term per push, S-vectors included.
-Interreduction needs no index per element: a lead never divides a
-smaller term of its own component, so each kept element's tail, keyed
-in the run's index, is both the work `vec_nf` reduces and a reducer in
-one index of all kept elements.
+per component, the (lead exp, position) of every element in basis
+order, and each element's tail, keyed as it joins.  As the int `neg_key`
+is linear, x^q times that tail is keyed by adding `key_shift(q)`, so
+`vec_nf` keys no term per push, S-vectors included.  Interreduction
+needs no second index: the run's basis is a Groebner basis, against
+which a normal form is that against its kept elements alone, so each
+kept element's keyed tail reduces against the run's own index.
 
 Syzygies, colons, intersections, presentations and exact division all
 come from one Groebner basis of a graph module, `colon_basis(gens, rels)`:
@@ -42,7 +37,6 @@ its reducer index, so no term is keyed twice.
 
 import heapq
 from collections import namedtuple
-from itertools import compress
 from operator import add, ge, sub
 
 from .errors import NotDivisible, OwnerMismatch, ResourceExceeded, crosscheck
@@ -133,12 +127,11 @@ class FreeModule:
 class Vec:
     """Immutable element of a FreeModule."""
 
-    __slots__ = ("module", "terms", "_hash")
+    __slots__ = ("module", "terms")
 
     def __init__(self, module, terms):
         self.module = module
         self.terms = terms
-        self._hash = None
 
     def is_zero(self):
         return not self.terms
@@ -200,27 +193,16 @@ class Vec:
                 and other.terms == self.terms)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.module.rank, self.module.shifts, self.terms))
-        return self._hash
+        return hash((self.module.rank, self.module.shifts, self.terms))
 
     def __repr__(self):
         return "<Vec %s>" % (tuple(str(self.component(i))
                                    for i in range(self.module.rank)),)
 
 
-# bit i of a divisibility mask; variables past the last bit are left out
-# of the mask, which then only lets more candidates through
-_BITS = tuple(1 << i for i in range(64))
-
-
-def _mask(exp):
-    """Divisibility mask of exp: bit i set when exp[i] is nonzero."""
-    return sum(compress(_BITS, exp))
-
-
 def reducer_index(basis, rank):
-    """Per-component (mask, lead exp, position) lists, and keyed tails."""
+    """Per-component (lead exp, position) lists, and {position: tail},
+    each tail term keyed as (neg_key, comp, exp, coeff)."""
     index = ([[] for _ in range(rank)], {})
     for pos, b in enumerate(basis):
         _index_add(index, pos, b)
@@ -228,25 +210,19 @@ def reducer_index(basis, rank):
 
 
 def _index_add(index, pos, b):
+    """Index b at pos: its lead exp under its component, its tail keyed."""
     (comp, e), _ = b.terms[0]
-    index[0][comp].append((_mask(e), e, pos))
-
-
-def _keyed(index, basis, pos):
-    """basis[pos]'s tail as (neg_key, comp, exp, coeff), keyed once."""
-    if pos not in index[1]:
-        nk = basis[pos].module.neg_key
-        index[1][pos] = tuple((nk(comp, e), comp, e, c)
-                              for (comp, e), c in basis[pos].terms[1:])
-    return index[1][pos]
+    index[0][comp].append((e, pos))
+    nk = b.module.neg_key
+    index[1][pos] = tuple((nk(comp, e), comp, e, c)
+                          for (comp, e), c in b.terms[1:])
 
 
 def _first_divisor(reducers, e):
     """(position, lead exp) of the first reducer whose lead divides e, or
-    None; a lead whose mask has a bit outside e's mask cannot divide it."""
-    off = ~_mask(e)
-    for lm, le, pos in reducers:
-        if not lm & off and all(map(ge, e, le)):
+    None."""
+    for le, pos in reducers:
+        if all(map(ge, e, le)):
             return pos, le
     return None
 
@@ -255,19 +231,20 @@ def vec_nf(f, basis, index, quotients=None):
     """Fully reduced normal form of f against basis (monic leads assumed).
 
     f is a Vec, or the work dict {neg_key: coeff} and heap of (neg_key,
-    comp, exp, u) of an S-vector from `_s_vector`; a neg_key names its
-    term, whose coefficient is summed with Python's operators, reduced
-    mod p over GF(p) only when it pops, and whose exponent exp + u is
-    formed only then, since most terms cancel first.
-    `index` is basis's reducer index.  The first basis element whose lead
-    divides a term reduces it, x^q times its tail keyed by adding
-    key_shift(q); a list `quotients` gets the keyed term
-    ((k << 32) + pos, pos, q, -c) per step subtracting c x^q basis[pos]
-    from the term of key k, as `schreyer_level` keys x^q e_pos.  A term
-    in a component that carries no lead finds no divisor: it records no
-    quotient and pushes no term, so an index whose keyed tails leave such
-    terms out (as a frame's do) gives the same quotients, and the same
-    remainder in every component that carries a lead.
+    comp, exp, u) of an S-vector from `_s_vector` or of a keyed tail; a
+    neg_key names its term, whose coefficient is summed with Python's
+    operators, reduced mod p over GF(p) only when it pops, and whose
+    exponent exp + u is formed only then, since most terms cancel first.
+    `index` is basis's reducer index, which holds each tail keyed.  The
+    first basis element whose lead divides a term reduces it, x^q times
+    its keyed tail by adding key_shift(q); a list `quotients` gets the
+    keyed term ((k << 32) + pos, pos, q, -c) per step subtracting
+    c x^q basis[pos] from the term of key k, as `schreyer_level` keys
+    x^q e_pos.  A term in a component that carries no lead finds no
+    divisor: it records no quotient and pushes no term, so an index whose
+    keyed tails leave such terms out (as a frame's do) gives the same
+    quotients, and the same remainder in every component that carries a
+    lead.
     """
     if isinstance(f, Vec):
         module, neg_key = f.module, f.module.neg_key
@@ -300,10 +277,7 @@ def vec_nf(f, basis, index, quotients=None):
             quotients.append(((k << 32) + pos, pos, q, mc))
         shift = key_shift(q)
         # the monic lead cancels the popped term; the tail is smaller
-        tail = tails.get(pos)
-        if tail is None:
-            tail = _keyed(index, basis, pos)
-        for bk, bcomp, be, bc in tail:
+        for bk, bcomp, be, bc in tails[pos]:
             k = bk + shift
             old = work.get(k)
             if old is None:
@@ -323,10 +297,10 @@ def _s_vector(basis, index, i, ui, j, uj):
     shifted keyed tails in vec_nf's unreduced work dict and heap."""
     module = basis[i].module
     si, sj = module.key_shift(ui), module.key_shift(uj)
-    ti = _keyed(index, basis, i)
+    ti = index[1][i]
     heap = [(k + si, comp, e, ui) for k, comp, e, _ in ti]
     work = {h[0]: t[3] for h, t in zip(heap, ti)}
-    for k, comp, e, c in _keyed(index, basis, j):
+    for k, comp, e, c in index[1][j]:
         k += sj
         if k in work:
             work[k] -= c
@@ -374,7 +348,7 @@ def module_buchberger(gens):
         cands = []
         # k joins the index after its update: these are the earlier
         # elements of its component
-        for _, ei, i in index[0][compk]:
+        for ei, i in index[0][compk]:
             if redundant[i]:
                 continue
             lcm = tuple(map(max, ei, ek))
@@ -414,20 +388,17 @@ def module_buchberger(gens):
             join(h.monic())
 
     # no lead divides a lead joined after it, so the elements no later
-    # lead divides have minimal leads; a lead never divides a smaller
-    # term of its component, so every tail reduces against one index,
-    # which takes each kept tail keyed from the run's index
-    kept = [pos for pos, r in enumerate(redundant) if not r]
-    keep = [basis[pos] for pos in kept]
-    keep_index = reducer_index(keep, module.rank)
+    # lead divides have minimal leads; the basis is a Groebner basis, so
+    # each kept tail, keyed in the run's index, reduces against it to its
+    # normal form against the kept elements alone
     zero_exp = module.ring.zero_exp
-    tails = [_keyed(index, basis, pos) for pos in kept]
-    keep_index[1].update(enumerate(tails))
     reduced = []
-    for b, tail in zip(keep, tails):
-        work = {t[0]: t[3] for t in tail}
-        nf = vec_nf((work, [t[:3] + (zero_exp,) for t in tail]), keep,
-                    keep_index)
+    for pos, b in enumerate(basis):
+        if redundant[pos]:
+            continue
+        tail = index[1][pos]
+        nf = vec_nf(({t[0]: t[3] for t in tail},
+                     [t[:3] + (zero_exp,) for t in tail]), basis, index)
         reduced.append(Vec(module, b.terms[:1] + nf.terms))
     reduced.sort(key=lambda b: module.neg_key(*b.terms[0][0]))
     return GroebnerData(reduced)
@@ -516,7 +487,7 @@ def schreyer_level(basis, index, lex):
                   tail).terms:
             stuck += 1
             continue
-        syz_index[0][i].append((_mask(m), m, len(syz)))
+        syz_index[0][i].append((m, len(syz)))
         syz_index[1][len(syz)] = tuple([t for t in tail if t[1] in lead_comps])
         syz.append(Vec(F, (((i, m), one),)
                        + tuple([((pos, q), c) for _, pos, q, c in tail])))

@@ -145,12 +145,11 @@ def _scaled(terms, c, field):
 class Poly:
     """Immutable polynomial; terms sorted descending in the ring's order."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
-        self._hash = None
 
     def is_zero(self):
         return not self.terms
@@ -246,9 +245,7 @@ class Poly:
                 and other.terms == self.terms)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring.names, self.terms))
-        return self._hash
+        return hash((self.ring.names, self.terms))
 
     def __str__(self):
         if not self.terms:
@@ -262,7 +259,8 @@ class Poly:
                     factors.append(self.ring.names[i])
                 elif e > 1:
                     factors.append("%s^%d" % (self.ring.names[i], e))
-            if field.p and c > field.p // 2:
+            # p - c is -c over QQ, where p = 0
+            if c < 0 or field.p and c > field.p // 2:
                 sign, mag = "-", field.p - c
             else:
                 sign, mag = "+", c

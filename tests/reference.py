@@ -10,7 +10,8 @@ from operator import add, ge
 from reesgor import idealops
 from reesgor.groebner import normal_form
 from reesgor.invariants import artinian_length
-from reesgor.modules import FreeModule, _pack, reducer_index, schreyer_level
+from reesgor.modules import (FreeModule, Vec, _pack, reducer_index,
+                             schreyer_level, vec_nf)
 from reesgor.resolutions import subquotient
 from reesgor.rings import Ideal, PresentedGradedRing
 
@@ -60,6 +61,24 @@ def syzygies(basis):
     M = basis[0].module
     return schreyer_level(basis, reducer_index(basis, M.rank),
                           range(M.ring.n))[0]
+
+
+def interreduce(basis):
+    """The reduced Groebner basis of the module a monic Groebner basis
+    spans, sorted: the elements whose lead no other lead divides, the
+    first of equal leads, each with its tail reduced as a Vec against a
+    fresh index of those elements only."""
+    M = basis[0].module
+    leads = [b.terms[0][0] for b in basis]
+    keep = [b for i, (b, (ci, ei)) in enumerate(zip(basis, leads))
+            if not any(cj == ci and all(map(ge, ei, ej))
+                       and (ej != ei or j < i)
+                       for j, (cj, ej) in enumerate(leads) if j != i)]
+    index = reducer_index(keep, M.rank)
+    out = [Vec(M, b.terms[:1] + vec_nf(Vec(M, b.terms[1:]), keep,
+                                       index).terms) for b in keep]
+    out.sort(key=lambda b: M.neg_key(*b.terms[0][0]))
+    return out
 
 
 def minimal_monomials(pairs):

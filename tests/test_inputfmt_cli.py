@@ -97,15 +97,18 @@ def test_parse_poly_juxtaposition_and_parens():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 6))
-def test_parse_poly_str_roundtrip(seed):
+@given(st.sampled_from([F, QQ]), st.integers(min_value=0, max_value=10 ** 6))
+def test_parse_poly_str_roundtrip(field, seed):
+    """A polynomial with integer coefficients prints as text that parses
+    back to it, over QQ as over GF(32003): a negative coefficient prints
+    as a minus sign and its magnitude, a magnitude of 1 left out."""
     import random
     rng = random.Random(seed)
-    R = PolyRing(("x", "y", "z"), (1, 2, 1), F)
+    R = PolyRing(("x", "y", "z"), (1, 2, 1), field)
     terms = {}
     for _ in range(rng.randint(0, 5)):
         exp = tuple(rng.randint(0, 4) for _ in range(3))
-        terms[exp] = F.of(rng.randint(-9, 9))
+        terms[exp] = field.of(rng.randint(-9, 9))
     f = R.from_dict(terms)
     assert inputfmt.parse_poly(str(f), R) == f
 
@@ -264,6 +267,25 @@ def test_cli_invariants_and_s2():
     report = inputfmt.parse_report(out)
     assert report["h1_length"] == "1"
     assert report["h1_socle"] == "1"
+
+
+def test_cli_s2_prints_the_same_polynomials_over_qq_and_gf(tmp_path):
+    """With parameters x - u, y - v on two planes, the s2 report over QQ
+    has the pair and fractions lines of the report over GF(32003), whose
+    negative coefficients print as minus signs there too."""
+    path = tmp_path / "planes.ring"
+    with open(corpus_path("two_planes")) as src:
+        path.write_text(src.read().replace("params x + u, y + v",
+                                           "params x - u, y - v"))
+    reports = []
+    for char in ("0", "32003"):
+        code, out = run(["s2", str(path), "--char", char])
+        assert code == 0
+        reports.append(inputfmt.parse_report(out))
+    qq, gf = reports
+    assert qq["pair_a"] == "x - u"
+    for key in ("pair_a", "pair_b", "fractions"):
+        assert qq[key] == gf[key]
 
 
 # k[x,y] x m^2, the idealization of the square of the maximal ideal, with

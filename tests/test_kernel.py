@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from reesgor.errors import OwnerMismatch
 from reesgor.fields import (GF, QQ, DEFAULT_PRIME, PRIME_BOUND, Field,
-                            field, is_prime)
+                            is_prime)
 from reesgor.groebner import groebner_basis, normal_form
 from reesgor.hilbert import (INFINITE, finite_length, hilbert,
                              hilbert_numerator, upoly_add, upoly_mul)
@@ -90,7 +90,7 @@ def test_field_takes_a_prime_or_zero_and_gf_a_prime():
     for make, p in ((GF, 4), (GF, 0), (Field, 4)):
         with pytest.raises(ValueError):
             make(p)
-    assert field(0) == QQ
+    assert Field(0) == QQ
 
 
 def test_qq_inverts_an_int_coefficient_exactly():

@@ -12,8 +12,7 @@ from reesgor import corpus, hilbert, modules, oracle
 from reesgor.errors import NotDivisible, OwnerMismatch, ResourceExceeded
 from reesgor.fields import GF, QQ, DEFAULT_PRIME
 from reesgor.groebner import as_vecs, groebner_basis, reducer
-from reesgor.modules import (FreeModule, Vec, _index_add, _mask,
-                             colon_basis, divider, module_buchberger,
+from reesgor.modules import (FreeModule, Vec, _index_add, colon_basis, divider, module_buchberger,
                              module_colon, module_syzygies, reducer_index,
                              schreyer_level, vec_nf)
 from reesgor.hilbert import hilbert_numerator
@@ -137,14 +136,66 @@ def test_vec_nf_with_extended_index_matches_reference(problem):
             basis[:k + 1], f.module.rank)) == want
 
 
-@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
-                min_size=1, max_size=70))
-def test_mask_prefilter_keeps_every_divisor(pairs):
-    """A divisor's mask has no bit outside its multiple's mask, also past
-    the width of the mask."""
-    b = tuple(x for x, _ in pairs)
-    a = tuple(x + y for x, y in pairs)
-    assert not _mask(b) & ~_mask(a)
+def _keyed_tails(basis):
+    """{pos: tail} of every element of basis, each tail term keyed as
+    (neg_key, comp, exp, coeff)."""
+    return {pos: tuple((b.module.neg_key(comp, e), comp, e, c)
+                       for (comp, e), c in b.terms[1:])
+            for pos, b in enumerate(basis)}
+
+
+def _joined(run):
+    """(run(), the elements that join a reducer index while it runs, in
+    order), each index checked to hold every tail it has taken keyed as
+    soon as it takes the tail."""
+    joined = []
+    index_add = modules._index_add
+
+    def checked(index, pos, b):
+        index_add(index, pos, b)
+        joined.append(b)
+        assert index[1][pos] == _keyed_tails([b])[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modules, "_index_add", checked)
+        out = run()
+    return out, joined
+
+
+@st.composite
+def spanning_sets(draw):
+    """Up to five random vectors of rank 1 or 2 in three variables over
+    GF(32003) or QQ, one of them nonzero."""
+    field = draw(st.sampled_from([F, QQ]))
+    rank = draw(st.integers(1, 2))
+    M = FreeModule(PolyRing(("x", "y", "z"), (1, 1, 1), field), rank)
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    return [M.from_dict({k: field.of(c) for k, c in draw(st.dictionaries(
+                st.tuples(st.integers(0, rank - 1), exps),
+                st.integers(-3, 3).filter(bool), min_size=1,
+                max_size=3)).items()})
+            for _ in range(draw(st.integers(1, 5)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spanning_sets())
+def test_index_keys_each_tail_as_its_element_joins(gens):
+    """reducer_index, and every _index_add of a Buchberger run, key each
+    element's tail as the element joins, before any reduction reads it."""
+    data, joined = _joined(lambda: module_buchberger(gens))
+    assert joined
+    for basis in (gens, data.basis):
+        assert reducer_index(basis, gens[0].module.rank)[1] == \
+            _keyed_tails(basis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spanning_sets())
+def test_interreduction_against_the_run_matches_the_kept_elements(gens):
+    """module_buchberger reduces each kept tail against its whole run,
+    elements with a redundant lead included, and returns the reduced
+    basis that interreduction against the kept elements only gives."""
+    data, joined = _joined(lambda: module_buchberger(gens))
+    assert data.basis == reference.interreduce(joined)
 
 
 @st.composite
@@ -442,18 +493,6 @@ def test_module_buchberger_basis_checked_without_pruning(gens, rnd):
     assert module_buchberger(perm).basis == basis
 
 
-def _reference_interreduce(keep):
-    """module_buchberger's interreduction as it was before it took the
-    run's keyed tails: each tail reduced as a Vec against a fresh index
-    of the kept elements."""
-    M = keep[0].module
-    index = reducer_index(keep, M.rank)
-    out = [Vec(M, b.terms[:1] + vec_nf(Vec(M, b.terms[1:]), keep,
-                                       index).terms) for b in keep]
-    out.sort(key=lambda b: M.neg_key(*b.terms[0][0]))
-    return out
-
-
 @st.composite
 def tangled_bases(draw):
     """(reduced, tangled): a reduced Groebner basis of random vectors of
@@ -491,7 +530,7 @@ def test_interreduction_matches_the_vec_tail_reference(bases, rnd):
     tails the run holds, gives the reduced basis, as the Vec-tail
     reference does, in any input order."""
     reduced, tangled = bases
-    assert _reference_interreduce(tangled) == reduced
+    assert reference.interreduce(tangled) == reduced
     rnd.shuffle(tangled)
     assert module_buchberger(tangled).basis == reduced
 
