@@ -17,7 +17,7 @@ generator is homogeneous and no ideal generator is a nonzero constant.
 """
 
 import re
-from math import comb
+from math import comb, lcm
 
 from .errors import InputError
 from .fields import DEFAULT_PRIME, PRIME_BOUND, Field
@@ -173,7 +173,7 @@ def print_document(doc):
 
 # -- polynomial expression parsing ----------------------------------------
 
-_TOKEN = re.compile(r"([0-9]+)|([^\W\d]\w*)|([-+*^()])|(\S)")
+_TOKEN = re.compile(r"([0-9]+(?:/[0-9]+)?)|([^\W\d]\w*)|([-+*^()])|(\S)")
 MAX_NESTING = 100
 MAX_POWER_TERMS = 500
 # x^N*y reduced by a linear parameter passes through N-term intermediates:
@@ -191,14 +191,15 @@ MAX_COEFF_BITS = 1000
 
 def parse_poly(expr, ring, line=None, col=1):
     """Parse a polynomial expression into the given ring; `col` is the
-    expression's column in its line.  _TOKEN reads an ASCII integer, a
-    name, an operator or any other character, which is an error;
-    parentheses nest at most MAX_NESTING deep; a power f^n of a k-term f,
-    with up to comb(n + k - 1, n) terms, and a product f*g, with up to
-    len(f) * len(g) terms, each have at most MAX_POWER_TERMS; no written
-    exponent, and no exponent of a variable in the result, exceeds
-    MAX_EXPONENT; no literal has over MAX_DIGITS digits and, over QQ, no
-    coefficient of a power or product can pass 2^MAX_COEFF_BITS."""
+    expression's column in its line.  _TOKEN reads an ASCII integer or
+    fraction c/d (c d^-1 over GF(p), where d must not vanish), a name, an
+    operator or any other character, which is an error; parentheses nest
+    at most MAX_NESTING deep; a power f^n of a k-term f, with up to
+    comb(n + k - 1, n) terms, and a product f*g, with up to len(f) *
+    len(g) terms, each have at most MAX_POWER_TERMS; no written exponent,
+    and no exponent of a variable in the result, exceeds MAX_EXPONENT; no
+    literal has over MAX_DIGITS digits and, over QQ, no numerator or
+    denominator of a power or product can pass 2^MAX_COEFF_BITS."""
     index = {name: i for i, name in enumerate(ring.names)}
     rational = not ring.field.p
 
@@ -212,9 +213,13 @@ def parse_poly(expr, ring, line=None, col=1):
             err("unexpected character %r" % other, m.start())
         if num is not None and len(num) > MAX_DIGITS:
             err("integer longer than %d digits" % MAX_DIGITS, m.start())
-        toks.append(("int", int(num), m.start()) if num is not None
+        c, _, d = (num or "").partition("/")
+        if d and not ring.field.of(int(d)):
+            err("zero denominator", m.start() + len(c) + 1)
+        toks.append((op, op, m.start()) if op is not None
                     else ("name", name, m.start()) if name is not None
-                    else (op, op, m.start()))
+                    else ("int", int(c), m.start()) if not d
+                    else ("c/d", int(c) * ring.field.inv(int(d)), m.start()))
     toks.append(("end", None, len(expr)))
     toks.reverse()      # a stack: the next token is last
     depth = 0
@@ -222,7 +227,7 @@ def parse_poly(expr, ring, line=None, col=1):
     def atom():
         nonlocal depth
         kind, val, pos = toks.pop()
-        if kind == "int":
+        if kind in ("int", "c/d"):
             return ring.const(val)
         if kind == "name":
             if val not in index:
@@ -242,9 +247,11 @@ def parse_poly(expr, ring, line=None, col=1):
             err("unexpected end of expression", pos)
         err("unexpected token %r" % (val,), pos)
 
-    def bits(f):    # log2 of a bound on f's coefficients, additive under *
-        norm = sum(abs(c) for _, c in f.terms) if rational else 1
-        return int(norm - 1).bit_length()
+    def bits(f):    # log2 of D |D f|_1, D the lcm of the denominators: it
+        if not rational:    # bounds every numerator and denominator of f
+            return 0        # and is additive under *
+        D = lcm(*(c.denominator for _, c in f.terms))
+        return int(D * D * sum(abs(c) for _, c in f.terms) - 1).bit_length()
 
     def bounded(f, pos):
         if max((max(e) for e, _ in f.terms), default=0) > MAX_EXPONENT:
@@ -275,7 +282,7 @@ def parse_poly(expr, ring, line=None, col=1):
             kind, _, pos = toks[-1]
             if kind == "*":
                 toks.pop()
-            elif kind not in ("name", "(", "int"):  # juxtaposition: 2x, x y
+            elif kind not in ("name", "(", "int", "c/d"):  # 2x, x y
                 return f
             g = power()
             if len(f.terms) * len(g.terms) > MAX_POWER_TERMS:

@@ -433,24 +433,28 @@ def schreyer_level(basis, index, lex):
     x^a e_i is above x^b e_j when x^a lead_i is above x^b lead_j in M, or
     the two are equal and i < j.  So e_i's base is (lk_i << 32) + i, for
     lk_i = M.neg_key(lead_i), and F's key width M's plus 32; a degree in
-    F of 2**31 or more raises ResourceExceeded.  For each i, the pairs
-    (i, j > i) whose leads share a component and whose m_ij = lcm/lead_i
-    are minimal, the first j among equal ones (`minimal_monomials`, as
-    `module_buchberger` picks), give one syzygy each: vec_nf reduces the
-    S-vector m_ij g_i - m_ji g_j to zero, and m_ij e_i - m_ji e_j plus its
-    quotients, already sorted and keyed (x^q e_k by the term vec_nf
-    popped, strictly descending below the lcm, then k), is the syzygy.
-    They are a Groebner basis under F's order, with leads m_ij e_i
-    (Schreyer's theorem).  Every pair is picked before any is reduced:
-    component i of F carries a lead exactly when i has a kept pair, and
-    the index holds only the keyed tail terms in those components, since
+    F of 2**31 or more raises ResourceExceeded.  Within each component the
+    leads of `basis` are minimal and descend in the lex order ranking the
+    variables as `lex` lists them, as the syzygies' leads do, which bounds
+    an iterated frame's length by the number of variables.  For each i,
+    the pairs (i, j > i) whose leads share a component and whose m_ij =
+    lcm/lead_i are minimal give one syzygy each, in descending lex order
+    of m_ij, picked off a table of the component's later leads.  A later
+    lead x_v divides no other lead, so its m_ij = x_v equals and divides no
+    other m_ij: its pair is kept as it stands, with m_ji = lead_i, and such
+    pairs come in lex order.  Only the other m_ij go through
+    `minimal_monomials` (the first j among equal ones) and a lex sort.
+    vec_nf reduces the S-vector m_ij g_i - m_ji g_j to zero, and
+    m_ij e_i - m_ji e_j plus its quotients, already sorted and keyed
+    (x^q e_k by the term vec_nf popped, strictly descending below the lcm,
+    then k), is the syzygy.  They are a Groebner basis under F's order, with
+    leads m_ij e_i (Schreyer's theorem).  Every pair is picked before any is
+    reduced: component i of F carries a lead exactly when i has a kept pair,
+    and the index holds only the keyed tail terms in those components, since
     no reduction can reduce a term anywhere else (see `vec_nf`); the
-    syzygies keep every term.  Within a lead component, leads descend in
-    the lex order ranking the variables as `lex` lists them, which bounds
-    an iterated frame's length by the number of variables.  A nonzero
-    remainder (no Groebner basis) fails a crosscheck, which covers the
-    components that carry a lead of `basis` when `index` leaves the
-    lead-free terms out, as a frame's does.
+    syzygies keep every term.  A nonzero remainder (no Groebner basis) fails
+    a crosscheck, which covers the components that carry a lead of `basis`
+    when `index` leaves the lead-free terms out, as a frame's does.
     """
     M = basis[0].module
     ring, key_shift, zero_exp = M.ring, M.key_shift, M.ring.zero_exp
@@ -462,35 +466,37 @@ def schreyer_level(basis, index, lex):
     F = FreeModule(ring, len(basis), shifts, keys=(
         [(lk << 32) + i for i, lk in enumerate(lks)], M.key_width + 32))
     one, minus_one = ring.field.one, ring.field.of(-1)
-    later = {}
-    for i, (comp, _) in enumerate(leads):
-        later.setdefault(comp, []).append(i)
-    pairs = []
-    for i, (comp, ei) in enumerate(leads):
-        js = later[comp]
-        del js[0]  # i itself; the rest of its component follows it
-        if not js:
-            continue
-        kept = minimal_monomials([(tuple(map(max, map(sub, leads[j][1], ei),
-                                                  zero_exp)), j) for j in js])
-        if len(kept) > 1:
-            kept.sort(key=lambda t: [t[0][v] for v in lex], reverse=True)
-        pairs += [(i, m, j, tuple(map(max, map(sub, ei, leads[j][1]),
-                                      zero_exp))) for m, j in kept]
-    lead_comps = {i for i, _, _, _ in pairs}
+
+    def over(a, b):     # lcm(a, b) / b
+        return tuple(map(max, map(sub, a, b), zero_exp))
+
+    table = {}  # comp: its later leads x_v, its others, as (exp, position)
+    picked = [()] * len(leads)
+    for i, (comp, ei) in reversed(list(enumerate(leads))):
+        ones, rest = table.setdefault(comp, ([], []))
+        kept = ones[::-1]
+        if rest:
+            kept += minimal_monomials([(over(ej, ei), j)
+                                       for ej, j in reversed(rest)])
+            kept.sort(key=lambda p: [p[0][v] for v in lex], reverse=True)
+        picked[i] = kept
+        (ones if sum(ei) == 1 else rest).append((ei, i))
     syz = []
     syz_index = reducer_index((), F.rank)
     stuck = 0
-    for i, m, j, mji in pairs:
-        tail = [(((lks[i] + key_shift(m)) << 32) + j, j, mji, minus_one)]
-        if vec_nf(_s_vector(basis, index, i, m, j, mji), basis, index,
-                  tail).terms:
-            stuck += 1
-            continue
-        syz_index[0][i].append((m, len(syz)))
-        syz_index[1][len(syz)] = tuple([t for t in tail if t[1] in lead_comps])
-        syz.append(Vec(F, (((i, m), one),)
-                       + tuple([((pos, q), c) for _, pos, q, c in tail])))
+    for i, kept in enumerate(picked):
+        ei = leads[i][1]
+        for m, j in kept:
+            mji = ei if sum(leads[j][1]) == 1 else over(ei, leads[j][1])
+            tail = [(((lks[i] + key_shift(m)) << 32) + j, j, mji, minus_one)]
+            if vec_nf(_s_vector(basis, index, i, m, j, mji), basis, index,
+                      tail).terms:
+                stuck += 1
+                continue
+            syz_index[0][i].append((m, len(syz)))
+            syz_index[1][len(syz)] = tuple([t for t in tail if picked[t[1]]])
+            syz.append(Vec(F, (((i, m), one),)
+                           + tuple([((pos, q), c) for _, pos, q, c in tail])))
     crosscheck("S-vectors of a Groebner basis whose F part is not zero",
                stuck, 0)
     return syz, syz_index

@@ -171,10 +171,12 @@ def tor_betti(f0_shifts, frame):
     Tor(M, k) is the homology of F tensor k, whose differentials keep the
     constant entries of the d_k.  These maps preserve degree, so
     beta_{k,j} = f_{k,j} - rank(d_k tensor k)_j - rank(d_{k+1} tensor k)_j:
-    the graded Betti numbers of M with no minimalization.
+    the graded Betti numbers of M with no minimalization.  A level's
+    degrees are the shifts of the next level's module, where there is one.
     """
     ranks = [{}] + [_constant_ranks(cols) for cols in frame] + [{}]
-    degrees = [f0_shifts] + [list(map(_lead_degree, cols)) for cols in frame]
+    degrees = [f0_shifts] + [nxt[0].module.shifts if nxt else list(map(
+        _lead_degree, cols)) for cols, nxt in zip(frame, frame[1:] + [()])]
     out = []
     for k, degs in enumerate(degrees):
         b = Counter(degs)

@@ -93,6 +93,25 @@ def minimal_monomials(pairs):
     return kept
 
 
+def schreyer_pairs(leads, lex):
+    """The pair rule `schreyer_level` kept before it read its pairs off a
+    table of later leads: for each i, m_ij = lcm/lead_i for every later j
+    of its component, the minimal ones by `minimal_monomials`, the least
+    j among equal ones, sorted descending in the lex order ranking the
+    variables as `lex` lists them, as (i, m_ij, j, m_ji) for the
+    (component, exponent) leads."""
+    def over(a, b):
+        return tuple(max(x - y, 0) for x, y in zip(a, b))
+    pairs = []
+    for i, (comp, ei) in enumerate(leads):
+        kept = minimal_monomials([(over(ej, ei), j)
+                                  for j, (cj, ej) in enumerate(leads)
+                                  if j > i and cj == comp])
+        kept.sort(key=lambda t: [t[0][v] for v in lex], reverse=True)
+        pairs += [(i, m, j, over(ei, leads[j][1])) for m, j in kept]
+    return pairs
+
+
 def position_over_term(ring, rank):
     """The order triples ((i,), 0, ()) of position over term."""
     return [((i,), ring.zero_exp, ()) for i in range(rank)]

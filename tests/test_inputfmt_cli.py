@@ -99,18 +99,44 @@ def test_parse_poly_juxtaposition_and_parens():
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([F, QQ]), st.integers(min_value=0, max_value=10 ** 6))
 def test_parse_poly_str_roundtrip(field, seed):
-    """A polynomial with integer coefficients prints as text that parses
-    back to it, over QQ as over GF(32003): a negative coefficient prints
-    as a minus sign and its magnitude, a magnitude of 1 left out."""
+    """A polynomial prints as text that parses back to it, over QQ, with
+    integer and fractional coefficients, as over GF(32003): a negative
+    coefficient prints as a minus sign and its magnitude, a magnitude of 1
+    left out, and a fraction as c/d."""
     import random
+    from fractions import Fraction
     rng = random.Random(seed)
     R = PolyRing(("x", "y", "z"), (1, 2, 1), field)
     terms = {}
     for _ in range(rng.randint(0, 5)):
         exp = tuple(rng.randint(0, 4) for _ in range(3))
-        terms[exp] = field.of(rng.randint(-9, 9))
+        c = rng.randint(-9, 9)
+        terms[exp] = (field.of(Fraction(c, rng.randint(1, 9))) if not field.p
+                      else field.of(c))
     f = R.from_dict(terms)
     assert inputfmt.parse_poly(str(f), R) == f
+
+
+def test_parse_poly_reads_fractions():
+    """c/d is c times the inverse of d, in QQ and in GF(p); a denominator
+    that is zero in the field is an InputError at its column, and a
+    fraction is no exponent."""
+    for field in (QQ, GF(7), F):
+        R = PolyRing(("x", "y"), (1, 1), field)
+        x, y = R.gens()
+        half = field.inv(field.of(2))
+        assert inputfmt.parse_poly("-3/2*x + 1/2 y", R) == (
+            x.scale(-3 * half) + y.scale(half))
+        with pytest.raises(InputError) as e:
+            inputfmt.parse_poly("x + 1/0", R)
+        assert e.value.col == 7
+        with pytest.raises(InputError):
+            inputfmt.parse_poly("x^3/2", R)
+    with pytest.raises(InputError) as e:   # 14 is 0 in GF(7)
+        inputfmt.parse_poly("x + 2/14", PolyRing(("x",), (1,), GF(7)))
+    assert e.value.col == 7
+    with pytest.raises(InputError):   # (1/3)^700 has a 1110-bit denominator
+        inputfmt.parse_poly("(1/3)^700", PolyRing(("x",), (1,), QQ))
 
 
 @settings(max_examples=300, deadline=None)

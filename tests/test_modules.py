@@ -691,6 +691,61 @@ def test_pair_rule_matches_the_reference_on_random_vectors(gens):
     _assert_the_reference_rule_agrees(run)
 
 
+@st.composite
+def lead_tables(draw):
+    """(leads, lex): the (component, exponent) leads of a Schreyer level
+    in 2-6 variables and 1-3 components, the components interleaved at
+    random, each holding minimal monomials that descend in the lex order
+    `lex`, a random ranking of the variables.  A component holds variables
+    only; or variables and monomials of degree 2-4; or those and the
+    products g x_a of one g, whose pairs have a variable as m_ij beside
+    the variable leads' pairs.  A higher-degree lead never ties with a
+    later lead x_v on m_ij = x_v, which needs x_v to divide it."""
+    n = draw(st.integers(2, 6))
+    lex = draw(st.permutations(range(n)))
+    unit = [tuple(int(u == v) for u in range(n)) for v in range(n)]
+    comps = []
+    for c in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["variables", "mixed", "shared"]))
+        gens = {unit[v] for v in draw(st.sets(
+            st.integers(0, n - 1), min_size=1,
+            max_size=n if kind == "variables" else 2))}
+        if kind != "variables":
+            gens |= draw(st.sets(st.tuples(*[st.integers(0, 2)] * n).filter(
+                lambda e: sum(e) > 1), min_size=1, max_size=10))
+        if kind == "shared":
+            g = draw(st.tuples(*[st.integers(0, 1)] * n))
+            gens |= {tuple(map(add, g, unit[v])) for v in draw(st.sets(
+                st.integers(0, n - 1), min_size=2))}
+        gens = [e for e in gens
+                if not any(f != e and all(map(ge, e, f)) for f in gens)]
+        gens.sort(key=lambda e: [e[v] for v in lex], reverse=True)
+        comps.append([(c, e) for e in gens])
+    leads = []
+    while any(comps):
+        k = draw(st.sampled_from([k for k, c in enumerate(comps) if c]))
+        leads.append(comps[k].pop(0))
+    return leads, lex
+
+
+@settings(max_examples=300, deadline=None)
+@given(lead_tables())
+def test_schreyer_pairs_match_the_reference_rule(case):
+    """On a basis of monomial vectors, whose S-vectors are zero, each
+    syzygy is m_ij e_i - m_ji e_j: schreyer_level keeps the pairs of the
+    reference rule, in its order, with the same m_ij, partner j and m_ji,
+    whether a component's leads are all variables or not."""
+    leads, lex = case
+    n = len(leads[0][1])
+    R = PolyRing(["x%d" % v for v in range(n)], (1,) * n, F)
+    M = FreeModule(R, 1 + max(c for c, _ in leads))
+    basis = [Vec(M, ((lead, F.one),)) for lead in leads]
+    syz = schreyer_level(basis, reducer_index(basis, M.rank), lex)[0]
+    assert all(len(v.terms) == 2 for v in syz)
+    assert ([(i, m, j, mji) for ((i, m), _), ((j, mji), _) in
+             (v.terms for v in syz)] == reference.schreyer_pairs(leads, lex))
+
+
 def test_pair_rule_matches_the_reference_on_the_corpus():
     """The corpus rings' Rees presentations at n = 2, 3, built afresh,
     their frames and Bigatti numerators: the same S-pairs in the same

@@ -823,6 +823,44 @@ def test_corpus_frames_match_the_graph_row_reference(corpus_instances,
                 triples = schreyer_triples(triples, lower)
 
 
+def _betti_by_lead_degrees(f0_shifts, frame):
+    """tor_betti with every level's column degrees read off its leads."""
+    ranks = ([{}] + [resolutions._constant_ranks(cols) for cols in frame]
+             + [{}])
+    out = []
+    for k, degs in enumerate([f0_shifts] + [
+            list(map(resolutions._lead_degree, cols)) for cols in frame]):
+        b = Counter(degs)
+        b.subtract(ranks[k])
+        b.subtract(ranks[k + 1])
+        out.append({j: c for j, c in b.items() if c})
+    return out
+
+
+def test_tor_betti_reads_the_lead_degrees_off_the_next_level(
+        corpus_instances):
+    """On the Rees rings' frames at n = 2, 3, the shifts of each level's
+    module are the lead degrees of the level below, and tor_betti, which
+    reads them, gives the Betti numbers that the lead degrees give; so it
+    does on two_planes' frame with its last level emptied, whose level
+    below has no next module and reads its lead degrees."""
+    for name, (A, q) in corpus_instances.items():
+        for n in (2, 3):
+            gb = as_vecs(list(oracle.rees_presentation(A, q, n).ring.gb()))
+            frame = resolutions.schreyer_frame(gb)
+            for cols, nxt in zip(frame, frame[1:]):
+                assert nxt[0].module.shifts == tuple(
+                    map(resolutions._lead_degree, cols)), (name, n)
+            assert (resolutions.tor_betti((0,), frame)
+                    == _betti_by_lead_degrees((0,), frame)), (name, n)
+    A, _ = corpus_instances["two_planes"]
+    frame = resolutions.schreyer_frame(as_vecs(list(A.gb())))
+    assert len(frame[-1]) == 1
+    frame[-1] = []
+    assert (resolutions.tor_betti((0,), frame)
+            == _betti_by_lead_degrees((0,), frame))
+
+
 def test_euler_characteristic_is_the_hilbert_numerator(corpus_instances):
     for name, (A, _) in corpus_instances.items():
         num = hilbert_numerator([g.lead_exp() for g in A.gb()],
