@@ -66,9 +66,9 @@ def _build_parser():
                                   "the examples command")
     p.add_argument("--mode", choices=["criteria", "both"],
                    help="check only: criteria (the default) or both")
-    p.add_argument("--char", type=int,
+    p.add_argument("--char", type=_int,
                    help="override the coefficient characteristic")
-    p.add_argument("--seed", type=int, help="check and s2 only; default 0")
+    p.add_argument("--seed", type=_int, help="check and s2 only; default 0")
     p.add_argument("--resolution-cap", type=_non_negative)
     return p
 
@@ -80,6 +80,14 @@ _READS = {"check": "mode char seed",
           "oracle": "char resolution_cap", "shimoda": "char",
           "buchsbaum": "char", "invariants": "char resolution_cap",
           "s2": "char seed", "examples": ""}
+
+
+def _int(text):
+    """The value of an integer option, read as document integers are."""
+    try:
+        return inputfmt.read_int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _non_negative(text):

@@ -10,9 +10,11 @@ Grammar (one directive per line, blank lines and #-comments ignored):
     power <n>
 
 Polynomial expressions use + - * ^ with integer coefficients and
-parentheses.  Parse errors carry 1-based line and column positions.
-A document is checked before any ring is built: the characteristic is 0
-or a prime, variable names are distinct, the power is 1 to MAX_POWER, every
+parentheses.  Every integer is ASCII digits, in a directive after an
+optional minus (`read_int`).  Parse errors carry 1-based line and column
+positions.  A document is checked before any ring is built: ring, char
+and power appear at most once, the characteristic is 0 or a prime,
+variable names are distinct, the power is 1 to MAX_POWER, every
 generator is homogeneous and no ideal generator is a nonzero constant.
 """
 
@@ -89,6 +91,14 @@ def _generators(ring, exprs, positions, proper=False):
     return out
 
 
+def read_int(text):
+    """The value of ASCII digits after an optional minus; a ValueError for
+    all else, such as `1_0`, `+1`, ` 1` or `\uff13`, which int() accepts."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError("invalid int value: %r" % text)
+    return int(text)
+
+
 def _items(raw, key, pattern):
     """(item, 1-based column) of each match of pattern after the directive
     key in the raw line, comments left out."""
@@ -100,6 +110,7 @@ def _items(raw, key, pattern):
 
 def parse_document(text):
     doc = InputDocument()
+    once = set()    # the single-valued directives read so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -108,11 +119,14 @@ def parse_document(text):
         key = parts[0]
         rest = parts[1] if len(parts) > 1 else ""
         col = raw.index(key) + 1
+        if key in once:
+            raise InputError("duplicate %s directive" % key, lineno, col)
+        once |= {key} & {"ring", "char", "power"}
         if key == "ring":
             doc.name = rest.strip()
         elif key == "char":
             try:
-                doc.char = int(rest.strip())
+                doc.char = read_int(rest.strip())
             except ValueError:
                 raise InputError("char expects an integer", lineno, col)
             _field(doc.char, lineno, col)
@@ -121,7 +135,7 @@ def parse_document(text):
                 if ":" in item:
                     name, _, w = item.partition(":")
                     try:
-                        weight = int(w)
+                        weight = read_int(w)
                     except ValueError:
                         raise InputError("bad weight in %r" % item, lineno,
                                          icol)
@@ -144,7 +158,7 @@ def parse_document(text):
                 pos.append((lineno, icol))
         elif key == "power":
             try:
-                doc.power = int(rest.strip())
+                doc.power = read_int(rest.strip())
             except ValueError:
                 raise InputError("power expects an integer", lineno, col)
             if doc.power < 1:

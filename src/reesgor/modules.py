@@ -413,23 +413,27 @@ def graph_tail(basis, target):
             for b in basis if b.lead()[0][0] >= rank]
 
 
+def tail_shifts(gens):
+    """The shifts of a graph module's tail on gens: deg g_i, 0 if g_i = 0."""
+    return tuple(g.degree() if not g.is_zero() else 0 for g in gens)
+
+
 def module_syzygies(gens):
     """The syzygies of `gens` (Vecs in F^len) as a reduced Groebner basis:
     the tail of `colon_basis(gens, [])`.  No package module calls it; it
     is the tests' reference and a layer the benchmark traces."""
-    shifts = [g.degree() if not g.is_zero() else 0 for g in gens]
-    return graph_tail(colon_basis(gens, []),
-                      FreeModule(gens[0].module.ring, len(gens), shifts))
+    return graph_tail(colon_basis(gens, []), FreeModule(
+        gens[0].module.ring, len(gens), tail_shifts(gens)))
 
 
 def schreyer_level(basis, index, lex):
-    """(syzygies, their reducer index): the syzygies of a Groebner basis
-    read off its S-pair reductions (Schreyer 1980; La Scala-Stillman
-    1998), with their tails keyed.
+    """(F, syzygies, their reducer index): the free module on a Groebner
+    basis, returned with no syzygies too, and the syzygies read off its
+    S-pair reductions (Schreyer 1980; La Scala-Stillman 1998), keyed.
 
     `basis` is a monic Groebner basis under the order of its module M,
-    and `index` its reducer index.  The syzygies lie in F, free on the
-    basis elements, graded by their degrees, under the Schreyer order:
+    and `index` its reducer index.  F, where the syzygies lie, has the
+    degrees of the basis elements as its shifts, and the Schreyer order:
     x^a e_i is above x^b e_j when x^a lead_i is above x^b lead_j in M, or
     the two are equal and i < j.  So e_i's base is (lk_i << 32) + i, for
     lk_i = M.neg_key(lead_i), and F's key width M's plus 32; a degree in
@@ -499,19 +503,18 @@ def schreyer_level(basis, index, lex):
                            + tuple([((pos, q), c) for _, pos, q, c in tail])))
     crosscheck("S-vectors of a Groebner basis whose F part is not zero",
                stuck, 0)
-    return syz, syz_index
+    return F, syz, syz_index
 
 
 def colon_basis(gens, rels):
     """Groebner basis of the graph module in F + P^s spanned by the rows
-    (g_i, e_i) and (r, 0), with tail shifts deg g_i (0 for a zero g_i).
-    Under position over term with the F block first, an element led in
-    the tail has no F part, and the tail is {u : sum u_i g_i in
-    span(rels)}."""
+    (g_i, e_i) and (r, 0), with tail shifts `tail_shifts(gens)`.  Under
+    position over term with the F block first, an element led in the tail
+    has no F part, and the tail is {u : sum u_i g_i in span(rels)}."""
     module = gens[0].module
     rank = module.rank
-    GM = FreeModule(module.ring, rank + len(gens), module.shifts + tuple(
-        g.degree() if not g.is_zero() else 0 for g in gens))
+    GM = FreeModule(module.ring, rank + len(gens),
+                    module.shifts + tail_shifts(gens))
     one, zero_exp = module.ring.field.one, module.ring.zero_exp
     rows = [GM.from_dict({**dict(g.terms), (rank + i, zero_exp): one})
             for i, g in enumerate(gens)]

@@ -5,28 +5,19 @@ A module is the cokernel of a reduced Groebner basis of a graded free
 module (`ModulePresentation(f0, cols)`), off which the length, socle,
 minimal generators, resolution and annihilator are read; `subquotient`
 presents (im gens)/(im rels) so, by the tail of
-`modules.colon_basis(gens, rels)`.  A resolution is a Schreyer frame
-(Schreyer 1980; La Scala and Stillman, Strategies for computing minimal
-free resolutions, JSC 26, 1998): every resolution starts from a reduced
-Groebner basis and its Hilbert numerator (a module's columns or a ring's
-memoized `gb()`), the frame's first level, and each next level is read
-off the S-pair reductions of the last by `modules.schreyer_level`, under
-the Schreyer order that level induces.  Those syzygies are already a
-Groebner basis of the next syzygy module, so no level runs Buchberger.
-The frame is exact but not minimal, and it is never minimalized: the
-graded Betti numbers are the ranks of Tor(M, k), the homology of the
-frame tensored with k, whose differentials are the frame's constant
-entries (`tor_betti`, by sparse elimination over the field, degree by
-degree; Erocal, Motsak, Schreyer and Steenpass, Refined algorithms to
-compute syzygies, JSC 74, 2016).  pd, the Betti numbers and the shifts of
-a minimal resolution are read off them, and Ext is the cohomology of the
-dual of the frame.
-A frame can be longer than pd; a length cap raises only when the
-minimal length exceeds it.  The graded Euler characteristic of the Betti
-numbers, which is the frame's own, is crosschecked against that
-numerator.  A resolution stores its differentials as tuples, so a cached
-one can be shared between callers.  `minimalize_step`, the tests'
-reference minimalization, pivots unit entries out one at a time.
+`modules.colon_basis(gens, rels)`.  A resolution is its free modules and
+its maps, a Schreyer frame (Schreyer 1980; La Scala and Stillman,
+Strategies for computing minimal free resolutions, JSC 26, 1998): it
+starts from a reduced Groebner basis and its Hilbert numerator (a
+module's columns or a ring's memoized `gb()`), the first level, and
+`modules.schreyer_level` reads each next level, and the free module the
+level lies in, off the S-pair reductions of the last, under the Schreyer
+order that level induces, with no Buchberger run.  The shifts of those
+modules are the resolution's only record of degrees.  The frame is exact
+but never minimalized: the graded Betti numbers are the ranks of
+Tor(M, k), read off the frame's constant entries (`tor_betti`; Erocal,
+Motsak, Schreyer and Steenpass, Refined algorithms to compute syzygies,
+JSC 74, 2016), and Ext is the cohomology of the dual of the frame.
 """
 
 from collections import Counter
@@ -40,7 +31,7 @@ from .groebner import as_vecs
 from .hilbert import INFINITE, finite_length, hilbert_numerator, upoly_add
 from .idealops import intersect as intersect_ideals
 from .modules import (FreeModule, colon_basis, graph_tail, module_colon,
-                      reducer_index, schreyer_level, vec_nf)
+                      reducer_index, schreyer_level, tail_shifts, vec_nf)
 from .polys import _exp_mul
 
 
@@ -79,15 +70,17 @@ class GradedResolution:
     """A graded free resolution F_0 <- F_1 <- ... of a module M, held as
     its Schreyer frame, with the graded Betti numbers of M.
 
-    diffs[k] holds the columns of the frame's d_{k+1} as Vecs in F_k;
+    modules[k] is the free module F_k, whose shifts are the degrees of
+    its generators, and diffs[k] holds the columns of the frame's d_{k+1}
+    as Vecs in F_k, so there is one more module than differentials;
     betti[k] maps each degree j to beta_{k,j} = dim Tor_k(M, k)_j, the
     rank of F_k in degree j of a minimal resolution.  pd and betti()
     read the Betti numbers; the frame can be longer than pd.
     """
 
-    def __init__(self, ring, f0_shifts, diffs, betti):
+    def __init__(self, ring, modules, diffs, betti):
         self.ring = ring
-        self.f0_shifts = tuple(f0_shifts)
+        self.modules = tuple(modules)
         # tuples and read-only mappings, because resolutions are cached
         # and shared between callers
         self.diffs = tuple(tuple(cols) for cols in diffs)
@@ -124,15 +117,17 @@ def _lex_ranking(gb):
 
 
 def schreyer_frame(gb, length_cap=None):
-    """The levels of a Schreyer frame, the columns of d_1, d_2, ...
+    """(modules, levels): the free modules F_0, F_1, ... of a Schreyer
+    frame and the columns of d_1, d_2, ..., levels[k] Vecs in modules[k].
 
-    gb is a monic Groebner basis, the first level; it is listed with
+    gb is a monic Groebner basis in F_0, the first level; it is listed with
     leads descending lexicographically within each component, as
     `schreyer_level` lists every later level, which bounds the frame's
     length under any lex order.  The lex order ranks the variables in
     the fewest leads of gb first (`_lex_ranking`), which keeps the frame
-    small.  Each next level is `schreyer_level` of the last, until one
-    is empty or, with a length cap, through d_{cap+2}; it hands down its
+    small.  Each next level and its module F_k are `schreyer_level` of
+    the last, until a level is empty (its module ends the list) or, with
+    a length cap, through d_{cap+2} in F_{cap+1}; it hands down its
     reducer index with the tails keyed, so only the first level's tails
     are keyed from their Vecs, in full.  Every later level's index keys
     only the tail terms in components that carry a lead of that level,
@@ -146,40 +141,34 @@ def schreyer_frame(gb, length_cap=None):
     def lex_descending(b):
         (comp, e), _ = b.terms[0]
         return comp, [-e[v] for v in lex]
+    modules = [gb[0].module]
     frame = [sorted(gb, key=lex_descending)]
-    index = reducer_index(frame[0], frame[0][0].module.rank)
+    index = reducer_index(frame[0], modules[0].rank)
     while length_cap is None or len(frame) < length_cap + 2:
-        syz, index = schreyer_level(frame[-1], index, lex)
+        F, syz, index = schreyer_level(frame[-1], index, lex)
+        modules.append(F)
         if not syz:
             break
         frame.append(syz)
-    return frame
+    return modules, frame
 
 
-def _lead_degree(v):
-    """The degree of a homogeneous nonzero Vec, read off its lead."""
-    (comp, e), _ = v.terms[0]
-    return v.module.ring.wdeg(e) + v.module.shifts[comp]
-
-
-def tor_betti(f0_shifts, frame):
-    """{j: dim Tor_k(M, k)_j} for k = 0, ..., len(frame), where M =
-    coker d_1, F_0 has generators in the degrees f0_shifts and frame holds
-    the columns of the differentials d_1, d_2, ... of a graded free
-    resolution of M whose next differential is zero.
+def tor_betti(modules, frame):
+    """{j: dim Tor_k(M, k)_j} for k < len(modules), where M = coker d_1,
+    modules holds the free modules F_0, F_1, ... of a graded free
+    resolution of M and frame the columns of its differentials d_1, d_2,
+    ..., d_k mapping F_k to F_{k-1}; a d_k past the frame is zero.
 
     Tor(M, k) is the homology of F tensor k, whose differentials keep the
     constant entries of the d_k.  These maps preserve degree, so
-    beta_{k,j} = f_{k,j} - rank(d_k tensor k)_j - rank(d_{k+1} tensor k)_j:
-    the graded Betti numbers of M with no minimalization.  A level's
-    degrees are the shifts of the next level's module, where there is one.
+    beta_{k,j} = f_{k,j} - rank(d_k tensor k)_j - rank(d_{k+1} tensor k)_j,
+    f_{k,j} counting the shifts j of F_k: the graded Betti numbers of M
+    with no minimalization.
     """
-    ranks = [{}] + [_constant_ranks(cols) for cols in frame] + [{}]
-    degrees = [f0_shifts] + [nxt[0].module.shifts if nxt else list(map(
-        _lead_degree, cols)) for cols, nxt in zip(frame, frame[1:] + [()])]
+    ranks = [{}] + list(map(_constant_ranks, modules, frame)) + [{}]
     out = []
-    for k, degs in enumerate(degrees):
-        b = Counter(degs)
+    for k, F in enumerate(modules):
+        b = Counter(F.shifts)
         b.subtract(ranks[k])
         b.subtract(ranks[k + 1])
         out.append({j: c for j, c in b.items() if c})
@@ -194,25 +183,22 @@ def minimal_free_resolution(gb, f0, numerator, length_cap=None):
     level, and numerator the Hilbert numerator of M.  Each next level is
     `schreyer_level` of the last, and the Betti numbers are the ranks of
     Tor(M, k) off the frame (`tor_betti`).  With a length cap the frame
-    is built through d_{cap+2} at most, which fixes beta_{cap+1}:
-    ResourceExceeded is raised only when it is not zero, that is when
-    the minimal length exceeds the cap.  The graded Euler characteristic
-    of the Betti numbers, the frame's own, is crosschecked against the
-    numerator, so the check covers the frame and the Tor ranks both.
+    is built through d_{cap+2} in F_{cap+1} at most, which fixes
+    beta_{cap+1}: ResourceExceeded is raised only when it is not zero,
+    that is when the minimal length exceeds the cap.  The graded Euler
+    characteristic of the Betti numbers, the frame's own, is crosschecked
+    against the numerator, so the check covers the frame and the Tor
+    ranks both.  An empty gb leaves F_0 free, a frame of no level.
     """
-    ring = f0.ring
-    if not gb:
-        return GradedResolution(ring, f0.shifts, [], tor_betti(f0.shifts, []))
-    frame = schreyer_frame(gb, length_cap)
-    betti = tor_betti(f0.shifts, frame)
-    if length_cap is not None and len(frame) == length_cap + 2:
-        betti.pop()     # the frame was cut: Tor_{cap+2} needs d_{cap+3}
+    modules, frame = schreyer_frame(gb, length_cap) if gb else ([f0], [])
+    betti = tor_betti(modules, frame)
     while len(betti) > 1 and not betti[-1]:
         betti.pop()
     if length_cap is not None and len(betti) > length_cap + 1:
         raise ResourceExceeded("resolution length cap exceeded")
     # Ext^pd reads d_{pd+1}; no later level of the frame is needed
-    res = GradedResolution(ring, f0.shifts, frame[:len(betti)], betti)
+    res = GradedResolution(f0.ring, modules[:len(betti) + 1],
+                           frame[:len(betti)], betti)
     crosscheck("graded Euler characteristic of the resolution and the "
                "Hilbert numerator of its module",
                res.euler_characteristic(), dict(numerator))
@@ -273,7 +259,7 @@ class ModulePresentation:
 
     def min_generators(self):
         """Number of minimal generators (graded Nakayama)."""
-        return self.f0.rank - sum(_constant_ranks(self.cols).values())
+        return self.f0.rank - sum(_constant_ranks(self.f0, self.cols).values())
 
     def annihilator_gens(self):
         """Generators of {f in P : f * self = 0}, as a tuple: the
@@ -329,14 +315,13 @@ def subquotient(ambient, gens, rels):
     """The graded subquotient (im gens)/(im rels) of the free module
     ambient, as the cokernel of the tail of `colon_basis(gens, rels)`,
     the module {u : sum u_i g_i in span(rels)} over generators of
-    degrees deg g_i (0 for a zero g_i), a reduced Groebner basis.
+    degrees `tail_shifts(gens)`, a reduced Groebner basis.
     Inhomogeneous generators or relations are a ValueError."""
     rels = [r for r in rels if not r.is_zero()]
     for v in chain(gens, rels):
         if not v.is_homogeneous():
             raise ValueError("inhomogeneous generator or relation %r" % v)
-    shifts = [g.degree() if not g.is_zero() else 0 for g in gens]
-    f0 = FreeModule(ambient.ring, len(shifts), shifts)
+    f0 = FreeModule(ambient.ring, len(gens), tail_shifts(gens))
     return ModulePresentation(
         f0, graph_tail(colon_basis(gens, rels), f0) if gens else ())
 
@@ -394,16 +379,12 @@ def _sparse_rank(field, vectors):
     return len(pivots)
 
 
-def _constant_ranks(cols):
+def _constant_ranks(F, cols):
     """{degree j: rank over the field of the constant entries of the
-    columns of degree j}: the graded pieces of the rank of d tensor k.
-    A constant entry of a column of degree j lies in a row of shift j,
-    so the pieces are independent."""
-    if not cols:
-        return {}
-    ring = cols[0].module.ring
-    shifts = cols[0].module.shifts
-    zero_exp = ring.zero_exp
+    columns (Vecs in F) of degree j}: the graded pieces of the rank of
+    d tensor k.  A constant entry of a column of degree j lies in a row
+    of F of shift j, so the pieces are independent."""
+    ring, shifts, zero_exp = F.ring, F.shifts, F.ring.zero_exp
     by_degree = {}
     for col in cols:
         units = {comp: c for (comp, e), c in col.terms if e == zero_exp}
@@ -427,20 +408,19 @@ def resolve_quotient_ring(ring, gb, numerator, length_cap=None):
 
 
 def dual_columns(resolution, k):
-    """Columns of the dual map Hom(d_k, omega): F_{k-1}^* -> F_k^* of the
-    frame's d_k, as (F_k^*, columns).
+    """(F_k^*, the columns of the dual map Hom(d_k, omega): F_{k-1}^* ->
+    F_k^* of the frame's d_k), none for k = 0.
 
-    omega = P(-sum of weights); dual shifts are c - shift.  The columns
-    are indexed by the basis of F_{k-1}^*.
+    omega = P(-c), c the sum of the weights, so F_k^* has shifts c - s
+    for F_k's shifts s; the columns are indexed by F_{k-1}^*'s basis.
     """
-    ring = resolution.ring
-    c = sum(ring.weights)
-    cols = resolution.diffs[k - 1]
-    dualF = FreeModule(ring, len(cols), tuple(c - _lead_degree(v)
-                                              for v in cols))
+    c, F = sum(resolution.ring.weights), resolution.modules[k]
+    dualF = FreeModule(resolution.ring, F.rank, tuple(c - s for s in F.shifts))
+    if not k:
+        return dualF, []
     # one column per row of d_k, that is per basis element of F_{k-1}
-    rows = [{} for _ in range(cols[0].module.rank)]
-    for j, col in enumerate(cols):
+    rows = [{} for _ in range(resolution.modules[k - 1].rank)]
+    for j, col in enumerate(resolution.diffs[k - 1]):
         for (comp, e), coeff in col.terms:
             rows[comp][(j, e)] = coeff
     return dualF, [dualF.from_dict(row) for row in rows]
@@ -450,23 +430,17 @@ def ext_dualizing(resolution, i):
     """Ext^i_P(M, omega_P) as a ModulePresentation, from a resolution of M.
 
     Ext^i is the cohomology ker(d_{i+1}^*) / im(d_i^*) of the dual of the
-    frame, zero for i > pd.  At i = pd the kernel is all of F_pd^* when the
-    frame ends there, and is taken when the frame is longer.
+    frame, F_k^* read off F_k (`dual_columns`), zero for i > pd.  At
+    i = pd the kernel is all of F_pd^* when the frame ends there, and is
+    taken when the frame is longer.
     """
-    ring = resolution.ring
     if i < 0 or i > resolution.pd:
-        return ModulePresentation(FreeModule(ring, 0, ()), ())
-    if i:
-        dualF, rels = dual_columns(resolution, i)
-    else:
-        c = sum(ring.weights)
-        dualF = FreeModule(ring, len(resolution.f0_shifts),
-                           tuple(c - s for s in resolution.f0_shifts))
-        rels = []
+        return ModulePresentation(FreeModule(resolution.ring, 0, ()), ())
+    dualF, rels = dual_columns(resolution, i)
     if i < len(resolution.diffs):
-        _, out_cols = dual_columns(resolution, i + 1)
         # kernel vectors are coefficient vectors over the dual basis of F_i
-        gens = graph_tail(colon_basis(out_cols, []), dualF)
+        gens = graph_tail(colon_basis(dual_columns(resolution, i + 1)[1],
+                                      []), dualF)
     else:
         gens = [dualF.basis_vec(j) for j in range(dualF.rank)]
     return subquotient(dualF, gens, rels)

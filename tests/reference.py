@@ -60,7 +60,13 @@ def syzygies(basis):
     by index."""
     M = basis[0].module
     return schreyer_level(basis, reducer_index(basis, M.rank),
-                          range(M.ring.n))[0]
+                          range(M.ring.n))[1]
+
+
+def lead_degree(v):
+    """The degree of a homogeneous nonzero Vec, read off its lead."""
+    (comp, e), _ = v.terms[0]
+    return v.module.ring.wdeg(e) + v.module.shifts[comp]
 
 
 def interreduce(basis):

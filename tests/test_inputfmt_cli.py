@@ -473,6 +473,32 @@ MALFORMED = {
     "power_not_integer": ("vars x y\nparams x, y\npower two\n", ["check"],
                           "line 3, col 1: power expects an integer"),
     "no_vars": ("ring r\nchar 7\n", ["check"], "no vars directive"),
+    "power_underscore": ("vars x y\nideal x*y\nparams x, y\npower 1_0\n",
+                         ["oracle"], "line 4, col 1: power expects an "
+                                     "integer"),
+    "power_not_ascii": ("vars x y\nideal x*y\nparams x, y\npower \uff13\n",
+                        ["oracle"], "line 4, col 1: power expects an "
+                                    "integer"),
+    "char_underscore": ("vars x y\nchar 3_2003\nideal x*y\nparams x, y\n",
+                        ["check"], "line 2, col 1: char expects an integer"),
+    "weight_not_ascii": ("vars x:\u0663 y\nideal x*y\nparams x, y\n",
+                         ["check"], "line 1, col 6: bad weight in "
+                                    "'x:\u0663'"),
+    "char_override_underscore": ("vars x y\nideal x*y\nparams x, y\n",
+                                 ["check", "--char", "3_2003"],
+                                 "argument --char: invalid int value: "
+                                 "'3_2003'"),
+    "seed_not_ascii": ("vars x y\nideal x*y\nparams x, y\n",
+                       ["check", "--seed", "\u0661"],
+                       "argument --seed: invalid int value: '\u0661'"),
+    "ring_repeated": ("ring a\nring b\nvars x y\nideal x*y\nparams x, y\n",
+                      ["check"], "line 2, col 1: duplicate ring directive"),
+    "char_repeated": ("char 2\nvars x y\n  char 32003\nideal x*y\n"
+                      "params x, y\n", ["check"],
+                      "line 3, col 3: duplicate char directive"),
+    "power_repeated": ("vars x y\nideal x*y\nparams x, y\npower 2\n"
+                       "power 3\n", ["oracle"],
+                       "line 5, col 1: duplicate power directive"),
     "char_above_prime_bound": (
         "vars x y\nchar 3317044064679887385961981\nideal x*y\nparams x, y\n",
         ["check"], "line 2, col 1: characteristic 3317044064679887385961981 "

@@ -24,9 +24,9 @@ from reesgor import corpus, idealops, modules, oracle, resolutions
 from reesgor.cli import run_cli
 from reesgor.resolutions import ext_dualizing, minimalize_step, subquotient
 
-from reference import (cokernel, composes_to_zero, count_calls, mul_poly,
-                       position_over_term, resolve, schreyer_triples,
-                       shifts, syzygies, triple_module)
+from reference import (cokernel, composes_to_zero, count_calls, lead_degree,
+                       mul_poly, position_over_term, resolve,
+                       schreyer_triples, shifts, syzygies, triple_module)
 
 F = GF(DEFAULT_PRIME)
 
@@ -475,7 +475,8 @@ def test_minimalize_step_matches_per_pivot_reference(diff):
 # The reference is a minimal resolution by a loop with no frame: a fresh
 # module_syzygies of each differential, minimalized against it by
 # minimalize_step.  Its Betti numbers are the generator degrees of its
-# free modules, with no Tor ranks.
+# free modules, those of F_{k+1} the degrees of d_{k+1}'s columns, with no
+# Tor ranks.
 
 def _reference_resolution(cols, f0, minimalize_f0=False):
     diffs = [[c for c in cols if not c.is_zero()]]
@@ -491,9 +492,10 @@ def _reference_resolution(cols, f0, minimalize_f0=False):
         diffs.pop()
     assert all(_reference_unit_entry(v) is None
                for level in diffs for v in level)
-    betti = [Counter(shifts)] + [Counter(v.degree() for v in level)
-                                 for level in diffs]
-    return resolutions.GradedResolution(f0.ring, shifts, diffs, betti)
+    modules = [FreeModule(f0.ring, len(s), s) for s in [shifts] + [
+        [v.degree() for v in level] for level in diffs]]
+    betti = [Counter(F.shifts) for F in modules]
+    return resolutions.GradedResolution(f0.ring, modules, diffs, betti)
 
 
 def _reference_quotient_resolution(R, gens):
@@ -581,8 +583,8 @@ def test_tor_ranks_of_the_frame_give_the_betti_numbers(ideal):
     R, gens = ideal
     f0 = FreeModule(R, 1, (0,))
     cols = [f0.from_poly_list([(0, g)]) for g in gens]
-    frame = resolutions.schreyer_frame(module_buchberger(cols).basis)
-    tor = resolutions.tor_betti((0,), frame)
+    tor = resolutions.tor_betti(
+        *resolutions.schreyer_frame(module_buchberger(cols).basis))
     ref = [dict(b) for b in _reference_resolution(cols, f0).graded_betti]
     assert tor == ref + [{}] * (len(tor) - len(ref))
 
@@ -752,7 +754,7 @@ def test_lead_free_tail_terms_change_no_quotient(basis, data):
     so it never records a quotient or pushes a term: reducing against
     that index records the quotients of the full tails, and the same
     remainder in every component that carries a lead."""
-    syz, index = schreyer_level(basis, reducer_index(
+    _, syz, index = schreyer_level(basis, reducer_index(
         basis, basis[0].module.rank), range(3))
     assume(syz)
     S = syz[0].module
@@ -780,8 +782,10 @@ def test_schreyer_syzygies_match_the_graph_row_reference(basis):
     index = reducer_index(basis, basis[0].module.rank)
     triples = position_over_term(basis[0].module.ring, basis[0].module.rank)
     for _ in range(3):
-        syz, index = schreyer_level(basis, index, range(3))
+        F, syz, index = schreyer_level(basis, index, range(3))
         assert syz == syzygies(basis)
+        assert all(v.module is F for v in syz)
+        assert F.shifts == tuple(map(lead_degree, basis))
         _assert_next_level_matches_reference(basis, syz, index, range(3),
                                              triples)
         if not syz:
@@ -811,54 +815,53 @@ def test_corpus_frames_match_the_graph_row_reference(corpus_instances,
             lex = sorted(range(gb[0].module.ring.n),
                          key=lambda v: (counts[v], v))
             del handed[:], orders[:]
-            frame = resolutions.schreyer_frame(gb)
+            modules, frame = resolutions.schreyer_frame(gb)
             assert orders == [lex] * len(handed), (name, n)
             assert frame[0] == sorted(
                 gb, key=lambda b: [-b.terms[0][0][1][v] for v in lex])
-            assert [syz for syz, _ in handed] == frame[1:] + [[]]
+            assert [syz for _, syz, _ in handed] == frame[1:] + [[]]
+            assert [F for F, _, _ in handed] == modules[1:]
             triples = position_over_term(gb[0].module.ring, 1)
-            for lower, (upper, index) in zip(frame, handed):
+            for lower, (_, upper, index) in zip(frame, handed):
                 _assert_next_level_matches_reference(lower, upper, index,
                                                      lex, triples)
                 triples = schreyer_triples(triples, lower)
 
 
-def _betti_by_lead_degrees(f0_shifts, frame):
-    """tor_betti with every level's column degrees read off its leads."""
-    ranks = ([{}] + [resolutions._constant_ranks(cols) for cols in frame]
-             + [{}])
-    out = []
-    for k, degs in enumerate([f0_shifts] + [
-            list(map(resolutions._lead_degree, cols)) for cols in frame]):
-        b = Counter(degs)
-        b.subtract(ranks[k])
-        b.subtract(ranks[k + 1])
-        out.append({j: c for j, c in b.items() if c})
-    return out
-
-
-def test_tor_betti_reads_the_lead_degrees_off_the_next_level(
-        corpus_instances):
-    """On the Rees rings' frames at n = 2, 3, the shifts of each level's
-    module are the lead degrees of the level below, and tor_betti, which
-    reads them, gives the Betti numbers that the lead degrees give; so it
-    does on two_planes' frame with its last level emptied, whose level
-    below has no next module and reads its lead degrees."""
+def _rees_frames(corpus_instances):
+    """(name, n, first level) of the Rees rings' frames at n = 2, 3."""
     for name, (A, q) in corpus_instances.items():
         for n in (2, 3):
-            gb = as_vecs(list(oracle.rees_presentation(A, q, n).ring.gb()))
-            frame = resolutions.schreyer_frame(gb)
-            for cols, nxt in zip(frame, frame[1:]):
-                assert nxt[0].module.shifts == tuple(
-                    map(resolutions._lead_degree, cols)), (name, n)
-            assert (resolutions.tor_betti((0,), frame)
-                    == _betti_by_lead_degrees((0,), frame)), (name, n)
-    A, _ = corpus_instances["two_planes"]
-    frame = resolutions.schreyer_frame(as_vecs(list(A.gb())))
-    assert len(frame[-1]) == 1
-    frame[-1] = []
-    assert (resolutions.tor_betti((0,), frame)
-            == _betti_by_lead_degrees((0,), frame))
+            yield name, n, as_vecs(list(
+                oracle.rees_presentation(A, q, n).ring.gb()))
+
+
+def test_frame_modules_carry_the_lead_degrees_of_the_level_below(
+        corpus_instances):
+    """On the Rees rings' frames at n = 2, 3, each level lies in its
+    module, and the shifts of the module after it, the only degrees
+    tor_betti and Ext read, are the lead degrees of the level's columns,
+    the last level's included."""
+    for name, n, gb in _rees_frames(corpus_instances):
+        modules, frame = resolutions.schreyer_frame(gb)
+        assert len(modules) == len(frame) + 1, (name, n)
+        for k, cols in enumerate(frame):
+            assert all(v.module is modules[k] for v in cols), (name, n, k)
+            assert modules[k + 1].shifts == tuple(
+                map(lead_degree, cols)), (name, n, k)
+
+
+def test_a_cut_frame_gives_the_uncut_betti_numbers_through_its_cap(
+        corpus_instances):
+    """A frame cut at cap c builds d_{c+2} in F_{c+1} at most, no F_{c+2},
+    and its Tor ranks are the uncut frame's beta_0, ..., beta_{c+1}."""
+    for name, n, gb in _rees_frames(corpus_instances):
+        full = resolutions.tor_betti(*resolutions.schreyer_frame(gb))
+        for cap in range(len(full)):
+            modules, frame = resolutions.schreyer_frame(gb, cap)
+            assert len(frame) <= len(modules) <= cap + 2, (name, n, cap)
+            assert (resolutions.tor_betti(modules, frame)
+                    == full[:cap + 2]), (name, n, cap)
 
 
 def test_euler_characteristic_is_the_hilbert_numerator(corpus_instances):
@@ -869,13 +872,16 @@ def test_euler_characteristic_is_the_hilbert_numerator(corpus_instances):
 
 
 def test_inexact_resolution_fails_the_crosscheck(monkeypatch, two_planes):
-    """A frame that loses a syzygy breaks the Euler characteristic; the
-    CLI reports it as a disagreement (exit 5)."""
+    """A frame that loses a syzygy, a column of its last level and with
+    it a generator of its last module, breaks the Euler characteristic;
+    the CLI reports it as a disagreement (exit 5)."""
     real = resolutions.schreyer_frame
 
     def lossy(gb, length_cap=None):
-        frame = real(gb, length_cap)
-        return frame[:-1] + [frame[-1][1:]]
+        modules, frame = real(gb, length_cap)
+        F = modules[-1]
+        return (modules[:-1] + [FreeModule(F.ring, F.rank - 1, F.shifts[1:])],
+                frame[:-1] + [frame[-1][1:]])
 
     monkeypatch.setattr(resolutions, "schreyer_frame", lossy)
     A, _ = two_planes
